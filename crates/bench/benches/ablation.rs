@@ -4,10 +4,12 @@
 //! * AB2 — cptree root/child selection heuristics
 //! * AB3 — the `necessary()` gate on/off in the framework
 //! * AB4 — A\* heap reuse across `k'` rounds on/off
-//! * AB5 — the bitset kernel vs the sorted-vec/stamp kernel in `div-astar`
+//!
+//! (AB5, bitset vs stamp kernel, is retired: the graph picks the kernel
+//! now. Its measured number stays in `BENCH_2.json`.)
 
 use criterion::{Criterion, criterion_group, criterion_main};
-use divtopk_core::astar::{AStarConfig, KernelMode, div_astar_configured};
+use divtopk_core::astar::{AStarConfig, div_astar_configured};
 use divtopk_core::cut::{ChildHeuristic, CutConfig, RootHeuristic, div_cut_configured};
 use divtopk_core::prelude::*;
 use divtopk_core::testgen::{self, ClusterConfig};
@@ -108,10 +110,7 @@ fn ab4_heap_reuse(c: &mut Criterion) {
     let mut group = c.benchmark_group("ab4_heap_reuse");
     group.sample_size(20);
     for (label, reuse) in [("on", true), ("off", false)] {
-        let config = AStarConfig {
-            reuse_heap: reuse,
-            ..AStarConfig::new()
-        };
+        let config = AStarConfig { reuse_heap: reuse };
         group.bench_function(label, |b| {
             b.iter(|| {
                 let (r, _) =
@@ -123,77 +122,11 @@ fn ab4_heap_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-fn ab5_kernel(c: &mut Criterion) {
-    // Dense near-duplicate clusters: the shape where independence checks
-    // dominate and the word-level kernel pays off (DESIGN.md §7).
-    let g = testgen::planted_clusters(
-        &ClusterConfig {
-            clusters: 6,
-            cluster_size: 18,
-            intra_p: 0.9,
-            bridges: 6,
-            singletons: 6,
-        },
-        17,
-    );
-    let mut group = c.benchmark_group("ab5_kernel");
-    group.sample_size(20);
-    for (label, kernel) in [
-        ("bitset", KernelMode::Dense),
-        ("sorted-vec", KernelMode::Sparse),
-    ] {
-        let config = AStarConfig {
-            kernel,
-            ..AStarConfig::new()
-        };
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let (r, _) =
-                    div_astar_configured(&g, 16, &config, &SearchLimits::unlimited()).unwrap();
-                black_box(r.best().score())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn ab6_component_cache(c: &mut Criterion) {
-    let mut rng = divtopk_core::rng::Pcg::new(33);
-    let items: Vec<Scored<(u32, u32)>> = (0..400u32)
-        .map(|i| Scored::new((i, rng.below(60)), Score::from(rng.range(1, 10_000))))
-        .collect();
-    let similar = |a: &(u32, u32), b: &(u32, u32)| a.1 == b.1;
-    let mut group = c.benchmark_group("ab6_component_cache");
-    group.sample_size(20);
-    for (label, cached) in [("on", true), ("off", false)] {
-        let items = items.clone();
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                let mut config = DivSearchConfig::new(15);
-                if cached {
-                    config = config.with_component_cache();
-                }
-                let out = DivTopK::new(
-                    IncrementalVecSource::from_unsorted(items.clone()),
-                    similar,
-                    config,
-                )
-                .run()
-                .unwrap();
-                black_box(out.total_score)
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     ab1_compression,
     ab2_heuristics,
     ab3_necessary_gate,
-    ab4_heap_reuse,
-    ab5_kernel,
-    ab6_component_cache
+    ab4_heap_reuse
 );
 criterion_main!(benches);

@@ -407,8 +407,9 @@ fn vary_kfreq(ds: &mut Datasets, which: Dataset, ctx: &Ctx, fig: &str) {
 /// Quality comparison (AB5): exact diversified top-k vs greedy vs MMR on
 /// the paper's objective (total score under the pairwise-τ constraint).
 fn quality(ds: &mut Datasets, ctx: &Ctx) {
+    use divtopk_core::diversify::mmr_select;
     use divtopk_core::{ResultSource, Scored};
-    use divtopk_text::mmr::{MmrConfig, mmr_documents};
+    use divtopk_text::jaccard::weighted_jaccard;
     use divtopk_text::quality::{redundancy, total_score};
 
     println!("\n## Quality — exact vs greedy vs MMR (AB5)");
@@ -441,13 +442,7 @@ fn quality(ds: &mut Datasets, ctx: &Ctx) {
             let (graph, perm) = divtopk_core::DiversityGraph::from_items(
                 &cands,
                 |r| r.score,
-                |a, b| {
-                    divtopk_text::jaccard::weighted_jaccard(
-                        corpus,
-                        corpus.doc(a.item),
-                        corpus.doc(b.item),
-                    ) > tau
-                },
+                |a, b| weighted_jaccard(corpus, corpus.doc(a.item), corpus.doc(b.item)) > tau,
             );
             let (greedy_nodes, greedy_score) = divtopk_core::greedy::greedy(&graph, k);
             let greedy_sel: Vec<Scored<DocId>> = greedy_nodes
@@ -457,7 +452,12 @@ fn quality(ds: &mut Datasets, ctx: &Ctx) {
             debug_assert_eq!(total_score(&greedy_sel), greedy_score);
 
             // MMR (λ = 0.7), then also report its constraint violations.
-            let mmr_sel = mmr_documents(corpus, &cands, &MmrConfig::new(k).with_lambda(0.7));
+            let sim =
+                |a: &DocId, b: &DocId| weighted_jaccard(corpus, corpus.doc(*a), corpus.doc(*b));
+            let mmr_sel: Vec<Scored<DocId>> = mmr_select(&cands, sim, 0.7, k)
+                .into_iter()
+                .map(|i| cands[i].clone())
+                .collect();
             let (mmr_viol, _) = redundancy(corpus, &mmr_sel, tau);
 
             rows.push((

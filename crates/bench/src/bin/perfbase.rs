@@ -4,9 +4,7 @@
 //! enwiki/reuters corpora queries, and the serving-engine batch-throughput
 //! trace) through the exact algorithms and emits one machine-readable JSON
 //! file with wall time and allocator peak per cell, so every PR leaves a
-//! comparable trajectory point (DESIGN.md §7–§8). The `div-astar` cells
-//! run under **both** kernels — `bitset` and `sorted-vec` (ablation AB5) —
-//! and the summary reports the median speedup between them.
+//! comparable trajectory point (DESIGN.md §7–§8).
 //!
 //! The **serving throughput** suite replays a fixed Zipf-repeating query
 //! trace (head queries repeat, as in real search traffic) against the
@@ -30,7 +28,7 @@
 //! with the data-level `verify_rebuild_equivalence` check.
 //!
 //! The **cold start** suite measures restart both ways — snapshot load
-//! (`Engine::load_snapshot`, DESIGN.md §10) versus rebuilding the same
+//! (`Engine::load_snapshot`, DESIGN.md §14) versus rebuilding the same
 //! serving state from the in-memory documents (vocabulary + statistics +
 //! index + weights + tombstone replay) — asserting, before any timing,
 //! that the loaded engine answers byte-identically to the engine that
@@ -45,8 +43,8 @@
 //!
 //! The binary validates its own output (strict JSON well-formedness and a
 //! non-empty cell list) and exits non-zero on any inconsistency, including
-//! a best-score disagreement between the two kernels on the same cell and
-//! any sharded-vs-unsharded, segmented-vs-rebuilt, or loaded-vs-saved
+//! a best-score disagreement between the exact algorithms on the same graph
+//! and any sharded-vs-unsharded, segmented-vs-rebuilt, or loaded-vs-saved
 //! answer disagreement — the measurement run doubles as an
 //! oracle-equivalence check. `--verify PATH` re-reads a finished
 //! trajectory file through the [`json`] DOM and asserts every expected
@@ -56,7 +54,6 @@
 use divtopk_bench::quality::evaluate;
 use divtopk_bench::workload::QueryPack;
 use divtopk_bench::{Measurement, PeakAlloc, json, measure};
-use divtopk_core::astar::{AStarConfig, KernelMode, div_astar_configured};
 use divtopk_core::prelude::*;
 use divtopk_core::testgen::{self, ClusterConfig};
 use divtopk_engine::prelude::*;
@@ -87,14 +84,6 @@ impl Algo {
     }
 }
 
-fn kernel_name(kernel: KernelMode) -> &'static str {
-    match kernel {
-        KernelMode::Auto => "auto",
-        KernelMode::Dense => "bitset",
-        KernelMode::Sparse => "sorted-vec",
-    }
-}
-
 /// One measured table cell of the baseline.
 struct Cell {
     suite: &'static str,
@@ -110,7 +99,7 @@ struct Cell {
     wall_ns: u128,
     /// Max allocator peak over the runs.
     peak_bytes: usize,
-    /// Best solution score (cross-checked between kernels).
+    /// Best solution score (cross-checked between algorithms).
     score: Option<f64>,
 }
 
@@ -157,15 +146,13 @@ fn median(sorted: &mut [u128]) -> u128 {
     }
 }
 
-/// Measures one `(graph, algorithm, kernel)` cell over `runs` repetitions.
-#[allow(clippy::too_many_arguments)]
+/// Measures one `(graph, algorithm)` cell over `runs` repetitions.
 fn graph_cell(
     suite: &'static str,
     g: &DiversityGraph,
     seed: u64,
     k: usize,
     algo: Algo,
-    kernel: KernelMode,
     runs: usize,
     budget: Duration,
 ) -> Cell {
@@ -179,15 +166,7 @@ fn graph_cell(
     let mut score = None;
     for _ in 0..runs {
         let (m, result) = measure(|| match algo {
-            Algo::AStar => {
-                let config = AStarConfig {
-                    kernel,
-                    ..AStarConfig::new()
-                };
-                div_astar_configured(g, k, &config, &limits)
-                    .ok()
-                    .map(|r| r.0)
-            }
+            Algo::AStar => div_astar_limited(g, k, &limits).ok().map(|r| r.0),
             Algo::Dp => div_dp_limited(g, k, &limits).ok().map(|r| r.0),
             Algo::Cut => div_cut_limited(g, k, &limits).ok().map(|r| r.0),
         });
@@ -215,7 +194,7 @@ fn graph_cell(
     Cell {
         suite,
         algo: algo.name(),
-        kernel: kernel_name(kernel),
+        kernel: "auto",
         seed,
         n: g.len(),
         edges: g.edge_count(),
@@ -1293,14 +1272,12 @@ const EXPECTED_SUITES: [&str; 11] = [
 
 /// Every summary key a complete perfbase run publishes (all numeric; all
 /// must be finite).
-const EXPECTED_SUMMARY_KEYS: [&str; 30] = [
+const EXPECTED_SUMMARY_KEYS: [&str; 28] = [
     "frontier_modes",
     "frontier_shapes",
     "frontier_best_cheap_speedup",
     "frontier_best_cheap_speedup_gap",
     "frontier_oracle_identity_pass",
-    "astar_bitset_speedup_planted_default",
-    "astar_bitset_speedup_planted_dense_neardup",
     "throughput_qps_baseline",
     "throughput_speedup_4_shards_vs_baseline",
     "throughput_cache_hit_rate_4_shards",
@@ -1429,7 +1406,7 @@ struct ColdStartReport {
     checkpoint_delta_bytes_large: u64,
 }
 
-/// The cold-start suite (DESIGN.md §10): how fast does a serving process
+/// The cold-start suite (DESIGN.md §14): how fast does a serving process
 /// restart from a checksummed snapshot versus rebuilding its indexes from
 /// the in-memory corpus (the pre-PR-5 restart shape — and a *generous*
 /// baseline: a real restart would first re-parse the documents too)?
@@ -1721,10 +1698,10 @@ fn cold_start_suite(
     })
 }
 
-/// The pinned dense near-duplicate configuration behind the headline AB5
-/// speedup number (dense clusters ≈ near-dup chains; see DESIGN.md §3).
-/// Few large, very dense clusters: independence checks dominate the
-/// search, which is exactly the regime the bitset kernel targets.
+/// The pinned dense near-duplicate configuration (dense clusters ≈
+/// near-dup chains; see DESIGN.md §3). Few large, very dense clusters:
+/// independence checks dominate the search, which is exactly the regime
+/// the bitset kernel targets.
 fn dense_neardup_config(smoke: bool) -> ClusterConfig {
     if smoke {
         ClusterConfig {
@@ -1797,62 +1774,38 @@ fn main() {
     let default_k = if smoke { 8 } else { 20 };
     for &seed in seeds {
         let g = testgen::planted_clusters(&ClusterConfig::default(), seed);
-        for (algo, kernel) in [
-            (Algo::AStar, KernelMode::Dense),
-            (Algo::AStar, KernelMode::Sparse),
-            (Algo::Dp, KernelMode::Auto),
-            (Algo::Cut, KernelMode::Auto),
-        ] {
-            eprintln!(
-                "[planted_default] seed {seed} {} {}",
-                algo.name(),
-                kernel_name(kernel)
-            );
+        for algo in [Algo::AStar, Algo::Dp, Algo::Cut] {
+            eprintln!("[planted_default] seed {seed} {}", algo.name());
             cells.push(graph_cell(
                 "planted_default",
                 &g,
                 seed,
                 default_k,
                 algo,
-                kernel,
                 runs,
                 budget,
             ));
         }
     }
 
-    // Suite 2 (headline): dense near-duplicate clusters — where the
-    // independence checks dominate and the AB5 kernel gap is measured.
+    // Suite 2: dense near-duplicate clusters — where the independence
+    // checks dominate.
     let neardup = dense_neardup_config(smoke);
     let neardup_k = if smoke { 6 } else { 12 };
     for &seed in seeds {
         let g = testgen::planted_clusters(&neardup, seed);
-        for kernel in [KernelMode::Dense, KernelMode::Sparse] {
-            eprintln!(
-                "[planted_dense_neardup] seed {seed} div-astar {}",
-                kernel_name(kernel)
-            );
+        for algo in [Algo::AStar, Algo::Cut] {
+            eprintln!("[planted_dense_neardup] seed {seed} {}", algo.name());
             cells.push(graph_cell(
                 "planted_dense_neardup",
                 &g,
                 seed,
                 neardup_k,
-                Algo::AStar,
-                kernel,
+                algo,
                 runs,
                 budget,
             ));
         }
-        cells.push(graph_cell(
-            "planted_dense_neardup",
-            &g,
-            seed,
-            neardup_k,
-            Algo::Cut,
-            KernelMode::Auto,
-            runs,
-            budget,
-        ));
     }
 
     // Suite 3: a pure path (div-cut's best case, every interior node a cut
@@ -1862,16 +1815,7 @@ fn main() {
     for &seed in seeds {
         let g = testgen::path_graph(path_n, seed);
         for algo in [Algo::Dp, Algo::Cut] {
-            cells.push(graph_cell(
-                "path",
-                &g,
-                seed,
-                path_k,
-                algo,
-                KernelMode::Auto,
-                runs,
-                budget,
-            ));
+            cells.push(graph_cell("path", &g, seed, path_k, algo, runs, budget));
         }
     }
 
@@ -1925,7 +1869,7 @@ fn main() {
     let live_update = live_update_suite(&mut cells, smoke, runs, budget);
 
     // Suite 7: cold-start persistence — snapshot load vs index rebuild
-    // (DESIGN.md §10).
+    // (DESIGN.md §14).
     let cold_start = cold_start_suite(&mut cells, smoke, runs, budget);
 
     // Suite 8: end-to-end serving latency over TCP — open-loop trace
@@ -1942,67 +1886,26 @@ fn main() {
     // shapes (DESIGN.md §15).
     let frontier = frontier_suite(&mut cells, smoke, runs, budget);
 
-    // Kernel oracle check: within a (suite, seed), the bitset and
-    // sorted-vec div-astar cells must find the same best score.
+    // Algorithm oracle check: within a (suite, seed), every exact
+    // algorithm that finished must find the same best score.
     for suite in ["planted_default", "planted_dense_neardup"] {
         for &seed in seeds {
-            let find = |kernel: &str| {
-                cells.iter().find(|c| {
-                    c.suite == suite
-                        && c.seed == seed
-                        && c.algo == "div-astar"
-                        && c.kernel == kernel
-                })
-            };
-            if let (Some(dense), Some(sparse)) = (find("bitset"), find("sorted-vec")) {
-                if let (Some(a), Some(b)) = (dense.score, sparse.score) {
-                    assert!(
-                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
-                        "kernel disagreement on {suite} seed {seed}: {a} vs {b}"
-                    );
-                }
+            let scores: Vec<f64> = cells
+                .iter()
+                .filter(|c| c.suite == suite && c.seed == seed)
+                .filter_map(|c| c.score)
+                .collect();
+            for pair in scores.windows(2) {
+                let (a, b) = (pair[0], pair[1]);
+                assert!(
+                    (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                    "algorithm disagreement on {suite} seed {seed}: {a} vs {b}"
+                );
             }
         }
     }
 
-    // Headline summary: per-seed sparse/dense wall-time ratios, median.
     let mut summary_lines: Vec<String> = Vec::new();
-    for suite in ["planted_default", "planted_dense_neardup"] {
-        let mut ratios: Vec<f64> = Vec::new();
-        for &seed in seeds {
-            let wall = |kernel: &str| {
-                cells
-                    .iter()
-                    .find(|c| {
-                        c.suite == suite
-                            && c.seed == seed
-                            && c.algo == "div-astar"
-                            && c.kernel == kernel
-                            && !c.is_inf()
-                    })
-                    .map(|c| c.wall_ns as f64)
-            };
-            if let (Some(dense), Some(sparse)) = (wall("bitset"), wall("sorted-vec")) {
-                if dense > 0.0 {
-                    ratios.push(sparse / dense);
-                }
-            }
-        }
-        ratios.sort_by(|a, b| a.total_cmp(b));
-        let median_ratio = if ratios.is_empty() {
-            None
-        } else {
-            Some(ratios[ratios.len() / 2])
-        };
-        let value = median_ratio
-            .map(|r| format!("{r:.3}"))
-            .unwrap_or_else(|| "null".to_string());
-        summary_lines.push(format!("\"astar_bitset_speedup_{suite}\": {value}"));
-        if let Some(r) = median_ratio {
-            eprintln!("[summary] {suite}: div-astar bitset vs sorted-vec median speedup {r:.2}x");
-        }
-    }
-
     if let Some(report) = &throughput {
         summary_lines.push(format!(
             "\"throughput_qps_baseline\": {:.3}",

@@ -16,19 +16,20 @@
 //! ## The bitset kernel (DESIGN.md §7)
 //!
 //! The search's inner loops are compatibility tests: "which nodes after
-//! `e.pos` are independent of the partial solution `S`?" With the default
-//! [`KernelMode::Auto`] these run on dense `u64` bitsets — the exclusion
-//! set of `S` is the word-level OR of the graph's precomputed adjacency
-//! bitmap rows, candidate enumeration skips excluded nodes a word (64 ids)
-//! at a time, and bounding a child `S ∪ {v}` needs no marking at all: the
-//! child's exclusion set is just `excl | adjacency_row(v)`, evaluated on
-//! the fly. Partial solutions themselves are parent-linked entries in an
-//! append-only arena (8 bytes per push), so the expansion loop's steady
-//! state performs **zero allocations**: no per-child `Vec`, no per-offer
-//! clone (`offer_extended` copies only on improvement), only amortized
-//! arena/heap growth. [`KernelMode::Sparse`] keeps the pre-kernel
-//! epoch-stamp implementation alive for the AB5 ablation and for graphs
-//! too large to carry an adjacency bitmap.
+//! `e.pos` are independent of the partial solution `S`?" On a graph that
+//! carries an adjacency bitmap (at most
+//! [`DENSE_ADJ_MAX_NODES`](crate::graph::DENSE_ADJ_MAX_NODES) nodes) these
+//! run on dense `u64` bitsets — the exclusion set of `S` is the word-level
+//! OR of the graph's precomputed adjacency bitmap rows, candidate
+//! enumeration skips excluded nodes a word (64 ids) at a time, and bounding
+//! a child `S ∪ {v}` needs no marking at all: the child's exclusion set is
+//! just `excl | adjacency_row(v)`, evaluated on the fly. Partial solutions
+//! themselves are parent-linked entries in an append-only arena (8 bytes
+//! per push), so the expansion loop's steady state performs **zero
+//! allocations**: no per-child `Vec`, no per-offer clone (`offer_extended`
+//! copies only on improvement), only amortized arena/heap growth. Graphs
+//! too large to carry a bitmap run on the epoch-stamp kernel instead; the
+//! graph decides, the caller does not.
 
 use crate::error::SearchError;
 use crate::graph::{DiversityGraph, NodeId};
@@ -58,11 +59,6 @@ impl WordBuf {
 
     fn clear(&mut self) {
         self.words.fill(0);
-    }
-
-    #[inline]
-    fn insert(&mut self, v: NodeId) {
-        self.words[(v / 64) as usize] |= 1u64 << (v % 64);
     }
 
     #[inline]
@@ -166,32 +162,14 @@ impl Ord for Entry {
     }
 }
 
-/// Which independence-check kernel `div-astar` runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Dense bitset kernel when the graph carries an adjacency bitmap
-    /// (see [`crate::graph::DENSE_ADJ_MAX_NODES`]), stamp kernel otherwise.
-    #[default]
-    Auto,
-    /// Force the dense bitset kernel. On graphs without an adjacency
-    /// bitmap, candidate rows are built on the fly (correct, but the
-    /// per-candidate clear costs O(n/64); prefer `Auto`).
-    Dense,
-    /// Force the pre-kernel epoch-stamp implementation — the sorted-vec
-    /// baseline kept runnable for the AB5 ablation (DESIGN.md §6/§7).
-    Sparse,
-}
-
 /// Kernel-specific exclusion state. Allocated once per search, reused
-/// across every expansion.
+/// across every expansion. `Dense` runs exactly on graphs with an adjacency
+/// bitmap, `Sparse` on the rest.
 #[derive(Debug)]
 enum KernelScratch {
     Dense {
         /// Nodes adjacent to the current popped solution (bitset).
         excl: WordBuf,
-        /// Fallback candidate row, used only when the graph has no
-        /// adjacency bitmap.
-        cand: WordBuf,
     },
     Sparse {
         /// Stamped with `epoch` for nodes adjacent to the popped solution.
@@ -214,17 +192,11 @@ struct Scratch {
 }
 
 impl Scratch {
-    fn new(g: &DiversityGraph, mode: KernelMode) -> Scratch {
+    fn new(g: &DiversityGraph) -> Scratch {
         let n = g.len();
-        let dense = match mode {
-            KernelMode::Auto => g.has_adjacency_bitmap(),
-            KernelMode::Dense => true,
-            KernelMode::Sparse => false,
-        };
-        let kernel = if dense {
+        let kernel = if g.has_adjacency_bitmap() {
             KernelScratch::Dense {
                 excl: WordBuf::new(n),
-                cand: WordBuf::new(n),
             }
         } else {
             KernelScratch::Sparse {
@@ -246,16 +218,10 @@ impl Scratch {
     fn mark_solution(&mut self, g: &DiversityGraph, tail: u32) {
         self.arena.materialize(tail, &mut self.sol_buf);
         match &mut self.kernel {
-            KernelScratch::Dense { excl, .. } => {
+            KernelScratch::Dense { excl } => {
                 excl.clear();
                 for &v in &self.sol_buf {
-                    if let Some(row) = g.adjacency_row(v) {
-                        excl.or_row(row);
-                    } else {
-                        for &nb in g.neighbors(v) {
-                            excl.insert(nb);
-                        }
-                    }
+                    excl.or_row(bitmap_row(g, v));
                 }
             }
             KernelScratch::Sparse { excl, epoch, .. } => {
@@ -274,7 +240,7 @@ impl Scratch {
     fn next_free(&self, g: &DiversityGraph, from: NodeId) -> Option<NodeId> {
         let n = g.len() as NodeId;
         match &self.kernel {
-            KernelScratch::Dense { excl, .. } => next_zero_bit(excl.words(), None, from, n),
+            KernelScratch::Dense { excl } => next_zero_bit(excl.words(), None, from, n),
             KernelScratch::Sparse { excl, epoch, .. } => {
                 (from..n).find(|&v| excl[v as usize] != *epoch)
             }
@@ -293,18 +259,9 @@ impl Scratch {
         k_prime: usize,
     ) -> Score {
         match &mut self.kernel {
-            KernelScratch::Dense { excl, cand } => {
-                let row: &[u64] = match g.adjacency_row(v) {
-                    Some(row) => row,
-                    None => {
-                        cand.clear();
-                        for &nb in g.neighbors(v) {
-                            cand.insert(nb);
-                        }
-                        cand.words()
-                    }
-                };
-                bound_zero_scan(g, excl.words(), Some(row), size, base_score, v + 1, k_prime)
+            KernelScratch::Dense { excl } => {
+                let row = Some(bitmap_row(g, v));
+                bound_zero_scan(g, excl.words(), row, size, base_score, v + 1, k_prime)
             }
             KernelScratch::Sparse {
                 excl,
@@ -338,7 +295,7 @@ impl Scratch {
     fn solution_bound(&mut self, g: &DiversityGraph, e: &Entry, k_prime: usize) -> Score {
         self.mark_solution(g, e.tail);
         match &self.kernel {
-            KernelScratch::Dense { excl, .. } => bound_zero_scan(
+            KernelScratch::Dense { excl } => bound_zero_scan(
                 g,
                 excl.words(),
                 None,
@@ -363,6 +320,14 @@ impl Scratch {
             }
         }
     }
+}
+
+/// `v`'s adjacency bitmap row; the dense kernel is only ever built for
+/// graphs that carry one.
+#[inline]
+fn bitmap_row(g: &DiversityGraph, v: NodeId) -> &[u64] {
+    g.adjacency_row(v)
+        .expect("dense kernel runs only on graphs with an adjacency bitmap")
 }
 
 /// Smallest id `≥ from` whose bit is clear in `a | b` (b optional), or
@@ -415,24 +380,19 @@ fn bound_zero_scan(
     bound
 }
 
-/// Configuration knobs for `div-astar` (ablations; defaults match the paper
-/// plus the bitset kernel).
+/// Configuration knob for `div-astar` (ablation; the default matches the
+/// paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AStarConfig {
     /// Reuse the heap across `k'` rounds (Lemma 6). Disabling restarts the
     /// search from scratch for every `k'` — ablation AB4.
     pub reuse_heap: bool,
-    /// Independence-check kernel — ablation AB5 forces [`KernelMode::Sparse`].
-    pub kernel: KernelMode,
 }
 
 impl AStarConfig {
-    /// The paper's configuration: heap reuse on, kernel auto-selected.
+    /// The paper's configuration: heap reuse on.
     pub fn new() -> AStarConfig {
-        AStarConfig {
-            reuse_heap: true,
-            kernel: KernelMode::Auto,
-        }
+        AStarConfig { reuse_heap: true }
     }
 }
 
@@ -454,7 +414,7 @@ pub fn div_astar(g: &DiversityGraph, k: usize) -> SearchResult {
 }
 
 /// Exact diversified top-k with explicit configuration and budgets
-/// (ablation AB4 toggles heap reuse here, AB5 the kernel).
+/// (ablation AB4 toggles heap reuse here).
 pub fn div_astar_configured(
     g: &DiversityGraph,
     k: usize,
@@ -496,7 +456,7 @@ pub(crate) fn div_astar_ledger(
     }
     // Solutions cannot exceed n nodes: rounds beyond n are no-ops.
     let k_cap = k.min(n);
-    let mut scratch = Scratch::new(g, config.kernel);
+    let mut scratch = Scratch::new(g);
 
     if config.reuse_heap {
         let mut heap: BinaryHeap<Entry> = BinaryHeap::new();
@@ -652,7 +612,14 @@ mod tests {
         Score::from(v)
     }
 
-    const ALL_KERNELS: [KernelMode; 3] = [KernelMode::Auto, KernelMode::Dense, KernelMode::Sparse];
+    /// `g` as is (bitset kernel) and padded past the bitmap cap with
+    /// isolated zero-score nodes (stamp kernel): the pads change no bound
+    /// and no per-size optimum, so both must give the same numbers.
+    fn on_both_kernels(g: &DiversityGraph) -> [DiversityGraph; 2] {
+        let padded = testgen::pad_past_bitmap_cap(g);
+        assert!(g.has_adjacency_bitmap() && !padded.has_adjacency_bitmap());
+        [g.clone(), padded]
+    }
 
     /// Checks the prefix-max contract of `got` against the point-wise-exact
     /// oracle `want` on `g`.
@@ -696,17 +663,17 @@ mod tests {
     fn fig4_initial_bounds_on_every_kernel() {
         // Example 2's bound values for singleton entries at k' = 3:
         // {v1}: 19, {v2}: 9, {v3}: 20, {v4}: 13, {v5}: 6, {v6}: 1.
-        let g = DiversityGraph::paper_fig1();
         let expected = [19u32, 9, 20, 13, 6, 1];
-        for mode in ALL_KERNELS {
-            let mut scratch = Scratch::new(&g, mode);
+        for g in on_both_kernels(&DiversityGraph::paper_fig1()) {
+            let mut scratch = Scratch::new(&g);
             for (v, &want) in expected.iter().enumerate() {
                 let e = singleton_entry(&mut scratch, &g, v as NodeId);
                 assert_eq!(
                     scratch.solution_bound(&g, &e, 3),
                     s(want),
-                    "bound of {{v{}}} under {mode:?}",
-                    v + 1
+                    "bound of {{v{}}} on {} nodes",
+                    v + 1,
+                    g.len()
                 );
             }
         }
@@ -715,11 +682,15 @@ mod tests {
     #[test]
     fn fig5_rebound_for_k2() {
         // When k' drops to 2, {v1}'s bound becomes 18 (Fig. 5).
-        let g = DiversityGraph::paper_fig1();
-        for mode in ALL_KERNELS {
-            let mut scratch = Scratch::new(&g, mode);
+        for g in on_both_kernels(&DiversityGraph::paper_fig1()) {
+            let mut scratch = Scratch::new(&g);
             let e = singleton_entry(&mut scratch, &g, 0);
-            assert_eq!(scratch.solution_bound(&g, &e, 2), s(18), "{mode:?}");
+            assert_eq!(
+                scratch.solution_bound(&g, &e, 2),
+                s(18),
+                "{} nodes",
+                g.len()
+            );
         }
     }
 
@@ -728,9 +699,8 @@ mod tests {
         // Bounding e ∪ {v} via `child_bound` must agree with building the
         // child entry and re-bounding it from scratch, on every kernel.
         for seed in 0..10 {
-            let g = testgen::random_graph(40, 0.3, 500 + seed);
-            for mode in ALL_KERNELS {
-                let mut scratch = Scratch::new(&g, mode);
+            for g in on_both_kernels(&testgen::random_graph(40, 0.3, 500 + seed)) {
+                let mut scratch = Scratch::new(&g);
                 let root = Entry {
                     bound: Score::ZERO,
                     score: Score::ZERO,
@@ -741,10 +711,10 @@ mod tests {
                 scratch.mark_solution(&g, root.tail);
                 for v in 0..6u32 {
                     let via_child = scratch.child_bound(&g, v, 1, g.score(v), 4);
-                    let mut fresh = Scratch::new(&g, mode);
+                    let mut fresh = Scratch::new(&g);
                     let child = singleton_entry(&mut fresh, &g, v);
                     let standalone = fresh.solution_bound(&g, &child, 4);
-                    assert_eq!(via_child, standalone, "seed {seed} v {v} {mode:?}");
+                    assert_eq!(via_child, standalone, "seed {seed} v {v} n {}", g.len());
                     // `child_bound` must not disturb the parent's marks.
                     scratch.mark_solution(&g, root.tail);
                 }
@@ -804,44 +774,17 @@ mod tests {
     #[test]
     fn every_kernel_matches_exhaustive() {
         for seed in 200..215 {
-            let g = testgen::random_graph(13, 0.35, seed);
-            let want = exhaustive(&g, 6);
-            for mode in ALL_KERNELS {
-                let config = AStarConfig {
-                    kernel: mode,
-                    ..AStarConfig::new()
-                };
-                let (got, _) =
-                    div_astar_configured(&g, 6, &config, &SearchLimits::unlimited()).unwrap();
-                assert_prefix_max_matches(&g, &got, &want);
+            let small = testgen::random_graph(13, 0.35, seed);
+            let want = exhaustive(&small, 6);
+            for g in on_both_kernels(&small) {
+                assert_prefix_max_matches(&g, &div_astar(&g, 6), &want);
             }
         }
     }
 
     #[test]
-    fn dense_kernel_without_bitmap_matches() {
-        // Forcing the bitset kernel on a stripped graph exercises the
-        // build-candidate-row-on-the-fly fallback.
-        for seed in 300..310 {
-            let mut g = testgen::random_graph(12, 0.4, seed);
-            g.strip_adjacency_bitmap();
-            let want = exhaustive(&g, 5);
-            let config = AStarConfig {
-                kernel: KernelMode::Dense,
-                ..AStarConfig::new()
-            };
-            let (got, _) =
-                div_astar_configured(&g, 5, &config, &SearchLimits::unlimited()).unwrap();
-            assert_prefix_max_matches(&g, &got, &want);
-        }
-    }
-
-    #[test]
     fn no_reuse_ablation_matches() {
-        let config = AStarConfig {
-            reuse_heap: false,
-            ..AStarConfig::new()
-        };
+        let config = AStarConfig { reuse_heap: false };
         for seed in 0..10 {
             let g = testgen::random_graph(10, 0.4, seed);
             let mut m1 = SearchMetrics::default();

@@ -150,7 +150,7 @@ impl Diversifier for ExactDiversifier {
     {
         let SimilarityOracle { above, .. } = oracle;
         let config = DivSearchConfig::new(k)
-            .with_algorithm(self.algorithm.clone())
+            .with_algorithm(self.algorithm)
             .with_limits(self.limits.clone())
             .with_bound_decay(self.bound_decay);
         let out = DivTopK::new(source, above, config).run()?;
@@ -293,8 +293,8 @@ impl Diversifier for MmrDiversifier {
 /// The MMR greedy in index space: returns selected pool indices in
 /// selection order. Utility ties break toward the smaller pool index
 /// (better relevance rank), which is what makes the ranking seed-free.
-/// Exposed for the text layer's standalone rerank entry point so both
-/// paths share one implementation.
+/// Public so offline baselines (the `figures` harness, the
+/// `baseline_comparison` example) rerank through this same function.
 pub fn mmr_select<T>(
     pool: &[Scored<T>],
     mut sim: impl FnMut(&T, &T) -> f64,

@@ -4,8 +4,9 @@ use std::fmt;
 
 /// Why a search could not be completed.
 ///
-/// (`PartialEq` only — [`SearchError::InvalidTau`] carries the rejected
-/// `f64`, which has no total equality.)
+/// (`PartialEq` only — [`SearchError::InvalidTau`] and
+/// [`SearchError::InvalidBoundDecay`] carry the rejected `f64`, which has
+/// no total equality.)
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchError {
     /// A configured resource budget was exhausted before the exact answer
@@ -25,6 +26,13 @@ pub enum SearchError {
     InvalidTau {
         /// The rejected `τ` value as supplied by the caller (may be NaN).
         tau: f64,
+    },
+    /// The bound-decay throttle is not a number in `[0, 1)`. Rejected at
+    /// admission: the framework asserts the range, and a panic inside a
+    /// serving worker must not be reachable from client input.
+    InvalidBoundDecay {
+        /// The rejected decay as supplied by the caller (may be NaN).
+        decay: f64,
     },
     /// A query referenced a term id outside the index vocabulary.
     /// Rejected at admission — malformed client input must surface as a
@@ -68,6 +76,9 @@ impl fmt::Display for SearchError {
                     f,
                     "invalid similarity threshold τ: {tau} (must be in [0, 1])"
                 )
+            }
+            SearchError::InvalidBoundDecay { decay } => {
+                write!(f, "invalid bound decay: {decay} (must be in [0, 1))")
             }
             SearchError::UnknownTerm { term } => {
                 write!(f, "unknown term id: {term} (outside the index vocabulary)")

@@ -38,17 +38,15 @@ use std::collections::BinaryHeap;
 /// framework's stop conditions are sound with any of them. (The greedy
 /// heuristic is deliberately *not* an option here: its table carries no
 /// optimality guarantee, which would break Lemma 1's upper bound.)
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum ExactAlgorithm {
     /// `div-astar` (Algorithm 4) on the whole graph.
     AStar,
     /// `div-dp` (Algorithm 7): per-component A\* + `⊕`.
     Dp,
-    /// `div-cut` (Algorithm 8) with the given configuration.
+    /// `div-cut` (Algorithm 8).
     #[default]
     Cut,
-    /// `div-cut` with custom knobs.
-    CutConfigured(CutConfig),
 }
 
 impl ExactAlgorithm {
@@ -70,9 +68,6 @@ impl ExactAlgorithm {
             }
             ExactAlgorithm::Cut => {
                 div_cut_ledger(g, k, &CutConfig::default(), &mut ledger, &mut metrics, 0)?
-            }
-            ExactAlgorithm::CutConfigured(config) => {
-                div_cut_ledger(g, k, config, &mut ledger, &mut metrics, 0)?
             }
         };
         Ok((result, metrics))
@@ -100,13 +95,6 @@ pub struct DivSearchConfig {
     /// orders of magnitude fewer inner searches at large `k`. Exactness is
     /// unaffected — stopping is only ever *delayed*.
     pub min_bound_decay: f64,
-    /// Cache per-component tables between inner searches
-    /// ([`crate::component_cache`]): only components touched by new results
-    /// are re-solved. Exactness is unaffected (property-tested); the inner
-    /// algorithm is effectively `div-cut` per component regardless of
-    /// [`DivSearchConfig::algorithm`] (whose `CutConfigured` knobs are
-    /// honored). Off by default — the paper's engine is stateless.
-    pub cache_components: bool,
 }
 
 impl DivSearchConfig {
@@ -119,15 +107,7 @@ impl DivSearchConfig {
             limits: SearchLimits::unlimited(),
             use_necessary_gate: true,
             min_bound_decay: 0.0,
-            cache_components: false,
         }
-    }
-
-    /// Enables the incremental component cache (see
-    /// [`DivSearchConfig::cache_components`]).
-    pub fn with_component_cache(mut self) -> DivSearchConfig {
-        self.cache_components = true;
-        self
     }
 
     /// Sets the bound-decay throttle (see [`DivSearchConfig::min_bound_decay`]).
@@ -223,14 +203,6 @@ where
         let mut items: Vec<Option<Scored<S::Item>>> = Vec::new();
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut scores: Vec<Score> = Vec::new();
-        let mut cache = self
-            .config
-            .cache_components
-            .then(crate::component_cache::ComponentCache::new);
-        let cache_cut_config = match &self.config.algorithm {
-            ExactAlgorithm::CutConfigured(c) => c.clone(),
-            _ => CutConfig::default(),
-        };
         // Min-heap of the k largest scores seen (for Lemma 3's
         // "k-th largest score in S ≥ u" test).
         let mut topk: BinaryHeap<Reverse<Score>> = BinaryHeap::new();
@@ -266,18 +238,12 @@ where
             if let Some(result) = pulled {
                 metrics.results_generated += 1;
                 let new_index = items.len() as u32;
-                let mut neighbors: Vec<u32> = Vec::new();
                 for (other_index, other) in items.iter().enumerate() {
                     let other = other.as_ref().expect("items are only taken at the end");
                     metrics.similarity_checks += 1;
                     if self.similarity.similar(&other.item, &result.item) {
-                        neighbors.push(other_index as u32);
+                        edges.push((other_index as u32, new_index));
                     }
-                }
-                if let Some(cache) = cache.as_mut() {
-                    cache.add_result(result.score, &neighbors);
-                } else {
-                    edges.extend(neighbors.iter().map(|&nb| (nb, new_index)));
                 }
                 scores.push(result.score);
                 if topk.len() < k {
@@ -342,23 +308,12 @@ where
                         .ok_or(SearchError::ResourceExhausted(ExhaustedResource::Deadline))?;
                     limits.time_budget = Some(remaining);
                 }
-                let mapped = if let Some(cache) = cache.as_mut() {
-                    let mut search_metrics = SearchMetrics::default();
-                    let result =
-                        cache.search(k, &cache_cut_config, &limits, &mut search_metrics)?;
-                    metrics.edges = cache.edge_count();
-                    metrics.inner_searches += 1;
-                    metrics.search.absorb(&search_metrics);
-                    result // already in arrival-id space
-                } else {
-                    let (graph, perm) = DiversityGraph::from_unsorted_scores(&scores, &edges);
-                    metrics.edges = graph.edge_count() as u64;
-                    let (result, search_metrics) =
-                        self.config.algorithm.search(&graph, k, &limits)?;
-                    metrics.inner_searches += 1;
-                    metrics.search.absorb(&search_metrics);
-                    result.map_nodes(&perm)
-                };
+                let (graph, perm) = DiversityGraph::from_unsorted_scores(&scores, &edges);
+                metrics.edges = graph.edge_count() as u64;
+                let (result, search_metrics) = self.config.algorithm.search(&graph, k, &limits)?;
+                metrics.inner_searches += 1;
+                metrics.search.absorb(&search_metrics);
+                let mapped = result.map_nodes(&perm);
                 last_search_len = items.len();
                 last_max_feasible = mapped.max_feasible_size();
                 last_search_bound = unseen;
@@ -495,7 +450,7 @@ mod tests {
                 ExactAlgorithm::Dp,
                 ExactAlgorithm::Cut,
             ] {
-                let config = DivSearchConfig::new(5).with_algorithm(algorithm.clone());
+                let config = DivSearchConfig::new(5).with_algorithm(algorithm);
                 let engine = DivTopK::new(source.clone(), same_cluster, config);
                 let out = engine.run().unwrap();
                 assert_eq!(out.total_score, want, "seed {seed} algo {algorithm:?}");
@@ -568,54 +523,6 @@ mod tests {
             gated.metrics.inner_searches,
             ungated.metrics.inner_searches
         );
-    }
-
-    #[test]
-    fn component_cache_is_exact_and_saves_work() {
-        for seed in 0..20 {
-            let items = make_items(900 + seed, 40, 6);
-            let want_out = DivTopK::new(
-                IncrementalVecSource::from_unsorted(items.clone()),
-                same_cluster,
-                DivSearchConfig::new(5),
-            )
-            .run()
-            .unwrap();
-            let cached_out = DivTopK::new(
-                IncrementalVecSource::from_unsorted(items),
-                same_cluster,
-                DivSearchConfig::new(5).with_component_cache(),
-            )
-            .run()
-            .unwrap();
-            assert_eq!(cached_out.total_score, want_out.total_score, "seed {seed}");
-            assert_eq!(
-                cached_out.metrics.results_generated, want_out.metrics.results_generated,
-                "seed {seed}: stop point must be identical"
-            );
-            assert!(
-                cached_out.metrics.search.astar_calls <= want_out.metrics.search.astar_calls,
-                "seed {seed}: cache must not add solves ({} vs {})",
-                cached_out.metrics.search.astar_calls,
-                want_out.metrics.search.astar_calls
-            );
-        }
-    }
-
-    #[test]
-    fn component_cache_with_bounding_source() {
-        for seed in 40..50 {
-            let items = make_items(seed, 30, 4);
-            let want = offline_optimum(&items, 6);
-            let out = DivTopK::new(
-                BoundingVecSource::new(items),
-                same_cluster,
-                DivSearchConfig::new(6).with_component_cache(),
-            )
-            .run()
-            .unwrap();
-            assert_eq!(out.total_score, want, "seed {seed}");
-        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! `std`'s default `HashMap` hasher (SipHash) is built for HashDoS
 //! resistance on attacker-controlled keys; for the engine's internal
 //! maps — the term dictionary above all, whose construction sits on the
-//! cold-start path (DESIGN.md §10) — that robustness costs several
+//! cold-start path (DESIGN.md §14) — that robustness costs several
 //! milliseconds per 10⁴ keys. This is the well-known Fx multiply-rotate
 //! hash (the rustc symbol-table hasher): one rotate, one xor, one
 //! multiply per word. The workspace takes no external dependencies, so

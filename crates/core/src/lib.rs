@@ -57,7 +57,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod astar;
-pub mod component_cache;
 pub mod components;
 pub mod compress;
 pub mod cut;
@@ -87,10 +86,7 @@ pub mod testgen;
 
 /// One-stop imports for typical users of the crate.
 pub mod prelude {
-    pub use crate::astar::{
-        AStarConfig, KernelMode, div_astar, div_astar_configured, div_astar_limited,
-    };
-    pub use crate::component_cache::ComponentCache;
+    pub use crate::astar::{AStarConfig, div_astar, div_astar_configured, div_astar_limited};
     pub use crate::cut::{
         ChildHeuristic, CutConfig, RootHeuristic, div_cut, div_cut_configured, div_cut_limited,
     };

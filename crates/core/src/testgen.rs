@@ -49,6 +49,23 @@ pub fn star_chain(m: usize) -> DiversityGraph {
     DiversityGraph::from_sorted_scores(scores, &edges)
 }
 
+/// `g` plus enough isolated zero-score nodes to exceed
+/// [`DENSE_ADJ_MAX_NODES`](crate::graph::DENSE_ADJ_MAX_NODES): the same
+/// per-size optimum scores on a graph that carries no adjacency bitmap, so
+/// unit tests can reach the bitmap-free code paths.
+#[cfg(test)]
+pub(crate) fn pad_past_bitmap_cap(g: &DiversityGraph) -> DiversityGraph {
+    let n = g.len() + crate::graph::DENSE_ADJ_MAX_NODES;
+    let mut scores = g.scores().to_vec();
+    scores.resize(n, Score::ZERO);
+    let edges: Vec<(NodeId, NodeId)> = g
+        .nodes()
+        .flat_map(|v| g.neighbors(v).iter().map(move |&u| (v, u)))
+        .filter(|&(v, u)| v < u)
+        .collect();
+    DiversityGraph::from_sorted_scores(scores, &edges)
+}
+
 /// Parameters for [`planted_clusters`].
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {

@@ -136,13 +136,12 @@ pub enum Request {
         k: u32,
         /// Similarity threshold `τ` (bit-exact over the wire).
         tau: f64,
-        /// Bound decay for the framework's necessary-condition check.
+        /// Bound decay for the framework's necessary-condition check;
+        /// decoding rejects anything outside `[0, 1)`.
         bound_decay: f64,
         /// Diversification mode, carried in full (selector byte +
         /// mode-specific parameters; see [`MODE_EXACT_ASTAR`] and
-        /// friends). `MmrConfig::k` does not cross the wire — the
-        /// request's own `k` governs — so it decodes as the placeholder
-        /// `0` (the [`DiversifyMode::mmr`] convention).
+        /// friends).
         mode: DiversifyMode,
     },
     /// Serving counters + latency quantiles.
@@ -162,8 +161,6 @@ pub const MODE_EXACT_ASTAR: u8 = 0;
 /// Exact mode, div-dp inner algorithm (legacy-compatible selector).
 pub const MODE_EXACT_DP: u8 = 1;
 /// Exact mode, div-cut inner algorithm (legacy-compatible selector).
-/// `CutConfigured` also encodes to this selector — custom cut knobs are
-/// a server-side concern and do not cross the wire.
 pub const MODE_EXACT_CUT: u8 = 2;
 /// Diversity off (plain relevance top-k). No parameter bytes.
 pub const MODE_NONE: u8 = 3;
@@ -183,9 +180,7 @@ fn put_mode(out: &mut Vec<u8>, mode: &DiversifyMode) {
     match mode {
         DiversifyMode::Exact(AStar) => out.push(MODE_EXACT_ASTAR),
         DiversifyMode::Exact(Dp) => out.push(MODE_EXACT_DP),
-        DiversifyMode::Exact(Cut) | DiversifyMode::Exact(CutConfigured(_)) => {
-            out.push(MODE_EXACT_CUT)
-        }
+        DiversifyMode::Exact(Cut) => out.push(MODE_EXACT_CUT),
         DiversifyMode::None => out.push(MODE_NONE),
         DiversifyMode::Mmr(config) => {
             out.push(MODE_MMR);
@@ -588,11 +583,15 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
                 }
                 _ => return Err(ProtoError::Malformed("unknown query kind")),
             };
+            let (k, tau, bound_decay) = (cur.u32()?, cur.f64()?, cur.f64()?);
+            if !(0.0..1.0).contains(&bound_decay) {
+                return Err(ProtoError::BadValue("bound decay must be in [0, 1)"));
+            }
             Request::Search {
                 query,
-                k: cur.u32()?,
-                tau: cur.f64()?,
-                bound_decay: cur.f64()?,
+                k,
+                tau,
+                bound_decay,
                 mode: read_mode(&mut cur)?,
             }
         }
@@ -862,6 +861,18 @@ mod tests {
             })
             .unwrap()
         };
+        // Bound decay outside [0, 1): the f64 just before the selector.
+        for bad in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let mut payload = base(&DiversifyMode::Disc);
+            let at = payload.len() - 9;
+            payload[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            let err = decode_request(&payload).unwrap_err();
+            assert!(
+                matches!(err, ProtoError::BadValue(_)),
+                "decay={bad}: {err:?}"
+            );
+            assert!(!err.breaks_framing());
+        }
         // λ out of range / NaN: patch the trailing f64 in place.
         for bad in [f64::NAN, -0.25, 1.5, f64::INFINITY] {
             let mut payload = base(&DiversifyMode::mmr(0.5));

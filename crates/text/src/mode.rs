@@ -1,20 +1,25 @@
 //! [`DiversifyMode`] — the single per-query selector for *how* results
 //! are diversified.
 //!
-//! This replaces the old `SearchOptions { algorithm: ExactAlgorithm,
-//! diversify: bool }` pair, which could name the exact family and the
-//! off oracle but not MMR or any cheap rerank mode. Every strategy is a
-//! leaf behind [`divtopk_core::diversify::Diversifier`]; this enum is
-//! the typed handle callers, the cache-key fingerprint, and the wire
-//! protocol all share.
+//! Every strategy is a leaf behind
+//! [`divtopk_core::diversify::Diversifier`]; this enum is the typed
+//! handle callers, the cache-key fingerprint, and the wire protocol all
+//! share.
 //!
 //! See DESIGN.md §15 for each mode's guarantee, cost model, and the
 //! measured quality/latency frontier (BENCH_9 `frontier` suite).
 
 use divtopk_core::{ExactAlgorithm, SearchError};
 
-pub use crate::mmr::MmrConfig;
 pub use divtopk_core::diversify::WindowConfig;
+
+/// MMR configuration (Carbonell & Goldstein's greedy marginal-relevance
+/// rerank — the related-work two-step baseline of the paper's §9).
+#[derive(Debug, Clone, PartialEq)]
+pub struct MmrConfig {
+    /// Trade-off: 1.0 = pure relevance, 0.0 = pure anti-redundancy.
+    pub lambda: f64,
+}
 
 /// KNN-diversity configuration (arXiv cs/0310028).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +51,7 @@ impl Default for KnnConfig {
 ///   relevance oracle.
 /// * [`Mmr`](DiversifyMode::Mmr) — greedy marginal-relevance rerank of
 ///   an oversampled top-`4k` pool; penalizes redundancy, never forbids
-///   it. `config.k` is ignored — [`SearchOptions::k`] governs.
+///   it.
 /// * [`Window`](DiversifyMode::Window) — sliding-window max-per-source
 ///   spread with a score floor and deterministic rotations; the
 ///   production-cheap mode.
@@ -54,17 +59,14 @@ impl Default for KnnConfig {
 ///   greedy (maximal independent set of the pool in score order).
 /// * [`Knn`](DiversifyMode::Knn) — greedy relevance × knn-dissimilarity
 ///   utility.
-///
-/// [`SearchOptions::k`]: crate::search::SearchOptions
 #[derive(Debug, Clone, PartialEq)]
 pub enum DiversifyMode {
     /// Exact diversified top-k with the given inner algorithm
     /// (div-cut by default — the paper's best).
     Exact(ExactAlgorithm),
-    /// Diversity off: plain relevance top-k (the old `diversify: false`).
+    /// Diversity off: plain relevance top-k.
     None,
-    /// MMR greedy rerank; `MmrConfig::k` is ignored at dispatch (the
-    /// search's own `k` governs).
+    /// MMR greedy rerank.
     Mmr(MmrConfig),
     /// Sliding-window max-per-source spread.
     Window(WindowConfig),
@@ -87,10 +89,9 @@ impl DiversifyMode {
         DiversifyMode::Exact(ExactAlgorithm::default())
     }
 
-    /// MMR with the given λ (`k` in the carried config is a placeholder —
-    /// the search's own `k` governs selection size).
+    /// MMR with the given λ.
     pub fn mmr(lambda: f64) -> DiversifyMode {
-        DiversifyMode::Mmr(MmrConfig { lambda, k: 0 })
+        DiversifyMode::Mmr(MmrConfig { lambda })
     }
 
     /// Window spread with the Snippet-1 defaults (window 5, 2 per
@@ -111,7 +112,6 @@ impl DiversifyMode {
             DiversifyMode::Exact(ExactAlgorithm::AStar) => "exact-astar",
             DiversifyMode::Exact(ExactAlgorithm::Dp) => "exact-dp",
             DiversifyMode::Exact(ExactAlgorithm::Cut) => "exact-cut",
-            DiversifyMode::Exact(ExactAlgorithm::CutConfigured(_)) => "exact-cut-configured",
             DiversifyMode::None => "none",
             DiversifyMode::Mmr(_) => "mmr",
             DiversifyMode::Window(_) => "window",

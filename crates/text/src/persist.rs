@@ -1,14 +1,14 @@
 //! Cold-start persistence: segment-granular incremental snapshots with
-//! byte-equality load (DESIGN.md §10, §14).
+//! byte-equality load (DESIGN.md §14).
 //!
 //! A production engine must restart in milliseconds, not re-tokenize and
 //! re-sort its whole corpus — and it must *checkpoint* in O(what
 //! changed), not O(corpus). This module defines a **dependency-free**
-//! binary container and writers/readers for every serving-state type:
-//! [`Vocabulary`], [`Corpus`] (frozen-statistics epoch included),
-//! [`InvertedIndex`] (posting lists with their stored partials bit-exact
-//! via [`f64::to_bits`]), and the full [`SegmentedIndex`] serving state
-//! as a **snapshot directory** in the LSM-manifest shape.
+//! binary container and one writer/reader pair built on it:
+//! [`save_segmented`] / [`load_segmented`], which persist the full
+//! [`SegmentedIndex`] serving state (vocabulary, frozen-statistics epoch,
+//! document store, per-segment posting lists, tombstones) as a
+//! **snapshot directory** in the LSM-manifest shape.
 //!
 //! ## Container layout (every file in the snapshot)
 //!
@@ -91,15 +91,10 @@ pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 /// The container format revision this build writes and reads.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Snapshot kind: a standalone [`Corpus`].
-pub const KIND_CORPUS: u32 = 1;
-/// Snapshot kind: a standalone [`InvertedIndex`].
-pub const KIND_INDEX: u32 = 2;
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
-/// directory (what `Engine::save_snapshot` writes). Kind 3 was the
-/// retired PR-5 monolithic segmented snapshot; the manifest deliberately
-/// takes a fresh kind so a monolithic file can never half-decode as a
-/// manifest.
+/// directory (what `Engine::save_snapshot` writes). Kinds 1–3 belonged to
+/// retired single-file formats and are never reused, so such a file can
+/// never half-decode as a manifest.
 pub const KIND_MANIFEST: u32 = 4;
 /// Snapshot kind: the `epoch.bin` file (vocabulary + frozen statistics).
 pub const KIND_EPOCH: u32 = 5;
@@ -166,7 +161,7 @@ pub enum SnapshotError {
         found: u32,
     },
     /// The container holds a different snapshot kind than the caller
-    /// asked for (e.g. loading a corpus file as an engine snapshot).
+    /// asked for (e.g. an epoch file sitting where the manifest belongs).
     WrongKind {
         /// The kind the file declares.
         found: u32,
@@ -498,9 +493,9 @@ struct Container<'a> {
     /// When true, per-section CRCs are not re-verified: the caller has
     /// already checked the *whole file* against the manifest's length +
     /// CRC, which covers every section (payloads and stored CRC fields
-    /// alike), so a second pass over the same bytes proves nothing.
-    /// Single-file entry points (`load_corpus`, `load_index`) have no
-    /// outer checksum and always verify per section.
+    /// alike), so a second pass over the same bytes proves nothing. The
+    /// manifest itself has no outer checksum and always verifies per
+    /// section.
     trusted: bool,
 }
 
@@ -628,7 +623,7 @@ fn read_vocab(mut r: ByteReader<'_>) -> Result<Vocabulary, SnapshotError> {
 }
 
 // ---------------------------------------------------------------------------
-// Corpus (vocabulary + frozen statistics + documents)
+// Frozen statistics and documents
 // ---------------------------------------------------------------------------
 
 fn stats_payload(c: &Corpus) -> Vec<u8> {
@@ -697,16 +692,15 @@ fn docs_payload<'a>(docs: impl Iterator<Item = &'a Document>, count: usize) -> V
     buf
 }
 
-/// Decodes one documents payload. `expected` tightens validation when
-/// the surrounding structure (a chunk file's own header) already
-/// declares how many documents must be present.
+/// Decodes one documents payload, which must hold exactly the `expected`
+/// documents its chunk file's own header declared.
 fn read_docs(
     mut r: ByteReader<'_>,
     num_terms: usize,
-    expected: Option<usize>,
+    expected: usize,
 ) -> Result<Vec<Document>, SnapshotError> {
     let n = r.counted(12)?;
-    if expected.is_some_and(|want| want != n) {
+    if expected != n {
         return Err(SnapshotError::Malformed {
             context: "document count disagrees with the declared chunk length",
         });
@@ -746,49 +740,6 @@ fn read_docs(
     }
     r.finish()?;
     Ok(docs)
-}
-
-fn corpus_sections(c: &Corpus, out: &mut Vec<([u8; 4], Vec<u8>)>) {
-    out.push((TAG_VOCAB, vocab_payload(c.vocab())));
-    out.push((TAG_STATS, stats_payload(c)));
-    out.push((TAG_DOCS, docs_payload(c.docs(), c.num_docs())));
-}
-
-fn read_corpus_sections(container: &mut Container<'_>) -> Result<Corpus, SnapshotError> {
-    let vocab = read_vocab(container.section(TAG_VOCAB, "vocabulary section")?)?;
-    let (doc_freq, idf) = read_stats(
-        container.section(TAG_STATS, "statistics section")?,
-        vocab.len(),
-    )?;
-    let docs = read_docs(
-        container.section(TAG_DOCS, "documents section")?,
-        vocab.len(),
-        None,
-    )?;
-    Ok(Corpus::from_parts(
-        vocab,
-        docs.into_iter().collect(),
-        doc_freq,
-        idf,
-    ))
-}
-
-/// Serializes a [`Corpus`] (vocabulary, frozen statistics, documents) to
-/// snapshot bytes.
-pub fn corpus_to_bytes(c: &Corpus) -> Vec<u8> {
-    let mut sections = Vec::new();
-    corpus_sections(c, &mut sections);
-    assemble(KIND_CORPUS, sections)
-}
-
-/// Decodes a [`Corpus`] snapshot produced by [`corpus_to_bytes`]. The
-/// result is bit-identical to the corpus that was saved: document
-/// signatures, document frequencies, and every IDF weight's exact bits.
-pub fn corpus_from_bytes(bytes: &[u8]) -> Result<Corpus, SnapshotError> {
-    let mut container = Container::open(bytes, KIND_CORPUS)?;
-    let corpus = read_corpus_sections(&mut container)?;
-    container.finish()?;
-    Ok(corpus)
 }
 
 /// Save-path audit counters: process-wide monotone counts of the fsyncs
@@ -866,109 +817,18 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
     result.map_err(SnapshotError::Io)
 }
 
-/// Writes a [`Corpus`] snapshot to `path` (atomically — sibling temp
-/// file + fsync + rename). Returns the bytes written.
-pub fn save_corpus(path: impl AsRef<Path>, c: &Corpus) -> Result<u64, SnapshotError> {
-    let bytes = corpus_to_bytes(c);
-    write_atomic(path.as_ref(), &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Loads a [`Corpus`] snapshot from `path`.
-pub fn load_corpus(path: impl AsRef<Path>) -> Result<Corpus, SnapshotError> {
-    corpus_from_bytes(&std::fs::read(path)?)
-}
-
 // ---------------------------------------------------------------------------
-// InvertedIndex
+// Segment posting lists
 // ---------------------------------------------------------------------------
-
-fn index_payload(index: &InvertedIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, index.num_terms() as u64);
-    for t in 0..index.num_terms() as TermId {
-        let list = index.postings(t);
-        put_u64(&mut buf, list.len() as u64);
-        for p in list {
-            put_u32(&mut buf, p.doc);
-            put_u32(&mut buf, p.tf);
-            put_f64(&mut buf, p.partial);
-        }
-    }
-    buf
-}
-
-/// Decodes one inverted-index payload. `expected_terms` / `num_docs`
-/// tighten validation when the surrounding snapshot knows the corpus
-/// shape (a standalone index snapshot does not).
-fn read_index_payload(
-    mut r: ByteReader<'_>,
-    expected_terms: Option<usize>,
-    num_docs: Option<usize>,
-) -> Result<InvertedIndex, SnapshotError> {
-    let n_terms = r.counted(8)?;
-    if expected_terms.is_some_and(|want| want != n_terms) {
-        return Err(SnapshotError::Malformed {
-            context: "segment term count disagrees with the corpus vocabulary",
-        });
-    }
-    let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms);
-    for _ in 0..n_terms {
-        let n = r.counted(16)?;
-        let mut list: Vec<Posting> = Vec::with_capacity(n);
-        // One bounds check per list, then a chunked decode (`counted`
-        // proved the bytes are present).
-        let raw = r.take(n * 16)?;
-        for entry in raw.chunks_exact(16) {
-            let doc = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
-            let tf = u32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
-            let partial = f64::from_bits(u64::from_le_bytes([
-                entry[8], entry[9], entry[10], entry[11], entry[12], entry[13], entry[14],
-                entry[15],
-            ]));
-            if !partial.is_finite() || !(0.0..=MAX_STORED_VALUE).contains(&partial) {
-                // `posting_order` (and every downstream sort) requires
-                // total-ordering partials, and `ScanSource` feeds the
-                // value straight into `Score::new`, which panics on
-                // negatives (and on the +inf an implausibly huge value
-                // produces when summed) — a forged value here must be a
-                // typed error, not a query-time panic.
-                return Err(SnapshotError::Malformed {
-                    context: "posting partial score outside the plausible range",
-                });
-            }
-            if num_docs.is_some_and(|n| doc as usize >= n) {
-                return Err(SnapshotError::Malformed {
-                    context: "posting references a document outside the corpus",
-                });
-            }
-            let posting = Posting { doc, tf, partial };
-            if list
-                .last()
-                .is_some_and(|prev| InvertedIndex::posting_order(prev, &posting).is_gt())
-            {
-                return Err(SnapshotError::Malformed {
-                    context: "posting list not in (partial desc, doc asc) order",
-                });
-            }
-            list.push(posting);
-        }
-        lists.push(list);
-    }
-    r.finish()?;
-    Ok(InvertedIndex::from_sorted_lists(lists))
-}
 
 /// Segment-file posting payload (DESIGN.md §14): per term, the list
-/// length then `(doc, tf)` pairs in the stored serving order. Unlike
-/// the standalone [`index_payload`], the per-posting `partial` is *not*
-/// stored: it is a deterministic IEEE-754 function of data the snapshot
-/// already carries (`tf as f64 * idf(t) * (1 / sqrt(len))`, the exact
-/// expression `InvertedIndex::build_from_ids` evaluates), so the load
-/// recomputes the identical bits — halving segment bytes, which
-/// dominate cold-start I/O. A standalone index snapshot has no corpus
-/// to recompute from, so `KIND_INDEX` keeps the fat encoding.
-fn segment_index_payload(index: &InvertedIndex) -> Vec<u8> {
+/// length then `(doc, tf)` pairs in the stored serving order. The
+/// per-posting `partial` is *not* stored: it is a deterministic IEEE-754
+/// function of data the snapshot already carries
+/// (`tf as f64 * idf(t) * (1 / sqrt(len))`, the exact expression
+/// `InvertedIndex::build_from_ids` evaluates), so the load recomputes the
+/// identical bits — halving segment bytes, which dominate cold-start I/O.
+fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u64(&mut buf, index.num_terms() as u64);
     for t in 0..index.num_terms() as TermId {
@@ -986,9 +846,9 @@ fn segment_index_payload(index: &InvertedIndex) -> Vec<u8> {
 /// bit-exactly from the epoch IDF table and the per-document
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
-/// used). Validation mirrors [`read_index_payload`]: doc ids in range,
-/// non-zero term frequencies, and the one true `(partial desc, doc
-/// asc)` order — forged CRC-valid bytes still fail typed.
+/// used). Validation: doc ids in range, non-zero term frequencies,
+/// plausible partials, and the one true `(partial desc, doc asc)` order —
+/// forged CRC-valid bytes still fail typed.
 fn read_segment_index(
     mut r: ByteReader<'_>,
     idf: &[f64],
@@ -1028,9 +888,9 @@ fn read_segment_index(
             // doc lengths by `read_docs`), so the product is finite.
             let partial = tf as f64 * term_idf * inv_len[doc as usize];
             if !(0.0..=MAX_STORED_VALUE).contains(&partial) {
-                // Same plausibility cap the fat encoding enforces on
-                // stored partials: an absurd tf × a near-cap IDF can
-                // still multiply out to a query-time +inf.
+                // The plausibility cap of every stored score-feeding
+                // value: an absurd tf × a near-cap IDF can still
+                // multiply out to a query-time +inf.
                 return Err(SnapshotError::Malformed {
                     context: "posting partial score outside the plausible range",
                 });
@@ -1050,37 +910,6 @@ fn read_segment_index(
     }
     r.finish()?;
     Ok(InvertedIndex::from_sorted_lists(lists))
-}
-
-/// Serializes an [`InvertedIndex`] to snapshot bytes. Stored partial
-/// scores travel as [`f64::to_bits`] words — the load is bit-exact.
-pub fn index_to_bytes(index: &InvertedIndex) -> Vec<u8> {
-    assemble(KIND_INDEX, vec![(TAG_INDEX, index_payload(index))])
-}
-
-/// Decodes an [`InvertedIndex`] snapshot produced by [`index_to_bytes`].
-pub fn index_from_bytes(bytes: &[u8]) -> Result<InvertedIndex, SnapshotError> {
-    let mut container = Container::open(bytes, KIND_INDEX)?;
-    let index = read_index_payload(
-        container.section(TAG_INDEX, "inverted index section")?,
-        None,
-        None,
-    )?;
-    container.finish()?;
-    Ok(index)
-}
-
-/// Writes an [`InvertedIndex`] snapshot to `path`. Returns the bytes
-/// written.
-pub fn save_index(path: impl AsRef<Path>, index: &InvertedIndex) -> Result<u64, SnapshotError> {
-    let bytes = index_to_bytes(index);
-    write_atomic(path.as_ref(), &bytes)?;
-    Ok(bytes.len() as u64)
-}
-
-/// Loads an [`InvertedIndex`] snapshot from `path`.
-pub fn load_index(path: impl AsRef<Path>) -> Result<InvertedIndex, SnapshotError> {
-    index_from_bytes(&std::fs::read(path)?)
 }
 
 // ---------------------------------------------------------------------------
@@ -1348,7 +1177,7 @@ fn segment_to_bytes(segment: &Segment) -> Vec<u8> {
         KIND_SEGMENT,
         vec![
             (TAG_META, meta),
-            (TAG_INDEX, segment_index_payload(segment.index())),
+            (TAG_INDEX, segment_postings_payload(segment.index())),
         ],
     )
 }
@@ -1672,7 +1501,7 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         let chunk_docs = read_docs(
             c.section(TAG_DOCS, "chunk documents section")?,
             vocab.len(),
-            Some(entry.len as usize),
+            entry.len as usize,
         )?;
         let chunk_weights = read_weights(
             c.section(TAG_WEIGHTS, "chunk weight section")?,
@@ -1819,41 +1648,6 @@ mod tests {
     }
 
     #[test]
-    fn corpus_round_trips_bit_for_bit() {
-        let corpus = generate(&SynthConfig::tiny());
-        let loaded = corpus_from_bytes(&corpus_to_bytes(&corpus)).unwrap();
-        assert_eq!(loaded.num_docs(), corpus.num_docs());
-        assert_eq!(loaded.num_terms(), corpus.num_terms());
-        assert!(loaded.docs().eq(corpus.docs()));
-        for t in 0..corpus.num_terms() as TermId {
-            assert_eq!(loaded.doc_freq(t), corpus.doc_freq(t));
-            assert_eq!(loaded.idf(t).to_bits(), corpus.idf(t).to_bits());
-            assert_eq!(
-                loaded.vocab().term(t),
-                corpus.vocab().term(t),
-                "term {t} renamed"
-            );
-        }
-    }
-
-    #[test]
-    fn index_round_trips_bit_for_bit() {
-        let corpus = generate(&SynthConfig::tiny());
-        let index = InvertedIndex::build(&corpus);
-        let loaded = index_from_bytes(&index_to_bytes(&index)).unwrap();
-        assert_eq!(loaded.num_terms(), index.num_terms());
-        assert_eq!(loaded.num_postings(), index.num_postings());
-        for t in 0..index.num_terms() as TermId {
-            let (a, b) = (index.postings(t), loaded.postings(t));
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b) {
-                assert_eq!((x.doc, x.tf), (y.doc, y.tf));
-                assert_eq!(x.partial.to_bits(), y.partial.to_bits());
-            }
-        }
-    }
-
-    #[test]
     fn implausibly_large_idf_is_rejected_even_with_a_valid_crc() {
         // Each value individually finite is not enough: 1e200 + 1e200
         // at query time is +inf → `Score::new` panic. The plausibility
@@ -1867,7 +1661,10 @@ mod tests {
             vec![1, 1],
             vec![1e200, 1e200],
         );
-        match corpus_from_bytes(&corpus_to_bytes(&forged)) {
+        let bytes = epoch_to_bytes(&forged);
+        let mut epoch = Container::open(&bytes, KIND_EPOCH).unwrap();
+        read_vocab(epoch.section(TAG_VOCAB, "vocabulary section").unwrap()).unwrap();
+        match read_stats(epoch.section(TAG_STATS, "statistics section").unwrap(), 2) {
             Err(SnapshotError::Malformed { context }) => {
                 assert!(context.contains("IDF"), "{context}");
             }
@@ -1879,20 +1676,11 @@ mod tests {
     fn saves_are_atomic_and_leave_no_temp_files() {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("divtopk-atomic-{}.snapshot", std::process::id()));
-        let small = generate(&SynthConfig {
-            num_docs: 20,
-            ..SynthConfig::tiny()
-        });
-        let large = generate(&SynthConfig {
-            num_docs: 40,
-            ..SynthConfig::tiny()
-        });
-        // Overwriting a longer snapshot with a shorter one must leave
+        // Overwriting a longer file with a shorter one must leave
         // exactly the new bytes (rename semantics, not in-place write).
-        save_corpus(&path, &large).unwrap();
-        save_corpus(&path, &small).unwrap();
-        let loaded = load_corpus(&path).unwrap();
-        assert_eq!(loaded.num_docs(), 20);
+        write_atomic(&path, &[7u8; 4096]).unwrap();
+        write_atomic(&path, b"short").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"short");
         let tmp_left = std::fs::read_dir(&dir).unwrap().any(|e| {
             e.unwrap()
                 .file_name()
@@ -1908,19 +1696,25 @@ mod tests {
 
     #[test]
     fn negative_partials_are_rejected_even_with_a_valid_crc() {
-        // `ScanSource` feeds stored partials straight into `Score::new`,
-        // which panics on negatives — so a forged-but-CRC-valid snapshot
-        // must be stopped at decode, not at query time.
-        let index = InvertedIndex::from_sorted_lists(vec![vec![Posting {
-            doc: 0,
-            tf: 1,
-            partial: -1.0,
-        }]]);
-        match index_from_bytes(&index_to_bytes(&index)) {
-            Err(SnapshotError::Malformed { context }) => {
-                assert!(context.contains("partial"), "{context}");
+        // `ScanSource` feeds partials straight into `Score::new`, which
+        // panics on negatives and on the +inf an implausibly huge value
+        // sums to — so a forged-but-CRC-valid (tf, IDF) pair whose
+        // product leaves the plausible range must be stopped at decode,
+        // not at query time.
+        for (tf, idf) in [(1, -1.0), (u32::MAX, MAX_STORED_VALUE)] {
+            let index = InvertedIndex::from_sorted_lists(vec![vec![Posting {
+                doc: 0,
+                tf,
+                partial: 0.0,
+            }]]);
+            let payload = segment_postings_payload(&index);
+            let reader = ByteReader::new(&payload, "segment index section");
+            match read_segment_index(reader, &[idf], &[1.0]) {
+                Err(SnapshotError::Malformed { context }) => {
+                    assert!(context.contains("partial"), "{context}");
+                }
+                other => panic!("expected Malformed, got {other:?}"),
             }
-            other => panic!("expected Malformed, got {other:?}"),
         }
     }
 
@@ -1978,23 +1772,17 @@ mod tests {
 
     #[test]
     fn kind_confusion_is_a_typed_error() {
-        let corpus = generate(&SynthConfig::tiny());
-        let bytes = corpus_to_bytes(&corpus);
-        // A corpus container dropped in as a MANIFEST must fail by kind,
+        // The epoch file dropped in as the MANIFEST must fail by kind,
         // not by misparsing sections.
         let dir = temp_dir("kind");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
+        save_segmented(&dir, &small_segmented(), 1).unwrap();
+        std::fs::copy(dir.join(EPOCH_NAME), dir.join(MANIFEST_NAME)).unwrap();
         assert!(matches!(
             load_segmented(&dir),
             Err(SnapshotError::WrongKind {
-                found: KIND_CORPUS,
+                found: KIND_EPOCH,
                 expected: KIND_MANIFEST
             })
-        ));
-        assert!(matches!(
-            index_from_bytes(&bytes),
-            Err(SnapshotError::WrongKind { .. })
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2012,6 +1800,12 @@ mod tests {
         assert_eq!(loaded.next_segment_id(), index.next_segment_id());
         assert_eq!(loaded.tombstone_set().len(), index.tombstone_set().len());
         assert!(loaded.corpus().docs().eq(index.corpus().docs()));
+        for t in 0..index.corpus().num_terms() as TermId {
+            let (a, b) = (loaded.corpus(), index.corpus());
+            assert_eq!(a.vocab().term(t), b.vocab().term(t), "term {t} renamed");
+            assert_eq!(a.doc_freq(t), b.doc_freq(t));
+            assert_eq!(a.idf(t).to_bits(), b.idf(t).to_bits());
+        }
         assert!(
             loaded
                 .weights()
@@ -2165,19 +1959,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The `MANIFEST` bytes of a fresh snapshot directory — the one file
+    /// decoded without an outer whole-file checksum, so container-level
+    /// damage surfaces as the container's own typed errors.
+    fn manifest_bytes(tag: &str) -> Vec<u8> {
+        let dir = temp_dir(tag);
+        save_segmented(&dir, &small_segmented(), 1).unwrap();
+        let bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        bytes
+    }
+
     #[test]
     fn bad_magic_and_version_are_typed_errors() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("magic");
         bytes[0] ^= 0xFF;
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::BadMagic { .. })
         ));
         bytes[0] ^= 0xFF;
         bytes[8] = 99; // version field
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
     }
@@ -2185,42 +1989,39 @@ mod tests {
     #[test]
     fn empty_input_is_truncated_not_a_panic() {
         assert!(matches!(
-            corpus_from_bytes(&[]),
+            manifest_from_bytes(&[]),
             Err(SnapshotError::Truncated { .. })
         ));
     }
 
     #[test]
     fn oversized_section_length_is_rejected_before_any_slice() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("oversized");
         // First section header starts at offset 20; its u64 length at 24.
         bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::Truncated { .. })
         ));
     }
 
     #[test]
     fn payload_corruption_is_a_checksum_mismatch() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("crc");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
     }
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let corpus = generate(&SynthConfig::tiny());
-        let mut bytes = corpus_to_bytes(&corpus);
+        let mut bytes = manifest_bytes("trailing");
         bytes.push(0);
         assert!(matches!(
-            corpus_from_bytes(&bytes),
+            manifest_from_bytes(&bytes),
             Err(SnapshotError::TrailingBytes { extra: 1 })
         ));
     }

@@ -18,7 +18,7 @@ use divtopk_core::diversify::{
     DiscDiversifier, Diversifier, DiversifierMetrics, DiversifyOutcome, ExactDiversifier,
     KnnDiversifier, MmrDiversifier, NoneDiversifier, SimilarityOracle, WindowDiversifier,
 };
-use divtopk_core::{ExactAlgorithm, FrameworkMetrics, Score, SearchError, SearchLimits};
+use divtopk_core::{FrameworkMetrics, Score, SearchError, SearchLimits};
 
 /// A diversified hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,28 +95,6 @@ impl SearchOptions {
         self
     }
 
-    /// Enables or disables diversification.
-    ///
-    /// Deprecated shim over [`DiversifyMode`]: `false` maps to
-    /// [`DiversifyMode::None`]; `true` restores the default
-    /// `Exact(Cut)` only when the current mode is `None` (any other
-    /// mode already diversifies and is left alone). A previous
-    /// `with_algorithm` choice is *not* resurrected by an off/on
-    /// round-trip — callers doing that dance should say
-    /// `with_mode(DiversifyMode::Exact(...))` directly.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use with_mode(DiversifyMode::None / ::Exact(..))"
-    )]
-    pub fn with_diversify(mut self, diversify: bool) -> SearchOptions {
-        if !diversify {
-            self.mode = DiversifyMode::None;
-        } else if self.mode == DiversifyMode::None {
-            self.mode = DiversifyMode::default();
-        }
-        self
-    }
-
     /// Overrides the framework bound-decay throttle.
     pub fn with_bound_decay(mut self, decay: f64) -> SearchOptions {
         self.bound_decay = decay;
@@ -126,16 +104,6 @@ impl SearchOptions {
     /// Overrides τ.
     pub fn with_tau(mut self, tau: f64) -> SearchOptions {
         self.tau = tau;
-        self
-    }
-
-    /// Overrides the inner exact algorithm.
-    ///
-    /// Deprecated shim over [`DiversifyMode`]: equivalent to
-    /// `with_mode(DiversifyMode::Exact(algorithm))`.
-    #[deprecated(since = "0.10.0", note = "use with_mode(DiversifyMode::Exact(..))")]
-    pub fn with_algorithm(mut self, algorithm: ExactAlgorithm) -> SearchOptions {
-        self.mode = DiversifyMode::Exact(algorithm);
         self
     }
 
@@ -153,6 +121,10 @@ impl SearchOptions {
     /// * `τ` must be a number in `[0, 1]` (`SearchError::InvalidTau`) —
     ///   a NaN τ makes every `sim > τ` comparison false, silently turning
     ///   diversified search into plain top-k;
+    /// * the bound-decay throttle must be a number in `[0, 1)`
+    ///   (`SearchError::InvalidBoundDecay`) — the framework asserts that
+    ///   range, and an assert reachable from a client frame kills a
+    ///   serving worker;
     /// * every mode parameter must be in range
     ///   (`SearchError::InvalidMode`; see [`DiversifyMode::validate`]).
     pub fn validate(&self) -> Result<(), SearchError> {
@@ -161,6 +133,11 @@ impl SearchOptions {
         }
         if !self.tau.is_finite() || !(0.0..=1.0).contains(&self.tau) {
             return Err(SearchError::InvalidTau { tau: self.tau });
+        }
+        if !(0.0..1.0).contains(&self.bound_decay) {
+            return Err(SearchError::InvalidBoundDecay {
+                decay: self.bound_decay,
+            });
         }
         self.mode.validate()
     }
@@ -248,7 +225,7 @@ where
     let k = options.k;
     let out: DiversifyOutcome<DocId> = match &options.mode {
         DiversifyMode::Exact(algorithm) => ExactDiversifier {
-            algorithm: algorithm.clone(),
+            algorithm: *algorithm,
             limits,
             bound_decay,
         }
@@ -354,8 +331,8 @@ mod tests {
     use crate::jaccard::weighted_jaccard;
     use crate::query::query_for_band;
     use crate::synth::{SynthConfig, generate};
-    use divtopk_core::DiversityGraph;
     use divtopk_core::exhaustive::exhaustive;
+    use divtopk_core::{DiversityGraph, ExactAlgorithm};
 
     fn setup() -> (Corpus, InvertedIndex) {
         let corpus = generate(&SynthConfig::tiny());
@@ -588,6 +565,20 @@ mod tests {
                 searcher.search_ta(&query, &options).unwrap_err(),
                 SearchError::InvalidTau { .. }
             ));
+        }
+
+        // The bound-decay throttle must lie in [0, 1): the framework
+        // asserts it, so admission has to refuse it first.
+        for bad in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+            let options = SearchOptions::new(3).with_bound_decay(bad);
+            assert!(matches!(
+                searcher.search_scan(term, &options).unwrap_err(),
+                SearchError::InvalidBoundDecay { .. }
+            ));
+        }
+        for good in [0.0, 0.5] {
+            let options = SearchOptions::new(1).with_bound_decay(good);
+            assert!(options.validate().is_ok(), "decay {good}");
         }
 
         // Boundary values stay admissible (τ = 0 and τ = 1 are legal).

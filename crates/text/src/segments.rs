@@ -272,10 +272,9 @@ impl SegmentedIndex {
         SegmentedIndex::build_partitioned(corpus, 1)
     }
 
-    /// Builds the base as `parts` round-robin segments (`doc mod parts`) —
-    /// the same partition PR 3's sharded engine used, so a serving tier
-    /// can treat base parallelism and live updates uniformly: both are
-    /// just segments under one merged read path.
+    /// Builds the base as `parts` round-robin segments (`doc mod parts`),
+    /// so a serving tier can treat base parallelism and live updates
+    /// uniformly: both are just segments under one merged read path.
     ///
     /// # Panics
     /// Panics if `parts == 0` (a deployment configuration error).

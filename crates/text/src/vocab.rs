@@ -8,7 +8,7 @@ use divtopk_core::fxhash::FxHashMap;
 /// The lookup map uses the deterministic
 /// [`FxHasher`](divtopk_core::fxhash::FxHasher): dictionary
 /// construction sits on both the corpus build and the snapshot
-/// cold-start path (DESIGN.md §10), and SipHash's DoS hardening is the
+/// cold-start path (DESIGN.md §14), and SipHash's DoS hardening is the
 /// wrong trade for an internal map over the corpus's own terms.
 #[derive(Debug, Clone, Default)]
 pub struct Vocabulary {

@@ -8,8 +8,8 @@
 //!
 //! Run with: `cargo run --release --example baseline_comparison`
 
+use divtopk::core::diversify::mmr_select;
 use divtopk::core::greedy::greedy;
-use divtopk::text::mmr::{MmrConfig, mmr_documents};
 use divtopk::text::prelude::*;
 use divtopk::text::quality::{redundancy, total_score};
 use divtopk::{DiversityGraph, ResultSource, Scored};
@@ -54,8 +54,12 @@ fn main() {
         .map(|&v| cands[perm[v as usize] as usize].clone())
         .collect();
 
-    // MMR.
-    let mmr_sel = mmr_documents(&corpus, &cands, &MmrConfig::new(k).with_lambda(0.7));
+    // MMR (λ = 0.7) over the same candidates and similarity.
+    let sim = |a: &DocId, b: &DocId| weighted_jaccard(&corpus, corpus.doc(*a), corpus.doc(*b));
+    let mmr_sel: Vec<Scored<DocId>> = mmr_select(&cands, sim, 0.7, k)
+        .into_iter()
+        .map(|i| cands[i].clone())
+        .collect();
 
     println!(
         "\n{:<10} {:>12} {:>14} {:>12}",

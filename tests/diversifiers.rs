@@ -1,11 +1,9 @@
 //! Property suite for the `Diversifier` leaves behind `DiversifyMode`:
 //! every mode must be deterministic across corpus+index rebuilds, the
 //! `Exact` leaf must be byte-identical to driving the core framework
-//! directly (the pre-redesign path), `None` must match both the
-//! deprecated `with_diversify(false)` shim and an offline plain top-k
-//! oracle, and each mode's defining invariant must hold on its output
-//! (pairwise τ for exact, max-per-source windows for window, maximal
-//! independent sets for DisC).
+//! directly (the pre-redesign path), and each mode's defining invariant
+//! must hold on its output (pairwise τ for exact, max-per-source windows
+//! for window, maximal independent sets for DisC).
 
 use divtopk::core::diversify::{mmr_select, rerank_pool_size, window_spread};
 use divtopk::core::sources::Scored;
@@ -113,7 +111,7 @@ fn exact_mode_is_byte_identical_to_driving_the_framework_directly() {
                 term,
                 &SearchOptions::new(k)
                     .with_tau(tau)
-                    .with_mode(DiversifyMode::Exact(algorithm.clone())),
+                    .with_mode(DiversifyMode::Exact(algorithm)),
             )
             .unwrap();
         // The pre-redesign path: DivTopK over the scan source with the
@@ -121,7 +119,7 @@ fn exact_mode_is_byte_identical_to_driving_the_framework_directly() {
         let direct = DivTopK::new(
             ScanSource::new(&index, term),
             |a: &DocId, b: &DocId| similar(&corpus, &weights, *a, *b, tau),
-            DivSearchConfig::new(k).with_algorithm(algorithm.clone()),
+            DivSearchConfig::new(k).with_algorithm(algorithm),
         )
         .run()
         .unwrap();
@@ -166,89 +164,37 @@ fn exact_hits_are_pairwise_below_tau() {
     }
 }
 
-// ------------------------------------------------- none ≡ plain top-k oracle
+// ------------------------------------------- mmr ≡ the retired text rerank
 
+/// `mmr_select` is the only MMR greedy: on the `baseline_comparison`
+/// example's corpus, query and candidate pool it picks exactly the
+/// documents the text layer's own rerank picked there before that second
+/// implementation was deleted (ids recorded from its last run).
 #[test]
-fn none_mode_is_plain_topk_and_matches_the_deprecated_flag() {
-    let (corpus, index) = build(0x2E07);
-    let searcher = DiversifiedSearcher::new(&corpus, &index);
-    let term = probe_term(&corpus, &index);
-    let k = 9;
-    let via_mode = searcher
-        .search_scan(
-            term,
-            &SearchOptions::new(k)
-                .with_tau(0.4)
-                .with_mode(DiversifyMode::None),
-        )
-        .unwrap();
-    // The deprecated boolean shim must route to the same leaf.
-    #[allow(deprecated)]
-    let via_flag = searcher
-        .search_scan(
-            term,
-            &SearchOptions::new(k).with_tau(0.4).with_diversify(false),
-        )
-        .unwrap();
-    assert_eq!(via_mode, via_flag);
-    // Offline oracle: score every matching document and take the best k.
-    // Compared tie-robustly through the *sum* (unique even when the
-    // cutoff has equal-scored documents) and within an epsilon — the
-    // index's precomputed partial scores and a fresh `score()` agree
-    // only up to the last ULP.
-    let mut offline: Vec<(DocId, Score)> = index
-        .postings(term)
-        .iter()
-        .map(|p| (p.doc, score(&corpus, &[term], p.doc)))
-        .collect();
-    offline.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let want: Score = offline.iter().take(k).map(|&(_, s)| s).sum();
-    assert_eq!(via_mode.hits.len(), k.min(offline.len()));
-    assert!(
-        (via_mode.total_score.get() - want.get()).abs() < 1e-9,
-        "None is not the plain top-k: {:?} vs {:?}",
-        via_mode.total_score,
-        want
-    );
-    // And the ranking is relevance-descending.
-    assert!(
-        via_mode.hits.windows(2).all(|w| w[0].score >= w[1].score),
-        "None hits are not score-descending"
-    );
-}
-
-#[test]
-fn deprecated_shims_route_to_the_equivalent_modes() {
-    #[allow(deprecated)]
-    {
-        let base = SearchOptions::new(5).with_tau(0.3);
-        // algorithm → Exact(algorithm)
-        assert_eq!(
-            base.clone().with_algorithm(ExactAlgorithm::Dp).mode,
-            DiversifyMode::Exact(ExactAlgorithm::Dp)
-        );
-        // diversify(false) → None, regardless of prior mode
-        assert_eq!(
-            base.clone()
-                .with_algorithm(ExactAlgorithm::Dp)
-                .with_diversify(false)
-                .mode,
-            DiversifyMode::None
-        );
-        // diversify(true) restores the default exact mode from None…
-        assert_eq!(
-            base.clone().with_diversify(false).with_diversify(true).mode,
-            DiversifyMode::default()
-        );
-        // …but never clobbers an explicitly chosen non-None mode.
-        assert_eq!(
-            base.clone()
-                .with_mode(DiversifyMode::mmr(0.7))
-                .with_diversify(true)
-                .mode,
-            DiversifyMode::mmr(0.7)
-        );
+fn mmr_select_reproduces_the_baseline_example_selection() {
+    use divtopk::ResultSource;
+    let corpus = generate(&SynthConfig::enwiki_like().with_num_docs(5_000));
+    let index = InvertedIndex::build(&corpus);
+    let query = query_for_band(&corpus, 2, 2, 77).expect("band 2 populated");
+    let k = 12;
+    let mut ta = TaSource::new(&corpus, &index, &query.terms);
+    let mut cands: Vec<Scored<DocId>> = Vec::new();
+    while let Some(r) = ta.next_result() {
+        cands.push(r);
     }
+    cands.sort_by_key(|r| std::cmp::Reverse(r.score));
+    cands.truncate(k * 25);
+    let sim = |a: &DocId, b: &DocId| weighted_jaccard(&corpus, corpus.doc(*a), corpus.doc(*b));
+    let picked: Vec<DocId> = mmr_select(&cands, sim, 0.7, k)
+        .into_iter()
+        .map(|i| cands[i].item)
+        .collect();
+    assert_eq!(
+        picked,
+        [
+            2182, 2817, 4733, 4324, 4856, 104, 853, 4372, 1871, 329, 626, 3124
+        ]
+    );
 }
 
 // ------------------------------------------------------- per-mode invariants

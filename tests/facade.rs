@@ -46,21 +46,18 @@ fn engine_reexport_paths_resolve() {
     let engine =
         divtopk::engine::engine::Engine::new(corpus, divtopk::engine::engine::EngineConfig::new(2));
     assert_eq!(engine.stats().segments, 2);
-    // The static sharding primitive and the live-update segment index
-    // both stay reachable through the facade.
-    let _ = divtopk::engine::shard::ShardedCorpus::build(
-        {
-            let mut b = divtopk::text::corpus::Corpus::builder();
-            b.add_text("s0", "alpha beta");
-            b.build()
-        },
-        2,
-    );
-    let _: divtopk::prelude::SegmentedIndex = divtopk::text::segments::SegmentedIndex::build({
-        let mut b = divtopk::text::corpus::Corpus::builder();
-        b.add_text("s0", "alpha beta");
-        b.build()
-    });
+    // The segment index and its partitioner stay reachable through the
+    // facade; more parts than documents just leaves a part empty.
+    let segmented: divtopk::prelude::SegmentedIndex =
+        divtopk::text::segments::SegmentedIndex::build_partitioned(
+            {
+                let mut b = divtopk::text::corpus::Corpus::builder();
+                b.add_text("s0", "alpha beta");
+                b.build()
+            },
+            2,
+        );
+    assert_eq!(segmented.num_segments(), 2);
     // Prelude names flattened through the facade.
     let _: divtopk::prelude::EngineConfig = divtopk::prelude::EngineConfig::default();
     let _: divtopk::prelude::CacheStats = Default::default();

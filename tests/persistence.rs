@@ -301,42 +301,6 @@ fn loaded_engine_keeps_mutating_from_where_it_stood() {
 }
 
 #[test]
-fn corpus_and_index_file_round_trips() {
-    let corpus = base(60);
-    let index = InvertedIndex::build(&corpus);
-    let cpath = temp_path("corpus.snapshot");
-    let ipath = temp_path("index.snapshot");
-    persist::save_corpus(&cpath, &corpus).unwrap();
-    persist::save_index(&ipath, &index).unwrap();
-    let lcorpus = persist::load_corpus(&cpath).unwrap();
-    let lindex = persist::load_index(&ipath).unwrap();
-    std::fs::remove_file(&cpath).unwrap();
-    std::fs::remove_file(&ipath).unwrap();
-    assert!(lcorpus.docs().eq(corpus.docs()));
-    for t in 0..corpus.num_terms() as TermId {
-        assert_eq!(lcorpus.idf(t).to_bits(), corpus.idf(t).to_bits());
-        let (a, b) = (index.postings(t), lindex.postings(t));
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(b) {
-            assert_eq!(
-                (x.doc, x.tf, x.partial.to_bits()),
-                (y.doc, y.tf, y.partial.to_bits())
-            );
-        }
-    }
-    // A fresh searcher over the loaded pair answers byte-identically.
-    let term = busy_term(&corpus);
-    let options = SearchOptions::new(4).with_tau(0.5);
-    let want = DiversifiedSearcher::new(&corpus, &index)
-        .search_scan(term, &options)
-        .unwrap();
-    let got = DiversifiedSearcher::new(&lcorpus, &lindex)
-        .search_scan(term, &options)
-        .unwrap();
-    assert_eq!(want, got);
-}
-
-#[test]
 fn truncation_at_every_offset_of_every_file_is_a_typed_error() {
     let seg = small_state();
     let dir = temp_path("truncate.snapshot");
@@ -448,11 +412,7 @@ fn wrong_format_version_fixture_is_rejected() {
         Err(SnapshotError::UnsupportedVersion { found: 9 }) => {}
         other => panic!("expected UnsupportedVersion {{ found: 9 }}, got {other:?}"),
     }
-    // The file-level and engine entry points agree.
-    assert!(matches!(
-        persist::load_corpus(&fixture),
-        Err(SnapshotError::UnsupportedVersion { found: 9 })
-    ));
+    // The engine entry point agrees.
     assert!(matches!(
         Engine::load_snapshot(&dir, &EngineConfig::default()),
         Err(SnapshotError::UnsupportedVersion { found: 9 })
@@ -468,7 +428,7 @@ fn missing_snapshot_is_an_io_error() {
         Err(SnapshotError::Io(_))
     ));
     assert!(matches!(
-        persist::load_corpus(&path),
+        persist::load_segmented(&path),
         Err(SnapshotError::Io(_))
     ));
 }

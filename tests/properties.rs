@@ -175,31 +175,50 @@ proptest! {
         prop_assert_eq!(da.is_disjoint(&db), expect);
         prop_assert_eq!(db.is_disjoint(&da), expect);
     }
+}
 
-    /// Post-kernel, every `div-astar` kernel mode (bitset, sorted-vec
-    /// stamp, auto — and bitset without an adjacency bitmap) still matches
-    /// the exhaustive oracle, and the three algorithms agree end to end.
-    #[test]
-    fn kernel_modes_match_oracle(g in graph_strategy(12), k in 1usize..10) {
-        let want = exhaustive(&g, k);
-        let mut stripped = g.clone();
-        stripped.strip_adjacency_bitmap();
-        let cases: [(&str, &DiversityGraph, KernelMode); 4] = [
-            ("auto", &g, KernelMode::Auto),
-            ("bitset", &g, KernelMode::Dense),
-            ("sorted-vec", &g, KernelMode::Sparse),
-            ("bitset/no-bitmap", &stripped, KernelMode::Dense),
-        ];
-        for (name, graph, kernel) in cases {
-            let config = AStarConfig { kernel, ..AStarConfig::new() };
-            let (got, _) =
-                div_astar_configured(graph, k, &config, &SearchLimits::unlimited()).unwrap();
-            got.assert_well_formed(Some(&g));
+/// Both `div-astar` kernels stay covered with no switch to force them: a
+/// graph one node past the adjacency-bitmap cap carries no bitmap, so
+/// `div_astar` on it runs the stamp kernel, while `div_dp` and `div_cut`
+/// search its relabelled components, which regain their bitmaps and run
+/// the bitset kernel (DESIGN.md §7). All three must agree table for
+/// table. (At or under the cap `algorithms_match_oracle` pins the bitset
+/// kernel to the exhaustive oracle.)
+#[test]
+fn both_kernels_agree_past_the_bitmap_cap() {
+    let n = DENSE_ADJ_MAX_NODES as u32 + 1;
+    let k = 6;
+    for seed in 0..4u64 {
+        let mut rng = divtopk::core::rng::Pcg::new(seed ^ 0x5BA2);
+        let mut scores: Vec<Score> = (0..n).map(|_| Score::from(rng.range(1, 500))).collect();
+        scores.sort_by(|a, b| b.cmp(a));
+        // Sparse overall: a tangled head, where the top-k is decided,
+        // and stray edges everywhere else.
+        let mut edges = Vec::new();
+        for i in 0..40 {
+            for j in (i + 1)..40 {
+                if rng.chance(0.3) {
+                    edges.push((i, j));
+                }
+            }
+        }
+        for _ in 0..n / 4 {
+            let (a, b) = (rng.below(n), rng.below(n));
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        let g = DiversityGraph::from_sorted_scores(scores, &edges);
+        assert!(!g.has_adjacency_bitmap());
+        let astar = div_astar(&g, k);
+        astar.assert_well_formed(Some(&g));
+        for (name, other) in [("dp", div_dp(&g, k)), ("cut", div_cut(&g, k))] {
+            other.assert_well_formed(Some(&g));
             for i in 0..=k {
-                prop_assert_eq!(
-                    got.prefix_best_score(i),
-                    want.prefix_best_score(i),
-                    "{} at size {}", name, i
+                assert_eq!(
+                    astar.prefix_best_score(i),
+                    other.prefix_best_score(i),
+                    "seed {seed}: astar vs {name} at size {i}"
                 );
             }
         }

@@ -536,3 +536,44 @@ fn out_of_range_mode_parameters_are_typed_errors_over_live_tcp() {
     }
     assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
 }
+
+#[test]
+fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
+    // The framework asserts `bound_decay ∈ [0, 1)`; a client frame must
+    // never reach that assert, or the panic takes the (here: only) worker
+    // with it and every later search on the server hangs.
+    let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(120));
+    let term = interesting_terms(&corpus, 1)[0];
+    let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server start");
+    let mut stream = connect(&server.addr().to_string());
+    let search = |bound_decay: f64| Request::Search {
+        query: Query::Scan(term),
+        k: 3,
+        tau: 0.5,
+        bound_decay,
+        mode: DiversifyMode::exact(),
+    };
+    for bad in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
+        match roundtrip(&mut stream, &search(bad)) {
+            Response::Error { .. } => {}
+            other => panic!("decay {bad}: expected an error response, got {other:?}"),
+        }
+    }
+    // The same connection, served by the same single worker, still answers.
+    let want = engine
+        .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
+        .unwrap();
+    match roundtrip(&mut stream, &search(0.0)) {
+        Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
+        other => panic!("expected hits after the rejected frames, got {other:?}"),
+    }
+}
