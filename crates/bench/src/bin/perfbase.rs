@@ -826,7 +826,7 @@ struct ServingLatencyReport {
     requests_per_shard_count: usize,
 }
 
-/// The serving-latency suite (DESIGN.md §11): a real [`Server`] on a real
+/// The serving-latency suite (DESIGN.md §8): a real [`Server`] on a real
 /// TCP socket per shard count, driven by the same open-loop client the
 /// `loadgen` binary uses. The result cache is disabled so every request
 /// pays a full search, and the engine's parallel-pull pool is auto-sized
@@ -1109,7 +1109,7 @@ fn frontier_suite(
                 searcher.search_ta(&query, &options).ok()
             }
         };
-        // Oracle byte-identity: the trait-dispatched Exact(Cut) must be
+        // Oracle byte-identity: Exact(Cut) through `DiversifyMode` must be
         // the pre-redesign direct framework run, bit for bit.
         if terms == 1 {
             let via_mode = run_once(&DiversifyMode::Exact(ExactAlgorithm::Cut))
@@ -1873,7 +1873,7 @@ fn main() {
     let cold_start = cold_start_suite(&mut cells, smoke, runs, budget);
 
     // Suite 8: end-to-end serving latency over TCP — open-loop trace
-    // against a live server per shard count (DESIGN.md §11).
+    // against a live server per shard count (DESIGN.md §8).
     let serving_latency = serving_latency_suite(&mut cells, smoke);
 
     // Suite 9: query-pack quality gates — diversity and relevance deltas

@@ -5,13 +5,11 @@
 //!
 //! ```text
 //! quality_gate [--pack PATH] [--out PATH]
-//! quality_gate --emit-default-pack PATH
 //! ```
 //!
-//! With no `--pack`, the built-in default pack runs. `--out` writes the
-//! self-validated `divtopk-quality/1` evidence table. The second form
-//! writes the built-in pack (`divtopk-pack/1`) to PATH and exits — the
-//! committed `benchmarks/query-pack.v1.json` is produced this way.
+//! With no `--pack`, the default pack (the committed
+//! `benchmarks/query-pack.v1.json`, compiled in) runs. `--out` writes the
+//! self-validated `divtopk-quality/1` evidence table.
 
 use divtopk_bench::quality::evaluate;
 use divtopk_bench::workload::QueryPack;
@@ -19,7 +17,6 @@ use divtopk_bench::workload::QueryPack;
 struct Args {
     pack: Option<String>,
     out: Option<String>,
-    emit_default: Option<String>,
 }
 
 impl Args {
@@ -27,7 +24,6 @@ impl Args {
         let mut args = Args {
             pack: None,
             out: None,
-            emit_default: None,
         };
         let mut it = std::env::args().skip(1);
         while let Some(flag) = it.next() {
@@ -35,9 +31,6 @@ impl Args {
             match flag.as_str() {
                 "--pack" => args.pack = Some(value("--pack")?),
                 "--out" => args.out = Some(value("--out")?),
-                "--emit-default-pack" => {
-                    args.emit_default = Some(value("--emit-default-pack")?);
-                }
                 other => return Err(format!("unknown flag {other}")),
             }
         }
@@ -50,20 +43,10 @@ fn main() {
         Ok(args) => args,
         Err(why) => {
             eprintln!("quality_gate: {why}");
-            eprintln!("usage: quality_gate [--pack PATH] [--out PATH] | --emit-default-pack PATH");
+            eprintln!("usage: quality_gate [--pack PATH] [--out PATH]");
             std::process::exit(2);
         }
     };
-
-    if let Some(path) = &args.emit_default {
-        let text = QueryPack::default_pack().to_json_pretty();
-        std::fs::write(path, text).unwrap_or_else(|e| {
-            eprintln!("quality_gate: writing {path}: {e}");
-            std::process::exit(2);
-        });
-        eprintln!("quality_gate: wrote default pack to {path}");
-        return;
-    }
 
     let pack = match &args.pack {
         Some(path) => {

@@ -13,8 +13,8 @@
 //! scripts (`tests/workload.rs` pins this as a property test).
 //!
 //! The committed pack lives at `benchmarks/query-pack.v1.json`
-//! ([`QueryPack::default_pack`] regenerates it via
-//! `quality_gate --emit-default-pack`); [`crate::quality`] replays packs
+//! ([`QueryPack::default_pack`] is that file, compiled in);
+//! [`crate::quality`] replays packs
 //! through the engine twice (diversity on/off) and scores the results,
 //! and `perfbase`'s `serving_throughput` suite draws its trace from the
 //! pack's `torso_mix` family so the committed numbers measure a realistic
@@ -422,275 +422,25 @@ impl QueryPack {
             .collect()
     }
 
-    /// The canonical pack committed at `benchmarks/query-pack.v1.json`
-    /// (regenerate with `quality_gate --emit-default-pack`). Five
+    /// The canonical pack, committed at `benchmarks/query-pack.v1.json`
+    /// and compiled in from there — the file is the source. Nine
     /// families over the tiny synthetic corpus: a bursty head-term
     /// family, the realistic torso mix the serving suites replay, a
     /// cold-cache tail sweep on a diurnal schedule, a hot-doc deletion
-    /// storm, and an adversarial near-duplicate flood. Gate thresholds
-    /// were calibrated from measured reality (see DESIGN.md §12) with
-    /// enough margin to absorb seed-to-seed noise — the quality harness
-    /// is deterministic, so any drift is a code change, not noise.
+    /// storm, an adversarial near-duplicate flood, and the torso mix
+    /// once per cheap mode. Gate thresholds were calibrated from the
+    /// measured deltas of a `quality_gate` run on this exact pack (see
+    /// DESIGN.md §12): each floor sits at roughly half the measured gain
+    /// and each relevance guard at roughly twice the measured sacrifice.
+    /// The quality harness is deterministic, so any drift is a code
+    /// change, not noise.
+    ///
+    /// # Panics
+    /// Panics if the committed file is not a valid pack — a build-time
+    /// fact `default_pack_round_trips_through_json` pins.
     pub fn default_pack() -> QueryPack {
-        // Thresholds below are calibrated from the measured deltas of a
-        // `quality_gate` run on this exact pack (deterministic modulo
-        // latency): each floor sits at roughly half the measured gain and
-        // each relevance guard at roughly twice the measured sacrifice, so
-        // a regression has to move the metric materially to trip a gate.
-        let relevance_guards = Gates {
-            min_ndcg_delta: Some(-0.05),
-            min_mrr_delta: Some(-0.25),
-            ..Gates::default()
-        };
-        QueryPack {
-            name: "default".to_owned(),
-            seed: 20260807,
-            corpus: CorpusSpec {
-                preset: "tiny".to_owned(),
-                num_docs: Some(800),
-                seed: Some(7),
-            },
-            families: vec![
-                Family {
-                    name: "head_burst".to_owned(),
-                    band: Band::Head,
-                    queries: 48,
-                    distinct: 12,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Burst {
-                            factor: 8.0,
-                            period_s: 0.5,
-                            burst_s: 0.1,
-                        },
-                    },
-                    cache: CacheMode::Normal,
-                    mode: DiversifyMode::exact(),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +1.000 unique sources, +0.017 dissim.
-                        min_unique_sources_gain: Some(0.5),
-                        min_dissimilarity_gain: Some(0.008),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "torso_mix".to_owned(),
-                    band: Band::Torso,
-                    queries: 64,
-                    distinct: 32,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: DiversifyMode::exact(),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +0.009 dissim, +0.011 max-share.
-                        min_dissimilarity_gain: Some(0.004),
-                        max_max_share_delta: Some(0.05),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "tail_cold".to_owned(),
-                    band: Band::Tail,
-                    queries: 32,
-                    distinct: 32,
-                    zipf_exponent: 0.0,
-                    ta_fraction: 0.0,
-                    k: 5,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 100.0,
-                        shape: ArrivalShape::Diurnal {
-                            amplitude: 0.8,
-                            period_s: 2.0,
-                        },
-                    },
-                    cache: CacheMode::Bypass,
-                    mode: DiversifyMode::exact(),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +0.125 unique, +0.113 dissim, −0.043
-                        // max-share, −0.029 NDCG (k=5 on sparse tails).
-                        min_unique_sources_gain: Some(0.05),
-                        min_dissimilarity_gain: Some(0.05),
-                        max_max_share_delta: Some(0.0),
-                        min_ndcg_delta: Some(-0.1),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "delete_storm".to_owned(),
-                    band: Band::Head,
-                    queries: 32,
-                    distinct: 8,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: DiversifyMode::exact(),
-                    mutations: MutationSpec::DeleteStorm {
-                        events: 4,
-                        docs_per_event: 3,
-                    },
-                    gates: Gates {
-                        // Measured: +0.187 unique, +0.012 dissim.
-                        min_unique_sources_gain: Some(0.08),
-                        min_dissimilarity_gain: Some(0.005),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "neardup_flood".to_owned(),
-                    band: Band::Torso,
-                    queries: 32,
-                    distinct: 8,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: DiversifyMode::exact(),
-                    mutations: MutationSpec::NeardupFlood {
-                        events: 4,
-                        docs_per_event: 6,
-                    },
-                    gates: Gates {
-                        // Measured: +2.406 unique, −0.146 max-share,
-                        // +0.096 dissim, −0.075 NDCG — diversification
-                        // earns its keep here or the gate says so.
-                        min_unique_sources_gain: Some(1.0),
-                        max_max_share_delta: Some(-0.05),
-                        min_dissimilarity_gain: Some(0.04),
-                        min_ndcg_delta: Some(-0.15),
-                        ..relevance_guards.clone()
-                    },
-                },
-                // One gated family per cheap diversify mode, all on the
-                // same torso mix so their gates are comparable with
-                // `torso_mix` (exact) above. Thresholds calibrated the
-                // same way: floors at roughly half the measured gain,
-                // relevance guards at roughly twice the sacrifice.
-                Family {
-                    name: "torso_mmr".to_owned(),
-                    band: Band::Torso,
-                    queries: 48,
-                    distinct: 24,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: mode_from_key("mmr").expect("canonical"),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +0.375 unique, +0.009 dissim,
-                        // −0.005 NDCG.
-                        min_unique_sources_gain: Some(0.15),
-                        min_dissimilarity_gain: Some(0.004),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "torso_window".to_owned(),
-                    band: Band::Torso,
-                    queries: 48,
-                    distinct: 24,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: mode_from_key("window").expect("canonical"),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // The window leaf is conservative by design: it
-                        // must never *hurt* (floors at zero), and its
-                        // relevance cost is bounded like the others.
-                        min_unique_sources_gain: Some(0.0),
-                        min_dissimilarity_gain: Some(0.0),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "torso_disc".to_owned(),
-                    band: Band::Torso,
-                    queries: 48,
-                    distinct: 24,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: mode_from_key("disc").expect("canonical"),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +0.012 dissim, −0.040 max-share
-                        // (DisC enforces the pairwise constraint, like
-                        // exact), −0.001 NDCG.
-                        min_dissimilarity_gain: Some(0.005),
-                        max_max_share_delta: Some(0.0),
-                        ..relevance_guards.clone()
-                    },
-                },
-                Family {
-                    name: "torso_knn".to_owned(),
-                    band: Band::Torso,
-                    queries: 48,
-                    distinct: 24,
-                    zipf_exponent: 1.0,
-                    ta_fraction: 0.25,
-                    k: 10,
-                    tau: 0.3,
-                    arrival: Arrival {
-                        rate: 200.0,
-                        shape: ArrivalShape::Uniform,
-                    },
-                    cache: CacheMode::Normal,
-                    mode: mode_from_key("knn").expect("canonical"),
-                    mutations: MutationSpec::None,
-                    gates: Gates {
-                        // Measured: +0.958 unique, +0.016 dissim,
-                        // −0.004 NDCG.
-                        min_unique_sources_gain: Some(0.4),
-                        min_dissimilarity_gain: Some(0.008),
-                        ..relevance_guards
-                    },
-                },
-            ],
-        }
+        QueryPack::from_json(include_str!("../../../benchmarks/query-pack.v1.json"))
+            .expect("benchmarks/query-pack.v1.json is a valid pack")
     }
 
     // ------------------------------------------------------ JSON I/O
@@ -1277,11 +1027,21 @@ mod tests {
 
     #[test]
     fn default_pack_round_trips_through_json() {
+        // The committed file is the default pack: it parses under the
+        // strict schema, and emitting the parsed pack gives the file back
+        // byte for byte.
+        let committed = include_str!("../../../benchmarks/query-pack.v1.json");
         let pack = QueryPack::default_pack();
-        let text = pack.to_json_pretty();
-        assert!(json::validate(&text).is_ok());
-        let back = QueryPack::from_json(&text).unwrap();
-        assert_eq!(pack, back);
+        assert_eq!(pack.families.len(), 9);
+        assert_eq!(pack.to_json_pretty(), committed);
+        assert_eq!(QueryPack::from_json(committed).unwrap(), pack);
+        // Strict means a stray key in that same document is refused, not
+        // ignored.
+        let stray = committed.replacen("\"name\":", "\"nmae\": 0, \"name\":", 1);
+        assert!(matches!(
+            QueryPack::from_json(&stray),
+            Err(PackError::BadValue { .. })
+        ));
     }
 
     #[test]

@@ -1,27 +1,33 @@
-//! The [`Diversifier`] trait — one contract for every diversification
-//! strategy, exact or heuristic.
+//! Diversification strategies — six functions over one result stream,
+//! exact or heuristic.
 //!
 //! The paper's framework (§4) deliberately separates the *result source*
 //! from the *diversity search*; this module completes that separation on
-//! the strategy axis. A diversifier consumes a [`ResultSource`] plus a
-//! [`SimilarityOracle`] and returns diversified hits with per-call
-//! metrics. Every strategy in the workspace is a leaf behind the trait:
+//! the strategy axis. Each strategy is one function that consumes a
+//! [`ResultSource`] plus the one view of similarity it needs — the
+//! thresholded predicate `sim(a, b) > τ` (possibly behind an `O(1)`
+//! prefilter) or the raw value in `[0, 1]`, both symmetric and
+//! deterministic — and returns at most `k` hits with per-call metrics:
 //!
-//! | leaf | guarantee | cost model |
-//! |------|-----------|------------|
-//! | [`ExactDiversifier`] | exact optimum (Lemmas 1/3) | NP-hard inner searches |
-//! | [`NoneDiversifier`] | plain relevance top-k (diversity off) | top-k pull only |
-//! | [`MmrDiversifier`] | greedy marginal-relevance ranking | `O(k·l)` sims over a top-`l` pool |
-//! | [`WindowDiversifier`] | sliding-window max-per-source spread | `O(l²)` source clustering |
-//! | [`DiscDiversifier`] | maximal independent set + coverage | `O(k·l)` sims |
-//! | [`KnnDiversifier`] | greedy relevance × knn-dissimilarity | `O(k·l)` sims |
+//! | function | similarity view | guarantee | cost model |
+//! |----------|-----------------|-----------|------------|
+//! | [`exact`] | predicate | exact optimum (Lemmas 1/3) | NP-hard inner searches |
+//! | [`none`] | — | plain relevance top-k (diversity off) | top-k pull only |
+//! | [`mmr`] | value | greedy marginal-relevance ranking | `O(k·l)` sims over a top-`l` pool |
+//! | [`window`] | predicate | sliding-window max-per-source spread | `O(l²)` source clustering |
+//! | [`disc`] | predicate | maximal independent set + coverage | `O(k·l)` sims |
+//! | [`knn`] | value | greedy relevance × knn-dissimilarity | `O(k·l)` sims |
+//!
+//! Which one runs is the caller's `match` (the text layer's
+//! `DiversifyMode`); `limits` budget the framework run underneath and
+//! `bound_decay` is its bound-decay throttle.
 //!
 //! Determinism is part of the contract: no seeds, no wall clock, item
 //! order broken by pool position (score descending, then source arrival
 //! order — which every in-repo source ties by doc id). Two runs over the
 //! same stream return byte-identical selections.
 //!
-//! The heuristic ("rerank") leaves share a two-step shape from the
+//! The heuristic ("rerank") strategies share a two-step shape from the
 //! paper's §9 related-work family: pull the plain relevance top-`l`
 //! (`l = RERANK_OVERSAMPLE · k`) through the same early-stopping
 //! framework the exact path uses (an edgeless diversity graph — the
@@ -37,39 +43,23 @@ use crate::metrics::FrameworkMetrics;
 use crate::score::Score;
 use crate::sources::{ResultSource, Scored};
 
-/// Pool oversampling factor for the rerank leaves: they fetch the plain
-/// top-`RERANK_OVERSAMPLE · k` and select `k` from it. Fixed (not a
+/// Pool oversampling factor for the rerank strategies: they fetch the
+/// plain top-`RERANK_OVERSAMPLE · k` and select `k` from it. Fixed (not a
 /// per-query knob) so cache keys and wire frames stay small; 4× is the
 /// conventional `l > k` headroom of the two-step family.
 pub const RERANK_OVERSAMPLE: usize = 4;
 
-/// The two views of similarity a diversifier may consume.
-///
-/// * `above` — the thresholded predicate `sim(a, b) > τ`, possibly
-///   behind an `O(1)` prefilter (how the text layer implements Eq. 4).
-///   Used by the exact leaf (graph edges) and for source clustering.
-/// * `value` — the raw similarity in `[0, 1]`, for leaves that *weigh*
-///   redundancy instead of forbidding it (MMR, KNN).
-///
-/// Both must be symmetric and deterministic.
-pub struct SimilarityOracle<P, V> {
-    /// `sim(a, b) > τ`.
-    pub above: P,
-    /// `sim(a, b) ∈ [0, 1]`.
-    pub value: V,
-}
-
-/// Per-call counters a diversifier reports alongside its hits.
+/// Per-call counters a strategy reports alongside its hits.
 ///
 /// Integer-only (like [`FrameworkMetrics`]) so outcomes stay `Eq` and
 /// cache hits can be asserted bit-identical.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DiversifierMetrics {
     /// Candidates materialized before selection (the rerank pool size;
-    /// for the streaming leaves, the results the framework pulled).
+    /// for `exact` and `none`, the results the framework pulled).
     pub candidates_pulled: u64,
     /// Similarity-oracle evaluations made during selection (predicate
-    /// and value calls; the exact leaf's graph-growth checks are counted
+    /// and value calls; `exact`'s graph-growth checks are counted
     /// in [`FrameworkMetrics::similarity_checks`] instead).
     pub sim_evaluations: u64,
     /// Selection-order edits: window rotations, or greedy picks that
@@ -77,140 +67,73 @@ pub struct DiversifierMetrics {
     pub rotations: u64,
 }
 
-/// What a diversifier returns: hits in the mode's ranking order plus the
-/// run's counters.
+/// What a strategy returns: hits in its ranking order plus the run's
+/// counters.
 #[derive(Debug)]
 pub struct DiversifyOutcome<T> {
-    /// Selected results in the mode's own ranking order (score
-    /// descending for the exact/none/disc leaves; greedy selection
-    /// order for MMR/KNN; rotated order for the window leaf).
+    /// Selected results in the strategy's own ranking order (score
+    /// descending for exact/none/disc; greedy selection order for
+    /// MMR/KNN; rotated order for window).
     pub selected: Vec<Scored<T>>,
     /// Total relevance score of `selected`.
     pub total_score: Score,
     /// Counters of the underlying framework run (results pulled, inner
     /// searches, early stop).
     pub framework: FrameworkMetrics,
-    /// The diversifier's own per-call counters.
+    /// The strategy's own per-call counters.
     pub diversifier: DiversifierMetrics,
 }
 
-/// One diversification strategy: a deterministic, seed-free map from a
-/// result stream to at most `k` hits plus metrics.
-///
-/// Implementations must be pure functions of `(source stream, oracle,
-/// k)` — no randomness, no wall clock, ties broken by pool position so
-/// identical streams give byte-identical selections.
-pub trait Diversifier {
-    /// Stable lower-case strategy name (metrics, bench tables).
-    fn name(&self) -> &'static str;
-
-    /// Runs the strategy over `source` and returns at most `k` hits.
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64;
-}
-
-// --------------------------------------------------------------- exact
+// -------------------------------------------------------- exact and none
 
 /// The paper's exact diversified top-k (Lemmas 1/3 early stopping around
-/// one of the `div-*` algorithms). The oracle's predicate defines the
-/// diversity-graph edges; the value view is unused.
-#[derive(Debug, Clone)]
-pub struct ExactDiversifier {
-    /// Which `div-search-current()` implementation runs.
-    pub algorithm: ExactAlgorithm,
-    /// Budgets for each inner search.
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle.
-    pub bound_decay: f64,
+/// `algorithm`, one of the `div-*` searches). `above` defines the
+/// diversity-graph edges.
+pub fn exact<S, P>(
+    source: S,
+    above: P,
+    algorithm: ExactAlgorithm,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError>
+where
+    S: ResultSource,
+    P: Fn(&S::Item, &S::Item) -> bool,
+{
+    let config = DivSearchConfig::new(k)
+        .with_algorithm(algorithm)
+        .with_limits(limits.clone())
+        .with_bound_decay(bound_decay);
+    let out = DivTopK::new(source, above, config).run()?;
+    Ok(streamed(out.selected, out.metrics))
 }
 
-impl Diversifier for ExactDiversifier {
-    fn name(&self) -> &'static str {
-        "exact"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let SimilarityOracle { above, .. } = oracle;
-        let config = DivSearchConfig::new(k)
-            .with_algorithm(self.algorithm)
-            .with_limits(self.limits.clone())
-            .with_bound_decay(self.bound_decay);
-        let out = DivTopK::new(source, above, config).run()?;
-        let diversifier = DiversifierMetrics {
-            candidates_pulled: out.metrics.results_generated,
-            ..DiversifierMetrics::default()
-        };
-        Ok(DiversifyOutcome {
-            selected: out.selected,
-            total_score: out.total_score,
-            framework: out.metrics,
-            diversifier,
-        })
-    }
+/// Diversity off: an edgeless diversity graph, so the same source and
+/// early-stop machinery returns the plain relevance top-k (score
+/// descending, doc id as tie-break). The baseline every quality gate
+/// compares against.
+pub fn none<S: ResultSource>(
+    source: S,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError> {
+    let (selected, framework) = pull_plain_topk(source, k, limits, bound_decay)?;
+    Ok(streamed(selected, framework))
 }
 
-// ---------------------------------------------------------------- none
-
-/// The diversity-off oracle: an edgeless diversity graph, so the same
-/// source and early-stop machinery returns the plain relevance top-k
-/// (score descending, doc id as tie-break). This replaces the old
-/// `diversify: false` back-channel and is the baseline every quality
-/// gate compares against.
-#[derive(Debug, Clone)]
-pub struct NoneDiversifier {
-    /// Budgets for each inner search (edgeless graphs make these trivial,
-    /// but the run-level time budget still applies).
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle.
-    pub bound_decay: f64,
-}
-
-impl Diversifier for NoneDiversifier {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        _oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let (selected, framework) = pull_plain_topk(source, k, &self.limits, self.bound_decay)?;
-        let total_score = selected.iter().map(|r| r.score).sum();
-        let diversifier = DiversifierMetrics {
+/// The outcome of a strategy whose hits come straight out of the
+/// framework: the candidates are the results it pulled.
+fn streamed<T>(selected: Vec<Scored<T>>, framework: FrameworkMetrics) -> DiversifyOutcome<T> {
+    DiversifyOutcome {
+        total_score: selected.iter().map(|r| r.score).sum(),
+        selected,
+        framework,
+        diversifier: DiversifierMetrics {
             candidates_pulled: framework.results_generated,
             ..DiversifierMetrics::default()
-        };
-        Ok(DiversifyOutcome {
-            selected,
-            total_score,
-            framework,
-            diversifier,
-        })
+        },
     }
 }
 
@@ -220,7 +143,7 @@ type PlainPool<T> = (Vec<Scored<T>>, FrameworkMetrics);
 /// Plain relevance top-`k` through the framework: a constant-`false`
 /// predicate makes the diversity graph edgeless, so the diversified
 /// optimum *is* the score-descending top-k and the Lemma 1/3 early stops
-/// stay sound. Shared by [`NoneDiversifier`] and the rerank pools.
+/// stay sound. Shared by [`none`] and the rerank pools.
 fn pull_plain_topk<S>(
     source: S,
     k: usize,
@@ -238,56 +161,65 @@ where
     Ok((out.selected, out.metrics))
 }
 
+/// The two-step shape every rerank strategy shares: pull the plain
+/// top-`l` pool, let `select` pick pool indices in ranking order, move
+/// the picked entries out.
+fn rerank<S: ResultSource>(
+    source: S,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+    select: impl FnOnce(&[Scored<S::Item>], &mut DiversifierMetrics) -> Vec<usize>,
+) -> Result<DiversifyOutcome<S::Item>, SearchError> {
+    let (pool, framework) = pull_plain_topk(source, rerank_pool_size(k), limits, bound_decay)?;
+    let mut diversifier = DiversifierMetrics {
+        candidates_pulled: pool.len() as u64,
+        ..DiversifierMetrics::default()
+    };
+    let order = select(&pool, &mut diversifier);
+    let mut slots: Vec<Option<Scored<S::Item>>> = pool.into_iter().map(Some).collect();
+    let selected: Vec<Scored<S::Item>> =
+        order.into_iter().filter_map(|i| slots[i].take()).collect();
+    Ok(DiversifyOutcome {
+        total_score: selected.iter().map(|r| r.score).sum(),
+        selected,
+        framework,
+        diversifier,
+    })
+}
+
 // ----------------------------------------------------------------- mmr
 
 /// Greedy Maximal Marginal Relevance over a top-`l` pool: repeatedly
-/// pick `argmax λ·score/max_score − (1−λ)·max_sim(·, selected)`.
+/// pick `argmax λ·score/max_score − (1−λ)·max_sim(·, selected)`
+/// (`lambda` = 1.0 is pure relevance, 0.0 pure anti-redundancy).
 /// Penalizes redundancy but never excludes it (the defining contrast
-/// with the exact leaves — see the paper's §9).
-#[derive(Debug, Clone)]
-pub struct MmrDiversifier {
-    /// Trade-off: 1.0 = pure relevance, 0.0 = pure anti-redundancy.
-    pub lambda: f64,
-    /// Budgets for the pool pull.
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle for the pool pull.
-    pub bound_decay: f64,
-}
-
-impl Diversifier for MmrDiversifier {
-    fn name(&self) -> &'static str {
-        "mmr"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let l = rerank_pool_size(k);
-        let (pool, framework) = pull_plain_topk(source, l, &self.limits, self.bound_decay)?;
-        let mut metrics = DiversifierMetrics {
-            candidates_pulled: pool.len() as u64,
-            ..DiversifierMetrics::default()
-        };
+/// with [`exact`] — see the paper's §9).
+pub fn mmr<S, V>(
+    source: S,
+    value: V,
+    lambda: f64,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError>
+where
+    S: ResultSource,
+    V: Fn(&S::Item, &S::Item) -> f64,
+{
+    rerank(source, k, limits, bound_decay, |pool, metrics| {
         let order = mmr_select(
-            &pool,
+            pool,
             |a, b| {
                 metrics.sim_evaluations += 1;
-                (oracle.value)(a, b)
+                value(a, b)
             },
-            self.lambda,
+            lambda,
             k,
         );
         metrics.rotations = out_of_relevance_order(&order);
-        Ok(assemble(pool, order, framework, metrics))
-    }
+        order
+    })
 }
 
 /// The MMR greedy in index space: returns selected pool indices in
@@ -376,51 +308,31 @@ impl Default for WindowConfig {
 /// design: with no eligible candidate the concentration stands, and
 /// within-source relative order is always preserved.
 ///
-/// "Source" is not a stored label: candidates are clustered by the
-/// similarity predicate (leader clustering in pool order), so a source
-/// is a near-duplicate chain — the text-search analogue of Snippet 1's
-/// per-file grouping.
-#[derive(Debug, Clone)]
-pub struct WindowDiversifier {
-    /// Window/max-per-source/score-floor knobs.
-    pub config: WindowConfig,
-    /// Budgets for the pool pull.
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle for the pool pull.
-    pub bound_decay: f64,
-}
-
-impl Diversifier for WindowDiversifier {
-    fn name(&self) -> &'static str {
-        "window"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let l = rerank_pool_size(k);
-        let (pool, framework) = pull_plain_topk(source, l, &self.limits, self.bound_decay)?;
-        let mut metrics = DiversifierMetrics {
-            candidates_pulled: pool.len() as u64,
-            ..DiversifierMetrics::default()
-        };
-        let sources = assign_sources(&pool, |a, b| {
+/// "Source" is not a stored label: candidates are clustered by `above`
+/// (leader clustering in pool order), so a source is a near-duplicate
+/// chain — the text-search analogue of Snippet 1's per-file grouping.
+pub fn window<S, P>(
+    source: S,
+    above: P,
+    config: &WindowConfig,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError>
+where
+    S: ResultSource,
+    P: Fn(&S::Item, &S::Item) -> bool,
+{
+    rerank(source, k, limits, bound_decay, |pool, metrics| {
+        let sources = assign_sources(pool, |a, b| {
             metrics.sim_evaluations += 1;
-            (oracle.above)(a, b)
+            above(a, b)
         });
         let scores: Vec<f64> = pool.iter().map(|c| c.score.get()).collect();
-        let (order, rotations) = window_spread(&scores, &sources, &self.config, k);
+        let (order, rotations) = window_spread(&scores, &sources, config, k);
         metrics.rotations = rotations;
-        Ok(assemble(pool, order, framework, metrics))
-    }
+        order
+    })
 }
 
 /// Leader clustering of a score-ordered pool under a similarity
@@ -428,7 +340,7 @@ impl Diversifier for WindowDiversifier {
 /// it is similar to, or founds a new cluster. Returns one cluster id
 /// (the leader's pool index) per candidate. Deterministic; `O(l ·
 /// clusters)` predicate calls. Exposed so invariant tests cluster
-/// exactly the way the window leaf does.
+/// exactly the way [`window`] does.
 pub fn assign_sources<T>(pool: &[Scored<T>], mut above: impl FnMut(&T, &T) -> bool) -> Vec<u32> {
     let mut sources: Vec<u32> = Vec::with_capacity(pool.len());
     let mut leaders: Vec<usize> = Vec::new();
@@ -526,36 +438,18 @@ pub fn window_spread(
 /// * **coverage** — when fewer than `k` hits come back, every pool
 ///   candidate is similar to some selected hit (the selection is a
 ///   maximal independent set of the pool's diversity graph).
-#[derive(Debug, Clone)]
-pub struct DiscDiversifier {
-    /// Budgets for the pool pull.
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle for the pool pull.
-    pub bound_decay: f64,
-}
-
-impl Diversifier for DiscDiversifier {
-    fn name(&self) -> &'static str {
-        "disc"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let l = rerank_pool_size(k);
-        let (pool, framework) = pull_plain_topk(source, l, &self.limits, self.bound_decay)?;
-        let mut metrics = DiversifierMetrics {
-            candidates_pulled: pool.len() as u64,
-            ..DiversifierMetrics::default()
-        };
+pub fn disc<S, P>(
+    source: S,
+    above: P,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError>
+where
+    S: ResultSource,
+    P: Fn(&S::Item, &S::Item) -> bool,
+{
+    rerank(source, k, limits, bound_decay, |pool, metrics| {
         let mut order: Vec<usize> = Vec::with_capacity(k.min(pool.len()));
         for i in 0..pool.len() {
             if order.len() >= k {
@@ -563,14 +457,14 @@ impl Diversifier for DiscDiversifier {
             }
             let independent = order.iter().all(|&s| {
                 metrics.sim_evaluations += 1;
-                !(oracle.above)(&pool[s].item, &pool[i].item)
+                !above(&pool[s].item, &pool[i].item)
             });
             if independent {
                 order.push(i);
             }
         }
-        Ok(assemble(pool, order, framework, metrics))
-    }
+        order
+    })
 }
 
 // ----------------------------------------------------------------- knn
@@ -582,43 +476,24 @@ impl Diversifier for DiscDiversifier {
 /// similarities to the selected set)`. Redundancy is weighed against its
 /// *nearest selected neighbors* only, so one distant outlier cannot
 /// launder a near-duplicate.
-#[derive(Debug, Clone)]
-pub struct KnnDiversifier {
-    /// How many nearest selected neighbors the dissimilarity averages.
-    pub neighbors: usize,
-    /// Budgets for the pool pull.
-    pub limits: SearchLimits,
-    /// The framework bound-decay throttle for the pool pull.
-    pub bound_decay: f64,
-}
-
-impl Diversifier for KnnDiversifier {
-    fn name(&self) -> &'static str {
-        "knn"
-    }
-
-    fn run<S, P, V>(
-        &self,
-        source: S,
-        oracle: SimilarityOracle<P, V>,
-        k: usize,
-    ) -> Result<DiversifyOutcome<S::Item>, SearchError>
-    where
-        S: ResultSource,
-        P: Fn(&S::Item, &S::Item) -> bool,
-        V: Fn(&S::Item, &S::Item) -> f64,
-    {
-        let l = rerank_pool_size(k);
-        let (pool, framework) = pull_plain_topk(source, l, &self.limits, self.bound_decay)?;
-        let mut metrics = DiversifierMetrics {
-            candidates_pulled: pool.len() as u64,
-            ..DiversifierMetrics::default()
-        };
+pub fn knn<S, V>(
+    source: S,
+    value: V,
+    neighbors: usize,
+    k: usize,
+    limits: &SearchLimits,
+    bound_decay: f64,
+) -> Result<DiversifyOutcome<S::Item>, SearchError>
+where
+    S: ResultSource,
+    V: Fn(&S::Item, &S::Item) -> f64,
+{
+    rerank(source, k, limits, bound_decay, |pool, metrics| {
         let n = pool.len();
-        let neighbors = self.neighbors.max(1);
+        let neighbors = neighbors.max(1);
         let mut order: Vec<usize> = Vec::with_capacity(k.min(n));
         if n == 0 || k == 0 {
-            return Ok(assemble(pool, order, framework, metrics));
+            return order;
         }
         let max_score = pool
             .iter()
@@ -650,7 +525,7 @@ impl Diversifier for KnnDiversifier {
             let best = remaining.swap_remove(best_pos);
             for &r in &remaining {
                 metrics.sim_evaluations += 1;
-                let s = (oracle.value)(&pool[r].item, &pool[best].item);
+                let s = value(&pool[r].item, &pool[best].item);
                 let slot = &mut nearest[r];
                 let at = slot
                     .iter()
@@ -662,8 +537,8 @@ impl Diversifier for KnnDiversifier {
             order.push(best);
         }
         metrics.rotations = out_of_relevance_order(&order);
-        Ok(assemble(pool, order, framework, metrics))
-    }
+        order
+    })
 }
 
 // ------------------------------------------------------------- helpers
@@ -679,41 +554,20 @@ fn out_of_relevance_order(order: &[usize]) -> u64 {
     order.windows(2).filter(|w| w[0] > w[1]).count() as u64
 }
 
-/// Moves the selected pool entries out into an outcome, preserving
-/// `order`.
-fn assemble<T>(
-    pool: Vec<Scored<T>>,
-    order: Vec<usize>,
-    framework: FrameworkMetrics,
-    diversifier: DiversifierMetrics,
-) -> DiversifyOutcome<T> {
-    let mut slots: Vec<Option<Scored<T>>> = pool.into_iter().map(Some).collect();
-    let selected: Vec<Scored<T>> = order.into_iter().filter_map(|i| slots[i].take()).collect();
-    let total_score = selected.iter().map(|r| r.score).sum();
-    DiversifyOutcome {
-        selected,
-        total_score,
-        framework,
-        diversifier,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::Pcg;
     use crate::sources::IncrementalVecSource;
 
-    /// Items are (id, cluster); sim = 1.0 within a cluster, 0.0 across.
-    #[allow(clippy::type_complexity)]
-    fn oracle() -> SimilarityOracle<
-        impl Fn(&(u32, u32), &(u32, u32)) -> bool,
-        impl Fn(&(u32, u32), &(u32, u32)) -> f64,
-    > {
-        SimilarityOracle {
-            above: |a: &(u32, u32), b: &(u32, u32)| a.1 == b.1,
-            value: |a: &(u32, u32), b: &(u32, u32)| if a.1 == b.1 { 1.0 } else { 0.0 },
-        }
+    /// Items are (id, cluster): similar iff same cluster…
+    fn above(a: &(u32, u32), b: &(u32, u32)) -> bool {
+        a.1 == b.1
+    }
+
+    /// …and sim = 1.0 within a cluster, 0.0 across.
+    fn value(a: &(u32, u32), b: &(u32, u32)) -> f64 {
+        if a.1 == b.1 { 1.0 } else { 0.0 }
     }
 
     fn make_items(seed: u64, n: usize, clusters: u32) -> Vec<Scored<(u32, u32)>> {
@@ -733,19 +587,11 @@ mod tests {
     fn exact_leaf_matches_framework_byte_for_byte() {
         for seed in 0..10 {
             let items = make_items(seed, 30, 5);
-            let leaf = ExactDiversifier {
-                algorithm: ExactAlgorithm::Cut,
-                limits: SearchLimits::unlimited(),
-                bound_decay: 0.0,
-            };
-            let got = leaf.run(source(&items), oracle(), 4).unwrap();
-            let want = DivTopK::new(
-                source(&items),
-                |a: &(u32, u32), b: &(u32, u32)| a.1 == b.1,
-                DivSearchConfig::new(4),
-            )
-            .run()
-            .unwrap();
+            let limits = SearchLimits::unlimited();
+            let got = exact(source(&items), above, ExactAlgorithm::Cut, 4, &limits, 0.0).unwrap();
+            let want = DivTopK::new(source(&items), above, DivSearchConfig::new(4))
+                .run()
+                .unwrap();
             assert_eq!(got.selected, want.selected, "seed {seed}");
             assert_eq!(got.total_score, want.total_score);
             assert_eq!(got.framework, want.metrics);
@@ -755,11 +601,7 @@ mod tests {
     #[test]
     fn none_leaf_is_plain_topk() {
         let items = make_items(3, 25, 3);
-        let leaf = NoneDiversifier {
-            limits: SearchLimits::unlimited(),
-            bound_decay: 0.0,
-        };
-        let out = leaf.run(source(&items), oracle(), 5).unwrap();
+        let out = none(source(&items), 5, &SearchLimits::unlimited(), 0.0).unwrap();
         let want: Vec<_> = items.iter().take(5).cloned().collect();
         assert_eq!(out.selected, want);
     }
@@ -768,55 +610,29 @@ mod tests {
     fn every_leaf_is_deterministic() {
         let items = make_items(11, 40, 4);
         let limits = SearchLimits::unlimited();
-        macro_rules! twice {
-            ($leaf:expr) => {{
-                let leaf = $leaf;
-                let a = leaf.run(source(&items), oracle(), 6).unwrap();
-                let b = leaf.run(source(&items), oracle(), 6).unwrap();
-                assert_eq!(a.selected, b.selected, "{}", leaf.name());
-                assert_eq!(a.diversifier, b.diversifier, "{}", leaf.name());
-                a
-            }};
-        }
-        twice!(ExactDiversifier {
-            algorithm: ExactAlgorithm::Cut,
-            limits: limits.clone(),
-            bound_decay: 0.0
+        let src = || source(&items);
+        let twice = |name: &str, run: &dyn Fn() -> DiversifyOutcome<(u32, u32)>| {
+            let (a, b) = (run(), run());
+            assert_eq!(a.selected, b.selected, "{name}");
+            assert_eq!(a.diversifier, b.diversifier, "{name}");
+        };
+        twice("exact", &|| {
+            exact(src(), above, ExactAlgorithm::Cut, 6, &limits, 0.0).unwrap()
         });
-        twice!(NoneDiversifier {
-            limits: limits.clone(),
-            bound_decay: 0.0
+        twice("none", &|| none(src(), 6, &limits, 0.0).unwrap());
+        twice("mmr", &|| mmr(src(), value, 0.7, 6, &limits, 0.0).unwrap());
+        twice("window", &|| {
+            window(src(), above, &WindowConfig::default(), 6, &limits, 0.0).unwrap()
         });
-        twice!(MmrDiversifier {
-            lambda: 0.7,
-            limits: limits.clone(),
-            bound_decay: 0.0
-        });
-        twice!(WindowDiversifier {
-            config: WindowConfig::default(),
-            limits: limits.clone(),
-            bound_decay: 0.0
-        });
-        twice!(DiscDiversifier {
-            limits: limits.clone(),
-            bound_decay: 0.0
-        });
-        twice!(KnnDiversifier {
-            neighbors: 3,
-            limits,
-            bound_decay: 0.0
-        });
+        twice("disc", &|| disc(src(), above, 6, &limits, 0.0).unwrap());
+        twice("knn", &|| knn(src(), value, 3, 6, &limits, 0.0).unwrap());
     }
 
     #[test]
     fn disc_selection_is_maximal_independent_set() {
         for seed in 0..10 {
             let items = make_items(100 + seed, 30, 4);
-            let leaf = DiscDiversifier {
-                limits: SearchLimits::unlimited(),
-                bound_decay: 0.0,
-            };
-            let out = leaf.run(source(&items), oracle(), 3).unwrap();
+            let out = disc(source(&items), above, 3, &SearchLimits::unlimited(), 0.0).unwrap();
             // Pairwise dissimilar.
             for i in 0..out.selected.len() {
                 for j in (i + 1)..out.selected.len() {
@@ -934,12 +750,7 @@ mod tests {
             Scored::new((1, 0), Score::new(9.9)),
             Scored::new((2, 1), Score::new(6.0)),
         ];
-        let leaf = KnnDiversifier {
-            neighbors: 2,
-            limits: SearchLimits::unlimited(),
-            bound_decay: 0.0,
-        };
-        let out = leaf.run(source(&items), oracle(), 2).unwrap();
+        let out = knn(source(&items), value, 2, 2, &SearchLimits::unlimited(), 0.0).unwrap();
         let ids: Vec<u32> = out.selected.iter().map(|r| r.item.0).collect();
         assert_eq!(ids, vec![0, 2]);
     }

@@ -310,7 +310,13 @@ where
                 }
                 let (graph, perm) = DiversityGraph::from_unsorted_scores(&scores, &edges);
                 metrics.edges = graph.edge_count() as u64;
-                let (result, search_metrics) = self.config.algorithm.search(&graph, k, &limits)?;
+                // No table entry beyond the number of results seen can be
+                // filled, and a caller's `k` may be arbitrarily large: size
+                // the inner tables by what exists, not by what was asked.
+                let (result, search_metrics) =
+                    self.config
+                        .algorithm
+                        .search(&graph, k.min(items.len()), &limits)?;
                 metrics.inner_searches += 1;
                 metrics.search.absorb(&search_metrics);
                 let mapped = result.map_nodes(&perm);
@@ -338,7 +344,7 @@ where
         // Assemble the output from the final table.
         let current = match current {
             Some(c) => c,
-            None => SearchResult::empty(k), // empty stream
+            None => SearchResult::empty(0), // empty stream
         };
         let mut selected: Vec<Scored<S::Item>> = current
             .best()
@@ -571,6 +577,23 @@ mod tests {
             .run()
             .unwrap();
         assert!(out.selected.is_empty());
+    }
+
+    #[test]
+    fn huge_k_costs_what_the_stream_holds() {
+        // `k` far beyond the stream (a client can ask for u32::MAX): the
+        // inner tables are sized by the results seen, so this neither
+        // allocates `k` entries nor differs from asking for all ten.
+        let run = |k: usize| {
+            let source = IncrementalVecSource::from_unsorted(make_items(9, 10, 3));
+            DivTopK::new(source, same_cluster, DivSearchConfig::new(k))
+                .run()
+                .unwrap()
+        };
+        let (huge, ten) = (run(usize::MAX / 2), run(10));
+        assert_eq!(huge.selected, ten.selected);
+        assert_eq!(huge.total_score, ten.total_score);
+        assert!(!ten.selected.is_empty());
     }
 
     #[test]

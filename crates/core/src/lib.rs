@@ -91,9 +91,7 @@ pub mod prelude {
         ChildHeuristic, CutConfig, RootHeuristic, div_cut, div_cut_configured, div_cut_limited,
     };
     pub use crate::diversify::{
-        DiscDiversifier, Diversifier, DiversifierMetrics, DiversifyOutcome, ExactDiversifier,
-        KnnDiversifier, MmrDiversifier, NoneDiversifier, RERANK_OVERSAMPLE, SimilarityOracle,
-        WindowConfig, WindowDiversifier,
+        DiversifierMetrics, DiversifyOutcome, RERANK_OVERSAMPLE, WindowConfig,
     };
     pub use crate::dp::{div_dp, div_dp_limited};
     pub use crate::error::{ExhaustedResource, SearchError};

@@ -504,21 +504,13 @@ impl Engine {
         self.pin().index.verify_rebuild_equivalence()
     }
 
-    /// Serves one query: admission validation (options *and* query terms
-    /// — malformed input is a typed error, never a worker panic), a
-    /// snapshot pin, cache lookup under the pinned generation, then the
-    /// segmented merged search on a miss. Cache hits return a clone of
-    /// the original [`SearchOutput`], bit-identical metrics included.
-    /// Concurrent misses on the same key are **single-flighted**: one
-    /// caller computes, the rest wait and serve the cached result.
-    pub fn search(
-        &self,
-        query: &Query,
-        options: &SearchOptions,
-    ) -> Result<SearchOutput, SearchError> {
-        // Pin one epoch for the query's whole lifetime: admission, cache
-        // probe, and execution all see the same generation, so a mutation
-        // landing mid-query can never tear the answer.
+    /// Admission, shared by every search entry: pins one epoch for the
+    /// query's whole lifetime (admission, cache probe and execution all
+    /// see the same generation, so a mutation landing mid-query can never
+    /// tear the answer), validates options *and* query terms against it —
+    /// malformed input is a typed error, never a worker panic — and
+    /// counts the outcome.
+    fn admit(&self, query: &Query, options: &SearchOptions) -> Result<Arc<Snapshot>, SearchError> {
         let snap = self.pin();
         let admission = options.validate().and_then(|()| {
             let terms: &[TermId] = match query {
@@ -536,12 +528,40 @@ impl Engine {
         }
         // RELAXED: same — monotonic stats counter.
         self.queries.fetch_add(1, Ordering::Relaxed);
+        Ok(snap)
+    }
+
+    /// Serves one query: admission ([`SearchOptions::validate`] plus the
+    /// query terms), a snapshot pin, cache lookup under the pinned
+    /// generation, then the segmented merged search on a miss. Cache hits
+    /// return a clone of the original [`SearchOutput`], bit-identical
+    /// metrics included. Concurrent misses on the same key are
+    /// **single-flighted**: one caller computes, the rest wait and serve
+    /// the cached result.
+    pub fn search(
+        &self,
+        query: &Query,
+        options: &SearchOptions,
+    ) -> Result<SearchOutput, SearchError> {
+        self.search_pinned(query, options).map(|(out, _)| out)
+    }
+
+    /// [`Engine::search`], also returning the generation of the snapshot
+    /// the query pinned — what the server must report on the wire (a
+    /// separate `generation()` read can straddle a write).
+    pub(crate) fn search_pinned(
+        &self,
+        query: &Query,
+        options: &SearchOptions,
+    ) -> Result<(SearchOutput, u64), SearchError> {
+        let snap = self.admit(query, options)?;
+        let generation = snap.generation;
         if self.cache_capacity == 0 {
             // Caching disabled: no store to single-flight against (and no
             // point paying for key normalization on the uncached path).
-            return self.execute(&snap, query, options);
+            return Ok((self.execute(&snap, query, options)?, generation));
         }
-        let key = CacheKey::new(query, options, snap.generation);
+        let key = CacheKey::new(query, options, generation);
         loop {
             // The cache lookup happens *under* the inflight lock: a
             // computer inserts into the cache before removing its
@@ -551,7 +571,7 @@ impl Engine {
             // time, so there is no inversion.)
             let mut inflight = lock_unpoisoned(&self.inflight);
             if let Some(hit) = lock_unpoisoned(&self.cache).get(&key) {
-                return Ok(hit.clone());
+                return Ok((hit.clone(), generation));
             }
             if !inflight.contains(&key) {
                 inflight.insert(key.clone());
@@ -591,7 +611,7 @@ impl Engine {
         // The claim drops here — strictly after the cache insert, so a
         // woken waiter always finds the entry.
         drop(claim);
-        result
+        Ok((result?, generation))
     }
 
     /// Serves one query **bypassing the result cache**: same admission,
@@ -605,23 +625,7 @@ impl Engine {
         query: &Query,
         options: &SearchOptions,
     ) -> Result<SearchOutput, SearchError> {
-        let snap = self.pin();
-        let admission = options.validate().and_then(|()| {
-            let terms: &[TermId] = match query {
-                Query::Scan(term) => std::slice::from_ref(term),
-                Query::Keywords(q) => &q.terms,
-            };
-            snap.index.validate_terms(terms)
-        });
-        if let Err(e) = admission {
-            // RELAXED: monotonic stats counters — read only by `stats()`
-            // snapshots, which tolerate any interleaving; nothing is
-            // published or acquired through them.
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        // RELAXED: same — monotonic stats counter.
-        self.queries.fetch_add(1, Ordering::Relaxed);
+        let snap = self.admit(query, options)?;
         self.execute(&snap, query, options)
     }
 

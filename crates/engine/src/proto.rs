@@ -1,6 +1,6 @@
 //! The serving tier's dependency-free wire protocol: length-prefixed
 //! frames over any byte stream, with a fully typed, allocation-bounded
-//! decoder (DESIGN.md §11).
+//! decoder (DESIGN.md §8).
 //!
 //! ## Frame layout
 //!
@@ -28,6 +28,7 @@
 //! frame layer, mirroring PR 5's persistence sweep.
 
 use crate::engine::Query;
+use divtopk_core::SearchError;
 use divtopk_text::mode::{DiversifyMode, KnnConfig, WindowConfig};
 use divtopk_text::query::KeywordQuery;
 use std::io::{Read, Write};
@@ -200,7 +201,8 @@ fn put_mode(out: &mut Vec<u8>, mode: &DiversifyMode) {
     }
 }
 
-/// Reads a mode selector plus parameters. Unknown selectors are
+/// Reads a mode selector plus parameters, shape only; the legal ranges
+/// are [`DiversifyMode::validate`]'s. Unknown selectors are
 /// [`ProtoError::UnknownSelector`]; parameters outside their legal range
 /// are [`ProtoError::BadValue`] — both per-frame errors that leave the
 /// stream usable.
@@ -211,44 +213,23 @@ fn read_mode(cur: &mut Cursor<'_>) -> Result<DiversifyMode, ProtoError> {
         MODE_EXACT_DP => DiversifyMode::Exact(Dp),
         MODE_EXACT_CUT => DiversifyMode::Exact(Cut),
         MODE_NONE => DiversifyMode::None,
-        MODE_MMR => {
-            let lambda = cur.f64()?;
-            if !lambda.is_finite() || !(0.0..=1.0).contains(&lambda) {
-                return Err(ProtoError::BadValue("mmr λ must be in [0, 1]"));
-            }
-            DiversifyMode::mmr(lambda)
-        }
-        MODE_WINDOW => {
-            let window = cur.u32()? as usize;
-            let max_per_source = cur.u32()? as usize;
-            let min_score_ratio = cur.f64()?;
-            if window == 0 {
-                return Err(ProtoError::BadValue("window size must be ≥ 1"));
-            }
-            if max_per_source == 0 {
-                return Err(ProtoError::BadValue("window max-per-source must be ≥ 1"));
-            }
-            if !min_score_ratio.is_finite() || !(0.0..=1.0).contains(&min_score_ratio) {
-                return Err(ProtoError::BadValue(
-                    "window min-score-ratio must be in [0, 1]",
-                ));
-            }
-            DiversifyMode::Window(WindowConfig {
-                window,
-                max_per_source,
-                min_score_ratio,
-            })
-        }
+        MODE_MMR => DiversifyMode::mmr(cur.f64()?),
+        MODE_WINDOW => DiversifyMode::Window(WindowConfig {
+            window: cur.u32()? as usize,
+            max_per_source: cur.u32()? as usize,
+            min_score_ratio: cur.f64()?,
+        }),
         MODE_DISC => DiversifyMode::Disc,
-        MODE_KNN => {
-            let neighbors = cur.u32()? as usize;
-            if neighbors == 0 {
-                return Err(ProtoError::BadValue("knn neighbor count must be ≥ 1"));
-            }
-            DiversifyMode::Knn(KnnConfig { neighbors })
-        }
+        MODE_KNN => DiversifyMode::Knn(KnnConfig {
+            neighbors: cur.u32()? as usize,
+        }),
         selector => return Err(ProtoError::UnknownSelector(selector)),
     };
+    mode.validate().map_err(|e| match e {
+        SearchError::InvalidMode { detail } => ProtoError::BadValue(detail),
+        // `validate` has no other failure; stay a per-frame rejection.
+        _ => ProtoError::BadValue("invalid diversify mode"),
+    })?;
     Ok(mode)
 }
 
@@ -873,49 +854,37 @@ mod tests {
             );
             assert!(!err.breaks_framing());
         }
-        // λ out of range / NaN: patch the trailing f64 in place.
-        for bad in [f64::NAN, -0.25, 1.5, f64::INFINITY] {
-            let mut payload = base(&DiversifyMode::mmr(0.5));
-            let at = payload.len() - 8;
-            payload[at..].copy_from_slice(&bad.to_bits().to_le_bytes());
-            let err = decode_request(&payload).unwrap_err();
-            assert!(matches!(err, ProtoError::BadValue(_)), "λ={bad}: {err:?}");
+        // Mode parameters: decode rejects exactly what
+        // `DiversifyMode::validate` rejects, in its words.
+        let window = |window, max_per_source, min_score_ratio| {
+            DiversifyMode::Window(WindowConfig {
+                window,
+                max_per_source,
+                min_score_ratio,
+            })
+        };
+        let lambda = "mmr λ must be a number in [0, 1]";
+        for (bad, detail) in [
+            (DiversifyMode::mmr(f64::NAN), lambda),
+            (DiversifyMode::mmr(-0.25), lambda),
+            (DiversifyMode::mmr(1.5), lambda),
+            (DiversifyMode::mmr(f64::INFINITY), lambda),
+            (window(0, 3, 0.25), "window size must be ≥ 1"),
+            (window(7, 0, 0.25), "window max-per-source must be ≥ 1"),
+            (
+                window(7, 3, f64::NAN),
+                "window min-score-ratio must be a number in [0, 1]",
+            ),
+            (
+                DiversifyMode::Knn(KnnConfig { neighbors: 0 }),
+                "knn neighbor count must be ≥ 1",
+            ),
+        ] {
+            assert_eq!(bad.validate(), Err(SearchError::InvalidMode { detail }));
+            let err = decode_request(&base(&bad)).unwrap_err();
+            assert_eq!(err, ProtoError::BadValue(detail), "{bad:?}");
             assert!(!err.breaks_framing());
         }
-        // Zero window / max-per-source, bad ratio.
-        let window_mode = DiversifyMode::Window(WindowConfig {
-            window: 7,
-            max_per_source: 3,
-            min_score_ratio: 0.25,
-        });
-        let good = base(&window_mode);
-        let params_at = good.len() - 16;
-        let mut zero_window = good.clone();
-        zero_window[params_at..params_at + 4].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_request(&zero_window).unwrap_err(),
-            ProtoError::BadValue(_)
-        ));
-        let mut zero_cap = good.clone();
-        zero_cap[params_at + 4..params_at + 8].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_request(&zero_cap).unwrap_err(),
-            ProtoError::BadValue(_)
-        ));
-        let mut bad_ratio = good.clone();
-        bad_ratio[params_at + 8..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        assert!(matches!(
-            decode_request(&bad_ratio).unwrap_err(),
-            ProtoError::BadValue(_)
-        ));
-        // Zero knn neighbors.
-        let mut knn = base(&DiversifyMode::Knn(KnnConfig { neighbors: 2 }));
-        let at = knn.len() - 4;
-        knn[at..].copy_from_slice(&0u32.to_le_bytes());
-        assert!(matches!(
-            decode_request(&knn).unwrap_err(),
-            ProtoError::BadValue(_)
-        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The TCP serving layer: thread-per-connection framing, a bounded
 //! admission queue with **typed backpressure** in front of a fixed search
 //! worker pool, per-endpoint latency histograms, and graceful
-//! snapshot-swap reloads (DESIGN.md §11).
+//! snapshot-swap reloads (DESIGN.md §8).
 //!
 //! ## Admission and backpressure
 //!
@@ -143,11 +143,9 @@ impl ServerShared {
                     queue = wait_unpoisoned(&self.queue_ready, queue);
                 }
             };
-            let generation = self.engine.generation();
             let result = self
                 .engine
-                .search(&job.query, &job.options)
-                .map(|out| (out, generation))
+                .search_pinned(&job.query, &job.options)
                 .map_err(|e| e.to_string());
             self.metrics
                 .search_latency
@@ -369,7 +367,7 @@ impl Server {
             std::thread::Builder::new()
                 .name("divtopk-accept".to_owned())
                 .spawn(move || {
-                    let mut connection_threads = Vec::new();
+                    let mut connection_threads: Vec<JoinHandle<()>> = Vec::new();
                     for stream in listener.incoming() {
                         if acceptor_shared.shutdown.load(Ordering::Acquire) {
                             break;
@@ -394,6 +392,10 @@ impl Server {
                             connections.push(tracked);
                         }
                         let conn_shared = Arc::clone(&acceptor_shared);
+                        // Finished connections need no join: drop their
+                        // handles so a long-lived server holds only the
+                        // live ones.
+                        connection_threads.retain(|t| !t.is_finished());
                         connection_threads.push(
                             std::thread::Builder::new()
                                 .name("divtopk-conn".to_owned())

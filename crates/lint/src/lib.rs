@@ -6,7 +6,7 @@
 //!    dependency-free lexer/line-scanner that walks every production
 //!    `.rs` file and enforces the project's concurrency and determinism
 //!    invariants as typed, `file:line`-addressed diagnostics — the prose
-//!    soundness arguments of DESIGN.md §8–§11, machine-checked so they
+//!    soundness arguments of DESIGN.md §8–§9, machine-checked so they
 //!    survive refactors.
 //! 2. **The interleaving explorer** ([`sched`], [`models`]): a
 //!    loom-style deterministic scheduler that shims `Mutex`, `Condvar`,

@@ -1,8 +1,8 @@
 //! [`DiversifyMode`] — the single per-query selector for *how* results
 //! are diversified.
 //!
-//! Every strategy is a leaf behind
-//! [`divtopk_core::diversify::Diversifier`]; this enum is the typed
+//! Every variant names one function of [`divtopk_core::diversify`]
+//! (`search_with_source` holds the one `match`); this enum is the typed
 //! handle callers, the cache-key fingerprint, and the wire protocol all
 //! share.
 //!

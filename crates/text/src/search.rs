@@ -14,10 +14,7 @@ use crate::mode::DiversifyMode;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
 use crate::ta::TaSource;
-use divtopk_core::diversify::{
-    DiscDiversifier, Diversifier, DiversifierMetrics, DiversifyOutcome, ExactDiversifier,
-    KnnDiversifier, MmrDiversifier, NoneDiversifier, SimilarityOracle, WindowDiversifier,
-};
+use divtopk_core::diversify::{self, DiversifierMetrics};
 use divtopk_core::{FrameworkMetrics, Score, SearchError, SearchLimits};
 
 /// A diversified hit.
@@ -202,63 +199,40 @@ where
     W: WeightTable + ?Sized,
 {
     options.validate()?;
-    let tau = options.tau;
+    let (k, tau, bound_decay) = (options.k, options.tau, options.bound_decay);
+    let limits = &options.limits;
     // The thresholded view (`sim > τ` behind the O(1) weight prefilter)
-    // drives the exact modes' diversity graph and the window leaf's
-    // source clustering; the raw view feeds the modes that *weigh*
-    // redundancy (MMR, KNN).
-    let oracle = SimilarityOracle {
-        above: move |a: &DocId, b: &DocId| {
-            similar_above(
-                corpus.idf_table(),
-                corpus.doc(*a),
-                weights.weight(*a),
-                corpus.doc(*b),
-                weights.weight(*b),
-                tau,
-            )
-        },
-        value: move |a: &DocId, b: &DocId| weighted_jaccard(corpus, corpus.doc(*a), corpus.doc(*b)),
+    // drives the exact modes' diversity graph, DisC and the window
+    // mode's source clustering; the raw view feeds the modes that
+    // *weigh* redundancy (MMR, KNN).
+    let above = move |a: &DocId, b: &DocId| {
+        similar_above(
+            corpus.idf_table(),
+            corpus.doc(*a),
+            weights.weight(*a),
+            corpus.doc(*b),
+            weights.weight(*b),
+            tau,
+        )
     };
-    let limits = options.limits.clone();
-    let bound_decay = options.bound_decay;
-    let k = options.k;
-    let out: DiversifyOutcome<DocId> = match &options.mode {
-        DiversifyMode::Exact(algorithm) => ExactDiversifier {
-            algorithm: *algorithm,
-            limits,
-            bound_decay,
+    let value =
+        move |a: &DocId, b: &DocId| weighted_jaccard(corpus, corpus.doc(*a), corpus.doc(*b));
+    let out = match &options.mode {
+        DiversifyMode::Exact(algorithm) => {
+            diversify::exact(source, above, *algorithm, k, limits, bound_decay)
         }
-        .run(source, oracle, k)?,
-        DiversifyMode::None => NoneDiversifier {
-            limits,
-            bound_decay,
+        DiversifyMode::None => diversify::none(source, k, limits, bound_decay),
+        DiversifyMode::Mmr(config) => {
+            diversify::mmr(source, value, config.lambda, k, limits, bound_decay)
         }
-        .run(source, oracle, k)?,
-        DiversifyMode::Mmr(config) => MmrDiversifier {
-            lambda: config.lambda,
-            limits,
-            bound_decay,
+        DiversifyMode::Window(config) => {
+            diversify::window(source, above, config, k, limits, bound_decay)
         }
-        .run(source, oracle, k)?,
-        DiversifyMode::Window(config) => WindowDiversifier {
-            config: config.clone(),
-            limits,
-            bound_decay,
+        DiversifyMode::Disc => diversify::disc(source, above, k, limits, bound_decay),
+        DiversifyMode::Knn(config) => {
+            diversify::knn(source, value, config.neighbors, k, limits, bound_decay)
         }
-        .run(source, oracle, k)?,
-        DiversifyMode::Disc => DiscDiversifier {
-            limits,
-            bound_decay,
-        }
-        .run(source, oracle, k)?,
-        DiversifyMode::Knn(config) => KnnDiversifier {
-            neighbors: config.neighbors,
-            limits,
-            bound_decay,
-        }
-        .run(source, oracle, k)?,
-    };
+    }?;
     let hits = out
         .selected
         .iter()

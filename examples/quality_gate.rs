@@ -16,7 +16,7 @@ use divtopk_bench::quality::evaluate;
 use divtopk_bench::workload::QueryPack;
 
 fn main() {
-    // The same pack CI gates on (see `quality_gate --emit-default-pack`).
+    // The same pack CI gates on (`benchmarks/query-pack.v1.json`).
     let pack = QueryPack::default_pack();
     println!(
         "pack {:?}: seed {}, {} families\n",

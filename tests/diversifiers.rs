@@ -1,7 +1,7 @@
-//! Property suite for the `Diversifier` leaves behind `DiversifyMode`:
+//! Property suite for the six strategies behind `DiversifyMode`:
 //! every mode must be deterministic across corpus+index rebuilds, the
-//! `Exact` leaf must be byte-identical to driving the core framework
-//! directly (the pre-redesign path), and each mode's defining invariant
+//! `Exact` mode must be byte-identical to driving the core framework
+//! directly, and each mode's defining invariant
 //! must hold on its output (pairwise τ for exact, max-per-source windows
 //! for window, maximal independent sets for DisC).
 
@@ -199,7 +199,7 @@ fn mmr_select_reproduces_the_baseline_example_selection() {
 
 // ------------------------------------------------------- per-mode invariants
 
-/// The exact pool the rerank leaves see: plain top-`l` through the very
+/// The exact pool the rerank modes see: plain top-`l` through the very
 /// same framework path (`None` with `k = l`).
 fn rerank_pool(searcher: &DiversifiedSearcher, term: TermId, k: usize, tau: f64) -> Vec<Hit> {
     searcher
@@ -279,7 +279,7 @@ fn window_selection_preserves_within_source_relevance_order() {
         )
         .unwrap();
     let pool = rerank_pool(&searcher, term, k, tau);
-    // Re-derive the leaf's leader clustering over the same pool.
+    // Re-derive the window mode's leader clustering over the same pool.
     let scored: Vec<Scored<DocId>> = pool
         .iter()
         .map(|h| Scored {

@@ -2,7 +2,7 @@
 //! the pooled search paths): the parallel pull pipeline must be
 //! **byte-identical** to the sequential merge, not merely equivalent.
 //!
-//! The argument (DESIGN.md §11): a sequential source's unseen bound only
+//! The argument (DESIGN.md §8): a sequential source's unseen bound only
 //! changes at a pull, so a prefetching producer that records
 //! `(emission, bound-after-that-pull)` pairs and a facade that installs
 //! the recorded bound at pop time replays the exact observation sequence

@@ -5,8 +5,9 @@
 //! * **Stress**: N client threads fire searches at a running server while
 //!   a writer thread adds and deletes documents. Every `Hits` response
 //!   must equal — content-for-content, score bits included — the answer
-//!   some single snapshot generation gives for that query (no torn reads,
-//!   no cross-generation mixing); overload draws the typed backpressure
+//!   the snapshot generation *it reports* gives for that query (no torn
+//!   reads, no cross-generation mixing, no mislabelled generation);
+//!   overload draws the typed backpressure
 //!   rejection; every request gets *some* response (client read timeouts
 //!   turn a hang into a failure).
 //! * **Robustness**: truncations at every frame offset, oversized and
@@ -25,7 +26,7 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client-side guard: any server hang surfaces as a test failure, not a
 /// stuck suite.
@@ -159,7 +160,10 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
         reference.delete_docs(dels);
         record(&reference);
     }
+    // Every scripted step bumped the generation, so the vector index *is*
+    // the generation number a response reports.
     assert_eq!(by_generation.len(), 1 + 2 * rounds);
+    assert_eq!(reference.generation(), 2 * rounds as u64);
 
     // The live side: same base, same config, real TCP server.
     let engine = Arc::new(Engine::new(base, config));
@@ -198,9 +202,11 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
                         Response::Hits(hits) => {
                             served.fetch_add(1, Ordering::Relaxed);
                             let got = key_of_wire(&hits);
-                            // The answer must be exactly some single
-                            // generation's answer — never a mix.
-                            if !by_generation.iter().any(|g| g[&which] == got) {
+                            // The answer must be exactly the answer of
+                            // the generation it claims — never a mix, and
+                            // never another generation's under this label.
+                            let claimed = by_generation.get(hits.generation as usize);
+                            if claimed.is_none_or(|g| g[&which] != got) {
                                 unmatched.fetch_add(1, Ordering::Relaxed);
                             }
                         }
@@ -231,7 +237,7 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
     assert_eq!(
         unmatched.load(Ordering::Relaxed),
         0,
-        "a response matched no single generation's reference answer"
+        "a response differed from the reference answer of the generation it reported"
     );
     assert!(served.load(Ordering::Relaxed) > 0, "nothing was served");
     // The server ended on the final generation: a fresh query now matches
@@ -524,13 +530,17 @@ fn out_of_range_mode_parameters_are_typed_errors_over_live_tcp() {
     window_params.extend_from_slice(&2u32.to_le_bytes());
     window_params.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
     let bad_window = raw_search_payload(5, &window_params);
-    for payload in [bad_mmr, bad_window] {
+    // The wire carries the one message `DiversifyMode::validate` owns.
+    for (payload, why) in [
+        (bad_mmr, "mmr λ must be a number in [0, 1]"),
+        (bad_window, "window size must be ≥ 1"),
+    ] {
         proto::write_frame(&mut stream, &payload).unwrap();
         match proto::decode_response(&proto::read_frame(&mut stream).unwrap().unwrap()).unwrap() {
             Response::Error {
                 code: proto::ErrorCode::Protocol,
-                ..
-            } => {}
+                message,
+            } => assert!(message.ends_with(why), "{message}"),
             other => panic!("expected protocol error, got {other:?}"),
         }
     }
@@ -576,4 +586,83 @@ fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
         Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
         other => panic!("expected hits after the rejected frames, got {other:?}"),
     }
+}
+
+#[test]
+fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
+    // `k` is a u32 off the wire. The inner-search tables used to be sized
+    // by it: one ~30-byte frame with k = u32::MAX asked for 96 GiB and
+    // aborted the process. They are sized by the results seen now, so a
+    // huge k is just "everything that matches".
+    let num_docs = 200usize;
+    let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(num_docs));
+    let term = interesting_terms(&corpus, 1)[0];
+    let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("server start");
+    let mut stream = connect(&server.addr().to_string());
+    let search = |k: u32, mode: &DiversifyMode| Request::Search {
+        query: Query::Scan(term),
+        k,
+        tau: 0.5,
+        bound_decay: 0.0,
+        mode: mode.clone(),
+    };
+    for mode in [
+        DiversifyMode::exact(),
+        DiversifyMode::None,
+        DiversifyMode::mmr(0.7),
+    ] {
+        let options = SearchOptions::new(num_docs)
+            .with_tau(0.5)
+            .with_mode(mode.clone());
+        let want = key_of_output(&engine.search(&Query::Scan(term), &options).unwrap());
+        assert!(!want.0.is_empty());
+        for k in [u32::MAX, 1_000_000] {
+            let started = Instant::now();
+            match roundtrip(&mut stream, &search(k, &mode)) {
+                Response::Hits(hits) => assert_eq!(key_of_wire(&hits), want, "{mode:?} k={k}"),
+                other => panic!("{mode:?} k={k}: expected hits, got {other:?}"),
+            }
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "{mode:?} k={k} took {:?}",
+                started.elapsed()
+            );
+        }
+    }
+    // The same connection, served by the same single worker, still answers.
+    let want = engine
+        .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
+        .unwrap();
+    match roundtrip(&mut stream, &search(3, &DiversifyMode::exact())) {
+        Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
+        other => panic!("expected hits after the huge-k frames, got {other:?}"),
+    }
+}
+
+#[test]
+fn connection_churn_leaves_nothing_behind() {
+    // 300 connections come and go; the acceptor drops each finished
+    // connection's thread handle as it goes, so the server keeps serving
+    // and shutdown has only live threads to join.
+    let (mut server, addr) = tiny_server();
+    for _ in 0..300 {
+        assert_ping_works(&addr);
+    }
+    assert_ping_works(&addr);
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?}",
+        started.elapsed()
+    );
 }
