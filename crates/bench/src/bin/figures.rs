@@ -1,11 +1,13 @@
 //! The figure/table harness: regenerates **every** evaluation artifact of
 //! *Diversifying Top-K Results* (VLDB 2012) on the synthetic enwiki/reuters
-//! stand-ins (DESIGN.md §3 and §6).
+//! stand-ins (DESIGN.md §3 and §6), plus the two tables of our own that
+//! compare against the paper's exact optimum.
 //!
 //! ```text
 //! cargo run --release -p divtopk-bench --bin figures -- all
 //! cargo run --release -p divtopk-bench --bin figures -- fig13 fig16
 //! cargo run --release -p divtopk-bench --bin figures -- --scale 0.25 --budget 5 all
+//! cargo run --release -p divtopk-bench --bin figures -- frontier ablation
 //! ```
 //!
 //! * `fig2`  — greedy-vs-optimal star-chain family (§4, Fig. 2)
@@ -14,6 +16,15 @@
 //! * `fig14` — vary τ on enwiki
 //! * `fig15` — vary kfreq on enwiki
 //! * `fig16/17/18` — the same three sweeps on reuters
+//! * `fig13large/14large/16large` — the large-k panels alone
+//! * `quality` — exact vs greedy vs MMR on the paper's objective
+//! * `frontier` — the six diversify modes against the exact optimum:
+//!   gap, τ-violations, speedup (DESIGN.md §15)
+//! * `ablation` — AB1–AB4, each variant's optimum asserted equal
+//!   (DESIGN.md §6)
+//!
+//! `all` runs the paper's figures; `quick` is a capped smoke subset. The
+//! names live in [`EXPERIMENTS`] and nowhere else.
 //!
 //! Time cells are seconds; memory cells are the allocation peak during the
 //! diversified search (counting allocator). `INF` marks runs that blew the
@@ -153,6 +164,16 @@ impl Algo {
 const SMALL_ALGOS: [Algo; 3] = [Algo::AStar, Algo::Dp, Algo::Cut];
 const LARGE_ALGOS: [Algo; 2] = [Algo::Dp, Algo::Cut];
 
+/// The per-run budgets: `--budget` seconds and the ledger analogue of the
+/// paper's 2 GB.
+fn budget_limits(ctx: &Ctx) -> SearchLimits {
+    SearchLimits {
+        time_budget: Some(ctx.budget),
+        max_bytes: Some(1 << 30),
+        ..SearchLimits::default()
+    }
+}
+
 /// One diversified-search run; returns the measurement and, when finished,
 /// the total score (for cross-algorithm consistency checks).
 fn run_query(
@@ -165,15 +186,10 @@ fn run_query(
     algo: Algo,
 ) -> (Measurement, Option<Score>) {
     let (corpus, index) = ds.get(which, ctx);
-    let limits = SearchLimits {
-        time_budget: Some(ctx.budget),
-        max_bytes: Some(1 << 30), // the ledger analogue of the paper's 2 GB
-        ..SearchLimits::default()
-    };
     let options = SearchOptions::new(k)
         .with_tau(tau)
         .with_mode(DiversifyMode::Exact(algo.exact()))
-        .with_limits(limits)
+        .with_limits(budget_limits(ctx))
         .with_bound_decay(ctx.decay);
     let searcher = DiversifiedSearcher::new(corpus, index);
 
@@ -490,12 +506,381 @@ fn quality(ds: &mut Datasets, ctx: &Ctx) {
     println!("(exact ≥ greedy always; MMR scores are not comparable when it violates τ)");
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: figures [--scale F] [--budget SECS] [--decay F] EXP...\n\
-         EXP: fig2 fig12 fig13 fig14 fig15 fig16 fig17 fig18 quality all quick"
+/// Runs behind every sub-second cell of `frontier` and `ablation`.
+const TIMED_RUNS: usize = 5;
+
+/// [`measure`] repeated [`TIMED_RUNS`] times: the median-time run and the
+/// last output. The figure sweeps take seconds per cell and run once; the
+/// frontier and ablation cells are milliseconds and need the median.
+fn measure_median<T>(mut f: impl FnMut() -> Option<T>) -> (Measurement, Option<T>) {
+    let mut runs = Vec::with_capacity(TIMED_RUNS);
+    let mut last = None;
+    for _ in 0..TIMED_RUNS {
+        let (Measurement::Done { time, peak_bytes }, out) = measure(&mut f) else {
+            return (Measurement::Inf, None);
+        };
+        runs.push((time, peak_bytes));
+        last = out;
+    }
+    runs.sort_unstable();
+    let (time, peak_bytes) = runs[TIMED_RUNS / 2];
+    (Measurement::Done { time, peak_bytes }, last)
+}
+
+/// Milliseconds with µs resolution (`time_cell` rounds these cells to 0).
+fn ms_cell(m: &Measurement) -> String {
+    match m {
+        Measurement::Done { time, .. } => format!("{:.3}", time.as_secs_f64() * 1e3),
+        Measurement::Inf => "INF".to_string(),
+    }
+}
+
+/// The gap × latency frontier (DESIGN.md §15): every [`DiversifyMode`] on
+/// the two paper shapes (reuters-like single-keyword scan, enwiki-like
+/// 2-keyword TA) against the optimum `Exact(Cut)` finds on the same query.
+/// Inputs are pinned — 4 000 docs × `--scale`, k = 10, τ = 0.6, band-3
+/// query, seed 2012 — and everything but the timing is seed-deterministic.
+/// Before any timing, `Exact(Cut)` through the mode must be byte-identical
+/// to driving the core framework directly.
+fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
+    const K: usize = 10;
+    let docs = ((4000.0 * ctx.scale) as usize).max(400);
+    let limits = budget_limits(ctx);
+    let exact_cut = DiversifyMode::Exact(ExactAlgorithm::Cut);
+    let modes = [
+        exact_cut.clone(),
+        DiversifyMode::None,
+        DiversifyMode::mmr(0.7),
+        DiversifyMode::window(),
+        DiversifyMode::Disc,
+        DiversifyMode::knn(),
+    ];
+    println!(
+        "\n## Frontier — diversify modes vs the exact optimum ({docs} docs, k = {K}, τ = {DEFAULT_TAU})"
     );
+    // Best speedup among the cheap modes that respect τ on their shape.
+    let mut best_feasible_speedup = 0.0f64;
+    for (shape, config, terms) in [
+        ("reuters scan", SynthConfig::reuters_like(), 1),
+        ("enwiki TA", SynthConfig::enwiki_like(), 2),
+    ] {
+        let corpus = generate(&config.with_num_docs(docs));
+        let index = InvertedIndex::build(&corpus);
+        let searcher = DiversifiedSearcher::new(&corpus, &index);
+        let Some(query) = query_for_band(&corpus, DEFAULT_KFREQ, terms, QUERY_SEED) else {
+            println!("({shape}: no band-{DEFAULT_KFREQ} query at this scale, skipped)");
+            continue;
+        };
+        let run = |mode: &DiversifyMode| {
+            let options = SearchOptions::new(K)
+                .with_tau(DEFAULT_TAU)
+                .with_mode(mode.clone())
+                .with_limits(limits.clone())
+                .with_bound_decay(ctx.decay);
+            if terms == 1 {
+                searcher.search_scan(query.terms[0], &options).ok()
+            } else {
+                searcher.search_ta(&query, &options).ok()
+            }
+        };
+
+        let via_mode = run(&exact_cut).expect("Exact(Cut) within budget");
+        let weights = doc_weights(&corpus);
+        let similar = |a: &DocId, b: &DocId| {
+            similar_above(
+                corpus.idf_table(),
+                corpus.doc(*a),
+                weights[*a as usize],
+                corpus.doc(*b),
+                weights[*b as usize],
+                DEFAULT_TAU,
+            )
+        };
+        let config = DivSearchConfig::new(K)
+            .with_limits(limits.clone())
+            .with_bound_decay(ctx.decay);
+        let direct = if terms == 1 {
+            DivTopK::new(ScanSource::new(&index, query.terms[0]), similar, config).run()
+        } else {
+            DivTopK::new(
+                TaSource::new(&corpus, &index, &query.terms),
+                similar,
+                config,
+            )
+            .run()
+        }
+        .expect("direct framework run within budget");
+        assert!(
+            via_mode
+                .hits
+                .iter()
+                .map(|h| (h.doc, h.score))
+                .eq(direct.selected.iter().map(|r| (r.item, r.score)))
+                && via_mode.total_score == direct.total_score,
+            "{shape}: Exact(Cut) via the mode drifted from the direct framework run"
+        );
+
+        let mut rows = Vec::new();
+        // (total score, seconds) of exact-cut, which runs first.
+        let mut exact: Option<(f64, f64)> = None;
+        for mode in &modes {
+            let (m, out) = measure_median(|| run(mode));
+            let (Measurement::Done { time, .. }, Some(out)) = (m, out) else {
+                rows.push((mode.name().to_string(), vec!["INF".to_string(); 5]));
+                continue;
+            };
+            let wall = time.as_secs_f64();
+            let total = out.total_score.get();
+            let (exact_total, exact_wall) = *exact.get_or_insert((total, wall));
+            let gap = if exact_total > 0.0 {
+                (exact_total - total) / exact_total
+            } else {
+                0.0
+            };
+            let hits: Vec<Scored<DocId>> = out
+                .hits
+                .iter()
+                .map(|h| Scored::new(h.doc, h.score))
+                .collect();
+            let (violations, _) = redundancy(&corpus, &hits, DEFAULT_TAU);
+            let speedup = exact_wall / wall;
+            if *mode != exact_cut && violations == 0 {
+                best_feasible_speedup = best_feasible_speedup.max(speedup);
+            }
+            rows.push((
+                mode.name().to_string(),
+                vec![
+                    format!("{total:.4}"),
+                    format!("{gap:.4}"),
+                    format!("{violations}"),
+                    ms_cell(&m),
+                    format!("{speedup:.3}x"),
+                ],
+            ));
+        }
+        print_table(
+            &format!("{shape} (median of {TIMED_RUNS})"),
+            "mode",
+            &["score", "gap", "τ-violations", "time (ms)", "vs exact-cut"],
+            &rows,
+        );
+    }
+    println!("(gap = (exact − mode) / exact; negative = more raw score by breaking τ)");
+    // Smaller corpora are too quick for stable timing ratios.
+    if ctx.scale >= 1.0 {
+        assert!(
+            best_feasible_speedup >= 5.0,
+            "no τ-respecting cheap mode reached 5x over Exact(Cut) (best {best_feasible_speedup:.2}x)"
+        );
+    }
+}
+
+/// One ablation variant: its label and a run returning the optimum and
+/// the counter the table shows beside the time.
+type Variant<'a> = (&'a str, &'a dyn Fn() -> (Score, String));
+
+/// One ablation table: every variant timed, every optimum equal to the
+/// first variant's — exactness is checked while timing.
+fn ablation_table(title: &str, counter: &str, variants: &[Variant]) {
+    let mut rows = Vec::new();
+    let mut want = None;
+    for (label, run) in variants {
+        let (m, out) = measure_median(|| Some(run()));
+        let (score, note) = out.expect("measured Some");
+        assert_eq!(
+            score,
+            *want.get_or_insert(score),
+            "{title}: variant {label:?} changed the optimum"
+        );
+        rows.push((
+            label.to_string(),
+            vec![format!("{score}"), ms_cell(&m), note],
+        ));
+    }
+    print_table(title, "variant", &["optimum", "time (ms)", counter], &rows);
+}
+
+/// AB1–AB4 (DESIGN.md §6): the design choices behind `div-cut`, the
+/// framework gate and the A\* heap, on and off, on pinned inputs.
+fn ablation(_ds: &mut Datasets, _ctx: &Ctx) {
+    println!("\n## Ablations AB1–AB4 (median of {TIMED_RUNS}; first row is the default)");
+    let unlimited = SearchLimits::unlimited();
+    let clustered = testgen::planted_clusters(
+        &testgen::ClusterConfig {
+            clusters: 10,
+            cluster_size: 8,
+            intra_p: 0.65,
+            bridges: 8,
+            singletons: 15,
+        },
+        13,
+    );
+    let cut = |config: CutConfig| {
+        let (r, metrics) =
+            div_cut_configured(&clustered, 20, &config, &unlimited).expect("no limits set");
+        (r.best().score(), format!("{}", metrics.expansions))
+    };
+    let default = CutConfig::default();
+
+    ablation_table(
+        "AB1 — Lemma 7 compression in div-cut (95 nodes, k = 20)",
+        "A* expansions",
+        &[
+            ("on", &|| cut(default.clone())),
+            ("off", &|| {
+                cut(CutConfig {
+                    compress: false,
+                    ..default.clone()
+                })
+            }),
+        ],
+    );
+
+    let heuristics = |root_heuristic, child_heuristic| {
+        cut(CutConfig {
+            root_heuristic,
+            child_heuristic,
+            ..default.clone()
+        })
+    };
+    ablation_table(
+        "AB2 — cptree root/child heuristics (same graph)",
+        "A* expansions",
+        &[
+            ("minmax+largest", &|| {
+                heuristics(
+                    RootHeuristic::MinMaxComponent,
+                    ChildHeuristic::LargestEntryGraph,
+                )
+            }),
+            ("minmax+smallest", &|| {
+                heuristics(
+                    RootHeuristic::MinMaxComponent,
+                    ChildHeuristic::SmallestEntryGraph,
+                )
+            }),
+            ("first+first", &|| {
+                heuristics(RootHeuristic::First, ChildHeuristic::First)
+            }),
+        ],
+    );
+
+    // 300 streamed items in 40 similarity classes.
+    let mut rng = divtopk_core::rng::Pcg::new(21);
+    let items: Vec<Scored<(u32, u32)>> = (0..300u32)
+        .map(|i| Scored::new((i, rng.below(40)), Score::from(rng.range(1, 10_000))))
+        .collect();
+    let framework = |gate: bool| {
+        let mut config = DivSearchConfig::new(10);
+        config.use_necessary_gate = gate;
+        let out = DivTopK::new(
+            IncrementalVecSource::from_unsorted(items.clone()),
+            |a: &(u32, u32), b: &(u32, u32)| a.1 == b.1,
+            config,
+        )
+        .run()
+        .expect("no limits set");
+        (out.total_score, format!("{}", out.metrics.inner_searches))
+    };
+    ablation_table(
+        "AB3 — the necessary() gate in the framework (300 items, k = 10)",
+        "inner searches",
+        &[("on", &|| framework(true)), ("off", &|| framework(false))],
+    );
+
+    let random = testgen::random_graph(22, 0.25, 3);
+    let astar = |reuse_heap: bool| {
+        let (r, metrics) =
+            div_astar_configured(&random, 12, &AStarConfig { reuse_heap }, &unlimited)
+                .expect("no limits set");
+        (r.best().score(), format!("{}", metrics.expansions))
+    };
+    ablation_table(
+        "AB4 — A* heap reuse across k' rounds (22 nodes, k = 12)",
+        "A* expansions",
+        &[("on", &|| astar(true)), ("off", &|| astar(false))],
+    );
+}
+
+type Experiment = fn(&mut Datasets, &Ctx);
+
+/// Every experiment: its name, whether `all` runs it, the function. The
+/// usage line, the `all` expansion and the dispatch all derive from this.
+const EXPERIMENTS: &[(&str, bool, Experiment)] = &[
+    ("fig2", true, fig2),
+    ("fig12", true, fig12),
+    ("fig13", true, |ds, ctx| {
+        vary_k(ds, Dataset::Enwiki, ctx, "Fig13")
+    }),
+    ("fig13large", false, |ds, ctx| {
+        vary_k_large(ds, Dataset::Enwiki, ctx, "Fig13")
+    }),
+    ("fig14", true, |ds, ctx| {
+        vary_tau(ds, Dataset::Enwiki, ctx, "Fig14")
+    }),
+    ("fig14large", false, |ds, ctx| {
+        vary_tau_large(ds, Dataset::Enwiki, ctx, "Fig14")
+    }),
+    ("fig15", true, |ds, ctx| {
+        vary_kfreq(ds, Dataset::Enwiki, ctx, "Fig15")
+    }),
+    ("fig16", true, |ds, ctx| {
+        vary_k(ds, Dataset::Reuters, ctx, "Fig16")
+    }),
+    ("fig16large", false, |ds, ctx| {
+        vary_k_large(ds, Dataset::Reuters, ctx, "Fig16")
+    }),
+    ("fig17", true, |ds, ctx| {
+        vary_tau(ds, Dataset::Reuters, ctx, "Fig17")
+    }),
+    ("fig18", true, |ds, ctx| {
+        vary_kfreq(ds, Dataset::Reuters, ctx, "Fig18")
+    }),
+    ("quality", false, quality),
+    ("frontier", false, frontier),
+    ("ablation", false, ablation),
+];
+
+/// The `quick` smoke subset (scale and budget are capped as well).
+const QUICK: [&str; 4] = ["fig2", "fig12", "fig13", "fig16"];
+
+fn usage_text() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.0).collect();
+    format!(
+        "usage: figures [--scale F] [--budget SECS] [--decay F] EXP...\n\
+         EXP: {} all quick",
+        names.join(" ")
+    )
+}
+
+fn usage() -> ! {
+    eprintln!("{}", usage_text());
     std::process::exit(2);
+}
+
+/// Resolves the requested names — `all` and `quick` expanded, `quick`
+/// capping `ctx` — or returns the first unknown one.
+fn resolve(requested: &[String], ctx: &mut Ctx) -> Result<Vec<Experiment>, String> {
+    let mut names: Vec<&str> = requested.iter().map(String::as_str).collect();
+    if names.contains(&"quick") {
+        // A fast smoke configuration for CI / development.
+        ctx.scale = ctx.scale.min(0.1);
+        ctx.budget = ctx.budget.min(Duration::from_secs(3));
+        names = QUICK.to_vec();
+    }
+    if names.contains(&"all") {
+        names = EXPERIMENTS.iter().filter(|e| e.1).map(|e| e.0).collect();
+    }
+    names
+        .into_iter()
+        .map(|name| {
+            EXPERIMENTS
+                .iter()
+                .find(|e| e.0 == name)
+                .map(|e| e.2)
+                .ok_or_else(|| name.to_string())
+        })
+        .collect()
 }
 
 fn main() {
@@ -530,49 +915,67 @@ fn main() {
     if exps.is_empty() {
         usage();
     }
-    if exps.iter().any(|e| e == "quick") {
-        // A fast smoke configuration for CI / development.
-        ctx.scale = ctx.scale.min(0.1);
-        ctx.budget = Duration::from_secs(3);
-        exps = vec![
-            "fig2".into(),
-            "fig12".into(),
-            "fig13".into(),
-            "fig16".into(),
-        ];
-    }
-    if exps.iter().any(|e| e == "all") {
-        exps = [
-            "fig2", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    }
+    let experiments = resolve(&exps, &mut ctx).unwrap_or_else(|unknown| {
+        eprintln!("unknown experiment {unknown:?}");
+        usage()
+    });
 
     println!(
         "# divtopk figure harness (scale {:.2}, budget {:?}, decay {})",
         ctx.scale, ctx.budget, ctx.decay
     );
     let mut ds = Datasets::default();
-    for exp in &exps {
-        match exp.as_str() {
-            "fig2" => fig2(&mut ds, &ctx),
-            "fig12" => fig12(&mut ds, &ctx),
-            "fig13" => vary_k(&mut ds, Dataset::Enwiki, &ctx, "Fig13"),
-            "fig13large" => vary_k_large(&mut ds, Dataset::Enwiki, &ctx, "Fig13"),
-            "fig14" => vary_tau(&mut ds, Dataset::Enwiki, &ctx, "Fig14"),
-            "fig14large" => vary_tau_large(&mut ds, Dataset::Enwiki, &ctx, "Fig14"),
-            "fig15" => vary_kfreq(&mut ds, Dataset::Enwiki, &ctx, "Fig15"),
-            "fig16large" => vary_k_large(&mut ds, Dataset::Reuters, &ctx, "Fig16"),
-            "fig16" => vary_k(&mut ds, Dataset::Reuters, &ctx, "Fig16"),
-            "fig17" => vary_tau(&mut ds, Dataset::Reuters, &ctx, "Fig17"),
-            "fig18" => vary_kfreq(&mut ds, Dataset::Reuters, &ctx, "Fig18"),
-            "quality" => quality(&mut ds, &ctx),
-            other => {
-                eprintln!("unknown experiment {other:?}");
-                usage();
-            }
+    for experiment in experiments {
+        experiment(&mut ds, &ctx);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn names(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn usage_and_dispatch_name_the_same_experiments() {
+        let usage = usage_text();
+        let exp_line = usage.lines().last().unwrap().strip_prefix("EXP: ").unwrap();
+        let printed: Vec<&str> = exp_line.split(' ').collect();
+        // Every printed name dispatches…
+        for name in &printed {
+            let got = resolve(&names(&[name]), &mut Ctx::default());
+            assert!(got.is_ok_and(|fns| !fns.is_empty()), "{name} does not run");
         }
+        // …every dispatchable name is printed, once…
+        for (name, _, _) in EXPERIMENTS {
+            assert_eq!(printed.iter().filter(|p| *p == name).count(), 1, "{name}");
+        }
+        assert_eq!(printed.len(), EXPERIMENTS.len() + 2); // + all, quick
+        // …`all` is the flagged rows, `quick` resolves, and nothing else does.
+        let all = resolve(&names(&["all"]), &mut Ctx::default()).unwrap();
+        assert_eq!(all.len(), EXPERIMENTS.iter().filter(|e| e.1).count());
+        let quick = resolve(&names(&["quick"]), &mut Ctx::default()).unwrap();
+        assert_eq!(quick.len(), QUICK.len());
+        let unknown = resolve(&names(&["fig2", "fig99"]), &mut Ctx::default());
+        assert_eq!(unknown.err(), Some("fig99".to_string()));
+    }
+
+    #[test]
+    fn quick_caps_scale_and_budget_instead_of_assigning_them() {
+        let mut small = Ctx {
+            scale: 0.05,
+            budget: Duration::from_secs(1),
+            ..Ctx::default()
+        };
+        resolve(&names(&["quick"]), &mut small).unwrap();
+        assert_eq!((small.scale, small.budget), (0.05, Duration::from_secs(1)));
+        let mut default = Ctx::default();
+        resolve(&names(&["quick"]), &mut default).unwrap();
+        assert_eq!(
+            (default.scale, default.budget),
+            (0.1, Duration::from_secs(3))
+        );
     }
 }

@@ -61,6 +61,16 @@ impl Args {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        // The engine, the partitioner and the generator each assert these.
+        for (name, value) in [
+            ("--shards", args.shards),
+            ("--docs", args.docs),
+            ("--queue", args.queue),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+        }
         Ok(args)
     }
 }

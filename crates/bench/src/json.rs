@@ -1,17 +1,14 @@
-//! Minimal JSON emission + validation + DOM for the `perfbase`
-//! trajectory files.
+//! Minimal JSON emission + validation + DOM for the query packs
+//! ([`crate::workload`]), the quality evidence table
+//! ([`crate::quality`]) and the `loadgen` report.
 //!
-//! The workspace is dependency-free (no serde), so `BENCH_*.json` is
-//! written with [`escape_string`]/format strings and checked with
-//! [`validate`]. One strict RFC 8259 parser does both jobs: [`parse`]
-//! builds a small [`Value`] DOM and [`validate`] is `parse` with the
-//! result dropped. The DOM backs
-//! `perfbase --verify`, which structurally checks a trajectory file
-//! (expected suites ran, summary keys present and finite) instead of
-//! grepping it. `perfbase` validates its own output before exiting and
-//! CI runs `--verify` on the artifact, so a malformed or incomplete
-//! trajectory file fails the build rather than the downstream tooling
-//! that reads it.
+//! The workspace is dependency-free (no serde), so documents are
+//! written with [`escape_string`]/format strings or [`emit`] and checked
+//! with [`validate`]. One strict RFC 8259 parser does both jobs:
+//! [`parse`] builds a small [`Value`] DOM and [`validate`] is `parse`
+//! with the result dropped. Every writer validates its own output before
+//! it lands on disk, so a malformed artifact fails the run that wrote it
+//! rather than the tooling that reads it.
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included).
@@ -38,9 +35,9 @@ pub fn validate(s: &str) -> Result<(), String> {
     parse(s).map(drop)
 }
 
-/// A parsed JSON value. Objects keep insertion order (the trajectory
-/// files are small; no hashing needed), and numbers are `f64` — plenty
-/// for verifying that a summary statistic is present and finite.
+/// A parsed JSON value. Objects keep insertion order (the documents
+/// are small; no hashing needed), and numbers are `f64` — plenty for
+/// pack parameters and evidence statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -106,8 +103,8 @@ impl Value {
 /// without a fractional part (so seeds and counters survive a
 /// parse→emit→parse round trip textually); every other finite number
 /// uses Rust's shortest round-tripping `f64` display. Non-finite numbers
-/// have no JSON spelling and emit as `null` — callers that care (the
-/// trajectory writer) validate finiteness before emitting.
+/// have no JSON spelling and emit as `null` — callers that care
+/// validate finiteness before emitting.
 pub fn emit(value: &Value) -> String {
     let mut out = String::new();
     write_value(&mut out, value, None, 0);
@@ -510,8 +507,8 @@ mod tests {
 
     #[test]
     fn huge_exponents_parse_to_infinity_not_errors() {
-        // `--verify` flags non-finite summary values; the parser's job is
-        // only to surface them.
+        // Readers decide what a non-finite value means; the parser's job
+        // is only to surface it.
         let v = parse("1e999").unwrap();
         assert_eq!(v.as_f64(), Some(f64::INFINITY));
     }

@@ -1,8 +1,8 @@
-//! Shared harness utilities for the `divtopk` benchmark suite: a
-//! peak-tracking global allocator (the paper reports *peak memory* for
-//! every experiment), small measurement/format helpers used by the
-//! `figures` binary, and the minimal JSON support behind the `perfbase`
-//! trajectory files (`BENCH_*.json`, DESIGN.md §7).
+//! Shared measurement utilities for `divtopk`: a peak-tracking global
+//! allocator (the paper reports *peak memory* for every experiment) and
+//! the small measurement/format helpers the `figures` binary uses
+//! (DESIGN.md §6), plus the modules behind the serving, quality and
+//! query-pack binaries.
 
 pub mod json;
 pub mod load;
@@ -153,8 +153,9 @@ pub fn human_bytes(b: usize) -> String {
 /// Prints one experiment table: header + rows of (x, cells...).
 pub fn print_table(title: &str, x_label: &str, columns: &[&str], rows: &[(String, Vec<String>)]) {
     println!("\n### {title}");
-    let mut header = format!("| {x_label:>8} |");
-    let mut rule = String::from("|---------:|");
+    let w = rows.iter().map(|r| r.0.chars().count()).fold(8, usize::max);
+    let mut header = format!("| {x_label:>w$} |");
+    let mut rule = format!("|{}:|", "-".repeat(w + 1));
     for c in columns {
         header.push_str(&format!(" {c:>14} |"));
         rule.push_str("---------------:|");
@@ -162,7 +163,7 @@ pub fn print_table(title: &str, x_label: &str, columns: &[&str], rows: &[(String
     println!("{header}");
     println!("{rule}");
     for (x, cells) in rows {
-        let mut line = format!("| {x:>8} |");
+        let mut line = format!("| {x:>w$} |");
         for c in cells {
             line.push_str(&format!(" {c:>14} |"));
         }

@@ -6,9 +6,8 @@
 //! scheduled-time-to-response latency quantiles (queueing delay
 //! included).
 //!
-//! Used by both the `loadgen` binary and perfbase's `serving_latency`
-//! suite, so the committed BENCH numbers and the CI smoke trace measure
-//! the same thing.
+//! Used by the `loadgen` binary (the CI `serving` job's smoke trace);
+//! [`ArrivalShape`] is also how query packs schedule their arrivals.
 
 use divtopk_core::rng::Pcg;
 use divtopk_engine::engine::Query;

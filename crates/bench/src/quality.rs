@@ -12,7 +12,7 @@
 //! bounded sacrifice. Per-family pass criteria come from the pack's own
 //! `gates` object; [`QualityReport::to_json_pretty`] emits the
 //! self-validated evidence table (`divtopk-quality/1`) that
-//! `quality_gate` and perfbase's `quality_gate` suite commit.
+//! `quality_gate` writes and the CI `quality` job uploads.
 
 use crate::workload::{CacheMode, Gates, Mutation, PackEvent, QueryPack};
 use divtopk_core::metrics::{max_share, ndcg, reciprocal_rank, unique_labels};

@@ -15,10 +15,7 @@
 //! The committed pack lives at `benchmarks/query-pack.v1.json`
 //! ([`QueryPack::default_pack`] is that file, compiled in);
 //! [`crate::quality`] replays packs
-//! through the engine twice (diversity on/off) and scores the results,
-//! and `perfbase`'s `serving_throughput` suite draws its trace from the
-//! pack's `torso_mix` family so the committed numbers measure a realistic
-//! query mix rather than the result cache.
+//! through the engine twice (diversity on/off) and scores the results.
 
 use crate::json::{self, Value};
 use crate::load::ArrivalShape;

@@ -32,8 +32,8 @@
 //! (`l = RERANK_OVERSAMPLE · k`) through the same early-stopping
 //! framework the exact path uses (an edgeless diversity graph — the
 //! diversity-off oracle), then re-rank that pool. They trade the exact
-//! optimum for a bounded, measured optimality gap (see the `frontier`
-//! perfbase suite) at a fraction of the cost: no `O(n²)` similarity
+//! optimum for a bounded, measured optimality gap (`figures frontier`
+//! prints it) at a fraction of the cost: no `O(n²)` similarity
 //! phase while the stream grows, and no NP-hard inner searches.
 
 use crate::error::SearchError;

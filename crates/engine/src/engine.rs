@@ -498,8 +498,8 @@ impl Engine {
 
     /// Diagnostic: verifies the current snapshot's rebuild-equivalence
     /// invariant directly on the data (see
-    /// [`SegmentedIndex::verify_rebuild_equivalence`]). The `live_update`
-    /// perfbase suite runs this on every benchmark run.
+    /// [`SegmentedIndex::verify_rebuild_equivalence`]). `tests/live_update.rs`
+    /// and `tests/persistence.rs` run it after mutating and after loading.
     pub fn verify_rebuild_equivalence(&self) -> Result<(), String> {
         self.pin().index.verify_rebuild_equivalence()
     }

@@ -7,7 +7,7 @@
 //! share.
 //!
 //! See DESIGN.md §15 for each mode's guarantee, cost model, and the
-//! measured quality/latency frontier (BENCH_9 `frontier` suite).
+//! measured quality/latency frontier (`figures frontier`).
 
 use divtopk_core::{ExactAlgorithm, SearchError};
 

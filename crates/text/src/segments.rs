@@ -657,7 +657,7 @@ impl SegmentedIndex {
     /// The rebuild oracle: a from-scratch [`InvertedIndex`] over exactly
     /// the surviving documents, under the same frozen statistics. The
     /// segmented read path is byte-equivalent to serving from this index —
-    /// `tests/segments.rs` and the `live_update` perfbase suite assert it.
+    /// `tests/segments.rs` and `tests/live_update.rs` assert it.
     pub fn rebuilt_index(&self) -> InvertedIndex {
         InvertedIndex::build_where(&self.corpus, |d| !self.deleted.contains(d))
     }

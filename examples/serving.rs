@@ -41,9 +41,9 @@ fn main() {
             }
         }
     }
-    // Zipf popularity: rank r served with weight 1/(r+1) — the same
-    // harmonic CDF the perfbase serving_throughput suite replays, so the
-    // cache-hit numbers printed here are comparable to BENCH_3.json's.
+    // Zipf popularity: rank r served with weight 1/(r+1) — the harmonic
+    // CDF behind BENCH_3.json's serving trace, so the cache-hit numbers
+    // printed here are comparable to that file's.
     let mut rng = divtopk::core::rng::Pcg::new(7);
     let cdf: Vec<f64> = distinct
         .iter()

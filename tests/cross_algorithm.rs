@@ -147,24 +147,39 @@ fn k_exceeding_graph_size() {
 #[test]
 fn larger_graphs_algorithms_agree_with_each_other() {
     // Too big for the oracle; the three algorithms must still agree.
-    let config = testgen::ClusterConfig {
+    let clustered = testgen::ClusterConfig {
         clusters: 6,
         cluster_size: 8,
         intra_p: 0.7,
         bridges: 6,
         singletons: 8,
     };
-    for seed in 0..5 {
-        let g = testgen::planted_clusters(&config, 500 + seed);
-        let k = 15;
-        let dp = div_dp(&g, k);
-        let cut = div_cut(&g, k);
-        for i in 0..=k {
-            assert_eq!(
-                dp.prefix_best_score(i),
-                cut.prefix_best_score(i),
-                "seed {seed} size {i}"
-            );
+    // Dense near-duplicate clusters: independence checks dominate, and
+    // plain A* (no decomposition) is still cheap enough to join in.
+    let dense_neardup = testgen::ClusterConfig {
+        clusters: 3,
+        cluster_size: 12,
+        intra_p: 0.95,
+        bridges: 3,
+        singletons: 4,
+    };
+    for (config, k, with_astar) in [(clustered, 15, false), (dense_neardup, 6, true)] {
+        for seed in 0..5 {
+            let g = testgen::planted_clusters(&config, 500 + seed);
+            let dp = div_dp(&g, k);
+            let cut = div_cut(&g, k);
+            let astar = with_astar.then(|| div_astar(&g, k));
+            for i in 0..=k {
+                let want = cut.prefix_best_score(i);
+                assert_eq!(dp.prefix_best_score(i), want, "dp, seed {seed} size {i}");
+                if let Some(astar) = &astar {
+                    assert_eq!(
+                        astar.prefix_best_score(i),
+                        want,
+                        "astar, seed {seed} size {i}"
+                    );
+                }
+            }
         }
     }
 }
