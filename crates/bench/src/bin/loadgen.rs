@@ -85,7 +85,6 @@ fn main() {
         ta_fraction: args.mix,
         k: 5,
         tau: 0.5,
-        shape: divtopk_bench::load::ArrivalShape::Uniform,
     };
     let report = match run_open_loop(&spec) {
         Ok(report) => report,

@@ -8,6 +8,12 @@
 //!       [--cache N] [--pull-workers N] [--workers N] [--queue N] [--seed N]
 //! ```
 //!
+//! Exits 2 with the usage line on a bad flag, 1 with one `serve: …` line
+//! when the snapshot cannot be loaded or the port cannot be bound.
+//! `--workers` is how many searches may execute at once (0 = one per
+//! CPU), `--queue` how many more may wait; one beyond that is answered
+//! `Overloaded`.
+//!
 //! Without `--snapshot` the corpus is the deterministic reuters-like
 //! synthetic collection (same generator as the benchmarks), so a load
 //! generator pointed at the printed address replays a reproducible
@@ -79,6 +85,13 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad numeric value {s:?}"))
 }
 
+/// A deployment error (as opposed to a usage error, exit 2): one line,
+/// exit 1.
+fn fail(why: String) -> ! {
+    eprintln!("serve: {why}");
+    std::process::exit(1);
+}
+
 fn main() {
     let args = match Args::parse() {
         Ok(args) => args,
@@ -97,7 +110,7 @@ fn main() {
     }
     let engine = match &args.snapshot {
         Some(path) => Engine::load_snapshot(path, &config)
-            .unwrap_or_else(|e| panic!("loading snapshot {path}: {e}")),
+            .unwrap_or_else(|e| fail(format!("loading snapshot {path}: {e}"))),
         None => {
             let corpus = generate(
                 &SynthConfig::reuters_like()
@@ -124,7 +137,7 @@ fn main() {
         &format!("127.0.0.1:{}", args.port),
         server_config,
     )
-    .unwrap_or_else(|e| panic!("binding port {}: {e}", args.port));
+    .unwrap_or_else(|e| fail(format!("binding port {}: {e}", args.port)));
     // The machine-readable ready line scripts and CI wait for.
     println!("LISTENING {}", server.addr());
     use std::io::Write as _;
@@ -133,6 +146,6 @@ fn main() {
     // signal (CI pipes `sleep`'s stdout in; closing it stops the server).
     let mut sink = Vec::new();
     std::io::stdin().read_to_end(&mut sink).ok();
-    drop(server); // Drop shuts down: drain queue, close connections, join.
+    drop(server); // Drop shuts down: searches finish, connections close, threads join.
     eprintln!("[serve] stdin closed, shut down cleanly");
 }

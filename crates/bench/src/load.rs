@@ -6,8 +6,7 @@
 //! scheduled-time-to-response latency quantiles (queueing delay
 //! included).
 //!
-//! Used by the `loadgen` binary (the CI `serving` job's smoke trace);
-//! [`ArrivalShape`] is also how query packs schedule their arrivals.
+//! Used by the `loadgen` binary (the CI `serving` job's smoke trace).
 
 use divtopk_core::rng::Pcg;
 use divtopk_engine::engine::Query;
@@ -17,77 +16,11 @@ use divtopk_text::query::KeywordQuery;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// The *shape* of an open-loop arrival process. The base rate comes from
-/// the owning spec; the shape modulates it deterministically over time,
-/// so the same (shape, rate, total) always yields byte-identical arrival
-/// offsets — the query-pack replay-determinism property depends on it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ArrivalShape {
-    /// Constant rate: arrival `i` at exactly `i / rate` seconds.
-    Uniform,
-    /// Periodic bursts: the instantaneous rate is `rate × factor` during
-    /// the first `burst_s` seconds of every `period_s`-second window and
-    /// `rate` otherwise — the flash-crowd shape.
-    Burst {
-        /// Rate multiplier inside a burst window (≥ 1).
-        factor: f64,
-        /// Window period, seconds.
-        period_s: f64,
-        /// Burst length at the start of each window, seconds.
-        burst_s: f64,
-    },
-    /// Sinusoidal day/night swing: instantaneous rate
-    /// `rate × (1 + amplitude · sin(2π t / period_s))`.
-    Diurnal {
-        /// Swing amplitude in `[0, 1)` (1 would stall the trough).
-        amplitude: f64,
-        /// Full day/night cycle length, seconds.
-        period_s: f64,
-    },
-}
-
-impl ArrivalShape {
-    /// Instantaneous rate multiplier at time `t` seconds.
-    fn multiplier(&self, t: f64) -> f64 {
-        match self {
-            ArrivalShape::Uniform => 1.0,
-            ArrivalShape::Burst {
-                factor,
-                period_s,
-                burst_s,
-            } => {
-                if t.rem_euclid(*period_s) < *burst_s {
-                    *factor
-                } else {
-                    1.0
-                }
-            }
-            ArrivalShape::Diurnal {
-                amplitude,
-                period_s,
-            } => 1.0 + amplitude * (std::f64::consts::TAU * t / period_s).sin(),
-        }
-    }
-
-    /// Deterministic arrival offsets (ns from trace start) for `total`
-    /// arrivals at base rate `rate`: a forward-Euler integration of the
-    /// instantaneous rate — arrival `i+1` lands `1 / r(tᵢ)` after
-    /// arrival `i`. Monotone by construction; `Uniform` reproduces the
-    /// exact `i / rate` grid the open-loop client has always used.
-    pub fn offsets_ns(&self, rate: f64, total: usize) -> Vec<u64> {
-        let rate = rate.max(1e-6);
-        if matches!(self, ArrivalShape::Uniform) {
-            return (0..total).map(|i| (i as f64 / rate * 1e9) as u64).collect();
-        }
-        let mut offsets = Vec::with_capacity(total);
-        let mut t = 0.0f64;
-        for _ in 0..total {
-            offsets.push((t * 1e9) as u64);
-            let r = (rate * self.multiplier(t)).max(1e-6);
-            t += 1.0 / r;
-        }
-        offsets
-    }
+/// Scheduled send times, ns from trace start: arrival `i` at exactly
+/// `i / rate` seconds.
+fn offsets_ns(rate: f64, total: usize) -> Vec<u64> {
+    let rate = rate.max(1e-6);
+    (0..total).map(|i| (i as f64 / rate * 1e9) as u64).collect()
 }
 
 /// One open-loop trace specification.
@@ -110,8 +43,6 @@ pub struct LoadSpec {
     pub k: u32,
     /// `τ` for every query.
     pub tau: f64,
-    /// Arrival-schedule shape modulating `rate` over the trace.
-    pub shape: ArrivalShape,
 }
 
 impl LoadSpec {
@@ -126,7 +57,6 @@ impl LoadSpec {
             ta_fraction: 0.25,
             k: 5,
             tau: 0.5,
-            shape: ArrivalShape::Uniform,
         }
     }
 }
@@ -170,15 +100,7 @@ impl LoadReport {
 /// serves — what [`build_trace`] needs to synthesize valid queries.
 pub fn probe_vocabulary(addr: &str) -> Result<(u32, u64), String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
-    proto::write_frame(
-        &mut stream,
-        &proto::encode_request(&Request::Stats).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
-    let frame = proto::read_frame(&mut stream)
-        .map_err(|e| e.to_string())?
-        .ok_or_else(|| "server closed during stats probe".to_owned())?;
-    match proto::decode_response(&frame).map_err(|e| e.to_string())? {
+    match proto::call(&mut stream, &Request::Stats).map_err(|e| e.to_string())? {
         Response::Stats(stats) => Ok((stats.num_terms, stats.num_docs)),
         other => Err(format!("stats probe got {other:?}")),
     }
@@ -225,7 +147,7 @@ pub fn build_trace(spec: &LoadSpec, num_terms: u32) -> Vec<Request> {
 pub fn run_open_loop(spec: &LoadSpec) -> Result<LoadReport, String> {
     let (num_terms, _num_docs) = probe_vocabulary(&spec.addr)?;
     let trace = build_trace(spec, num_terms);
-    let offsets = spec.shape.offsets_ns(spec.rate, trace.len());
+    let offsets = offsets_ns(spec.rate, trace.len());
     let connections = spec.connections.clamp(1, trace.len().max(1));
     let start = Instant::now() + Duration::from_millis(5);
     let mut senders = Vec::new();
@@ -249,32 +171,21 @@ pub fn run_open_loop(spec: &LoadSpec) -> Result<LoadReport, String> {
                         std::thread::sleep(wait);
                     }
                     tally.sent += 1;
-                    let payload = proto::encode_request(&request).map_err(|e| e.to_string())?;
-                    if proto::write_frame(&mut stream, &payload).is_err() {
-                        tally.errors += 1;
-                        continue;
-                    }
-                    match proto::read_frame(&mut stream) {
-                        Ok(Some(frame)) => match proto::decode_response(&frame) {
-                            Ok(Response::Hits(_)) => {
-                                tally.ok += 1;
-                                tally
-                                    .latencies_ns
-                                    .push(scheduled.elapsed().as_nanos() as u64);
-                            }
-                            Ok(Response::Overloaded { .. }) => {
-                                tally.overloaded += 1;
-                                tally
-                                    .latencies_ns
-                                    .push(scheduled.elapsed().as_nanos() as u64);
-                            }
-                            _ => tally.errors += 1,
-                        },
-                        _ => {
+                    match proto::call(&mut stream, &request) {
+                        Ok(Response::Hits(_)) => tally.ok += 1,
+                        Ok(Response::Overloaded { .. }) => tally.overloaded += 1,
+                        Ok(_) => {
+                            tally.errors += 1;
+                            continue;
+                        }
+                        Err(_) => {
                             tally.errors += 1;
                             return Ok(tally); // connection lost — stop this sender
                         }
                     }
+                    tally
+                        .latencies_ns
+                        .push(scheduled.elapsed().as_nanos() as u64);
                 }
                 Ok(tally)
             },
@@ -319,53 +230,9 @@ mod tests {
 
     #[test]
     fn uniform_offsets_are_the_classic_grid() {
-        let offsets = ArrivalShape::Uniform.offsets_ns(100.0, 5);
         assert_eq!(
-            offsets,
+            offsets_ns(100.0, 5),
             vec![0, 10_000_000, 20_000_000, 30_000_000, 40_000_000]
         );
-    }
-
-    #[test]
-    fn burst_shape_concentrates_arrivals_and_is_deterministic() {
-        let shape = ArrivalShape::Burst {
-            factor: 8.0,
-            period_s: 1.0,
-            burst_s: 0.2,
-        };
-        let offsets = shape.offsets_ns(50.0, 400);
-        assert_eq!(
-            offsets,
-            shape.offsets_ns(50.0, 400),
-            "must be deterministic"
-        );
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]), "must be monotone");
-        // Arrivals inside burst windows (first 20% of each second) must
-        // far outnumber a uniform trace's share.
-        let in_burst = offsets
-            .iter()
-            .filter(|&&ns| (ns as f64 / 1e9).rem_euclid(1.0) < 0.2)
-            .count();
-        assert!(
-            in_burst * 2 > offsets.len(),
-            "only {in_burst}/{} arrivals in burst windows",
-            offsets.len()
-        );
-    }
-
-    #[test]
-    fn diurnal_shape_swings_the_interarrival_gap() {
-        let shape = ArrivalShape::Diurnal {
-            amplitude: 0.8,
-            period_s: 2.0,
-        };
-        let offsets = shape.offsets_ns(200.0, 800);
-        assert_eq!(offsets, shape.offsets_ns(200.0, 800));
-        assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        let gaps: Vec<u64> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
-        let (min, max) = (gaps.iter().min().unwrap(), gaps.iter().max().unwrap());
-        // Peak-to-trough rate ratio is (1+0.8)/(1-0.8) = 9; allow slack
-        // for the Euler stepping but demand a clear swing.
-        assert!(*max > *min * 4, "gap swing too small: {min}..{max}");
     }
 }

@@ -3,14 +3,13 @@
 //!
 //! A pack (`divtopk-pack/1`, JSON via [`crate::json`]) describes a
 //! synthetic corpus plus a list of **families**: Zipf head/torso/tail
-//! term draws over the kfreq bands of DESIGN.md §3, burst and diurnal
-//! arrival schedules ([`crate::load::ArrivalShape`]), cold-cache sweeps
+//! term draws over the kfreq bands of DESIGN.md §3, cold-cache sweeps
 //! (`"cache": "bypass"`), hot-doc deletion storms and adversarial
 //! near-duplicate floods replayed through the engine's mutation API.
 //! [`QueryPack::compile`] expands every family into a byte-reproducible
 //! script of queries and mutations — the same pack and seed always
-//! produce identical query sequences, arrival offsets, and mutation
-//! scripts (`tests/workload.rs` pins this as a property test).
+//! produce identical query sequences and mutation scripts
+//! (`tests/pack_replay.rs` pins this as a property test).
 //!
 //! The committed pack lives at `benchmarks/query-pack.v1.json`
 //! ([`QueryPack::default_pack`] is that file, compiled in);
@@ -18,7 +17,6 @@
 //! through the engine twice (diversity on/off) and scores the results.
 
 use crate::json::{self, Value};
-use crate::load::ArrivalShape;
 use divtopk_core::ExactAlgorithm;
 use divtopk_core::rng::Pcg;
 use divtopk_engine::engine::Query;
@@ -190,16 +188,6 @@ impl CacheMode {
     }
 }
 
-/// The family's arrival schedule: a base rate plus a
-/// [`ArrivalShape`] modulating it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Arrival {
-    /// Base arrival rate, requests/second.
-    pub rate: f64,
-    /// Traffic shape.
-    pub shape: ArrivalShape,
-}
-
 /// Mutation traffic interleaved with a family's queries, replayed
 /// through the engine's mutation API mid-family.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,8 +272,6 @@ pub struct Family {
     pub k: usize,
     /// `τ` for every query.
     pub tau: f64,
-    /// Arrival schedule.
-    pub arrival: Arrival,
     /// Cache mode.
     pub cache: CacheMode,
     /// Interleaved mutation traffic.
@@ -373,9 +359,6 @@ pub struct CompiledFamily {
     pub mode: DiversifyMode,
     /// Pass criteria (copied from the pack).
     pub gates: Gates,
-    /// Arrival offset (ns from family start) of each *query* event, in
-    /// script order (mutations are instantaneous).
-    pub arrivals_ns: Vec<u64>,
     /// Queries and mutations in replay order.
     pub events: Vec<PackEvent>,
 }
@@ -533,7 +516,7 @@ impl QueryPack {
 impl Family {
     /// Expands this family against the concrete corpus: draws the
     /// distinct query pool from the family's band, Zipf-samples the
-    /// query sequence, schedules arrivals, and fixes mutation victims —
+    /// query sequence and fixes mutation victims —
     /// all from `Pcg(pack_seed ^ fnv1a(name))`, so the script is a pure
     /// function of (pack, corpus).
     fn compile(
@@ -623,10 +606,6 @@ impl Family {
             cache: self.cache,
             mode: self.mode.clone(),
             gates: self.gates.clone(),
-            arrivals_ns: self
-                .arrival
-                .shape
-                .offsets_ns(self.arrival.rate, self.queries),
             events,
         })
     }
@@ -770,7 +749,6 @@ fn parse_family(v: &Value, index: usize) -> Result<Family, PackError> {
             "ta_fraction",
             "k",
             "tau",
-            "arrival",
             "cache",
             "mode",
             "mutations",
@@ -801,53 +779,6 @@ fn parse_family(v: &Value, index: usize) -> Result<Family, PackError> {
     if !(0.0..=1.0).contains(&tau) {
         return Err(bad(&ctx, "\"tau\" must lie in [0, 1]"));
     }
-    let arrival_v = req(v, &ctx, "arrival")?;
-    let arrival_ctx = format!("{ctx} arrival");
-    let rate = req_f64(arrival_v, &arrival_ctx, "rate")?;
-    if rate <= 0.0 {
-        return Err(bad(&arrival_ctx, "\"rate\" must be positive"));
-    }
-    let shape = match req_str(arrival_v, &arrival_ctx, "shape")? {
-        "uniform" => {
-            check_keys(arrival_v, &arrival_ctx, &["shape", "rate"])?;
-            ArrivalShape::Uniform
-        }
-        "burst" => {
-            check_keys(
-                arrival_v,
-                &arrival_ctx,
-                &["shape", "rate", "factor", "period_s", "burst_s"],
-            )?;
-            let factor = req_f64(arrival_v, &arrival_ctx, "factor")?;
-            let period_s = req_f64(arrival_v, &arrival_ctx, "period_s")?;
-            let burst_s = req_f64(arrival_v, &arrival_ctx, "burst_s")?;
-            if factor < 1.0 || period_s <= 0.0 || !(0.0..=period_s).contains(&burst_s) {
-                return Err(bad(&arrival_ctx, "burst parameters out of range"));
-            }
-            ArrivalShape::Burst {
-                factor,
-                period_s,
-                burst_s,
-            }
-        }
-        "diurnal" => {
-            check_keys(
-                arrival_v,
-                &arrival_ctx,
-                &["shape", "rate", "amplitude", "period_s"],
-            )?;
-            let amplitude = req_f64(arrival_v, &arrival_ctx, "amplitude")?;
-            let period_s = req_f64(arrival_v, &arrival_ctx, "period_s")?;
-            if !(0.0..1.0).contains(&amplitude) || period_s <= 0.0 {
-                return Err(bad(&arrival_ctx, "diurnal parameters out of range"));
-            }
-            ArrivalShape::Diurnal {
-                amplitude,
-                period_s,
-            }
-        }
-        other => return Err(bad(&arrival_ctx, format!("unknown shape {other:?}"))),
-    };
     let cache = match req_str(v, &ctx, "cache")? {
         "normal" => CacheMode::Normal,
         "bypass" => CacheMode::Bypass,
@@ -925,7 +856,6 @@ fn parse_family(v: &Value, index: usize) -> Result<Family, PackError> {
         ta_fraction,
         k,
         tau,
-        arrival: Arrival { rate, shape },
         cache,
         mode,
         mutations,
@@ -934,32 +864,6 @@ fn parse_family(v: &Value, index: usize) -> Result<Family, PackError> {
 }
 
 fn family_to_value(f: &Family) -> Value {
-    let arrival = match &f.arrival.shape {
-        ArrivalShape::Uniform => Value::Object(vec![
-            ("shape".into(), Value::String("uniform".into())),
-            ("rate".into(), Value::Number(f.arrival.rate)),
-        ]),
-        ArrivalShape::Burst {
-            factor,
-            period_s,
-            burst_s,
-        } => Value::Object(vec![
-            ("shape".into(), Value::String("burst".into())),
-            ("rate".into(), Value::Number(f.arrival.rate)),
-            ("factor".into(), Value::Number(*factor)),
-            ("period_s".into(), Value::Number(*period_s)),
-            ("burst_s".into(), Value::Number(*burst_s)),
-        ]),
-        ArrivalShape::Diurnal {
-            amplitude,
-            period_s,
-        } => Value::Object(vec![
-            ("shape".into(), Value::String("diurnal".into())),
-            ("rate".into(), Value::Number(f.arrival.rate)),
-            ("amplitude".into(), Value::Number(*amplitude)),
-            ("period_s".into(), Value::Number(*period_s)),
-        ]),
-    };
     let mutations = match f.mutations {
         MutationSpec::None => Value::Object(vec![("kind".into(), Value::String("none".into()))]),
         MutationSpec::DeleteStorm {
@@ -1001,7 +905,6 @@ fn family_to_value(f: &Family) -> Value {
         ("ta_fraction".into(), Value::Number(f.ta_fraction)),
         ("k".into(), Value::Number(f.k as f64)),
         ("tau".into(), Value::Number(f.tau)),
-        ("arrival".into(), arrival),
         ("cache".into(), Value::String(f.cache.as_str().into())),
         ("mode".into(), Value::String(mode_key(&f.mode).into())),
         ("mutations".into(), mutations),
@@ -1068,11 +971,9 @@ mod tests {
             all.iter()
                 .any(|e| matches!(e, PackEvent::Mutate(Mutation::CloneDocs(_))))
         );
-        // Each family yields exactly `queries` query events + arrivals.
+        // Each family yields exactly `queries` query events.
         for (family, compiled) in pack.families.iter().zip(&a) {
             assert_eq!(compiled.queries().count(), family.queries);
-            assert_eq!(compiled.arrivals_ns.len(), family.queries);
-            assert!(compiled.arrivals_ns.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 
@@ -1166,5 +1067,16 @@ mod tests {
             QueryPack::from_json(&bad_preset),
             Err(PackError::BadValue { .. })
         ));
+        // An arrival schedule: a pack says what is asked, not when.
+        let arrival = pack.to_json_pretty().replacen(
+            "\"cache\":",
+            "\"arrival\": {\"shape\": \"uniform\", \"rate\": 100}, \"cache\":",
+            1,
+        );
+        let err = QueryPack::from_json(&arrival).unwrap_err();
+        assert!(
+            matches!(&err, PackError::BadValue { message, .. } if message.contains("unknown field \"arrival\"")),
+            "{err:?}"
+        );
     }
 }

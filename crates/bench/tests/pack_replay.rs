@@ -1,12 +1,11 @@
 //! Property tests on query-pack replay (ISSUE 7 satellite 1): compiling
 //! the same pack twice — or once directly and once after a JSON
-//! round-trip — must yield byte-identical query sequences, arrival
-//! schedules, and mutation scripts; malformed packs must come back as
-//! typed [`PackError`]s, never a panic.
+//! round-trip — must yield byte-identical query sequences and mutation
+//! scripts; malformed packs must come back as typed [`PackError`]s,
+//! never a panic.
 
-use divtopk_bench::load::ArrivalShape;
 use divtopk_bench::workload::{
-    Arrival, Band, CacheMode, CorpusSpec, Family, Gates, MutationSpec, PackError, QueryPack,
+    Band, CacheMode, CorpusSpec, Family, Gates, MutationSpec, PackError, QueryPack,
 };
 use divtopk_text::index::InvertedIndex;
 use divtopk_text::prelude::*;
@@ -33,21 +32,6 @@ fn band_strategy() -> impl Strategy<Value = Band> {
     })
 }
 
-fn shape_strategy() -> impl Strategy<Value = ArrivalShape> {
-    (0u8..3, 0.1f64..0.9, 1.5f64..8.0).prop_map(|(which, frac, factor)| match which {
-        0 => ArrivalShape::Uniform,
-        1 => ArrivalShape::Burst {
-            factor,
-            period_s: 1.0,
-            burst_s: frac,
-        },
-        _ => ArrivalShape::Diurnal {
-            amplitude: frac,
-            period_s: 2.0,
-        },
-    })
-}
-
 fn mutation_strategy() -> impl Strategy<Value = MutationSpec> {
     (0u8..3, 1usize..4, 1usize..5).prop_map(|(which, events, docs)| match which {
         0 => MutationSpec::None,
@@ -67,11 +51,10 @@ fn family_strategy(tag: usize) -> impl Strategy<Value = Family> {
         band_strategy(),
         (4usize..24, 1usize..8, 1usize..8),
         (0.0f64..1.5, 0.0f64..1.0, 0.05f64..0.95),
-        shape_strategy(),
         mutation_strategy(),
     )
         .prop_map(
-            move |(band, (queries, distinct, k), (zipf, ta, tau), shape, mutations)| Family {
+            move |(band, (queries, distinct, k), (zipf, ta, tau), mutations)| Family {
                 name: format!("fam_{tag}_{}", band.as_str()),
                 band,
                 queries,
@@ -80,7 +63,6 @@ fn family_strategy(tag: usize) -> impl Strategy<Value = Family> {
                 ta_fraction: ta,
                 k,
                 tau,
-                arrival: Arrival { rate: 150.0, shape },
                 cache: if queries % 2 == 0 {
                     CacheMode::Normal
                 } else {
@@ -117,7 +99,7 @@ fn pack_strategy() -> impl Strategy<Value = QueryPack> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Same pack, compiled twice: identical event scripts and schedules.
+    /// Same pack, compiled twice: identical event scripts.
     #[test]
     fn replay_is_deterministic(pack in pack_strategy()) {
         let (corpus, index) = fixture();
@@ -126,7 +108,6 @@ proptest! {
         prop_assert_eq!(a.len(), b.len());
         for (fa, fb) in a.iter().zip(&b) {
             prop_assert_eq!(&fa.name, &fb.name);
-            prop_assert_eq!(&fa.arrivals_ns, &fb.arrivals_ns);
             // Debug form covers every query term and mutation doc id —
             // byte equality here is byte equality of the whole script.
             prop_assert_eq!(format!("{:?}", fa.events), format!("{:?}", fb.events));

@@ -61,11 +61,6 @@ pub fn exhaustive(g: &DiversityGraph, k: usize) -> SearchResult {
     out
 }
 
-/// The best solution of size ≤ k (score only), via [`exhaustive`].
-pub fn exhaustive_best(g: &DiversityGraph, k: usize) -> Score {
-    exhaustive(g, k).best().score()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -226,12 +226,6 @@ impl DiversityGraph {
         self.adj_words > 0
     }
 
-    /// Words per adjacency bitmap row (0 when the bitmap is absent).
-    #[inline]
-    pub fn adjacency_words(&self) -> usize {
-        self.adj_words
-    }
-
     /// The bitmap row for `v`: bit `u` set iff `u ≈ v`, in
     /// [`DenseNodeSet`](crate::nodeset::DenseNodeSet) word layout.
     /// `None` when the bitmap is absent.
@@ -462,9 +456,9 @@ mod tests {
     fn adjacency_bitmap_matches_lists() {
         let g = crate::testgen::random_graph(90, 0.3, 11);
         assert!(g.has_adjacency_bitmap());
-        assert_eq!(g.adjacency_words(), 2);
         for v in g.nodes() {
             let row = g.adjacency_row(v).unwrap();
+            assert_eq!(row.len(), 2);
             let from_row: Vec<NodeId> = (0..g.len() as NodeId)
                 .filter(|&u| row[(u / 64) as usize] & (1 << (u % 64)) != 0)
                 .collect();

@@ -221,11 +221,6 @@ where
         merged
     }
 
-    /// Number of underlying sources (shards).
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
     /// True when every underlying source is exhausted and no head remains.
     pub fn is_exhausted(&self) -> bool {
         self.heads.is_empty()
@@ -477,7 +472,6 @@ mod tests {
         // A single-source merge is a transparent wrapper (same emission).
         let items = vec![Scored::new(1u32, s(8)), Scored::new(2, s(4))];
         let mut single = MergedSource::incremental(vec![IncrementalVecSource::new(items.clone())]);
-        assert_eq!(single.num_sources(), 1);
         let got: Vec<Scored<u32>> = std::iter::from_fn(|| single.next_result()).collect();
         assert_eq!(got, items);
     }

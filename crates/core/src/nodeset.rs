@@ -74,14 +74,6 @@ impl DenseNodeSet {
         }
     }
 
-    /// An empty set sized to combine with `row` (same word count).
-    pub fn with_words(words: usize) -> DenseNodeSet {
-        DenseNodeSet {
-            words: vec![0; words],
-            len: 0,
-        }
-    }
-
     /// Builds a set over `0..capacity` from distinct node ids.
     pub fn from_nodes(capacity: usize, nodes: impl IntoIterator<Item = NodeId>) -> DenseNodeSet {
         let mut set = DenseNodeSet::new(capacity);

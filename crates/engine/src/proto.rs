@@ -323,9 +323,10 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Backpressure rejection: the admission queue was full. Retry later.
+    /// Backpressure rejection: every search slot was taken and the line
+    /// for one was full. Retry later.
     Overloaded {
-        /// The queue capacity that was exhausted.
+        /// How many searches may wait (`ServerConfig::queue_capacity`).
         queue_capacity: u32,
     },
     /// Stats answer.
@@ -408,6 +409,14 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> Result<(), ProtoE
         .map_err(map)?;
     writer.write_all(payload).map_err(map)?;
     writer.flush().map_err(map)
+}
+
+/// One client round trip: sends `request`, reads the answer. A clean
+/// close before the answer is [`ProtoError::Io`] (`UnexpectedEof`).
+pub fn call(stream: &mut (impl Read + Write), request: &Request) -> Result<Response, ProtoError> {
+    write_frame(stream, &encode_request(request)?)?;
+    let frame = read_frame(stream)?.ok_or(ProtoError::Io(std::io::ErrorKind::UnexpectedEof))?;
+    decode_response(&frame)
 }
 
 // --------------------------------------------------------------- cursors

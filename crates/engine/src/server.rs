@@ -1,20 +1,21 @@
-//! The TCP serving layer: thread-per-connection framing, a bounded
-//! admission queue with **typed backpressure** in front of a fixed search
-//! worker pool, per-endpoint latency histograms, and graceful
-//! snapshot-swap reloads (DESIGN.md §8).
+//! The TCP serving layer: thread-per-connection framing, an **admission
+//! gate** with typed backpressure around the search call, per-endpoint
+//! latency histograms, and graceful snapshot-swap reloads (DESIGN.md §8).
 //!
 //! ## Admission and backpressure
 //!
-//! Search is the only expensive endpoint, so it is the only queued one:
-//! a connection thread decodes the frame and `try_push`es a job onto a
-//! bounded queue drained by `workers` dedicated threads. A full queue is
-//! answered **immediately** with [`Response::Overloaded`] — the client
-//! gets a typed signal to back off, never a hang, and the server's
-//! concurrent search load is hard-capped at `workers + queue_capacity`
-//! regardless of how many connections pile on. Ping/stats/reload are
-//! answered inline on the connection thread (they are cheap and must
-//! stay responsive *especially* under search overload — that is when an
-//! operator needs the stats endpoint most).
+//! A search runs on the connection thread that decoded it. Search is
+//! the only expensive endpoint, so it is the only gated one: the thread
+//! enters the gate, runs the engine call while holding a permit, and
+//! releases the permit when it drops. At most `workers` searches
+//! execute at once; at most `queue_capacity` more wait, and are admitted
+//! in arrival order; anything beyond that is answered **immediately**
+//! with [`Response::Overloaded`] — the client gets a typed signal to
+//! back off, never a hang, and the server's concurrent search load is
+//! exactly capped at `workers + queue_capacity` regardless of how many
+//! connections pile on. Ping/stats/reload never touch the gate (they
+//! are cheap and must stay responsive *especially* under search
+//! overload — that is when an operator needs the stats endpoint most).
 //!
 //! ## Failure containment
 //!
@@ -22,14 +23,16 @@
 //! framing (truncation, oversized prefix, transport error) the
 //! connection is closed after the response, otherwise it keeps serving.
 //! Either way the *server* keeps serving — a hostile or buggy client can
-//! never take down the process (`tests/serving.rs` drives this).
+//! never take down the process (`tests/serving.rs` drives this). A
+//! search that panics unwinds its own connection thread only: the
+//! permit and the connection's socket are both released by drop guards,
+//! so the peer sees a close and the server keeps its full capacity.
 
-use crate::engine::{Engine, Query};
+use crate::engine::Engine;
 use crate::histogram::LatencyHistogram;
 use crate::proto::{self, ErrorCode, ProtoError, Request, Response, StatsReport, WireHits};
 use divtopk_core::sync::{lock_unpoisoned, wait_unpoisoned};
-use divtopk_text::search::{SearchOptions, SearchOutput};
-use std::collections::VecDeque;
+use divtopk_text::search::SearchOptions;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -40,15 +43,15 @@ use std::time::Instant;
 /// Server deployment configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dedicated search worker threads; 0 = one per available CPU.
+    /// Searches that may execute at once; 0 = one per available CPU.
     pub workers: usize,
-    /// Bounded admission-queue depth; a full queue rejects with
-    /// [`Response::Overloaded`]. Must be ≥ 1.
+    /// Searches that may wait for one of those slots; one more is
+    /// rejected with [`Response::Overloaded`]. Must be ≥ 1.
     pub queue_capacity: usize,
 }
 
 impl Default for ServerConfig {
-    /// Auto-sized workers, a 64-deep admission queue.
+    /// Auto-sized workers, room for 64 waiting searches.
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 0,
@@ -66,38 +69,102 @@ pub struct ServerMetrics {
     pub overloaded: AtomicU64,
     /// Frames that failed to decode.
     pub protocol_errors: AtomicU64,
-    /// Connections accepted over the server's lifetime.
-    pub connections: AtomicU64,
-    /// Search latency (decode → response encoded), nanoseconds.
+    /// Search latency (decode → answer, gate wait included), nanoseconds.
     pub search_latency: LatencyHistogram,
 }
 
-struct SearchJob {
-    query: Query,
-    options: SearchOptions,
-    started: Instant,
-    slot: Arc<ResponseSlot>,
+/// The admission gate: at most `workers` callers hold a [`Permit`], at
+/// most `queue_capacity` more wait for one, in arrival order.
+#[derive(Debug)]
+struct Gate {
+    state: Mutex<GateState>,
+    freed: Condvar,
+    workers: usize,
+    queue_capacity: usize,
 }
 
-#[derive(Default)]
-struct ResponseSlot {
-    result: Mutex<Option<Result<(SearchOutput, u64), String>>>,
-    ready: Condvar,
+#[derive(Debug, Default)]
+struct GateState {
+    /// Permits out right now.
+    running: usize,
+    /// The ticket the next waiter takes.
+    next_ticket: u64,
+    /// The ticket at the head of the line; `next_ticket - now_serving`
+    /// callers are waiting.
+    now_serving: u64,
 }
 
-impl ResponseSlot {
-    fn fill(&self, value: Result<(SearchOutput, u64), String>) {
-        *lock_unpoisoned(&self.result) = Some(value);
-        self.ready.notify_all();
+impl Gate {
+    fn new(workers: usize, queue_capacity: usize) -> Gate {
+        Gate {
+            state: Mutex::new(GateState::default()),
+            freed: Condvar::new(),
+            workers,
+            queue_capacity,
+        }
     }
 
-    fn wait(&self) -> Result<(SearchOutput, u64), String> {
-        let mut guard = lock_unpoisoned(&self.result);
-        loop {
-            if let Some(value) = guard.take() {
-                return value;
-            }
-            guard = wait_unpoisoned(&self.ready, guard);
+    /// A permit — at once if a slot is free and nobody is waiting, after
+    /// waiting in line if the line has room — or `None`, without
+    /// blocking, if it does not.
+    fn enter(&self) -> Option<Permit<'_>> {
+        let mut state = lock_unpoisoned(&self.state);
+        let waiting = state.next_ticket - state.now_serving;
+        if waiting == 0 && state.running < self.workers {
+            state.running += 1;
+            return Some(Permit { gate: self });
+        }
+        if waiting >= self.queue_capacity as u64 {
+            return None;
+        }
+        let mine = state.next_ticket;
+        state.next_ticket += 1;
+        while state.now_serving != mine || state.running >= self.workers {
+            state = wait_unpoisoned(&self.freed, state);
+        }
+        state.now_serving += 1;
+        state.running += 1;
+        drop(state);
+        // The waiter behind this one may have been woken while it was
+        // not yet at the head and gone back to sleep; if a second slot
+        // is free it must hear that it now is.
+        self.freed.notify_all();
+        Some(Permit { gate: self })
+    }
+}
+
+/// One of the gate's `workers` slots, given back on drop — so also when
+/// the search it covers unwinds.
+struct Permit<'a> {
+    gate: &'a Gate,
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        lock_unpoisoned(&self.gate.state).running -= 1;
+        // Every waiter, not one: only the head of the line may take the
+        // slot, and a single wakeup can land on somebody behind it.
+        self.gate.freed.notify_all();
+    }
+}
+
+/// A connection's exit path, run on every way out of its thread —
+/// unwinding included: the tracked clone leaves `connections` and the
+/// socket is shut down, so the peer sees FIN now rather than when the
+/// last clone of the fd happens to drop.
+struct ConnectionGuard<'a> {
+    connections: &'a Mutex<Vec<(u64, TcpStream)>>,
+    id: u64,
+}
+
+impl Drop for ConnectionGuard<'_> {
+    fn drop(&mut self) {
+        let mut connections = lock_unpoisoned(self.connections);
+        // Absent only when `Server::shutdown` drained the list, and then
+        // it shut the socket down too.
+        if let Some(at) = connections.iter().position(|(id, _)| *id == self.id) {
+            let (_, stream) = connections.swap_remove(at);
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -105,55 +172,14 @@ impl ResponseSlot {
 struct ServerShared {
     engine: Arc<Engine>,
     metrics: ServerMetrics,
-    queue: Mutex<VecDeque<SearchJob>>,
-    queue_capacity: usize,
-    queue_ready: Condvar,
+    gate: Gate,
     shutdown: AtomicBool,
-    /// Live connection streams, so shutdown can unblock their reads.
-    connections: Mutex<Vec<TcpStream>>,
+    /// One clone of every live connection's stream, keyed by connection
+    /// id, so shutdown can unblock their reads.
+    connections: Mutex<Vec<(u64, TcpStream)>>,
 }
 
 impl ServerShared {
-    /// Bounded, non-blocking admission: `Err` is the backpressure signal.
-    /// The rejected job rides back in the `Err` so the connection thread
-    /// can answer `Overloaded` on its stream — hence the large variant.
-    #[allow(clippy::result_large_err)]
-    fn try_enqueue(&self, job: SearchJob) -> Result<(), SearchJob> {
-        let mut queue = lock_unpoisoned(&self.queue);
-        if self.shutdown.load(Ordering::Acquire) || queue.len() >= self.queue_capacity {
-            return Err(job);
-        }
-        queue.push_back(job);
-        drop(queue);
-        self.queue_ready.notify_one();
-        Ok(())
-    }
-
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut queue = lock_unpoisoned(&self.queue);
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
-                    queue = wait_unpoisoned(&self.queue_ready, queue);
-                }
-            };
-            let result = self
-                .engine
-                .search_pinned(&job.query, &job.options)
-                .map_err(|e| e.to_string());
-            self.metrics
-                .search_latency
-                .record(job.started.elapsed().as_nanos() as u64);
-            job.slot.fill(result);
-        }
-    }
-
     fn stats_report(&self) -> StatsReport {
         let engine = self.engine.stats();
         let corpus = self.engine.corpus();
@@ -185,16 +211,15 @@ impl ServerShared {
     }
 
     /// Serves one connection until close, shutdown, or a framing break.
-    /// On exit the socket is shut down explicitly: the tracked clone in
-    /// `connections` keeps the fd alive until the next prune, so without
-    /// this the peer would not see FIN until server shutdown.
-    fn serve_connection(&self, stream: TcpStream) {
-        let mut writer = match stream.try_clone() {
-            Ok(w) => w,
-            Err(_) => return,
+    fn serve_connection(&self, id: u64, stream: TcpStream) {
+        let _guard = ConnectionGuard {
+            connections: &self.connections,
+            id,
+        };
+        let Ok(mut writer) = stream.try_clone() else {
+            return;
         };
         self.serve_frames(&mut writer, BufReader::new(stream));
-        let _ = writer.shutdown(Shutdown::Both);
     }
 
     fn serve_frames(&self, writer: &mut TcpStream, mut reader: BufReader<TcpStream>) {
@@ -269,6 +294,7 @@ impl ServerShared {
                 bound_decay,
                 mode,
             } => {
+                let started = Instant::now();
                 // The decode layer already rejected unknown selectors and
                 // out-of-range mode parameters; engine admission
                 // re-validates (`SearchOptions::validate`) so a mode built
@@ -278,21 +304,27 @@ impl ServerShared {
                     .with_tau(tau)
                     .with_bound_decay(bound_decay)
                     .with_mode(mode);
-                let slot = Arc::new(ResponseSlot::default());
-                let job = SearchJob {
-                    query,
-                    options,
-                    started: Instant::now(),
-                    slot: Arc::clone(&slot),
+                // The flag is read beside the gate, not under its lock: a
+                // search that slips past it is one more admitted search
+                // for `Server::shutdown` to wait out.
+                let permit = if self.shutdown.load(Ordering::Acquire) {
+                    None
+                } else {
+                    self.gate.enter()
                 };
-                if self.try_enqueue(job).is_err() {
+                let Some(permit) = permit else {
                     // RELAXED: monotonic metrics counter (see stats_report).
                     self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
                     return Response::Overloaded {
-                        queue_capacity: self.queue_capacity as u32,
+                        queue_capacity: self.gate.queue_capacity as u32,
                     };
-                }
-                match slot.wait() {
+                };
+                let result = self.engine.search_pinned(&query, &options);
+                drop(permit);
+                self.metrics
+                    .search_latency
+                    .record(started.elapsed().as_nanos() as u64);
+                match result {
                     Ok((out, generation)) => Response::Hits(WireHits {
                         generation,
                         hits: out.hits.iter().map(|h| (h.doc, h.score.get())).collect(),
@@ -300,9 +332,9 @@ impl ServerShared {
                         results_generated: out.metrics.results_generated,
                         early_stopped: out.metrics.early_stopped,
                     }),
-                    Err(message) => Response::Error {
+                    Err(error) => Response::Error {
                         code: ErrorCode::Search,
-                        message,
+                        message: error.to_string(),
                     },
                 }
             }
@@ -316,21 +348,21 @@ impl ServerShared {
 pub struct Server {
     shared: Arc<ServerShared>,
     addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    /// The acceptor, which in turn joins the connection threads.
+    acceptor: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ServerShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerShared")
-            .field("queue_capacity", &self.queue_capacity)
+            .field("gate", &self.gate)
             .finish()
     }
 }
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
-    /// acceptor, the connection threads, and `config.workers` search
-    /// workers around `engine`.
+    /// acceptor, which starts one thread per connection, around `engine`.
     pub fn start(engine: Arc<Engine>, addr: &str, config: ServerConfig) -> std::io::Result<Server> {
         assert!(config.queue_capacity >= 1, "admission queue needs depth");
         let listener = TcpListener::bind(addr)?;
@@ -343,81 +375,55 @@ impl Server {
         let shared = Arc::new(ServerShared {
             engine,
             metrics: ServerMetrics::default(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_capacity: config.queue_capacity,
-            queue_ready: Condvar::new(),
+            gate: Gate::new(workers, config.queue_capacity),
             shutdown: AtomicBool::new(false),
             connections: Mutex::new(Vec::new()),
         });
-        let mut threads = Vec::new();
-        for i in 0..workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("divtopk-search-{i}"))
-                    .spawn(move || shared.worker_loop())
-                    // LINT-ALLOW(panic): worker threads spawn once at server
-                    // construction, before any request is accepted — fail
-                    // fast on OS resource exhaustion.
-                    .expect("spawn search worker"),
-            );
-        }
         let acceptor_shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("divtopk-accept".to_owned())
-                .spawn(move || {
-                    let mut connection_threads: Vec<JoinHandle<()>> = Vec::new();
-                    for stream in listener.incoming() {
-                        if acceptor_shared.shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        // The tracked clone is what lets shutdown unblock
-                        // this connection's read; without it the thread
-                        // could block forever, so refuse to serve.
-                        let Ok(tracked) = stream.try_clone() else {
-                            continue;
-                        };
-                        // RELAXED: monotonic metrics counter.
-                        acceptor_shared
-                            .metrics
-                            .connections
-                            .fetch_add(1, Ordering::Relaxed);
-                        {
-                            let mut connections = lock_unpoisoned(&acceptor_shared.connections);
-                            // Prune finished connections opportunistically
-                            // so a long-lived server doesn't hoard fds.
-                            connections.retain(|c| c.take_error().is_ok() && peer_alive(c));
-                            connections.push(tracked);
-                        }
-                        let conn_shared = Arc::clone(&acceptor_shared);
-                        // Finished connections need no join: drop their
-                        // handles so a long-lived server holds only the
-                        // live ones.
-                        connection_threads.retain(|t| !t.is_finished());
-                        connection_threads.push(
-                            std::thread::Builder::new()
-                                .name("divtopk-conn".to_owned())
-                                .spawn(move || conn_shared.serve_connection(stream))
-                                // LINT-ALLOW(panic): see "spawn search worker"
-                                // above — accept-time resource exhaustion is a
-                                // fatal configuration problem, not a request
-                                // error this connection could report.
-                                .expect("spawn connection thread"),
-                        );
+        let acceptor = std::thread::Builder::new()
+            .name("divtopk-accept".to_owned())
+            .spawn(move || {
+                let mut connection_threads: Vec<JoinHandle<()>> = Vec::new();
+                for (id, stream) in (0u64..).zip(listener.incoming()) {
+                    if acceptor_shared.shutdown.load(Ordering::Acquire) {
+                        break;
                     }
-                    for thread in connection_threads {
-                        let _ = thread.join();
-                    }
-                })
-                // LINT-ALLOW(panic): as for the worker spawns above.
-                .expect("spawn acceptor"),
-        );
+                    let Ok(stream) = stream else { continue };
+                    // The tracked clone is what lets shutdown unblock
+                    // this connection's read; without it the thread
+                    // could block forever, so refuse to serve.
+                    let Ok(tracked) = stream.try_clone() else {
+                        continue;
+                    };
+                    lock_unpoisoned(&acceptor_shared.connections).push((id, tracked));
+                    let conn_shared = Arc::clone(&acceptor_shared);
+                    // Finished connections need no join: drop their
+                    // handles so a long-lived server holds only the
+                    // live ones.
+                    connection_threads.retain(|t| !t.is_finished());
+                    connection_threads.push(
+                        std::thread::Builder::new()
+                            .name("divtopk-conn".to_owned())
+                            .spawn(move || conn_shared.serve_connection(id, stream))
+                            // LINT-ALLOW(panic): accept-time resource
+                            // exhaustion is a fatal configuration problem,
+                            // not a request error this connection could
+                            // report.
+                            .expect("spawn connection thread"),
+                    );
+                }
+                for thread in connection_threads {
+                    let _ = thread.join();
+                }
+            })
+            // LINT-ALLOW(panic): the acceptor spawns once at server
+            // construction, before any request is accepted — fail fast on
+            // OS resource exhaustion.
+            .expect("spawn acceptor");
         Ok(Server {
             shared,
             addr,
-            threads,
+            acceptor: Some(acceptor),
         })
     }
 
@@ -431,34 +437,23 @@ impl Server {
         &self.shared.metrics
     }
 
-    /// Graceful shutdown: stop admitting, unblock every connection and
-    /// worker, join all threads. In-queue searches finish; clients see
-    /// their connections close. Idempotent.
+    /// Graceful shutdown: stop admitting, unblock every connection's
+    /// read, join all threads. Searches already in the gate — executing
+    /// or waiting their turn — finish; clients see their connections
+    /// close. Idempotent.
     pub fn shutdown(&mut self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Wake the workers: they drain the admission queue first (every
-        // already-accepted search still gets its answer slot filled, so
-        // no connection thread is left waiting), then observe the flag
-        // and exit.
-        self.shared.queue_ready.notify_all();
-        // Unblock connection reads.
-        for stream in lock_unpoisoned(&self.shared.connections).drain(..) {
+        for (_, stream) in lock_unpoisoned(&self.shared.connections).drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
         // Unblock the acceptor with a wake-up connection.
         let _ = TcpStream::connect(self.addr);
-        for thread in self.threads.drain(..) {
-            let _ = thread.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
-}
-
-/// Cheap liveness probe used only for opportunistic pruning of the
-/// tracked-connection list (false negatives just delay pruning).
-fn peer_alive(stream: &TcpStream) -> bool {
-    stream.peer_addr().is_ok()
 }
 
 impl Drop for Server {
@@ -470,9 +465,13 @@ impl Drop for Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
+    use crate::engine::{EngineConfig, Query};
+    use crate::proto::call;
     use divtopk_text::mode::DiversifyMode;
     use divtopk_text::synth::{SynthConfig, generate};
+    use std::panic::{AssertUnwindSafe, catch_unwind};
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn test_server() -> Server {
         let corpus = generate(&SynthConfig {
@@ -491,32 +490,42 @@ mod tests {
         .unwrap()
     }
 
-    fn call(stream: &mut TcpStream, request: &Request) -> Response {
-        proto::write_frame(stream, &proto::encode_request(request).unwrap()).unwrap();
-        let frame = proto::read_frame(stream).unwrap().expect("server closed");
-        proto::decode_response(&frame).unwrap()
+    fn scan(term: u32) -> Request {
+        Request::Search {
+            query: Query::Scan(term),
+            k: 3,
+            tau: 0.5,
+            bound_decay: 0.005,
+            mode: DiversifyMode::exact(),
+        }
+    }
+
+    /// Spins until `done` holds; a gate that never gets there fails the
+    /// test instead of hanging it.
+    fn wait_until(done: impl Fn() -> bool) {
+        let started = Instant::now();
+        while !done() {
+            assert!(started.elapsed() < Duration::from_secs(10), "timed out");
+            std::thread::yield_now();
+        }
+    }
+
+    fn waiting(gate: &Gate) -> u64 {
+        let state = lock_unpoisoned(&gate.state);
+        state.next_ticket - state.now_serving
     }
 
     #[test]
     fn ping_search_stats_roundtrip() {
         let server = test_server();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        assert_eq!(call(&mut stream, &Request::Ping), Response::Pong);
-        let response = call(
-            &mut stream,
-            &Request::Search {
-                query: Query::Scan(0),
-                k: 3,
-                tau: 0.5,
-                bound_decay: 0.005,
-                mode: DiversifyMode::exact(),
-            },
-        );
+        assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
+        let response = call(&mut stream, &scan(0)).unwrap();
         let Response::Hits(hits) = response else {
             panic!("expected hits, got {response:?}");
         };
         assert!(hits.hits.len() <= 3);
-        let Response::Stats(stats) = call(&mut stream, &Request::Stats) else {
+        let Ok(Response::Stats(stats)) = call(&mut stream, &Request::Stats) else {
             panic!("expected stats");
         };
         assert_eq!(stats.requests, 3);
@@ -528,25 +537,16 @@ mod tests {
     fn search_errors_are_typed_not_fatal() {
         let server = test_server();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
-        let response = call(
-            &mut stream,
-            &Request::Search {
-                query: Query::Scan(u32::MAX),
-                k: 3,
-                tau: 0.5,
-                bound_decay: 0.005,
-                mode: DiversifyMode::exact(),
-            },
-        );
+        let response = call(&mut stream, &scan(u32::MAX));
         assert!(matches!(
             response,
-            Response::Error {
+            Ok(Response::Error {
                 code: ErrorCode::Search,
                 ..
-            }
+            })
         ));
         // The connection keeps serving.
-        assert_eq!(call(&mut stream, &Request::Ping), Response::Pong);
+        assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
     }
 
     #[test]
@@ -556,5 +556,119 @@ mod tests {
         server.shutdown();
         drop(stream);
         server.shutdown(); // idempotent
+
+        // With a search parked in the gate: it was admitted, so shutdown
+        // waits for it to run rather than dropping it.
+        let mut server = test_server();
+        let shared = Arc::clone(&server.shared);
+        let held: Vec<Permit<'_>> = (0..2).map(|_| shared.gate.enter().unwrap()).collect();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        proto::write_frame(&mut stream, &proto::encode_request(&scan(0)).unwrap()).unwrap();
+        wait_until(|| waiting(&shared.gate) == 1);
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                std::thread::sleep(Duration::from_millis(50));
+                drop(held);
+            });
+            server.shutdown();
+        });
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(shared.metrics.search_latency.count(), 1);
+        assert_eq!(lock_unpoisoned(&shared.gate.state).running, 0);
+    }
+
+    #[test]
+    fn gate_never_lets_more_than_workers_inside() {
+        let gate = Gate::new(2, 3);
+        let inside = AtomicUsize::new(0);
+        let admitted = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        let Some(_permit) = gate.enter() else {
+                            continue;
+                        };
+                        admitted.fetch_add(1, Ordering::SeqCst);
+                        assert!(inside.fetch_add(1, Ordering::SeqCst) < 2);
+                        std::thread::yield_now();
+                        inside.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        assert!(admitted.load(Ordering::SeqCst) >= 500);
+        assert_eq!(lock_unpoisoned(&gate.state).running, 0);
+        assert_eq!(waiting(&gate), 0);
+    }
+
+    #[test]
+    fn gate_holds_queue_capacity_waiters_in_ticket_order_and_refuses_the_next() {
+        let gate = Gate::new(1, 3);
+        let order = Mutex::new(Vec::new());
+        let held = gate.enter().expect("an idle gate admits");
+        std::thread::scope(|scope| {
+            for i in 0..3 {
+                let (gate, order) = (&gate, &order);
+                scope.spawn(move || {
+                    let _permit = gate.enter().expect("the line has room");
+                    lock_unpoisoned(order).push(i);
+                });
+                // Parked before the next one starts, so ticket order is
+                // spawn order.
+                wait_until(|| waiting(gate) == i + 1);
+            }
+            // The line is full: the next caller is refused, and this
+            // thread — the only one that could free a slot — got the
+            // refusal, so `enter` did not block for it.
+            assert!(gate.enter().is_none());
+            assert!(lock_unpoisoned(&order).is_empty());
+            drop(held);
+        });
+        assert_eq!(*lock_unpoisoned(&order), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn a_panic_inside_a_permit_gives_the_slot_back() {
+        let gate = Gate::new(2, 2);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        let _permit = gate.enter().expect("2 + 2 holds four callers");
+                        panic!("search blew up");
+                    }));
+                    assert!(outcome.is_err());
+                });
+            }
+        });
+        assert_eq!(lock_unpoisoned(&gate.state).running, 0);
+        assert_eq!(waiting(&gate), 0);
+        let both: Vec<_> = (0..2).map(|_| gate.enter()).collect();
+        assert!(both.iter().all(Option::is_some), "full capacity is back");
+    }
+
+    #[test]
+    fn a_panicking_connection_thread_closes_its_socket_and_leaves_the_list() {
+        use std::io::Read;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let connections = Mutex::new(vec![(7, stream.try_clone().unwrap())]);
+        std::thread::scope(|scope| {
+            let served = scope.spawn(|| {
+                let _guard = ConnectionGuard {
+                    connections: &connections,
+                    id: 7,
+                };
+                let _stream = stream;
+                panic!("search blew up");
+            });
+            assert!(served.join().is_err());
+        });
+        assert_eq!(peer.read(&mut [0u8; 1]).unwrap(), 0, "peer must see EOF");
+        assert!(lock_unpoisoned(&connections).is_empty());
     }
 }

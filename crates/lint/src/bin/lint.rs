@@ -4,14 +4,14 @@
 //! ```text
 //! lint                      # lint the workspace at the current dir
 //! lint --root PATH          # lint the workspace at PATH
-//! lint --models             # run the three interleaving models instead
+//! lint --models             # run the four interleaving models instead
 //! lint --models --budget N  # ... with a schedule budget of N per model
 //! ```
 //!
 //! Exit status: 0 when clean, 1 on any diagnostic / model failure /
 //! under-explored model, 2 on usage or I/O errors.
 
-use divtopk_lint::models::{self, Bug};
+use divtopk_lint::models::{self, Bug, GateShape};
 use divtopk_lint::sched::{Explorer, Failure, Report};
 use divtopk_lint::walk::lint_workspace;
 use std::path::PathBuf;
@@ -86,7 +86,7 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
         ..Explorer::default()
     };
     // The prefetch protocol's interesting schedules (park → pop →
-    // re-spawn races) need more context switches than the other two; a
+    // re-spawn races) need more context switches than the others; a
     // deeper preemption bound keeps its bounded space both meaningful
     // and exhaustible (see DESIGN.md §13).
     let deep = Explorer {
@@ -94,7 +94,7 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
         ..explorer
     };
     type ModelRun = Box<dyn Fn() -> Result<Report, Failure>>;
-    let runs: [(&str, ModelRun); 3] = [
+    let runs: [(&str, ModelRun); 4] = [
         (
             "pool-handshake",
             Box::new(move || models::pool_handshake(&explorer, 2, 2, Bug::None)),
@@ -106,6 +106,18 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
         (
             "single-flight",
             Box::new(move || models::single_flight(&explorer, 3, Bug::None)),
+        ),
+        (
+            "admission-gate",
+            Box::new(move || {
+                let shape = GateShape {
+                    workers: 1,
+                    queue_capacity: 1,
+                    callers: 3,
+                    hold_for_line: 0,
+                };
+                models::admission_gate(&explorer, shape, Bug::None)
+            }),
         ),
     ];
     let mut failed = false;

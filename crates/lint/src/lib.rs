@@ -11,14 +11,14 @@
 //! 2. **The interleaving explorer** ([`sched`], [`models`]): a
 //!    loom-style deterministic scheduler that shims `Mutex`, `Condvar`,
 //!    and the atomics, and exhaustively enumerates bounded thread
-//!    interleavings of small models of the repo's three hand-rolled
+//!    interleavings of small models of the repo's four hand-rolled
 //!    concurrency protocols — the pool's lost-wakeup handshake, the
-//!    prefetch park/re-spawn protocol, and the cache's single-flight
-//!    condvar loop — asserting each protocol's DESIGN.md invariant under
-//!    every explored schedule.
+//!    prefetch park/re-spawn protocol, the cache's single-flight
+//!    condvar loop, and the server's ticketed admission gate — asserting
+//!    each protocol's DESIGN.md invariant under every explored schedule.
 //!
 //! The `lint` binary runs both: `cargo run -p divtopk-lint --bin lint`
-//! (diagnostics, exit 1 on any), `-- --models` (the three models under a
+//! (diagnostics, exit 1 on any), `-- --models` (the four models under a
 //! bounded schedule budget).
 
 pub mod models;

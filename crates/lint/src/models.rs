@@ -1,4 +1,4 @@
-//! The three concurrency models checked by the interleaving explorer.
+//! The four concurrency models checked by the interleaving explorer.
 //!
 //! Each model is a faithful miniature of one hand-rolled protocol in the
 //! workspace, built on the [`crate::sched`] shims, asserting that
@@ -14,6 +14,7 @@
 //! | [`pool_handshake`] | `divtopk_core::pool` inject/worker | no lost wakeup: every injected task executes and the scope completes |
 //! | [`prefetch_pump`] | `divtopk_core::prefetch` park/re-spawn | exactly one pump alive; consumer drains all items in order |
 //! | [`single_flight`] | `divtopk_engine::engine` inflight set | one computation per key; every waiter gets the value |
+//! | [`admission_gate`] | `divtopk_engine::server` gate/permit | never more than `workers` inside; waiters admitted in ticket order and none stranded; refusals never block |
 
 use crate::sched::{
     Explorer, Failure, Report, SimAtomicBool, SimCondvar, SimCounter, SimMutex, spawn,
@@ -48,6 +49,14 @@ pub enum Bug {
     /// `single_flight`: the claim holder never notifies the condvar —
     /// waiters sleep forever (the dropped-notify regression).
     FlightDropNotify,
+    /// `admission_gate`: a released permit wakes one waiter instead of
+    /// all — the wakeup can land behind the head of the line, whose
+    /// owner goes back to sleep while the head is never told.
+    GateReleaseNotifyOne,
+    /// `admission_gate`: a waiter takes a free slot without checking
+    /// that its ticket is the one being served — a later arrival
+    /// overtakes an earlier one.
+    GateSkipTurnCheck,
 }
 
 // ---------------------------------------------------------------------
@@ -379,4 +388,153 @@ fn flight_caller(m: &FlightModel, bug: Bug) -> u32 {
         }
     }
     value
+}
+
+// ---------------------------------------------------------------------
+// Model 4: admission gate (divtopk_engine::server)
+// ---------------------------------------------------------------------
+
+struct GateModel {
+    state: SimMutex<GateState>,
+    freed: SimCondvar,
+    /// Rung by the caller whose ticket makes the line `hold_for_line` long.
+    lined_up: SimCondvar,
+    /// Callers between `enter` and release, counted outside the gate's
+    /// own state so a broken gate cannot vouch for itself.
+    inside: SimCounter,
+}
+
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    next_ticket: usize,
+    now_serving: usize,
+    refused: usize,
+}
+
+/// The scenario one [`admission_gate`] run explores.
+#[derive(Debug, Clone, Copy)]
+pub struct GateShape {
+    /// Permits.
+    pub workers: usize,
+    /// Waiting slots.
+    pub queue_capacity: usize,
+    /// Spawned callers; each enters once.
+    pub callers: usize,
+    /// 0: the callers race into an idle gate. Otherwise thread 0 is one
+    /// more caller — a slow search: it enters before the others exist
+    /// and leaves once this many of them wait in line. A
+    /// preemption-bounded search from an idle gate reaches a line that
+    /// long last; this starts there.
+    pub hold_for_line: usize,
+}
+
+/// The server's admission gate. Invariants: never more than `workers`
+/// callers inside, waiters admitted in ticket order, every admitted
+/// caller finishes (no stranded waiter), a refused caller returns
+/// without ever waiting, and nobody is refused while the gate has room.
+///
+/// Mirrors `Gate::enter` / `Permit::drop`: admit at once when a slot is
+/// free and nobody waits; refuse when the line is full; otherwise take
+/// a ticket, wait until it is being served *and* a slot is free, then
+/// `notify_all` for the new head. Release decrements and `notify_all`s.
+pub fn admission_gate(explorer: &Explorer, shape: GateShape, bug: Bug) -> Result<Report, Failure> {
+    explorer.explore(move || {
+        let m = Arc::new(GateModel {
+            state: SimMutex::new(GateState::default()),
+            freed: SimCondvar::new(),
+            lined_up: SimCondvar::new(),
+            inside: SimCounter::new(),
+        });
+        let holding = shape.hold_for_line > 0;
+        if holding {
+            assert!(gate_enter(&m, shape, bug), "gate model: idle gate refused");
+        }
+        let handles: Vec<_> = (0..shape.callers)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                spawn(move || {
+                    if gate_enter(&m, shape, bug) {
+                        gate_leave(&m, shape, bug);
+                    }
+                })
+            })
+            .collect();
+        if holding {
+            let mut st = m.state.lock();
+            while st.next_ticket - st.now_serving < shape.hold_for_line {
+                st = m.lined_up.wait(st);
+            }
+            drop(st);
+            gate_leave(&m, shape, bug);
+        }
+        for h in handles {
+            h.join();
+        }
+        let st = m.state.lock();
+        assert!(
+            st.running == 0 && st.next_ticket == st.now_serving,
+            "gate model: {} running, {} waiting at the end",
+            st.running,
+            st.next_ticket - st.now_serving
+        );
+        let room = shape.workers + shape.queue_capacity;
+        let entered = shape.callers + usize::from(holding);
+        assert!(
+            st.refused <= entered.saturating_sub(room),
+            "gate model: {} of {entered} refused by a gate with room for {room}",
+            st.refused
+        );
+    })
+}
+
+/// `Gate::enter`: true = admitted (the caller now holds a permit).
+fn gate_enter(m: &GateModel, shape: GateShape, bug: Bug) -> bool {
+    let mut st = m.state.lock();
+    let waiting = st.next_ticket - st.now_serving;
+    if waiting == 0 && st.running < shape.workers {
+        st.running += 1;
+        return true;
+    }
+    if waiting >= shape.queue_capacity {
+        // Refused: returns from here, having never touched `freed`.
+        st.refused += 1;
+        return false;
+    }
+    let mine = st.next_ticket;
+    st.next_ticket += 1;
+    if waiting + 1 == shape.hold_for_line {
+        m.lined_up.notify_all();
+    }
+    while (bug != Bug::GateSkipTurnCheck && st.now_serving != mine) || st.running >= shape.workers {
+        st = m.freed.wait(st);
+    }
+    assert!(
+        st.now_serving == mine,
+        "gate model: ticket {mine} admitted ahead of ticket {}",
+        st.now_serving
+    );
+    st.now_serving += 1;
+    st.running += 1;
+    drop(st);
+    m.freed.notify_all();
+    true
+}
+
+/// The search itself, then `Permit::drop`.
+fn gate_leave(m: &GateModel, shape: GateShape, bug: Bug) {
+    let others = m.inside.bump();
+    assert!(
+        others < shape.workers,
+        "gate model: {} inside with {} permits",
+        others + 1,
+        shape.workers
+    );
+    m.inside.decrement();
+    m.state.lock().running -= 1;
+    if bug == Bug::GateReleaseNotifyOne {
+        m.freed.notify_one();
+    } else {
+        m.freed.notify_all();
+    }
 }

@@ -1,9 +1,9 @@
-//! Acceptance tests for the interleaving explorer and the three protocol
+//! Acceptance tests for the interleaving explorer and the four protocol
 //! models (ISSUE acceptance: each good model explores ≥1000 distinct
 //! schedules deterministically and passes; each intentionally-broken
 //! variant is caught).
 
-use divtopk_lint::models::{self, Bug};
+use divtopk_lint::models::{self, Bug, GateShape};
 use divtopk_lint::sched::{Explorer, FailureKind, SimAtomicBool, SimCondvar, SimMutex, spawn};
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
@@ -239,6 +239,86 @@ fn single_flight_with_dropped_notify_deadlocks() {
         "expected deadlock, got {:?}",
         failure.kind
     );
+}
+
+/// The shape `lint --models` runs: three callers race into an idle gate
+/// with one permit and one waiting slot.
+const GATE: GateShape = GateShape {
+    workers: 1,
+    queue_capacity: 1,
+    callers: 3,
+    hold_for_line: 0,
+};
+
+/// One permit held by a slow search until `line` callers wait behind it.
+fn gate_with_a_line(line: usize) -> GateShape {
+    GateShape {
+        workers: 1,
+        queue_capacity: line,
+        callers: line,
+        hold_for_line: line,
+    }
+}
+
+#[test]
+fn admission_gate_good_explores_1000_schedules() {
+    let report = models::admission_gate(&explorer(), GATE, Bug::None)
+        .expect("admission gate must pass every schedule");
+    assert!(
+        report.schedules >= 1000,
+        "coverage floor: {} schedules",
+        report.schedules
+    );
+}
+
+#[test]
+fn admission_gate_is_deterministic() {
+    let e = Explorer {
+        max_schedules: 1500,
+        ..explorer()
+    };
+    let a = models::admission_gate(&e, GATE, Bug::None).expect("passes");
+    let b = models::admission_gate(&e, GATE, Bug::None).expect("passes");
+    assert_eq!(a, b);
+}
+
+#[test]
+fn admission_gate_good_passes_the_shapes_its_bugs_are_caught_on() {
+    // Or the two catches below would prove nothing.
+    for line in [3, 2] {
+        models::admission_gate(&explorer(), gate_with_a_line(line), Bug::None)
+            .expect("admission gate must pass every schedule");
+    }
+}
+
+#[test]
+fn admission_gate_release_with_notify_one_strands_the_head() {
+    // Three waiters: the first admission's notify_all lets the other two
+    // re-queue on the condvar out of ticket order, and the next
+    // release's single wakeup then lands behind the head.
+    let failure =
+        models::admission_gate(&explorer(), gate_with_a_line(3), Bug::GateReleaseNotifyOne)
+            .expect_err("a one-waiter wakeup must strand the head of the line");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock { .. }),
+        "expected deadlock, got {:?}",
+        failure.kind
+    );
+}
+
+#[test]
+fn admission_gate_without_the_turn_check_lets_a_waiter_overtake() {
+    let failure = models::admission_gate(&explorer(), gate_with_a_line(2), Bug::GateSkipTurnCheck)
+        .expect_err("a waiter that ignores now_serving must overtake");
+    match failure.kind {
+        FailureKind::ModelPanic { message } => {
+            assert!(
+                message.contains("admitted ahead of"),
+                "wrong assertion: {message}"
+            );
+        }
+        other => panic!("expected the ticket-order assertion, got {other:?}"),
+    }
 }
 
 // --------------------------------------------------------------- the CLI

@@ -5,7 +5,7 @@
 //! roles against it over real TCP:
 //!
 //! 1. a well-behaved client (ping, a few searches, stats);
-//! 2. a burst that overruns the admission queue and collects the typed
+//! 2. a burst that overruns the admission gate and collects the typed
 //!    `Overloaded` rejections — backpressure as a protocol answer, not a
 //!    hang;
 //! 3. a stats read showing the latency histogram and serving counters.
@@ -21,7 +21,7 @@
 //! fixed arrival rate (see README "Serving under load").
 
 use divtopk::engine::prelude::*;
-use divtopk::engine::proto::{self, Request, Response};
+use divtopk::engine::proto::{Request, Response, call};
 use divtopk::text::prelude::*;
 use std::net::TcpStream;
 use std::sync::{Arc, Barrier};
@@ -34,14 +34,6 @@ fn connect(addr: &str) -> TcpStream {
         .unwrap();
     stream.set_nodelay(true).ok();
     stream
-}
-
-fn roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
-    proto::write_frame(stream, &proto::encode_request(request).unwrap()).expect("send");
-    let frame = proto::read_frame(stream)
-        .expect("recv")
-        .expect("server closed");
-    proto::decode_response(&frame).expect("decode")
 }
 
 fn search(term: TermId) -> Request {
@@ -67,8 +59,8 @@ fn interesting_terms(corpus: &Corpus, count: usize) -> Vec<TermId> {
 
 fn main() {
     // An engine standing in for a production index, served over TCP on a
-    // kernel-assigned port. Cache off (every search pays full price) and
-    // a small worker pool + shallow queue so the burst below can
+    // kernel-assigned port. Cache off (every search pays full price), one
+    // search at a time and room for two to wait, so the burst below can
     // actually overflow it.
     let corpus = generate(&SynthConfig::reuters_like().with_num_docs(3_000));
     let terms = interesting_terms(&corpus, 12);
@@ -86,13 +78,13 @@ fn main() {
     )
     .expect("bind");
     let addr = server.addr().to_string();
-    println!("serving on {addr} (1 worker, queue depth 2)");
+    println!("serving on {addr} (1 search at a time, 2 may wait)");
 
     // A term with a healthy posting list, discovered through the stats
     // endpoint — the same handshake `loadgen` uses to build its trace.
     let mut stream = connect(&addr);
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
-    let Response::Stats(stats) = roundtrip(&mut stream, &Request::Stats) else {
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
+    let Ok(Response::Stats(stats)) = call(&mut stream, &Request::Stats) else {
         panic!("stats request must draw a stats response");
     };
     println!(
@@ -103,7 +95,7 @@ fn main() {
 
     // 1. The polite client: sequential searches, every answer typed.
     for (round, &term) in terms.iter().take(3).enumerate() {
-        match roundtrip(&mut stream, &search(term)) {
+        match call(&mut stream, &search(term)).expect("round trip") {
             Response::Hits(hits) => println!(
                 "search {}: {} hits, total score {:.3}, generation {}{}",
                 round,
@@ -124,8 +116,9 @@ fn main() {
     }
 
     // 2. The burst: 12 simultaneous one-shot searches into a server that
-    // can hold at most workers + queue = 3. The overflow is *rejected*,
-    // immediately and typed — nobody waits on an unbounded queue.
+    // holds exactly workers + queue = 3: one runs, two wait their turn in
+    // arrival order. The overflow is *rejected*, immediately and typed —
+    // nobody waits in an unbounded line.
     let clients = 12;
     let barrier = Arc::new(Barrier::new(clients));
     let terms = &terms;
@@ -137,7 +130,7 @@ fn main() {
                 scope.spawn(move || {
                     let mut stream = connect(&addr);
                     barrier.wait();
-                    match roundtrip(&mut stream, &search(terms[i % terms.len()])) {
+                    match call(&mut stream, &search(terms[i % terms.len()])).expect("round trip") {
                         Response::Hits(_) => "served",
                         Response::Overloaded { .. } => "overloaded",
                         other => panic!("unexpected burst response {other:?}"),
@@ -154,7 +147,7 @@ fn main() {
 
     // 3. Stats again: counters and the latency histogram agree with what
     // we just did.
-    let Response::Stats(after) = roundtrip(&mut stream, &Request::Stats) else {
+    let Ok(Response::Stats(after)) = call(&mut stream, &Request::Stats) else {
         panic!("stats request must draw a stats response");
     };
     println!(
@@ -168,6 +161,6 @@ fn main() {
         after.search_p99_ns as f64 / 1e6,
     );
 
-    drop(server); // graceful: drain, respond, close, join
+    drop(server); // graceful: admitted searches finish, connections close, threads join
     println!("server shut down cleanly");
 }

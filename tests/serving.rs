@@ -19,7 +19,7 @@
 use divtopk::ExactAlgorithm;
 use divtopk::core::rng::Pcg;
 use divtopk::engine::prelude::*;
-use divtopk::engine::proto::{self, Request, Response};
+use divtopk::engine::proto::{self, Request, Response, call};
 use divtopk::text::prelude::*;
 use std::collections::HashMap;
 use std::io::Write;
@@ -38,14 +38,6 @@ fn connect(addr: &str) -> TcpStream {
     stream.set_write_timeout(Some(CLIENT_TIMEOUT)).unwrap();
     stream.set_nodelay(true).ok();
     stream
-}
-
-fn roundtrip(stream: &mut TcpStream, request: &Request) -> Response {
-    proto::write_frame(stream, &proto::encode_request(request).unwrap()).expect("send");
-    let frame = proto::read_frame(stream)
-        .expect("recv")
-        .expect("server closed unexpectedly");
-    proto::decode_response(&frame).expect("decode")
 }
 
 /// Terms with mid-sized posting lists in the base corpus.
@@ -198,7 +190,7 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
                         bound_decay,
                         mode: DiversifyMode::exact(),
                     };
-                    match roundtrip(&mut stream, &request) {
+                    match call(&mut stream, &request).unwrap() {
                         Response::Hits(hits) => {
                             served.fetch_add(1, Ordering::Relaxed);
                             let got = key_of_wire(&hits);
@@ -243,7 +235,7 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
     // The server ended on the final generation: a fresh query now matches
     // the final reference exactly.
     let mut stream = connect(&addr);
-    match roundtrip(
+    match call(
         &mut stream,
         &Request::Search {
             query: queries[0].clone(),
@@ -252,7 +244,9 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
             bound_decay,
             mode: DiversifyMode::exact(),
         },
-    ) {
+    )
+    .unwrap()
+    {
         Response::Hits(hits) => {
             assert_eq!(
                 key_of_wire(&hits),
@@ -311,7 +305,7 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
                     mode: DiversifyMode::exact(),
                 };
                 barrier.wait();
-                match roundtrip(&mut stream, &request) {
+                match call(&mut stream, &request).unwrap() {
                     Response::Hits(_) => hits.fetch_add(1, Ordering::Relaxed),
                     Response::Overloaded { queue_capacity } => {
                         assert_eq!(queue_capacity, 1);
@@ -338,14 +332,14 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
     // Backpressure is load shedding, not failure: the next request works,
     // and stats stayed reachable under pressure (served inline).
     let mut stream = connect(&addr);
-    match roundtrip(&mut stream, &Request::Stats) {
+    match call(&mut stream, &Request::Stats).unwrap() {
         Response::Stats(stats) => {
             assert_eq!(stats.overloaded, overloaded);
             assert_eq!(stats.search_count, hits);
         }
         other => panic!("stats: unexpected {other:?}"),
     }
-    match roundtrip(
+    match call(
         &mut stream,
         &Request::Search {
             query: Query::Scan(terms[0]),
@@ -354,10 +348,75 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
             bound_decay: 0.005,
             mode: DiversifyMode::exact(),
         },
-    ) {
+    )
+    .unwrap()
+    {
         Response::Hits(_) => {}
         other => panic!("post-overload query: unexpected {other:?}"),
     }
+}
+
+#[test]
+fn a_burst_of_exactly_the_capacity_into_an_idle_server_sheds_nothing() {
+    // The other side of the policy: `workers + queue_capacity` searches
+    // at the same instant all fit — two run, two wait their turn.
+    let corpus = generate(
+        &SynthConfig {
+            near_dup_prob: 0.5,
+            ..SynthConfig::tiny().with_seed(81)
+        }
+        .with_num_docs(400),
+    );
+    let term = interesting_terms(&corpus, 1)[0];
+    let server = Server::start(
+        Arc::new(Engine::new(
+            corpus,
+            EngineConfig::new(2).with_cache_capacity(0),
+        )),
+        "127.0.0.1:0",
+        ServerConfig {
+            workers: 2,
+            queue_capacity: 2,
+        },
+    )
+    .expect("server start");
+    let addr = server.addr().to_string();
+    let request = Request::Search {
+        query: Query::Scan(term),
+        k: 8,
+        tau: 0.3,
+        bound_decay: 0.005,
+        mode: DiversifyMode::exact(),
+    };
+    let barrier = std::sync::Barrier::new(4);
+    let shed = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                for _ in 0..200 {
+                    // A connection per round: a fresh socket is not yet
+                    // subject to the delayed-ACK stall (DESIGN.md §8).
+                    let mut stream = connect(&addr);
+                    // Every client holds its previous answer by now, and
+                    // the server released that search's slot before it
+                    // answered: each round starts on an idle server.
+                    barrier.wait();
+                    match call(&mut stream, &request).unwrap() {
+                        Response::Hits(_) => {}
+                        Response::Overloaded { .. } => {
+                            shed.fetch_add(1, Ordering::Relaxed);
+                        }
+                        other => panic!("unexpected {other:?}"),
+                    }
+                }
+            });
+        }
+    });
+    assert_eq!(
+        shed.load(Ordering::Relaxed),
+        0,
+        "shed out of 800 searches in 200 bursts of exactly the capacity"
+    );
 }
 
 // -------------------------------------------------------------- robustness
@@ -376,7 +435,7 @@ fn tiny_server() -> (Server, String) {
 
 fn assert_ping_works(addr: &str) {
     let mut stream = connect(addr);
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
 }
 
 /// A typed protocol error, or a clean close — never a hang, never junk.
@@ -431,7 +490,7 @@ fn truncation_at_every_frame_offset_leaves_the_server_serving() {
     // The sweep must not have taken the server down.
     assert_ping_works(&addr);
     let mut stream = connect(&addr);
-    match roundtrip(&mut stream, &Request::Stats) {
+    match call(&mut stream, &Request::Stats).unwrap() {
         Response::Stats(stats) => assert!(
             stats.protocol_errors as usize >= frame.len() - 1,
             "every truncation should count as a protocol error"
@@ -472,7 +531,7 @@ fn garbage_payloads_get_typed_errors_and_the_connection_keeps_serving() {
         other => panic!("expected protocol error, got {other:?}"),
     }
     // Still the same stream:
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
     // A structurally broken search (truncated payload inside a valid
     // frame): typed error, connection still usable.
     proto::write_frame(&mut stream, &[0x02, 0x00]).unwrap();
@@ -483,7 +542,7 @@ fn garbage_payloads_get_typed_errors_and_the_connection_keeps_serving() {
         } => {}
         other => panic!("expected protocol error, got {other:?}"),
     }
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
     assert_ping_works(&addr);
 }
 
@@ -514,7 +573,7 @@ fn unknown_mode_selector_is_a_typed_error_not_a_crash() {
         } => assert!(message.contains("selector"), "{message}"),
         other => panic!("expected protocol error, got {other:?}"),
     }
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
 }
 
 #[test]
@@ -544,14 +603,14 @@ fn out_of_range_mode_parameters_are_typed_errors_over_live_tcp() {
             other => panic!("expected protocol error, got {other:?}"),
         }
     }
-    assert_eq!(roundtrip(&mut stream, &Request::Ping), Response::Pong);
+    assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
 }
 
 #[test]
 fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
     // The framework asserts `bound_decay ∈ [0, 1)`; a client frame must
-    // never reach that assert, or the panic takes the (here: only) worker
-    // with it and every later search on the server hangs.
+    // never reach that assert: the panic would close the connection
+    // where the client is owed a typed error.
     let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(120));
     let term = interesting_terms(&corpus, 1)[0];
     let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
@@ -573,16 +632,16 @@ fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
         mode: DiversifyMode::exact(),
     };
     for bad in [1.0, 1.5, -0.1, f64::NAN, f64::INFINITY] {
-        match roundtrip(&mut stream, &search(bad)) {
+        match call(&mut stream, &search(bad)).unwrap() {
             Response::Error { .. } => {}
             other => panic!("decay {bad}: expected an error response, got {other:?}"),
         }
     }
-    // The same connection, served by the same single worker, still answers.
+    // The same connection, through the same single search slot, still answers.
     let want = engine
         .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
         .unwrap();
-    match roundtrip(&mut stream, &search(0.0)) {
+    match call(&mut stream, &search(0.0)).unwrap() {
         Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
         other => panic!("expected hits after the rejected frames, got {other:?}"),
     }
@@ -627,7 +686,7 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
         assert!(!want.0.is_empty());
         for k in [u32::MAX, 1_000_000] {
             let started = Instant::now();
-            match roundtrip(&mut stream, &search(k, &mode)) {
+            match call(&mut stream, &search(k, &mode)).unwrap() {
                 Response::Hits(hits) => assert_eq!(key_of_wire(&hits), want, "{mode:?} k={k}"),
                 other => panic!("{mode:?} k={k}: expected hits, got {other:?}"),
             }
@@ -638,11 +697,11 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
             );
         }
     }
-    // The same connection, served by the same single worker, still answers.
+    // The same connection, through the same single search slot, still answers.
     let want = engine
         .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
         .unwrap();
-    match roundtrip(&mut stream, &search(3, &DiversifyMode::exact())) {
+    match call(&mut stream, &search(3, &DiversifyMode::exact())).unwrap() {
         Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
         other => panic!("expected hits after the huge-k frames, got {other:?}"),
     }
