@@ -25,7 +25,10 @@
 //! `check` asserts full [`SearchOutput`] equality (hits, total score,
 //! metrics — early-stop point included) for scans *and* TA queries, plus
 //! the data-level `verify_rebuild_equivalence` oracle on the loaded
-//! state, and exits non-zero on the first divergence.
+//! state, and fails loudly (a panic naming the divergence) on the first
+//! one. A directory it cannot read or write is not a divergence: that is
+//! one `snapshot: …` line naming the path and the error, exit 1; a bad
+//! command line is the usage line, exit 2.
 
 use divtopk_core::rng::Pcg;
 use divtopk_engine::prelude::*;
@@ -87,11 +90,17 @@ fn reference_queries(corpus: &Corpus) -> Vec<(Query, SearchOptions)> {
     queries
 }
 
+/// The directory could not be read or written: say which and why.
+fn fail(why: String) -> ! {
+    eprintln!("snapshot: {why}");
+    std::process::exit(1);
+}
+
 fn save(path: &str) {
     let engine = reference_engine();
     let report = engine
         .save_snapshot(path)
-        .unwrap_or_else(|e| panic!("saving {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("saving {path}: {e}")));
     eprintln!(
         "[snapshot save] generation {} · {} segments · {} tombstones → {} files, {} bytes at {path}",
         engine.generation(),
@@ -104,7 +113,7 @@ fn save(path: &str) {
 
 fn check(path: &str) {
     let loaded = Engine::load_snapshot(path, &EngineConfig::default())
-        .unwrap_or_else(|e| panic!("loading {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("loading {path}: {e}")));
     let fresh = reference_engine();
     assert_eq!(
         loaded.generation(),
@@ -145,15 +154,16 @@ fn check(path: &str) {
 /// directory is small (the reference state is ~1 MB), so a full read is
 /// the simplest honest way to detect rewrites.
 fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
-    std::fs::read_dir(path)
-        .unwrap_or_else(|e| panic!("reading {path}: {e}"))
-        .map(|entry| {
-            let entry = entry.expect("directory entry");
+    let read = || -> std::io::Result<_> {
+        let mut contents = std::collections::BTreeMap::new();
+        for entry in std::fs::read_dir(path)? {
+            let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            let bytes = std::fs::read(entry.path()).expect("snapshot file");
-            (name, bytes)
-        })
-        .collect()
+            contents.insert(name, std::fs::read(entry.path())?);
+        }
+        Ok(contents)
+    };
+    read().unwrap_or_else(|e| fail(format!("reading {path}: {e}")))
 }
 
 /// The incremental-checkpoint gate: after one mutation batch, the second
@@ -166,7 +176,7 @@ fn incremental(path: &str) {
     let engine = reference_engine();
     let first = engine
         .save_snapshot(path)
-        .unwrap_or_else(|e| panic!("saving {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("saving {path}: {e}")));
     let before = dir_contents(path);
 
     let n_terms = engine.corpus().num_terms() as TermId;
@@ -182,7 +192,7 @@ fn incremental(path: &str) {
     engine.delete_docs(&[2, 5]);
     let second = engine
         .save_snapshot(path)
-        .unwrap_or_else(|e| panic!("re-saving {path}: {e}"));
+        .unwrap_or_else(|e| fail(format!("re-saving {path}: {e}")));
     let after = dir_contents(path);
 
     let mut rewritten: Vec<&str> = Vec::new();

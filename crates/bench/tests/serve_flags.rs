@@ -1,6 +1,7 @@
 //! `serve` turns a deployment flag the engine would assert on into a
 //! usage error, like every other bad flag, and a snapshot or port it
-//! cannot have into a one-line error.
+//! cannot have into a one-line error; `snapshot` does the same for a
+//! directory it cannot read or write.
 
 use std::process::Command;
 
@@ -41,5 +42,31 @@ fn a_missing_snapshot_or_a_busy_port_is_an_error_message_not_a_panic() {
             "{flag} {operand} not named: {stderr}"
         );
         assert!(!stderr.contains("panicked"), "{flag} {operand}: {stderr}");
+    }
+}
+
+#[test]
+fn a_missing_or_unwritable_snapshot_directory_is_an_error_message_not_a_panic() {
+    for (command, flag, operand) in [
+        ("check", "--in", "/nonexistent/divtopk.snapshot"),
+        ("save", "--out", "/proc/nope/divtopk.snapshot"),
+        ("incremental", "--dir", "/proc/nope/divtopk.incremental"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_snapshot"))
+            .args([command, flag, operand])
+            .output()
+            .expect("spawning snapshot");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command} {operand}: {stderr}");
+        assert!(
+            stderr
+                .lines()
+                .any(|l| l.starts_with("snapshot: ") && l.contains(operand)),
+            "{command} {operand} not named: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{command} {operand}: {stderr}"
+        );
     }
 }

@@ -11,7 +11,7 @@
 //!
 //! | function | similarity view | guarantee | cost model |
 //! |----------|-----------------|-----------|------------|
-//! | [`exact`] | predicate | exact optimum (Lemmas 1/3) | NP-hard inner searches |
+//! | [`exact`] | predicate (any [`Similarity`]) | exact optimum (Lemmas 1/3) | graph growth — `n(n−1)/2` tests for a closure, the candidates it names for a join — plus NP-hard inner searches |
 //! | [`none`] | — | plain relevance top-k (diversity off) | top-k pull only |
 //! | [`mmr`] | value | greedy marginal-relevance ranking | `O(k·l)` sims over a top-`l` pool |
 //! | [`window`] | predicate | sliding-window max-per-source spread | `O(l²)` source clustering |
@@ -33,14 +33,15 @@
 //! framework the exact path uses (an edgeless diversity graph — the
 //! diversity-off oracle), then re-rank that pool. They trade the exact
 //! optimum for a bounded, measured optimality gap (`figures frontier`
-//! prints it) at a fraction of the cost: no `O(n²)` similarity
-//! phase while the stream grows, and no NP-hard inner searches.
+//! prints it) at a fraction of the cost: no graph to grow while the
+//! stream does, and no NP-hard inner searches.
 
 use crate::error::SearchError;
 use crate::framework::{DivSearchConfig, DivTopK, ExactAlgorithm};
 use crate::limits::SearchLimits;
 use crate::metrics::FrameworkMetrics;
 use crate::score::Score;
+use crate::sim::Similarity;
 use crate::sources::{ResultSource, Scored};
 
 /// Pool oversampling factor for the rerank strategies: they fetch the
@@ -88,7 +89,9 @@ pub struct DiversifyOutcome<T> {
 
 /// The paper's exact diversified top-k (Lemmas 1/3 early stopping around
 /// `algorithm`, one of the `div-*` searches). `above` defines the
-/// diversity-graph edges.
+/// diversity-graph edges: a plain closure is tested against every
+/// earlier result, a [`Similarity`] that overrides
+/// [`similar_earlier`](Similarity::similar_earlier) names them itself.
 pub fn exact<S, P>(
     source: S,
     above: P,
@@ -99,7 +102,7 @@ pub fn exact<S, P>(
 ) -> Result<DiversifyOutcome<S::Item>, SearchError>
 where
     S: ResultSource,
-    P: Fn(&S::Item, &S::Item) -> bool,
+    P: Similarity<S::Item>,
 {
     let config = DivSearchConfig::new(k)
         .with_algorithm(algorithm)

@@ -3,7 +3,11 @@
 //! Wraps any [`ResultSource`] (incremental or bounding) and turns its plain
 //! top-k stream into an **exact diversified** top-k with early stopping:
 //!
-//! 1. pull results one at a time, growing the diversity graph;
+//! 1. pull results one at a time, growing the diversity graph — the run
+//!    asks its [`Similarity`] for each arriving result's neighbours among
+//!    the earlier ones ([`Similarity::similar_earlier`]) and never loops
+//!    over them itself, so a domain with a neighbourhood index grows the
+//!    same edge list without testing every pair;
 //! 2. when the **necessary** condition (Lemma 3) says a stop is even
 //!    possible, run `div-search-current()` (one of the exact algorithms) on
 //!    the current graph;
@@ -200,8 +204,10 @@ where
         let total_budget = self.config.limits.time_budget;
         let k = self.config.k;
         let mut metrics = FrameworkMetrics::default();
-        let mut items: Vec<Option<Scored<S::Item>>> = Vec::new();
+        let mut items: Vec<Scored<S::Item>> = Vec::new();
         let mut edges: Vec<(u32, u32)> = Vec::new();
+        // The arriving result's neighbours among `items`, per pull.
+        let mut neighbours: Vec<u32> = Vec::new();
         let mut scores: Vec<Score> = Vec::new();
         // Min-heap of the k largest scores seen (for Lemma 3's
         // "k-th largest score in S ≥ u" test).
@@ -238,13 +244,11 @@ where
             if let Some(result) = pulled {
                 metrics.results_generated += 1;
                 let new_index = items.len() as u32;
-                for (other_index, other) in items.iter().enumerate() {
-                    let other = other.as_ref().expect("items are only taken at the end");
-                    metrics.similarity_checks += 1;
-                    if self.similarity.similar(&other.item, &result.item) {
-                        edges.push((other_index as u32, new_index));
-                    }
-                }
+                neighbours.clear();
+                metrics.similarity_checks +=
+                    self.similarity
+                        .similar_earlier(&items, &result.item, &mut neighbours);
+                edges.extend(neighbours.iter().map(|&other| (other, new_index)));
                 scores.push(result.score);
                 if topk.len() < k {
                     topk.push(Reverse(result.score));
@@ -254,7 +258,7 @@ where
                         topk.push(Reverse(result.score));
                     }
                 }
-                items.push(Some(result));
+                items.push(result);
             }
             // Update the (clamped, monotone) unseen bound.
             if let UnseenBound::At(bound) = self.source.unseen_bound() {
@@ -346,6 +350,7 @@ where
             Some(c) => c,
             None => SearchResult::empty(0), // empty stream
         };
+        let mut items: Vec<Option<Scored<S::Item>>> = items.into_iter().map(Some).collect();
         let mut selected: Vec<Scored<S::Item>> = current
             .best()
             .nodes()

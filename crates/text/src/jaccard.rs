@@ -8,9 +8,22 @@
 //! where `∩`/`∪` are **multiset** intersection/union — i.e. each term `w`
 //! contributes `idf(w) · min(c1, c2)` to the numerator and
 //! `idf(w) · max(c1, c2)` to the denominator.
+//!
+//! Beside the value ([`weighted_jaccard`], [`weighted_jaccard_with`]) the
+//! module holds the two halves of the threshold join that grows the
+//! diversity graph (DESIGN.md §4.2), both exact by construction:
+//! [`similar_above`], the predicate `sim > τ` with a merge that stops
+//! once the pair can no longer reach `τ`, which every predicate mode
+//! calls; and [`ThresholdJoin`], that predicate as the exact framework's
+//! [`Similarity`], which finds each pulled result's neighbours through a
+//! prefix-filter index instead of testing every earlier result.
 
 use crate::corpus::Corpus;
-use crate::document::Document;
+use crate::document::{DocId, Document, TermId};
+use crate::search::WeightTable;
+use divtopk_core::fxhash::FxHashMap;
+use divtopk_core::sim::{Similarity, all_pairs};
+use divtopk_core::sources::Scored;
 
 /// Eq. 4 over two document signatures using the corpus IDF table.
 /// Returns a value in `[0, 1]`; two empty (or all-zero-IDF) documents get 0.
@@ -31,11 +44,26 @@ pub fn total_weight(idf: &[f64], d: &Document) -> f64 {
         .sum()
 }
 
-/// `sim(d1, d2) > τ`, with an O(1) weight-ratio rejection before the full
-/// merge. `w1`/`w2` are the documents' [`total_weight`] values. This is the
-/// predicate the diversity-graph construction evaluates `O(|S|²)` times —
-/// most pairs differ enough in total weight to be rejected without
-/// touching the signatures.
+/// `sim(d1, d2) > τ`, decided without finishing the merge when it can be.
+/// `w1`/`w2` are the documents' [`total_weight`] values.
+///
+/// Two rejections precede the exact answer, neither of which can change
+/// it. First the O(1) weight-ratio test of [`total_weight`]. Then a
+/// budget on the merge itself: with `S = w1 + w2 = union + inter`,
+///
+/// ```text
+/// sim > τ  ⟺  inter > τ·union  ⟺  union − inter < S·(1 − τ)/(1 + τ)
+/// ```
+///
+/// and `union − inter` — the weight of the symmetric difference — never
+/// decreases along the merge, so the pair is rejected as soon as the
+/// running difference passes that budget times `1 + 1e-9`. The margin is
+/// some 10⁴ times the rounding error of a few hundred positive adds, so
+/// a pair anywhere near the threshold (one *at* it included) always
+/// reaches the end of the merge, where the same two accumulators, filled
+/// in the same order as [`weighted_jaccard_with`] fills them, are
+/// compared by the same expression: the result is that function's
+/// `> tau`, bit for bit.
 pub fn similar_above(
     idf: &[f64],
     d1: &Document,
@@ -48,11 +76,35 @@ pub fn similar_above(
     if hi <= 0.0 || lo / hi <= tau {
         return false;
     }
-    weighted_jaccard_with(idf, d1, d2) > tau
+    let budget = (w1 + w2) * (1.0 - tau) / (1.0 + tau) * (1.0 + 1e-9);
+    match merge::<true>(idf, d1, d2, budget) {
+        Some((inter, union)) => ratio(inter, union) > tau,
+        None => false,
+    }
 }
 
 /// Eq. 4 with an explicit per-term weight table.
 pub fn weighted_jaccard_with(idf: &[f64], d1: &Document, d2: &Document) -> f64 {
+    let (inter, union) = merge::<false>(idf, d1, d2, f64::INFINITY).expect("no budget to exceed");
+    ratio(inter, union)
+}
+
+#[inline]
+fn ratio(inter: f64, union: f64) -> f64 {
+    if union <= 0.0 { 0.0 } else { inter / union }
+}
+
+/// The sorted merge behind Eq. 4: the weights of the multiset
+/// intersection and union. With `BUDGETED`, gives up (`None`) once
+/// `union − inter` exceeds `budget`; the accumulators are the same either
+/// way.
+#[inline(always)]
+fn merge<const BUDGETED: bool>(
+    idf: &[f64],
+    d1: &Document,
+    d2: &Document,
+    budget: f64,
+) -> Option<(f64, f64)> {
     let mut inter = 0.0f64;
     let mut union = 0.0f64;
     let (a, b) = (&d1.terms, &d2.terms);
@@ -77,6 +129,9 @@ pub fn weighted_jaccard_with(idf: &[f64], d1: &Document, d2: &Document) -> f64 {
                 j += 1;
             }
         }
+        if BUDGETED && union - inter > budget {
+            return None;
+        }
     }
     for &(t, c) in &a[i..] {
         union += idf[t as usize] * c as f64;
@@ -84,7 +139,174 @@ pub fn weighted_jaccard_with(idf: &[f64], d1: &Document, d2: &Document) -> f64 {
     for &(t, c) in &b[j..] {
         union += idf[t as usize] * c as f64;
     }
-    if union <= 0.0 { 0.0 } else { inter / union }
+    Some((inter, union))
+}
+
+/// How many results of a run grow the graph by testing every pair before
+/// the join takes over. The join pays a sort of the arriving document's
+/// ~100 term keys and some 25 table operations per result, the all-pairs
+/// loop ~0.1 µs per earlier result, so a short pull is cheaper without
+/// it. Measured with `benchmarks/e2e` (`batch_qps`, three runs each,
+/// seeds 7–9; 0 is always-join). On `hot_serve`, whose misses pull a
+/// dozen results: 0 reads 546–592 k q/s, 16 648–767 k, 48 715–731 k,
+/// 96 685–740 k. On `cold_search`, where 38 % of the requests pull more
+/// than 48: 0 reads 890–1 039 q/s, 16 943–1 012, 48 897–970, 96 803–850.
+const JOIN_FROM: usize = 48;
+
+/// A prefix sort key is `doc_freq << 32 | position in the term list`.
+fn position(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// End of a term's chain in [`ThresholdJoin`]'s entry arena.
+const END: u32 = u32::MAX;
+
+/// The thresholded predicate `sim > τ` over documents of one corpus, with
+/// graph growth by a **threshold join**: the exact framework's
+/// [`Similarity`], naming each arriving result's neighbours from an index
+/// over the results pulled so far instead of testing all of them.
+///
+/// Fix the total order of terms `(doc_freq asc, term id asc)` — rarest
+/// first; `Corpus::doc_freq` is frozen with the statistics epoch, so the
+/// order is the same for every document of a run. A document's *prefix*
+/// is its terms minus the longest tail in that order weighing
+/// `≤ τ·W(d)·(1 − 1e-9)`. If `sim(x, y) > τ` the shared weight exceeds
+/// `τ·max(Wx, Wy)`; were the two prefixes disjoint, every shared term
+/// would lie in the tail of whichever document's prefix ends first in
+/// the order (a shared term at or before that point is in both
+/// prefixes), so the shared weight would be at most that tail's weight
+/// `≤ τ·W` — a contradiction. The argument needs only *some* fixed
+/// order, holds for multiset counts (a tail term weighs its full count,
+/// the intersection at most that) and for zero-IDF terms (they weigh
+/// nothing on either side). So the neighbours of a new result are among
+/// the earlier results that share a prefix term with it.
+///
+/// The index is a map *prefix term → arrival positions*: one hash table
+/// of chain heads over one flat arena of entries. Candidates are
+/// de-duplicated, **sorted ascending** and verified with
+/// [`similar_above`], so the edge list is the all-pairs loop's, in its
+/// order. The first `JOIN_FROM` (48) results of a run are handled by
+/// that loop itself ([`all_pairs`]) — a short pull never pays for an
+/// index — and the index is built from them when the next one arrives.
+pub struct ThresholdJoin<'a, W: ?Sized> {
+    corpus: &'a Corpus,
+    weights: &'a W,
+    tau: f64,
+    /// Prefix term → its newest entry.
+    heads: FxHashMap<TermId, u32>,
+    /// `(arrival position, next entry of the same term or END)`.
+    entries: Vec<(u32, u32)>,
+    /// How many of the run's results the index holds.
+    indexed: usize,
+    /// The prefix last computed, of document `prefix_of`, as sort keys
+    /// whose low half is the term's position in that document's term
+    /// list: a result is probed with its prefix on arrival and indexed
+    /// under the same prefix one call later.
+    prefix: Vec<u64>,
+    prefix_of: Option<DocId>,
+    candidates: Vec<u32>,
+}
+
+impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
+    /// The predicate at threshold `tau` over `corpus`, whose
+    /// [`doc_weights`](crate::search::doc_weights) table is `weights`.
+    pub fn new(corpus: &'a Corpus, weights: &'a W, tau: f64) -> ThresholdJoin<'a, W> {
+        ThresholdJoin {
+            corpus,
+            weights,
+            tau,
+            heads: FxHashMap::default(),
+            entries: Vec::new(),
+            indexed: 0,
+            prefix: Vec::new(),
+            prefix_of: None,
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Leaves the prefix of `d` in `self.prefix`.
+    fn compute_prefix(&mut self, d: DocId) {
+        if self.prefix_of == Some(d) {
+            return;
+        }
+        let terms = &self.corpus.doc(d).terms;
+        // A term list is sorted by term id, so within one document
+        // (doc_freq, position) orders as (doc_freq, term id) does.
+        self.prefix.clear();
+        self.prefix.extend(
+            terms
+                .iter()
+                .enumerate()
+                .map(|(at, &(t, _))| (self.corpus.doc_freq(t) as u64) << 32 | at as u64),
+        );
+        self.prefix.sort_unstable();
+        let idf = self.corpus.idf_table();
+        let limit = self.tau * self.weights.weight(d) * (1.0 - 1e-9);
+        let mut tail = 0.0f64;
+        while let Some(&last) = self.prefix.last() {
+            let (t, c) = terms[position(last)];
+            tail += idf[t as usize] * c as f64;
+            if tail > limit {
+                break;
+            }
+            self.prefix.pop();
+        }
+        self.prefix_of = Some(d);
+    }
+}
+
+impl<W: WeightTable + ?Sized> Similarity<DocId> for ThresholdJoin<'_, W> {
+    fn similar(&self, a: &DocId, b: &DocId) -> bool {
+        similar_above(
+            self.corpus.idf_table(),
+            self.corpus.doc(*a),
+            self.weights.weight(*a),
+            self.corpus.doc(*b),
+            self.weights.weight(*b),
+            self.tau,
+        )
+    }
+
+    fn similar_earlier(
+        &mut self,
+        earlier: &[Scored<DocId>],
+        new: &DocId,
+        out: &mut Vec<u32>,
+    ) -> u64 {
+        if earlier.len() < JOIN_FROM {
+            return all_pairs(&*self, earlier, new, out);
+        }
+        for (arrival, result) in earlier.iter().enumerate().skip(self.indexed) {
+            self.compute_prefix(result.item);
+            let terms = &self.corpus.doc(result.item).terms;
+            for &key in &self.prefix {
+                let head = self.heads.entry(terms[position(key)].0).or_insert(END);
+                self.entries.push((arrival as u32, *head));
+                *head = (self.entries.len() - 1) as u32;
+            }
+        }
+        self.indexed = earlier.len();
+
+        self.compute_prefix(*new);
+        let terms = &self.corpus.doc(*new).terms;
+        self.candidates.clear();
+        for &key in &self.prefix {
+            let mut entry = *self.heads.get(&terms[position(key)].0).unwrap_or(&END);
+            while entry != END {
+                let (arrival, next) = self.entries[entry as usize];
+                self.candidates.push(arrival);
+                entry = next;
+            }
+        }
+        self.candidates.sort_unstable();
+        self.candidates.dedup();
+        for &candidate in &self.candidates {
+            if self.similar(&earlier[candidate as usize].item, new) {
+                out.push(candidate);
+            }
+        }
+        self.candidates.len() as u64
+    }
 }
 
 #[cfg(test)]
@@ -166,24 +388,196 @@ mod tests {
     fn prefilter_agrees_with_full_computation() {
         use divtopk_core::rng::Pcg;
         let mut rng = Pcg::new(31);
-        let idf: Vec<f64> = (0..40).map(|_| rng.unit_f64() * 3.0).collect();
-        let docs: Vec<Document> = (0..30)
+        // Terms 0..40 carry random weights, every fifth of them none
+        // (a zero-IDF term); 50..450 are for the long documents;
+        // 450..460 weigh exactly 1, 460 a hair less, 461 a hair more.
+        let mut idf: Vec<f64> = (0..462)
+            .map(|t| {
+                if t % 5 == 0 {
+                    0.0
+                } else {
+                    rng.unit_f64() * 3.0
+                }
+            })
+            .collect();
+        idf[450..460].fill(1.0);
+        (idf[460], idf[461]) = (1.0 - 1e-12, 1.0 + 1e-12);
+        // Random documents: up to 40 tokens over 40 terms, so counts
+        // above 1 and shared zero-IDF terms are the rule.
+        let mut docs: Vec<Document> = (0..30)
             .map(|i| {
                 let len = rng.range(1, 40) as usize;
                 let tokens: Vec<u32> = (0..len).map(|_| rng.below(40)).collect();
                 Document::from_tokens(format!("d{i}"), tokens)
             })
             .collect();
+        // One document a sub-multiset of another; an identical pair.
+        let once_each: Vec<u32> = docs[0].terms.iter().map(|&(t, _)| t).collect();
+        docs.push(doc(&once_each));
+        docs.push(docs[1].clone());
+        // Nothing to weigh: no terms, and zero-IDF terms only.
+        docs.push(doc(&[]));
+        docs.push(doc(&[0, 5, 5, 10]));
+        // 200-term documents: four fifths shared, and a copy.
+        let long: Vec<u32> = (50..250).collect();
+        let shifted: Vec<u32> = (90..290).collect();
+        docs.extend([doc(&long), doc(&shifted), doc(&long)]);
+        // Pairs whose similarity is *exactly* a threshold (unit weights),
+        // which `>` must call dissimilar on both paths; then a pair a
+        // hair below 0.5 and one a hair above it, which the budget's
+        // margin must leave to the exact comparison.
+        let crafted = docs.len();
+        let pairs: [(&[u32], &[u32]); 8] = [
+            (&[450, 451, 452], &[450, 453, 454]),
+            (&[450, 451, 452], &[450, 451, 453]),
+            (&[450, 450], &[450]),
+            (&[450, 451, 452, 453], &[450, 451, 452, 454]),
+            (
+                &[450, 451, 452, 453, 454, 455, 456, 457, 458],
+                &[450, 451, 452, 453, 454, 455, 456, 457, 459],
+            ),
+            (&[450, 451, 451, 452], &[450, 451, 451, 452]),
+            (&[460, 451, 452], &[460, 451, 453]),
+            (&[461, 451, 452], &[461, 451, 453]),
+        ];
+        for (a, b) in pairs {
+            docs.extend([doc(a), doc(b)]);
+        }
+        let sim_of = |pair: usize| {
+            weighted_jaccard_with(
+                &idf,
+                &docs[crafted + 2 * pair],
+                &docs[crafted + 2 * pair + 1],
+            )
+        };
+        for (pair, tau) in [0.2, 0.5, 0.5, 0.6, 0.8, 1.0].into_iter().enumerate() {
+            assert_eq!(sim_of(pair), tau, "pair {pair}");
+        }
+        assert!(sim_of(6) < 0.5 && sim_of(6) > 0.5 - 1e-9);
+        assert!(sim_of(7) > 0.5 && sim_of(7) < 0.5 + 1e-9);
+
         let weights: Vec<f64> = docs.iter().map(|d| total_weight(&idf, d)).collect();
-        for tau in [0.2, 0.5, 0.8] {
+        let mut similar = 0usize;
+        for tau in [0.0, 0.2, 0.5, 0.6, 0.8, 1.0] {
             for i in 0..docs.len() {
                 for j in 0..docs.len() {
                     let fast = similar_above(&idf, &docs[i], weights[i], &docs[j], weights[j], tau);
                     let slow = weighted_jaccard_with(&idf, &docs[i], &docs[j]) > tau;
                     assert_eq!(fast, slow, "docs {i},{j} τ {tau}");
+                    similar += fast as usize;
                 }
             }
         }
+        assert!(
+            similar > docs.len(),
+            "the inputs must exercise both answers"
+        );
+    }
+
+    /// Graph growth, result by result, over `pulled`: the join's hook
+    /// against the provided all-pairs body (a closure over the same
+    /// predicate). Returns (edges, pairs the join tested, pairs the
+    /// all-pairs loop tested).
+    fn grow_both_ways(
+        corpus: &Corpus,
+        weights: &[f64],
+        tau: f64,
+        pulled: &[Scored<DocId>],
+    ) -> (usize, u64, u64) {
+        let mut join = ThresholdJoin::new(corpus, weights, tau);
+        let predicate = ThresholdJoin::new(corpus, weights, tau);
+        let mut reference = |a: &DocId, b: &DocId| predicate.similar(a, b);
+        let (mut edges, mut joined, mut all) = (0usize, 0u64, 0u64);
+        for (arrival, new) in pulled.iter().enumerate() {
+            let earlier = &pulled[..arrival];
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let tested = join.similar_earlier(earlier, &new.item, &mut got);
+            let tested_all = reference.similar_earlier(earlier, &new.item, &mut want);
+            assert_eq!(got, want, "τ {tau}, result {arrival} of {}", pulled.len());
+            assert!(
+                tested <= tested_all,
+                "τ {tau}, result {arrival}: {tested} pairs"
+            );
+            if arrival < JOIN_FROM {
+                assert_eq!(tested, tested_all, "τ {tau}, result {arrival}");
+            }
+            edges += got.len();
+            joined += tested;
+            all += tested_all;
+        }
+        (edges, joined, all)
+    }
+
+    #[test]
+    fn the_join_names_the_all_pairs_neighbours_in_the_same_order() {
+        use crate::search::doc_weights;
+        use crate::synth::{SynthConfig, generate};
+        use divtopk_core::Score;
+        use divtopk_core::rng::Pcg;
+        for seed in 0..3 {
+            let corpus = generate(&SynthConfig::tiny().with_seed(40 + seed));
+            let weights = doc_weights(&corpus);
+            let mut rng = Pcg::new(seed);
+            for tau in [0.0, 0.3, 0.6, 1.0] {
+                for n in [0, 1, JOIN_FROM - 1, JOIN_FROM, JOIN_FROM + 1, 400] {
+                    // A random pull order over distinct documents.
+                    let mut order: Vec<DocId> = (0..corpus.num_docs() as DocId).collect();
+                    rng.shuffle(&mut order);
+                    let pulled: Vec<Scored<DocId>> = order[..n]
+                        .iter()
+                        .map(|&d| Scored::new(d, Score::ZERO))
+                        .collect();
+                    let (edges, joined, all) = grow_both_ways(&corpus, &weights, tau, &pulled);
+                    assert_eq!(all, (n * n.saturating_sub(1) / 2) as u64);
+                    if n == 400 && tau < 1.0 {
+                        assert!(edges > 50, "seed {seed} τ {tau}: only {edges} edges");
+                    }
+                    if n == 400 && tau > 0.0 {
+                        assert!(joined * 2 < all, "seed {seed} τ {tau}: {joined} of {all}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pair_sharing_only_the_last_prefix_term_is_still_a_candidate() {
+        // x = {0,1,2,3} and y = {2,3,4,5}; terms 2 and 3 are in both, so
+        // they are the more frequent and sort last in either document.
+        // At τ = 0.3 a tail holds one of the four near-equal weights, not
+        // two: the prefixes are {0,1,2} and {4,5,2}, which meet in term 2
+        // alone — the last term of each — while sim(x, y) ≈ 0.31 > τ.
+        let mut builder = crate::corpus::CorpusBuilder::with_synthetic_vocab(8);
+        let (x, y, tau) = (0, 1, 0.3);
+        builder.add_tokens("x".into(), vec![0, 1, 2, 3]);
+        builder.add_tokens("y".into(), vec![2, 3, 4, 5]);
+        for i in 0..JOIN_FROM {
+            builder.add_tokens(format!("filler{i}"), vec![6, 7]);
+        }
+        let corpus = builder.build();
+        let weights = crate::search::doc_weights(&corpus);
+        assert!(weighted_jaccard(&corpus, corpus.doc(x), corpus.doc(y)) > tau);
+        let mut join = ThresholdJoin::new(&corpus, &weights, tau);
+        let mut prefix_terms = |d: DocId| {
+            join.compute_prefix(d);
+            let terms = &corpus.doc(d).terms;
+            let mut prefix: Vec<TermId> = join
+                .prefix
+                .iter()
+                .map(|&key| terms[position(key)].0)
+                .collect();
+            prefix.sort_unstable();
+            prefix
+        };
+        assert_eq!(prefix_terms(x), [0, 1, 2]);
+        assert_eq!(prefix_terms(y), [2, 4, 5]);
+        // y arrives first, then enough fillers to engage the join, then x.
+        let zero = divtopk_core::Score::ZERO;
+        let mut pulled = vec![Scored::new(y, zero)];
+        pulled.extend((2..2 + JOIN_FROM as DocId).map(|d| Scored::new(d, zero)));
+        pulled.push(Scored::new(x, zero));
+        let (_, joined, all) = grow_both_ways(&corpus, &weights, tau, &pulled);
+        assert!(joined < all);
     }
 
     #[test]

@@ -5,17 +5,23 @@
 //! posting-list scan (single keyword, incremental); the diversified-search
 //! engine pulls results, builds the diversity graph with weighted-Jaccard
 //! similarity at threshold `τ`, and stops as early as Lemmas 1/3 allow.
+//!
+//! [`search_with_source`] holds the one `match` on the mode and the one
+//! similarity object, a [`ThresholdJoin`]: the exact modes take it whole
+//! (it names each pulled result's neighbours — DESIGN.md §4.2), `window`
+//! and `disc` call it as the predicate `sim > τ`, `mmr` and `knn` weigh
+//! the raw value instead.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use crate::index::InvertedIndex;
-use crate::jaccard::{similar_above, total_weight, weighted_jaccard};
+use crate::jaccard::{ThresholdJoin, total_weight, weighted_jaccard};
 use crate::mode::DiversifyMode;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
 use crate::ta::TaSource;
 use divtopk_core::diversify::{self, DiversifierMetrics};
-use divtopk_core::{FrameworkMetrics, Score, SearchError, SearchLimits};
+use divtopk_core::{FrameworkMetrics, Score, SearchError, SearchLimits, Similarity};
 
 /// A diversified hit.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,8 +57,9 @@ pub struct SearchOutput {
 pub struct DiversifiedSearcher<'a> {
     corpus: &'a Corpus,
     index: &'a InvertedIndex,
-    /// Per-document total IDF weight — powers the O(1) similarity
-    /// prefilter ([`similar_above`]) in the `O(|S|²)` graph construction.
+    /// Per-document total IDF weight — what
+    /// [`similar_above`](crate::jaccard::similar_above) rejects and budgets
+    /// by, and what the join cuts its prefixes against.
     doc_weights: Vec<f64>,
 }
 
@@ -140,8 +147,9 @@ impl SearchOptions {
     }
 }
 
-/// Per-document total IDF weights (`W(d)` of the [`similar_above`]
-/// prefilter), precomputed once per corpus. Exposed so long-lived owners
+/// Per-document total IDF weights (`W(d)` of
+/// [`similar_above`](crate::jaccard::similar_above) and the join's
+/// prefixes), precomputed once per corpus. Exposed so long-lived owners
 /// of a corpus — the serving engine — can share one table across queries.
 pub fn doc_weights(corpus: &Corpus) -> Vec<f64> {
     let idf = corpus.idf_table();
@@ -201,25 +209,18 @@ where
     options.validate()?;
     let (k, tau, bound_decay) = (options.k, options.tau, options.bound_decay);
     let limits = &options.limits;
-    // The thresholded view (`sim > τ` behind the O(1) weight prefilter)
-    // drives the exact modes' diversity graph, DisC and the window
-    // mode's source clustering; the raw view feeds the modes that
-    // *weigh* redundancy (MMR, KNN).
-    let above = move |a: &DocId, b: &DocId| {
-        similar_above(
-            corpus.idf_table(),
-            corpus.doc(*a),
-            weights.weight(*a),
-            corpus.doc(*b),
-            weights.weight(*b),
-            tau,
-        )
-    };
+    // The thresholded view (`sim > τ`, decided by `similar_above`) drives
+    // the exact modes' diversity graph, DisC and the window mode's source
+    // clustering; the raw view feeds the modes that *weigh* redundancy
+    // (MMR, KNN). The exact modes take the join itself, which names each
+    // pulled result's neighbours; the others call it as a predicate.
+    let join = ThresholdJoin::new(corpus, weights, tau);
+    let above = |a: &DocId, b: &DocId| join.similar(a, b);
     let value =
         move |a: &DocId, b: &DocId| weighted_jaccard(corpus, corpus.doc(*a), corpus.doc(*b));
     let out = match &options.mode {
         DiversifyMode::Exact(algorithm) => {
-            diversify::exact(source, above, *algorithm, k, limits, bound_decay)
+            diversify::exact(source, join, *algorithm, k, limits, bound_decay)
         }
         DiversifyMode::None => diversify::none(source, k, limits, bound_decay),
         DiversifyMode::Mmr(config) => {

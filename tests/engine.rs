@@ -127,63 +127,89 @@ fn sharded_scan_handles_exact_score_ties() {
     }
 }
 
+/// One keyword query on every shard count against the unsharded
+/// searcher: equal optimum, valid hits, identical hit lists when the
+/// optimum is unique. Returns how many layouts were compared hit by hit
+/// and the fewest results any of the runs pulled.
+fn sharded_ta_agrees(
+    corpus: &Corpus,
+    index: &InvertedIndex,
+    query: &KeywordQuery,
+    k: usize,
+    tau: f64,
+    case: &str,
+) -> (usize, u64) {
+    let searcher = DiversifiedSearcher::new(corpus, index);
+    let matched = matched_scores(corpus, index, &query.terms);
+    let options = SearchOptions::new(k)
+        .with_tau(tau)
+        .with_mode(DiversifyMode::Exact(ExactAlgorithm::Cut));
+    let want = searcher.search_ta(query, &options).unwrap();
+    let unique = hits_have_unique_scores(&want.hits, &matched);
+    let mut checked_identical = 0usize;
+    let mut fewest_pulled = want.metrics.results_generated;
+    for &shards in &SHARD_COUNTS {
+        let engine = Engine::new(corpus.clone(), EngineConfig::new(shards).with_threads(1));
+        let got = engine
+            .search(&Query::Keywords(query.clone()), &options)
+            .unwrap();
+        fewest_pulled = fewest_pulled.min(got.metrics.results_generated);
+        // Exactness: the sharded optimum equals the unsharded
+        // optimum (both are the full-stream optimum).
+        assert!(
+            got.total_score.approx_eq(want.total_score, 1e-9),
+            "{case} k {k} τ {tau} shards {shards}: {} vs {}",
+            got.total_score,
+            want.total_score
+        );
+        // Hits are pairwise dissimilar at this τ.
+        for i in 0..got.hits.len() {
+            for j in (i + 1)..got.hits.len() {
+                let s = weighted_jaccard(
+                    corpus,
+                    corpus.doc(got.hits[i].doc),
+                    corpus.doc(got.hits[j].doc),
+                );
+                assert!(s <= tau, "similar hits at shards {shards}");
+            }
+        }
+        // Unique optimum (unique hit scores) ⇒ identical lists.
+        if unique {
+            assert_eq!(want.hits, got.hits, "{case} k {k} τ {tau} shards {shards}");
+            checked_identical += 1;
+        }
+    }
+    (checked_identical, fewest_pulled)
+}
+
 #[test]
 fn sharded_ta_is_exact_and_deterministic() {
     let mut checked_identical = 0usize;
     for corpus_seed in [21u64, 22, 23] {
         let corpus = corpus_for(corpus_seed, 200);
         let index = InvertedIndex::build(&corpus);
-        let searcher = DiversifiedSearcher::new(&corpus, &index);
         let mut rng = Pcg::new(corpus_seed ^ 0xA5);
         for band in [1u8, 2] {
             let Some(query) = query_for_band(&corpus, band, 2, rng.next_u64()) else {
                 continue;
             };
-            let matched = matched_scores(&corpus, &index, &query.terms);
             for (k, tau) in [(4usize, 0.4f64), (6, 0.6)] {
-                let options = SearchOptions::new(k)
-                    .with_tau(tau)
-                    .with_mode(DiversifyMode::Exact(ExactAlgorithm::Cut));
-                let want = searcher.search_ta(&query, &options).unwrap();
-                let unique = hits_have_unique_scores(&want.hits, &matched);
-                for &shards in &SHARD_COUNTS {
-                    let engine =
-                        Engine::new(corpus.clone(), EngineConfig::new(shards).with_threads(1));
-                    let got = engine
-                        .search(&Query::Keywords(query.clone()), &options)
-                        .unwrap();
-                    // Exactness: the sharded optimum equals the unsharded
-                    // optimum (both are the full-stream optimum).
-                    assert!(
-                        got.total_score.approx_eq(want.total_score, 1e-9),
-                        "corpus {corpus_seed} band {band} k {k} τ {tau} shards {shards}: \
-                         {} vs {}",
-                        got.total_score,
-                        want.total_score
-                    );
-                    // Hits are pairwise dissimilar at this τ.
-                    for i in 0..got.hits.len() {
-                        for j in (i + 1)..got.hits.len() {
-                            let s = weighted_jaccard(
-                                &corpus,
-                                corpus.doc(got.hits[i].doc),
-                                corpus.doc(got.hits[j].doc),
-                            );
-                            assert!(s <= tau, "similar hits at shards {shards}");
-                        }
-                    }
-                    // Unique optimum (unique hit scores) ⇒ identical lists.
-                    if unique {
-                        assert_eq!(
-                            want.hits, got.hits,
-                            "corpus {corpus_seed} band {band} k {k} τ {tau} shards {shards}"
-                        );
-                        checked_identical += 1;
-                    }
-                }
+                let case = format!("corpus {corpus_seed} band {band}");
+                checked_identical += sharded_ta_agrees(&corpus, &index, &query, k, tau, &case).0;
             }
         }
     }
+    // One request that pulls well past the count (48) from which graph
+    // growth is the threshold join's, on every layout: the merged
+    // sources hand the join another arrival order per shard count.
+    let corpus = corpus_for(24, 1500);
+    let index = InvertedIndex::build(&corpus);
+    let query = query_for_band(&corpus, 3, 2, 1).expect("band 3");
+    let (_, fewest_pulled) = sharded_ta_agrees(&corpus, &index, &query, 20, 0.5, "long pull");
+    assert!(
+        fewest_pulled >= 3 * 48,
+        "the long pull stopped after {fewest_pulled} results"
+    );
     assert!(
         checked_identical >= 8,
         "too few distinct-score cases exercised ({checked_identical}) — \

@@ -14,7 +14,11 @@ struct Fixture {
 }
 
 fn fixture() -> Fixture {
-    let corpus = generate(&SynthConfig::tiny());
+    fixture_of(SynthConfig::tiny().num_docs)
+}
+
+fn fixture_of(num_docs: usize) -> Fixture {
+    let corpus = generate(&SynthConfig::tiny().with_num_docs(num_docs));
     let index = InvertedIndex::build(&corpus);
     Fixture { corpus, index }
 }
@@ -200,6 +204,38 @@ fn metrics_are_consistent() {
     assert!(m.results_generated >= out.hits.len() as u64);
     // n results → at most n(n-1)/2 similarity checks.
     let n = m.results_generated;
-    assert!(m.similarity_checks <= n * (n.saturating_sub(1)) / 2 + n);
+    assert!(m.similarity_checks <= n * n.saturating_sub(1) / 2);
     assert!(m.search.astar_calls >= m.inner_searches || m.inner_searches == 0);
+}
+
+/// Three times the result count at which `text::jaccard`'s threshold
+/// join takes graph growth over from the all-pairs loop (its private
+/// `JOIN_FROM`, 48): a pull this long cannot fall back under it unnoticed.
+const WELL_PAST_THE_JOIN: u64 = 3 * 48;
+
+#[test]
+fn a_pull_well_past_the_join_threshold_matches_offline() {
+    // The oracle shares no code with the join: `offline` grows its graph
+    // from raw `weighted_jaccard(..) > τ` over every pair of matching
+    // documents and solves it with `div_cut`.
+    let fix = fixture_of(1500);
+    let searcher = DiversifiedSearcher::new(&fix.corpus, &fix.index);
+    let query = query_for_band(&fix.corpus, 3, 2, 1).expect("band 3");
+    for tau in [0.3, 0.6] {
+        let out = searcher
+            .search_ta(&query, &SearchOptions::new(20).with_tau(tau))
+            .unwrap();
+        let n = out.metrics.results_generated;
+        assert!(n >= WELL_PAST_THE_JOIN, "τ {tau}: only {n} results pulled");
+        assert!(
+            out.metrics.similarity_checks < n * (n - 1) / 2,
+            "τ {tau}: the join never engaged"
+        );
+        let want = offline(&fix, &query.terms, 20, tau);
+        assert!(
+            out.total_score.approx_eq(want, 1e-9),
+            "τ {tau}: got {} want {want}",
+            out.total_score
+        );
+    }
 }

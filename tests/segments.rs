@@ -87,6 +87,7 @@ fn hits_have_unique_scores(
 #[test]
 fn random_interleavings_serve_exactly_the_rebuilt_index() {
     let mut ta_identical = 0usize;
+    let mut longest_pull = 0u64;
     for seed in [3u64, 5, 8] {
         let (base, mut pool) = base_and_pool(seed, 130, 70);
         let terms = interesting_terms(&base, 3);
@@ -127,9 +128,15 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
                     // Total equality: hits, scores, AND all framework
                     // metrics (results pulled, inner searches, early stop).
                     assert_eq!(want, got, "seed {seed} step {step} term {term} k {k}");
+                    longest_pull = longest_pull.max(got.metrics.results_generated);
                 }
                 let want = searcher.search_ta(&ta_query, &options).unwrap();
                 let got = seg.search_ta(&ta_query, &options).unwrap();
+                longest_pull = longest_pull.max(
+                    got.metrics
+                        .results_generated
+                        .min(want.metrics.results_generated),
+                );
                 assert!(
                     got.total_score.approx_eq(want.total_score, 1e-9),
                     "seed {seed} step {step} k {k}: TA optimum {} vs rebuilt {}",
@@ -160,6 +167,13 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
     assert!(
         ta_identical >= 20,
         "too few unique-optimum TA cases exercised ({ta_identical})"
+    );
+    // Past 48 results graph growth is the threshold join's: some compared
+    // query must get there on both layouts, or this suite no longer holds
+    // the join to the rebuilt index.
+    assert!(
+        longest_pull > 48,
+        "no compared query pulled past the join threshold (longest: {longest_pull})"
     );
 }
 
