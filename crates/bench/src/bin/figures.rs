@@ -546,6 +546,9 @@ fn ms_cell(m: &Measurement) -> String {
 /// tests all pairs: same hits, same `FrameworkMetrics` but for
 /// `similarity_checks`, both counts printed, and on the TA shape (which
 /// pulls past the join's threshold at every scale) fewer via the mode.
+/// Beside each time the table prints the two counts that explain it —
+/// results pulled and similarity evaluations — and no pool mode may have
+/// run an inner search: their top-k / top-4k pull is a loop.
 fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
     const K: usize = 10;
     let docs = ((4000.0 * ctx.scale) as usize).max(400);
@@ -646,13 +649,22 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
             "{shape}: the threshold join tested no fewer pairs than all-pairs growth"
         );
 
+        for mode in &modes[1..] {
+            let searched = run(mode).map(|out| out.metrics.inner_searches);
+            assert!(
+                matches!(searched, None | Some(0)),
+                "{shape}: {} ran {searched:?} inner searches for a plain pull",
+                mode.name()
+            );
+        }
+
         let mut rows = Vec::new();
         // (total score, seconds) of exact-cut, which runs first.
         let mut exact: Option<(f64, f64)> = None;
         for mode in &modes {
             let (m, out) = measure_median(|| run(mode));
             let (Measurement::Done { time, .. }, Some(out)) = (m, out) else {
-                rows.push((mode.name().to_string(), vec!["INF".to_string(); 5]));
+                rows.push((mode.name().to_string(), vec!["INF".to_string(); 7]));
                 continue;
             };
             let wall = time.as_secs_f64();
@@ -681,23 +693,38 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
                     format!("{violations}"),
                     ms_cell(&m),
                     format!("{speedup:.3}x"),
+                    format!("{}", out.metrics.results_generated),
+                    // Graph-growth tests for exact, rerank evaluations
+                    // for the pool modes: one of the two is always 0.
+                    format!(
+                        "{}",
+                        out.metrics.similarity_checks + out.diversifier.sim_evaluations
+                    ),
                 ],
             ));
         }
         print_table(
             &format!("{shape} (median of {TIMED_RUNS})"),
             "mode",
-            &["score", "gap", "τ-violations", "time (ms)", "vs exact-cut"],
+            &[
+                "score",
+                "gap",
+                "τ-violations",
+                "time (ms)",
+                "vs exact-cut",
+                "pulled",
+                "sim evals",
+            ],
             &rows,
         );
     }
     println!("(gap = (exact − mode) / exact; negative = more raw score by breaking τ)");
     // Smaller corpora are too quick for stable timing ratios; at full
-    // scale `disc` measures ~3.5x on the TA shape.
+    // scale `disc` measures 33–38x and `mmr` 20–25x on the TA shape.
     if ctx.scale >= 1.0 {
         assert!(
-            best_feasible_speedup >= 2.0,
-            "no τ-respecting cheap mode reached 2x over Exact(Cut) (best {best_feasible_speedup:.2}x)"
+            best_feasible_speedup >= 10.0,
+            "no τ-respecting cheap mode reached 10x over Exact(Cut) (best {best_feasible_speedup:.2}x)"
         );
     }
 }

@@ -10,13 +10,17 @@
 //! `idf(w) · max(c1, c2)` to the denominator.
 //!
 //! Beside the value ([`weighted_jaccard`], [`weighted_jaccard_with`]) the
-//! module holds the two halves of the threshold join that grows the
-//! diversity graph (DESIGN.md §4.2), both exact by construction:
-//! [`similar_above`], the predicate `sim > τ` with a merge that stops
-//! once the pair can no longer reach `τ`, which every predicate mode
-//! calls; and [`ThresholdJoin`], that predicate as the exact framework's
-//! [`Similarity`], which finds each pulled result's neighbours through a
-//! prefix-filter index instead of testing every earlier result.
+//! module holds what lets a search stop computing it (DESIGN.md §4.2),
+//! all exact by construction. [`weighted_jaccard_above`] is the value
+//! *only if it exceeds a floor*, through a merge that stops once the pair
+//! can no longer reach the floor: `mmr` and `knn` ask it with what a
+//! candidate already holds, and [`similar_above`], the predicate
+//! `sim > τ` every predicate mode calls, is the same function with the
+//! value dropped. [`ThresholdJoin`] is that predicate as the exact
+//! framework's [`Similarity`], which finds each pulled result's
+//! neighbours through a prefix-filter index instead of testing every
+//! earlier result. All of them run one merge loop, whose step is
+//! branch-free.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
@@ -44,26 +48,9 @@ pub fn total_weight(idf: &[f64], d: &Document) -> f64 {
         .sum()
 }
 
-/// `sim(d1, d2) > τ`, decided without finishing the merge when it can be.
+/// `sim(d1, d2) > τ`, decided without finishing the merge when it can be:
+/// [`weighted_jaccard_above`] with `τ` as the floor, the value dropped.
 /// `w1`/`w2` are the documents' [`total_weight`] values.
-///
-/// Two rejections precede the exact answer, neither of which can change
-/// it. First the O(1) weight-ratio test of [`total_weight`]. Then a
-/// budget on the merge itself: with `S = w1 + w2 = union + inter`,
-///
-/// ```text
-/// sim > τ  ⟺  inter > τ·union  ⟺  union − inter < S·(1 − τ)/(1 + τ)
-/// ```
-///
-/// and `union − inter` — the weight of the symmetric difference — never
-/// decreases along the merge, so the pair is rejected as soon as the
-/// running difference passes that budget times `1 + 1e-9`. The margin is
-/// some 10⁴ times the rounding error of a few hundred positive adds, so
-/// a pair anywhere near the threshold (one *at* it included) always
-/// reaches the end of the merge, where the same two accumulators, filled
-/// in the same order as [`weighted_jaccard_with`] fills them, are
-/// compared by the same expression: the result is that function's
-/// `> tau`, bit for bit.
 pub fn similar_above(
     idf: &[f64],
     d1: &Document,
@@ -72,15 +59,56 @@ pub fn similar_above(
     w2: f64,
     tau: f64,
 ) -> bool {
+    weighted_jaccard_above(idf, d1, w1, d2, w2, tau).is_some()
+}
+
+/// The value only as far as it can matter: `Some(sim(d1, d2))` iff
+/// `sim > floor`, without finishing the merge when the answer is `None`.
+/// The value is [`weighted_jaccard_with`]'s bit for bit; a negative floor
+/// asks unconditionally (`Some` for every pair). `w1`/`w2` are the
+/// documents' [`total_weight`] values.
+///
+/// Two rejections precede the exact answer, neither of which can change
+/// it. First the O(1) weight-ratio test of [`total_weight`]. Then a
+/// budget on the merge itself: with `S = w1 + w2 = union + inter`,
+///
+/// ```text
+/// sim > f  ⟺  inter > f·union  ⟺  union − inter < S·(1 − f)/(1 + f)
+/// ```
+///
+/// and `union − inter` — the weight of the symmetric difference — never
+/// decreases along the merge, so the pair is rejected as soon as the
+/// running difference passes that budget plus `1e-9·S`. The guard band
+/// is relative to `S`, not to the budget: the rounding error of the two
+/// accumulators is a few hundred ulps *of `S`* (≈ 3·10⁻¹⁴·S) whatever
+/// the floor, while the budget itself vanishes as `f → 1` — and the
+/// floor is data here (a candidate's `max_sim` among near-identical
+/// documents), not a client's constant. The band is some 10⁴ times that
+/// error for every floor in `[0, 1]`, so a pair anywhere near the floor
+/// (one *at* it included) always reaches the end of the merge, where the
+/// same two accumulators, filled in the same order as
+/// [`weighted_jaccard_with`] fills them, are compared by the same
+/// expression: the verdict is that function's `> floor`, bit for bit.
+pub fn weighted_jaccard_above(
+    idf: &[f64],
+    d1: &Document,
+    w1: f64,
+    d2: &Document,
+    w2: f64,
+    floor: f64,
+) -> Option<f64> {
+    if floor < 0.0 {
+        return Some(weighted_jaccard_with(idf, d1, d2));
+    }
     let (lo, hi) = if w1 <= w2 { (w1, w2) } else { (w2, w1) };
-    if hi <= 0.0 || lo / hi <= tau {
-        return false;
+    if hi <= 0.0 || lo / hi <= floor {
+        return None;
     }
-    let budget = (w1 + w2) * (1.0 - tau) / (1.0 + tau) * (1.0 + 1e-9);
-    match merge::<true>(idf, d1, d2, budget) {
-        Some((inter, union)) => ratio(inter, union) > tau,
-        None => false,
-    }
+    let total = w1 + w2;
+    let budget = total * (1.0 - floor) / (1.0 + floor) + 1e-9 * total;
+    let (inter, union) = merge::<true>(idf, d1, d2, budget)?;
+    let sim = ratio(inter, union);
+    (sim > floor).then_some(sim)
 }
 
 /// Eq. 4 with an explicit per-term weight table.
@@ -98,6 +126,18 @@ fn ratio(inter: f64, union: f64) -> f64 {
 /// intersection and union. With `BUDGETED`, gives up (`None`) once
 /// `union − inter` exceeds `budget`; the accumulators are the same either
 /// way.
+///
+/// Which side advances is data, not a branch: with `le = (ta ≤ tb)` and
+/// `ge = (tb ≤ ta)` as integers the step weighs term `min(ta, tb)`, adds
+/// `max(ca, cb)` of it to the union and `min(ca, cb)` to the intersection
+/// when both hold and the advancing side's count to the union alone when
+/// one does, then moves `i` by `le` and `j` by `ge`. The products that
+/// reach the two accumulators, and their order, are those of a three-way
+/// `match` on `ta.cmp(&tb)` (`x + 0.0` is `x` on a non-negative sum), so
+/// every value is that merge's bit for bit — `tests::merge_by_match` is
+/// that merge, kept as the reference — while the comparison of two
+/// interleaved sorted lists, which a predictor gets wrong every other
+/// step, costs no misprediction.
 #[inline(always)]
 fn merge<const BUDGETED: bool>(
     idf: &[f64],
@@ -112,23 +152,14 @@ fn merge<const BUDGETED: bool>(
     while i < a.len() && j < b.len() {
         let (ta, ca) = a[i];
         let (tb, cb) = b[j];
-        match ta.cmp(&tb) {
-            std::cmp::Ordering::Less => {
-                union += idf[ta as usize] * ca as f64;
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                union += idf[tb as usize] * cb as f64;
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                let w = idf[ta as usize];
-                inter += w * ca.min(cb) as f64;
-                union += w * ca.max(cb) as f64;
-                i += 1;
-                j += 1;
-            }
-        }
+        let (le, ge) = ((ta <= tb) as u32, (tb <= ta) as u32);
+        let w = idf[ta.min(tb) as usize];
+        let in_union = (le * ca + (1 - le) * cb).max(le * ge * cb);
+        let in_inter = le * ge * ca.min(cb);
+        inter += w * in_inter as f64;
+        union += w * in_union as f64;
+        i += le as usize;
+        j += ge as usize;
         if BUDGETED && union - inter > budget {
             return None;
         }
@@ -384,14 +415,18 @@ mod tests {
         assert_eq!(weighted_jaccard_with(&idf, &doc(&[]), &doc(&[])), 0.0);
     }
 
-    #[test]
-    fn prefilter_agrees_with_full_computation() {
+    /// An IDF table and documents that exercise every shape of merge,
+    /// plus the index of the first *crafted* document (pairs at, just
+    /// below and just above a threshold) and of the first *twin*
+    /// (2 000-term near-identical pairs).
+    fn assorted() -> (Vec<f64>, Vec<Document>, usize, usize) {
         use divtopk_core::rng::Pcg;
         let mut rng = Pcg::new(31);
         // Terms 0..40 carry random weights, every fifth of them none
         // (a zero-IDF term); 50..450 are for the long documents;
-        // 450..460 weigh exactly 1, 460 a hair less, 461 a hair more.
-        let mut idf: Vec<f64> = (0..462)
+        // 450..460 weigh exactly 1, 460 a hair less, 461 a hair more;
+        // 500..2500 are for the twins.
+        let mut idf: Vec<f64> = (0..2500)
             .map(|t| {
                 if t % 5 == 0 {
                     0.0
@@ -443,6 +478,67 @@ mod tests {
         for (a, b) in pairs {
             docs.extend([doc(a), doc(b)]);
         }
+        // Twins: 2 000 terms, the second document without one of them —
+        // a term that weighs 10⁻⁵ to 10⁻¹¹ of the whole and comes early
+        // in the merge, midway or late — so sim ≥ 0.9999 and the merge
+        // budget of a floor near that similarity is a vanishing share of
+        // `S`, reached (or not) long before the accumulators stop moving.
+        let twins = docs.len();
+        let all: Vec<u32> = (500..2500).collect();
+        let dropped = [
+            (501, 3e-2),
+            (1502, 3e-4),
+            (2498, 3e-6),
+            (503, 3e-6),
+            (509, 3e-6),
+            (517, 3e-6),
+            (523, 3e-6),
+            (531, 3e-8),
+            (547, 3e-8),
+            (553, 3e-8),
+            (1004, 3e-8),
+            (1013, 3e-8),
+        ];
+        for (at, weight) in dropped {
+            idf[at as usize] = weight;
+        }
+        for (at, _) in dropped {
+            let without: Vec<u32> = all.iter().copied().filter(|&t| t != at).collect();
+            docs.extend([doc(&all), doc(&without)]);
+        }
+        (idf, docs, crafted, twins)
+    }
+
+    /// The neighbours of `x` among the doubles, nearest first: a few ulps
+    /// below it and a few above.
+    fn ulps_around(x: f64) -> Vec<f64> {
+        let step = |from: f64, up: bool| {
+            if from == 0.0 {
+                if up {
+                    f64::from_bits(1)
+                } else {
+                    -f64::from_bits(1)
+                }
+            } else if (from > 0.0) == up {
+                f64::from_bits(from.to_bits() + 1)
+            } else {
+                f64::from_bits(from.to_bits() - 1)
+            }
+        };
+        let mut out = Vec::new();
+        for up in [false, true] {
+            let mut at = x;
+            for _ in 0..4 {
+                at = step(at, up);
+                out.push(at);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn prefilter_agrees_with_full_computation() {
+        let (idf, docs, crafted, twins) = assorted();
         let sim_of = |pair: usize| {
             weighted_jaccard_with(
                 &idf,
@@ -472,6 +568,137 @@ mod tests {
             similar > docs.len(),
             "the inputs must exercise both answers"
         );
+
+        // The floor as data: near-identical long documents asked with
+        // floors a few ulps either side of their own similarity, where
+        // the budget is ~10⁻⁵…10⁻⁹ of `S` and a guard band relative to
+        // the *budget* would be smaller than the accumulators' rounding.
+        for pair in (twins..docs.len()).step_by(2) {
+            let (i, j) = (pair, pair + 1);
+            let sim = weighted_jaccard_with(&idf, &docs[i], &docs[j]);
+            assert!((0.9999..1.0).contains(&sim), "twins {i},{j}: {sim}");
+            for floor in ulps_around(sim).into_iter().chain([sim]) {
+                for (a, b) in [(i, j), (j, i)] {
+                    assert_eq!(
+                        similar_above(&idf, &docs[a], weights[a], &docs[b], weights[b], floor),
+                        sim > floor,
+                        "twins {a},{b}: sim {sim:e}, floor {floor:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_value_above_a_floor_is_the_full_value_filtered_by_it() {
+        let (idf, docs, _, _) = assorted();
+        let weights: Vec<f64> = docs.iter().map(|d| total_weight(&idf, d)).collect();
+        let (mut some, mut none) = (0usize, 0usize);
+        for i in 0..docs.len() {
+            for j in 0..docs.len() {
+                let sim = weighted_jaccard_with(&idf, &docs[i], &docs[j]);
+                let mut floors = vec![-1.0, -f64::MIN_POSITIVE, 0.0, sim, 1.0];
+                floors.extend(ulps_around(sim));
+                for floor in floors {
+                    let got = weighted_jaccard_above(
+                        &idf, &docs[i], weights[i], &docs[j], weights[j], floor,
+                    );
+                    let want = (sim > floor).then_some(sim);
+                    assert_eq!(
+                        got.map(f64::to_bits),
+                        want.map(f64::to_bits),
+                        "docs {i},{j}: sim {sim:e}, floor {floor:e}"
+                    );
+                    some += got.is_some() as usize;
+                    none += got.is_none() as usize;
+                }
+            }
+        }
+        assert!(some > docs.len() && none > docs.len());
+    }
+
+    /// The merge as a three-way `match` on the term comparison — what the
+    /// branch-free step of [`merge`] replaced, kept as its reference.
+    fn merge_by_match<const BUDGETED: bool>(
+        idf: &[f64],
+        d1: &Document,
+        d2: &Document,
+        budget: f64,
+    ) -> Option<(f64, f64)> {
+        let mut inter = 0.0f64;
+        let mut union = 0.0f64;
+        let (a, b) = (&d1.terms, &d2.terms);
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            let (ta, ca) = a[i];
+            let (tb, cb) = b[j];
+            match ta.cmp(&tb) {
+                std::cmp::Ordering::Less => {
+                    union += idf[ta as usize] * ca as f64;
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    union += idf[tb as usize] * cb as f64;
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    let w = idf[ta as usize];
+                    inter += w * ca.min(cb) as f64;
+                    union += w * ca.max(cb) as f64;
+                    i += 1;
+                    j += 1;
+                }
+            }
+            if BUDGETED && union - inter > budget {
+                return None;
+            }
+        }
+        for &(t, c) in &a[i..] {
+            union += idf[t as usize] * c as f64;
+        }
+        for &(t, c) in &b[j..] {
+            union += idf[t as usize] * c as f64;
+        }
+        Some((inter, union))
+    }
+
+    #[test]
+    fn the_branch_free_step_is_the_three_way_match() {
+        // Random multisets with counts above 1, an empty document, an
+        // identical pair, disjoint pairs, a sub-multiset — `assorted` has
+        // them all; every ordered pair, unbudgeted and under budgets from
+        // "exits on the first step" to "never exits".
+        let (idf, docs, _, _) = assorted();
+        let bits =
+            |r: Option<(f64, f64)>| r.map(|(inter, union)| (inter.to_bits(), union.to_bits()));
+        let (mut finished, mut gave_up) = (0usize, 0usize);
+        for d1 in &docs {
+            for d2 in &docs {
+                let full = merge::<false>(&idf, d1, d2, f64::INFINITY);
+                assert_eq!(
+                    bits(full),
+                    bits(merge_by_match::<false>(&idf, d1, d2, f64::INFINITY)),
+                    "{} vs {}",
+                    d1.title,
+                    d2.title
+                );
+                let (inter, union) = full.expect("unbudgeted");
+                for share in [0.0, 0.01, 0.3, 0.7, 1.0, 1.5] {
+                    let budget = (union - inter) * share;
+                    let got = merge::<true>(&idf, d1, d2, budget);
+                    assert_eq!(
+                        bits(got),
+                        bits(merge_by_match::<true>(&idf, d1, d2, budget)),
+                        "{} vs {} under budget {budget}",
+                        d1.title,
+                        d2.title
+                    );
+                    finished += got.is_some() as usize;
+                    gave_up += got.is_none() as usize;
+                }
+            }
+        }
+        assert!(finished > docs.len() && gave_up > docs.len());
     }
 
     /// Graph growth, result by result, over `pulled`: the join's hook

@@ -68,7 +68,8 @@ pub mod prelude {
     pub use crate::document::{DocId, Document, TermId};
     pub use crate::index::{InvertedIndex, Posting};
     pub use crate::jaccard::{
-        similar_above, total_weight, weighted_jaccard, weighted_jaccard_with,
+        similar_above, total_weight, weighted_jaccard, weighted_jaccard_above,
+        weighted_jaccard_with,
     };
     pub use crate::mode::{DiversifyMode, KnnConfig, MmrConfig, WindowConfig};
     pub use crate::persist::SnapshotError;

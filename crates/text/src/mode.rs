@@ -40,18 +40,20 @@ impl Default for KnnConfig {
 ///
 /// All modes are deterministic (seed-free, doc-id tie-breaks) and all go
 /// through the same result sources and admission checks; they differ in
-/// guarantee and cost:
+/// guarantee and cost (only `Exact` runs the §4 framework, so only it
+/// can trip a budget other than the deadline):
 ///
 /// * [`Exact`](DiversifyMode::Exact) — the paper's exact diversified
 ///   top-k (max total score s.t. pairwise similarity ≤ τ), via
 ///   div-astar/dp/cut under Lemma-1/3 early stopping. The quality
 ///   oracle; NP-hard inner searches.
 /// * [`None`](DiversifyMode::None) — diversity off: the plain relevance
-///   top-k through the same machinery (edgeless diversity graph). The
-///   relevance oracle.
+///   top-k (score descending, doc id as tie-break), pulled by a loop
+///   that stops when the k-th score reaches the source's unseen bound —
+///   no diversity graph, no inner search. The relevance oracle.
 /// * [`Mmr`](DiversifyMode::Mmr) — greedy marginal-relevance rerank of
-///   an oversampled top-`4k` pool; penalizes redundancy, never forbids
-///   it.
+///   an oversampled top-`4k` pool (pulled by that same loop, like every
+///   rerank mode's); penalizes redundancy, never forbids it.
 /// * [`Window`](DiversifyMode::Window) — sliding-window max-per-source
 ///   spread with a score floor and deterministic rotations; the
 ///   production-cheap mode.

@@ -10,12 +10,16 @@
 //! similarity object, a [`ThresholdJoin`]: the exact modes take it whole
 //! (it names each pulled result's neighbours — DESIGN.md §4.2), `window`
 //! and `disc` call it as the predicate `sim > τ`, `mmr` and `knn` weigh
-//! the raw value instead.
+//! the raw value instead — asked only as far as it can matter
+//! ([`weighted_jaccard_above`]). Only the exact modes run the §4
+//! framework; `none` and the four rerank modes pull their plain top-k /
+//! top-`4k` with a loop that stops on the source's unseen bound, so of
+//! the options' budgets the deadline is the one they can trip.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use crate::index::InvertedIndex;
-use crate::jaccard::{ThresholdJoin, total_weight, weighted_jaccard};
+use crate::jaccard::{ThresholdJoin, total_weight, weighted_jaccard_above};
 use crate::mode::DiversifyMode;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
@@ -73,10 +77,12 @@ pub struct SearchOptions {
     /// Which diversification strategy runs — exact, a cheap rerank mode,
     /// or diversity off. See [`DiversifyMode`].
     pub mode: DiversifyMode,
-    /// Budgets for each inner search (`INF` emulation when exceeded).
+    /// Budgets for each inner search (`INF` emulation when exceeded);
+    /// the time budget also covers the pulls, in every mode.
     pub limits: SearchLimits,
     /// Framework bound-decay throttle (0.0 = the paper's per-result
-    /// checking; see `DivSearchConfig::min_bound_decay`).
+    /// checking; see `DivSearchConfig::min_bound_decay`). Only the exact
+    /// modes re-search, so only they read it.
     pub bound_decay: f64,
 }
 
@@ -207,32 +213,31 @@ where
     W: WeightTable + ?Sized,
 {
     options.validate()?;
-    let (k, tau, bound_decay) = (options.k, options.tau, options.bound_decay);
+    let (k, tau) = (options.k, options.tau);
     let limits = &options.limits;
     // The thresholded view (`sim > τ`, decided by `similar_above`) drives
     // the exact modes' diversity graph, DisC and the window mode's source
     // clustering; the raw view feeds the modes that *weigh* redundancy
-    // (MMR, KNN). The exact modes take the join itself, which names each
-    // pulled result's neighbours; the others call it as a predicate.
+    // (MMR, KNN), which ask for a value only if it exceeds what the
+    // candidate already holds. The exact modes take the join itself,
+    // which names each pulled result's neighbours; the others call it as
+    // a predicate.
     let join = ThresholdJoin::new(corpus, weights, tau);
     let above = |a: &DocId, b: &DocId| join.similar(a, b);
-    let value =
-        move |a: &DocId, b: &DocId| weighted_jaccard(corpus, corpus.doc(*a), corpus.doc(*b));
+    let idf = corpus.idf_table();
+    let value = |a: &DocId, b: &DocId, floor: f64| {
+        let (wa, wb) = (weights.weight(*a), weights.weight(*b));
+        weighted_jaccard_above(idf, corpus.doc(*a), wa, corpus.doc(*b), wb, floor)
+    };
     let out = match &options.mode {
         DiversifyMode::Exact(algorithm) => {
-            diversify::exact(source, join, *algorithm, k, limits, bound_decay)
+            diversify::exact(source, join, *algorithm, k, limits, options.bound_decay)
         }
-        DiversifyMode::None => diversify::none(source, k, limits, bound_decay),
-        DiversifyMode::Mmr(config) => {
-            diversify::mmr(source, value, config.lambda, k, limits, bound_decay)
-        }
-        DiversifyMode::Window(config) => {
-            diversify::window(source, above, config, k, limits, bound_decay)
-        }
-        DiversifyMode::Disc => diversify::disc(source, above, k, limits, bound_decay),
-        DiversifyMode::Knn(config) => {
-            diversify::knn(source, value, config.neighbors, k, limits, bound_decay)
-        }
+        DiversifyMode::None => diversify::none(source, k, limits),
+        DiversifyMode::Mmr(config) => diversify::mmr(source, value, config.lambda, k, limits),
+        DiversifyMode::Window(config) => diversify::window(source, above, config, k, limits),
+        DiversifyMode::Disc => diversify::disc(source, above, k, limits),
+        DiversifyMode::Knn(config) => diversify::knn(source, value, config.neighbors, k, limits),
     }?;
     let hits = out
         .selected

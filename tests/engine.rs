@@ -311,3 +311,38 @@ fn sharded_total_scores_never_drift_from_zero() {
         assert_eq!(got.total_score, Score::ZERO); // idf of a 1-doc corpus
     }
 }
+
+#[test]
+fn a_plain_top_k_in_the_hundreds_pulls_k_results_and_searches_nothing() {
+    // `none` is a pull loop, not a framework run over an edgeless graph:
+    // asked for k of a term's ≥ k postings it pulls k and stops on the
+    // bound, whatever k is. A count, not a timing: an inner search here
+    // folds k singleton components at O(k²) each (over 100 ms at
+    // k = 640), which is the "one frame pins a slot" class.
+    let corpus = corpus_for(17, 4_000);
+    let index = InvertedIndex::build(&corpus);
+    let busiest = (0..corpus.num_terms() as TermId)
+        .max_by_key(|&t| index.postings(t).len())
+        .expect("a term");
+    let postings = index.postings(busiest).len();
+    assert!(postings >= 640, "busiest term has {postings} postings");
+    for &shards in &SHARD_COUNTS {
+        let engine = Engine::new(corpus.clone(), EngineConfig::new(shards).with_threads(1));
+        for k in [160, 640, postings] {
+            let options = SearchOptions::new(k).with_mode(DiversifyMode::None);
+            let out = engine.search(&Query::Scan(busiest), &options).unwrap();
+            let case = format!("{shards} shards, k {k}");
+            assert_eq!(out.hits.len(), k, "{case}");
+            assert!(out.hits.windows(2).all(|w| w[0].score >= w[1].score));
+            assert_eq!(out.metrics.results_generated, k as u64, "{case}");
+            assert_eq!(out.metrics.inner_searches, 0, "{case}");
+            assert_eq!(out.metrics.similarity_checks, 0, "{case}");
+            assert_eq!(out.diversifier.candidates_pulled, k as u64, "{case}");
+        }
+        // A rerank mode's pool is the same pull, for 4k.
+        let pooled = SearchOptions::new(40).with_mode(DiversifyMode::Disc);
+        let out = engine.search(&Query::Scan(busiest), &pooled).unwrap();
+        assert_eq!(out.metrics.inner_searches, 0, "{shards} shards");
+        assert_eq!(out.metrics.results_generated, 160, "{shards} shards");
+    }
+}

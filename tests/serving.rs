@@ -678,6 +678,9 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
         DiversifyMode::exact(),
         DiversifyMode::None,
         DiversifyMode::mmr(0.7),
+        DiversifyMode::window(),
+        DiversifyMode::Disc,
+        DiversifyMode::knn(),
     ] {
         let options = SearchOptions::new(num_docs)
             .with_tau(0.5)
