@@ -22,6 +22,9 @@
 //!   gap, τ-violations, speedup (DESIGN.md §15)
 //! * `ablation` — AB1–AB4, each variant's optimum asserted equal
 //!   (DESIGN.md §6)
+//! * `hits` — every answer and counter of a fixed request set on the
+//!   `neardup_modes` corpus, one line per request: diff two builds' runs
+//!   to show a change left answers alone
 //!
 //! `all` runs the paper's figures; `quick` is a capped smoke subset. The
 //! names live in [`EXPERIMENTS`] and nowhere else.
@@ -729,6 +732,94 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
     }
 }
 
+/// The answer dump: one line per request of a fixed request set on the
+/// `benchmarks/e2e` `neardup_modes` corpus — the query, mode and k, then
+/// every hit with the bits of its score, the bits of the total, and every
+/// `FrameworkMetrics` / `DiversifierMetrics` field. Seed-deterministic and
+/// untimed, so a change that claims "same answers, same counters" diffs
+/// its run against the parent's. Requests: six modes (exact at k ≤ 20
+/// only) × k ∈ {7, 20, 80} × every scan term of df ≥ 200 (one in
+/// `1/--scale` of them), plus 40 two-term queries drawn from those terms.
+fn hits(_ds: &mut Datasets, ctx: &Ctx) {
+    use divtopk_core::rng::Pcg;
+    // `neardup_modes`: the first 20 000 of 28 192 near-duplicate-heavy
+    // enwiki-like documents, τ = 0.5, the harness's bound decay.
+    let donor = generate(
+        &SynthConfig {
+            near_dup_prob: 0.6,
+            ..SynthConfig::enwiki_like()
+        }
+        .with_num_docs(28_192),
+    );
+    let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
+    for d in 0..20_000 {
+        builder.add_document(donor.doc(d).clone());
+    }
+    let corpus = builder.build();
+    let index = InvertedIndex::build(&corpus);
+    let searcher = DiversifiedSearcher::new(&corpus, &index);
+    let stride = (1.0 / ctx.scale).round().max(1.0) as usize;
+    let terms: Vec<TermId> = (0..corpus.num_terms() as TermId)
+        .filter(|&t| corpus.doc_freq(t) >= 200)
+        .step_by(stride)
+        .collect();
+    assert!(terms.len() >= 2, "fewer than two df ≥ 200 terms");
+    let mut queries: Vec<KeywordQuery> = terms
+        .iter()
+        .map(|&t| KeywordQuery { terms: vec![t] })
+        .collect();
+    let mut rng = Pcg::new(QUERY_SEED);
+    while queries.len() < terms.len() + 40 {
+        let (a, b) = (*rng.choose(&terms).unwrap(), *rng.choose(&terms).unwrap());
+        if a != b {
+            queries.push(KeywordQuery {
+                terms: vec![a.min(b), a.max(b)],
+            });
+        }
+    }
+    let modes = [
+        DiversifyMode::exact(),
+        DiversifyMode::None,
+        DiversifyMode::mmr(0.7),
+        DiversifyMode::window(),
+        DiversifyMode::Disc,
+        DiversifyMode::knn(),
+    ];
+    eprintln!("[hits] {} scan terms + 40 two-term queries", terms.len());
+    for query in &queries {
+        for k in [7, 20, 80] {
+            for mode in &modes {
+                if k == 80 && matches!(mode, DiversifyMode::Exact(_)) {
+                    continue;
+                }
+                let options = SearchOptions::new(k)
+                    .with_tau(0.5)
+                    .with_bound_decay(0.005)
+                    .with_mode(mode.clone());
+                let out = match query.terms[..] {
+                    [term] => searcher.search_scan(term, &options),
+                    _ => searcher.search_ta(query, &options),
+                }
+                .expect("no limits set");
+                let hits: Vec<String> = out
+                    .hits
+                    .iter()
+                    .map(|h| format!("{}:{:016x}", h.doc, h.score.get().to_bits()))
+                    .collect();
+                println!(
+                    "{:?} {} k={k} total={:016x} hits=[{}] {:?} {:?}",
+                    query.terms,
+                    mode.name(),
+                    out.total_score.get().to_bits(),
+                    hits.join(" "),
+                    out.metrics,
+                    out.diversifier
+                );
+            }
+        }
+    }
+}
+
 /// One ablation variant: its label and a run returning the optimum and
 /// the counter the table shows beside the time.
 type Variant<'a> = (&'a str, &'a dyn Fn() -> (Score, String));
@@ -893,6 +984,7 @@ const EXPERIMENTS: &[(&str, bool, Experiment)] = &[
     ("quality", false, quality),
     ("frontier", false, frontier),
     ("ablation", false, ablation),
+    ("hits", false, hits),
 ];
 
 /// The `quick` smoke subset (scale and budget are capped as well).

@@ -580,25 +580,51 @@ mod tests {
 
     #[test]
     fn gate_never_lets_more_than_workers_inside() {
+        // Properties of the gate, not of the host's scheduling: every
+        // attempt is answered one way or the other, no more than
+        // `workers` are ever inside, and a thread that keeps asking gets
+        // in — a refused `enter` returns rather than blocks, so the retry
+        // loop ends once the others let go.
         let gate = Gate::new(2, 3);
         let inside = AtomicUsize::new(0);
-        let admitted = AtomicUsize::new(0);
+        let (admitted, refused) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let visit = || {
+            assert!(inside.fetch_add(1, Ordering::SeqCst) < 2);
+            std::thread::yield_now();
+            inside.fetch_sub(1, Ordering::SeqCst);
+        };
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| {
+                    let mut mine = 0;
                     for _ in 0..500 {
-                        let Some(_permit) = gate.enter() else {
-                            continue;
-                        };
-                        admitted.fetch_add(1, Ordering::SeqCst);
-                        assert!(inside.fetch_add(1, Ordering::SeqCst) < 2);
-                        std::thread::yield_now();
-                        inside.fetch_sub(1, Ordering::SeqCst);
+                        match gate.enter() {
+                            Some(_permit) => {
+                                mine += 1;
+                                visit();
+                            }
+                            None => {
+                                refused.fetch_add(1, Ordering::SeqCst);
+                            }
+                        }
+                    }
+                    admitted.fetch_add(mine, Ordering::SeqCst);
+                    while mine == 0 {
+                        match gate.enter() {
+                            Some(_permit) => {
+                                mine += 1;
+                                visit();
+                            }
+                            None => std::thread::yield_now(),
+                        }
                     }
                 });
             }
         });
-        assert!(admitted.load(Ordering::SeqCst) >= 500);
+        assert_eq!(
+            admitted.load(Ordering::SeqCst) + refused.load(Ordering::SeqCst),
+            8 * 500
+        );
         assert_eq!(lock_unpoisoned(&gate.state).running, 0);
         assert_eq!(waiting(&gate), 0);
     }

@@ -19,8 +19,9 @@
 //! value dropped. [`ThresholdJoin`] is that predicate as the exact
 //! framework's [`Similarity`], which finds each pulled result's
 //! neighbours through a prefix-filter index instead of testing every
-//! earlier result. All of them run one merge loop, whose step is
-//! branch-free.
+//! earlier result, and rejects most pairs before any merge with a
+//! per-request bucket sketch that bounds their shared weight from above.
+//! All of them run one merge loop, whose step is branch-free.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
@@ -28,6 +29,7 @@ use crate::search::WeightTable;
 use divtopk_core::fxhash::FxHashMap;
 use divtopk_core::sim::{Similarity, all_pairs};
 use divtopk_core::sources::Scored;
+use std::cell::RefCell;
 
 /// Eq. 4 over two document signatures using the corpus IDF table.
 /// Returns a value in `[0, 1]`; two empty (or all-zero-IDF) documents get 0.
@@ -182,7 +184,67 @@ fn merge<const BUDGETED: bool>(
 /// dozen results: 0 reads 546–592 k q/s, 16 648–767 k, 48 715–731 k,
 /// 96 685–740 k. On `cold_search`, where 38 % of the requests pull more
 /// than 48: 0 reads 890–1 039 q/s, 16 943–1 012, 48 897–970, 96 803–850.
+/// Both sides of the threshold test their pairs through the sketch
+/// ([`ThresholdJoin::similar`]), which cheapens a pair but leaves the
+/// join worth its index: on `cold_search` all-pairs with the sketch reads
+/// 1 292 q/s against 1 571 for the join with it (medians, four
+/// alternating pairs, the join ahead in each).
 const JOIN_FROM: usize = 48;
+
+/// Buckets of a sketch row (a power of two). Of the 130 397 predicate
+/// pairs of one `neardup_modes` epoch that pass the weight-ratio test,
+/// 16 / 32 / 64 / 128 / 256 buckets reject 13 / 34 / 62 / 86 / 90 %
+/// before any merge: 256 would double the row (1 KiB) and the bound's
+/// loop for four points more.
+const B: usize = 128;
+
+/// A term's sketch bucket: the top 7 bits of a multiplicative hash of its
+/// id, so neighbouring ids (a synthetic vocabulary's) spread out.
+#[inline]
+fn bucket(t: TermId) -> usize {
+    (u64::from(t).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - B.ilog2())) as usize
+}
+
+/// `Σ_b min(a_b, b_b)` over two sketch rows. Eight running lanes let the
+/// loop vectorise; the order of the sum is free (DESIGN.md §4.2).
+#[inline]
+fn sum_of_minima(a: &[f64], b: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 8];
+    for (a, b) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        for ((lane, &x), &y) in lanes.iter_mut().zip(a).zip(b) {
+            *lane += if x < y { x } else { y };
+        }
+    }
+    lanes.iter().sum()
+}
+
+/// The bucket sketches of the documents one [`ThresholdJoin`] has
+/// compared: row `r` is `rows[r·B..(r + 1)·B]`, bucket `b` of it the sum
+/// of `idf·count` over the document's terms in bucket `b`.
+#[derive(Default)]
+struct Sketches {
+    rows: Vec<f64>,
+    row_of: FxHashMap<DocId, u32>,
+    /// Pairs the sketch rejected, and pairs it passed to the merge.
+    #[cfg(test)]
+    verdicts: (u64, u64),
+}
+
+impl Sketches {
+    /// Where the row of `d` starts, summing it on first use.
+    fn row(&mut self, corpus: &Corpus, d: DocId) -> usize {
+        let next = self.row_of.len() as u32;
+        let start = *self.row_of.entry(d).or_insert(next) as usize * B;
+        if start == self.rows.len() {
+            self.rows.resize(start + B, 0.0);
+            let (idf, row) = (corpus.idf_table(), &mut self.rows[start..]);
+            for &(t, c) in &corpus.doc(d).terms {
+                row[bucket(t)] += idf[t as usize] * c as f64;
+            }
+        }
+        start
+    }
+}
 
 /// A prefix sort key is `doc_freq << 32 | position in the term list`.
 fn position(key: u64) -> usize {
@@ -219,6 +281,19 @@ const END: u32 = u32::MAX;
 /// order. The first `JOIN_FROM` (48) results of a run are handled by
 /// that loop itself ([`all_pairs`]) — a short pull never pays for an
 /// index — and the index is built from them when the next one arrives.
+///
+/// Every pair, on either path and from `window` and `disc` alike, meets
+/// [`similar`](Similarity::similar), which rejects before the merge what
+/// a **sketch** proves dissimilar. A document's sketch sums its
+/// `idf·count` weights into `B` = 128 buckets by term hash, once per
+/// request, on its first comparison past the weight-ratio test. Within a
+/// bucket the minimum of the sums is at least the sum of the minima, so
+/// `U = Σ_b min(A_b, B_b)` bounds the shared weight `inter` from above,
+/// and since `sim > τ ⟺ inter·(1 + τ) > τ·S` the pair is dissimilar if
+/// `U·(1 + τ) < τ·S·(1 − 1e-9)`. The band is 10⁴ times the rounding of
+/// `U`, `S` and the merge's own accumulators, so a pair the sketch
+/// rejects is one the merge would have rejected: every verdict, edge and
+/// counter is [`similar_above`]'s.
 pub struct ThresholdJoin<'a, W: ?Sized> {
     corpus: &'a Corpus,
     weights: &'a W,
@@ -236,6 +311,8 @@ pub struct ThresholdJoin<'a, W: ?Sized> {
     prefix: Vec<u64>,
     prefix_of: Option<DocId>,
     candidates: Vec<u32>,
+    /// Behind a cell because [`Similarity::similar`] takes `&self`.
+    sketches: RefCell<Sketches>,
 }
 
 impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
@@ -252,7 +329,26 @@ impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
             prefix: Vec::new(),
             prefix_of: None,
             candidates: Vec::new(),
+            sketches: RefCell::default(),
         }
+    }
+
+    /// The sketch's bound `U ≥ inter` on what `a` and `b` share.
+    fn shared_bound(&self, a: DocId, b: DocId) -> f64 {
+        let sketches = &mut *self.sketches.borrow_mut();
+        let (a, b) = (sketches.row(self.corpus, a), sketches.row(self.corpus, b));
+        sum_of_minima(&sketches.rows[a..a + B], &sketches.rows[b..b + B])
+    }
+
+    /// True if the sketch proves `sim(a, b) ≤ τ`; `total` is `W(a) + W(b)`.
+    fn sketch_rejects(&self, a: DocId, b: DocId, total: f64) -> bool {
+        let rejects = self.shared_bound(a, b) * (1.0 + self.tau) < self.tau * total * (1.0 - 1e-9);
+        #[cfg(test)]
+        {
+            let verdicts = &mut self.sketches.borrow_mut().verdicts;
+            *verdicts = (verdicts.0 + rejects as u64, verdicts.1 + !rejects as u64);
+        }
+        rejects
     }
 
     /// Leaves the prefix of `d` in `self.prefix`.
@@ -287,15 +383,17 @@ impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
 }
 
 impl<W: WeightTable + ?Sized> Similarity<DocId> for ThresholdJoin<'_, W> {
+    /// [`similar_above`], behind the weight-ratio test it opens with and
+    /// the sketch's reject test — which only ever answer `false` where
+    /// it would.
     fn similar(&self, a: &DocId, b: &DocId) -> bool {
-        similar_above(
-            self.corpus.idf_table(),
-            self.corpus.doc(*a),
-            self.weights.weight(*a),
-            self.corpus.doc(*b),
-            self.weights.weight(*b),
-            self.tau,
-        )
+        let (wa, wb) = (self.weights.weight(*a), self.weights.weight(*b));
+        let (lo, hi) = if wa <= wb { (wa, wb) } else { (wb, wa) };
+        if hi <= 0.0 || lo / hi <= self.tau || self.sketch_rejects(*a, *b, wa + wb) {
+            return false;
+        }
+        let (da, db) = (self.corpus.doc(*a), self.corpus.doc(*b));
+        similar_above(self.corpus.idf_table(), da, wa, db, wb, self.tau)
     }
 
     fn similar_earlier(
@@ -701,10 +799,11 @@ mod tests {
         assert!(finished > docs.len() && gave_up > docs.len());
     }
 
-    /// Graph growth, result by result, over `pulled`: the join's hook
-    /// against the provided all-pairs body (a closure over the same
-    /// predicate). Returns (edges, pairs the join tested, pairs the
-    /// all-pairs loop tested).
+    /// Graph growth, result by result, over `pulled`: the join's hook —
+    /// prefix candidates, each through the sketch and then the merge —
+    /// against the provided all-pairs body over a closure of the bare
+    /// [`similar_above`], which neither filter touches. Returns (edges,
+    /// pairs the join tested, pairs the all-pairs loop tested).
     fn grow_both_ways(
         corpus: &Corpus,
         weights: &[f64],
@@ -712,8 +811,11 @@ mod tests {
         pulled: &[Scored<DocId>],
     ) -> (usize, u64, u64) {
         let mut join = ThresholdJoin::new(corpus, weights, tau);
-        let predicate = ThresholdJoin::new(corpus, weights, tau);
-        let mut reference = |a: &DocId, b: &DocId| predicate.similar(a, b);
+        let idf = corpus.idf_table();
+        let mut reference = |&a: &DocId, &b: &DocId| {
+            let (wa, wb) = (weights[a as usize], weights[b as usize]);
+            similar_above(idf, corpus.doc(a), wa, corpus.doc(b), wb, tau)
+        };
         let (mut edges, mut joined, mut all) = (0usize, 0u64, 0u64);
         for (arrival, new) in pulled.iter().enumerate() {
             let earlier = &pulled[..arrival];
@@ -805,6 +907,160 @@ mod tests {
         pulled.push(Scored::new(x, zero));
         let (_, joined, all) = grow_both_ways(&corpus, &weights, tau, &pulled);
         assert!(joined < all);
+    }
+
+    /// `docs` over `idf` as a corpus — the join reads both from one — and
+    /// its `W(d)` table.
+    fn corpus_of(idf: Vec<f64>, docs: Vec<Document>) -> (Corpus, Vec<f64>) {
+        let mut doc_freq = vec![0u32; idf.len()];
+        for d in &docs {
+            for &(t, _) in &d.terms {
+                doc_freq[t as usize] += 1;
+            }
+        }
+        let vocab = crate::vocab::Vocabulary::synthetic(idf.len());
+        let corpus = Corpus::from_parts(vocab, docs.into_iter().collect(), doc_freq, idf);
+        let weights = crate::search::doc_weights(&corpus);
+        (corpus, weights)
+    }
+
+    /// The merge's verdict and its shared weight, for pair `(a, b)`.
+    fn by_merge(corpus: &Corpus, weights: &[f64], a: DocId, b: DocId, tau: f64) -> (bool, f64) {
+        let (idf, da, db) = (corpus.idf_table(), corpus.doc(a), corpus.doc(b));
+        let (wa, wb) = (weights[a as usize], weights[b as usize]);
+        let verdict = similar_above(idf, da, wa, db, wb, tau);
+        let (inter, _) = merge::<false>(idf, da, db, f64::INFINITY).expect("unbudgeted");
+        (verdict, inter)
+    }
+
+    /// Planted mutations this catches: `max` for `min` in the bound (the
+    /// sketch rejects nothing), `(1 + τ)` dropped from the reject test
+    /// (similar pairs rejected), rows keyed by arrival instead of doc id
+    /// (a bound under `inter`).
+    #[test]
+    fn the_sketch_rejects_only_pairs_the_merge_rejects() {
+        // Every ordered pair of `assorted`: counts above 1, zero-IDF
+        // terms, pairs crafted at a threshold, 2 000-term twins (whose
+        // buckets each hold some sixteen terms).
+        let (idf, docs, _, _) = assorted();
+        let (corpus, weights) = corpus_of(idf, docs);
+        let n = corpus.num_docs() as DocId;
+        let (mut rejected, mut merged_out) = (0u64, 0u64);
+        for tau in [0.0, 0.2, 0.5, 0.6, 0.8, 1.0] {
+            let join = ThresholdJoin::new(&corpus, &weights, tau);
+            let mut similar = 0u64;
+            // Descending `a`: documents are first sketched in an order
+            // unlike their ids, so a row found under the wrong key shows.
+            for a in (0..n).rev() {
+                for b in 0..n {
+                    let (want, inter) = by_merge(&corpus, &weights, a, b, tau);
+                    assert_eq!(join.similar(&a, &b), want, "docs {a},{b} τ {tau}");
+                    // `U ≥ inter` exactly; as computed, up to rounding
+                    // far inside the reject test's 1e-9 band.
+                    let total = weights[a as usize] + weights[b as usize];
+                    let bound = join.shared_bound(a, b);
+                    assert!(
+                        bound >= inter - 1e-12 * total,
+                        "docs {a},{b}: bound {bound:e} under inter {inter:e}"
+                    );
+                    similar += want as u64;
+                }
+            }
+            // Only pairs past the weight-ratio test meet the sketch; a
+            // pair it passes is similar or rejected by the merge.
+            let (sketch_rejected, sketch_passed) = join.sketches.borrow().verdicts;
+            rejected += sketch_rejected;
+            merged_out += sketch_passed - similar;
+        }
+        assert!(rejected > n as u64, "the sketch rejected {rejected} pairs");
+        assert!(
+            merged_out > n as u64,
+            "the merge rejected {merged_out} passed pairs"
+        );
+    }
+
+    /// Planted mutations this catches: the band dropped with `<` → `≤`
+    /// (pairs exactly at τ rejected by the sketch — the same answer, but
+    /// not the merge's), `max` for `min`, `(1 + τ)` dropped.
+    #[test]
+    fn where_the_sketch_is_tight_pairs_at_the_threshold_reach_the_merge() {
+        // Documents whose terms fall in distinct buckets, so a bucket sum
+        // is one term's weight and `U` equals `inter` up to the order of
+        // the sum: the reject test then meets each pair at its own
+        // similarity. `assorted`'s crafted pairs (exactly at τ; a hair
+        // below and above 0.5 through the 460 / 461 weights), and random
+        // multisets over one term per bucket asked at their similarity
+        // and a few ulps either side.
+        let (idf, mut docs, crafted, _) = assorted();
+        let mut one_per_bucket: Vec<TermId> = Vec::new();
+        for t in 0..450 {
+            if one_per_bucket.iter().all(|&u| bucket(u) != bucket(t)) {
+                one_per_bucket.push(t);
+            }
+        }
+        assert_eq!(one_per_bucket.len(), B);
+        let crafted_end = crafted + 16;
+        docs.truncate(crafted_end);
+        let mut rng = divtopk_core::rng::Pcg::new(7);
+        for i in 0..12 {
+            // Shared stock, so pairs land near each other's similarity.
+            let len = rng.range(20, 120) as usize;
+            let tokens: Vec<u32> = (0..len)
+                .map(|_| one_per_bucket[rng.below(if i % 2 == 0 { 40 } else { 128 }) as usize])
+                .collect();
+            docs.push(Document::from_tokens(format!("spread{i}"), tokens));
+        }
+        let (corpus, weights) = corpus_of(idf, docs);
+        let tight = |a: DocId, b: DocId| {
+            let (da, db) = (&corpus.doc(a).terms, &corpus.doc(b).terms);
+            let mut terms: Vec<TermId> = da.iter().chain(db).map(|&(t, _)| t).collect();
+            terms.sort_unstable();
+            terms.dedup();
+            let mut buckets: Vec<usize> = terms.iter().map(|&t| bucket(t)).collect();
+            buckets.sort_unstable();
+            buckets.dedup();
+            buckets.len() == terms.len()
+        };
+        let mut asked: Vec<(DocId, DocId, f64)> = Vec::new();
+        let taus = [0.2, 0.5, 0.5, 0.6, 0.8, 1.0, 0.5, 0.5];
+        for (pair, tau) in taus.into_iter().enumerate() {
+            let (x, y) = (
+                (crafted + 2 * pair) as DocId,
+                (crafted + 2 * pair + 1) as DocId,
+            );
+            asked.extend([(x, y, tau), (y, x, tau)]);
+        }
+        let spread = crafted_end as DocId..corpus.num_docs() as DocId;
+        for a in spread.clone() {
+            for b in spread.clone() {
+                let (da, db) = (corpus.doc(a), corpus.doc(b));
+                let sim = weighted_jaccard_with(corpus.idf_table(), da, db);
+                for tau in ulps_around(sim).into_iter().chain([sim]) {
+                    if (0.0..=1.0).contains(&tau) {
+                        asked.push((a, b, tau));
+                    }
+                }
+            }
+        }
+        for (a, b, tau) in asked {
+            assert!(tight(a, b), "docs {a},{b} share a bucket");
+            let join = ThresholdJoin::new(&corpus, &weights, tau);
+            let (want, inter) = by_merge(&corpus, &weights, a, b, tau);
+            let total = weights[a as usize] + weights[b as usize];
+            let bound = join.shared_bound(a, b);
+            assert!(
+                (bound - inter).abs() <= 1e-14 * total,
+                "docs {a},{b}: bound {bound:e} vs inter {inter:e}"
+            );
+            assert_eq!(join.similar(&a, &b), want, "docs {a},{b} τ {tau:e}");
+            // A pair at τ, or an ulp from it, lies inside the band: the
+            // sketch leaves its verdict to the merge. (One sharing
+            // nothing has `U = 0` exactly and may be rejected at any
+            // τ > 0.)
+            if inter > 0.0 {
+                assert!(!join.sketch_rejects(a, b, total), "docs {a},{b} τ {tau:e}");
+            }
+        }
     }
 
     #[test]

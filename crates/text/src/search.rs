@@ -7,11 +7,13 @@
 //! similarity at threshold `τ`, and stops as early as Lemmas 1/3 allow.
 //!
 //! [`search_with_source`] holds the one `match` on the mode and the one
-//! similarity object, a [`ThresholdJoin`]: the exact modes take it whole
-//! (it names each pulled result's neighbours — DESIGN.md §4.2), `window`
-//! and `disc` call it as the predicate `sim > τ`, `mmr` and `knn` weigh
-//! the raw value instead — asked only as far as it can matter
-//! ([`weighted_jaccard_above`]). Only the exact modes run the §4
+//! similarity object, a [`ThresholdJoin`], built per request: the exact
+//! modes take it whole (it names each pulled result's neighbours —
+//! DESIGN.md §4.2), `window` and `disc` call it as the predicate
+//! `sim > τ`, and in both roles it rejects most dissimilar pairs from a
+//! per-request bucket sketch before any merge. `mmr` and `knn` weigh the
+//! raw value instead — asked only as far as it can matter
+//! ([`weighted_jaccard_above`], no sketch). Only the exact modes run the §4
 //! framework; `none` and the four rerank modes pull their plain top-k /
 //! top-`4k` with a loop that stops on the source's unseen bound, so of
 //! the options' budgets the deadline is the one they can trip.
