@@ -22,9 +22,9 @@
 //!   gap, τ-violations, speedup (DESIGN.md §15)
 //! * `ablation` — AB1–AB4, each variant's optimum asserted equal
 //!   (DESIGN.md §6)
-//! * `hits` — every answer and counter of a fixed request set on the
-//!   `neardup_modes` corpus, one line per request: diff two builds' runs
-//!   to show a change left answers alone
+//! * `hits` — every answer and counter of fixed request sets on the
+//!   `neardup_modes` and `cold_search` corpora, one line per request: diff
+//!   two builds' runs to show a change left answers alone
 //!
 //! `all` runs the paper's figures; `quick` is a capped smoke subset. The
 //! names live in [`EXPERIMENTS`] and nowhere else.
@@ -732,14 +732,37 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
     }
 }
 
-/// The answer dump: one line per request of a fixed request set on the
-/// `benchmarks/e2e` `neardup_modes` corpus — the query, mode and k, then
-/// every hit with the bits of its score, the bits of the total, and every
-/// `FrameworkMetrics` / `DiversifierMetrics` field. Seed-deterministic and
-/// untimed, so a change that claims "same answers, same counters" diffs
-/// its run against the parent's. Requests: six modes (exact at k ≤ 20
-/// only) × k ∈ {7, 20, 80} × every scan term of df ≥ 200 (one in
-/// `1/--scale` of them), plus 40 two-term queries drawn from those terms.
+/// One line of the answer dump: `label`, the query, mode and k, then every
+/// hit with the bits of its score, the bits of the total, and every
+/// `FrameworkMetrics` / `DiversifierMetrics` field.
+fn hit_line(label: &str, query: &KeywordQuery, mode: &DiversifyMode, k: usize, out: &SearchOutput) {
+    let hits: Vec<String> = out
+        .hits
+        .iter()
+        .map(|h| format!("{}:{:016x}", h.doc, h.score.get().to_bits()))
+        .collect();
+    println!(
+        "{label}{:?} {} k={k} total={:016x} hits=[{}] {:?} {:?}",
+        query.terms,
+        mode.name(),
+        out.total_score.get().to_bits(),
+        hits.join(" "),
+        out.metrics,
+        out.diversifier
+    );
+}
+
+/// The answer dump: one [`hit_line`] per request of two fixed request
+/// sets. Seed-deterministic and untimed, so a change that claims "same
+/// answers, same counters" diffs its run against the parent's.
+///
+/// 1. The `benchmarks/e2e` `neardup_modes` corpus: six modes × k ∈ {7, 20,
+///    80} (`exact` at k ≤ 20 only), plus `exact-dp` at k = 7, × every scan
+///    term of df ≥ 200 (one in `1/--scale` of them), plus 40 two-term
+///    queries drawn from those terms. `div-dp` does not compress, so at
+///    k = 20 its A\* meets these near-cliques whole: one scan there takes
+///    37 M expansions, a 34 M-entry heap and 85 s on a 2-core build host.
+/// 2. Lines labelled `cold`: [`cold_hits`], the `cold_search` shape.
 fn hits(_ds: &mut Datasets, ctx: &Ctx) {
     use divtopk_core::rng::Pcg;
     // `neardup_modes`: the first 20 000 of 28 192 near-duplicate-heavy
@@ -779,6 +802,7 @@ fn hits(_ds: &mut Datasets, ctx: &Ctx) {
     }
     let modes = [
         DiversifyMode::exact(),
+        DiversifyMode::Exact(ExactAlgorithm::Dp),
         DiversifyMode::None,
         DiversifyMode::mmr(0.7),
         DiversifyMode::window(),
@@ -789,7 +813,12 @@ fn hits(_ds: &mut Datasets, ctx: &Ctx) {
     for query in &queries {
         for k in [7, 20, 80] {
             for mode in &modes {
-                if k == 80 && matches!(mode, DiversifyMode::Exact(_)) {
+                let k_max = match mode {
+                    DiversifyMode::Exact(ExactAlgorithm::Dp) => 7,
+                    DiversifyMode::Exact(_) => 20,
+                    _ => 80,
+                };
+                if k > k_max {
                     continue;
                 }
                 let options = SearchOptions::new(k)
@@ -801,22 +830,64 @@ fn hits(_ds: &mut Datasets, ctx: &Ctx) {
                     _ => searcher.search_ta(query, &options),
                 }
                 .expect("no limits set");
-                let hits: Vec<String> = out
-                    .hits
-                    .iter()
-                    .map(|h| format!("{}:{:016x}", h.doc, h.score.get().to_bits()))
-                    .collect();
-                println!(
-                    "{:?} {} k={k} total={:016x} hits=[{}] {:?} {:?}",
-                    query.terms,
-                    mode.name(),
-                    out.total_score.get().to_bits(),
-                    hits.join(" "),
-                    out.metrics,
-                    out.diversifier
-                );
+                hit_line("", query, mode, k, &out);
             }
         }
+    }
+    cold_hits(stride);
+}
+
+/// `hits` on the `benchmarks/e2e` `cold_search` shape: the first 50 000
+/// of 58 192 enwiki-like documents in four round-robin segments,
+/// `exact-cut`, k = 10, τ = 0.6, the harness's bound decay. Requests:
+/// `400 / stride` scans whose terms are drawn log-uniform over
+/// document-frequency rank among the df ≥ 5 terms, plus 40 two-term
+/// queries drawn the same way.
+fn cold_hits(stride: usize) {
+    use divtopk_core::rng::Pcg;
+    let donor = generate(&SynthConfig::enwiki_like().with_num_docs(58_192));
+    let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
+    for d in 0..50_000 {
+        builder.add_document(donor.doc(d).clone());
+    }
+    let corpus = builder.build();
+    let mut terms: Vec<TermId> = (0..corpus.num_terms() as TermId)
+        .filter(|&t| corpus.doc_freq(t) >= 5)
+        .collect();
+    terms.sort_by_key(|&t| (std::cmp::Reverse(corpus.doc_freq(t)), t));
+    let index = SegmentedIndex::build_partitioned(corpus, 4);
+    let mut rng = Pcg::new(QUERY_SEED);
+    let mut draw = || {
+        let rank = (terms.len() as f64).powf(rng.unit_f64()) - 1.0;
+        terms[(rank as usize).min(terms.len() - 1)]
+    };
+    let scans = (400 / stride).max(1);
+    let mut queries: Vec<KeywordQuery> = (0..scans)
+        .map(|_| KeywordQuery {
+            terms: vec![draw()],
+        })
+        .collect();
+    while queries.len() < scans + 40 {
+        let (a, b) = (draw(), draw());
+        if a != b {
+            queries.push(KeywordQuery {
+                terms: vec![a.min(b), a.max(b)],
+            });
+        }
+    }
+    eprintln!("[hits] cold: {scans} scans + 40 two-term queries");
+    let mode = DiversifyMode::exact();
+    let options = SearchOptions::new(10)
+        .with_tau(0.6)
+        .with_bound_decay(0.005)
+        .with_mode(mode.clone());
+    for query in &queries {
+        let out = match query.terms[..] {
+            [term] => index.search_scan(term, &options),
+            _ => index.search_ta(query, &options),
+        }
+        .expect("no limits set");
+        hit_line("cold ", query, &mode, 10, &out);
     }
 }
 

@@ -12,6 +12,14 @@
 //! graphs are searched by recursing into `div-cut` itself, so nested
 //! cut structure keeps decomposing.
 //!
+//! Components are split and folded by `div-dp`'s loop, so a one-vertex
+//! component, here or in any nested left or entry graph, is folded in
+//! closed form and never searched. So is a component that compression
+//! shrinks to one vertex (a near-clique keeps only its best member). On
+//! this repository's text graphs that is nearly every component; the rest
+//! run the cptree or A\* below. Tables and witnesses are the ones the A\*
+//! path built (DESIGN.md §6, "One-vertex components in closed form").
+//!
 //! ## Structural invariant that makes bottom-up reuse sound
 //!
 //! When a child `o'` (territory `C`, a component of `territory(o) −
@@ -25,9 +33,9 @@
 //! (Algorithm 10 lines 10–11).
 
 use crate::astar::{AStarConfig, div_astar_ledger};
-use crate::components::connected_components;
 use crate::compress::compress;
 use crate::cutpoints::articulation_points;
+use crate::dp::{Solved, fold_components};
 use crate::error::SearchError;
 use crate::graph::{DiversityGraph, NodeId};
 use crate::limits::{BudgetLedger, SearchLimits};
@@ -156,21 +164,12 @@ pub(crate) fn div_cut_ledger(
     metrics: &mut SearchMetrics,
     depth: usize,
 ) -> Result<SearchResult, SearchError> {
-    let mut combined = SearchResult::empty(k);
-    if k == 0 || g.is_empty() {
-        return Ok(combined);
-    }
-    for comp in connected_components(g) {
-        let (sub, map) = g.induced_subgraph(&comp);
-        let local = cut_component(&sub, k, config, ledger, metrics, depth)?;
-        combine_disjoint_in_place(&mut combined, &local.map_nodes(&map));
-        metrics.plus_ops += 1;
-        ledger.check_deadline()?;
-    }
-    Ok(combined)
+    fold_components(g, k, ledger, metrics, |sub, ledger, metrics| {
+        cut_component(sub, k, config, ledger, metrics, depth)
+    })
 }
 
-/// Handles one *connected* component.
+/// Handles one *connected* component of at least two vertices.
 fn cut_component(
     g: &DiversityGraph,
     k: usize,
@@ -178,26 +177,36 @@ fn cut_component(
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
     depth: usize,
-) -> Result<SearchResult, SearchError> {
+) -> Result<Solved, SearchError> {
     if config.compress {
         let kept = compress(g);
         if kept.len() < g.len() {
             metrics.compressed_nodes += (g.len() - kept.len()) as u64;
+            // A near-clique compresses to its best vertex: fold it in
+            // closed form, as a one-vertex component would be.
+            if let [v] = kept[..] {
+                return Ok(Solved::Vertex(v));
+            }
             let (cg, map) = g.induced_subgraph(&kept);
             // Compression can disconnect the component; restart the full
             // body on the strictly smaller graph (compression is
             // idempotent, so this cannot loop).
             let inner = div_cut_ledger(&cg, k, config, ledger, metrics, depth)?;
-            return Ok(inner.map_nodes(&map));
+            return Ok(Solved::Table(inner.map_nodes(&map)));
         }
     }
     let cut_points = articulation_points(g);
     if cut_points.is_empty() || depth >= config.max_nest_depth {
-        return div_astar_ledger(g, k, &config.astar, ledger, metrics);
+        return div_astar_ledger(g, k, &config.astar, ledger, metrics).map(Solved::Table);
     }
     let tree = construct_cptree(g, &cut_points, config);
     metrics.cptree_nodes += tree.len() as u64;
-    cp_search(g, &tree, k, config, ledger, metrics, depth)
+    // Left and entry graphs recurse into `div-cut` one level deeper.
+    let mut search =
+        |sub: &DiversityGraph, ledger: &mut BudgetLedger, metrics: &mut SearchMetrics| {
+            div_cut_ledger(sub, k, config, ledger, metrics, depth + 1)
+        };
+    cp_search(g, &tree, k, ledger, metrics, &mut search).map(Solved::Table)
 }
 
 /// Membership scratch with epoch stamps (avoids reallocating per query).
@@ -467,18 +476,25 @@ fn mark_adjacent(g: &DiversityGraph, marks: &mut [u32], v: NodeId, add: bool) {
     }
 }
 
-/// `remove-mark(subgraph)` + recursive `div-cut`: searches the unmarked
-/// nodes of `node_set` and maps the table back to this graph's ids.
-#[allow(clippy::too_many_arguments)]
+/// How `cp_search` searches a left or entry graph: recursive `div-cut`
+/// (or, in tests, a reference that must agree with it).
+type SubSearch<'a> = dyn FnMut(
+        &DiversityGraph,
+        &mut BudgetLedger,
+        &mut SearchMetrics,
+    ) -> Result<SearchResult, SearchError>
+    + 'a;
+
+/// `remove-mark(subgraph)` + `search`: searches the unmarked nodes of
+/// `node_set` and maps the table back to this graph's ids.
 fn search_filtered(
     g: &DiversityGraph,
     node_set: &[NodeId],
     marks: &[u32],
     k: usize,
-    config: &CutConfig,
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
-    depth: usize,
+    search: &mut SubSearch,
 ) -> Result<SearchResult, SearchError> {
     let keep: Vec<NodeId> = node_set
         .iter()
@@ -489,7 +505,7 @@ fn search_filtered(
         return Ok(SearchResult::empty(k));
     }
     let (sub, map) = g.induced_subgraph(&keep);
-    let local = div_cut_ledger(&sub, k, config, ledger, metrics, depth + 1)?;
+    let local = search(&sub, ledger, metrics)?;
     Ok(local.map_nodes(&map))
 }
 
@@ -498,10 +514,9 @@ fn cp_search(
     g: &DiversityGraph,
     tree: &[CpNode],
     k: usize,
-    config: &CutConfig,
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
-    depth: usize,
+    search: &mut SubSearch,
 ) -> Result<SearchResult, SearchError> {
     let mut marks = vec![0u32; g.len()];
     let mut results: Vec<Option<[SearchResult; 2]>> = Vec::new();
@@ -516,16 +531,7 @@ fn cp_search(
                 mark_adjacent(g, &mut marks, node.cut_point, true);
             }
             // Left graph under the current marks (Algorithm 10 line 6).
-            let mut r = search_filtered(
-                g,
-                &node.left_graph,
-                &marks,
-                k,
-                config,
-                ledger,
-                metrics,
-                depth,
-            )?;
+            let mut r = search_filtered(g, &node.left_graph, &marks, k, ledger, metrics, search)?;
             for &child_idx in &node.children {
                 let child = &tree[child_idx];
                 let child_results = results[child_idx]
@@ -541,16 +547,8 @@ fn cp_search(
                     if child_include {
                         mark_adjacent(g, &mut marks, child.cut_point, true);
                     }
-                    let entry = search_filtered(
-                        g,
-                        &child.entry_graph,
-                        &marks,
-                        k,
-                        config,
-                        ledger,
-                        metrics,
-                        depth,
-                    )?;
+                    let entry =
+                        search_filtered(g, &child.entry_graph, &marks, k, ledger, metrics, search)?;
                     let branch =
                         combine_disjoint(&child_results[usize::from(child_include)], &entry);
                     metrics.plus_ops += 1;
@@ -980,6 +978,80 @@ mod tests {
             "w2, w4, w5 at least; got {}",
             m.cptree_nodes
         );
+    }
+
+    /// The reference the closed-form fold must reproduce: `div-cut` with
+    /// every component, and every one-vertex remainder of compression,
+    /// sent through `div_astar` and then `⊕`, at every level of nesting
+    /// (default config; these graphs nest far less than 64 deep).
+    fn reference_cut(g: &DiversityGraph, k: usize) -> SearchResult {
+        let mut acc = SearchResult::empty(k);
+        for comp in crate::components::connected_components(g) {
+            let (sub, map) = g.induced_subgraph(&comp);
+            let kept = compress(&sub);
+            let local = if kept.len() < sub.len() {
+                let (cg, cmap) = sub.induced_subgraph(&kept);
+                reference_cut(&cg, k).map_nodes(&cmap)
+            } else {
+                let cut_points = articulation_points(&sub);
+                if cut_points.is_empty() {
+                    crate::astar::div_astar(&sub, k)
+                } else {
+                    let tree = construct_cptree(&sub, &cut_points, &CutConfig::default());
+                    let mut ledger = SearchLimits::unlimited().start();
+                    let mut nested =
+                        |s: &DiversityGraph, _: &mut BudgetLedger, _: &mut SearchMetrics| {
+                            Ok(reference_cut(s, k))
+                        };
+                    cp_search(
+                        &sub,
+                        &tree,
+                        k,
+                        &mut ledger,
+                        &mut SearchMetrics::default(),
+                        &mut nested,
+                    )
+                    .unwrap()
+                }
+            };
+            combine_disjoint_in_place(&mut acc, &local.map_nodes(&map));
+        }
+        acc
+    }
+
+    /// Whole tables, witnesses included, against [`reference_cut`] on
+    /// isolated vertices, 2-cliques (Lemma 7 leaves one vertex), stars,
+    /// planted clusters with singletons and paths with pendant leaves, all
+    /// with tied scores. `dp.rs`'s twin test lists the mutations both
+    /// catch; this one also catches a one-vertex compression remainder
+    /// folded with the wrong id (component-local instead of global).
+    #[test]
+    fn one_vertex_folds_match_astar_then_plus_table_for_table() {
+        for seed in 0..40 {
+            for g in testgen::one_vertex_heavy(seed) {
+                for k in [1, 2, 3, 6, g.len()] {
+                    let got = div_cut(&g, k);
+                    let n = g.len();
+                    assert_eq!(got, reference_cut(&g, k), "seed {seed} n {n} k {k}");
+                    got.assert_well_formed(Some(&g));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn isolated_vertices_and_two_cliques_run_no_astar() {
+        // {0, 3} and {1, 4} are 2-cliques, 2 and 5 are isolated: four
+        // components, each folded in closed form after at most compression.
+        let g = DiversityGraph::from_sorted_scores(
+            vec![s(5), s(4), s(4), s(3), s(2), s(1)],
+            &[(0, 3), (1, 4)],
+        );
+        let (r, m) = div_cut_limited(&g, 3, &SearchLimits::unlimited()).unwrap();
+        assert_eq!(r, reference_cut(&g, 3));
+        assert_eq!(r.best().nodes(), vec![0, 1, 2]);
+        assert_eq!((m.astar_calls, m.expansions, m.pushes), (0, 0, 0));
+        assert_eq!((m.compressed_nodes, m.plus_ops), (2, 4));
     }
 
     #[test]

@@ -4,11 +4,21 @@
 //! Independent sets never cross component boundaries, so each connected
 //! component is searched independently with `div-astar` and the per-size
 //! tables are folded together with the `⊕` operator (commutative and
-//! associative, so fold order is free). The search space shrinks from
-//! exponential in `|V(G)|` to exponential in the largest component.
+//! associative in value, so any fold order finds the same scores). The
+//! search space shrinks from exponential in `|V(G)|` to exponential in
+//! the largest component.
 //!
-//! The inner searches inherit the bitset kernel automatically: every
-//! component goes through
+//! The component loop, `fold_components`, is shared with `div-cut`.
+//! It folds components in the order `connected_components` emits them
+//! (smallest node id first). Order does not move a score, but on a score
+//! tie it decides which witness a table entry keeps, so the order is part
+//! of the answer. A one-vertex component is not searched: `div-astar` on
+//! `{v}` returns `{∅, {v}}` (or `{∅}` at score 0), and
+//! `combine_vertex_in_place` folds that table in closed form, in the same
+//! place in the order, through the same strict-`>` comparison (DESIGN.md
+//! §6, "One-vertex components in closed form").
+//!
+//! The other components go through
 //! [`induced_subgraph`](crate::graph::DiversityGraph::induced_subgraph),
 //! which relabels to a dense `0..|component|` id space and rebuilds the
 //! (component-sized) adjacency bitmap — so even a graph too large to
@@ -19,10 +29,11 @@
 use crate::astar::{AStarConfig, div_astar_ledger};
 use crate::components::connected_components;
 use crate::error::SearchError;
-use crate::graph::DiversityGraph;
+use crate::graph::{DiversityGraph, NodeId};
 use crate::limits::{BudgetLedger, SearchLimits};
 use crate::metrics::SearchMetrics;
-use crate::ops::combine_disjoint_in_place;
+use crate::ops::{combine_disjoint_in_place, combine_vertex_in_place};
+use crate::score::Score;
 use crate::solution::SearchResult;
 
 /// Exact diversified top-k via component decomposition, no limits.
@@ -52,19 +63,66 @@ pub(crate) fn div_dp_ledger(
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
 ) -> Result<SearchResult, SearchError> {
+    fold_components(g, k, ledger, metrics, |sub, ledger, metrics| {
+        div_astar_ledger(sub, k, config, ledger, metrics).map(Solved::Table)
+    })
+}
+
+/// What a component search hands back to [`fold_components`], in the
+/// component's own ids.
+pub(crate) enum Solved {
+    /// The component's per-size table.
+    Table(SearchResult),
+    /// The component is worth exactly this one vertex (Lemma 7 can shrink
+    /// a near-clique that far): fold it in closed form.
+    Vertex(NodeId),
+}
+
+/// `⊕` over the connected components of `g`, smallest node id first
+/// (Algorithm 7's loop; `div-cut` runs it too). A one-vertex component is
+/// folded in closed form; every other one is induced, handed to `search`,
+/// and its answer folded. One `plus_ops` per component either way.
+pub(crate) fn fold_components(
+    g: &DiversityGraph,
+    k: usize,
+    ledger: &mut BudgetLedger,
+    metrics: &mut SearchMetrics,
+    mut search: impl FnMut(
+        &DiversityGraph,
+        &mut BudgetLedger,
+        &mut SearchMetrics,
+    ) -> Result<Solved, SearchError>,
+) -> Result<SearchResult, SearchError> {
     let mut combined = SearchResult::empty(k);
     if k == 0 {
         return Ok(combined);
     }
     for comp in connected_components(g) {
-        let (sub, map) = g.induced_subgraph(&comp);
-        let local = div_astar_ledger(&sub, k, config, ledger, metrics)?;
-        let global = local.map_nodes(&map);
-        combine_disjoint_in_place(&mut combined, &global);
+        if let [v] = comp[..] {
+            fold_vertex(&mut combined, v, g.score(v));
+        } else {
+            let (sub, map) = g.induced_subgraph(&comp);
+            match search(&sub, ledger, metrics)? {
+                Solved::Table(local) => {
+                    combine_disjoint_in_place(&mut combined, &local.map_nodes(&map));
+                }
+                Solved::Vertex(v) => fold_vertex(&mut combined, map[v as usize], sub.score(v)),
+            }
+        }
         metrics.plus_ops += 1;
         ledger.check_deadline()?;
     }
     Ok(combined)
+}
+
+/// `acc ← acc ⊕ div-astar({v})` without the search. On one vertex the A\*
+/// root's bound is `score`, and it is expanded only if that beats the
+/// empty set's 0: the table is `{∅, {v}}` for `score > 0`, else `{∅}`,
+/// which `⊕` leaves alone.
+fn fold_vertex(acc: &mut SearchResult, v: NodeId, score: Score) {
+    if score > Score::ZERO {
+        combine_vertex_in_place(acc, v, score);
+    }
 }
 
 #[cfg(test)]
@@ -184,11 +242,61 @@ mod tests {
 
     #[test]
     fn metrics_count_components() {
-        // 3 isolated nodes → 3 components → 3 astar calls, 3 ⊕ folds.
+        // 3 isolated nodes → 3 one-vertex components → 3 ⊕ folds in
+        // closed form, no A* call, nothing expanded.
         let g = DiversityGraph::from_sorted_scores(vec![s(3), s(2), s(1)], &[]);
         let (r, m) = div_dp_limited(&g, 2, &SearchLimits::unlimited()).unwrap();
         assert_eq!(r.best().score(), s(5));
-        assert_eq!(m.astar_calls, 3);
+        assert_eq!(m.astar_calls, 0);
+        assert_eq!(m.expansions, 0);
         assert_eq!(m.plus_ops, 3);
+    }
+
+    #[test]
+    fn isolated_vertices_never_trip_the_expansion_budget() {
+        // Only A* is charged against `max_expansions`: a graph of one-vertex
+        // components answers exactly under a budget of zero.
+        let g = DiversityGraph::from_sorted_scores(vec![s(3), s(2), s(2), s(0)], &[]);
+        let limits = SearchLimits {
+            max_expansions: Some(0),
+            ..SearchLimits::default()
+        };
+        let (r, m) = div_dp_limited(&g, 3, &limits).unwrap();
+        assert_eq!(r, reference_dp(&g, 3));
+        assert_eq!(r.best().nodes(), vec![0, 1, 2]);
+        assert_eq!(m.expansions, 0);
+    }
+
+    /// The reference the closed-form fold must reproduce: every component,
+    /// one vertex or not, through `div_astar`, then `⊕`, in component
+    /// order.
+    fn reference_dp(g: &DiversityGraph, k: usize) -> SearchResult {
+        let mut acc = SearchResult::empty(k);
+        for comp in connected_components(g) {
+            let (sub, map) = g.induced_subgraph(&comp);
+            let local = crate::astar::div_astar(&sub, k);
+            combine_disjoint_in_place(&mut acc, &local.map_nodes(&map));
+        }
+        acc
+    }
+
+    /// Whole tables, witnesses included, against [`reference_dp`] on graphs
+    /// made mostly of one-vertex components with tied scores. Planted
+    /// mutations this catches (each applied, the suite run, reverted):
+    /// `>=` for `>` in `combine_vertex_in_place`; its target sizes walked
+    /// ascending; the one-vertex components hoisted into one prefix folded
+    /// after the others (right scores, wrong witnesses); the score-0 guard
+    /// in `fold_vertex` dropped.
+    #[test]
+    fn one_vertex_folds_match_astar_then_plus_table_for_table() {
+        for seed in 0..40 {
+            for g in testgen::one_vertex_heavy(seed) {
+                for k in [1, 2, 3, 6, g.len()] {
+                    let got = div_dp(&g, k);
+                    assert_eq!(got, reference_dp(&g, k), "seed {seed} n {} k {k}", g.len());
+                    got.assert_well_formed(Some(&g));
+                }
+            }
+        }
     }
 }

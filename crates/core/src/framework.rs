@@ -675,7 +675,12 @@ mod tests {
             ..SearchLimits::default()
         });
         let source = IncrementalVecSource::from_unsorted(items);
-        let result = DivTopK::new(source, same_cluster, config).run();
+        // Not `same_cluster`: its components are cliques, which Lemma 7
+        // shrinks to one vertex each and `div-cut` then folds without an
+        // A* expansion to charge. Two clusters joined across (a complete
+        // bipartite graph) have no dominated vertex and no cut point.
+        let across = |a: &(u32, u32), b: &(u32, u32)| a.1 != b.1;
+        let result = DivTopK::new(source, across, config).run();
         assert!(matches!(result, Err(SearchError::ResourceExhausted(_))));
     }
 }

@@ -8,22 +8,32 @@
 //! testable against hand-computed fixtures without pulling in a corpus.
 
 /// Counters for a single `div-search-current` invocation.
+///
+/// The A\* counters (`expansions`, `pushes`, `peak_heap`, `astar_calls`)
+/// count only searches that run. `div-dp` and `div-cut` fold a one-vertex
+/// component, and a component compression shrinks to one vertex, in closed
+/// form, so those add to `plus_ops` and to nothing else.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchMetrics {
-    /// Heap pops across all A* rounds (all components / cptree nodes).
+    /// Heap pops across all A* rounds (all searched components / cptree
+    /// subgraphs). The counter `SearchLimits::max_expansions` caps.
     pub expansions: u64,
-    /// Entries pushed into A* heaps.
+    /// Entries pushed into A* heaps, roots included.
     pub pushes: u64,
-    /// Largest heap size observed.
+    /// Largest heap size observed after a child push (0 when no search
+    /// pushed a child).
     pub peak_heap: usize,
-    /// Number of `div-astar` invocations (1 for plain astar; one per
-    /// component for `div-dp`; one per searched subgraph for `div-cut`).
+    /// Number of `div-astar` invocations: 1 for plain astar; for `div-dp`
+    /// one per component of two or more vertices; for `div-cut` one per
+    /// such component or nested subgraph that has no cut point and that
+    /// compression does not shrink to one vertex.
     pub astar_calls: u64,
     /// Nodes removed by Lemma 7 compression (div-cut only).
     pub compressed_nodes: u64,
     /// cptree nodes searched (div-cut only).
     pub cptree_nodes: u64,
-    /// `⊕` operator applications.
+    /// `⊕` operator applications: one per component folded (closed-form
+    /// one-vertex folds included) plus `div-cut`'s cptree combinations.
     pub plus_ops: u64,
     /// `⊗` operator applications.
     pub otimes_ops: u64,

@@ -4,6 +4,9 @@
 //!   sets: `D.solution_i` = the best way to pick `j` nodes from `D'` and
 //!   `i − j` from `D''`. Dynamic programming, `O(k²)` (and `O(k²·k)` node
 //!   copying in the worst case, bounded by solution sizes).
+//!   Against a one-vertex table `{∅, {v}}` it has a closed form,
+//!   `combine_vertex_in_place`, which `div-dp` / `div-cut` use for every
+//!   one-vertex component instead of searching it.
 //! * `⊗` ([`combine_alternative`]) merges results computed on the **same**
 //!   node set under different assumptions (cut point included/excluded):
 //!   pointwise best per size, `O(k)`.
@@ -21,7 +24,7 @@
 //! unless an entry actually improves: operand sizes are walked through
 //! [`SearchResult::iter`] (no side vectors), the best `j`-split per target
 //! size is chosen by score alone, and the single persistent
-//! [`NodeSet`](crate::nodeset::NodeSet) join/clone is deferred until the
+//! [`NodeSet`] join/clone is deferred until the
 //! winning split is known (DESIGN.md §7).
 //!
 //! ```
@@ -38,6 +41,8 @@
 //! assert_eq!(acc.solution(2).unwrap().nodes(), vec![0, 7]);
 //! ```
 
+use crate::graph::NodeId;
+use crate::nodeset::NodeSet;
 use crate::score::Score;
 use crate::solution::SearchResult;
 
@@ -66,7 +71,7 @@ pub fn combine_disjoint(a: &SearchResult, b: &SearchResult) -> SearchResult {
             }
             let score = sa.score() + sb.score();
             if score > out.score_or_zero(i) || out.solution(i).is_none() {
-                out.offer_set(crate::nodeset::NodeSet::join(sa.set(), sb.set()), score);
+                out.offer_set(NodeSet::join(sa.set(), sb.set()), score);
             }
         }
     }
@@ -117,8 +122,30 @@ pub fn combine_disjoint_in_place(acc: &mut SearchResult, b: &SearchResult) {
         if let Some((score, j)) = best {
             let sa = acc.solution(i - j).expect("chosen above");
             let sb = b.solution(j).expect("chosen above");
-            let set = crate::nodeset::NodeSet::join(sa.set(), sb.set());
-            acc.offer_set(set, score);
+            let set = NodeSet::join(sa.set(), sb.set());
+            acc.replace_set(set, score);
+        }
+    }
+}
+
+/// `acc ← acc ⊕ {∅, {v}}`, in place — Algorithm 5 against a one-vertex
+/// table, in closed form.
+///
+/// The same descending-`i`, strict-`>` update [`combine_disjoint_in_place`]
+/// makes when `b` holds only `∅` and `{v}` (score `score`): with one
+/// non-empty entry there is no split to choose, so each target size reads
+/// `acc[i − 1]` once and extends its witness by `v` only when that beats
+/// `acc[i]`. Equal to that call, witnesses included (property-tested), with
+/// no table for `{v}` built and no remap.
+pub(crate) fn combine_vertex_in_place(acc: &mut SearchResult, v: NodeId, score: Score) {
+    for i in (1..=acc.k()).rev() {
+        let Some(sa) = acc.solution(i - 1) else {
+            continue;
+        };
+        let total = sa.score() + score;
+        if acc.score(i).is_none_or(|s| total > s) {
+            let set = NodeSet::extend(sa.set(), v);
+            acc.replace_set(set, total);
         }
     }
 }
@@ -274,6 +301,38 @@ mod tests {
                 );
             }
             in_place.assert_well_formed(None);
+        }
+    }
+
+    #[test]
+    fn vertex_fold_is_plus_with_a_one_vertex_table() {
+        use crate::rng::Pcg;
+        // Accumulators with holes and scores from {0, 1, 2} per node, so
+        // most target sizes see a tie between keeping `acc[i]` and
+        // extending `acc[i − 1]`: the whole tables, witnesses included,
+        // must agree.
+        for seed in 0..500 {
+            let mut rng = Pcg::new(7_000 + seed);
+            let k = 1 + rng.below(8) as usize;
+            let mut acc = SearchResult::empty(k);
+            for i in 1..=k {
+                if rng.chance(0.7) {
+                    let base = 10 * i as u32;
+                    let nodes: Vec<u32> = (0..i as u32).map(|j| base + j).collect();
+                    let score = (0..i).map(|_| Score::from(rng.below(3))).sum();
+                    acc.offer(nodes, score);
+                }
+            }
+            let v = 1000 + rng.below(5);
+            let score = Score::from(rng.below(4));
+            let mut single = SearchResult::empty(k);
+            single.offer(vec![v], score);
+            let mut want = acc.clone();
+            combine_disjoint_in_place(&mut want, &single);
+            let mut got = acc;
+            combine_vertex_in_place(&mut got, v, score);
+            assert_eq!(got, want, "seed {seed}");
+            got.assert_well_formed(None);
         }
     }
 

@@ -158,6 +158,14 @@ impl SearchResult {
         }
     }
 
+    /// Stores `set` as the entry of its size, whatever is there now. For
+    /// the in-place `⊕` forms (`crate::ops`), which decide that an entry
+    /// improves before they build its witness.
+    pub(crate) fn replace_set(&mut self, set: NodeSet, score: Score) {
+        let len = set.len();
+        self.entries[len] = Some(SizedSolution::from_set(set, score));
+    }
+
     /// Offers the solution `base ∪ {extra}` (with `extra > max(base)`,
     /// `base` sorted) without materializing it first: the node vector is
     /// only allocated when the entry actually improves the table. This is

@@ -58,12 +58,73 @@ pub(crate) fn pad_past_bitmap_cap(g: &DiversityGraph) -> DiversityGraph {
     let n = g.len() + crate::graph::DENSE_ADJ_MAX_NODES;
     let mut scores = g.scores().to_vec();
     scores.resize(n, Score::ZERO);
-    let edges: Vec<(NodeId, NodeId)> = g
-        .nodes()
+    DiversityGraph::from_sorted_scores(scores, &edge_list(g))
+}
+
+/// Every edge of `g` once, as `(lower id, higher id)`.
+#[cfg(test)]
+fn edge_list(g: &DiversityGraph) -> Vec<(NodeId, NodeId)> {
+    g.nodes()
         .flat_map(|v| g.neighbors(v).iter().map(move |&u| (v, u)))
         .filter(|&(v, u)| v < u)
-        .collect();
-    DiversityGraph::from_sorted_scores(scores, &edges)
+        .collect()
+}
+
+/// Graphs made mostly of components that are one vertex, or that Lemma 7
+/// shrinks to one, scored in four tied levels 3, 2, 1, 0 down the id
+/// order: (1) isolated vertices, 2-cliques and stars, shuffled so that
+/// their ids interleave; (2) [`planted_clusters`] with singletons; (3) a
+/// path with pendant leaves. On ties the witness a `⊕` fold keeps depends
+/// on the fold order, and score-0 vertices are the ones `div-astar` leaves
+/// out of its table.
+#[cfg(test)]
+pub(crate) fn one_vertex_heavy(seed: u64) -> Vec<DiversityGraph> {
+    let tied = |n: usize, edges: &[(NodeId, NodeId)]| {
+        let scores = (0..n)
+            .map(|v| Score::from(3 - (4 * v / n) as u32))
+            .collect();
+        DiversityGraph::from_sorted_scores(scores, edges)
+    };
+    let mut rng = Pcg::new(seed ^ 0x51_461E);
+
+    let mut ids: Vec<NodeId> = (0..24).collect();
+    rng.shuffle(&mut ids);
+    let mut zoo = Vec::new();
+    let mut rest = &ids[..];
+    while !rest.is_empty() {
+        // 1 = isolated, 2 = a 2-clique, 3..=4 = a star's center + leaves.
+        let size = (1 + rng.below(4) as usize).min(rest.len());
+        let (part, tail) = rest.split_at(size);
+        zoo.extend(part[1..].iter().map(|&leaf| (part[0], leaf)));
+        rest = tail;
+    }
+
+    let clusters = planted_clusters(
+        &ClusterConfig {
+            clusters: 3,
+            cluster_size: 4,
+            intra_p: 0.7,
+            bridges: 2,
+            singletons: 6,
+        },
+        seed,
+    );
+
+    let mut perm: Vec<NodeId> = (0..16).collect();
+    rng.shuffle(&mut perm);
+    let (path, leaves) = perm.split_at(9);
+    let mut pendant: Vec<(NodeId, NodeId)> = path.windows(2).map(|w| (w[0], w[1])).collect();
+    pendant.extend(
+        leaves
+            .iter()
+            .map(|&leaf| (*rng.choose(path).unwrap(), leaf)),
+    );
+
+    vec![
+        tied(24, &zoo),
+        tied(clusters.len(), &edge_list(&clusters)),
+        tied(16, &pendant),
+    ]
 }
 
 /// Parameters for [`planted_clusters`].

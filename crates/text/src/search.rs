@@ -594,10 +594,15 @@ mod tests {
             .max_by_key(|&t| index.postings(t).len())
             .unwrap();
         let searcher = DiversifiedSearcher::new(&corpus, &index);
+        // This graph's one edge joins a 2-clique. `div-dp` runs A* on it,
+        // which expands at least its root; `div-cut` would compress it to
+        // one vertex and fold it with no expansion to charge, like the
+        // graph's other, one-vertex components.
         let options = SearchOptions::new(10)
             .with_tau(0.2)
+            .with_mode(DiversifyMode::Exact(ExactAlgorithm::Dp))
             .with_limits(SearchLimits {
-                max_expansions: Some(1),
+                max_expansions: Some(0),
                 ..SearchLimits::default()
             });
         assert!(searcher.search_scan(term, &options).is_err());

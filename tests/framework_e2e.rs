@@ -205,7 +205,9 @@ fn metrics_are_consistent() {
     // n results → at most n(n-1)/2 similarity checks.
     let n = m.results_generated;
     assert!(m.similarity_checks <= n * n.saturating_sub(1) / 2);
-    assert!(m.search.astar_calls >= m.inner_searches || m.inner_searches == 0);
+    // Every inner search folds at least one component with ⊕; it need not
+    // run A*, since one-vertex components are folded in closed form.
+    assert!(m.search.plus_ops >= m.inner_searches);
 }
 
 /// Three times the result count at which `text::jaccard`'s threshold

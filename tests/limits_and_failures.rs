@@ -77,9 +77,13 @@ fn generous_budgets_do_not_change_answers() {
 fn dp_and_cut_share_budgets_across_components() {
     // Many components: per-component costs must accumulate against ONE
     // budget, so a tiny global budget fails even though each component is
-    // trivial.
+    // trivial. They are 4-cycles, which need a search under both
+    // algorithms: div-cut folds a 2-clique (Lemma 7 leaves one vertex) in
+    // closed form, and only A* is charged against `max_expansions`.
     let scores = (0..200).map(|i| Score::from(1000 - i as u32)).collect();
-    let edges: Vec<(u32, u32)> = (0..100).map(|i| (2 * i, 2 * i + 1)).collect();
+    let edges: Vec<(u32, u32)> = (0..50)
+        .flat_map(|c| (0..4).map(move |j| (4 * c + j, 4 * c + (j + 1) % 4)))
+        .collect();
     let g = DiversityGraph::from_sorted_scores(scores, &edges);
     let limits = SearchLimits {
         max_expansions: Some(50),
@@ -102,8 +106,10 @@ fn framework_surfaces_inner_budget_errors() {
     let items: Vec<Scored<u32>> = (0..200)
         .map(|i| Scored::new(i, Score::from(1000 - i)))
         .collect();
-    // Dense similarity: i ≈ j iff same bucket of 4 — graph gets chunky.
-    let similar = |a: &u32, b: &u32| a / 4 == b / 4;
+    // i ≈ j iff same bucket of 4 and opposite parity: a 4-cycle per bucket.
+    // (A whole bucket would be a clique, which div-cut compresses to one
+    // vertex and folds without an A* expansion to charge.)
+    let similar = |a: &u32, b: &u32| a / 4 == b / 4 && a.abs_diff(*b) % 2 == 1;
     let config = DivSearchConfig::new(50).with_limits(SearchLimits {
         max_expansions: Some(3),
         ..SearchLimits::default()
