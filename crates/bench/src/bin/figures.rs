@@ -7,7 +7,7 @@
 //! cargo run --release -p divtopk-bench --bin figures -- all
 //! cargo run --release -p divtopk-bench --bin figures -- fig13 fig16
 //! cargo run --release -p divtopk-bench --bin figures -- --scale 0.25 --budget 5 all
-//! cargo run --release -p divtopk-bench --bin figures -- frontier ablation
+//! cargo run --release -p divtopk-bench --bin figures -- frontier hits
 //! ```
 //!
 //! * `fig2`  — greedy-vs-optimal star-chain family (§4, Fig. 2)
@@ -20,8 +20,6 @@
 //! * `quality` — exact vs greedy vs MMR on the paper's objective
 //! * `frontier` — the six diversify modes against the exact optimum:
 //!   gap, τ-violations, speedup (DESIGN.md §15)
-//! * `ablation` — AB1–AB4, each variant's optimum asserted equal
-//!   (DESIGN.md §6)
 //! * `hits` — every answer and counter of fixed request sets on the
 //!   `neardup_modes` and `cold_search` corpora, one line per request: diff
 //!   two builds' runs to show a change left answers alone
@@ -509,12 +507,12 @@ fn quality(ds: &mut Datasets, ctx: &Ctx) {
     println!("(exact ≥ greedy always; MMR scores are not comparable when it violates τ)");
 }
 
-/// Runs behind every sub-second cell of `frontier` and `ablation`.
+/// Runs behind every sub-second cell of `frontier`.
 const TIMED_RUNS: usize = 5;
 
 /// [`measure`] repeated [`TIMED_RUNS`] times: the median-time run and the
 /// last output. The figure sweeps take seconds per cell and run once; the
-/// frontier and ablation cells are milliseconds and need the median.
+/// frontier cells are milliseconds and need the median.
 fn measure_median<T>(mut f: impl FnMut() -> Option<T>) -> (Measurement, Option<T>) {
     let mut runs = Vec::with_capacity(TIMED_RUNS);
     let mut last = None;
@@ -757,11 +755,12 @@ fn hit_line(label: &str, query: &KeywordQuery, mode: &DiversifyMode, k: usize, o
 /// answers, same counters" diffs its run against the parent's.
 ///
 /// 1. The `benchmarks/e2e` `neardup_modes` corpus: six modes × k ∈ {7, 20,
-///    80} (`exact` at k ≤ 20 only), plus `exact-dp` at k = 7, × every scan
-///    term of df ≥ 200 (one in `1/--scale` of them), plus 40 two-term
-///    queries drawn from those terms. `div-dp` does not compress, so at
-///    k = 20 its A\* meets these near-cliques whole: one scan there takes
-///    37 M expansions, a 34 M-entry heap and 85 s on a 2-core build host.
+///    80} (`exact` at k ≤ 20 only), plus `exact-dp` and `exact-astar` at
+///    k = 7, × every scan term of df ≥ 200 (one in `1/--scale` of them),
+///    plus 40 two-term queries drawn from those terms. `div-dp` does not
+///    compress, so at k = 20 its A\* meets these near-cliques whole: one
+///    scan there takes 37 M expansions, a 34 M-entry heap and 85 s on a
+///    2-core build host.
 /// 2. Lines labelled `cold`: [`cold_hits`], the `cold_search` shape.
 fn hits(_ds: &mut Datasets, ctx: &Ctx) {
     use divtopk_core::rng::Pcg;
@@ -803,6 +802,7 @@ fn hits(_ds: &mut Datasets, ctx: &Ctx) {
     let modes = [
         DiversifyMode::exact(),
         DiversifyMode::Exact(ExactAlgorithm::Dp),
+        DiversifyMode::Exact(ExactAlgorithm::AStar),
         DiversifyMode::None,
         DiversifyMode::mmr(0.7),
         DiversifyMode::window(),
@@ -814,7 +814,7 @@ fn hits(_ds: &mut Datasets, ctx: &Ctx) {
         for k in [7, 20, 80] {
             for mode in &modes {
                 let k_max = match mode {
-                    DiversifyMode::Exact(ExactAlgorithm::Dp) => 7,
+                    DiversifyMode::Exact(ExactAlgorithm::Dp | ExactAlgorithm::AStar) => 7,
                     DiversifyMode::Exact(_) => 20,
                     _ => 80,
                 };
@@ -891,133 +891,6 @@ fn cold_hits(stride: usize) {
     }
 }
 
-/// One ablation variant: its label and a run returning the optimum and
-/// the counter the table shows beside the time.
-type Variant<'a> = (&'a str, &'a dyn Fn() -> (Score, String));
-
-/// One ablation table: every variant timed, every optimum equal to the
-/// first variant's — exactness is checked while timing.
-fn ablation_table(title: &str, counter: &str, variants: &[Variant]) {
-    let mut rows = Vec::new();
-    let mut want = None;
-    for (label, run) in variants {
-        let (m, out) = measure_median(|| Some(run()));
-        let (score, note) = out.expect("measured Some");
-        assert_eq!(
-            score,
-            *want.get_or_insert(score),
-            "{title}: variant {label:?} changed the optimum"
-        );
-        rows.push((
-            label.to_string(),
-            vec![format!("{score}"), ms_cell(&m), note],
-        ));
-    }
-    print_table(title, "variant", &["optimum", "time (ms)", counter], &rows);
-}
-
-/// AB1–AB4 (DESIGN.md §6): the design choices behind `div-cut`, the
-/// framework gate and the A\* heap, on and off, on pinned inputs.
-fn ablation(_ds: &mut Datasets, _ctx: &Ctx) {
-    println!("\n## Ablations AB1–AB4 (median of {TIMED_RUNS}; first row is the default)");
-    let unlimited = SearchLimits::unlimited();
-    let clustered = testgen::planted_clusters(
-        &testgen::ClusterConfig {
-            clusters: 10,
-            cluster_size: 8,
-            intra_p: 0.65,
-            bridges: 8,
-            singletons: 15,
-        },
-        13,
-    );
-    let cut = |config: CutConfig| {
-        let (r, metrics) =
-            div_cut_configured(&clustered, 20, &config, &unlimited).expect("no limits set");
-        (r.best().score(), format!("{}", metrics.expansions))
-    };
-    let default = CutConfig::default();
-
-    ablation_table(
-        "AB1 — Lemma 7 compression in div-cut (95 nodes, k = 20)",
-        "A* expansions",
-        &[
-            ("on", &|| cut(default.clone())),
-            ("off", &|| {
-                cut(CutConfig {
-                    compress: false,
-                    ..default.clone()
-                })
-            }),
-        ],
-    );
-
-    let heuristics = |root_heuristic, child_heuristic| {
-        cut(CutConfig {
-            root_heuristic,
-            child_heuristic,
-            ..default.clone()
-        })
-    };
-    ablation_table(
-        "AB2 — cptree root/child heuristics (same graph)",
-        "A* expansions",
-        &[
-            ("minmax+largest", &|| {
-                heuristics(
-                    RootHeuristic::MinMaxComponent,
-                    ChildHeuristic::LargestEntryGraph,
-                )
-            }),
-            ("minmax+smallest", &|| {
-                heuristics(
-                    RootHeuristic::MinMaxComponent,
-                    ChildHeuristic::SmallestEntryGraph,
-                )
-            }),
-            ("first+first", &|| {
-                heuristics(RootHeuristic::First, ChildHeuristic::First)
-            }),
-        ],
-    );
-
-    // 300 streamed items in 40 similarity classes.
-    let mut rng = divtopk_core::rng::Pcg::new(21);
-    let items: Vec<Scored<(u32, u32)>> = (0..300u32)
-        .map(|i| Scored::new((i, rng.below(40)), Score::from(rng.range(1, 10_000))))
-        .collect();
-    let framework = |gate: bool| {
-        let mut config = DivSearchConfig::new(10);
-        config.use_necessary_gate = gate;
-        let out = DivTopK::new(
-            IncrementalVecSource::from_unsorted(items.clone()),
-            |a: &(u32, u32), b: &(u32, u32)| a.1 == b.1,
-            config,
-        )
-        .run()
-        .expect("no limits set");
-        (out.total_score, format!("{}", out.metrics.inner_searches))
-    };
-    ablation_table(
-        "AB3 — the necessary() gate in the framework (300 items, k = 10)",
-        "inner searches",
-        &[("on", &|| framework(true)), ("off", &|| framework(false))],
-    );
-
-    let random = testgen::random_graph(22, 0.25, 3);
-    let astar = |reuse_heap: bool| {
-        let (r, metrics) =
-            div_astar_configured(&random, 12, &AStarConfig { reuse_heap }, &unlimited)
-                .expect("no limits set");
-        (r.best().score(), format!("{}", metrics.expansions))
-    };
-    ablation_table(
-        "AB4 — A* heap reuse across k' rounds (22 nodes, k = 12)",
-        "A* expansions",
-        &[("on", &|| astar(true)), ("off", &|| astar(false))],
-    );
-}
-
 type Experiment = fn(&mut Datasets, &Ctx);
 
 /// Every experiment: its name, whether `all` runs it, the function. The
@@ -1054,7 +927,6 @@ const EXPERIMENTS: &[(&str, bool, Experiment)] = &[
     }),
     ("quality", false, quality),
     ("frontier", false, frontier),
-    ("ablation", false, ablation),
     ("hits", false, hits),
 ];
 

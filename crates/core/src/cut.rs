@@ -12,6 +12,14 @@
 //! graphs are searched by recursing into `div-cut` itself, so nested
 //! cut structure keeps decomposing.
 //!
+//! There is one way to run it. Compression always applies. The root cut
+//! point minimizes the largest component left without it; every other cut
+//! point minimizes its entry graph, as Algorithm 9's line 2 says (the
+//! paper's text and Fig. 11 take the largest). On 124 planted, path and
+//! sparse random graphs the smallest rule took 7× less time (DESIGN.md
+//! §6). Past `MAX_NEST_DEPTH` nested calls a subgraph runs plain
+//! `div-astar`.
+//!
 //! Components are split and folded by `div-dp`'s loop, so a one-vertex
 //! component, here or in any nested left or entry graph, is folded in
 //! closed form and never searched. So is a component that compression
@@ -32,7 +40,7 @@
 //! forbids the `both-included` case for adjacent cut points
 //! (Algorithm 10 lines 10–11).
 
-use crate::astar::{AStarConfig, div_astar_ledger};
+use crate::astar::div_astar_ledger;
 use crate::compress::compress;
 use crate::cutpoints::articulation_points;
 use crate::dp::{Solved, fold_components};
@@ -43,60 +51,15 @@ use crate::metrics::SearchMetrics;
 use crate::ops::{combine_alternative_in_place, combine_disjoint, combine_disjoint_in_place};
 use crate::solution::SearchResult;
 
-/// How the root cut point of each cptree is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RootHeuristic {
-    /// Minimize the largest component left after removing the root (paper
-    /// default).
-    MinMaxComponent,
-    /// Take the first (highest-scored) cut point — ablation AB2 control.
-    First,
-}
+/// At most this many candidate cut points are evaluated per selection
+/// (evenly sampled) — caps the `O(|cut points| · (V + E))` selection scan
+/// on adversarial graphs without affecting exactness.
+const SELECTION_SCAN_CAP: usize = 32;
 
-/// How non-root cut points are chosen within their territory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildHeuristic {
-    /// Maximize the entry graph (paper text + worked example; default).
-    LargestEntryGraph,
-    /// Minimize the entry graph (the pseudocode's line 2) — ablation AB2.
-    SmallestEntryGraph,
-    /// Take the first cut point — ablation AB2 control.
-    First,
-}
-
-/// Tuning knobs for `div-cut`; defaults reproduce the paper.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CutConfig {
-    /// Inner A\* configuration.
-    pub astar: AStarConfig,
-    /// Apply Lemma 7 compression before decomposing (ablation AB1).
-    pub compress: bool,
-    /// Root selection strategy.
-    pub root_heuristic: RootHeuristic,
-    /// Non-root selection strategy.
-    pub child_heuristic: ChildHeuristic,
-    /// At most this many candidate cut points are evaluated per selection
-    /// (evenly sampled) — caps the `O(|cut points| · (V + E))` selection
-    /// scan on adversarial graphs without affecting exactness.
-    pub selection_scan_cap: usize,
-    /// Maximum `div-cut` nesting depth (entry/left graphs recurse into
-    /// `div-cut`); beyond it the subgraph falls back to plain `div-astar`,
-    /// which is still exact.
-    pub max_nest_depth: usize,
-}
-
-impl Default for CutConfig {
-    fn default() -> CutConfig {
-        CutConfig {
-            astar: AStarConfig::default(),
-            compress: true,
-            root_heuristic: RootHeuristic::MinMaxComponent,
-            child_heuristic: ChildHeuristic::LargestEntryGraph,
-            selection_scan_cap: 32,
-            max_nest_depth: 64,
-        }
-    }
-}
+/// Maximum `div-cut` nesting depth (entry/left graphs recurse into
+/// `div-cut`); beyond it a subgraph falls back to plain `div-astar`, which
+/// is still exact.
+const MAX_NEST_DEPTH: usize = 64;
 
 /// One node of the cptree (arena-allocated; children have larger indices).
 #[derive(Debug)]
@@ -129,7 +92,7 @@ pub(crate) struct CpNode {
 pub fn div_cut(g: &DiversityGraph, k: usize) -> SearchResult {
     let mut metrics = SearchMetrics::default();
     let mut ledger = SearchLimits::unlimited().start();
-    div_cut_ledger(g, k, &CutConfig::default(), &mut ledger, &mut metrics, 0)
+    div_cut_ledger(g, k, &mut ledger, &mut metrics, 0)
         .expect("unlimited search cannot exhaust budgets")
 }
 
@@ -139,19 +102,9 @@ pub fn div_cut_limited(
     k: usize,
     limits: &SearchLimits,
 ) -> Result<(SearchResult, SearchMetrics), SearchError> {
-    div_cut_configured(g, k, &CutConfig::default(), limits)
-}
-
-/// Fully configurable entry point (heuristics + budgets).
-pub fn div_cut_configured(
-    g: &DiversityGraph,
-    k: usize,
-    config: &CutConfig,
-    limits: &SearchLimits,
-) -> Result<(SearchResult, SearchMetrics), SearchError> {
     let mut metrics = SearchMetrics::default();
     let mut ledger = limits.start();
-    let result = div_cut_ledger(g, k, config, &mut ledger, &mut metrics, 0)?;
+    let result = div_cut_ledger(g, k, &mut ledger, &mut metrics, 0)?;
     Ok((result, metrics))
 }
 
@@ -159,13 +112,12 @@ pub fn div_cut_configured(
 pub(crate) fn div_cut_ledger(
     g: &DiversityGraph,
     k: usize,
-    config: &CutConfig,
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
     depth: usize,
 ) -> Result<SearchResult, SearchError> {
     fold_components(g, k, ledger, metrics, |sub, ledger, metrics| {
-        cut_component(sub, k, config, ledger, metrics, depth)
+        cut_component(sub, k, ledger, metrics, depth)
     })
 }
 
@@ -173,38 +125,35 @@ pub(crate) fn div_cut_ledger(
 fn cut_component(
     g: &DiversityGraph,
     k: usize,
-    config: &CutConfig,
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
     depth: usize,
 ) -> Result<Solved, SearchError> {
-    if config.compress {
-        let kept = compress(g);
-        if kept.len() < g.len() {
-            metrics.compressed_nodes += (g.len() - kept.len()) as u64;
-            // A near-clique compresses to its best vertex: fold it in
-            // closed form, as a one-vertex component would be.
-            if let [v] = kept[..] {
-                return Ok(Solved::Vertex(v));
-            }
-            let (cg, map) = g.induced_subgraph(&kept);
-            // Compression can disconnect the component; restart the full
-            // body on the strictly smaller graph (compression is
-            // idempotent, so this cannot loop).
-            let inner = div_cut_ledger(&cg, k, config, ledger, metrics, depth)?;
-            return Ok(Solved::Table(inner.map_nodes(&map)));
+    let kept = compress(g);
+    if kept.len() < g.len() {
+        metrics.compressed_nodes += (g.len() - kept.len()) as u64;
+        // A near-clique compresses to its best vertex: fold it in closed
+        // form, as a one-vertex component would be.
+        if let [v] = kept[..] {
+            return Ok(Solved::Vertex(v));
         }
+        let (cg, map) = g.induced_subgraph(&kept);
+        // Compression can disconnect the component; restart the full body
+        // on the strictly smaller graph (compression is idempotent, so
+        // this cannot loop).
+        let inner = div_cut_ledger(&cg, k, ledger, metrics, depth)?;
+        return Ok(Solved::Table(inner.map_nodes(&map)));
     }
     let cut_points = articulation_points(g);
-    if cut_points.is_empty() || depth >= config.max_nest_depth {
-        return div_astar_ledger(g, k, &config.astar, ledger, metrics).map(Solved::Table);
+    if cut_points.is_empty() || depth >= MAX_NEST_DEPTH {
+        return div_astar_ledger(g, k, ledger, metrics).map(Solved::Table);
     }
-    let tree = construct_cptree(g, &cut_points, config);
+    let tree = construct_cptree(g, &cut_points);
     metrics.cptree_nodes += tree.len() as u64;
     // Left and entry graphs recurse into `div-cut` one level deeper.
     let mut search =
         |sub: &DiversityGraph, ledger: &mut BudgetLedger, metrics: &mut SearchMetrics| {
-            div_cut_ledger(sub, k, config, ledger, metrics, depth + 1)
+            div_cut_ledger(sub, k, ledger, metrics, depth + 1)
         };
     cp_search(g, &tree, k, ledger, metrics, &mut search).map(Solved::Table)
 }
@@ -301,87 +250,50 @@ fn sub_components(
     out
 }
 
-/// Evenly samples at most `cap` candidates (deterministic).
-fn sample_candidates(candidates: &[NodeId], cap: usize) -> Vec<NodeId> {
-    if candidates.len() <= cap {
-        return candidates.to_vec();
-    }
+/// Evenly samples at most [`SELECTION_SCAN_CAP`] candidates
+/// (deterministic; the first candidate is always among them).
+fn sample_candidates(candidates: &[NodeId]) -> impl Iterator<Item = NodeId> + '_ {
+    let cap = candidates.len().min(SELECTION_SCAN_CAP);
     let step = candidates.len() as f64 / cap as f64;
-    (0..cap)
-        .map(|i| candidates[(i as f64 * step) as usize])
-        .collect()
+    (0..cap).map(move |i| candidates[(i as f64 * step) as usize])
 }
 
-/// Algorithm 9's cut-point selection for one territory.
+/// Algorithm 9's cut-point selection for one territory. The root
+/// minimizes the largest component left after removing it; a child
+/// minimizes its entry graph (Algorithm 9 line 2 — the paper's text and
+/// Fig. 11 take the largest, which measured slower, DESIGN.md §6). Ties
+/// keep the earlier candidate.
 fn select_cut_point(
     g: &DiversityGraph,
     territory: &[NodeId],
     candidates: &[NodeId],
     parent_cut: Option<NodeId>,
-    config: &CutConfig,
     scratch: &mut CpScratch,
 ) -> NodeId {
     debug_assert!(!candidates.is_empty());
-    match parent_cut {
-        None if config.root_heuristic == RootHeuristic::First => candidates[0],
-        Some(_) if config.child_heuristic == ChildHeuristic::First => candidates[0],
-        None => {
-            // Root: minimize the largest remaining component.
-            let sampled = sample_candidates(candidates, config.selection_scan_cap);
-            let mut best = sampled[0];
-            let mut best_max = usize::MAX;
-            for &v in &sampled {
-                let comps = sub_components(g, territory, v, scratch);
-                let max = comps.iter().map(|c| c.len()).max().unwrap_or(0);
-                if max < best_max {
-                    best_max = max;
-                    best = v;
-                }
-            }
-            best
-        }
-        Some(p) => {
-            // Child: optimize the entry-graph size per the heuristic.
-            let sampled = sample_candidates(candidates, config.selection_scan_cap);
-            let want_largest = config.child_heuristic == ChildHeuristic::LargestEntryGraph;
-            let mut best = sampled[0];
-            let mut best_size: Option<usize> = None;
-            for &v in &sampled {
-                let comps = sub_components(g, territory, v, scratch);
-                let entry: usize = comps
-                    .iter()
-                    .filter(|c| c.iter().any(|&x| g.are_adjacent(x, p)))
-                    .map(|c| c.len())
-                    .sum();
-                let better = match best_size {
-                    None => true,
-                    Some(cur) => {
-                        if want_largest {
-                            entry > cur
-                        } else {
-                            entry < cur
-                        }
-                    }
-                };
-                if better {
-                    best_size = Some(entry);
-                    best = v;
-                }
-            }
-            best
+    let mut best = (usize::MAX, candidates[0]);
+    for v in sample_candidates(candidates) {
+        let comps = sub_components(g, territory, v, scratch);
+        let size = match parent_cut {
+            None => comps.iter().map(|c| c.len()).max().unwrap_or(0),
+            Some(p) => comps
+                .iter()
+                .filter(|c| c.iter().any(|&x| g.are_adjacent(x, p)))
+                .map(|c| c.len())
+                .sum(),
+        };
+        if size < best.0 {
+            best = (size, v);
         }
     }
+    best.1
 }
 
 /// Algorithm 9, iterative: builds the cptree arena for one connected graph.
 ///
 /// Children are always appended after their parent, so iterating the arena
 /// in reverse index order visits children before parents (a post-order).
-pub(crate) fn construct_cptree(
-    g: &DiversityGraph,
-    cut_points: &[NodeId],
-    config: &CutConfig,
-) -> Vec<CpNode> {
+pub(crate) fn construct_cptree(g: &DiversityGraph, cut_points: &[NodeId]) -> Vec<CpNode> {
     let n = g.len();
     let mut is_cp = vec![false; n];
     for &c in cut_points {
@@ -417,7 +329,6 @@ pub(crate) fn construct_cptree(
             &item.territory,
             &candidates,
             item.parent_cut,
-            config,
             &mut scratch,
         );
         let comps = sub_components(g, &item.territory, v, &mut scratch);
@@ -701,44 +612,58 @@ mod tests {
         assert_eq!(removed, vec![w1, 14, 15]); // w1, w4 (leaf w3 wins), w5
     }
 
-    #[test]
-    fn fig11_cptree_shape() {
-        // The paper's Fig. 9/11 apply only Example 4's single removal (w1).
-        // Reproduce exactly that state and check the cptree is
-        // w2 → {w4, w5} with entry graphs G′1 (6 nodes) / G′2 (5 nodes)
-        // and left graphs {w3} / {w6} (Fig. 11, leftmost panel).
+    /// Fig. 8 with only Example 4's single removal (w1), the state the
+    /// paper's Fig. 9/11 start from, and `perm` mapped into its ids.
+    fn fig8_minus_w1() -> (DiversityGraph, Vec<u32>) {
         let (g, perm) = fig8_graph();
         let w1_new = perm.iter().position(|&o| o == 11).unwrap() as NodeId;
         let kept: Vec<NodeId> = g.nodes().filter(|&v| v != w1_new).collect();
         let (cg, map) = g.induced_subgraph(&kept);
-        // Identify original labels in compressed-graph id space.
-        let orig_of = |cid: NodeId| perm[map[cid as usize] as usize];
-        let cps = articulation_points(&cg);
-        let tree = construct_cptree(&cg, &cps, &CutConfig::default());
-        assert_eq!(orig_of(tree[0].cut_point), 12, "root must be w2");
-        assert_eq!(tree[0].children.len(), 2);
-        assert!(tree[0].entry_graph.is_empty());
-        assert!(tree[0].left_graph.is_empty());
-        let mut child_info: Vec<(u32, usize, Vec<u32>)> = tree[0]
-            .children
+        let perm = map.iter().map(|&v| perm[v as usize]).collect();
+        (cg, perm)
+    }
+
+    #[test]
+    fn fig11_cptree_shape() {
+        // The paper's Fig. 11 picks each child cut point by the *largest*
+        // entry graph, as its text says: w2 → {w4, w5} with entry graphs
+        // G′1 / G′2. Algorithm 9's line 2 says smallest, and that is the
+        // rule here: under w2, v6 (entry v1..v5) beats w4 (entry G′1) and
+        // u5 (entry u1..u4) beats w5 (entry G′2); w4 and w5 then hang
+        // below them, each with only its pendant leaf left.
+        let (g, perm) = fig8_minus_w1();
+        let tree = construct_cptree(&g, &articulation_points(&g));
+        assert_cptree_invariants(&g, &tree);
+        let labels = |nodes: &[NodeId]| -> Vec<u32> {
+            let mut out: Vec<u32> = nodes.iter().map(|&v| perm[v as usize]).collect();
+            out.sort_unstable();
+            out
+        };
+        let mut shape: Vec<_> = tree
             .iter()
-            .map(|&c| {
+            .map(|node| {
+                let children: Vec<NodeId> =
+                    node.children.iter().map(|&c| tree[c].cut_point).collect();
                 (
-                    orig_of(tree[c].cut_point),
-                    tree[c].entry_graph.len(),
-                    tree[c]
-                        .left_graph
-                        .iter()
-                        .map(|&v| orig_of(v))
-                        .collect::<Vec<u32>>(),
+                    perm[node.cut_point as usize],
+                    labels(&node.entry_graph),
+                    labels(&node.left_graph),
+                    labels(&children),
                 )
             })
             .collect();
-        child_info.sort();
-        // w4 (index 14): entry = G′1 (v1..v6, 6 nodes), left = {w3 = 13}.
-        // w5 (index 15): entry = G′2 (u1..u5, 5 nodes), left = {w6 = 16}.
-        assert_eq!(child_info[0], (14, 6, vec![13]));
-        assert_eq!(child_info[1], (15, 5, vec![16]));
+        assert_eq!(perm[tree[0].cut_point as usize], 12, "root must be w2");
+        shape.sort();
+        // Indices into `fig8_graph`'s scores: v1..v6 = 0..5, u1..u5 =
+        // 6..10, w2 = 12, w3 = 13, w4 = 14, w5 = 15, w6 = 16.
+        let want = vec![
+            (5, vec![0, 1, 2, 3, 4], vec![], vec![14]),
+            (10, vec![6, 7, 8, 9], vec![], vec![15]),
+            (12, vec![], vec![], vec![5, 10]),
+            (14, vec![], vec![13], vec![]),
+            (15, vec![], vec![16], vec![]),
+        ];
+        assert_eq!(shape, want);
     }
 
     /// Structural invariants of the cptree over one connected graph:
@@ -797,7 +722,7 @@ mod tests {
                 if cps.is_empty() {
                     continue;
                 }
-                let tree = construct_cptree(&sub, &cps, &CutConfig::default());
+                let tree = construct_cptree(&sub, &cps);
                 assert_cptree_invariants(&sub, &tree);
             }
         }
@@ -805,7 +730,7 @@ mod tests {
         for n in [10usize, 40, 120] {
             let g = testgen::path_graph(n, n as u64 + 5);
             let cps = articulation_points(&g);
-            let tree = construct_cptree(&g, &cps, &CutConfig::default());
+            let tree = construct_cptree(&g, &cps);
             assert_cptree_invariants(&g, &tree);
         }
     }
@@ -873,69 +798,31 @@ mod tests {
     }
 
     #[test]
-    fn all_heuristic_combinations_are_exact() {
-        let heuristics = [
-            (
-                RootHeuristic::MinMaxComponent,
-                ChildHeuristic::LargestEntryGraph,
-            ),
-            (
-                RootHeuristic::MinMaxComponent,
-                ChildHeuristic::SmallestEntryGraph,
-            ),
-            (RootHeuristic::First, ChildHeuristic::First),
-            (RootHeuristic::First, ChildHeuristic::LargestEntryGraph),
-        ];
-        for seed in 0..12 {
-            let g = testgen::random_graph(12, 0.18, seed);
-            let want = exhaustive(&g, 6);
-            for (root, child) in heuristics {
-                let config = CutConfig {
-                    root_heuristic: root,
-                    child_heuristic: child,
-                    ..CutConfig::default()
-                };
-                let (got, _) =
-                    div_cut_configured(&g, 6, &config, &SearchLimits::unlimited()).unwrap();
-                for i in 0..=6 {
-                    assert_eq!(
-                        got.prefix_best_score(i),
-                        want.prefix_best_score(i),
-                        "seed {seed} {root:?}/{child:?} size {i}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn compression_off_is_still_exact() {
-        let config = CutConfig {
-            compress: false,
-            ..CutConfig::default()
-        };
-        for seed in 0..12 {
-            let g = testgen::random_graph(13, 0.25, seed);
-            let (got, _) = div_cut_configured(&g, 6, &config, &SearchLimits::unlimited()).unwrap();
-            let want = exhaustive(&g, 6);
-            for i in 0..=6 {
-                assert_eq!(got.prefix_best_score(i), want.prefix_best_score(i));
-            }
-        }
-    }
-
-    #[test]
     fn nest_depth_fallback_is_exact() {
-        let config = CutConfig {
-            max_nest_depth: 1,
-            ..CutConfig::default()
-        };
+        // At `MAX_NEST_DEPTH` no cptree is built: a component that would
+        // have been decomposed runs plain A* instead.
+        let mut fell_back = 0;
         for seed in 0..8 {
             let g = testgen::random_graph(12, 0.15, seed);
-            let (got, _) = div_cut_configured(&g, 6, &config, &SearchLimits::unlimited()).unwrap();
+            let mut ledger = SearchLimits::unlimited().start();
+            let mut m = SearchMetrics::default();
+            let got = div_cut_ledger(&g, 6, &mut ledger, &mut m, MAX_NEST_DEPTH).unwrap();
+            assert_eq!(m.cptree_nodes, 0, "seed {seed}");
+            let (_, at_top) = div_cut_limited(&g, 6, &SearchLimits::unlimited()).unwrap();
+            if at_top.cptree_nodes > 0 {
+                assert!(m.astar_calls >= 1, "seed {seed}");
+                fell_back += 1;
+            }
             let want = exhaustive(&g, 6);
-            assert_eq!(got.best().score(), want.best().score(), "seed {seed}");
+            for i in 0..=6 {
+                assert_eq!(
+                    got.prefix_best_score(i),
+                    want.prefix_best_score(i),
+                    "seed {seed} size {i}"
+                );
+            }
         }
+        assert!(fell_back >= 2, "only {fell_back} seeds build a cptree");
     }
 
     #[test]
@@ -960,30 +847,50 @@ mod tests {
 
     #[test]
     fn metrics_on_paper_compressed_graph() {
-        // With only w1 removed (the paper's illustration), the cptree has
-        // the three nodes of Fig. 11 and compression inside div-cut then
-        // still removes w4/w5 within sub-searches.
-        let (g, perm) = fig8_graph();
-        let w1_new = perm.iter().position(|&o| o == 11).unwrap() as NodeId;
-        let kept: Vec<NodeId> = g.nodes().filter(|&v| v != w1_new).collect();
-        let (cg, _) = g.induced_subgraph(&kept);
-        let config = CutConfig {
-            compress: false,
-            ..CutConfig::default()
-        };
-        let (r, m) = div_cut_configured(&cg, 5, &config, &SearchLimits::unlimited()).unwrap();
+        // With only w1 removed (the paper's illustration), searching the
+        // cptree directly — no further compression at the top — still
+        // finds Fig. 11's optimum; the left and entry graphs are searched
+        // by nested `div-cut`, which compresses them as usual.
+        let (g, _) = fig8_minus_w1();
+        let tree = construct_cptree(&g, &articulation_points(&g));
+        assert_eq!(tree.len(), 5, "w2, v6, w4, u5, w5");
+        let mut ledger = SearchLimits::unlimited().start();
+        let mut m = SearchMetrics::default();
+        let mut nested =
+            |sub: &DiversityGraph, ledger: &mut BudgetLedger, metrics: &mut SearchMetrics| {
+                div_cut_ledger(sub, 5, ledger, metrics, 1)
+            };
+        let r = cp_search(&g, &tree, 5, &mut ledger, &mut m, &mut nested).unwrap();
         assert_eq!(r.prefix_best_score(5), s(40));
-        assert!(
-            m.cptree_nodes >= 3,
-            "w2, w4, w5 at least; got {}",
-            m.cptree_nodes
+        r.assert_well_formed(Some(&g));
+        assert!(m.plus_ops > 0 && m.otimes_ops > 0);
+    }
+
+    #[test]
+    fn planted_clusters_compress_then_cut_by_smallest_entry() {
+        // DESIGN.md §6's AB1 / AB2 input. Compression removes dominated
+        // vertices, and the smallest-entry child rule with a fresh A* heap
+        // per round expands 21 entries (the largest-entry rule with one
+        // heap across rounds took 22; without compression, 219).
+        let g = testgen::planted_clusters(
+            &testgen::ClusterConfig {
+                clusters: 10,
+                cluster_size: 8,
+                intra_p: 0.65,
+                bridges: 8,
+                singletons: 15,
+            },
+            13,
         );
+        let (_, m) = div_cut_limited(&g, 20, &SearchLimits::unlimited()).unwrap();
+        assert!(m.compressed_nodes > 0);
+        assert_eq!(m.expansions, 21);
     }
 
     /// The reference the closed-form fold must reproduce: `div-cut` with
     /// every component, and every one-vertex remainder of compression,
     /// sent through `div_astar` and then `⊕`, at every level of nesting
-    /// (default config; these graphs nest far less than 64 deep).
+    /// (these graphs nest far less than `MAX_NEST_DEPTH` deep).
     fn reference_cut(g: &DiversityGraph, k: usize) -> SearchResult {
         let mut acc = SearchResult::empty(k);
         for comp in crate::components::connected_components(g) {
@@ -997,7 +904,7 @@ mod tests {
                 if cut_points.is_empty() {
                     crate::astar::div_astar(&sub, k)
                 } else {
-                    let tree = construct_cptree(&sub, &cut_points, &CutConfig::default());
+                    let tree = construct_cptree(&sub, &cut_points);
                     let mut ledger = SearchLimits::unlimited().start();
                     let mut nested =
                         |s: &DiversityGraph, _: &mut BudgetLedger, _: &mut SearchMetrics| {

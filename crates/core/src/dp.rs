@@ -26,7 +26,7 @@
 //! dense kernel (DESIGN.md §7). The fold uses the allocation-free
 //! [`combine_disjoint_in_place`] with lazily remapped witnesses.
 
-use crate::astar::{AStarConfig, div_astar_ledger};
+use crate::astar::div_astar_ledger;
 use crate::components::connected_components;
 use crate::error::SearchError;
 use crate::graph::{DiversityGraph, NodeId};
@@ -40,8 +40,7 @@ use crate::solution::SearchResult;
 pub fn div_dp(g: &DiversityGraph, k: usize) -> SearchResult {
     let mut metrics = SearchMetrics::default();
     let mut ledger = SearchLimits::unlimited().start();
-    div_dp_ledger(g, k, &AStarConfig::default(), &mut ledger, &mut metrics)
-        .expect("unlimited search cannot exhaust budgets")
+    div_dp_ledger(g, k, &mut ledger, &mut metrics).expect("unlimited search cannot exhaust budgets")
 }
 
 /// Exact diversified top-k via component decomposition under budgets.
@@ -52,19 +51,18 @@ pub fn div_dp_limited(
 ) -> Result<(SearchResult, SearchMetrics), SearchError> {
     let mut metrics = SearchMetrics::default();
     let mut ledger = limits.start();
-    let result = div_dp_ledger(g, k, &AStarConfig::default(), &mut ledger, &mut metrics)?;
+    let result = div_dp_ledger(g, k, &mut ledger, &mut metrics)?;
     Ok((result, metrics))
 }
 
 pub(crate) fn div_dp_ledger(
     g: &DiversityGraph,
     k: usize,
-    config: &AStarConfig,
     ledger: &mut BudgetLedger,
     metrics: &mut SearchMetrics,
 ) -> Result<SearchResult, SearchError> {
     fold_components(g, k, ledger, metrics, |sub, ledger, metrics| {
-        div_astar_ledger(sub, k, config, ledger, metrics).map(Solved::Table)
+        div_astar_ledger(sub, k, ledger, metrics).map(Solved::Table)
     })
 }
 

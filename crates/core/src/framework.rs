@@ -21,9 +21,8 @@
 //! bound is clamped to be non-increasing (Lemma 2 assumes the source
 //! behaves; we do not trust it).
 
-use crate::astar::AStarConfig;
 use crate::astar::div_astar_ledger;
-use crate::cut::{CutConfig, div_cut_ledger};
+use crate::cut::div_cut_ledger;
 use crate::dp::div_dp_ledger;
 use crate::error::SearchError;
 use crate::graph::DiversityGraph;
@@ -64,15 +63,9 @@ impl ExactAlgorithm {
         let mut metrics = SearchMetrics::default();
         let mut ledger = limits.start();
         let result = match self {
-            ExactAlgorithm::AStar => {
-                div_astar_ledger(g, k, &AStarConfig::default(), &mut ledger, &mut metrics)?
-            }
-            ExactAlgorithm::Dp => {
-                div_dp_ledger(g, k, &AStarConfig::default(), &mut ledger, &mut metrics)?
-            }
-            ExactAlgorithm::Cut => {
-                div_cut_ledger(g, k, &CutConfig::default(), &mut ledger, &mut metrics, 0)?
-            }
+            ExactAlgorithm::AStar => div_astar_ledger(g, k, &mut ledger, &mut metrics)?,
+            ExactAlgorithm::Dp => div_dp_ledger(g, k, &mut ledger, &mut metrics)?,
+            ExactAlgorithm::Cut => div_cut_ledger(g, k, &mut ledger, &mut metrics, 0)?,
         };
         Ok((result, metrics))
     }
@@ -87,9 +80,6 @@ pub struct DivSearchConfig {
     pub algorithm: ExactAlgorithm,
     /// Budgets applied to **each** inner `div-search-current` invocation.
     pub limits: SearchLimits,
-    /// Apply the necessary-condition gate (Lemma 3) before inner searches.
-    /// Disabling re-searches after every pulled result — ablation AB3.
-    pub use_necessary_gate: bool,
     /// Additional throttle on top of Lemma 3: skip re-searching until the
     /// unseen bound has decayed by this relative factor since the last
     /// inner search (0.0 = paper behaviour, search whenever Lemma 3
@@ -109,7 +99,6 @@ impl DivSearchConfig {
             k,
             algorithm: ExactAlgorithm::default(),
             limits: SearchLimits::unlimited(),
-            use_necessary_gate: true,
             min_bound_decay: 0.0,
         }
     }
@@ -270,8 +259,8 @@ where
 
             // necessary(): is an early stop even possible right now?
             // Always proceed when the stream ended (Lemma 3 condition 1 —
-            // final search) or when the gate is disabled (ablation AB3).
-            let proceed = if exhausted || !self.config.use_necessary_gate {
+            // final search).
+            let proceed = if exhausted {
                 true
             } else {
                 metrics.necessary_checks += 1;
@@ -509,31 +498,31 @@ mod tests {
     }
 
     #[test]
-    fn necessary_gate_reduces_inner_searches() {
-        let items = make_items(7, 60, 6);
-        let gated = DivTopK::new(
-            IncrementalVecSource::from_unsorted(items.clone()),
-            same_cluster,
-            DivSearchConfig::new(5),
-        )
-        .run()
-        .unwrap();
-        let mut ungated_config = DivSearchConfig::new(5);
-        ungated_config.use_necessary_gate = false;
-        let ungated = DivTopK::new(
+    fn necessary_gate_skips_inner_searches() {
+        // DESIGN.md §6's AB3 input: 300 streamed items in 40 classes,
+        // k = 10. Lemma 3's gate lets 2 inner searches run; searching
+        // after every pull until the stop took 11.
+        let mut rng = Pcg::new(21);
+        let items: Vec<Scored<(u32, u32)>> = (0..300u32)
+            .map(|i| Scored::new((i, rng.below(40)), Score::from(rng.range(1, 10_000))))
+            .collect();
+        // Classes are cliques: the optimum is the 10 best class maxima.
+        let mut class_best = [Score::ZERO; 40];
+        for r in &items {
+            let best = &mut class_best[r.item.1 as usize];
+            *best = (*best).max(r.score);
+        }
+        class_best.sort_unstable_by(|a, b| b.cmp(a));
+        let want: Score = class_best[..10].iter().copied().sum();
+        let out = DivTopK::new(
             IncrementalVecSource::from_unsorted(items),
             same_cluster,
-            ungated_config,
+            DivSearchConfig::new(10),
         )
         .run()
         .unwrap();
-        assert_eq!(gated.total_score, ungated.total_score);
-        assert!(
-            gated.metrics.inner_searches <= ungated.metrics.inner_searches,
-            "gate must not increase searches ({} vs {})",
-            gated.metrics.inner_searches,
-            ungated.metrics.inner_searches
-        );
+        assert_eq!(out.total_score, want);
+        assert_eq!(out.metrics.inner_searches, 2);
     }
 
     #[test]

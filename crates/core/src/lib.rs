@@ -86,10 +86,8 @@ pub mod testgen;
 
 /// One-stop imports for typical users of the crate.
 pub mod prelude {
-    pub use crate::astar::{AStarConfig, div_astar, div_astar_configured, div_astar_limited};
-    pub use crate::cut::{
-        ChildHeuristic, CutConfig, RootHeuristic, div_cut, div_cut_configured, div_cut_limited,
-    };
+    pub use crate::astar::{div_astar, div_astar_limited};
+    pub use crate::cut::{div_cut, div_cut_limited};
     pub use crate::diversify::{
         DiversifierMetrics, DiversifyOutcome, RERANK_OVERSAMPLE, WindowConfig,
     };

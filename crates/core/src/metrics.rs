@@ -1,11 +1,12 @@
 //! Lightweight counters describing what a search did, plus the small
 //! dependency-free rank-quality helpers the quality harness is built on.
 //!
-//! The counters are used by the benchmark harness (ablations AB3/AB4 in
-//! DESIGN.md) and by the framework to expose how much work the early-stop
-//! conditions saved. The rank helpers (DCG/NDCG, reciprocal rank, label
-//! concentration) live here rather than in the bench crate so they stay
-//! testable against hand-computed fixtures without pulling in a corpus.
+//! The counters are used by the measurement harnesses (`figures hits`
+//! prints every one) and by the framework to expose how much work the
+//! early-stop conditions saved. The rank helpers (DCG/NDCG, reciprocal
+//! rank, label concentration) live here rather than in the bench crate so
+//! they stay testable against hand-computed fixtures without pulling in a
+//! corpus.
 
 /// Counters for a single `div-search-current` invocation.
 ///
