@@ -5,14 +5,17 @@
 //!
 //! ```text
 //! serve [--port N] [--shards N] [--docs N] [--snapshot PATH]
-//!       [--cache N] [--pull-workers N] [--workers N] [--queue N] [--seed N]
+//!       [--cache N] [--workers N] [--queue N] [--seed N]
 //! ```
 //!
 //! Exits 2 with the usage line on a bad flag, 1 with one `serve: …` line
 //! when the snapshot cannot be loaded or the port cannot be bound.
 //! `--workers` is how many searches may execute at once (0 = one per
 //! CPU), `--queue` how many more may wait; one beyond that is answered
-//! `Overloaded`.
+//! `Overloaded`. `--shards` (default 1) splits the base corpus into that
+//! many segments. It is a layout-test knob, not a speed one: a query
+//! pulls its segments one after another on its own thread, so more
+//! segments buy only a k-way merge and cost memory.
 //!
 //! Without `--snapshot` the corpus is the deterministic reuters-like
 //! synthetic collection (same generator as the benchmarks), so a load
@@ -30,7 +33,6 @@ struct Args {
     docs: usize,
     snapshot: Option<String>,
     cache: usize,
-    pull_workers: Option<usize>,
     workers: usize,
     queue: usize,
     seed: u64,
@@ -40,11 +42,10 @@ impl Args {
     fn parse() -> Result<Args, String> {
         let mut args = Args {
             port: 0,
-            shards: 4,
+            shards: 1,
             docs: 4000,
             snapshot: None,
             cache: 256,
-            pull_workers: None,
             workers: 0,
             queue: 64,
             seed: 0x0600,
@@ -58,9 +59,6 @@ impl Args {
                 "--docs" => args.docs = parse(&value("--docs")?)?,
                 "--snapshot" => args.snapshot = Some(value("--snapshot")?),
                 "--cache" => args.cache = parse(&value("--cache")?)?,
-                "--pull-workers" => {
-                    args.pull_workers = Some(parse(&value("--pull-workers")?)?);
-                }
                 "--workers" => args.workers = parse(&value("--workers")?)?,
                 "--queue" => args.queue = parse(&value("--queue")?)?,
                 "--seed" => args.seed = parse(&value("--seed")?)?,
@@ -99,15 +97,12 @@ fn main() {
             eprintln!("serve: {why}");
             eprintln!(
                 "usage: serve [--port N] [--shards N] [--docs N] [--snapshot PATH] \
-                 [--cache N] [--pull-workers N] [--workers N] [--queue N] [--seed N]"
+                 [--cache N] [--workers N] [--queue N] [--seed N]"
             );
             std::process::exit(2);
         }
     };
-    let mut config = EngineConfig::new(args.shards).with_cache_capacity(args.cache);
-    if let Some(pull_workers) = args.pull_workers {
-        config = config.with_pull_workers(pull_workers);
-    }
+    let config = EngineConfig::new(args.shards).with_cache_capacity(args.cache);
     let engine = match &args.snapshot {
         Some(path) => Engine::load_snapshot(path, &config)
             .unwrap_or_else(|e| fail(format!("loading snapshot {path}: {e}"))),
@@ -121,12 +116,11 @@ fn main() {
         }
     };
     eprintln!(
-        "[serve] generation {} · {} segments · {} docs · {} terms · {} pull workers",
+        "[serve] generation {} · {} segments · {} docs · {} terms",
         engine.generation(),
         engine.stats().segments,
         engine.corpus().num_docs(),
         engine.corpus().num_terms(),
-        engine.pull_workers(),
     );
     let server_config = ServerConfig {
         workers: args.workers,

@@ -36,13 +36,14 @@
 //!
 //! Batches run on a scoped `std::thread` pool (no external dependencies):
 //! workers claim queries off an atomic cursor, so a slow query never
-//! convoys the rest of the batch behind it.
+//! convoys the rest of the batch behind it. That is the engine's only
+//! parallelism: each query pulls all of its segments on its own thread.
 
 use crate::cache::{CacheStats, LruCache};
+use divtopk_core::SearchError;
 use divtopk_core::sync::{
     self, lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned,
 };
-use divtopk_core::{SearchError, WorkerPool};
 use divtopk_text::corpus::Corpus;
 use divtopk_text::document::{DocId, Document, TermId};
 use divtopk_text::persist::{self, SaveReport, SnapshotError};
@@ -67,15 +68,6 @@ pub struct EngineConfig {
     /// Worker threads for [`Engine::search_batch`]; 0 means "one per
     /// available CPU" (`std::thread::available_parallelism`).
     pub threads: usize,
-    /// Worker threads for the parallel-pull pool that pumps per-segment
-    /// sources concurrently inside one query
-    /// ([`divtopk_core::prefetch`]). `None` (the default) auto-sizes: a
-    /// pool of `min(available_parallelism, 8)` threads on a multi-core
-    /// host, disabled on a single core (where pumping threads could only
-    /// add context switches). `Some(0)` forces the sequential pull path;
-    /// `Some(n)` forces a pool of `n`. Either way the *answers* are
-    /// byte-identical — this knob only moves where the pulls run.
-    pub pull_workers: Option<usize>,
 }
 
 impl EngineConfig {
@@ -86,7 +78,6 @@ impl EngineConfig {
             shards,
             cache_capacity: 4096,
             threads: 0,
-            pull_workers: None,
         }
     }
 
@@ -99,13 +90,6 @@ impl EngineConfig {
     /// Overrides the batch worker-thread count (0 = auto).
     pub fn with_threads(mut self, threads: usize) -> EngineConfig {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the parallel-pull pool size (0 = sequential pulls; see
-    /// [`EngineConfig::pull_workers`]).
-    pub fn with_pull_workers(mut self, workers: usize) -> EngineConfig {
-        self.pull_workers = Some(workers);
         self
     }
 }
@@ -215,10 +199,9 @@ pub struct EngineStats {
     pub tombstones: usize,
     /// Compaction merges performed over the engine's lifetime.
     pub compactions: u64,
-    /// Queries whose per-segment pulls ran concurrently on the
-    /// parallel-pull pool (multi-segment snapshots with a pool
-    /// configured; single-segment queries take the sequential path —
-    /// there is nothing to overlap).
+    /// Always 0: every query pulls its segments on its own thread, none
+    /// on a pool. Kept for readers compiled against the field, such as
+    /// `benchmarks/e2e`'s `core.pool.parallel_pulls_share`.
     pub parallel_pulls: u64,
     /// What [`EngineConfig::shards`] asked for at construction time.
     /// Compare with [`EngineStats::segments`] and
@@ -256,13 +239,9 @@ pub struct Engine {
     /// Signalled whenever an in-flight computation finishes.
     inflight_done: Condvar,
     threads: usize,
-    /// The parallel-pull pool ([`divtopk_core::WorkerPool`]); `None`
-    /// means per-segment pulls run sequentially on the query thread.
-    pool: Option<WorkerPool>,
     queries: AtomicU64,
     rejected: AtomicU64,
     batches: AtomicU64,
-    parallel_pulls: AtomicU64,
     /// What `config.shards` asked for — surfaced via [`Engine::stats`]
     /// so a snapshot-loaded engine can't silently masquerade as a
     /// `config.shards`-partitioned one.
@@ -274,8 +253,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds the engine: partitions the corpus into the base segments,
-    /// sizes the cache and pool.
+    /// Builds the engine: partitions the corpus into the base segments
+    /// and sizes the cache.
     ///
     /// # Panics
     /// Panics if `config.shards == 0` (deployment configuration error).
@@ -303,16 +282,6 @@ impl Engine {
         } else {
             config.threads
         };
-        let pull_workers = config.pull_workers.unwrap_or_else(|| {
-            // Auto: parallel pulls buy nothing on a single core (the
-            // pumps would just time-slice against the merge), so the
-            // pool only spins up when there is real parallelism.
-            match std::thread::available_parallelism().map_or(1, |n| n.get()) {
-                1 => 0,
-                cores => cores.min(8),
-            }
-        });
-        let pool = (pull_workers > 0).then(|| WorkerPool::new(pull_workers));
         Engine {
             snapshot: RwLock::new(Arc::new(Snapshot { generation, index })),
             writer: Mutex::new(()),
@@ -321,11 +290,9 @@ impl Engine {
             inflight: Mutex::new(HashSet::new()),
             inflight_done: Condvar::new(),
             threads,
-            pool,
             queries: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            parallel_pulls: AtomicU64::new(0),
             configured_shards: config.shards,
             layout_from_snapshot: AtomicBool::new(layout_from_snapshot),
         }
@@ -355,9 +322,11 @@ impl Engine {
         self.threads
     }
 
-    /// Parallel-pull pool size (0 = sequential pulls).
+    /// Always 0: the engine runs no parallel-pull pool. Kept for callers
+    /// that size a pooled comparison from it (`benchmarks/e2e` runs none
+    /// when it reads 0).
     pub fn pull_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, WorkerPool::threads)
+        0
     }
 
     /// Installs a mutated index as the next generation. Callers must hold
@@ -701,8 +670,7 @@ impl Engine {
             segments: snap.index.num_segments(),
             tombstones: snap.index.tombstones(),
             compactions: snap.index.compactions(),
-            // RELAXED: as above — diagnostics-only counter snapshot.
-            parallel_pulls: self.parallel_pulls.load(Ordering::Relaxed),
+            parallel_pulls: 0,
             configured_shards: self.configured_shards,
             // RELAXED: provenance flag — monotonic bool, diagnostics.
             layout_from_snapshot: self.layout_from_snapshot.load(Ordering::Relaxed),
@@ -715,20 +683,10 @@ impl Engine {
         query: &Query,
         options: &SearchOptions,
     ) -> Result<SearchOutput, SearchError> {
-        // The pooled and sequential paths return byte-identical outputs
-        // (tests/parallel_merge.rs pins this), so routing is purely a
-        // performance decision: overlap per-segment pulls when there are
-        // segments to overlap and a pool to run them on.
-        if let Some(pool) = &self.pool {
-            if snap.index.num_segments() > 1 {
-                // RELAXED: monotonic stats counter (see `stats()`).
-                self.parallel_pulls.fetch_add(1, Ordering::Relaxed);
-                return match query {
-                    Query::Scan(term) => snap.index.search_scan_pooled(*term, options, pool),
-                    Query::Keywords(q) => snap.index.search_ta_pooled(q, options, pool),
-                };
-            }
-        }
+        // Every segment is pulled here, on the query's own thread.
+        // Parallelism is across queries (`search_batch`, the server's
+        // connections): pumping one query's segments on a pool answered
+        // byte-identically and measured slower (DESIGN.md §8).
         match query {
             Query::Scan(term) => snap.index.search_scan(*term, options),
             Query::Keywords(q) => snap.index.search_ta(q, options),

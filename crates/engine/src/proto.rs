@@ -288,8 +288,6 @@ pub struct StatsReport {
     pub cache_misses: u64,
     /// Tombstoned documents.
     pub tombstones: u64,
-    /// Queries whose shard pulls ran on the parallel-pull pool.
-    pub parallel_pulls: u64,
     /// Frames the server accepted (all endpoints).
     pub requests: u64,
     /// Search requests rejected by backpressure.
@@ -650,7 +648,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             put_u64(&mut out, s.cache_hits);
             put_u64(&mut out, s.cache_misses);
             put_u64(&mut out, s.tombstones);
-            put_u64(&mut out, s.parallel_pulls);
             put_u64(&mut out, s.requests);
             put_u64(&mut out, s.overloaded);
             put_u64(&mut out, s.protocol_errors);
@@ -727,7 +724,6 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
             cache_hits: cur.u64()?,
             cache_misses: cur.u64()?,
             tombstones: cur.u64()?,
-            parallel_pulls: cur.u64()?,
             requests: cur.u64()?,
             overloaded: cur.u64()?,
             protocol_errors: cur.u64()?,
@@ -924,7 +920,6 @@ mod tests {
             cache_hits: 3,
             cache_misses: 7,
             tombstones: 2,
-            parallel_pulls: 6,
             requests: 15,
             overloaded: 0,
             protocol_errors: 2,

@@ -196,7 +196,6 @@ impl ServerShared {
             cache_hits: engine.cache_hits,
             cache_misses: engine.cache_misses,
             tombstones: engine.tombstones as u64,
-            parallel_pulls: engine.parallel_pulls,
             // RELAXED: diagnostics-only counter snapshot — each counter
             // is monotonic and a torn multi-counter view is fine.
             requests: self.metrics.requests.load(Ordering::Relaxed),
