@@ -1,7 +1,11 @@
 //! `serve` — the standalone serving binary: builds (or loads) an engine,
 //! binds the wire protocol on a TCP port, prints `LISTENING <addr>` on
-//! stdout, and serves until stdin closes (how CI and scripts stop it
-//! cleanly without signal handling).
+//! stdout, and serves until stdin reaches EOF, then shuts down cleanly
+//! and exits 0 — the stop signal, with no signal handling. A caller
+//! keeps stdin open for as long as the server should run: a pipe, or a
+//! fifo held open by the shell (`/dev/null` or a terminal left to a
+//! background job will not do: the first is EOF at once, the second
+//! stops the job on `SIGTTIN`).
 //!
 //! ```text
 //! serve [--port N] [--shards N] [--docs N] [--snapshot PATH]
@@ -18,9 +22,10 @@
 //! segments buy only a k-way merge and cost memory.
 //!
 //! Without `--snapshot` the corpus is the deterministic reuters-like
-//! synthetic collection (same generator as the benchmarks), so a load
-//! generator pointed at the printed address replays a reproducible
-//! workload end to end.
+//! synthetic collection (same generator as the benchmarks), so the same
+//! flags serve the same answers on every run.
+//! `tests/serve_flags.rs::serve_answers_over_tcp_and_stops_on_stdin_eof`
+//! boots this binary, queries it over TCP and checks the stop.
 
 use divtopk_engine::prelude::*;
 use divtopk_text::prelude::*;
@@ -136,8 +141,8 @@ fn main() {
     println!("LISTENING {}", server.addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
-    // Serve until stdin closes — the portable, dependency-free stop
-    // signal (CI pipes `sleep`'s stdout in; closing it stops the server).
+    // Serve until stdin reaches EOF — the portable, dependency-free stop
+    // signal (the caller closes its end of the pipe or fifo).
     let mut sink = Vec::new();
     std::io::stdin().read_to_end(&mut sink).ok();
     drop(server); // Drop shuts down: searches finish, connections close, threads join.

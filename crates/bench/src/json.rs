@@ -1,6 +1,6 @@
 //! Minimal JSON emission + validation + DOM for the query packs
-//! ([`crate::workload`]), the quality evidence table
-//! ([`crate::quality`]) and the `loadgen` report.
+//! ([`crate::workload`]) and the quality evidence table
+//! ([`crate::quality`]).
 //!
 //! The workspace is dependency-free (no serde), so documents are
 //! written with [`escape_string`]/format strings or [`emit`] and checked

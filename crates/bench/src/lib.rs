@@ -1,11 +1,10 @@
 //! Shared measurement utilities for `divtopk`: a peak-tracking global
 //! allocator (the paper reports *peak memory* for every experiment) and
 //! the small measurement/format helpers the `figures` binary uses
-//! (DESIGN.md §6), plus the modules behind the serving, quality and
-//! query-pack binaries.
+//! (DESIGN.md §6), plus the modules behind the quality and query-pack
+//! binaries.
 
 pub mod json;
-pub mod load;
 pub mod quality;
 pub mod workload;
 

@@ -1,9 +1,122 @@
-//! `serve` turns a deployment flag the engine would assert on into a
-//! usage error, like every other bad flag, and a snapshot or port it
-//! cannot have into a one-line error; `snapshot` does the same for a
+//! `serve` answers typed requests over TCP and exits 0 when its stdin
+//! reaches EOF; it turns a deployment flag the engine would assert on
+//! into a usage error, like every other bad flag, and a snapshot or port
+//! it cannot have into a one-line error; `snapshot` does the same for a
 //! directory it cannot read or write.
 
-use std::process::Command;
+use divtopk_engine::engine::Query;
+use divtopk_engine::proto::{self, Request, Response};
+use divtopk_text::mode::DiversifyMode;
+use divtopk_text::query::KeywordQuery;
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpStream;
+use std::process::{Command, Stdio};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
+
+/// Long enough for a debug build to generate and index the corpus.
+const PATIENCE: Duration = Duration::from_secs(60);
+
+#[test]
+fn serve_answers_over_tcp_and_stops_on_stdin_eof() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_serve"))
+        .args(["--port", "0", "--shards", "4", "--docs", "2000"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawning serve");
+
+    // The reader drains stdout to EOF, so the server never writes into a
+    // closed pipe; the channel bounds the wait for the ready line.
+    let stdout = BufReader::new(child.stdout.take().unwrap());
+    let (lines, ready) = mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        for line in stdout.lines() {
+            let _ = lines.send(line.expect("reading serve's stdout"));
+        }
+    });
+    let line = ready
+        .recv_timeout(PATIENCE)
+        .expect("serve printed no LISTENING line");
+    let addr = line
+        .strip_prefix("LISTENING ")
+        .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+        .to_owned();
+
+    let nonempty_hits: usize = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..4u32)
+            .map(|client| {
+                let addr = &addr;
+                scope.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connecting to serve");
+                    stream.set_read_timeout(Some(PATIENCE)).unwrap();
+                    stream.set_nodelay(true).unwrap();
+                    let mut call = |request: &Request| {
+                        proto::call(&mut stream, request).expect("round trip to serve")
+                    };
+                    assert_eq!(call(&Request::Ping), Response::Pong);
+                    let Response::Stats(stats) = call(&Request::Stats) else {
+                        panic!("a stats request must draw a stats response");
+                    };
+                    assert!(stats.num_terms > 0, "serve reports an empty vocabulary");
+                    let term = |i: u32| (client * 31 + i * 7) % stats.num_terms;
+                    let mut nonempty = 0;
+                    for i in 0..12 {
+                        let query = if i % 4 == 3 {
+                            Query::Keywords(KeywordQuery {
+                                terms: vec![term(i), term(i + 1)],
+                            })
+                        } else {
+                            Query::Scan(term(i))
+                        };
+                        let request = Request::Search {
+                            query,
+                            k: 5,
+                            tau: 0.5,
+                            bound_decay: 0.005,
+                            mode: DiversifyMode::exact(),
+                        };
+                        match call(&request) {
+                            Response::Hits(hits) => nonempty += usize::from(!hits.hits.is_empty()),
+                            Response::Overloaded { .. } => {}
+                            other => panic!("search {i} of client {client} drew {other:?}"),
+                        }
+                    }
+                    nonempty
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().unwrap()).sum()
+    });
+    assert!(nonempty_hits > 0, "no search returned a hit");
+
+    // Closing stdin is the stop signal.
+    drop(child.stdin.take());
+    let deadline = Instant::now() + PATIENCE;
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("polling serve") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("serve still running {PATIENCE:?} after its stdin closed");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    reader.join().unwrap();
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .unwrap()
+        .read_to_string(&mut stderr)
+        .unwrap();
+    assert!(status.success(), "serve exited {status}: {stderr}");
+    assert!(stderr.contains("shut down cleanly"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
 
 #[test]
 fn zero_valued_deployment_flags_are_usage_errors_not_panics() {

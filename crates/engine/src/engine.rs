@@ -157,7 +157,7 @@ impl CacheKey {
             k: options.k,
             tau_q: (options.tau * 1e9).round() as u64,
             // The mode's Debug form spells out every mode parameter (λ,
-            // window knobs, neighbor count, cut configuration) at full
+            // window knobs, neighbor count) at full
             // precision, so no two distinct configurations can collide —
             // the cross-mode/cross-λ isolation regression tests pin this.
             algo: format!(

@@ -154,14 +154,13 @@ pub enum Request {
     },
 }
 
-/// Diversify-mode wire selectors. The first three are byte-identical to
-/// the old plain `ExactAlgorithm` selector (0 = div-astar, 1 = div-dp,
-/// 2 = div-cut) and carry no parameter bytes, so frames from pre-mode
-/// clients decode unchanged to the equivalent exact modes.
+/// Diversify-mode wire selectors: one byte per mode, followed by that
+/// mode's parameter bytes, if any. This one: exact mode, div-astar
+/// inner algorithm. No parameter bytes.
 pub const MODE_EXACT_ASTAR: u8 = 0;
-/// Exact mode, div-dp inner algorithm (legacy-compatible selector).
+/// Exact mode, div-dp inner algorithm. No parameter bytes.
 pub const MODE_EXACT_DP: u8 = 1;
-/// Exact mode, div-cut inner algorithm (legacy-compatible selector).
+/// Exact mode, div-cut inner algorithm. No parameter bytes.
 pub const MODE_EXACT_CUT: u8 = 2;
 /// Diversity off (plain relevance top-k). No parameter bytes.
 pub const MODE_NONE: u8 = 3;
@@ -802,9 +801,9 @@ mod tests {
         }
     }
 
-    /// Byte-level frame of a search request as pre-mode clients sent it:
-    /// scan query, then k/τ/decay, then the single selector byte.
-    fn legacy_search_payload(selector: u8) -> Vec<u8> {
+    /// Byte-level frame of a scan search request: scan query, then
+    /// k/τ/decay, then the selector byte and no parameter bytes.
+    fn bare_selector_payload(selector: u8) -> Vec<u8> {
         let mut out = vec![TAG_SEARCH, QUERY_SCAN];
         put_u32(&mut out, 42);
         put_u32(&mut out, 5);
@@ -815,10 +814,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_plain_selectors_decode_to_equivalent_modes() {
+    fn exact_selectors_carry_no_parameter_bytes() {
         use divtopk_core::ExactAlgorithm::*;
         for (selector, algorithm) in [(0u8, AStar), (1, Dp), (2, Cut)] {
-            let request = decode_request(&legacy_search_payload(selector)).unwrap();
+            let request = decode_request(&bare_selector_payload(selector)).unwrap();
             let Request::Search { mode, .. } = request else {
                 panic!("expected a search request");
             };
@@ -829,7 +828,7 @@ mod tests {
     #[test]
     fn unknown_mode_selector_is_typed_and_nonfatal() {
         for selector in [8u8, 42, 255] {
-            let err = decode_request(&legacy_search_payload(selector)).unwrap_err();
+            let err = decode_request(&bare_selector_payload(selector)).unwrap_err();
             assert_eq!(err, ProtoError::UnknownSelector(selector));
             assert!(!err.breaks_framing());
         }

@@ -16,9 +16,10 @@
 //! cargo run --release --example serving_under_load
 //! ```
 //!
-//! The standalone binaries do the same over a real deployment boundary:
-//! `serve` hosts an engine, `loadgen` drives an open-loop trace at a
-//! fixed arrival rate (see README "Serving under load").
+//! The standalone `serve` binary hosts an engine over a real deployment
+//! boundary and stops on stdin EOF (see README "Serving under load");
+//! `crates/bench/tests/serve_flags.rs` drives it with this example's
+//! handshake.
 
 use divtopk::engine::prelude::*;
 use divtopk::engine::proto::{Request, Response, call};
@@ -81,7 +82,7 @@ fn main() {
     println!("serving on {addr} (1 search at a time, 2 may wait)");
 
     // A term with a healthy posting list, discovered through the stats
-    // endpoint — the same handshake `loadgen` uses to build its trace.
+    // endpoint — a client learns the vocabulary size the same way.
     let mut stream = connect(&addr);
     assert_eq!(call(&mut stream, &Request::Ping), Ok(Response::Pong));
     let Ok(Response::Stats(stats)) = call(&mut stream, &Request::Stats) else {
