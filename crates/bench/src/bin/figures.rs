@@ -32,6 +32,7 @@
 //! time/byte budget — the analogue of the paper's 2 GB exhaustion.
 
 use divtopk_bench::{Measurement, PeakAlloc, measure, print_table};
+use divtopk_core::diversify::rerank_pool_size;
 use divtopk_core::prelude::*;
 use divtopk_core::testgen;
 use divtopk_text::prelude::*;
@@ -545,13 +546,20 @@ fn ms_cell(m: &Measurement) -> String {
 /// by the text layer's threshold join — must be byte-identical to driving
 /// the core framework directly with the `similar_above` closure, which
 /// tests all pairs: same hits, same `FrameworkMetrics` but for
-/// `similarity_checks`, both counts printed, and on the TA shape (which
-/// pulls past the join's threshold at every scale) fewer via the mode.
-/// Beside each time the table prints the two counts that explain it —
-/// results pulled and similarity evaluations — and no pool mode may have
-/// run an inner search: their top-k / top-4k pull is a loop.
+/// `similarity_checks`, both counts printed, and on the TA shape fewer
+/// via the mode. That check runs at k = 60, which pulls past the join's
+/// threshold on both shapes at every scale. Beside each time the table
+/// prints the two counts that explain it — results pulled and similarity
+/// evaluations — and no pool mode may have run an inner search or pulled
+/// other than its target: their top-k / top-4k pull is a loop over a
+/// source that hands out certified results in score order.
 fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
     const K: usize = 10;
+    // The identity check's k: TA emits only certified results, so at k =
+    // 10 its pull ends near 12, under the 48 results from which graph
+    // growth is the threshold join's. At k = 60 both shapes pull past 48
+    // at every scale, so the check compares the join with all pairs.
+    const JOIN_K: usize = 60;
     let docs = ((4000.0 * ctx.scale) as usize).max(400);
     let limits = budget_limits(ctx);
     let exact_cut = DiversifyMode::Exact(ExactAlgorithm::Cut);
@@ -566,8 +574,6 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
     println!(
         "\n## Frontier — diversify modes vs the exact optimum ({docs} docs, k = {K}, τ = {DEFAULT_TAU})"
     );
-    // Best speedup among the cheap modes that respect τ on their shape.
-    let mut best_feasible_speedup = 0.0f64;
     for (shape, config, terms) in [
         ("reuters scan", SynthConfig::reuters_like(), 1),
         ("enwiki TA", SynthConfig::enwiki_like(), 2),
@@ -579,8 +585,8 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
             println!("({shape}: no band-{DEFAULT_KFREQ} query at this scale, skipped)");
             continue;
         };
-        let run = |mode: &DiversifyMode| {
-            let options = SearchOptions::new(K)
+        let run_at = |mode: &DiversifyMode, k: usize| {
+            let options = SearchOptions::new(k)
                 .with_tau(DEFAULT_TAU)
                 .with_mode(mode.clone())
                 .with_limits(limits.clone())
@@ -591,8 +597,9 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
                 searcher.search_ta(&query, &options).ok()
             }
         };
+        let run = |mode: &DiversifyMode| run_at(mode, K);
 
-        let via_mode = run(&exact_cut).expect("Exact(Cut) within budget");
+        let via_mode = run_at(&exact_cut, JOIN_K).expect("Exact(Cut) within budget");
         let weights = doc_weights(&corpus);
         let similar = |a: &DocId, b: &DocId| {
             similar_above(
@@ -604,7 +611,7 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
                 DEFAULT_TAU,
             )
         };
-        let config = DivSearchConfig::new(K)
+        let config = DivSearchConfig::new(JOIN_K)
             .with_limits(limits.clone())
             .with_bound_decay(ctx.decay);
         let direct = if terms == 1 {
@@ -651,10 +658,25 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
         );
 
         for mode in &modes[1..] {
-            let searched = run(mode).map(|out| out.metrics.inner_searches);
+            let out = run(mode);
+            let searched = out.as_ref().map(|out| out.metrics.inner_searches);
             assert!(
                 matches!(searched, None | Some(0)),
                 "{shape}: {} ran {searched:?} inner searches for a plain pull",
+                mode.name()
+            );
+            // Both sources hand out certified results in score order, so
+            // a plain pull stops at its target: k for `none`, the rerank
+            // pool for the rest.
+            let target = if *mode == DiversifyMode::None {
+                K
+            } else {
+                rerank_pool_size(K)
+            };
+            let pulled = out.map(|out| out.metrics.results_generated);
+            assert!(
+                pulled.is_none_or(|n| n == target as u64),
+                "{shape}: {} pulled {pulled:?} results, not its target {target}",
                 mode.name()
             );
         }
@@ -683,9 +705,6 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
                 .collect();
             let (violations, _) = redundancy(&corpus, &hits, DEFAULT_TAU);
             let speedup = exact_wall / wall;
-            if *mode != exact_cut && violations == 0 {
-                best_feasible_speedup = best_feasible_speedup.max(speedup);
-            }
             rows.push((
                 mode.name().to_string(),
                 vec![
@@ -720,14 +739,6 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
         );
     }
     println!("(gap = (exact − mode) / exact; negative = more raw score by breaking τ)");
-    // Smaller corpora are too quick for stable timing ratios; at full
-    // scale `disc` measures 33–38x and `mmr` 20–25x on the TA shape.
-    if ctx.scale >= 1.0 {
-        assert!(
-            best_feasible_speedup >= 10.0,
-            "no τ-respecting cheap mode reached 10x over Exact(Cut) (best {best_feasible_speedup:.2}x)"
-        );
-    }
 }
 
 /// One line of the answer dump: `label`, the query, mode and k, then every

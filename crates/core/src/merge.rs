@@ -33,11 +33,14 @@
 //!   reports the classic "score of the last emitted result" bound. Merging
 //!   per-shard posting-list scans this way is **behaviourally identical**
 //!   to scanning the unsharded list (property-tested in `tests/engine.rs`).
-//! * [`MergedSource::bounding`] — for arbitrary-order (bounding) sources
-//!   such as per-shard threshold algorithms. Emits the best buffered head
+//! * [`MergedSource::bounding`] — for bounding sources, whose emission
+//!   order the contract leaves arbitrary. Emits the best buffered head
 //!   first and reports the head-aware max bound above, clamped to be
 //!   non-increasing (running min) so downstream consumers see a monotone
-//!   `u` even if a shard's bound jitters.
+//!   `u` even if a shard's bound jitters. Over sources that happen to
+//!   emit in score order — per-shard threshold algorithms hand out only
+//!   certified results — the merge emits the global ranking, as the
+//!   incremental merge does; only the bound differs.
 //!
 //! ## Tombstone filtering (the live-update hook)
 //!

@@ -14,8 +14,9 @@
 //!   framework run (hits, metrics, early-stop point) is bit-for-bit that
 //!   of the rebuild;
 //! * multi-keyword queries merge per-segment threshold algorithms in
-//!   **bounding** mode — same exact optimum over the live set, reached
-//!   down a (often cheaper) different pull sequence.
+//!   **bounding** mode — each hands out certified results in score
+//!   order, so the merge pulls the rebuild's ranking (only the stop
+//!   point may differ), with the same exact optimum over the live set.
 //!
 //! ## Snapshots and epochs
 //!

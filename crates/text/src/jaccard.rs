@@ -182,13 +182,17 @@ fn merge<const BUDGETED: bool>(
 /// it. Measured with `benchmarks/e2e` (`batch_qps`, three runs each,
 /// seeds 7–9; 0 is always-join). On `hot_serve`, whose misses pull a
 /// dozen results: 0 reads 546–592 k q/s, 16 648–767 k, 48 715–731 k,
-/// 96 685–740 k. On `cold_search`, where 38 % of the requests pull more
-/// than 48: 0 reads 890–1 039 q/s, 16 943–1 012, 48 897–970, 96 803–850.
-/// Both sides of the threshold test their pairs through the sketch
-/// ([`ThresholdJoin::similar`]), which cheapens a pair but leaves the
-/// join worth its index: on `cold_search` all-pairs with the sketch reads
-/// 1 292 q/s against 1 571 for the join with it (medians, four
-/// alternating pairs, the join ahead in each).
+/// 96 685–740 k. On `cold_search`, where 38 % of the requests then
+/// pulled more than 48: 0 reads 890–1 039 q/s, 16 943–1 012, 48 897–970,
+/// 96 803–850. Both sides of the threshold test their pairs through the
+/// sketch ([`ThresholdJoin::similar`]), which cheapens a pair but leaves
+/// the join worth its index: on `cold_search` all-pairs with the sketch
+/// read 1 292 q/s against 1 571 for the join with it (medians, four
+/// alternating pairs, the join ahead in each). Those `cold_search`
+/// figures measured TA pulls that no longer happen: `TaSource` then
+/// handed out documents before the threshold certified them. It now
+/// hands out certified results only, and 0 % of `cold_search`'s
+/// requests pull more than 48, so the join does not engage there.
 const JOIN_FROM: usize = 48;
 
 /// Buckets of a sketch row (a power of two). Of the 130 397 predicate

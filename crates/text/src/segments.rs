@@ -583,8 +583,9 @@ impl SegmentedIndex {
     /// Multi-keyword diversified search over the live documents:
     /// per-segment threshold algorithms, k-way merged (bounding) with the
     /// tombstone filter. Exact over the live set — same optimum as a
-    /// from-scratch rebuild, reached down a (legitimately) different pull
-    /// sequence, exactly as DESIGN.md §8 documents for shards.
+    /// from-scratch rebuild, pulled from the same ranking but possibly
+    /// stopped at a different point, exactly as DESIGN.md §8 documents for
+    /// shards.
     pub fn search_ta(
         &self,
         query: &KeywordQuery,

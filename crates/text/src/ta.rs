@@ -9,22 +9,39 @@
 //! yet seen. That threshold is exactly the `unseen` bound of the bounding
 //! top-k framework (Algorithm 2), which the diversified-search engine
 //! consumes unchanged.
+//!
+//! As in Fagin et al.'s TA, a document is handed out only once it is
+//! **certified**: its score is at least the threshold, so no document
+//! still unseen can outscore it. Scored documents wait in a max-heap until
+//! then, and leave it in `(score desc, doc asc)` order, so the source emits
+//! a prefix of the ranking and reads the lists only as far as that prefix
+//! needs.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use crate::index::InvertedIndex;
 use crate::tfidf;
 use divtopk_core::{ResultSource, Score, Scored, UnseenBound};
-use std::collections::HashSet;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
 
 /// Threshold-algorithm source over an index for one multi-keyword query.
 ///
-/// Determinism: sorted accesses proceed in complete **rounds** (one access
-/// per non-exhausted list, in term order), and all documents discovered in
-/// the same round are emitted by `(score desc, doc asc)` — never by the
-/// accident of which list surfaced them first. Repeated runs therefore
-/// yield identical emission sequences.
+/// Order: sorted accesses proceed in complete **rounds** (one access per
+/// non-exhausted list, in term order) until the best scored document
+/// reaches the running-min threshold; only then is it emitted. Emission is
+/// therefore by descending score over the whole matching set, bit-equal
+/// scores by ascending doc id — never by the accident of which list or
+/// round surfaced a document. (The one exception: a document tying the
+/// threshold exactly may precede an unseen twin of smaller id.) Repeated
+/// runs yield identical sequences, and
+/// [`divtopk_core::MergedSource::bounding`] over per-segment sources emits
+/// the same ranking whatever the segment layout; only the stop point moves.
+///
+/// The certification test is `≥`, not `>`: a score equal to the threshold
+/// cannot be beaten by an unseen document. With a strict test, a query
+/// pairing a rare term with a term of zero IDF would drain the zero-IDF
+/// list (the whole corpus) before emitting a score-0 document.
 ///
 /// Bound monotonicity: the reported unseen bound uses a **running minimum**
 /// of the raw threshold, so it can never increase — not even across a
@@ -39,9 +56,9 @@ pub struct TaSource<'a> {
     lists: Vec<&'a [crate::index::Posting]>,
     cursors: Vec<usize>,
     seen: HashSet<DocId>,
-    /// Fully-scored documents discovered but not yet handed out, ordered
-    /// `(score desc, doc asc)` within each discovery round.
-    buffer: VecDeque<Scored<DocId>>,
+    /// Fully-scored documents discovered but not yet handed out; the top
+    /// is the best by `(score desc, doc asc)`.
+    heap: BinaryHeap<(Score, Reverse<DocId>)>,
     /// Running minimum of the raw threshold (see type docs).
     min_threshold: f64,
     /// Sorted accesses performed (exposed for benches).
@@ -63,7 +80,7 @@ impl<'a> TaSource<'a> {
             query: terms,
             lists,
             seen: HashSet::new(),
-            buffer: VecDeque::new(),
+            heap: BinaryHeap::new(),
             min_threshold: f64::INFINITY,
             sorted_accesses: 0,
             random_accesses: 0,
@@ -92,13 +109,16 @@ impl<'a> TaSource<'a> {
             .all(|(list, &cur)| cur >= list.len())
     }
 
+    /// Score of the best document scored but not yet handed out.
+    fn top(&self) -> Option<f64> {
+        self.heap.peek().map(|(score, _)| score.get())
+    }
+
     /// Performs complete rounds of sorted accesses (one per non-exhausted
-    /// list, in term order) until at least one *new* document is buffered
-    /// or all lists are exhausted. Documents discovered in the same round
-    /// enter the buffer sorted `(score desc, doc asc)`.
+    /// list, in term order) until the heap's top is certified — its score
+    /// is at least the running-min threshold — or all lists are exhausted.
     fn pump(&mut self) {
-        while self.buffer.is_empty() && !self.exhausted() {
-            let mut round: Vec<Scored<DocId>> = Vec::new();
+        while self.top().is_none_or(|top| top < self.min_threshold) && !self.exhausted() {
             for j in 0..self.lists.len() {
                 let Some(&posting) = self.lists[j].get(self.cursors[j]) else {
                     continue;
@@ -120,11 +140,9 @@ impl<'a> TaSource<'a> {
                     // an emitted score is bit-for-bit Eq. 3.
                     let total = tfidf::score(self.corpus, &self.query, posting.doc);
                     self.random_accesses += self.query.len() as u64 - 1;
-                    round.push(Scored::new(posting.doc, total));
+                    self.heap.push((total, Reverse(posting.doc)));
                 }
             }
-            round.sort_by(|a, b| b.score.cmp(&a.score).then(a.item.cmp(&b.item)));
-            self.buffer.extend(round);
             self.min_threshold = self.min_threshold.min(self.threshold());
         }
     }
@@ -144,22 +162,20 @@ impl ResultSource for TaSource<'_> {
     type Item = DocId;
 
     fn next_result(&mut self) -> Option<Scored<DocId>> {
-        if self.buffer.is_empty() {
-            self.pump();
-        }
-        self.buffer.pop_front()
+        self.pump();
+        let (score, Reverse(doc)) = self.heap.pop()?;
+        Some(Scored::new(doc, score))
     }
 
     fn unseen_bound(&self) -> UnseenBound {
-        // The running-min threshold bounds documents never touched;
-        // buffered documents have been scored but not yet returned, so the
-        // bound must cover them as well. Both components are non-increasing
-        // over time (buffered scores were ≤ the running-min threshold at
-        // discovery), so the reported bound is monotone.
-        let mut bound = self.min_threshold;
-        for b in &self.buffer {
-            bound = bound.max(b.score.get());
-        }
+        // The running-min threshold bounds documents never touched; heaped
+        // documents have been scored but not yet returned, and the top
+        // bounds them all. Both components are non-increasing over time
+        // (a heaped score was ≤ the running-min threshold at discovery, and
+        // pops only lower the top), so the reported bound is monotone.
+        let bound = self
+            .top()
+            .map_or(self.min_threshold, |top| top.max(self.min_threshold));
         UnseenBound::At(Score::new(bound))
     }
 }
@@ -306,6 +322,78 @@ mod tests {
         let src = TaSource::new(&c, &idx, &q);
         let order: Vec<DocId> = drain_checked(src).iter().map(|r| r.item).collect();
         assert_eq!(order, vec![0, 1], "score ties must break by doc id");
+    }
+
+    /// Certified emission: drained, the source hands out every matching
+    /// document exactly once, by `(score desc, doc asc)`, each with Eq. 3's
+    /// canonical score bits — the whole ranking, not a round-by-round
+    /// approximation of it. `drain_checked` also asserts that no emitted
+    /// score exceeds the bound reported before it.
+    #[test]
+    fn drained_source_emits_the_whole_ranking_in_order() {
+        let c = crate::synth::generate(&crate::synth::SynthConfig::tiny());
+        let idx = InvertedIndex::build(&c);
+        // Terms of every frequency band: the commonest ones and a spread
+        // of rarer ones, paired and tripled.
+        let mut by_df: Vec<TermId> = (0..c.num_terms() as TermId)
+            .filter(|&t| !idx.postings(t).is_empty())
+            .collect();
+        by_df.sort_by_key(|&t| (std::cmp::Reverse(idx.postings(t).len()), t));
+        let picks: Vec<TermId> = [0, 1, 2, 5, 11, 23, 47, 95, 191].map(|i| by_df[i]).to_vec();
+        let mut queries: Vec<Vec<TermId>> = Vec::new();
+        for (i, &a) in picks.iter().enumerate() {
+            for &b in &picks[i + 1..] {
+                queries.push(vec![a, b]);
+            }
+        }
+        queries.push(vec![picks[0], picks[4], picks[8]]);
+        queries.push(vec![picks[1], picks[2], picks[3]]);
+        for q in &mut queries {
+            // Eq. 3's canonical sum runs over the terms in ascending order.
+            q.sort_unstable();
+            let q = &*q;
+            let got = drain_checked(TaSource::new(&c, &idx, q));
+            let mut want: Vec<(DocId, u64)> = (0..c.num_docs() as DocId)
+                .filter(|&d| q.iter().any(|&t| c.doc(d).tf(t) > 0))
+                .map(|d| (d, tfidf::score(&c, q, d).get().to_bits()))
+                .collect();
+            // Scores are non-negative, so their bits order as they do.
+            want.sort_unstable_by_key(|&(d, bits)| (std::cmp::Reverse(bits), d));
+            let got: Vec<(DocId, u64)> = got
+                .iter()
+                .map(|r| (r.item, r.score.get().to_bits()))
+                .collect();
+            assert_eq!(got, want, "query {q:?}");
+        }
+    }
+
+    /// A term in every document has IDF 0, so every document it alone
+    /// matches scores 0 — exactly the threshold once the rare term's list
+    /// runs dry. Certification by `≥` emits those documents at once; a
+    /// strict test would first drain the common list, the whole corpus.
+    #[test]
+    fn a_zero_idf_term_does_not_drain_its_list() {
+        let mut b = Corpus::builder();
+        for i in 0..200 {
+            let rare = if i == 77 { " rare" } else { "" };
+            b.add_text(&format!("d{i}"), &format!("common filler{i}{rare}"));
+        }
+        let c = b.build();
+        let idx = InvertedIndex::build(&c);
+        let (common, rare) = (c.term_id("common").unwrap(), c.term_id("rare").unwrap());
+        assert_eq!(c.idf(common), 0.0);
+        let mut src = TaSource::new(&c, &idx, &[common, rare]);
+        let first = src.next_result().unwrap();
+        assert_eq!(first.item, 77);
+        assert!(first.score.get() > 0.0);
+        let second = src.next_result().unwrap();
+        assert_eq!(second.score.get(), 0.0);
+        assert!(
+            src.sorted_accesses() <= 3,
+            "{} sorted accesses before a score-0 document",
+            src.sorted_accesses()
+        );
+        assert_eq!(drain_checked(src).len(), 198);
     }
 
     #[test]

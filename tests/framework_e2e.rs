@@ -5,7 +5,7 @@
 
 use divtopk::core::exhaustive::exhaustive;
 use divtopk::text::prelude::*;
-use divtopk::{DiversityGraph, ExactAlgorithm, Score};
+use divtopk::{BoundingVecSource, DiversityGraph, ExactAlgorithm, Score, Scored};
 use std::collections::HashSet;
 
 struct Fixture {
@@ -220,13 +220,35 @@ fn a_pull_well_past_the_join_threshold_matches_offline() {
     // The oracle shares no code with the join: `offline` grows its graph
     // from raw `weighted_jaccard(..) > τ` over every pair of matching
     // documents and solves it with `div_cut`.
+    //
+    // The source is an arbitrary-order bounding source over the query's
+    // matching documents, in doc-id order, with the exact bound: the
+    // framework must pull until that bound falls, far past the join's
+    // threshold. (`TaSource` emits only certified results, in score
+    // order, and stops near k.)
     let fix = fixture_of(1500);
-    let searcher = DiversifiedSearcher::new(&fix.corpus, &fix.index);
+    let weights = doc_weights(&fix.corpus);
     let query = query_for_band(&fix.corpus, 3, 2, 1).expect("band 3");
+    let mut docs: Vec<DocId> = query
+        .terms
+        .iter()
+        .flat_map(|&t| fix.index.postings(t).iter().map(|p| p.doc))
+        .collect();
+    docs.sort_unstable();
+    docs.dedup();
     for tau in [0.3, 0.6] {
-        let out = searcher
-            .search_ta(&query, &SearchOptions::new(20).with_tau(tau))
-            .unwrap();
+        let source = BoundingVecSource::new(
+            docs.iter()
+                .map(|&d| Scored::new(d, score(&fix.corpus, &query.terms, d)))
+                .collect(),
+        );
+        let out = search_with_source(
+            &fix.corpus,
+            &weights,
+            source,
+            &SearchOptions::new(20).with_tau(tau),
+        )
+        .unwrap();
         let n = out.metrics.results_generated;
         assert!(n >= WELL_PAST_THE_JOIN, "τ {tau}: only {n} results pulled");
         assert!(

@@ -13,11 +13,14 @@
 //!   bound sequence, so the whole framework run — hits, total score, *and
 //!   every metric counter, including the early-stop point* — is
 //!   bit-for-bit identical.
-//! * For **TA** (multi-keyword, bounding) queries the pull order and the
-//!   merged bound trajectory legitimately differ from the rebuilt single
-//!   TA (same as the shard axis, DESIGN.md §8), so the guarantee is
-//!   exactness: equal total score, valid pairwise-dissimilar live hits —
-//!   and identical hit *lists* whenever the optimum is unique, which the
+//! * For **TA** (multi-keyword, bounding) queries every per-segment source
+//!   emits only certified results, in score order, so the filtered merge
+//!   emits the rebuilt TA's ranking (pinned here up to the order of
+//!   bit-equal scores). The merged bound trajectory, and with it the stop
+//!   point, legitimately differs from the rebuilt single TA (same as the
+//!   shard axis, DESIGN.md §8), so the search guarantee is exactness:
+//!   equal total score, valid pairwise-dissimilar live hits — and
+//!   identical hit *lists* whenever the optimum is unique, which the
 //!   distinct-score check makes the common case.
 
 use divtopk::core::rng::Pcg;
@@ -54,6 +57,33 @@ fn interesting_terms(corpus: &Corpus, count: usize) -> Vec<TermId> {
     terms
 }
 
+/// One random mutation: an add from `pool` (half the time, while it
+/// lasts), a delete of up to six random docs, or a compaction.
+fn random_mutation(seg: &mut SegmentedIndex, pool: &mut Vec<Document>, rng: &mut Pcg) {
+    match rng.below(4) {
+        0 | 1 if !pool.is_empty() => {
+            let take = (1 + rng.below(10) as usize).min(pool.len());
+            let batch: Vec<Document> = pool.drain(..take).collect();
+            seg.add_docs(batch);
+        }
+        2 => {
+            let n = seg.num_docs() as u32;
+            let victims: Vec<DocId> = (0..1 + rng.below(6)).map(|_| rng.below(n)).collect();
+            seg.delete_docs(&victims);
+        }
+        _ => {
+            seg.compact();
+        }
+    }
+}
+
+/// Drains a source into its `(doc, score bits)` emission sequence.
+fn ranking<S: ResultSource<Item = DocId>>(mut source: S) -> Vec<(DocId, u64)> {
+    std::iter::from_fn(|| source.next_result())
+        .map(|r| (r.item, r.score.get().to_bits()))
+        .collect()
+}
+
 /// True when every selected hit's score is unique among all matched live
 /// docs (⇒ the optimum set is unique; see `tests/engine.rs`).
 fn hits_have_unique_scores(
@@ -83,7 +113,9 @@ fn hits_have_unique_scores(
 
 /// The satellite-1 property: random interleavings of adds, deletes, and
 /// compactions, checked after every mutation against the from-scratch
-/// rebuild, for scan and TA sources, k ∈ {1, 5, 10}.
+/// rebuild, for scan and TA sources, k ∈ {1, 5, 10, 40}. TA hands out
+/// only certified results, so its pull ends near k; k = 40 is the request
+/// that takes it past the threshold join's 48 results.
 #[test]
 fn random_interleavings_serve_exactly_the_rebuilt_index() {
     let mut ta_identical = 0usize;
@@ -99,28 +131,14 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
         let mut rng = Pcg::new(seed ^ 0xD1CE);
         for step in 0..14 {
             // One random mutation…
-            match rng.below(4) {
-                0 | 1 if !pool.is_empty() => {
-                    let take = (1 + rng.below(10) as usize).min(pool.len());
-                    let batch: Vec<Document> = pool.drain(..take).collect();
-                    seg.add_docs(batch);
-                }
-                2 => {
-                    let n = seg.num_docs() as u32;
-                    let victims: Vec<DocId> = (0..1 + rng.below(6)).map(|_| rng.below(n)).collect();
-                    seg.delete_docs(&victims);
-                }
-                _ => {
-                    seg.compact();
-                }
-            }
+            random_mutation(&mut seg, &mut pool, &mut rng);
             // …then the data-level invariant…
             seg.verify_rebuild_equivalence()
                 .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             // …and the behavioural one, against the rebuild oracle.
             let rebuilt = seg.rebuilt_index();
             let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
-            for k in [1usize, 5, 10] {
+            for k in [1usize, 5, 10, 40] {
                 let options = SearchOptions::new(k).with_tau(0.5);
                 for &term in &terms {
                     let want = searcher.search_scan(term, &options).unwrap();
@@ -175,6 +193,56 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
         longest_pull > 48,
         "no compared query pulled past the join threshold (longest: {longest_pull})"
     );
+}
+
+/// Certified TA emission through the segmented read path: after random
+/// adds, deletes and compactions over a base of S ∈ {1, 2, 4, 8}
+/// segments, the tombstone-filtered bounding merge of the per-segment TA
+/// sources emits the ranking one `TaSource` over the rebuilt index emits —
+/// the same score bits in the same order, and the same documents at each
+/// score. Only the order among bit-equal scores is exempt.
+#[test]
+fn merged_ta_emits_the_rebuilt_ranking_on_every_layout() {
+    let mut compared = 0usize;
+    for parts in [1usize, 2, 4, 8] {
+        let (base, mut pool) = base_and_pool(40 + parts as u64, 130, 70);
+        let terms = interesting_terms(&base, 4);
+        assert!(terms.len() >= 4, "S {parts}: not enough usable terms");
+        let queries: Vec<KeywordQuery> = [[0, 1], [2, 3], [0, 3]]
+            .iter()
+            .map(|pair| KeywordQuery {
+                terms: pair.iter().map(|&i| terms[i]).collect(),
+            })
+            .collect();
+        let mut seg = SegmentedIndex::build_partitioned(base, parts);
+        let mut rng = Pcg::new(parts as u64 ^ 0x7A11);
+        for step in 0..12 {
+            random_mutation(&mut seg, &mut pool, &mut rng);
+            let rebuilt = seg.rebuilt_index();
+            for query in &queries {
+                let got = ranking(MergedSource::bounding_filtered(
+                    seg.ta_sources(query),
+                    |d: &DocId| seg.is_live(*d),
+                ));
+                let want = ranking(TaSource::new(seg.corpus(), &rebuilt, &query.terms));
+                compared += 1;
+                let case = format!("S {parts} step {step} query {:?}", query.terms);
+                let bits = |v: &[(DocId, u64)]| v.iter().map(|&(_, b)| b).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{case}: score sequence");
+                let by_score = |v: &[(DocId, u64)]| {
+                    let mut v = v.to_vec();
+                    v.sort_unstable_by_key(|&(d, b)| (std::cmp::Reverse(b), d));
+                    v
+                };
+                assert_eq!(
+                    by_score(&got),
+                    by_score(&want),
+                    "{case}: documents per score"
+                );
+            }
+        }
+    }
+    assert_eq!(compared, 4 * 12 * 3);
 }
 
 /// Builds the satellite-3 fixture: two segments where the *added* segment's
