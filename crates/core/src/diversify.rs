@@ -13,7 +13,7 @@
 //!
 //! | function | similarity view | guarantee | cost model |
 //! |----------|-----------------|-----------|------------|
-//! | [`exact`] | predicate (any [`Similarity`]) | exact optimum (Lemmas 1/3) | graph growth — `n(n−1)/2` tests for a closure, the candidates it names for a join — plus NP-hard inner searches |
+//! | [`exact`] | predicate (any [`Similarity`]) | exact optimum (Lemmas 1/3) | graph growth — `n(n−1)/2` tests for `n` results — plus NP-hard inner searches |
 //! | [`none`] | — | plain relevance top-k (diversity off) | the pulls a top-k needs: `k` on an incremental source |
 //! | [`mmr`] | value above a floor | greedy marginal-relevance ranking | `≤ k·l` sims over a top-`l` pool, lazily: only what the leader needs |
 //! | [`window`] | predicate | sliding-window max-per-source spread | `O(l · clusters)` source clustering |
@@ -99,9 +99,8 @@ pub struct DiversifyOutcome<T> {
 
 /// The paper's exact diversified top-k (Lemmas 1/3 early stopping around
 /// `algorithm`, one of the `div-*` searches). `above` defines the
-/// diversity-graph edges: a plain closure is tested against every
-/// earlier result, a [`Similarity`] that overrides
-/// [`similar_earlier`](Similarity::similar_earlier) names them itself.
+/// diversity-graph edges: each pulled result is tested against every
+/// earlier one.
 pub fn exact<S, P>(
     source: S,
     above: P,

@@ -3,11 +3,9 @@
 //! Wraps any [`ResultSource`] (incremental or bounding) and turns its plain
 //! top-k stream into an **exact diversified** top-k with early stopping:
 //!
-//! 1. pull results one at a time, growing the diversity graph — the run
-//!    asks its [`Similarity`] for each arriving result's neighbours among
-//!    the earlier ones ([`Similarity::similar_earlier`]) and never loops
-//!    over them itself, so a domain with a neighbourhood index grows the
-//!    same edge list without testing every pair;
+//! 1. pull results one at a time, growing the diversity graph: each
+//!    arriving result is tested against every earlier one with the
+//!    [`Similarity`] predicate;
 //! 2. when the **necessary** condition (Lemma 3) says a stop is even
 //!    possible, run `div-search-current()` (one of the exact algorithms) on
 //!    the current graph;
@@ -195,8 +193,6 @@ where
         let mut metrics = FrameworkMetrics::default();
         let mut items: Vec<Scored<S::Item>> = Vec::new();
         let mut edges: Vec<(u32, u32)> = Vec::new();
-        // The arriving result's neighbours among `items`, per pull.
-        let mut neighbours: Vec<u32> = Vec::new();
         let mut scores: Vec<Score> = Vec::new();
         // Min-heap of the k largest scores seen (for Lemma 3's
         // "k-th largest score in S ≥ u" test).
@@ -233,11 +229,12 @@ where
             if let Some(result) = pulled {
                 metrics.results_generated += 1;
                 let new_index = items.len() as u32;
-                neighbours.clear();
-                metrics.similarity_checks +=
-                    self.similarity
-                        .similar_earlier(&items, &result.item, &mut neighbours);
-                edges.extend(neighbours.iter().map(|&other| (other, new_index)));
+                for (other, earlier) in items.iter().enumerate() {
+                    if self.similarity.similar(&earlier.item, &result.item) {
+                        edges.push((other as u32, new_index));
+                    }
+                }
+                metrics.similarity_checks += items.len() as u64;
                 scores.push(result.score);
                 if topk.len() < k {
                     topk.push(Reverse(result.score));

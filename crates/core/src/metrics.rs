@@ -60,13 +60,8 @@ pub struct FrameworkMetrics {
     /// Results pulled from the underlying top-k source.
     pub results_generated: u64,
     /// Similarity evaluations performed while growing the diversity
-    /// graph: the pairs [`Similarity::similar_earlier`] reports having
-    /// tested. All-pairs growth tests `n(n−1)/2` for `n` results; a
-    /// similarity that names its candidates (the text layer's threshold
-    /// join) tests only those, so this is the one counter that differs
-    /// between two runs with the same edges.
-    ///
-    /// [`Similarity::similar_earlier`]: crate::sim::Similarity::similar_earlier
+    /// graph: each arriving result is tested against every earlier one,
+    /// so this is `n(n−1)/2` for `n` results generated.
     pub similarity_checks: u64,
     /// Edges present in the final diversity graph.
     pub edges: u64,

@@ -6,16 +6,6 @@
 //! threshold `τ` into the predicate, which is how both the paper's
 //! experiments (weighted Jaccard over documents, Eq. 4) and the examples in
 //! this repo define `≈`.
-//!
-//! The framework never calls the predicate pair by pair itself: for each
-//! arriving result it asks [`Similarity::similar_earlier`] for that
-//! result's neighbours among the earlier ones. The provided body tests
-//! every earlier result ([`all_pairs`], the only such loop in this
-//! crate); a domain that can name the neighbours without testing every
-//! pair — the text layer's threshold join — overrides it, and owes the
-//! framework exactly the list the provided body would have produced.
-
-use crate::sources::Scored;
 
 /// A symmetric similarity predicate over items of type `T`.
 ///
@@ -26,38 +16,6 @@ pub trait Similarity<T: ?Sized> {
     /// True iff the two results are similar (and therefore may not both
     /// appear in the diversified top-k).
     fn similar(&self, a: &T, b: &T) -> bool;
-
-    /// Graph growth: appends to `out` the **ascending** positions in
-    /// `earlier` of the results similar to `new`, and returns how many
-    /// pairs were tested to find them.
-    ///
-    /// One framework run calls this once per arriving result, with
-    /// `earlier` the results that arrived before it in arrival order — a
-    /// slice that only ever grows at its end — so an implementation may
-    /// keep an index over it between calls. An override must append
-    /// exactly what this body appends; only the returned count may be
-    /// smaller.
-    fn similar_earlier(&mut self, earlier: &[Scored<T>], new: &T, out: &mut Vec<u32>) -> u64
-    where
-        T: Sized,
-    {
-        all_pairs(&*self, earlier, new, out)
-    }
-}
-
-/// The body of [`Similarity::similar_earlier`]: tests `new` against every
-/// earlier result. Public so an override can fall back to it while its
-/// own structure would cost more than it saves.
-pub fn all_pairs<T, M>(similarity: &M, earlier: &[Scored<T>], new: &T, out: &mut Vec<u32>) -> u64
-where
-    M: Similarity<T> + ?Sized,
-{
-    for (position, other) in earlier.iter().enumerate() {
-        if similarity.similar(&other.item, new) {
-            out.push(position as u32);
-        }
-    }
-    earlier.len() as u64
 }
 
 /// `sim(a, b) > τ` for a user-supplied scoring function.
@@ -99,7 +57,6 @@ impl<T: ?Sized, F: Fn(&T, &T) -> bool> Similarity<T> for F {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::score::Score;
 
     #[test]
     fn threshold_is_strict() {
@@ -117,13 +74,8 @@ mod tests {
 
     #[test]
     fn closures_are_similarities() {
-        let mut pred = |a: &i32, b: &i32| (a - b).abs() <= 1;
+        let pred = |a: &i32, b: &i32| (a - b).abs() <= 1;
         assert!(pred.similar(&3, &4));
         assert!(!pred.similar(&3, &5));
-        // …and grow the graph by testing every earlier result.
-        let earlier: Vec<Scored<i32>> = [4, 9, 2, 3].map(|v| Scored::new(v, Score::ZERO)).into();
-        let mut out = vec![7];
-        assert_eq!(pred.similar_earlier(&earlier, &3, &mut out), 4);
-        assert_eq!(out, [7, 0, 2, 3]);
     }
 }

@@ -325,7 +325,7 @@ struct FlightModel {
 /// the same cold key. Invariants: the value is computed exactly once,
 /// every caller observes it, and no waiter sleeps forever.
 ///
-/// Mirrors `Engine::run_query`'s loop: lock inflight → probe cache →
+/// Mirrors `Engine::search_pinned`'s loop: lock inflight → probe cache →
 /// claim if idle, else wait on `inflight_done` → compute outside all
 /// locks → insert into cache → release claim → notify.
 pub fn single_flight(explorer: &Explorer, callers: usize, bug: Bug) -> Result<Report, Failure> {

@@ -16,19 +16,17 @@
 //! can no longer reach the floor: `mmr` and `knn` ask it with what a
 //! candidate already holds, and [`similar_above`], the predicate
 //! `sim > τ` every predicate mode calls, is the same function with the
-//! value dropped. [`ThresholdJoin`] is that predicate as the exact
-//! framework's [`Similarity`], which finds each pulled result's
-//! neighbours through a prefix-filter index instead of testing every
-//! earlier result, and rejects most pairs before any merge with a
-//! per-request bucket sketch that bounds their shared weight from above.
+//! value dropped. [`ThresholdPredicate`] is that predicate as the
+//! [`Similarity`] the exact framework, `window` and `disc` test pairs
+//! with, and rejects most pairs before any merge with a per-request
+//! bucket sketch that bounds their shared weight from above.
 //! All of them run one merge loop, whose step is branch-free.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
 use crate::search::WeightTable;
 use divtopk_core::fxhash::FxHashMap;
-use divtopk_core::sim::{Similarity, all_pairs};
-use divtopk_core::sources::Scored;
+use divtopk_core::sim::Similarity;
 use std::cell::RefCell;
 
 /// Eq. 4 over two document signatures using the corpus IDF table.
@@ -175,26 +173,6 @@ fn merge<const BUDGETED: bool>(
     Some((inter, union))
 }
 
-/// How many results of a run grow the graph by testing every pair before
-/// the join takes over. The join pays a sort of the arriving document's
-/// ~100 term keys and some 25 table operations per result, the all-pairs
-/// loop ~0.1 µs per earlier result, so a short pull is cheaper without
-/// it. Measured with `benchmarks/e2e` (`batch_qps`, three runs each,
-/// seeds 7–9; 0 is always-join). On `hot_serve`, whose misses pull a
-/// dozen results: 0 reads 546–592 k q/s, 16 648–767 k, 48 715–731 k,
-/// 96 685–740 k. On `cold_search`, where 38 % of the requests then
-/// pulled more than 48: 0 reads 890–1 039 q/s, 16 943–1 012, 48 897–970,
-/// 96 803–850. Both sides of the threshold test their pairs through the
-/// sketch ([`ThresholdJoin::similar`]), which cheapens a pair but leaves
-/// the join worth its index: on `cold_search` all-pairs with the sketch
-/// read 1 292 q/s against 1 571 for the join with it (medians, four
-/// alternating pairs, the join ahead in each). Those `cold_search`
-/// figures measured TA pulls that no longer happen: `TaSource` then
-/// handed out documents before the threshold certified them. It now
-/// hands out certified results only, and 0 % of `cold_search`'s
-/// requests pull more than 48, so the join does not engage there.
-const JOIN_FROM: usize = 48;
-
 /// Buckets of a sketch row (a power of two). Of the 130 397 predicate
 /// pairs of one `neardup_modes` epoch that pass the weight-ratio test,
 /// 16 / 32 / 64 / 128 / 256 buckets reject 13 / 34 / 62 / 86 / 90 %
@@ -222,7 +200,7 @@ fn sum_of_minima(a: &[f64], b: &[f64]) -> f64 {
     lanes.iter().sum()
 }
 
-/// The bucket sketches of the documents one [`ThresholdJoin`] has
+/// The bucket sketches of the documents one [`ThresholdPredicate`] has
 /// compared: row `r` is `rows[r·B..(r + 1)·B]`, bucket `b` of it the sum
 /// of `idf·count` over the document's terms in bucket `b`.
 #[derive(Default)]
@@ -250,45 +228,13 @@ impl Sketches {
     }
 }
 
-/// A prefix sort key is `doc_freq << 32 | position in the term list`.
-fn position(key: u64) -> usize {
-    key as u32 as usize
-}
-
-/// End of a term's chain in [`ThresholdJoin`]'s entry arena.
-const END: u32 = u32::MAX;
-
-/// The thresholded predicate `sim > τ` over documents of one corpus, with
-/// graph growth by a **threshold join**: the exact framework's
-/// [`Similarity`], naming each arriving result's neighbours from an index
-/// over the results pulled so far instead of testing all of them.
+/// The thresholded predicate `sim > τ` over documents of one corpus:
+/// [`similar_above`] behind two exact rejection filters, for every pair
+/// the exact framework, `window` and `disc` test.
 ///
-/// Fix the total order of terms `(doc_freq asc, term id asc)` — rarest
-/// first; `Corpus::doc_freq` is frozen with the statistics epoch, so the
-/// order is the same for every document of a run. A document's *prefix*
-/// is its terms minus the longest tail in that order weighing
-/// `≤ τ·W(d)·(1 − 1e-9)`. If `sim(x, y) > τ` the shared weight exceeds
-/// `τ·max(Wx, Wy)`; were the two prefixes disjoint, every shared term
-/// would lie in the tail of whichever document's prefix ends first in
-/// the order (a shared term at or before that point is in both
-/// prefixes), so the shared weight would be at most that tail's weight
-/// `≤ τ·W` — a contradiction. The argument needs only *some* fixed
-/// order, holds for multiset counts (a tail term weighs its full count,
-/// the intersection at most that) and for zero-IDF terms (they weigh
-/// nothing on either side). So the neighbours of a new result are among
-/// the earlier results that share a prefix term with it.
-///
-/// The index is a map *prefix term → arrival positions*: one hash table
-/// of chain heads over one flat arena of entries. Candidates are
-/// de-duplicated, **sorted ascending** and verified with
-/// [`similar_above`], so the edge list is the all-pairs loop's, in its
-/// order. The first `JOIN_FROM` (48) results of a run are handled by
-/// that loop itself ([`all_pairs`]) — a short pull never pays for an
-/// index — and the index is built from them when the next one arrives.
-///
-/// Every pair, on either path and from `window` and `disc` alike, meets
-/// [`similar`](Similarity::similar), which rejects before the merge what
-/// a **sketch** proves dissimilar. A document's sketch sums its
+/// The first is the weight-ratio test: `sim ≤ min(W1, W2) / max(W1, W2)`
+/// ([`total_weight`]), read from the per-corpus `W(d)` table. The second
+/// rejects what a **sketch** proves dissimilar. A document's sketch sums its
 /// `idf·count` weights into `B` = 128 buckets by term hash, once per
 /// request, on its first comparison past the weight-ratio test. Within a
 /// bucket the minimum of the sums is at least the sum of the minima, so
@@ -298,41 +244,22 @@ const END: u32 = u32::MAX;
 /// `U`, `S` and the merge's own accumulators, so a pair the sketch
 /// rejects is one the merge would have rejected: every verdict, edge and
 /// counter is [`similar_above`]'s.
-pub struct ThresholdJoin<'a, W: ?Sized> {
+pub struct ThresholdPredicate<'a, W: ?Sized> {
     corpus: &'a Corpus,
     weights: &'a W,
     tau: f64,
-    /// Prefix term → its newest entry.
-    heads: FxHashMap<TermId, u32>,
-    /// `(arrival position, next entry of the same term or END)`.
-    entries: Vec<(u32, u32)>,
-    /// How many of the run's results the index holds.
-    indexed: usize,
-    /// The prefix last computed, of document `prefix_of`, as sort keys
-    /// whose low half is the term's position in that document's term
-    /// list: a result is probed with its prefix on arrival and indexed
-    /// under the same prefix one call later.
-    prefix: Vec<u64>,
-    prefix_of: Option<DocId>,
-    candidates: Vec<u32>,
     /// Behind a cell because [`Similarity::similar`] takes `&self`.
     sketches: RefCell<Sketches>,
 }
 
-impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
+impl<'a, W: WeightTable + ?Sized> ThresholdPredicate<'a, W> {
     /// The predicate at threshold `tau` over `corpus`, whose
     /// [`doc_weights`](crate::search::doc_weights) table is `weights`.
-    pub fn new(corpus: &'a Corpus, weights: &'a W, tau: f64) -> ThresholdJoin<'a, W> {
-        ThresholdJoin {
+    pub fn new(corpus: &'a Corpus, weights: &'a W, tau: f64) -> ThresholdPredicate<'a, W> {
+        ThresholdPredicate {
             corpus,
             weights,
             tau,
-            heads: FxHashMap::default(),
-            entries: Vec::new(),
-            indexed: 0,
-            prefix: Vec::new(),
-            prefix_of: None,
-            candidates: Vec::new(),
             sketches: RefCell::default(),
         }
     }
@@ -354,39 +281,9 @@ impl<'a, W: WeightTable + ?Sized> ThresholdJoin<'a, W> {
         }
         rejects
     }
-
-    /// Leaves the prefix of `d` in `self.prefix`.
-    fn compute_prefix(&mut self, d: DocId) {
-        if self.prefix_of == Some(d) {
-            return;
-        }
-        let terms = &self.corpus.doc(d).terms;
-        // A term list is sorted by term id, so within one document
-        // (doc_freq, position) orders as (doc_freq, term id) does.
-        self.prefix.clear();
-        self.prefix.extend(
-            terms
-                .iter()
-                .enumerate()
-                .map(|(at, &(t, _))| (self.corpus.doc_freq(t) as u64) << 32 | at as u64),
-        );
-        self.prefix.sort_unstable();
-        let idf = self.corpus.idf_table();
-        let limit = self.tau * self.weights.weight(d) * (1.0 - 1e-9);
-        let mut tail = 0.0f64;
-        while let Some(&last) = self.prefix.last() {
-            let (t, c) = terms[position(last)];
-            tail += idf[t as usize] * c as f64;
-            if tail > limit {
-                break;
-            }
-            self.prefix.pop();
-        }
-        self.prefix_of = Some(d);
-    }
 }
 
-impl<W: WeightTable + ?Sized> Similarity<DocId> for ThresholdJoin<'_, W> {
+impl<W: WeightTable + ?Sized> Similarity<DocId> for ThresholdPredicate<'_, W> {
     /// [`similar_above`], behind the weight-ratio test it opens with and
     /// the sketch's reject test — which only ever answer `false` where
     /// it would.
@@ -398,47 +295,6 @@ impl<W: WeightTable + ?Sized> Similarity<DocId> for ThresholdJoin<'_, W> {
         }
         let (da, db) = (self.corpus.doc(*a), self.corpus.doc(*b));
         similar_above(self.corpus.idf_table(), da, wa, db, wb, self.tau)
-    }
-
-    fn similar_earlier(
-        &mut self,
-        earlier: &[Scored<DocId>],
-        new: &DocId,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        if earlier.len() < JOIN_FROM {
-            return all_pairs(&*self, earlier, new, out);
-        }
-        for (arrival, result) in earlier.iter().enumerate().skip(self.indexed) {
-            self.compute_prefix(result.item);
-            let terms = &self.corpus.doc(result.item).terms;
-            for &key in &self.prefix {
-                let head = self.heads.entry(terms[position(key)].0).or_insert(END);
-                self.entries.push((arrival as u32, *head));
-                *head = (self.entries.len() - 1) as u32;
-            }
-        }
-        self.indexed = earlier.len();
-
-        self.compute_prefix(*new);
-        let terms = &self.corpus.doc(*new).terms;
-        self.candidates.clear();
-        for &key in &self.prefix {
-            let mut entry = *self.heads.get(&terms[position(key)].0).unwrap_or(&END);
-            while entry != END {
-                let (arrival, next) = self.entries[entry as usize];
-                self.candidates.push(arrival);
-                entry = next;
-            }
-        }
-        self.candidates.sort_unstable();
-        self.candidates.dedup();
-        for &candidate in &self.candidates {
-            if self.similar(&earlier[candidate as usize].item, new) {
-                out.push(candidate);
-            }
-        }
-        self.candidates.len() as u64
     }
 }
 
@@ -803,117 +659,7 @@ mod tests {
         assert!(finished > docs.len() && gave_up > docs.len());
     }
 
-    /// Graph growth, result by result, over `pulled`: the join's hook —
-    /// prefix candidates, each through the sketch and then the merge —
-    /// against the provided all-pairs body over a closure of the bare
-    /// [`similar_above`], which neither filter touches. Returns (edges,
-    /// pairs the join tested, pairs the all-pairs loop tested).
-    fn grow_both_ways(
-        corpus: &Corpus,
-        weights: &[f64],
-        tau: f64,
-        pulled: &[Scored<DocId>],
-    ) -> (usize, u64, u64) {
-        let mut join = ThresholdJoin::new(corpus, weights, tau);
-        let idf = corpus.idf_table();
-        let mut reference = |&a: &DocId, &b: &DocId| {
-            let (wa, wb) = (weights[a as usize], weights[b as usize]);
-            similar_above(idf, corpus.doc(a), wa, corpus.doc(b), wb, tau)
-        };
-        let (mut edges, mut joined, mut all) = (0usize, 0u64, 0u64);
-        for (arrival, new) in pulled.iter().enumerate() {
-            let earlier = &pulled[..arrival];
-            let (mut got, mut want) = (Vec::new(), Vec::new());
-            let tested = join.similar_earlier(earlier, &new.item, &mut got);
-            let tested_all = reference.similar_earlier(earlier, &new.item, &mut want);
-            assert_eq!(got, want, "τ {tau}, result {arrival} of {}", pulled.len());
-            assert!(
-                tested <= tested_all,
-                "τ {tau}, result {arrival}: {tested} pairs"
-            );
-            if arrival < JOIN_FROM {
-                assert_eq!(tested, tested_all, "τ {tau}, result {arrival}");
-            }
-            edges += got.len();
-            joined += tested;
-            all += tested_all;
-        }
-        (edges, joined, all)
-    }
-
-    #[test]
-    fn the_join_names_the_all_pairs_neighbours_in_the_same_order() {
-        use crate::search::doc_weights;
-        use crate::synth::{SynthConfig, generate};
-        use divtopk_core::Score;
-        use divtopk_core::rng::Pcg;
-        for seed in 0..3 {
-            let corpus = generate(&SynthConfig::tiny().with_seed(40 + seed));
-            let weights = doc_weights(&corpus);
-            let mut rng = Pcg::new(seed);
-            for tau in [0.0, 0.3, 0.6, 1.0] {
-                for n in [0, 1, JOIN_FROM - 1, JOIN_FROM, JOIN_FROM + 1, 400] {
-                    // A random pull order over distinct documents.
-                    let mut order: Vec<DocId> = (0..corpus.num_docs() as DocId).collect();
-                    rng.shuffle(&mut order);
-                    let pulled: Vec<Scored<DocId>> = order[..n]
-                        .iter()
-                        .map(|&d| Scored::new(d, Score::ZERO))
-                        .collect();
-                    let (edges, joined, all) = grow_both_ways(&corpus, &weights, tau, &pulled);
-                    assert_eq!(all, (n * n.saturating_sub(1) / 2) as u64);
-                    if n == 400 && tau < 1.0 {
-                        assert!(edges > 50, "seed {seed} τ {tau}: only {edges} edges");
-                    }
-                    if n == 400 && tau > 0.0 {
-                        assert!(joined * 2 < all, "seed {seed} τ {tau}: {joined} of {all}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn a_pair_sharing_only_the_last_prefix_term_is_still_a_candidate() {
-        // x = {0,1,2,3} and y = {2,3,4,5}; terms 2 and 3 are in both, so
-        // they are the more frequent and sort last in either document.
-        // At τ = 0.3 a tail holds one of the four near-equal weights, not
-        // two: the prefixes are {0,1,2} and {4,5,2}, which meet in term 2
-        // alone — the last term of each — while sim(x, y) ≈ 0.31 > τ.
-        let mut builder = crate::corpus::CorpusBuilder::with_synthetic_vocab(8);
-        let (x, y, tau) = (0, 1, 0.3);
-        builder.add_tokens("x".into(), vec![0, 1, 2, 3]);
-        builder.add_tokens("y".into(), vec![2, 3, 4, 5]);
-        for i in 0..JOIN_FROM {
-            builder.add_tokens(format!("filler{i}"), vec![6, 7]);
-        }
-        let corpus = builder.build();
-        let weights = crate::search::doc_weights(&corpus);
-        assert!(weighted_jaccard(&corpus, corpus.doc(x), corpus.doc(y)) > tau);
-        let mut join = ThresholdJoin::new(&corpus, &weights, tau);
-        let mut prefix_terms = |d: DocId| {
-            join.compute_prefix(d);
-            let terms = &corpus.doc(d).terms;
-            let mut prefix: Vec<TermId> = join
-                .prefix
-                .iter()
-                .map(|&key| terms[position(key)].0)
-                .collect();
-            prefix.sort_unstable();
-            prefix
-        };
-        assert_eq!(prefix_terms(x), [0, 1, 2]);
-        assert_eq!(prefix_terms(y), [2, 4, 5]);
-        // y arrives first, then enough fillers to engage the join, then x.
-        let zero = divtopk_core::Score::ZERO;
-        let mut pulled = vec![Scored::new(y, zero)];
-        pulled.extend((2..2 + JOIN_FROM as DocId).map(|d| Scored::new(d, zero)));
-        pulled.push(Scored::new(x, zero));
-        let (_, joined, all) = grow_both_ways(&corpus, &weights, tau, &pulled);
-        assert!(joined < all);
-    }
-
-    /// `docs` over `idf` as a corpus — the join reads both from one — and
+    /// `docs` over `idf` as a corpus — the predicate reads both from one — and
     /// its `W(d)` table.
     fn corpus_of(idf: Vec<f64>, docs: Vec<Document>) -> (Corpus, Vec<f64>) {
         let mut doc_freq = vec![0u32; idf.len()];
@@ -951,18 +697,18 @@ mod tests {
         let n = corpus.num_docs() as DocId;
         let (mut rejected, mut merged_out) = (0u64, 0u64);
         for tau in [0.0, 0.2, 0.5, 0.6, 0.8, 1.0] {
-            let join = ThresholdJoin::new(&corpus, &weights, tau);
+            let predicate = ThresholdPredicate::new(&corpus, &weights, tau);
             let mut similar = 0u64;
             // Descending `a`: documents are first sketched in an order
             // unlike their ids, so a row found under the wrong key shows.
             for a in (0..n).rev() {
                 for b in 0..n {
                     let (want, inter) = by_merge(&corpus, &weights, a, b, tau);
-                    assert_eq!(join.similar(&a, &b), want, "docs {a},{b} τ {tau}");
+                    assert_eq!(predicate.similar(&a, &b), want, "docs {a},{b} τ {tau}");
                     // `U ≥ inter` exactly; as computed, up to rounding
                     // far inside the reject test's 1e-9 band.
                     let total = weights[a as usize] + weights[b as usize];
-                    let bound = join.shared_bound(a, b);
+                    let bound = predicate.shared_bound(a, b);
                     assert!(
                         bound >= inter - 1e-12 * total,
                         "docs {a},{b}: bound {bound:e} under inter {inter:e}"
@@ -972,7 +718,7 @@ mod tests {
             }
             // Only pairs past the weight-ratio test meet the sketch; a
             // pair it passes is similar or rejected by the merge.
-            let (sketch_rejected, sketch_passed) = join.sketches.borrow().verdicts;
+            let (sketch_rejected, sketch_passed) = predicate.sketches.borrow().verdicts;
             rejected += sketch_rejected;
             merged_out += sketch_passed - similar;
         }
@@ -1048,21 +794,24 @@ mod tests {
         }
         for (a, b, tau) in asked {
             assert!(tight(a, b), "docs {a},{b} share a bucket");
-            let join = ThresholdJoin::new(&corpus, &weights, tau);
+            let predicate = ThresholdPredicate::new(&corpus, &weights, tau);
             let (want, inter) = by_merge(&corpus, &weights, a, b, tau);
             let total = weights[a as usize] + weights[b as usize];
-            let bound = join.shared_bound(a, b);
+            let bound = predicate.shared_bound(a, b);
             assert!(
                 (bound - inter).abs() <= 1e-14 * total,
                 "docs {a},{b}: bound {bound:e} vs inter {inter:e}"
             );
-            assert_eq!(join.similar(&a, &b), want, "docs {a},{b} τ {tau:e}");
+            assert_eq!(predicate.similar(&a, &b), want, "docs {a},{b} τ {tau:e}");
             // A pair at τ, or an ulp from it, lies inside the band: the
             // sketch leaves its verdict to the merge. (One sharing
             // nothing has `U = 0` exactly and may be rejected at any
             // τ > 0.)
             if inter > 0.0 {
-                assert!(!join.sketch_rejects(a, b, total), "docs {a},{b} τ {tau:e}");
+                assert!(
+                    !predicate.sketch_rejects(a, b, total),
+                    "docs {a},{b} τ {tau:e}"
+                );
             }
         }
     }

@@ -7,11 +7,10 @@
 //! similarity at threshold `τ`, and stops as early as Lemmas 1/3 allow.
 //!
 //! [`search_with_source`] holds the one `match` on the mode and the one
-//! similarity object, a [`ThresholdJoin`], built per request: the exact
-//! modes take it whole (it names each pulled result's neighbours —
-//! DESIGN.md §4.2), `window` and `disc` call it as the predicate
-//! `sim > τ`, and in both roles it rejects most dissimilar pairs from a
-//! per-request bucket sketch before any merge. `mmr` and `knn` weigh the
+//! similarity object, a [`ThresholdPredicate`], built per request: the
+//! exact modes, `window` and `disc` call it as the predicate `sim > τ`,
+//! and it rejects most dissimilar pairs from a per-request bucket sketch
+//! before any merge (DESIGN.md §4.2). `mmr` and `knn` weigh the
 //! raw value instead — asked only as far as it can matter
 //! ([`weighted_jaccard_above`], no sketch). Only the exact modes run the §4
 //! framework; `none` and the four rerank modes pull their plain top-k /
@@ -21,7 +20,7 @@
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use crate::index::InvertedIndex;
-use crate::jaccard::{ThresholdJoin, total_weight, weighted_jaccard_above};
+use crate::jaccard::{ThresholdPredicate, total_weight, weighted_jaccard_above};
 use crate::mode::DiversifyMode;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
@@ -65,7 +64,7 @@ pub struct DiversifiedSearcher<'a> {
     index: &'a InvertedIndex,
     /// Per-document total IDF weight — what
     /// [`similar_above`](crate::jaccard::similar_above) rejects and budgets
-    /// by, and what the join cuts its prefixes against.
+    /// by.
     doc_weights: Vec<f64>,
 }
 
@@ -156,8 +155,8 @@ impl SearchOptions {
 }
 
 /// Per-document total IDF weights (`W(d)` of
-/// [`similar_above`](crate::jaccard::similar_above) and the join's
-/// prefixes), precomputed once per corpus. Exposed so long-lived owners
+/// [`similar_above`](crate::jaccard::similar_above) and its weight-ratio
+/// test), precomputed once per corpus. Exposed so long-lived owners
 /// of a corpus — the serving engine — can share one table across queries.
 pub fn doc_weights(corpus: &Corpus) -> Vec<f64> {
     let idf = corpus.idf_table();
@@ -221,11 +220,9 @@ where
     // the exact modes' diversity graph, DisC and the window mode's source
     // clustering; the raw view feeds the modes that *weigh* redundancy
     // (MMR, KNN), which ask for a value only if it exceeds what the
-    // candidate already holds. The exact modes take the join itself,
-    // which names each pulled result's neighbours; the others call it as
-    // a predicate.
-    let join = ThresholdJoin::new(corpus, weights, tau);
-    let above = |a: &DocId, b: &DocId| join.similar(a, b);
+    // candidate already holds.
+    let predicate = ThresholdPredicate::new(corpus, weights, tau);
+    let above = |a: &DocId, b: &DocId| predicate.similar(a, b);
     let idf = corpus.idf_table();
     let value = |a: &DocId, b: &DocId, floor: f64| {
         let (wa, wb) = (weights.weight(*a), weights.weight(*b));
@@ -233,7 +230,7 @@ where
     };
     let out = match &options.mode {
         DiversifyMode::Exact(algorithm) => {
-            diversify::exact(source, join, *algorithm, k, limits, options.bound_decay)
+            diversify::exact(source, above, *algorithm, k, limits, options.bound_decay)
         }
         DiversifyMode::None => diversify::none(source, k, limits),
         DiversifyMode::Mmr(config) => diversify::mmr(source, value, config.lambda, k, limits),

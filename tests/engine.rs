@@ -201,12 +201,11 @@ fn sharded_ta_is_exact_and_deterministic() {
             }
         }
     }
-    // One request that pulls well past the count (48) from which graph
-    // growth is the threshold join's, on every layout. TA emits only
-    // certified results, so the pull runs about k plus the ties and near
-    // misses the search must rule out; k = 140 takes it past 3 × 48. The
-    // merged sources hand the join the same ranking on every layout; only
-    // the stop point may move.
+    // One long request on every layout. TA emits only certified results,
+    // so the pull runs about k plus the ties and near misses the search
+    // must rule out; k = 140 takes it past 3 × 48. The merged sources
+    // hand the framework the same ranking on every layout; only the stop
+    // point may move.
     let corpus = corpus_for(24, 1500);
     let index = InvertedIndex::build(&corpus);
     let query = query_for_band(&corpus, 3, 2, 1).expect("band 3");

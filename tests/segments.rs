@@ -115,7 +115,7 @@ fn hits_have_unique_scores(
 /// compactions, checked after every mutation against the from-scratch
 /// rebuild, for scan and TA sources, k ∈ {1, 5, 10, 40}. TA hands out
 /// only certified results, so its pull ends near k; k = 40 is the request
-/// that takes it past the threshold join's 48 results.
+/// that takes it past 48 results.
 #[test]
 fn random_interleavings_serve_exactly_the_rebuilt_index() {
     let mut ta_identical = 0usize;
@@ -186,12 +186,11 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
         ta_identical >= 20,
         "too few unique-optimum TA cases exercised ({ta_identical})"
     );
-    // Past 48 results graph growth is the threshold join's: some compared
-    // query must get there on both layouts, or this suite no longer holds
-    // the join to the rebuilt index.
+    // Some compared query must grow a long graph on both layouts, or this
+    // suite no longer holds long pulls to the rebuilt index.
     assert!(
         longest_pull > 48,
-        "no compared query pulled past the join threshold (longest: {longest_pull})"
+        "no compared query pulled past 48 results (longest: {longest_pull})"
     );
 }
 
