@@ -385,24 +385,13 @@ fn bound_zero_scan(
 /// Exact diversified top-k on `g` with no limits.
 ///
 /// Infallible (no budgets); worst-case exponential time — prefer
-/// [`div_astar_limited`] on untrusted inputs or use `div-dp`/`div-cut`.
+/// [`ExactAlgorithm::AStar`](crate::framework::ExactAlgorithm::AStar)`.search`
+/// with [`SearchLimits`] on untrusted inputs or use `div-dp`/`div-cut`.
 pub fn div_astar(g: &DiversityGraph, k: usize) -> SearchResult {
     let mut metrics = SearchMetrics::default();
     let mut ledger = SearchLimits::unlimited().start();
     div_astar_ledger(g, k, &mut ledger, &mut metrics)
         .expect("unlimited search cannot exhaust budgets")
-}
-
-/// Exact diversified top-k on `g` under resource budgets.
-pub fn div_astar_limited(
-    g: &DiversityGraph,
-    k: usize,
-    limits: &SearchLimits,
-) -> Result<(SearchResult, SearchMetrics), SearchError> {
-    let mut metrics = SearchMetrics::default();
-    let mut ledger = limits.start();
-    let result = div_astar_ledger(g, k, &mut ledger, &mut metrics)?;
-    Ok((result, metrics))
 }
 
 /// Core implementation with a shared ledger (so `div-dp`/`div-cut` budgets
@@ -530,6 +519,7 @@ fn astar_search(
 mod tests {
     use super::*;
     use crate::exhaustive::exhaustive;
+    use crate::framework::ExactAlgorithm;
     use crate::nodeset::DenseNodeSet;
     use crate::testgen;
 
@@ -712,7 +702,9 @@ mod tests {
         // DESIGN.md §6's AB4 input: a fresh heap per k' round expands 134
         // entries; one heap re-bounded across rounds (Lemma 6) took 318.
         let g = testgen::random_graph(22, 0.25, 3);
-        let (r, m) = div_astar_limited(&g, 12, &SearchLimits::unlimited()).unwrap();
+        let (r, m) = ExactAlgorithm::AStar
+            .search(&g, 12, &SearchLimits::unlimited())
+            .unwrap();
         assert_prefix_max_matches(&g, &r, &exhaustive(&g, 12));
         assert_eq!(m.expansions, 134);
     }
@@ -724,7 +716,7 @@ mod tests {
             max_expansions: Some(3),
             ..SearchLimits::default()
         };
-        let err = div_astar_limited(&g, 10, &limits).unwrap_err();
+        let err = ExactAlgorithm::AStar.search(&g, 10, &limits).unwrap_err();
         assert!(matches!(err, SearchError::ResourceExhausted(_)));
     }
 
@@ -732,14 +724,16 @@ mod tests {
     fn byte_budget_aborts_on_star_chain() {
         let g = testgen::star_chain(100);
         let limits = SearchLimits::with_max_bytes(512);
-        let err = div_astar_limited(&g, 50, &limits).unwrap_err();
+        let err = ExactAlgorithm::AStar.search(&g, 50, &limits).unwrap_err();
         assert!(matches!(err, SearchError::ResourceExhausted(_)));
     }
 
     #[test]
     fn metrics_are_populated() {
         let g = DiversityGraph::paper_fig1();
-        let (r, m) = div_astar_limited(&g, 3, &SearchLimits::unlimited()).unwrap();
+        let (r, m) = ExactAlgorithm::AStar
+            .search(&g, 3, &SearchLimits::unlimited())
+            .unwrap();
         assert_eq!(r.best().score(), s(20));
         assert!(m.expansions > 0);
         assert!(m.pushes > m.expansions / 2);

@@ -96,18 +96,6 @@ pub fn div_cut(g: &DiversityGraph, k: usize) -> SearchResult {
         .expect("unlimited search cannot exhaust budgets")
 }
 
-/// Exact diversified top-k via cut-point decomposition under budgets.
-pub fn div_cut_limited(
-    g: &DiversityGraph,
-    k: usize,
-    limits: &SearchLimits,
-) -> Result<(SearchResult, SearchMetrics), SearchError> {
-    let mut metrics = SearchMetrics::default();
-    let mut ledger = limits.start();
-    let result = div_cut_ledger(g, k, &mut ledger, &mut metrics, 0)?;
-    Ok((result, metrics))
-}
-
 /// Algorithm 8: components → compress → cptree (or astar when no cut points).
 pub(crate) fn div_cut_ledger(
     g: &DiversityGraph,
@@ -498,6 +486,7 @@ fn cp_search(
 mod tests {
     use super::*;
     use crate::exhaustive::exhaustive;
+    use crate::framework::ExactAlgorithm;
     use crate::score::Score;
     use crate::testgen;
 
@@ -808,7 +797,9 @@ mod tests {
             let mut m = SearchMetrics::default();
             let got = div_cut_ledger(&g, 6, &mut ledger, &mut m, MAX_NEST_DEPTH).unwrap();
             assert_eq!(m.cptree_nodes, 0, "seed {seed}");
-            let (_, at_top) = div_cut_limited(&g, 6, &SearchLimits::unlimited()).unwrap();
+            let (_, at_top) = ExactAlgorithm::Cut
+                .search(&g, 6, &SearchLimits::unlimited())
+                .unwrap();
             if at_top.cptree_nodes > 0 {
                 assert!(m.astar_calls >= 1, "seed {seed}");
                 fell_back += 1;
@@ -832,13 +823,15 @@ mod tests {
             max_expansions: Some(1),
             ..SearchLimits::default()
         };
-        assert!(div_cut_limited(&g, 10, &limits).is_err());
+        assert!(ExactAlgorithm::Cut.search(&g, 10, &limits).is_err());
     }
 
     #[test]
     fn metrics_record_decomposition() {
         let (g, _) = fig8_graph();
-        let (_, m) = div_cut_limited(&g, 5, &SearchLimits::unlimited()).unwrap();
+        let (_, m) = ExactAlgorithm::Cut
+            .search(&g, 5, &SearchLimits::unlimited())
+            .unwrap();
         assert_eq!(m.compressed_nodes, 3); // w1, w4, w5 (fixpoint of Lemma 7)
         assert!(m.cptree_nodes >= 1); // at least the hub w2
         assert!(m.plus_ops > 0);
@@ -882,7 +875,9 @@ mod tests {
             },
             13,
         );
-        let (_, m) = div_cut_limited(&g, 20, &SearchLimits::unlimited()).unwrap();
+        let (_, m) = ExactAlgorithm::Cut
+            .search(&g, 20, &SearchLimits::unlimited())
+            .unwrap();
         assert!(m.compressed_nodes > 0);
         assert_eq!(m.expansions, 21);
     }
@@ -954,7 +949,9 @@ mod tests {
             vec![s(5), s(4), s(4), s(3), s(2), s(1)],
             &[(0, 3), (1, 4)],
         );
-        let (r, m) = div_cut_limited(&g, 3, &SearchLimits::unlimited()).unwrap();
+        let (r, m) = ExactAlgorithm::Cut
+            .search(&g, 3, &SearchLimits::unlimited())
+            .unwrap();
         assert_eq!(r, reference_cut(&g, 3));
         assert_eq!(r.best().nodes(), vec![0, 1, 2]);
         assert_eq!((m.astar_calls, m.expansions, m.pushes), (0, 0, 0));

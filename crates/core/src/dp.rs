@@ -43,18 +43,6 @@ pub fn div_dp(g: &DiversityGraph, k: usize) -> SearchResult {
     div_dp_ledger(g, k, &mut ledger, &mut metrics).expect("unlimited search cannot exhaust budgets")
 }
 
-/// Exact diversified top-k via component decomposition under budgets.
-pub fn div_dp_limited(
-    g: &DiversityGraph,
-    k: usize,
-    limits: &SearchLimits,
-) -> Result<(SearchResult, SearchMetrics), SearchError> {
-    let mut metrics = SearchMetrics::default();
-    let mut ledger = limits.start();
-    let result = div_dp_ledger(g, k, &mut ledger, &mut metrics)?;
-    Ok((result, metrics))
-}
-
 pub(crate) fn div_dp_ledger(
     g: &DiversityGraph,
     k: usize,
@@ -127,6 +115,7 @@ fn fold_vertex(acc: &mut SearchResult, v: NodeId, score: Score) {
 mod tests {
     use super::*;
     use crate::exhaustive::exhaustive;
+    use crate::framework::ExactAlgorithm;
     use crate::score::Score;
     use crate::testgen;
 
@@ -235,7 +224,7 @@ mod tests {
             max_expansions: Some(2),
             ..SearchLimits::default()
         };
-        assert!(div_dp_limited(&g, 25, &limits).is_err());
+        assert!(ExactAlgorithm::Dp.search(&g, 25, &limits).is_err());
     }
 
     #[test]
@@ -243,7 +232,9 @@ mod tests {
         // 3 isolated nodes → 3 one-vertex components → 3 ⊕ folds in
         // closed form, no A* call, nothing expanded.
         let g = DiversityGraph::from_sorted_scores(vec![s(3), s(2), s(1)], &[]);
-        let (r, m) = div_dp_limited(&g, 2, &SearchLimits::unlimited()).unwrap();
+        let (r, m) = ExactAlgorithm::Dp
+            .search(&g, 2, &SearchLimits::unlimited())
+            .unwrap();
         assert_eq!(r.best().score(), s(5));
         assert_eq!(m.astar_calls, 0);
         assert_eq!(m.expansions, 0);
@@ -259,7 +250,7 @@ mod tests {
             max_expansions: Some(0),
             ..SearchLimits::default()
         };
-        let (r, m) = div_dp_limited(&g, 3, &limits).unwrap();
+        let (r, m) = ExactAlgorithm::Dp.search(&g, 3, &limits).unwrap();
         assert_eq!(r, reference_dp(&g, 3));
         assert_eq!(r.best().nodes(), vec![0, 1, 2]);
         assert_eq!(m.expansions, 0);

@@ -86,12 +86,12 @@ pub mod testgen;
 
 /// One-stop imports for typical users of the crate.
 pub mod prelude {
-    pub use crate::astar::{div_astar, div_astar_limited};
-    pub use crate::cut::{div_cut, div_cut_limited};
+    pub use crate::astar::div_astar;
+    pub use crate::cut::div_cut;
     pub use crate::diversify::{
         DiversifierMetrics, DiversifyOutcome, RERANK_OVERSAMPLE, WindowConfig,
     };
-    pub use crate::dp::{div_dp, div_dp_limited};
+    pub use crate::dp::div_dp;
     pub use crate::error::{ExhaustedResource, SearchError};
     pub use crate::framework::{DivSearchConfig, DivSearchOutput, DivTopK, ExactAlgorithm};
     pub use crate::fxhash::{FxBuildHasher, FxHashMap, FxHasher};

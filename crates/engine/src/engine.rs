@@ -42,20 +42,17 @@
 
 use crate::cache::{CacheStats, LruCache};
 use divtopk_core::SearchError;
-use divtopk_core::sync::{
-    self, lock_unpoisoned, read_unpoisoned, wait_unpoisoned, write_unpoisoned,
-};
+use divtopk_core::sync::{self, SingleFlight, lock_unpoisoned, read_unpoisoned, write_unpoisoned};
 use divtopk_text::corpus::Corpus;
 use divtopk_text::document::{DocId, Document, TermId};
 use divtopk_text::persist::{self, SaveReport, SnapshotError};
 use divtopk_text::query::KeywordQuery;
 use divtopk_text::search::{SearchOptions, SearchOutput};
 use divtopk_text::segments::SegmentedIndex;
-use std::collections::HashSet;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 /// Engine deployment configuration.
 #[derive(Debug, Clone)]
@@ -114,7 +111,7 @@ pub enum Query {
 }
 
 /// Normalized cache key:
-/// `(generation, query, k, τ quantized, algorithm fingerprint)`.
+/// `(generation, query, k, τ bits, algorithm fingerprint)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     /// The snapshot generation the probing query pinned. Any mutation
@@ -124,10 +121,10 @@ struct CacheKey {
     generation: u64,
     query: QueryKey,
     k: usize,
-    /// `τ` quantized to 1e-9 steps — float keys need a stable identity,
-    /// and operating points closer than 1e-9 in τ are indistinguishable
-    /// for any realistic similarity function.
-    tau_q: u64,
+    /// `τ`'s exact bits: `sim > τ` is decided on them, so two τ a
+    /// rounding step apart can draw different diversity graphs, and
+    /// neither may answer for the other.
+    tau_bits: u64,
     /// `Debug` fingerprint of (algorithm, limits, bound decay): every
     /// knob that can change the output (including its metrics) must key
     /// the cache, or "bit-identical cache hits" would be a lie.
@@ -156,7 +153,7 @@ impl CacheKey {
             generation,
             query,
             k: options.k,
-            tau_q: (options.tau * 1e9).round() as u64,
+            tau_bits: options.tau.to_bits(),
             // The mode's Debug form spells out every mode parameter (λ,
             // window knobs, neighbor count) at full
             // precision, so no two distinct configurations can collide —
@@ -235,10 +232,8 @@ pub struct Engine {
     writer: Mutex<()>,
     cache: Mutex<LruCache<CacheKey, SearchOutput>>,
     cache_capacity: usize,
-    /// Keys currently being computed by some caller (single-flight).
-    inflight: Mutex<HashSet<CacheKey>>,
-    /// Signalled whenever an in-flight computation finishes.
-    inflight_done: Condvar,
+    /// Concurrent misses on one key compute it once.
+    flight: SingleFlight<CacheKey>,
     threads: usize,
     queries: AtomicU64,
     rejected: AtomicU64,
@@ -288,8 +283,7 @@ impl Engine {
             writer: Mutex::new(()),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             cache_capacity: config.cache_capacity,
-            inflight: Mutex::new(HashSet::new()),
-            inflight_done: Condvar::new(),
+            flight: SingleFlight::default(),
             threads,
             queries: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -532,56 +526,13 @@ impl Engine {
             return Ok((self.execute(&snap, query, options)?, generation));
         }
         let key = CacheKey::new(query, options, generation);
-        loop {
-            // The cache lookup happens *under* the inflight lock: a
-            // computer inserts into the cache before removing its
-            // inflight key, so "key absent from both" race-freely means
-            // this caller should compute. (Lock order is always
-            // inflight→cache; the insert/remove paths hold one at a
-            // time, so there is no inversion.)
-            let mut inflight = lock_unpoisoned(&self.inflight);
-            if let Some(hit) = lock_unpoisoned(&self.cache).get(&key) {
-                return Ok((hit.clone(), generation));
-            }
-            if !inflight.contains(&key) {
-                inflight.insert(key.clone());
-                break; // this caller computes
-            }
-            // Another caller is computing this key: wait for it to finish
-            // (it inserts into the cache before waking us), then re-check.
-            drop(wait_unpoisoned(&self.inflight_done, inflight));
-        }
-        // Releases the inflight claim and wakes waiters on every exit
-        // path — including a panic inside `execute` (a leaked key would
-        // park every waiter on the condvar forever, and `thread::scope`
-        // would then hang joining them instead of propagating the panic).
-        struct InflightClaim<'a> {
-            inflight: &'a Mutex<HashSet<CacheKey>>,
-            done: &'a Condvar,
-            key: &'a CacheKey,
-        }
-        impl Drop for InflightClaim<'_> {
-            fn drop(&mut self) {
-                let mut inflight = lock_unpoisoned(self.inflight);
-                inflight.remove(self.key);
-                self.done.notify_all();
-            }
-        }
-        let claim = InflightClaim {
-            inflight: &self.inflight,
-            done: &self.inflight_done,
-            key: &key,
-        };
-        // Compute outside every lock: a slow query must serialize neither
-        // the serving tier (cache mutex) nor unrelated misses (inflight).
-        let result = self.execute(&snap, query, options);
-        if let Ok(out) = &result {
-            lock_unpoisoned(&self.cache).insert(key.clone(), out.clone());
-        }
-        // The claim drops here — strictly after the cache insert, so a
-        // woken waiter always finds the entry.
-        drop(claim);
-        Ok((result?, generation))
+        let out = self.flight.get_or_compute(
+            &key,
+            || lock_unpoisoned(&self.cache).get(&key).cloned(),
+            || self.execute(&snap, query, options),
+            |out| lock_unpoisoned(&self.cache).insert(key.clone(), out.clone()),
+        )?;
+        Ok((out, generation))
     }
 
     /// Serves one query **bypassing the result cache**: same admission,
@@ -1032,6 +983,46 @@ mod tests {
             e.search_uncached(&Query::Scan(bogus), &SearchOptions::new(2)),
             Err(SearchError::UnknownTerm { .. })
         ));
+    }
+
+    #[test]
+    fn tau_keys_the_cache_by_its_exact_bits() {
+        // At τ = s, the similarity of two of the term's top documents, the
+        // pair is no edge (`sim > τ` fails); one float below s it is one.
+        // Where that changes the answer, a cached τ = s entry must not
+        // answer the τ just below it.
+        use divtopk_text::index::InvertedIndex;
+        use divtopk_text::jaccard::weighted_jaccard;
+        use divtopk_text::search::DiversifiedSearcher;
+        let corpus = generate(&SynthConfig {
+            num_docs: 400,
+            ..SynthConfig::tiny().with_seed(3)
+        });
+        let index = InvertedIndex::build(&corpus);
+        let searcher = DiversifiedSearcher::new(&corpus, &index);
+        let term = 2;
+        let top: Vec<DocId> = index.postings(term)[..5].iter().map(|p| p.doc).collect();
+        let mut pairs = 0;
+        for (i, &a) in top.iter().enumerate() {
+            for &b in &top[i + 1..] {
+                let s = weighted_jaccard(&corpus, corpus.doc(a), corpus.doc(b));
+                let at = SearchOptions::new(5).with_tau(s);
+                let below = SearchOptions::new(5).with_tau(f64::from_bits(s.to_bits() - 1));
+                let want = searcher.search_scan(term, &below).unwrap();
+                if s <= 0.0 || want == searcher.search_scan(term, &at).unwrap() {
+                    continue;
+                }
+                pairs += 1;
+                let e = Engine::new(corpus.clone(), EngineConfig::new(1).with_threads(1));
+                e.search(&Query::Scan(term), &at).unwrap();
+                let got = e.search(&Query::Scan(term), &below).unwrap();
+                assert_eq!(
+                    got, want,
+                    "docs {a} and {b}: τ = {s} answered for the τ below it"
+                );
+            }
+        }
+        assert!(pairs > 0, "no pair of top documents moves the answer");
     }
 
     /// The satellite bugfix pinned as a unit test: cache probes resolve

@@ -25,7 +25,7 @@
 //!   [`engine::Engine::delete_docs`] / [`engine::Engine::compact`])
 //!   publish a new generation while in-flight queries finish on their
 //!   pinned epoch; the LRU result cache ([`cache::LruCache`]) keys on
-//!   `(generation, normalized query, k, τ quantized, algorithm)`, so a
+//!   `(generation, normalized query, k, τ bits, algorithm)`, so a
 //!   mutation instantly orphans every stale entry.
 //!
 //! ```

@@ -16,6 +16,8 @@
 //! connections pile on. Ping/stats/reload never touch the gate (they
 //! are cheap and must stay responsive *especially* under search
 //! overload — that is when an operator needs the stats endpoint most).
+//! The gate itself is [`divtopk_core::sync::Gate`], where the
+//! interleaving explorer of `divtopk-lint` checks it (DESIGN.md §13).
 //!
 //! ## Failure containment
 //!
@@ -31,12 +33,12 @@
 use crate::engine::Engine;
 use crate::histogram::LatencyHistogram;
 use crate::proto::{self, ErrorCode, ProtoError, Request, Response, StatsReport, WireHits};
-use divtopk_core::sync::{lock_unpoisoned, wait_unpoisoned};
+use divtopk_core::sync::{Gate, lock_unpoisoned};
 use divtopk_text::search::SearchOptions;
 use std::io::BufReader;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -71,81 +73,6 @@ pub struct ServerMetrics {
     pub protocol_errors: AtomicU64,
     /// Search latency (decode → answer, gate wait included), nanoseconds.
     pub search_latency: LatencyHistogram,
-}
-
-/// The admission gate: at most `workers` callers hold a [`Permit`], at
-/// most `queue_capacity` more wait for one, in arrival order.
-#[derive(Debug)]
-struct Gate {
-    state: Mutex<GateState>,
-    freed: Condvar,
-    workers: usize,
-    queue_capacity: usize,
-}
-
-#[derive(Debug, Default)]
-struct GateState {
-    /// Permits out right now.
-    running: usize,
-    /// The ticket the next waiter takes.
-    next_ticket: u64,
-    /// The ticket at the head of the line; `next_ticket - now_serving`
-    /// callers are waiting.
-    now_serving: u64,
-}
-
-impl Gate {
-    fn new(workers: usize, queue_capacity: usize) -> Gate {
-        Gate {
-            state: Mutex::new(GateState::default()),
-            freed: Condvar::new(),
-            workers,
-            queue_capacity,
-        }
-    }
-
-    /// A permit — at once if a slot is free and nobody is waiting, after
-    /// waiting in line if the line has room — or `None`, without
-    /// blocking, if it does not.
-    fn enter(&self) -> Option<Permit<'_>> {
-        let mut state = lock_unpoisoned(&self.state);
-        let waiting = state.next_ticket - state.now_serving;
-        if waiting == 0 && state.running < self.workers {
-            state.running += 1;
-            return Some(Permit { gate: self });
-        }
-        if waiting >= self.queue_capacity as u64 {
-            return None;
-        }
-        let mine = state.next_ticket;
-        state.next_ticket += 1;
-        while state.now_serving != mine || state.running >= self.workers {
-            state = wait_unpoisoned(&self.freed, state);
-        }
-        state.now_serving += 1;
-        state.running += 1;
-        drop(state);
-        // The waiter behind this one may have been woken while it was
-        // not yet at the head and gone back to sleep; if a second slot
-        // is free it must hear that it now is.
-        self.freed.notify_all();
-        Some(Permit { gate: self })
-    }
-}
-
-/// One of the gate's `workers` slots, given back on drop — so also when
-/// the search it covers unwinds.
-struct Permit<'a> {
-    gate: &'a Gate,
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        lock_unpoisoned(&self.gate.state).running -= 1;
-        // Every waiter, not one: only the head of the line may take the
-        // slot, and a single wakeup can land on somebody behind it.
-        self.gate.freed.notify_all();
-    }
 }
 
 /// A connection's exit path, run on every way out of its thread —
@@ -315,7 +242,7 @@ impl ServerShared {
                     // RELAXED: monotonic metrics counter (see stats_report).
                     self.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
                     return Response::Overloaded {
-                        queue_capacity: self.gate.queue_capacity as u32,
+                        queue_capacity: self.gate.queue_capacity() as u32,
                     };
                 };
                 let result = self.engine.search_pinned(&query, &options);
@@ -468,8 +395,6 @@ mod tests {
     use crate::proto::call;
     use divtopk_text::mode::DiversifyMode;
     use divtopk_text::synth::{SynthConfig, generate};
-    use std::panic::{AssertUnwindSafe, catch_unwind};
-    use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
     fn test_server() -> Server {
@@ -507,11 +432,6 @@ mod tests {
             assert!(started.elapsed() < Duration::from_secs(10), "timed out");
             std::thread::yield_now();
         }
-    }
-
-    fn waiting(gate: &Gate) -> u64 {
-        let state = lock_unpoisoned(&gate.state);
-        state.next_ticket - state.now_serving
     }
 
     #[test]
@@ -560,10 +480,10 @@ mod tests {
         // waits for it to run rather than dropping it.
         let mut server = test_server();
         let shared = Arc::clone(&server.shared);
-        let held: Vec<Permit<'_>> = (0..2).map(|_| shared.gate.enter().unwrap()).collect();
+        let held: Vec<_> = (0..2).map(|_| shared.gate.enter().unwrap()).collect();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         proto::write_frame(&mut stream, &proto::encode_request(&scan(0)).unwrap()).unwrap();
-        wait_until(|| waiting(&shared.gate) == 1);
+        wait_until(|| shared.gate.waiting() == 1);
         let started = Instant::now();
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -574,104 +494,7 @@ mod tests {
         });
         assert!(started.elapsed() < Duration::from_secs(5));
         assert_eq!(shared.metrics.search_latency.count(), 1);
-        assert_eq!(lock_unpoisoned(&shared.gate.state).running, 0);
-    }
-
-    #[test]
-    fn gate_never_lets_more_than_workers_inside() {
-        // Properties of the gate, not of the host's scheduling: every
-        // attempt is answered one way or the other, no more than
-        // `workers` are ever inside, and a thread that keeps asking gets
-        // in — a refused `enter` returns rather than blocks, so the retry
-        // loop ends once the others let go.
-        let gate = Gate::new(2, 3);
-        let inside = AtomicUsize::new(0);
-        let (admitted, refused) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let visit = || {
-            assert!(inside.fetch_add(1, Ordering::SeqCst) < 2);
-            std::thread::yield_now();
-            inside.fetch_sub(1, Ordering::SeqCst);
-        };
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    let mut mine = 0;
-                    for _ in 0..500 {
-                        match gate.enter() {
-                            Some(_permit) => {
-                                mine += 1;
-                                visit();
-                            }
-                            None => {
-                                refused.fetch_add(1, Ordering::SeqCst);
-                            }
-                        }
-                    }
-                    admitted.fetch_add(mine, Ordering::SeqCst);
-                    while mine == 0 {
-                        match gate.enter() {
-                            Some(_permit) => {
-                                mine += 1;
-                                visit();
-                            }
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(
-            admitted.load(Ordering::SeqCst) + refused.load(Ordering::SeqCst),
-            8 * 500
-        );
-        assert_eq!(lock_unpoisoned(&gate.state).running, 0);
-        assert_eq!(waiting(&gate), 0);
-    }
-
-    #[test]
-    fn gate_holds_queue_capacity_waiters_in_ticket_order_and_refuses_the_next() {
-        let gate = Gate::new(1, 3);
-        let order = Mutex::new(Vec::new());
-        let held = gate.enter().expect("an idle gate admits");
-        std::thread::scope(|scope| {
-            for i in 0..3 {
-                let (gate, order) = (&gate, &order);
-                scope.spawn(move || {
-                    let _permit = gate.enter().expect("the line has room");
-                    lock_unpoisoned(order).push(i);
-                });
-                // Parked before the next one starts, so ticket order is
-                // spawn order.
-                wait_until(|| waiting(gate) == i + 1);
-            }
-            // The line is full: the next caller is refused, and this
-            // thread — the only one that could free a slot — got the
-            // refusal, so `enter` did not block for it.
-            assert!(gate.enter().is_none());
-            assert!(lock_unpoisoned(&order).is_empty());
-            drop(held);
-        });
-        assert_eq!(*lock_unpoisoned(&order), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn a_panic_inside_a_permit_gives_the_slot_back() {
-        let gate = Gate::new(2, 2);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        let _permit = gate.enter().expect("2 + 2 holds four callers");
-                        panic!("search blew up");
-                    }));
-                    assert!(outcome.is_err());
-                });
-            }
-        });
-        assert_eq!(lock_unpoisoned(&gate.state).running, 0);
-        assert_eq!(waiting(&gate), 0);
-        let both: Vec<_> = (0..2).map(|_| gate.enter()).collect();
-        assert!(both.iter().all(Option::is_some), "full capacity is back");
+        assert_eq!(shared.gate.running(), 0);
     }
 
     #[test]

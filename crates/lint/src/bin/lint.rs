@@ -11,8 +11,9 @@
 //! Exit status: 0 when clean, 1 on any diagnostic / model failure /
 //! under-explored model, 2 on usage or I/O errors.
 
+use divtopk_core::sync::Gate;
 use divtopk_lint::models::{self, Bug, GateShape};
-use divtopk_lint::sched::{Explorer, Failure, Report};
+use divtopk_lint::sched::{Explorer, Failure, Report, Sim};
 use divtopk_lint::walk::lint_workspace;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -93,32 +94,20 @@ fn run_interleaving_models(budget: usize) -> ExitCode {
         max_preemptions: 4,
         ..explorer
     };
-    type ModelRun = Box<dyn Fn() -> Result<Report, Failure>>;
+    type ModelRun<'a> = &'a dyn Fn() -> Result<Report, Failure>;
     let runs: [(&str, ModelRun); 4] = [
-        (
-            "pool-handshake",
-            Box::new(move || models::pool_handshake(&explorer, 2, 2, Bug::None)),
-        ),
-        (
-            "prefetch-pump",
-            Box::new(move || models::prefetch_pump(&deep, 1, 4, Bug::None)),
-        ),
-        (
-            "single-flight",
-            Box::new(move || models::single_flight(&explorer, 3, Bug::None)),
-        ),
-        (
-            "admission-gate",
-            Box::new(move || {
-                let shape = GateShape {
-                    workers: 1,
-                    queue_capacity: 1,
-                    callers: 3,
-                    hold_for_line: 0,
-                };
-                models::admission_gate(&explorer, shape, Bug::None)
-            }),
-        ),
+        ("pool-handshake", &|| {
+            models::pool_handshake(&explorer, 2, 2, Bug::None)
+        }),
+        ("prefetch-pump", &|| {
+            models::prefetch_pump(&deep, 1, 4, Bug::None)
+        }),
+        ("single-flight", &|| {
+            models::single_flight(&explorer, 3, models::fill::<Sim>)
+        }),
+        ("admission-gate", &|| {
+            models::admission_gate::<Gate<Sim>>(&explorer, GateShape::RACE)
+        }),
     ];
     let mut failed = false;
     for (name, run) in runs {

@@ -11,11 +11,13 @@
 //! 2. **The interleaving explorer** ([`sched`], [`models`]): a
 //!    loom-style deterministic scheduler that shims `Mutex`, `Condvar`,
 //!    and the atomics, and exhaustively enumerates bounded thread
-//!    interleavings of small models of the repo's four hand-rolled
-//!    concurrency protocols — the pool's lost-wakeup handshake, the
-//!    prefetch park/re-spawn protocol, the cache's single-flight
-//!    condvar loop, and the server's ticketed admission gate — asserting
-//!    each protocol's DESIGN.md invariant under every explored schedule.
+//!    interleavings of the repo's four hand-rolled concurrency
+//!    protocols, asserting each one's DESIGN.md invariant under every
+//!    explored schedule. The cache's single-flight fill and the
+//!    server's ticketed admission gate run as the production
+//!    `divtopk_core::sync` types on the shims ([`sched::Sim`]); the
+//!    pool's lost-wakeup handshake and the prefetch park/re-spawn
+//!    protocol are still checked as miniatures.
 //!
 //! The `lint` binary runs both: `cargo run -p divtopk-lint --bin lint`
 //! (diagnostics, exit 1 on any), `-- --models` (the four models under a

@@ -1,30 +1,34 @@
-//! The four concurrency models checked by the interleaving explorer.
+//! The four concurrency models checked by the interleaving explorer,
+//! each asserting one protocol's DESIGN.md invariant under every
+//! explored schedule.
 //!
-//! Each model is a faithful miniature of one hand-rolled protocol in the
-//! workspace, built on the [`crate::sched`] shims, asserting that
-//! protocol's DESIGN.md invariant under every explored schedule. Each
-//! carries intentionally-broken variants — the exact bug the production
-//! protocol defends against — which the regression tests require the
-//! explorer to catch. That turns the prose soundness arguments into
-//! executable fixtures: if a refactor ever weakens the real protocol the
-//! same way, DESIGN.md §13 points at the model that proves why it breaks.
+//! Two run production code: [`single_flight`] and [`admission_gate`]
+//! drive `divtopk_core::sync`'s `SingleFlight` and `Gate` on the
+//! [`crate::sched::Sim`] primitives, so the code they check is the code
+//! that serves. Their broken variants live in the tests, as facade
+//! mutants (a `Primitives` whose `notify_all` misbehaves) or small
+//! mutants of the protocol's logic. The other two are still miniatures
+//! of `core::pool` and `core::prefetch`, built on the shims, with their
+//! bugs planted by [`Bug`].
 //!
-//! | model | mirrors | invariant |
+//! | model | checks | invariant |
 //! |---|---|---|
-//! | [`pool_handshake`] | `divtopk_core::pool` inject/worker | no lost wakeup: every injected task executes and the scope completes |
-//! | [`prefetch_pump`] | `divtopk_core::prefetch` park/re-spawn | exactly one pump alive; consumer drains all items in order |
-//! | [`single_flight`] | `divtopk_engine::engine` inflight set | one computation per key; every waiter gets the value |
-//! | [`admission_gate`] | `divtopk_engine::server` gate/permit | never more than `workers` inside; waiters admitted in ticket order and none stranded; refusals never block |
+//! | [`pool_handshake`] | a miniature of `divtopk_core::pool` inject/worker | no lost wakeup: every injected task executes and the scope completes |
+//! | [`prefetch_pump`] | a miniature of `divtopk_core::prefetch` park/re-spawn | exactly one pump alive; consumer drains all items in order |
+//! | [`single_flight`] | `divtopk_core::sync::SingleFlight` | one computation per key; every waiter gets the value |
+//! | [`admission_gate`] | `divtopk_core::sync::Gate` | never more than `workers` inside; a line admitted in ticket order and none stranded; nobody refused while there is room |
 
 use crate::sched::{
-    Explorer, Failure, Report, SimAtomicBool, SimCondvar, SimCounter, SimMutex, spawn,
+    Explorer, Failure, Report, SimAtomicBool, SimCondvar, SimMutex, spawn, wait_for_blocked,
 };
+use divtopk_core::sync::{Gate, Primitives, SingleFlight};
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
-/// Which deliberate bug (if any) to plant in a model. `None` must pass
-/// exhaustively; the others must be caught by the explorer.
+/// Which deliberate bug (if any) to plant in a miniature. `None` must
+/// pass exhaustively; the others must be caught by the explorer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bug {
     None,
@@ -41,22 +45,6 @@ pub enum Bug {
     /// parked flag, so two pumps run concurrently — the second finds the
     /// source taken and the single-pump invariant breaks.
     PrefetchDoubleRespawn,
-    /// `single_flight`: the claim holder releases the inflight claim
-    /// *before* inserting into the cache, so a notified waiter re-misses
-    /// and recomputes — the insert-before-release ordering
-    /// `InflightClaim` exists to enforce.
-    FlightInsertAfterRelease,
-    /// `single_flight`: the claim holder never notifies the condvar —
-    /// waiters sleep forever (the dropped-notify regression).
-    FlightDropNotify,
-    /// `admission_gate`: a released permit wakes one waiter instead of
-    /// all — the wakeup can land behind the head of the line, whose
-    /// owner goes back to sleep while the head is never told.
-    GateReleaseNotifyOne,
-    /// `admission_gate`: a waiter takes a free slot without checking
-    /// that its ticket is the one being served — a later arrival
-    /// overtakes an earlier one.
-    GateSkipTurnCheck,
 }
 
 // ---------------------------------------------------------------------
@@ -309,45 +297,59 @@ fn feed_pump(m: &FeedModel, depth: usize) {
 }
 
 // ---------------------------------------------------------------------
-// Model 3: single-flight cache fill (divtopk_engine::engine)
+// Model 3: single-flight cache fill (divtopk_core::sync::SingleFlight)
 // ---------------------------------------------------------------------
 
-struct FlightModel {
-    /// The result cache (one key suffices for the protocol).
-    cache: SimMutex<Option<u32>>,
-    /// Models the `inflight: Mutex<HashSet<Key>>` — one key, so a bool.
-    inflight: SimMutex<bool>,
-    inflight_done: SimCondvar,
-    computations: SimCounter,
+/// One [`single_flight`] caller filling a one-key cache through the
+/// flight and counting its computations: [`fill`], or a test's mutant.
+pub type Fill<P> = fn(&SingleFlight<u32, P>, &SimMutex<Option<u32>>, &SimMutex<usize>) -> u32;
+
+/// The engine's fill: [`SingleFlight::get_or_compute`], computing 42.
+pub fn fill<P: Primitives>(
+    flight: &SingleFlight<u32, P>,
+    cache: &SimMutex<Option<u32>>,
+    computed: &SimMutex<usize>,
+) -> u32 {
+    let compute = || {
+        *computed.lock() += 1;
+        Ok::<u32, Infallible>(42)
+    };
+    let insert = |&value: &u32| *cache.lock() = Some(value);
+    let Ok(value) = flight.get_or_compute(&0, || *cache.lock(), compute, insert);
+    value
 }
 
-/// The engine's single-flight fill: `callers` concurrent requests for
-/// the same cold key. Invariants: the value is computed exactly once,
-/// every caller observes it, and no waiter sleeps forever.
-///
-/// Mirrors `Engine::search_pinned`'s loop: lock inflight → probe cache →
-/// claim if idle, else wait on `inflight_done` → compute outside all
-/// locks → insert into cache → release claim → notify.
-pub fn single_flight(explorer: &Explorer, callers: usize, bug: Bug) -> Result<Report, Failure> {
+/// `callers` concurrent fills of the same cold key on `P`'s primitives.
+/// Invariants: the value is computed exactly once, every caller
+/// observes it, and no waiter sleeps forever.
+pub fn single_flight<P>(
+    explorer: &Explorer,
+    callers: usize,
+    fill: Fill<P>,
+) -> Result<Report, Failure>
+where
+    P: Primitives + 'static,
+    SingleFlight<u32, P>: Send + Sync,
+{
     explorer.explore(move || {
-        let m = Arc::new(FlightModel {
-            cache: SimMutex::new(None),
-            inflight: SimMutex::new(false),
-            inflight_done: SimCondvar::new(),
-            computations: SimCounter::new(),
-        });
-        let mut handles = Vec::new();
-        for _ in 0..callers {
-            let m = Arc::clone(&m);
-            handles.push(spawn(move || {
-                let value = flight_caller(&m, bug);
-                assert!(value == 42, "single-flight model: wrong value {value}");
-            }));
-        }
+        let m = Arc::new((
+            SingleFlight::default(),
+            SimMutex::new(None),
+            SimMutex::new(0),
+        ));
+        let handles: Vec<_> = (0..callers)
+            .map(|_| {
+                let m = Arc::clone(&m);
+                spawn(move || {
+                    let value = fill(&m.0, &m.1, &m.2);
+                    assert!(value == 42, "single-flight model: wrong value {value}");
+                })
+            })
+            .collect();
         for h in handles {
             h.join();
         }
-        let computed = m.computations.get();
+        let computed = *m.2.lock();
         assert!(
             computed == 1,
             "single-flight model: computed {computed} times for one key"
@@ -355,61 +357,33 @@ pub fn single_flight(explorer: &Explorer, callers: usize, bug: Bug) -> Result<Re
     })
 }
 
-fn flight_caller(m: &FlightModel, bug: Bug) -> u32 {
-    loop {
-        let mut inflight = m.inflight.lock();
-        // Cache probe under the inflight lock (the real code's lock
-        // order: inflight, then cache, never the reverse).
-        if let Some(value) = *m.cache.lock() {
-            return value;
-        }
-        if !*inflight {
-            *inflight = true;
-            break;
-        }
-        inflight = m.inflight_done.wait(inflight);
-    }
-    // Claim held; compute outside every lock.
-    let value = 42;
-    m.computations.bump();
-    if bug == Bug::FlightInsertAfterRelease {
-        // Broken ordering: waiters wake, re-probe an empty cache, find
-        // the claim free, and recompute.
-        *m.inflight.lock() = false;
-        m.inflight_done.notify_all();
-        *m.cache.lock() = Some(value);
-    } else {
-        // Correct ordering (`InflightClaim`): the cache insert happens
-        // before the claim drops, so a woken waiter's re-probe hits.
-        *m.cache.lock() = Some(value);
-        *m.inflight.lock() = false;
-        if bug != Bug::FlightDropNotify {
-            m.inflight_done.notify_all();
-        }
-    }
-    value
-}
-
 // ---------------------------------------------------------------------
-// Model 4: admission gate (divtopk_engine::server)
+// Model 4: admission gate (divtopk_core::sync::Gate)
 // ---------------------------------------------------------------------
 
-struct GateModel {
-    state: SimMutex<GateState>,
-    freed: SimCondvar,
-    /// Rung by the caller whose ticket makes the line `hold_for_line` long.
-    lined_up: SimCondvar,
-    /// Callers between `enter` and release, counted outside the gate's
-    /// own state so a broken gate cannot vouch for itself.
-    inside: SimCounter,
+/// What [`admission_gate`] drives: `Gate` on any [`Primitives`], or a
+/// test's mutant gate.
+pub trait Admission: Send + Sync + 'static {
+    fn new(workers: usize, queue_capacity: usize) -> Self;
+    /// Enters, runs `inside` holding a permit, leaves; false = refused.
+    fn pass(&self, inside: impl FnOnce()) -> bool;
 }
 
-#[derive(Default)]
-struct GateState {
-    running: usize,
-    next_ticket: usize,
-    now_serving: usize,
-    refused: usize,
+impl<P: Primitives + 'static> Admission for Gate<P>
+where
+    Gate<P>: Send + Sync,
+{
+    fn new(workers: usize, queue_capacity: usize) -> Gate<P> {
+        Gate::new(workers, queue_capacity)
+    }
+
+    fn pass(&self, inside: impl FnOnce()) -> bool {
+        let permit = self.enter();
+        if permit.is_some() {
+            inside();
+        }
+        permit.is_some()
+    }
 }
 
 /// The scenario one [`admission_gate`] run explores.
@@ -421,120 +395,103 @@ pub struct GateShape {
     pub queue_capacity: usize,
     /// Spawned callers; each enters once.
     pub callers: usize,
-    /// 0: the callers race into an idle gate. Otherwise thread 0 is one
-    /// more caller — a slow search: it enters before the others exist
-    /// and leaves once this many of them wait in line. A
-    /// preemption-bounded search from an idle gate reaches a line that
-    /// long last; this starts there.
-    pub hold_for_line: usize,
+    /// false: the callers race into an idle gate. true: thread 0 is one
+    /// more caller — a slow search that enters first and spawns the
+    /// callers one at a time, each once the one before sleeps in line
+    /// (so spawn order is ticket order), then leaves. A
+    /// preemption-bounded search from an idle gate reaches a long line
+    /// last; this starts there.
+    pub line_up: bool,
 }
 
-/// The server's admission gate. Invariants: never more than `workers`
-/// callers inside, waiters admitted in ticket order, every admitted
-/// caller finishes (no stranded waiter), a refused caller returns
-/// without ever waiting, and nobody is refused while the gate has room.
-///
-/// Mirrors `Gate::enter` / `Permit::drop`: admit at once when a slot is
-/// free and nobody waits; refuse when the line is full; otherwise take
-/// a ticket, wait until it is being served *and* a slot is free, then
-/// `notify_all` for the new head. Release decrements and `notify_all`s.
-pub fn admission_gate(explorer: &Explorer, shape: GateShape, bug: Bug) -> Result<Report, Failure> {
+impl GateShape {
+    /// The shape `lint --models` runs: three callers race into an idle
+    /// gate with one permit and one waiting slot.
+    pub const RACE: GateShape = GateShape {
+        workers: 1,
+        queue_capacity: 1,
+        callers: 3,
+        line_up: false,
+    };
+}
+
+/// What the callers saw, counted outside the gate so a broken gate
+/// cannot vouch for itself.
+#[derive(Default)]
+struct Seen {
+    inside: usize,
+    /// Lined-up callers admitted so far.
+    lined: usize,
+    refused: usize,
+}
+
+/// An admission gate. Invariants: never more than `workers` callers
+/// inside, a line admitted in ticket order, every caller finishes (no
+/// stranded waiter), nobody refused while the gate has room, and the
+/// drained gate admits again.
+pub fn admission_gate<G: Admission>(
+    explorer: &Explorer,
+    shape: GateShape,
+) -> Result<Report, Failure> {
     explorer.explore(move || {
-        let m = Arc::new(GateModel {
-            state: SimMutex::new(GateState::default()),
-            freed: SimCondvar::new(),
-            lined_up: SimCondvar::new(),
-            inside: SimCounter::new(),
-        });
-        let holding = shape.hold_for_line > 0;
-        if holding {
-            assert!(gate_enter(&m, shape, bug), "gate model: idle gate refused");
-        }
-        let handles: Vec<_> = (0..shape.callers)
-            .map(|_| {
-                let m = Arc::clone(&m);
-                spawn(move || {
-                    if gate_enter(&m, shape, bug) {
-                        gate_leave(&m, shape, bug);
-                    }
-                })
+        let m = Arc::new((
+            G::new(shape.workers, shape.queue_capacity),
+            SimMutex::new(Seen::default()),
+        ));
+        let caller = |ticket: Option<usize>| {
+            let m = Arc::clone(&m);
+            spawn(move || {
+                if !m.0.pass(|| occupy(&m.1, shape.workers, ticket, || ())) {
+                    m.1.lock().refused += 1;
+                }
             })
-            .collect();
-        if holding {
-            let mut st = m.state.lock();
-            while st.next_ticket - st.now_serving < shape.hold_for_line {
-                st = m.lined_up.wait(st);
-            }
-            drop(st);
-            gate_leave(&m, shape, bug);
+        };
+        let mut handles = Vec::new();
+        if shape.line_up {
+            let admitted = m.0.pass(|| {
+                occupy(&m.1, shape.workers, None, || {
+                    for ticket in 0..shape.callers {
+                        handles.push(caller(Some(ticket)));
+                        wait_for_blocked(ticket + 1);
+                    }
+                });
+            });
+            assert!(admitted, "gate model: idle gate refused");
+        } else {
+            handles.extend((0..shape.callers).map(|_| caller(None)));
         }
         for h in handles {
             h.join();
         }
-        let st = m.state.lock();
-        assert!(
-            st.running == 0 && st.next_ticket == st.now_serving,
-            "gate model: {} running, {} waiting at the end",
-            st.running,
-            st.next_ticket - st.now_serving
-        );
         let room = shape.workers + shape.queue_capacity;
-        let entered = shape.callers + usize::from(holding);
+        let entered = shape.callers + usize::from(shape.line_up);
+        let refused = m.1.lock().refused;
         assert!(
-            st.refused <= entered.saturating_sub(room),
-            "gate model: {} of {entered} refused by a gate with room for {room}",
-            st.refused
+            refused <= entered.saturating_sub(room),
+            "gate model: {refused} of {entered} refused by a gate with room for {room}"
         );
+        assert!(m.0.pass(|| ()), "gate model: the drained gate refused");
     })
 }
 
-/// `Gate::enter`: true = admitted (the caller now holds a permit).
-fn gate_enter(m: &GateModel, shape: GateShape, bug: Bug) -> bool {
-    let mut st = m.state.lock();
-    let waiting = st.next_ticket - st.now_serving;
-    if waiting == 0 && st.running < shape.workers {
-        st.running += 1;
-        return true;
-    }
-    if waiting >= shape.queue_capacity {
-        // Refused: returns from here, having never touched `freed`.
-        st.refused += 1;
-        return false;
-    }
-    let mine = st.next_ticket;
-    st.next_ticket += 1;
-    if waiting + 1 == shape.hold_for_line {
-        m.lined_up.notify_all();
-    }
-    while (bug != Bug::GateSkipTurnCheck && st.now_serving != mine) || st.running >= shape.workers {
-        st = m.freed.wait(st);
-    }
+/// One admitted caller's stay inside the gate, running `body` there.
+fn occupy(seen: &SimMutex<Seen>, workers: usize, ticket: Option<usize>, body: impl FnOnce()) {
+    let mut s = seen.lock();
+    let inside = s.inside + 1;
     assert!(
-        st.now_serving == mine,
-        "gate model: ticket {mine} admitted ahead of ticket {}",
-        st.now_serving
+        inside <= workers,
+        "gate model: {inside} inside with {workers} permits"
     );
-    st.now_serving += 1;
-    st.running += 1;
-    drop(st);
-    m.freed.notify_all();
-    true
-}
-
-/// The search itself, then `Permit::drop`.
-fn gate_leave(m: &GateModel, shape: GateShape, bug: Bug) {
-    let others = m.inside.bump();
-    assert!(
-        others < shape.workers,
-        "gate model: {} inside with {} permits",
-        others + 1,
-        shape.workers
-    );
-    m.inside.decrement();
-    m.state.lock().running -= 1;
-    if bug == Bug::GateReleaseNotifyOne {
-        m.freed.notify_one();
-    } else {
-        m.freed.notify_all();
+    s.inside = inside;
+    if let Some(mine) = ticket {
+        let head = s.lined;
+        assert!(
+            head == mine,
+            "gate model: ticket {mine} admitted ahead of ticket {head}"
+        );
+        s.lined += 1;
     }
+    drop(s);
+    body();
+    seen.lock().inside -= 1;
 }

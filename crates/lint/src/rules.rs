@@ -43,6 +43,7 @@ pub const SERVING_MODULES: &[&str] = &[
     "crates/engine/src/engine.rs",
     "crates/core/src/pool.rs",
     "crates/core/src/prefetch.rs",
+    "crates/core/src/sync.rs",
     "crates/core/src/diversify.rs",
     "crates/text/src/mode.rs",
     "crates/text/src/persist.rs",

@@ -6,7 +6,7 @@
 //!
 //! A model is a closure that spawns [`spawn`]ed threads and manipulates
 //! shared state **only** through the shim types ([`SimMutex`],
-//! [`SimCondvar`], [`SimAtomicBool`], [`SimAtomicUsize`]). Each shim
+//! [`SimCondvar`], [`SimAtomicBool`]). Each shim
 //! operation is a *yield point*: the running thread hands control back
 //! to the scheduler, which picks which thread performs its next
 //! operation. Exactly one model thread runs between yield points, so an
@@ -49,19 +49,16 @@
 //! `Mutex`/`Condvar`-based protocols, whose atomics are all loads and
 //! stores of monotone flags re-checked under locks.
 
+// `unpoisoned`: the workspace's poison policy holds here too — a
+// poisoning panic is either a model assertion (captured separately) or
+// the abort sentinel, and in both cases the controller state is still
+// consistent.
+use divtopk_core::sync::{Primitives, unpoisoned};
 use std::cell::{RefCell, UnsafeCell};
 use std::collections::VecDeque;
 use std::panic::{AssertUnwindSafe, catch_unwind};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, LockResult, Mutex};
-
-/// Ignore-poisoning lock helper, local so the lint crate stays
-/// dependency-free (same policy as `divtopk_core::sync`): a poisoning
-/// panic is either a model assertion (captured separately) or the abort
-/// sentinel, and in both cases the controller state is still consistent.
-fn unpoisoned<G>(result: LockResult<G>) -> G {
-    result.unwrap_or_else(std::sync::PoisonError::into_inner)
-}
+use std::sync::{Arc, Condvar, Mutex};
 
 /// Panic payload used to unwind managed threads at teardown.
 struct Abort;
@@ -72,6 +69,9 @@ enum TState {
     Ready,
     /// Waiting on a shim primitive; some other thread must ready it.
     Blocked,
+    /// In [`wait_for_blocked`]: the scheduler readies it once this many
+    /// threads are `Blocked`.
+    Watching(usize),
     Done,
 }
 
@@ -140,6 +140,22 @@ fn block_self() {
     {
         let mut s = unpoisoned(control.state.lock());
         s.threads[me] = TState::Blocked;
+        s.current = None;
+    }
+    control.cv.notify_all();
+    wait_for_turn(&control, me);
+}
+
+/// Blocks the calling model thread until at least `n` other model
+/// threads are blocked — on a mutex, a condvar or a join. It lets a
+/// model wait for a state it cannot see: with no lock held and nothing
+/// notifying, "every caller blocked" means every caller sleeps in the
+/// protocol's own wait. Like a block, the switch away is free.
+pub fn wait_for_blocked(n: usize) {
+    let (control, me) = ctx();
+    {
+        let mut s = unpoisoned(control.state.lock());
+        s.threads[me] = TState::Watching(n);
         s.current = None;
     }
     control.cv.notify_all();
@@ -304,6 +320,12 @@ impl<T> SimMutex<T> {
     }
 }
 
+impl<T> From<T> for SimMutex<T> {
+    fn from(value: T) -> SimMutex<T> {
+        SimMutex::new(value)
+    }
+}
+
 /// RAII guard for [`SimMutex`]; releases on drop like the real one.
 pub struct SimMutexGuard<'a, T> {
     mutex: &'a SimMutex<T>,
@@ -394,53 +416,53 @@ impl SimCondvar {
     }
 }
 
-macro_rules! sim_atomic {
-    ($name:ident, $std:ty, $value:ty) => {
-        /// Shimmed atomic: every operation is a yield point; the value
-        /// itself is sequentially consistent (see the module docs for
-        /// why that is the right model here). The `Ordering` argument is
-        /// accepted for signature fidelity with the real type.
-        pub struct $name {
-            inner: $std,
-        }
+/// The [`Primitives`] facade on the shims: `divtopk_core::sync`'s
+/// `Gate<Sim>` and `SingleFlight<K, Sim>` are the production protocols,
+/// run under the explorer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Sim;
 
-        impl $name {
-            pub fn new(value: $value) -> $name {
-                $name {
-                    inner: <$std>::new(value),
-                }
-            }
+impl Primitives for Sim {
+    type Mutex<T> = SimMutex<T>;
+    type Guard<'a, T: 'a> = SimMutexGuard<'a, T>;
+    type Condvar = SimCondvar;
 
-            pub fn load(&self, _order: Ordering) -> $value {
-                yield_now();
-                self.inner.load(Ordering::SeqCst)
-            }
-
-            pub fn store(&self, value: $value, _order: Ordering) {
-                yield_now();
-                self.inner.store(value, Ordering::SeqCst);
-            }
-
-            pub fn swap(&self, value: $value, _order: Ordering) -> $value {
-                yield_now();
-                self.inner.swap(value, Ordering::SeqCst)
-            }
-        }
-    };
-}
-
-sim_atomic!(SimAtomicBool, std::sync::atomic::AtomicBool, bool);
-sim_atomic!(SimAtomicUsize, std::sync::atomic::AtomicUsize, usize);
-
-impl SimAtomicUsize {
-    pub fn fetch_add(&self, value: usize, _order: Ordering) -> usize {
-        yield_now();
-        self.inner.fetch_add(value, Ordering::SeqCst)
+    fn lock<T>(mutex: &SimMutex<T>) -> Self::Guard<'_, T> {
+        mutex.lock()
     }
 
-    pub fn fetch_sub(&self, value: usize, _order: Ordering) -> usize {
+    fn wait<'a, T>(condvar: &SimCondvar, guard: Self::Guard<'a, T>) -> Self::Guard<'a, T> {
+        condvar.wait(guard)
+    }
+
+    fn notify_all(condvar: &SimCondvar) {
+        condvar.notify_all();
+    }
+}
+
+/// Shimmed atomic bool: every operation is a yield point; the value
+/// itself is sequentially consistent (see the module docs for why that
+/// is the right model here). The `Ordering` argument is accepted for
+/// signature fidelity with the real type.
+pub struct SimAtomicBool {
+    inner: std::sync::atomic::AtomicBool,
+}
+
+impl SimAtomicBool {
+    pub fn new(value: bool) -> SimAtomicBool {
+        SimAtomicBool {
+            inner: std::sync::atomic::AtomicBool::new(value),
+        }
+    }
+
+    pub fn load(&self, _order: Ordering) -> bool {
         yield_now();
-        self.inner.fetch_sub(value, Ordering::SeqCst)
+        self.inner.load(Ordering::SeqCst)
+    }
+
+    pub fn store(&self, value: bool, _order: Ordering) {
+        yield_now();
+        self.inner.store(value, Ordering::SeqCst);
     }
 }
 
@@ -621,6 +643,12 @@ impl Explorer {
             if let Some(message) = s.panic_msg.take() {
                 break Some(FailureKind::ModelPanic { message });
             }
+            let blocked = s.threads.iter().filter(|&&t| t == TState::Blocked).count();
+            for t in &mut s.threads {
+                if matches!(*t, TState::Watching(n) if blocked >= n) {
+                    *t = TState::Ready;
+                }
+            }
             let runnable: Vec<usize> = s
                 .threads
                 .iter()
@@ -629,11 +657,11 @@ impl Explorer {
                 .map(|(i, _)| i)
                 .collect();
             if runnable.is_empty() {
-                let blocked = s.threads.iter().filter(|&&t| t == TState::Blocked).count();
-                if blocked == 0 {
+                let finished = s.threads.iter().filter(|&&t| t == TState::Done).count();
+                if finished == s.threads.len() {
                     break None; // all Done: clean completion
                 }
-                let finished = s.threads.iter().filter(|&&t| t == TState::Done).count();
+                let blocked = s.threads.len() - finished;
                 break Some(FailureKind::Deadlock { blocked, finished });
             }
             steps += 1;
@@ -692,40 +720,4 @@ fn next_prefix(trace: &[(usize, usize)]) -> Option<Vec<usize>> {
         depth -= 1;
     }
     None
-}
-
-/// Convenience used by models: a shared cell readable after `explore`
-/// would be per-execution state, so models assert *inside* the model
-/// (thread 0, after joins) instead. This helper makes the common
-/// "count events, assert at end" shape explicit.
-pub struct SimCounter {
-    inner: SimAtomicUsize,
-}
-
-impl Default for SimCounter {
-    fn default() -> SimCounter {
-        SimCounter::new()
-    }
-}
-
-impl SimCounter {
-    pub fn new() -> SimCounter {
-        SimCounter {
-            inner: SimAtomicUsize::new(0),
-        }
-    }
-
-    /// Increments; returns the previous value.
-    pub fn bump(&self) -> usize {
-        self.inner.fetch_add(1, Ordering::SeqCst)
-    }
-
-    /// Decrements; returns the previous value.
-    pub fn decrement(&self) -> usize {
-        self.inner.fetch_sub(1, Ordering::SeqCst)
-    }
-
-    pub fn get(&self) -> usize {
-        self.inner.load(Ordering::SeqCst)
-    }
 }

@@ -1,10 +1,18 @@
 //! Acceptance tests for the interleaving explorer and the four protocol
-//! models (ISSUE acceptance: each good model explores ≥1000 distinct
-//! schedules deterministically and passes; each intentionally-broken
-//! variant is caught).
+//! models: each good model explores ≥1000 distinct schedules
+//! deterministically and passes; each broken variant is caught. The
+//! pool and prefetch miniatures plant their bugs with `Bug`; the
+//! single-flight and admission-gate models run the production
+//! `divtopk_core::sync` types, so their bugs are planted here — as
+//! facade mutants (`Primitives` with a broken `notify_all`) or as small
+//! mutants of the protocol's own logic.
 
-use divtopk_lint::models::{self, Bug, GateShape};
-use divtopk_lint::sched::{Explorer, FailureKind, SimAtomicBool, SimCondvar, SimMutex, spawn};
+use divtopk_core::sync::{Gate, Primitives, SingleFlight};
+use divtopk_lint::models::{self, Admission, Bug, GateShape};
+use divtopk_lint::sched::{
+    Explorer, FailureKind, Sim, SimAtomicBool, SimCondvar, SimMutex, SimMutexGuard, spawn,
+};
+use std::convert::Infallible;
 use std::sync::Arc;
 use std::sync::atomic::Ordering;
 
@@ -193,9 +201,78 @@ fn prefetch_pump_with_unconditional_respawn_doubles_the_pump() {
     }
 }
 
+// ------------------------------------------------------------ the mutants
+
+/// [`Sim`] with a broken `notify_all` — a broken primitive call in
+/// whichever production protocol runs on it: `ONE` wakes one waiter,
+/// otherwise none.
+struct Mutant<const ONE: bool>;
+type NotifyOne = Mutant<true>;
+type NoNotify = Mutant<false>;
+
+impl<const ONE: bool> Primitives for Mutant<ONE> {
+    type Mutex<T> = SimMutex<T>;
+    type Guard<'a, T: 'a> = SimMutexGuard<'a, T>;
+    type Condvar = SimCondvar;
+
+    fn lock<T>(mutex: &SimMutex<T>) -> Self::Guard<'_, T> {
+        Sim::lock(mutex)
+    }
+    fn wait<'a, T>(condvar: &SimCondvar, guard: Self::Guard<'a, T>) -> Self::Guard<'a, T> {
+        Sim::wait(condvar, guard)
+    }
+    fn notify_all(condvar: &SimCondvar) {
+        if ONE {
+            condvar.notify_one();
+        }
+    }
+}
+
+/// The computer inserts only after `get_or_compute` has released its
+/// claim, so a woken waiter re-misses and recomputes — the order
+/// `get_or_compute` keeps by inserting before the release.
+fn insert_after_release(
+    flight: &SingleFlight<u32, Sim>,
+    cache: &SimMutex<Option<u32>>,
+    computed: &SimMutex<usize>,
+) -> u32 {
+    let compute = || {
+        *computed.lock() += 1;
+        Ok::<u32, Infallible>(42)
+    };
+    let Ok(value) = flight.get_or_compute(&0, || *cache.lock(), compute, |_| ());
+    *cache.lock() = Some(value);
+    value
+}
+
+/// `Gate` with one permit and no turn check: any waiter takes the free
+/// slot (and without the check, tickets have no use).
+struct FirstCome(SimMutex<bool>, SimCondvar);
+
+impl Admission for FirstCome {
+    fn new(_workers: usize, _queue_capacity: usize) -> FirstCome {
+        FirstCome(SimMutex::new(false), SimCondvar::new())
+    }
+
+    fn pass(&self, inside: impl FnOnce()) -> bool {
+        let mut busy = self.0.lock();
+        while *busy {
+            busy = self.1.wait(busy);
+        }
+        *busy = true;
+        drop(busy);
+        inside();
+        *self.0.lock() = false;
+        self.1.notify_all();
+        true
+    }
+}
+
+// ------------------------------------------------- the production models
+
 #[test]
 fn single_flight_good_explores_1000_schedules() {
-    let report = models::single_flight(&explorer(), 3, Bug::None)
+    let report = models::single_flight(&explorer(), 3, models::fill::<Sim>)
         .expect("single flight must pass every schedule");
     assert!(
         report.schedules >= 1000,
@@ -210,14 +287,14 @@ fn single_flight_is_deterministic() {
         max_schedules: 1500,
         ..explorer()
     };
-    let a = models::single_flight(&e, 3, Bug::None).expect("passes");
-    let b = models::single_flight(&e, 3, Bug::None).expect("passes");
+    let a = models::single_flight(&e, 3, models::fill::<Sim>).expect("passes");
+    let b = models::single_flight(&e, 3, models::fill::<Sim>).expect("passes");
     assert_eq!(a, b);
 }
 
 #[test]
 fn single_flight_with_insert_after_release_recomputes() {
-    let failure = models::single_flight(&explorer(), 2, Bug::FlightInsertAfterRelease)
+    let failure = models::single_flight(&explorer(), 2, insert_after_release)
         .expect_err("releasing the claim before the insert must recompute");
     match failure.kind {
         FailureKind::ModelPanic { message } => {
@@ -232,7 +309,7 @@ fn single_flight_with_insert_after_release_recomputes() {
 
 #[test]
 fn single_flight_with_dropped_notify_deadlocks() {
-    let failure = models::single_flight(&explorer(), 2, Bug::FlightDropNotify)
+    let failure = models::single_flight(&explorer(), 2, models::fill::<NoNotify>)
         .expect_err("a dropped notify must strand the waiter");
     assert!(
         matches!(failure.kind, FailureKind::Deadlock { .. }),
@@ -241,28 +318,19 @@ fn single_flight_with_dropped_notify_deadlocks() {
     );
 }
 
-/// The shape `lint --models` runs: three callers race into an idle gate
-/// with one permit and one waiting slot.
-const GATE: GateShape = GateShape {
-    workers: 1,
-    queue_capacity: 1,
-    callers: 3,
-    hold_for_line: 0,
-};
-
 /// One permit held by a slow search until `line` callers wait behind it.
 fn gate_with_a_line(line: usize) -> GateShape {
     GateShape {
         workers: 1,
         queue_capacity: line,
         callers: line,
-        hold_for_line: line,
+        line_up: true,
     }
 }
 
 #[test]
 fn admission_gate_good_explores_1000_schedules() {
-    let report = models::admission_gate(&explorer(), GATE, Bug::None)
+    let report = models::admission_gate::<Gate<Sim>>(&explorer(), GateShape::RACE)
         .expect("admission gate must pass every schedule");
     assert!(
         report.schedules >= 1000,
@@ -277,8 +345,8 @@ fn admission_gate_is_deterministic() {
         max_schedules: 1500,
         ..explorer()
     };
-    let a = models::admission_gate(&e, GATE, Bug::None).expect("passes");
-    let b = models::admission_gate(&e, GATE, Bug::None).expect("passes");
+    let a = models::admission_gate::<Gate<Sim>>(&e, GateShape::RACE).expect("passes");
+    let b = models::admission_gate::<Gate<Sim>>(&e, GateShape::RACE).expect("passes");
     assert_eq!(a, b);
 }
 
@@ -286,19 +354,18 @@ fn admission_gate_is_deterministic() {
 fn admission_gate_good_passes_the_shapes_its_bugs_are_caught_on() {
     // Or the two catches below would prove nothing.
     for line in [3, 2] {
-        models::admission_gate(&explorer(), gate_with_a_line(line), Bug::None)
+        models::admission_gate::<Gate<Sim>>(&explorer(), gate_with_a_line(line))
             .expect("admission gate must pass every schedule");
     }
 }
 
 #[test]
 fn admission_gate_release_with_notify_one_strands_the_head() {
-    // Three waiters: the first admission's notify_all lets the other two
-    // re-queue on the condvar out of ticket order, and the next
-    // release's single wakeup then lands behind the head.
-    let failure =
-        models::admission_gate(&explorer(), gate_with_a_line(3), Bug::GateReleaseNotifyOne)
-            .expect_err("a one-waiter wakeup must strand the head of the line");
+    // Three waiters: an admission's wakeup reaches the waiter behind the
+    // head, which re-queues on the condvar behind the last one, and the
+    // next release's single wakeup then lands on that last one.
+    let failure = models::admission_gate::<Gate<NotifyOne>>(&explorer(), gate_with_a_line(3))
+        .expect_err("a one-waiter wakeup must strand the head of the line");
     assert!(
         matches!(failure.kind, FailureKind::Deadlock { .. }),
         "expected deadlock, got {:?}",
@@ -308,8 +375,8 @@ fn admission_gate_release_with_notify_one_strands_the_head() {
 
 #[test]
 fn admission_gate_without_the_turn_check_lets_a_waiter_overtake() {
-    let failure = models::admission_gate(&explorer(), gate_with_a_line(2), Bug::GateSkipTurnCheck)
-        .expect_err("a waiter that ignores now_serving must overtake");
+    let failure = models::admission_gate::<FirstCome>(&explorer(), gate_with_a_line(2))
+        .expect_err("a waiter that ignores its turn must overtake");
     match failure.kind {
         FailureKind::ModelPanic { message } => {
             assert!(

@@ -15,7 +15,7 @@ fn hard_graph() -> DiversityGraph {
 fn astar_respects_byte_budget() {
     let g = hard_graph();
     let limits = SearchLimits::with_max_bytes(4 * 1024);
-    let err = div_astar_limited(&g, 30, &limits).unwrap_err();
+    let err = ExactAlgorithm::AStar.search(&g, 30, &limits).unwrap_err();
     assert!(matches!(err, SearchError::ResourceExhausted(_)));
 }
 
@@ -26,7 +26,7 @@ fn astar_respects_heap_budget() {
         max_heap_entries: Some(16),
         ..SearchLimits::default()
     };
-    let err = div_astar_limited(&g, 30, &limits).unwrap_err();
+    let err = ExactAlgorithm::AStar.search(&g, 30, &limits).unwrap_err();
     assert_eq!(
         err,
         SearchError::ResourceExhausted(ExhaustedResource::HeapEntries)
@@ -39,7 +39,7 @@ fn astar_respects_deadline() {
     let limits = SearchLimits::with_time_budget(Duration::from_millis(1));
     // Either it finishes inside a millisecond (fine) or it must abort with
     // a deadline error — never hang.
-    match div_astar_limited(&g, 60, &limits) {
+    match ExactAlgorithm::AStar.search(&g, 60, &limits) {
         Ok(_) => {}
         Err(e) => assert_eq!(
             e,
@@ -53,17 +53,18 @@ fn generous_budgets_do_not_change_answers() {
     for seed in 0..8 {
         let g = testgen::random_graph(12, 0.3, seed);
         let unlimited = div_astar(&g, 6);
-        let (budgeted, _) = div_astar_limited(
-            &g,
-            6,
-            &SearchLimits {
-                max_heap_entries: Some(1 << 20),
-                max_expansions: Some(1 << 30),
-                time_budget: Some(Duration::from_secs(60)),
-                max_bytes: Some(1 << 30),
-            },
-        )
-        .unwrap();
+        let (budgeted, _) = ExactAlgorithm::AStar
+            .search(
+                &g,
+                6,
+                &SearchLimits {
+                    max_heap_entries: Some(1 << 20),
+                    max_expansions: Some(1 << 30),
+                    time_budget: Some(Duration::from_secs(60)),
+                    max_bytes: Some(1 << 30),
+                },
+            )
+            .unwrap();
         for i in 0..=6 {
             assert_eq!(
                 unlimited.prefix_best_score(i),
@@ -89,15 +90,15 @@ fn dp_and_cut_share_budgets_across_components() {
         max_expansions: Some(50),
         ..SearchLimits::default()
     };
-    assert!(div_dp_limited(&g, 100, &limits).is_err());
-    assert!(div_cut_limited(&g, 100, &limits).is_err());
+    assert!(ExactAlgorithm::Dp.search(&g, 100, &limits).is_err());
+    assert!(ExactAlgorithm::Cut.search(&g, 100, &limits).is_err());
     // With a budget large enough, both succeed and agree.
     let limits = SearchLimits {
         max_expansions: Some(2_000_000),
         ..SearchLimits::default()
     };
-    let (dp, _) = div_dp_limited(&g, 100, &limits).unwrap();
-    let (cut, _) = div_cut_limited(&g, 100, &limits).unwrap();
+    let (dp, _) = ExactAlgorithm::Dp.search(&g, 100, &limits).unwrap();
+    let (cut, _) = ExactAlgorithm::Cut.search(&g, 100, &limits).unwrap();
     assert_eq!(dp.best().score(), cut.best().score());
 }
 
