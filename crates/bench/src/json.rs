@@ -1,14 +1,13 @@
-//! Minimal JSON emission + validation + DOM for the query packs
-//! ([`crate::workload`]) and the quality evidence table
-//! ([`crate::quality`]).
+//! Minimal JSON emission + validation + DOM for the quality evidence
+//! table ([`crate::quality`]).
 //!
 //! The workspace is dependency-free (no serde), so documents are
-//! written with [`escape_string`]/format strings or [`emit`] and checked
-//! with [`validate`]. One strict RFC 8259 parser does both jobs:
-//! [`parse`] builds a small [`Value`] DOM and [`validate`] is `parse`
-//! with the result dropped. Every writer validates its own output before
-//! it lands on disk, so a malformed artifact fails the run that wrote it
-//! rather than the tooling that reads it.
+//! written with [`emit_pretty`] and checked with [`validate`]. One
+//! strict RFC 8259 parser does both jobs: [`parse`] builds a small
+//! [`Value`] DOM and [`validate`] is `parse` with the result dropped.
+//! Every writer validates its own output before it lands on disk, so a
+//! malformed artifact fails the run that wrote it rather than the
+//! tooling that reads it.
 
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included).
@@ -37,7 +36,7 @@ pub fn validate(s: &str) -> Result<(), String> {
 
 /// A parsed JSON value. Objects keep insertion order (the documents
 /// are small; no hashing needed), and numbers are `f64` — plenty for
-/// pack parameters and evidence statistics.
+/// evidence statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`
@@ -86,49 +85,29 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(fields) => Some(fields),
-            _ => None,
-        }
-    }
-}
-
-/// Emits `value` as compact JSON (no whitespace). The inverse of
-/// [`parse`]: `parse(&emit(v)) == Ok(v)` for every finite DOM.
-///
-/// Numbers whose value is an integer with magnitude below 2⁵³ print
-/// without a fractional part (so seeds and counters survive a
-/// parse→emit→parse round trip textually); every other finite number
-/// uses Rust's shortest round-tripping `f64` display. Non-finite numbers
-/// have no JSON spelling and emit as `null` — callers that care
-/// validate finiteness before emitting.
-pub fn emit(value: &Value) -> String {
-    let mut out = String::new();
-    write_value(&mut out, value, None, 0);
-    out
 }
 
 /// Emits `value` as human-readable JSON: 2-space indentation, one
-/// array element / object field per line. Same number and escape rules
-/// as [`emit`]; the committed query-pack files use this form so diffs
-/// stay reviewable.
+/// array element / object field per line. The inverse of [`parse`]:
+/// `parse(&emit_pretty(v)) == Ok(v)` for every finite DOM.
+///
+/// Numbers whose value is an integer with magnitude below 2⁵³ print
+/// without a fractional part (so counters survive a parse→emit→parse
+/// round trip textually); every other finite number uses Rust's shortest
+/// round-tripping `f64` display. Non-finite numbers have no JSON
+/// spelling and emit as `null` — callers that care validate finiteness
+/// before emitting.
 pub fn emit_pretty(value: &Value) -> String {
     let mut out = String::new();
-    write_value(&mut out, value, Some(2), 0);
+    write_value(&mut out, value, 0);
     out
 }
 
-/// Shared emission core: `indent = None` → compact, `Some(w)` → pretty
-/// with `w`-space steps at nesting `depth`.
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: usize) {
+/// Emission core, at nesting `depth`.
+fn write_value(out: &mut String, value: &Value, depth: usize) {
     let newline = |out: &mut String, depth: usize| {
-        if let Some(w) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(w * depth));
-        }
+        out.push('\n');
+        out.push_str(&"  ".repeat(depth));
     };
     match value {
         Value::Null => out.push_str("null"),
@@ -146,7 +125,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                     out.push(',');
                 }
                 newline(out, depth + 1);
-                write_value(out, item, indent, depth + 1);
+                write_value(out, item, depth + 1);
             }
             if !items.is_empty() {
                 newline(out, depth);
@@ -162,8 +141,8 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
                 newline(out, depth + 1);
                 out.push('"');
                 out.push_str(&escape_string(key));
-                out.push_str(if indent.is_some() { "\": " } else { "\":" });
-                write_value(out, field, indent, depth + 1);
+                out.push_str("\": ");
+                write_value(out, field, depth + 1);
             }
             if !fields.is_empty() {
                 newline(out, depth);
@@ -173,7 +152,7 @@ fn write_value(out: &mut String, value: &Value, indent: Option<usize>, depth: us
     }
 }
 
-/// JSON spelling of an `f64` (see [`emit`] for the rules).
+/// JSON spelling of an `f64` (see [`emit_pretty`] for the rules).
 fn format_number(n: f64) -> String {
     if !n.is_finite() {
         return "null".to_owned();
@@ -530,18 +509,17 @@ mod tests {
                 ]),
             ),
         ]);
-        for text in [emit(&v), emit_pretty(&v)] {
-            assert!(validate(&text).is_ok(), "{text}");
-            assert_eq!(parse(&text).unwrap(), v, "{text}");
-        }
-        // Integral numbers print without a fraction, so emitted seeds are
-        // textually stable across round trips.
-        assert_eq!(emit(&Value::Number(42.0)), "42");
-        assert_eq!(emit(&Value::Number(-0.0)), "0");
-        assert_eq!(emit(&Value::Number(0.125)), "0.125");
+        let text = emit_pretty(&v);
+        assert!(validate(&text).is_ok(), "{text}");
+        assert_eq!(parse(&text).unwrap(), v, "{text}");
+        // Integral numbers print without a fraction, so emitted counters
+        // are textually stable across round trips.
+        assert_eq!(emit_pretty(&Value::Number(42.0)), "42");
+        assert_eq!(emit_pretty(&Value::Number(-0.0)), "0");
+        assert_eq!(emit_pretty(&Value::Number(0.125)), "0.125");
         // Non-finite values degrade to null rather than corrupt the file.
-        assert_eq!(emit(&Value::Number(f64::NAN)), "null");
-        assert_eq!(emit(&Value::Number(f64::INFINITY)), "null");
+        assert_eq!(emit_pretty(&Value::Number(f64::NAN)), "null");
+        assert_eq!(emit_pretty(&Value::Number(f64::INFINITY)), "null");
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Shared measurement utilities for `divtopk`: a peak-tracking global
 //! allocator (the paper reports *peak memory* for every experiment) and
 //! the small measurement/format helpers the `figures` binary uses
-//! (DESIGN.md §6), plus the modules behind the quality and query-pack
-//! binaries.
+//! (DESIGN.md §6), plus the quality gate's query pack and evaluator.
 
 pub mod json;
 pub mod quality;

@@ -1,4 +1,4 @@
-//! The quality evaluator: replays a query-pack through the serving
+//! The quality evaluator: replays a [`QueryPack`] through the serving
 //! engine **twice per query** — diversity on vs. off against the same
 //! pinned snapshot — and scores what diversification buys and costs.
 //!
@@ -9,8 +9,8 @@
 //! against the diversity-off oracle — the off side is the plain
 //! score-descending top-k, which is DCG-maximal for these gains, so its
 //! NDCG and MRR are 1.0 by construction and every on-side delta is a
-//! bounded sacrifice. Per-family pass criteria come from the pack's own
-//! `gates` object; [`QualityReport::to_json_pretty`] emits the
+//! bounded sacrifice. Per-family pass criteria are each family's
+//! [`Gates`]; [`QualityReport::to_json_pretty`] emits the
 //! self-validated evidence table (`divtopk-quality/1`) that
 //! `quality_gate` writes and the CI `quality` job uploads.
 
@@ -21,6 +21,7 @@ use divtopk_text::index::InvertedIndex;
 use divtopk_text::jaccard::weighted_jaccard;
 use divtopk_text::mode::DiversifyMode;
 use divtopk_text::search::{SearchOptions, SearchOutput};
+use divtopk_text::synth::generate_labeled;
 use std::time::Instant;
 
 use crate::json::{self, Value};
@@ -313,9 +314,9 @@ impl SideAcc {
 /// scores both sides of every query. Deterministic in everything except
 /// the latency columns.
 pub fn evaluate(pack: &QueryPack) -> Result<QualityReport, String> {
-    let (corpus, base_labels) = pack.corpus.build().map_err(|e| e.to_string())?;
+    let (corpus, base_labels) = generate_labeled(&pack.corpus);
     let index = InvertedIndex::build(&corpus);
-    let compiled = pack.compile(&corpus, &index).map_err(|e| e.to_string())?;
+    let compiled = pack.compile(&corpus, &index)?;
     let mut families = Vec::with_capacity(compiled.len());
     for family in &compiled {
         // A fresh engine per family: families are independent by design
@@ -506,7 +507,7 @@ mod tests {
 
     fn shrunk_pack() -> QueryPack {
         let mut pack = QueryPack::default_pack();
-        pack.corpus.num_docs = Some(400);
+        pack.corpus.num_docs = 400;
         for f in &mut pack.families {
             f.queries = 6;
             f.distinct = 3;

@@ -1,23 +1,20 @@
-//! Versioned query-pack workloads: named query families with realistic
+//! The quality gate's query pack: named query families with realistic
 //! traffic shapes, deterministic from a seed recorded in the pack.
 //!
-//! A pack (`divtopk-pack/1`, JSON via [`crate::json`]) describes a
-//! synthetic corpus plus a list of **families**: Zipf head/torso/tail
+//! A [`QueryPack`] is plain Rust data: a synthetic-corpus recipe (a
+//! [`SynthConfig`]) plus a list of **families**: Zipf head/torso/tail
 //! term draws over the kfreq bands of DESIGN.md §3, cold-cache sweeps
-//! (`"cache": "bypass"`), hot-doc deletion storms and adversarial
+//! ([`CacheMode::Bypass`]), hot-doc deletion storms and adversarial
 //! near-duplicate floods replayed through the engine's mutation API.
 //! [`QueryPack::compile`] expands every family into a byte-reproducible
 //! script of queries and mutations — the same pack and seed always
 //! produce identical query sequences and mutation scripts
 //! (`tests/pack_replay.rs` pins this as a property test).
 //!
-//! The committed pack lives at `benchmarks/query-pack.v1.json`
-//! ([`QueryPack::default_pack`] is that file, compiled in);
-//! [`crate::quality`] replays packs
-//! through the engine twice (diversity on/off) and scores the results.
+//! [`QueryPack::default_pack`] is the pack CI gates on;
+//! [`crate::quality`] replays a pack through the engine twice
+//! (diversity on/off) and scores the results.
 
-use crate::json::{self, Value};
-use divtopk_core::ExactAlgorithm;
 use divtopk_core::rng::Pcg;
 use divtopk_engine::engine::Query;
 use divtopk_text::corpus::Corpus;
@@ -25,113 +22,22 @@ use divtopk_text::document::DocId;
 use divtopk_text::index::InvertedIndex;
 use divtopk_text::mode::DiversifyMode;
 use divtopk_text::query::query_for_band;
-use divtopk_text::synth::{SynthConfig, generate_labeled};
-
-/// The one pack schema this crate reads and writes.
-pub const PACK_VERSION: &str = "divtopk-pack/1";
-
-/// Typed pack-loading failure: every malformed input is one of these,
-/// never a panic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PackError {
-    /// Not even JSON (byte offset + message from the strict parser).
-    Parse(String),
-    /// The `version` field is present but not [`PACK_VERSION`].
-    WrongVersion {
-        /// What the file declared.
-        found: String,
-    },
-    /// A required field is absent.
-    MissingField {
-        /// Where (e.g. `family "torso_mix"`).
-        context: String,
-        /// Which field.
-        field: &'static str,
-    },
-    /// A field is present but unusable (wrong type, out of range, or an
-    /// unknown key that would otherwise be silently ignored).
-    BadValue {
-        /// Where.
-        context: String,
-        /// What is wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for PackError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PackError::Parse(m) => write!(f, "pack is not valid JSON: {m}"),
-            PackError::WrongVersion { found } => {
-                write!(
-                    f,
-                    "pack version {found:?} (this build reads {PACK_VERSION:?})"
-                )
-            }
-            PackError::MissingField { context, field } => {
-                write!(f, "{context}: missing required field {field:?}")
-            }
-            PackError::BadValue { context, message } => write!(f, "{context}: {message}"),
-        }
-    }
-}
-
-impl std::error::Error for PackError {}
+use divtopk_text::synth::SynthConfig;
 
 /// A full query-pack: corpus recipe + families, all derived from `seed`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct QueryPack {
     /// Pack name (shows up in evidence tables).
     pub name: String,
     /// Master seed; every family derives its stream from this and its
     /// own name, so families are independent and reorderable.
     pub seed: u64,
-    /// Synthetic-corpus recipe.
-    pub corpus: CorpusSpec,
+    /// Synthetic-corpus recipe; `generate_labeled` of it gives the
+    /// corpus and its per-document topic labels (the quality harness's
+    /// ground-truth "sources").
+    pub corpus: SynthConfig,
     /// The query families.
     pub families: Vec<Family>,
-}
-
-/// Which synthetic corpus the pack runs against.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CorpusSpec {
-    /// `"tiny"`, `"reuters_like"`, or `"enwiki_like"`
-    /// ([`SynthConfig`] presets).
-    pub preset: String,
-    /// Overrides the preset's document count.
-    pub num_docs: Option<usize>,
-    /// Overrides the preset's corpus seed.
-    pub seed: Option<u64>,
-}
-
-impl CorpusSpec {
-    /// Resolves the preset + overrides into a generator config.
-    pub fn synth_config(&self) -> Result<SynthConfig, PackError> {
-        let mut config = match self.preset.as_str() {
-            "tiny" => SynthConfig::tiny(),
-            "reuters_like" => SynthConfig::reuters_like(),
-            "enwiki_like" => SynthConfig::enwiki_like(),
-            other => {
-                return Err(PackError::BadValue {
-                    context: "corpus".to_owned(),
-                    message: format!("unknown preset {other:?}"),
-                });
-            }
-        };
-        if let Some(n) = self.num_docs {
-            config.num_docs = n;
-        }
-        if let Some(s) = self.seed {
-            config.seed = s;
-        }
-        Ok(config)
-    }
-
-    /// Generates the corpus and its per-document topic labels
-    /// (the quality harness's ground-truth "sources").
-    pub fn build(&self) -> Result<(Corpus, Vec<u32>), PackError> {
-        Ok(generate_labeled(&self.synth_config()?))
-    }
 }
 
 /// Term-popularity band a family draws its queries from, mapped onto the
@@ -157,15 +63,6 @@ impl Band {
             Band::Tail => &[1, 2],
         }
     }
-
-    /// JSON spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Band::Head => "head",
-            Band::Torso => "torso",
-            Band::Tail => "tail",
-        }
-    }
 }
 
 /// Whether the family's queries go through the engine's result cache.
@@ -176,16 +73,6 @@ pub enum CacheMode {
     /// Cold-cache sweep: every query bypasses the cache
     /// ([`divtopk_engine::engine::Engine::search_uncached`]).
     Bypass,
-}
-
-impl CacheMode {
-    /// JSON spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CacheMode::Normal => "normal",
-            CacheMode::Bypass => "bypass",
-        }
-    }
 }
 
 /// Mutation traffic interleaved with a family's queries, replayed
@@ -236,7 +123,7 @@ pub struct Gates {
 }
 
 impl Gates {
-    /// `(json key, threshold)` pairs of the gates that are set.
+    /// `(evidence-table key, threshold)` pairs of the gates that are set.
     pub fn entries(&self) -> Vec<(&'static str, f64)> {
         [
             ("min_unique_sources_gain", self.min_unique_sources_gain),
@@ -277,50 +164,10 @@ pub struct Family {
     /// Interleaved mutation traffic.
     pub mutations: MutationSpec,
     /// The diversify mode the family's "on" side runs (the "off" side is
-    /// always [`DiversifyMode::None`]). Packs name one of the canonical
-    /// configurations (see `MODE_KEYS`); omitted means the exact
-    /// default.
+    /// always [`DiversifyMode::None`]).
     pub mode: DiversifyMode,
     /// Pass criteria.
     pub gates: Gates,
-}
-
-/// The canonical pack-file spellings of [`DiversifyMode`]: fixed named
-/// configurations, so pack JSON stays a flat enum rather than a parameter
-/// bag. `mmr` pins λ = 0.7 (the conventional relevance-leaning setting).
-#[allow(clippy::type_complexity)] // (key, constructor) table, not a reusable type
-const MODE_KEYS: [(&str, fn() -> DiversifyMode); 8] = [
-    ("exact-cut", DiversifyMode::exact),
-    ("exact-dp", || DiversifyMode::Exact(ExactAlgorithm::Dp)),
-    ("exact-astar", || {
-        DiversifyMode::Exact(ExactAlgorithm::AStar)
-    }),
-    ("none", || DiversifyMode::None),
-    ("mmr", || DiversifyMode::mmr(0.7)),
-    ("window", DiversifyMode::window),
-    ("disc", || DiversifyMode::Disc),
-    ("knn", DiversifyMode::knn),
-];
-
-/// Resolves a pack-file mode key to its mode.
-fn mode_from_key(key: &str) -> Option<DiversifyMode> {
-    MODE_KEYS
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, make)| make())
-}
-
-/// The inverse of [`mode_from_key`] for the canonical configurations.
-/// Non-canonical modes (custom λ, tuned windows) fall back to the mode's
-/// bare [`DiversifyMode::name`], which `from_json` rejects — so an
-/// unrepresentable pack fails loudly at round-trip instead of silently
-/// changing meaning.
-fn mode_key(mode: &DiversifyMode) -> &'static str {
-    MODE_KEYS
-        .iter()
-        .find(|(_, make)| make() == *mode)
-        .map(|(k, _)| *k)
-        .unwrap_or_else(|| mode.name())
 }
 
 /// One step of a compiled family script, in replay order.
@@ -385,131 +232,157 @@ fn fnv1a(s: &str) -> u64 {
 }
 
 impl QueryPack {
-    // ------------------------------------------------------ compilation
-
     /// Expands every family into its deterministic replay script against
-    /// `corpus` (which must come from [`CorpusSpec::build`] of this pack)
-    /// and its inverted `index`. Same pack + same corpus ⇒ byte-identical
-    /// output, always.
+    /// `corpus` (which must be `generate_labeled(&self.corpus)`'s) and
+    /// its inverted `index`. Same pack + same corpus ⇒ byte-identical
+    /// output, always. A family whose band has no usable terms in the
+    /// corpus, or whose mutations find no victims, is an error naming it.
     pub fn compile(
         &self,
         corpus: &Corpus,
         index: &InvertedIndex,
-    ) -> Result<Vec<CompiledFamily>, PackError> {
+    ) -> Result<Vec<CompiledFamily>, String> {
         self.families
             .iter()
             .map(|f| f.compile(self.seed, corpus, index))
             .collect()
     }
 
-    /// The canonical pack, committed at `benchmarks/query-pack.v1.json`
-    /// and compiled in from there — the file is the source. Nine
-    /// families over the tiny synthetic corpus: a bursty head-term
-    /// family, the realistic torso mix the serving suites replay, a
-    /// cold-cache tail sweep on a diurnal schedule, a hot-doc deletion
-    /// storm, an adversarial near-duplicate flood, and the torso mix
-    /// once per cheap mode. Gate thresholds were calibrated from the
-    /// measured deltas of a `quality_gate` run on this exact pack (see
-    /// DESIGN.md §12): each floor sits at roughly half the measured gain
-    /// and each relevance guard at roughly twice the measured sacrifice.
-    /// The quality harness is deterministic, so any drift is a code
-    /// change, not noise.
-    ///
-    /// # Panics
-    /// Panics if the committed file is not a valid pack — a build-time
-    /// fact `default_pack_round_trips_through_json` pins.
+    /// The pack CI gates on. Nine families over the tiny synthetic
+    /// corpus: a bursty head-term family, the realistic torso mix the
+    /// serving suites replay, a cold-cache tail sweep, a hot-doc deletion
+    /// storm, an adversarial near-duplicate flood, and the torso mix once
+    /// per cheap mode. Gate thresholds were calibrated from the measured
+    /// deltas of a `quality_gate` run on this exact pack (see DESIGN.md
+    /// §12): each floor sits at roughly half the measured gain and each
+    /// relevance guard at roughly twice the measured sacrifice. The
+    /// quality harness is deterministic, so any drift is a code change,
+    /// not noise.
     pub fn default_pack() -> QueryPack {
-        QueryPack::from_json(include_str!("../../../benchmarks/query-pack.v1.json"))
-            .expect("benchmarks/query-pack.v1.json is a valid pack")
-    }
-
-    // ------------------------------------------------------ JSON I/O
-
-    /// Parses and validates a pack document. Wrong `version`, missing
-    /// fields, unknown keys, and out-of-range values are all typed
-    /// [`PackError`]s.
-    pub fn from_json(s: &str) -> Result<QueryPack, PackError> {
-        let doc = json::parse(s).map_err(PackError::Parse)?;
-        let ctx = "pack";
-        check_keys(
-            &doc,
-            ctx,
-            &["version", "name", "seed", "corpus", "families"],
-        )?;
-        let version = req_str(&doc, ctx, "version")?;
-        if version != PACK_VERSION {
-            return Err(PackError::WrongVersion {
-                found: version.to_owned(),
-            });
-        }
-        let name = req_str(&doc, ctx, "name")?.to_owned();
-        let seed = req_u64(&doc, ctx, "seed")?;
-        let corpus_v = req(&doc, ctx, "corpus")?;
-        check_keys(corpus_v, "corpus", &["preset", "num_docs", "seed"])?;
-        let corpus = CorpusSpec {
-            preset: req_str(corpus_v, "corpus", "preset")?.to_owned(),
-            num_docs: opt_u64(corpus_v, "corpus", "num_docs")?.map(|n| n as usize),
-            seed: opt_u64(corpus_v, "corpus", "seed")?,
+        // Unless a family says otherwise it draws k = 10 hits at τ = 0.3
+        // from a Zipf(1) pool a quarter of which is two-term queries,
+        // through the cache, with no mutations.
+        let family = |name: &str, band, queries, distinct, mode, gates| Family {
+            name: name.to_owned(),
+            band,
+            queries,
+            distinct,
+            zipf_exponent: 1.0,
+            ta_fraction: 0.25,
+            k: 10,
+            tau: 0.3,
+            cache: CacheMode::Normal,
+            mutations: MutationSpec::None,
+            mode,
+            gates,
         };
-        corpus.synth_config()?; // validate the preset eagerly
-        let families_v = req(&doc, ctx, "families")?
-            .as_array()
-            .ok_or_else(|| bad(ctx, "field \"families\" must be an array"))?;
-        if families_v.is_empty() {
-            return Err(bad(ctx, "\"families\" must not be empty"));
-        }
-        let mut families = Vec::with_capacity(families_v.len());
-        for (i, fam) in families_v.iter().enumerate() {
-            families.push(parse_family(fam, i)?);
-        }
-        let mut names: Vec<&str> = families.iter().map(|f| f.name.as_str()).collect();
-        names.sort_unstable();
-        if names.windows(2).any(|w| w[0] == w[1]) {
-            return Err(bad(ctx, "family names must be unique"));
-        }
-        Ok(QueryPack {
-            name,
-            seed,
-            corpus,
-            families,
-        })
-    }
-
-    /// The pack as a JSON DOM (inverse of [`QueryPack::from_json`]).
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("version".into(), Value::String(PACK_VERSION.into())),
-            ("name".into(), Value::String(self.name.clone())),
-            ("seed".into(), Value::Number(self.seed as f64)),
-            (
-                "corpus".into(),
-                Value::Object(
-                    [
-                        Some(("preset".into(), Value::String(self.corpus.preset.clone()))),
-                        self.corpus
-                            .num_docs
-                            .map(|n| ("num_docs".into(), Value::Number(n as f64))),
-                        self.corpus
-                            .seed
-                            .map(|s| ("seed".into(), Value::Number(s as f64))),
-                    ]
-                    .into_iter()
-                    .flatten()
-                    .collect(),
+        // Every family gates dissimilarity and NDCG, and tolerates the
+        // same MRR sacrifice.
+        let gates = |unique_sources_gain, max_share_delta, dissimilarity_gain, ndcg_delta| Gates {
+            min_unique_sources_gain: unique_sources_gain,
+            max_max_share_delta: max_share_delta,
+            min_dissimilarity_gain: Some(dissimilarity_gain),
+            min_ndcg_delta: Some(ndcg_delta),
+            min_mrr_delta: Some(-0.25),
+        };
+        let exact = DiversifyMode::exact;
+        QueryPack {
+            name: "default".to_owned(),
+            seed: 20260807,
+            corpus: SynthConfig::tiny().with_num_docs(800).with_seed(7),
+            families: vec![
+                family(
+                    "head_burst",
+                    Band::Head,
+                    48,
+                    12,
+                    exact(),
+                    gates(Some(0.5), None, 0.008, -0.05),
                 ),
-            ),
-            (
-                "families".into(),
-                Value::Array(self.families.iter().map(family_to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Pretty-printed JSON (the committed on-disk form), newline-terminated.
-    pub fn to_json_pretty(&self) -> String {
-        let mut s = json::emit_pretty(&self.to_value());
-        s.push('\n');
-        s
+                family(
+                    "torso_mix",
+                    Band::Torso,
+                    64,
+                    32,
+                    exact(),
+                    gates(None, Some(0.05), 0.004, -0.05),
+                ),
+                Family {
+                    zipf_exponent: 0.0,
+                    ta_fraction: 0.0,
+                    k: 5,
+                    cache: CacheMode::Bypass,
+                    ..family(
+                        "tail_cold",
+                        Band::Tail,
+                        32,
+                        32,
+                        exact(),
+                        gates(Some(0.05), Some(0.0), 0.05, -0.1),
+                    )
+                },
+                Family {
+                    mutations: MutationSpec::DeleteStorm {
+                        events: 4,
+                        docs_per_event: 3,
+                    },
+                    ..family(
+                        "delete_storm",
+                        Band::Head,
+                        32,
+                        8,
+                        exact(),
+                        gates(Some(0.08), None, 0.005, -0.05),
+                    )
+                },
+                Family {
+                    mutations: MutationSpec::NeardupFlood {
+                        events: 4,
+                        docs_per_event: 6,
+                    },
+                    ..family(
+                        "neardup_flood",
+                        Band::Torso,
+                        32,
+                        8,
+                        exact(),
+                        gates(Some(1.0), Some(-0.05), 0.04, -0.15),
+                    )
+                },
+                family(
+                    "torso_mmr",
+                    Band::Torso,
+                    48,
+                    24,
+                    DiversifyMode::mmr(0.7),
+                    gates(Some(0.15), None, 0.004, -0.05),
+                ),
+                family(
+                    "torso_window",
+                    Band::Torso,
+                    48,
+                    24,
+                    DiversifyMode::window(),
+                    gates(Some(0.0), None, 0.0, -0.05),
+                ),
+                family(
+                    "torso_disc",
+                    Band::Torso,
+                    48,
+                    24,
+                    DiversifyMode::Disc,
+                    gates(None, Some(0.0), 0.005, -0.05),
+                ),
+                family(
+                    "torso_knn",
+                    Band::Torso,
+                    48,
+                    24,
+                    DiversifyMode::knn(),
+                    gates(Some(0.4), None, 0.008, -0.05),
+                ),
+            ],
+        }
     }
 }
 
@@ -524,7 +397,7 @@ impl Family {
         pack_seed: u64,
         corpus: &Corpus,
         index: &InvertedIndex,
-    ) -> Result<CompiledFamily, PackError> {
+    ) -> Result<CompiledFamily, String> {
         let ctx = format!("family {:?}", self.name);
         let mut rng = Pcg::new(pack_seed ^ fnv1a(&self.name));
         // Distinct pool: band draws with per-entry seeds.
@@ -539,13 +412,10 @@ impl Family {
                 .iter()
                 .find_map(|&kfreq| query_for_band(corpus, kfreq, num_terms, qseed));
             let Some(q) = drawn else {
-                return Err(PackError::BadValue {
-                    context: ctx,
-                    message: format!(
-                        "band {:?} has no usable terms in this corpus",
-                        self.band.as_str()
-                    ),
-                });
+                return Err(format!(
+                    "{ctx}: band {:?} has no usable terms in this corpus",
+                    self.band
+                ));
             };
             pool.push(if num_terms == 1 {
                 Query::Scan(q.terms[0])
@@ -622,7 +492,7 @@ fn mutation_chunks(
     events: usize,
     docs_per_event: usize,
     ctx: &str,
-) -> Result<Vec<Vec<DocId>>, PackError> {
+) -> Result<Vec<Vec<DocId>>, String> {
     let hottest = pool
         .iter()
         .flat_map(|q| match q {
@@ -632,17 +502,11 @@ fn mutation_chunks(
         .copied()
         .max_by_key(|&t| corpus.doc_freq(t));
     let Some(term) = hottest else {
-        return Err(PackError::BadValue {
-            context: ctx.to_owned(),
-            message: "mutation family has an empty query pool".to_owned(),
-        });
+        return Err(format!("{ctx}: mutation family has an empty query pool"));
     };
     let postings = index.postings(term);
     if postings.is_empty() {
-        return Err(PackError::BadValue {
-            context: ctx.to_owned(),
-            message: format!("hot term {term} has no postings"),
-        });
+        return Err(format!("{ctx}: hot term {term} has no postings"));
     }
     Ok((0..events)
         .map(|e| {
@@ -656,265 +520,10 @@ fn mutation_chunks(
         .collect())
 }
 
-// ---------------------------------------------------------------- JSON helpers
-
-fn bad(context: &str, message: impl Into<String>) -> PackError {
-    PackError::BadValue {
-        context: context.to_owned(),
-        message: message.into(),
-    }
-}
-
-fn req<'a>(obj: &'a Value, context: &str, field: &'static str) -> Result<&'a Value, PackError> {
-    obj.get(field).ok_or_else(|| PackError::MissingField {
-        context: context.to_owned(),
-        field,
-    })
-}
-
-fn req_str<'a>(obj: &'a Value, context: &str, field: &'static str) -> Result<&'a str, PackError> {
-    req(obj, context, field)?
-        .as_str()
-        .ok_or_else(|| bad(context, format!("field {field:?} must be a string")))
-}
-
-fn req_f64(obj: &Value, context: &str, field: &'static str) -> Result<f64, PackError> {
-    let n = req(obj, context, field)?
-        .as_f64()
-        .ok_or_else(|| bad(context, format!("field {field:?} must be a number")))?;
-    if !n.is_finite() {
-        return Err(bad(context, format!("field {field:?} must be finite")));
-    }
-    Ok(n)
-}
-
-fn req_u64(obj: &Value, context: &str, field: &'static str) -> Result<u64, PackError> {
-    let n = req_f64(obj, context, field)?;
-    // LINT-ALLOW(float-eq): exact IEEE-754 integrality test on fract()
-    // (see json::format_number) — rejecting any fractional part is the
-    // point, so an epsilon would be wrong.
-    if n < 0.0 || n.fract() != 0.0 || n >= 9_007_199_254_740_992.0 {
-        return Err(bad(
-            context,
-            format!("field {field:?} must be a non-negative integer below 2^53"),
-        ));
-    }
-    Ok(n as u64)
-}
-
-fn opt_u64(obj: &Value, context: &str, field: &'static str) -> Result<Option<u64>, PackError> {
-    match obj.get(field) {
-        None => Ok(None),
-        Some(_) => req_u64(obj, context, field).map(Some),
-    }
-}
-
-fn opt_f64(obj: &Value, context: &str, field: &'static str) -> Result<Option<f64>, PackError> {
-    match obj.get(field) {
-        None => Ok(None),
-        Some(_) => req_f64(obj, context, field).map(Some),
-    }
-}
-
-/// Rejects unknown keys — a misspelled gate or field must fail loudly,
-/// not silently not-enforce.
-fn check_keys(obj: &Value, context: &str, allowed: &[&str]) -> Result<(), PackError> {
-    let fields = obj
-        .as_object()
-        .ok_or_else(|| bad(context, "must be an object"))?;
-    for (key, _) in fields {
-        if !allowed.contains(&key.as_str()) {
-            return Err(bad(
-                context,
-                format!("unknown field {key:?} (allowed: {allowed:?})"),
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn parse_family(v: &Value, index: usize) -> Result<Family, PackError> {
-    let pre_ctx = format!("family #{index}");
-    let name = req_str(v, &pre_ctx, "name")?.to_owned();
-    let ctx = format!("family {name:?}");
-    check_keys(
-        v,
-        &ctx,
-        &[
-            "name",
-            "band",
-            "queries",
-            "distinct",
-            "zipf_exponent",
-            "ta_fraction",
-            "k",
-            "tau",
-            "cache",
-            "mode",
-            "mutations",
-            "gates",
-        ],
-    )?;
-    let band = match req_str(v, &ctx, "band")? {
-        "head" => Band::Head,
-        "torso" => Band::Torso,
-        "tail" => Band::Tail,
-        other => return Err(bad(&ctx, format!("unknown band {other:?}"))),
-    };
-    let queries = req_u64(v, &ctx, "queries")? as usize;
-    let distinct = req_u64(v, &ctx, "distinct")? as usize;
-    if queries == 0 || distinct == 0 {
-        return Err(bad(&ctx, "\"queries\" and \"distinct\" must be positive"));
-    }
-    let zipf_exponent = req_f64(v, &ctx, "zipf_exponent")?;
-    let ta_fraction = req_f64(v, &ctx, "ta_fraction")?;
-    if !(0.0..=1.0).contains(&ta_fraction) {
-        return Err(bad(&ctx, "\"ta_fraction\" must lie in [0, 1]"));
-    }
-    let k = req_u64(v, &ctx, "k")? as usize;
-    if k == 0 {
-        return Err(bad(&ctx, "\"k\" must be positive"));
-    }
-    let tau = req_f64(v, &ctx, "tau")?;
-    if !(0.0..=1.0).contains(&tau) {
-        return Err(bad(&ctx, "\"tau\" must lie in [0, 1]"));
-    }
-    let cache = match req_str(v, &ctx, "cache")? {
-        "normal" => CacheMode::Normal,
-        "bypass" => CacheMode::Bypass,
-        other => return Err(bad(&ctx, format!("unknown cache mode {other:?}"))),
-    };
-    let mode = match v.get("mode") {
-        None => DiversifyMode::exact(),
-        Some(value) => {
-            let key = value
-                .as_str()
-                .ok_or_else(|| bad(&ctx, "field \"mode\" must be a string"))?;
-            mode_from_key(key).ok_or_else(|| {
-                let known: Vec<&str> = MODE_KEYS.iter().map(|(k, _)| *k).collect();
-                bad(&ctx, format!("unknown mode {key:?} (known: {known:?})"))
-            })?
-        }
-    };
-    let mutations_v = req(v, &ctx, "mutations")?;
-    let mut_ctx = format!("{ctx} mutations");
-    let mutations = match req_str(mutations_v, &mut_ctx, "kind")? {
-        "none" => {
-            check_keys(mutations_v, &mut_ctx, &["kind"])?;
-            MutationSpec::None
-        }
-        kind @ ("delete_storm" | "neardup_flood") => {
-            check_keys(mutations_v, &mut_ctx, &["kind", "events", "docs_per_event"])?;
-            let events = req_u64(mutations_v, &mut_ctx, "events")? as usize;
-            let docs_per_event = req_u64(mutations_v, &mut_ctx, "docs_per_event")? as usize;
-            if events == 0 || docs_per_event == 0 {
-                return Err(bad(
-                    &mut_ctx,
-                    "\"events\" and \"docs_per_event\" must be positive",
-                ));
-            }
-            if kind == "delete_storm" {
-                MutationSpec::DeleteStorm {
-                    events,
-                    docs_per_event,
-                }
-            } else {
-                MutationSpec::NeardupFlood {
-                    events,
-                    docs_per_event,
-                }
-            }
-        }
-        other => return Err(bad(&mut_ctx, format!("unknown mutation kind {other:?}"))),
-    };
-    let gates_v = req(v, &ctx, "gates")?;
-    let gates_ctx = format!("{ctx} gates");
-    check_keys(
-        gates_v,
-        &gates_ctx,
-        &[
-            "min_unique_sources_gain",
-            "max_max_share_delta",
-            "min_dissimilarity_gain",
-            "min_ndcg_delta",
-            "min_mrr_delta",
-        ],
-    )?;
-    let gates = Gates {
-        min_unique_sources_gain: opt_f64(gates_v, &gates_ctx, "min_unique_sources_gain")?,
-        max_max_share_delta: opt_f64(gates_v, &gates_ctx, "max_max_share_delta")?,
-        min_dissimilarity_gain: opt_f64(gates_v, &gates_ctx, "min_dissimilarity_gain")?,
-        min_ndcg_delta: opt_f64(gates_v, &gates_ctx, "min_ndcg_delta")?,
-        min_mrr_delta: opt_f64(gates_v, &gates_ctx, "min_mrr_delta")?,
-    };
-    Ok(Family {
-        name,
-        band,
-        queries,
-        distinct,
-        zipf_exponent,
-        ta_fraction,
-        k,
-        tau,
-        cache,
-        mode,
-        mutations,
-        gates,
-    })
-}
-
-fn family_to_value(f: &Family) -> Value {
-    let mutations = match f.mutations {
-        MutationSpec::None => Value::Object(vec![("kind".into(), Value::String("none".into()))]),
-        MutationSpec::DeleteStorm {
-            events,
-            docs_per_event,
-        } => Value::Object(vec![
-            ("kind".into(), Value::String("delete_storm".into())),
-            ("events".into(), Value::Number(events as f64)),
-            (
-                "docs_per_event".into(),
-                Value::Number(docs_per_event as f64),
-            ),
-        ]),
-        MutationSpec::NeardupFlood {
-            events,
-            docs_per_event,
-        } => Value::Object(vec![
-            ("kind".into(), Value::String("neardup_flood".into())),
-            ("events".into(), Value::Number(events as f64)),
-            (
-                "docs_per_event".into(),
-                Value::Number(docs_per_event as f64),
-            ),
-        ]),
-    };
-    let gates = Value::Object(
-        f.gates
-            .entries()
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), Value::Number(v)))
-            .collect(),
-    );
-    Value::Object(vec![
-        ("name".into(), Value::String(f.name.clone())),
-        ("band".into(), Value::String(f.band.as_str().into())),
-        ("queries".into(), Value::Number(f.queries as f64)),
-        ("distinct".into(), Value::Number(f.distinct as f64)),
-        ("zipf_exponent".into(), Value::Number(f.zipf_exponent)),
-        ("ta_fraction".into(), Value::Number(f.ta_fraction)),
-        ("k".into(), Value::Number(f.k as f64)),
-        ("tau".into(), Value::Number(f.tau)),
-        ("cache".into(), Value::String(f.cache.as_str().into())),
-        ("mode".into(), Value::String(mode_key(&f.mode).into())),
-        ("mutations".into(), mutations),
-        ("gates".into(), gates),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use divtopk_text::synth::generate_labeled;
 
     fn small_pack() -> QueryPack {
         let mut pack = QueryPack::default_pack();
@@ -926,28 +535,37 @@ mod tests {
     }
 
     #[test]
-    fn default_pack_round_trips_through_json() {
-        // The committed file is the default pack: it parses under the
-        // strict schema, and emitting the parsed pack gives the file back
-        // byte for byte.
-        let committed = include_str!("../../../benchmarks/query-pack.v1.json");
+    fn default_pack_families_are_well_formed() {
         let pack = QueryPack::default_pack();
         assert_eq!(pack.families.len(), 9);
-        assert_eq!(pack.to_json_pretty(), committed);
-        assert_eq!(QueryPack::from_json(committed).unwrap(), pack);
-        // Strict means a stray key in that same document is refused, not
-        // ignored.
-        let stray = committed.replacen("\"name\":", "\"nmae\": 0, \"name\":", 1);
-        assert!(matches!(
-            QueryPack::from_json(&stray),
-            Err(PackError::BadValue { .. })
-        ));
+        let mut names: Vec<&str> = pack.families.iter().map(|f| f.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), pack.families.len(), "family names are unique");
+        for f in &pack.families {
+            let name = &f.name;
+            assert!(f.queries >= 1 && f.distinct >= 1 && f.k >= 1, "{name}");
+            assert!((0.0..=1.0).contains(&f.ta_fraction), "{name}");
+            assert!((0.0..=1.0).contains(&f.tau), "{name}");
+            match f.mutations {
+                MutationSpec::None => {}
+                MutationSpec::DeleteStorm {
+                    events,
+                    docs_per_event,
+                }
+                | MutationSpec::NeardupFlood {
+                    events,
+                    docs_per_event,
+                } => assert!(events >= 1 && docs_per_event >= 1, "{name}"),
+            }
+            assert_eq!(f.mode.validate(), Ok(()), "{name}");
+        }
     }
 
     #[test]
     fn compile_is_deterministic_and_covers_all_event_kinds() {
         let pack = small_pack();
-        let (corpus, _labels) = pack.corpus.build().unwrap();
+        let (corpus, _labels) = generate_labeled(&pack.corpus);
         let index = InvertedIndex::build(&corpus);
         let a = pack.compile(&corpus, &index).unwrap();
         let b = pack.compile(&corpus, &index).unwrap();
@@ -975,108 +593,5 @@ mod tests {
         for (family, compiled) in pack.families.iter().zip(&a) {
             assert_eq!(compiled.queries().count(), family.queries);
         }
-    }
-
-    #[test]
-    fn wrong_version_and_missing_fields_are_typed_errors() {
-        let pack = QueryPack::default_pack();
-        // Wrong version.
-        let wrong = pack
-            .to_json_pretty()
-            .replace(PACK_VERSION, "divtopk-pack/9");
-        assert_eq!(
-            QueryPack::from_json(&wrong),
-            Err(PackError::WrongVersion {
-                found: "divtopk-pack/9".into()
-            })
-        );
-        // Missing version.
-        assert!(matches!(
-            QueryPack::from_json(r#"{"name": "x"}"#),
-            Err(PackError::MissingField {
-                field: "version",
-                ..
-            })
-        ));
-        // Missing family field: drop "band" from the first family.
-        let mut v = pack.to_value();
-        if let Value::Object(fields) = &mut v {
-            let families = fields
-                .iter_mut()
-                .find(|(k, _)| k == "families")
-                .map(|(_, v)| v)
-                .unwrap();
-            if let Value::Array(items) = families {
-                if let Value::Object(fam) = &mut items[0] {
-                    fam.retain(|(k, _)| k != "band");
-                }
-            }
-        }
-        let err = QueryPack::from_json(&json::emit(&v)).unwrap_err();
-        assert!(
-            matches!(err, PackError::MissingField { field: "band", .. }),
-            "{err:?}"
-        );
-        // Not JSON at all.
-        assert!(matches!(
-            QueryPack::from_json("{nope"),
-            Err(PackError::Parse(_))
-        ));
-    }
-
-    #[test]
-    fn unknown_keys_and_bad_values_are_rejected() {
-        let pack = QueryPack::default_pack();
-        // A typo'd gate key must not be silently ignored.
-        let mut v = pack.to_value();
-        if let Value::Object(fields) = &mut v {
-            let families = fields
-                .iter_mut()
-                .find(|(k, _)| k == "families")
-                .map(|(_, v)| v)
-                .unwrap();
-            if let Value::Array(items) = families {
-                if let Value::Object(fam) = &mut items[0] {
-                    let gates = fam
-                        .iter_mut()
-                        .find(|(k, _)| k == "gates")
-                        .map(|(_, v)| v)
-                        .unwrap();
-                    if let Value::Object(g) = gates {
-                        g.push(("min_ndgc_delta".into(), Value::Number(0.0)));
-                    }
-                }
-            }
-        }
-        let err = QueryPack::from_json(&json::emit(&v)).unwrap_err();
-        assert!(
-            matches!(&err, PackError::BadValue { message, .. } if message.contains("min_ndgc_delta")),
-            "{err:?}"
-        );
-        // Out-of-range τ.
-        let bad_tau = pack
-            .to_json_pretty()
-            .replacen("\"tau\": 0.", "\"tau\": 7.", 1);
-        assert!(matches!(
-            QueryPack::from_json(&bad_tau),
-            Err(PackError::BadValue { .. })
-        ));
-        // Unknown corpus preset.
-        let bad_preset = pack.to_json_pretty().replace("\"tiny\"", "\"huge\"");
-        assert!(matches!(
-            QueryPack::from_json(&bad_preset),
-            Err(PackError::BadValue { .. })
-        ));
-        // An arrival schedule: a pack says what is asked, not when.
-        let arrival = pack.to_json_pretty().replacen(
-            "\"cache\":",
-            "\"arrival\": {\"shape\": \"uniform\", \"rate\": 100}, \"cache\":",
-            1,
-        );
-        let err = QueryPack::from_json(&arrival).unwrap_err();
-        assert!(
-            matches!(&err, PackError::BadValue { message, .. } if message.contains("unknown field \"arrival\"")),
-            "{err:?}"
-        );
     }
 }

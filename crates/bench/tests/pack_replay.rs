@@ -1,25 +1,21 @@
-//! Property tests on query-pack replay (ISSUE 7 satellite 1): compiling
-//! the same pack twice — or once directly and once after a JSON
-//! round-trip — must yield byte-identical query sequences and mutation
-//! scripts; malformed packs must come back as typed [`PackError`]s,
-//! never a panic.
+//! Property test on query-pack replay: compiling the same pack twice
+//! must yield byte-identical query sequences and mutation scripts.
 
-use divtopk_bench::workload::{
-    Band, CacheMode, CorpusSpec, Family, Gates, MutationSpec, PackError, QueryPack,
-};
+use divtopk_bench::workload::{Band, CacheMode, Family, Gates, MutationSpec, QueryPack};
 use divtopk_text::index::InvertedIndex;
 use divtopk_text::prelude::*;
+use divtopk_text::synth::{SynthConfig, generate_labeled};
 use proptest::prelude::*;
+
+/// The corpus recipe of every case.
+fn corpus_config() -> SynthConfig {
+    SynthConfig::tiny().with_num_docs(500).with_seed(11)
+}
 
 /// One corpus for every case: determinism is a property of `compile`,
 /// not of corpus generation (which `generate_labeled` pins separately).
 fn fixture() -> (Corpus, InvertedIndex) {
-    let spec = CorpusSpec {
-        preset: "tiny".to_owned(),
-        num_docs: Some(500),
-        seed: Some(11),
-    };
-    let (corpus, _labels) = spec.build().expect("tiny preset builds");
+    let (corpus, _labels) = generate_labeled(&corpus_config());
     let index = InvertedIndex::build(&corpus);
     (corpus, index)
 }
@@ -55,7 +51,7 @@ fn family_strategy(tag: usize) -> impl Strategy<Value = Family> {
     )
         .prop_map(
             move |(band, (queries, distinct, k), (zipf, ta, tau), mutations)| Family {
-                name: format!("fam_{tag}_{}", band.as_str()),
+                name: format!("fam_{tag}_{band:?}"),
                 band,
                 queries,
                 distinct: distinct.min(queries),
@@ -69,8 +65,6 @@ fn family_strategy(tag: usize) -> impl Strategy<Value = Family> {
                     CacheMode::Bypass
                 },
                 mutations,
-                // Canonical modes only: `family_to_value` emits the
-                // canonical key, so round-trips are exact.
                 mode: match (queries + k) % 5 {
                     0 => DiversifyMode::exact(),
                     1 => DiversifyMode::None,
@@ -87,11 +81,7 @@ fn pack_strategy() -> impl Strategy<Value = QueryPack> {
     (0u64..1_000_000, family_strategy(0), family_strategy(1)).prop_map(|(seed, f0, f1)| QueryPack {
         name: "prop".to_owned(),
         seed,
-        corpus: CorpusSpec {
-            preset: "tiny".to_owned(),
-            num_docs: Some(500),
-            seed: Some(11),
-        },
+        corpus: corpus_config(),
         families: vec![f0, f1],
     })
 }
@@ -111,49 +101,6 @@ proptest! {
             // Debug form covers every query term and mutation doc id —
             // byte equality here is byte equality of the whole script.
             prop_assert_eq!(format!("{:?}", fa.events), format!("{:?}", fb.events));
-        }
-    }
-
-    /// JSON round-trip preserves the pack and therefore its compilation.
-    #[test]
-    fn json_round_trip_preserves_replay(pack in pack_strategy()) {
-        let (corpus, index) = fixture();
-        let text = pack.to_json_pretty();
-        let reparsed = QueryPack::from_json(&text).expect("emitted pack re-parses");
-        prop_assert_eq!(&reparsed, &pack);
-        let a = pack.compile(&corpus, &index).expect("compiles");
-        let b = reparsed.compile(&corpus, &index).expect("compiles");
-        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
-    }
-
-    /// Corrupting the version string is a typed error, not a panic.
-    #[test]
-    fn wrong_version_is_typed(pack in pack_strategy(), junk in 0u32..1000) {
-        let text = pack
-            .to_json_pretty()
-            .replace("divtopk-pack/1", &format!("divtopk-pack/{junk}.x"));
-        match QueryPack::from_json(&text) {
-            Err(PackError::WrongVersion { found }) => {
-                prop_assert!(found.contains(&junk.to_string()));
-            }
-            other => prop_assert!(false, "expected WrongVersion, got {:?}", other),
-        }
-    }
-
-    /// Deleting any required top-level key is a typed error, never a panic.
-    #[test]
-    fn missing_fields_are_typed(pack in pack_strategy(), which in 0usize..4) {
-        let field = ["version", "name", "seed", "corpus"][which];
-        let doc = divtopk_bench::json::parse(&pack.to_json_pretty()).unwrap();
-        let divtopk_bench::json::Value::Object(mut entries) = doc else {
-            panic!("pack JSON is an object");
-        };
-        entries.retain(|(k, _)| k != field);
-        let text = divtopk_bench::json::emit(&divtopk_bench::json::Value::Object(entries));
-        match QueryPack::from_json(&text) {
-            Err(PackError::MissingField { field: f, .. }) => prop_assert_eq!(f, field),
-            Err(PackError::WrongVersion { .. }) => prop_assert_eq!(field, "version"),
-            other => prop_assert!(false, "expected a typed error, got {:?}", other),
         }
     }
 }

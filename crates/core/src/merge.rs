@@ -224,11 +224,6 @@ where
         merged
     }
 
-    /// True when every underlying source is exhausted and no head remains.
-    pub fn is_exhausted(&self) -> bool {
-        self.heads.is_empty()
-    }
-
     fn recompute_bound(&mut self) {
         let bound = match self.kind {
             MergeKind::Incremental => match self.last_emitted {
@@ -465,7 +460,10 @@ mod tests {
         let mut empty: MergedSource<IncrementalVecSource<u32>> =
             MergedSource::incremental(Vec::new());
         assert!(empty.next_result().is_none());
-        assert!(empty.is_exhausted());
+        assert!(
+            empty.next_result().is_none(),
+            "an exhausted merge stays exhausted"
+        );
 
         let mut empty_bounding: MergedSource<BoundingVecSource<u32>> =
             MergedSource::bounding(Vec::new());
@@ -599,7 +597,10 @@ mod tests {
         let mut merged = MergedSource::incremental_filtered(vec![a], |_: &u32| false);
         assert_eq!(merged.unseen_bound(), UnseenBound::Unbounded);
         assert!(merged.next_result().is_none());
-        assert!(merged.is_exhausted());
+        assert!(
+            merged.next_result().is_none(),
+            "an exhausted merge stays exhausted"
+        );
         // Never emitted anything → the incremental bound never materialized,
         // exactly like a scan over an empty posting list.
         assert_eq!(merged.unseen_bound(), UnseenBound::Unbounded);

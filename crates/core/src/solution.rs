@@ -223,14 +223,6 @@ impl SearchResult {
             .unwrap_or(0)
     }
 
-    /// Sizes with a present entry, ascending (used by `⊕` to iterate only
-    /// populated combinations).
-    pub fn present_sizes(&self) -> Vec<usize> {
-        (0..=self.k)
-            .filter(|&i| self.entries[i].is_some())
-            .collect()
-    }
-
     /// Remaps node ids through `map` (`map[local] = global`), e.g. when a
     /// search ran on an induced subgraph. O(k) — the map is shared, not
     /// applied, until a witness is materialized.
@@ -314,7 +306,7 @@ mod tests {
         assert_eq!(r.score(1), None);
         assert_eq!(r.best().len(), 0);
         assert_eq!(r.max_feasible_size(), 0);
-        assert_eq!(r.present_sizes(), vec![0]);
+        assert_eq!(r.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0]);
         r.assert_well_formed(None);
     }
 
@@ -343,7 +335,7 @@ mod tests {
         assert_eq!(r.prefix_best_score(3), s(20));
         assert_eq!(r.best().nodes(), vec![0]);
         assert_eq!(r.max_feasible_size(), 2);
-        assert_eq!(r.present_sizes(), vec![0, 1, 2]);
+        assert_eq!(r.iter().map(|(i, _)| i).collect::<Vec<_>>(), vec![0, 1, 2]);
     }
 
     #[test]

@@ -44,9 +44,12 @@ pub const MAX_QUERY_TERMS: usize = 256;
 /// Longest snapshot path a reload request may carry.
 pub const MAX_RELOAD_PATH: usize = 4096;
 
-/// Typed protocol failure. `Truncated`/`Oversized`/`EmptyFrame` mean the
-/// stream itself lost framing (the connection cannot be resynchronized);
-/// the rest are per-frame and leave the stream usable.
+/// Typed protocol failure. Where it arises decides what it costs the
+/// connection: any error from [`read_frame`] means the stream lost
+/// framing and the server closes it, while any error from
+/// [`decode_request`] — `Truncated` included, a payload cut short inside
+/// an intact frame — is answered with a typed error and the connection
+/// keeps serving.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ProtoError {
     /// The stream ended mid-frame (header or payload).
@@ -109,20 +112,6 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
-
-impl ProtoError {
-    /// True when the stream can no longer be re-framed and the
-    /// connection should be closed after reporting the error.
-    pub fn breaks_framing(&self) -> bool {
-        matches!(
-            self,
-            ProtoError::Truncated { .. }
-                | ProtoError::Oversized { .. }
-                | ProtoError::EmptyFrame
-                | ProtoError::Io(_)
-        )
-    }
-}
 
 /// A client→server message.
 #[derive(Debug, Clone, PartialEq)]
@@ -830,7 +819,6 @@ mod tests {
         for selector in [8u8, 42, 255] {
             let err = decode_request(&bare_selector_payload(selector)).unwrap_err();
             assert_eq!(err, ProtoError::UnknownSelector(selector));
-            assert!(!err.breaks_framing());
         }
     }
 
@@ -856,7 +844,6 @@ mod tests {
                 matches!(err, ProtoError::BadValue(_)),
                 "decay={bad}: {err:?}"
             );
-            assert!(!err.breaks_framing());
         }
         // Mode parameters: decode rejects exactly what
         // `DiversifyMode::validate` rejects, in its words.
@@ -887,7 +874,6 @@ mod tests {
             assert_eq!(bad.validate(), Err(SearchError::InvalidMode { detail }));
             let err = decode_request(&base(&bad)).unwrap_err();
             assert_eq!(err, ProtoError::BadValue(detail), "{bad:?}");
-            assert!(!err.breaks_framing());
         }
     }
 

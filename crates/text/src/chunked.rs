@@ -185,14 +185,6 @@ impl<T> ChunkedVec<T> {
     pub fn chunk_items(&self, i: usize) -> &[T] {
         &self.chunks[i].items
     }
-
-    /// True when chunk `i` is sealed (holds exactly [`CHUNK`] items) —
-    /// sealed chunks never change again, so their serialized form is
-    /// stable across checkpoints.
-    #[must_use]
-    pub fn chunk_is_sealed(&self, i: usize) -> bool {
-        self.chunks[i].items.len() == CHUNK
-    }
 }
 
 impl<T: Clone> ChunkedVec<T> {
@@ -307,8 +299,9 @@ mod tests {
         }
         assert_eq!(v.len(), CHUNK * 2 + 17);
         assert_eq!(v.num_chunks(), 3);
-        assert!(v.chunk_is_sealed(0) && v.chunk_is_sealed(1));
-        assert!(!v.chunk_is_sealed(2));
+        assert_eq!(v.chunk_items(0).len(), CHUNK);
+        assert_eq!(v.chunk_items(1).len(), CHUNK);
+        assert_eq!(v.chunk_items(2).len(), 17);
         assert_eq!(v[0], 0.0);
         assert_eq!(v[CHUNK], CHUNK as f64);
         assert_eq!(v.get(v.len()), None);

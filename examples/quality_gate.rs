@@ -1,9 +1,9 @@
 //! Quality-gate demo: score a query-pack on diversity *and* relevance.
 //!
-//! Builds the committed default query-pack (`benchmarks/query-pack.v1.json`
-//! is this pack, emitted to disk), replays every family through the engine
-//! twice per query — diversity on vs. off against the same snapshot — and
-//! prints the evidence table: unique-source@k, max-share@k, pairwise
+//! Builds the default query pack (`QueryPack::default_pack`, the pack CI
+//! gates on), replays every family through the engine twice per query —
+//! diversity on vs. off against the same snapshot — and prints the
+//! evidence table: unique-source@k, max-share@k, pairwise
 //! dissimilarity@k, plus the NDCG/MRR relevance guards against the
 //! diversity-off oracle. Then it tightens one gate past measured reality
 //! to show what a CI failure looks like. Run with:
@@ -16,7 +16,7 @@ use divtopk_bench::quality::evaluate;
 use divtopk_bench::workload::QueryPack;
 
 fn main() {
-    // The same pack CI gates on (`benchmarks/query-pack.v1.json`).
+    // The same pack CI gates on.
     let pack = QueryPack::default_pack();
     println!(
         "pack {:?}: seed {}, {} families\n",
