@@ -10,7 +10,8 @@
 //!                                # artifact, assert byte-equality of every answer
 //! snapshot incremental --dir DIR # save, mutate, save again; assert the second
 //!                                # checkpoint rewrote only the new segment, the
-//!                                # tail chunk, and the manifest (by content diff)
+//!                                # tail chunk, and the manifest (by content diff),
+//!                                # and that the new segment file is O(its postings)
 //! ```
 //!
 //! Both sides construct the *same deterministic reference state*
@@ -166,11 +167,21 @@ fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     read().unwrap_or_else(|e| fail(format!("reading {path}: {e}")))
 }
 
+/// Bytes of a segment file that are not posting lists: the file header
+/// (magic, version, kind, section count: 20), the `META` section (16 B
+/// section header + id, fingerprint, doc count: 24) and the `INDX`
+/// section's header (16) and payload prefix (vocabulary size, list
+/// count: 16).
+const SEGMENT_FILE_OVERHEAD: u64 = 20 + (16 + 24) + (16 + 16);
+
 /// The incremental-checkpoint gate: after one mutation batch, the second
 /// save must rewrite **only** the manifest and the (unsealed) tail
 /// chunk, and add **only** the batch's new segment file — every other
 /// file must be byte-identical on disk. This pins the O(delta) claim at
 /// the file-system level, not just via `SaveReport`'s own accounting.
+/// The new segment file must also fit [`SEGMENT_FILE_OVERHEAD`] plus its
+/// lists and postings, so a payload that grows with the vocabulary
+/// fails here.
 fn incremental(path: &str) {
     let _ = std::fs::remove_dir_all(path);
     let engine = reference_engine();
@@ -188,6 +199,12 @@ fn incremental(path: &str) {
             )
         })
         .collect();
+    let batch_postings: u64 = batch.iter().map(|d| d.distinct_terms() as u64).sum();
+    let batch_lists = batch
+        .iter()
+        .flat_map(|d| d.terms.iter().map(|&(t, _)| t))
+        .collect::<std::collections::BTreeSet<TermId>>()
+        .len() as u64;
     engine.add_docs(batch);
     engine.delete_docs(&[2, 5]);
     let second = engine
@@ -223,6 +240,16 @@ fn incremental(path: &str) {
         );
     }
     assert_eq!(added.len(), 1, "one mutation batch must add one segment");
+    // A segment file is O(its postings): the container around it, then
+    // per stored list a term id and a length (12 B) and per posting a
+    // `(doc, tf)` pair (8 B) — no byte per vocabulary term.
+    let segment_len = after[added[0]].len() as u64;
+    let bound = SEGMENT_FILE_OVERHEAD + 12 * batch_lists + 8 * batch_postings;
+    assert!(
+        segment_len <= bound,
+        "the batch's segment file is {segment_len} B, over the {bound} B its \
+         {batch_lists} lists and {batch_postings} postings need"
+    );
     let unchanged = after.len() - rewritten.len() - added.len();
     assert!(
         unchanged >= 3,

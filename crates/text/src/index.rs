@@ -5,6 +5,17 @@
 //! documents in non-increasing order of their single-term score (the
 //! incremental source of §8's reuters setup) and the threshold algorithm's
 //! sorted accesses are exactly list positions (the enwiki setup).
+//!
+//! An index is **sparse in the vocabulary**: it stores one list per term
+//! it actually holds — a sorted `terms` array beside one exact-capacity,
+//! never-empty `Vec<Posting>` per present term — and remembers only the
+//! vocabulary's *size*. A one-document segment therefore costs its own
+//! postings, not 24 bytes of `Vec` header per vocabulary term, and
+//! [`InvertedIndex::postings`] answers an absent term with an empty slice
+//! (one binary search over `terms`). The lists stay separate allocations
+//! on purpose (DESIGN.md §9, "Segment layout"): one flat array per index
+//! cannot reuse the heap the corpus generator freed, and measured higher
+//! RSS on every serving workload.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
@@ -20,9 +31,14 @@ pub struct Posting {
     pub partial: f64,
 }
 
-/// Inverted index over a corpus.
+/// Inverted index over a corpus (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
+    /// Size of the vocabulary the term ids index into.
+    num_terms: usize,
+    /// The terms holding at least one posting, strictly increasing.
+    terms: Vec<TermId>,
+    /// `lists[i]` is the non-empty posting list of `terms[i]`.
     lists: Vec<Vec<Posting>>,
 }
 
@@ -44,7 +60,11 @@ impl InvertedIndex {
     /// tie-break reproduces the unsharded scan order exactly
     /// (`divtopk-engine` property-tests this).
     pub fn build_where(corpus: &Corpus, keep: impl Fn(DocId) -> bool) -> InvertedIndex {
-        InvertedIndex::build_from_ids(corpus, (0..corpus.num_docs() as DocId).filter(|&d| keep(d)))
+        let keep = &keep;
+        InvertedIndex::build_from_ids(
+            corpus,
+            (0..corpus.num_docs() as DocId).filter(move |&d| keep(d)),
+        )
     }
 
     /// Builds the index over only the documents in `range` — the segment
@@ -61,17 +81,49 @@ impl InvertedIndex {
         InvertedIndex::build_from_ids(corpus, range)
     }
 
-    fn build_from_ids(corpus: &Corpus, ids: impl Iterator<Item = DocId>) -> InvertedIndex {
-        let mut lists: Vec<Vec<Posting>> = vec![Vec::new(); corpus.num_terms()];
-        for doc_id in ids {
-            let doc = corpus.doc(doc_id);
-            if doc.len == 0 {
-                continue;
+    /// O(postings + V/64): a vocabulary bitset marks the present terms,
+    /// a per-word rank turns a term into its list slot in O(1), then each
+    /// list is counted, allocated once at its exact size, filled in doc
+    /// order and sorted. The bitset and the rank are the only structures
+    /// sized by the vocabulary.
+    fn build_from_ids(corpus: &Corpus, ids: impl Iterator<Item = DocId> + Clone) -> InvertedIndex {
+        let docs = || {
+            ids.clone()
+                .map(|d| (d, corpus.doc(d)))
+                .filter(|(_, doc)| doc.len != 0)
+        };
+        let mut present = vec![0u64; corpus.num_terms().div_ceil(64)];
+        for (_, doc) in docs() {
+            for &(t, _) in &doc.terms {
+                present[t as usize / 64] |= 1u64 << (t % 64);
             }
+        }
+        let mut rank = Vec::with_capacity(present.len());
+        let mut terms = Vec::with_capacity(present.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in present.iter().enumerate() {
+            rank.push(terms.len() as u32);
+            let mut bits = word;
+            while bits != 0 {
+                terms.push((w * 64) as TermId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        let slot = |t: TermId| {
+            let (w, b) = (t as usize / 64, t % 64);
+            rank[w] as usize + (present[w] & ((1u64 << b) - 1)).count_ones() as usize
+        };
+        let mut counts = vec![0usize; terms.len()];
+        for (_, doc) in docs() {
+            for &(t, _) in &doc.terms {
+                counts[slot(t)] += 1;
+            }
+        }
+        let mut lists: Vec<Vec<Posting>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (doc_id, doc) in docs() {
             let inv_sqrt_len = 1.0 / (doc.len as f64).sqrt();
             for &(t, tf) in &doc.terms {
                 let partial = tf as f64 * corpus.idf(t) * inv_sqrt_len;
-                lists[t as usize].push(Posting {
+                lists[slot(t)].push(Posting {
                     doc: doc_id,
                     tf,
                     partial,
@@ -81,20 +133,39 @@ impl InvertedIndex {
         for list in &mut lists {
             list.sort_by(posting_order);
         }
-        InvertedIndex { lists }
+        InvertedIndex {
+            num_terms: corpus.num_terms(),
+            terms,
+            lists,
+        }
     }
 
-    /// Assembles an index directly from per-term posting lists that are
-    /// already in `(partial desc, doc asc)` order — the compaction
-    /// primitive: merging segment lists posting-by-posting preserves the
-    /// stored `partial` bits exactly, where a rescore could only *equal*
-    /// them. Debug builds verify the ordering invariant.
-    pub(crate) fn from_sorted_lists(lists: Vec<Vec<Posting>>) -> InvertedIndex {
+    /// Assembles an index over a vocabulary of `num_terms` terms directly
+    /// from `(term, list)` pairs in increasing term order, each list
+    /// non-empty and already in `(partial desc, doc asc)` order — the
+    /// compaction and load primitive: merging segment lists
+    /// posting-by-posting preserves the stored `partial` bits exactly,
+    /// where a rescore could only *equal* them. Debug builds verify the
+    /// orders and the term range; the snapshot decoder checks every
+    /// invariant on untrusted bytes before calling this, and
+    /// [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
+    /// reports an empty list.
+    pub(crate) fn from_sorted_lists(
+        num_terms: usize,
+        pairs: impl IntoIterator<Item = (TermId, Vec<Posting>)>,
+    ) -> InvertedIndex {
+        let (terms, lists): (Vec<TermId>, Vec<Vec<Posting>>) = pairs.into_iter().unzip();
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
         debug_assert!(lists.iter().all(|list| {
             list.windows(2)
                 .all(|w| posting_order(&w[0], &w[1]) != std::cmp::Ordering::Greater)
         }));
-        InvertedIndex { lists }
+        InvertedIndex {
+            num_terms,
+            terms,
+            lists,
+        }
     }
 
     /// The posting-list total order every build and merge in this crate
@@ -103,19 +174,33 @@ impl InvertedIndex {
         posting_order(a, b)
     }
 
-    /// The posting list for `term` (sorted by partial score, descending).
+    /// The posting list for `term` (sorted by partial score, descending);
+    /// empty for a term this index holds no posting of.
     pub fn postings(&self, term: TermId) -> &[Posting] {
-        &self.lists[term as usize]
+        match self.terms.binary_search(&term) {
+            Ok(i) => &self.lists[i],
+            Err(_) => &[],
+        }
     }
 
-    /// Number of terms (lists).
+    /// The non-empty posting lists as `(term, list)` pairs, in
+    /// increasing term order.
+    pub fn lists(&self) -> impl ExactSizeIterator<Item = (TermId, &[Posting])> + '_ {
+        self.terms
+            .iter()
+            .copied()
+            .zip(self.lists.iter().map(Vec::as_slice))
+    }
+
+    /// Size of the vocabulary the index's term ids range over (not the
+    /// number of lists it stores — that is `lists().len()`).
     pub fn num_terms(&self) -> usize {
-        self.lists.len()
+        self.num_terms
     }
 
     /// Total number of postings (index size).
     pub fn num_postings(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+        self.lists.iter().map(Vec::len).sum()
     }
 }
 
@@ -253,6 +338,38 @@ mod tests {
     fn build_range_rejects_out_of_bounds() {
         let c = corpus();
         let _ = InvertedIndex::build_range(&c, 0..99);
+    }
+
+    #[test]
+    fn an_index_stores_only_the_terms_it_holds() {
+        let c = corpus();
+        let one = InvertedIndex::build_range(&c, 1..2);
+        let pie = c.term_id("pie").unwrap();
+        let orchard = c.term_id("orchard").unwrap();
+        // d1 = "apple pie": two lists, in term order; the rest are absent.
+        let terms: Vec<TermId> = one.lists().map(|(t, _)| t).collect();
+        let mut want = vec![c.term_id("apple").unwrap(), pie];
+        want.sort_unstable();
+        assert_eq!(terms, want);
+        assert!(
+            one.lists()
+                .all(|(t, list)| list == one.postings(t) && !list.is_empty())
+        );
+        assert!(one.postings(orchard).is_empty());
+        assert!(one.postings(c.num_terms() as TermId).is_empty());
+        assert_eq!(
+            one.num_terms(),
+            c.num_terms(),
+            "num_terms is the vocabulary"
+        );
+        // The full build holds exactly the terms of positive df.
+        let full = InvertedIndex::build(&c);
+        let held: Vec<TermId> = full.lists().map(|(t, _)| t).collect();
+        let positive: Vec<TermId> = (0..c.num_terms() as TermId)
+            .filter(|&t| c.doc_freq(t) > 0)
+            .collect();
+        assert_eq!(held, positive);
+        assert_eq!(InvertedIndex::build_range(&c, 2..2).lists().len(), 0);
     }
 
     #[test]

@@ -70,7 +70,8 @@
 //!
 //! [`FORMAT_VERSION`] identifies the container revision. Readers accept
 //! exactly the versions they know how to decode (currently only
-//! version 1) and reject everything else with
+//! version 2; version 1 stored a list length for every vocabulary term)
+//! and reject everything else with
 //! [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
 //! regenerate from the corpus, so there is no silent best-effort decoding
 //! of future or past revisions. Any layout change bumps the version.
@@ -89,7 +90,7 @@ use std::sync::Arc;
 pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 
 /// The container format revision this build writes and reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
 /// directory (what `Engine::save_snapshot` writes). Kinds 1–3 belonged to
@@ -821,18 +822,28 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
 // Segment posting lists
 // ---------------------------------------------------------------------------
 
-/// Segment-file posting payload (DESIGN.md §14): per term, the list
-/// length then `(doc, tf)` pairs in the stored serving order. The
+/// Segment-file posting payload (DESIGN.md §14): the vocabulary size,
+/// the number of stored lists, then per non-empty list in increasing
+/// term order its term id, its length, and `(doc, tf)` pairs in the
+/// stored serving order —
+///
+/// ```text
+/// vocab_len:u64  n_lists:u64  (term:u32  len:u64  (doc:u32 tf:u32)×len)×n_lists
+/// ```
+///
+/// so the payload is O(postings), whatever the vocabulary. The
 /// per-posting `partial` is *not* stored: it is a deterministic IEEE-754
 /// function of data the snapshot already carries
 /// (`tf as f64 * idf(t) * (1 / sqrt(len))`, the exact expression
 /// `InvertedIndex::build_from_ids` evaluates), so the load recomputes the
 /// identical bits — halving segment bytes, which dominate cold-start I/O.
 fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let lists = index.lists();
+    let mut buf = Vec::with_capacity(16 + 12 * lists.len() + 8 * index.num_postings());
     put_u64(&mut buf, index.num_terms() as u64);
-    for t in 0..index.num_terms() as TermId {
-        let list = index.postings(t);
+    put_u64(&mut buf, lists.len() as u64);
+    for (t, list) in lists {
+        put_u32(&mut buf, t);
         put_u64(&mut buf, list.len() as u64);
         for p in list {
             put_u32(&mut buf, p.doc);
@@ -846,24 +857,45 @@ fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
 /// bit-exactly from the epoch IDF table and the per-document
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
-/// used). Validation: doc ids in range, non-zero term frequencies,
-/// plausible partials, and the one true `(partial desc, doc asc)` order —
-/// forged CRC-valid bytes still fail typed.
+/// used). Validation: term ids strictly increasing and inside the
+/// vocabulary, no empty list (the writer never stores one, and
+/// `Segment::fingerprint` would not cover it), doc ids in range, non-zero
+/// term frequencies, plausible partials, and the one true
+/// `(partial desc, doc asc)` order — forged CRC-valid bytes still fail
+/// typed.
 fn read_segment_index(
     mut r: ByteReader<'_>,
     idf: &[f64],
     inv_len: &[f64],
 ) -> Result<InvertedIndex, SnapshotError> {
-    let n_terms = r.counted(8)?;
-    if n_terms != idf.len() {
+    let vocab_len = r.u64()?;
+    if vocab_len != idf.len() as u64 {
         return Err(SnapshotError::Malformed {
-            context: "segment term count disagrees with the corpus vocabulary",
+            context: "segment vocabulary size disagrees with the corpus vocabulary",
         });
     }
+    // A stored list is at least its 12-byte header plus one posting.
+    let n_lists = r.counted(20)?;
     let num_docs = inv_len.len();
-    let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(n_terms);
-    for &term_idf in idf {
+    let mut lists: Vec<(TermId, Vec<Posting>)> = Vec::with_capacity(n_lists);
+    for _ in 0..n_lists {
+        let term = r.u32()?;
+        let Some(&term_idf) = idf.get(term as usize) else {
+            return Err(SnapshotError::Malformed {
+                context: "posting list term outside the vocabulary",
+            });
+        };
+        if lists.last().is_some_and(|&(prev, _)| prev >= term) {
+            return Err(SnapshotError::Malformed {
+                context: "posting list terms not strictly increasing",
+            });
+        }
         let n = r.counted(8)?;
+        if n == 0 {
+            return Err(SnapshotError::Malformed {
+                context: "empty posting list stored",
+            });
+        }
         let mut list: Vec<Posting> = Vec::with_capacity(n);
         let raw = r.take(n * 8)?;
         for entry in raw.chunks_exact(8) {
@@ -906,10 +938,10 @@ fn read_segment_index(
             }
             list.push(posting);
         }
-        lists.push(list);
+        lists.push((term, list));
     }
     r.finish()?;
-    Ok(InvertedIndex::from_sorted_lists(lists))
+    Ok(InvertedIndex::from_sorted_lists(idf.len(), lists))
 }
 
 // ---------------------------------------------------------------------------
@@ -1574,8 +1606,8 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         )?;
         c.finish()?;
         let mut mine = vec![0u64; words];
-        for t in 0..index.num_terms() as TermId {
-            for p in index.postings(t) {
+        for (_, list) in index.lists() {
+            for p in list {
                 mine[p.doc as usize / 64] |= 1u64 << (p.doc as usize % 64);
             }
         }
@@ -1702,11 +1734,17 @@ mod tests {
         // product leaves the plausible range must be stopped at decode,
         // not at query time.
         for (tf, idf) in [(1, -1.0), (u32::MAX, MAX_STORED_VALUE)] {
-            let index = InvertedIndex::from_sorted_lists(vec![vec![Posting {
-                doc: 0,
-                tf,
-                partial: 0.0,
-            }]]);
+            let index = InvertedIndex::from_sorted_lists(
+                1,
+                [(
+                    0,
+                    vec![Posting {
+                        doc: 0,
+                        tf,
+                        partial: 0.0,
+                    }],
+                )],
+            );
             let payload = segment_postings_payload(&index);
             let reader = ByteReader::new(&payload, "segment index section");
             match read_segment_index(reader, &[idf], &[1.0]) {
@@ -1714,6 +1752,95 @@ mod tests {
                     assert!(context.contains("partial"), "{context}");
                 }
                 other => panic!("expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    /// A segment posting payload written by hand, so a test can forge
+    /// what the writer never emits: the vocabulary size, the declared
+    /// list count, then each `(term, [(doc, tf)])` list as given.
+    fn forged_payload(
+        vocab_len: u64,
+        n_lists: u64,
+        lists: &[(TermId, &[(DocId, u32)])],
+    ) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, vocab_len);
+        put_u64(&mut buf, n_lists);
+        for &(t, list) in lists {
+            put_u32(&mut buf, t);
+            put_u64(&mut buf, list.len() as u64);
+            for &(doc, tf) in list {
+                put_u32(&mut buf, doc);
+                put_u32(&mut buf, tf);
+            }
+        }
+        buf
+    }
+
+    /// Wraps `payload` in a segment container with valid CRCs, opens it
+    /// with per-section CRC verification, and decodes it against a
+    /// four-term vocabulary (IDF 1) and four documents (`1/sqrt(len)` 1).
+    fn decode_forged(payload: Vec<u8>) -> Result<InvertedIndex, SnapshotError> {
+        let bytes = assemble(KIND_SEGMENT, vec![(TAG_INDEX, payload)]);
+        let mut container = Container::open(&bytes, KIND_SEGMENT)?;
+        read_segment_index(
+            container.section(TAG_INDEX, "segment index section")?,
+            &[1.0; 4],
+            &[1.0; 4],
+        )
+    }
+
+    #[test]
+    fn forged_segment_payloads_are_rejected_even_with_a_valid_crc() {
+        // The honest control: the forger's bytes are the writer's bytes.
+        let honest: &[(TermId, &[(DocId, u32)])] = &[(1, &[(0, 2), (3, 1)]), (3, &[(2, 1)])];
+        let index = decode_forged(forged_payload(4, 2, honest)).unwrap();
+        assert_eq!(
+            segment_postings_payload(&index),
+            forged_payload(4, 2, honest)
+        );
+        assert_eq!(index.lists().len(), 2);
+        assert!(index.postings(0).is_empty());
+
+        let one: &[(DocId, u32)] = &[(0, 1)];
+        let two: &[(DocId, u32)] = &[(0, 1), (1, 1)];
+        let cases: [(&str, Vec<u8>, &str); 5] = [
+            (
+                "unsorted term ids",
+                forged_payload(4, 2, &[(2, one), (1, one)]),
+                "not strictly increasing",
+            ),
+            (
+                "duplicate term id",
+                forged_payload(4, 2, &[(1, one), (1, one)]),
+                "not strictly increasing",
+            ),
+            (
+                "term id at the vocabulary size",
+                forged_payload(4, 1, &[(4, one)]),
+                "outside the vocabulary",
+            ),
+            (
+                // The second list carries two postings so the count
+                // check (20 B per list) passes and the empty list is
+                // what fails.
+                "stored empty list",
+                forged_payload(4, 2, &[(1, &[]), (2, two)]),
+                "empty posting list",
+            ),
+            (
+                "list count overclaiming its section",
+                forged_payload(4, 3, &[(1, one)]),
+                "element count larger than the section",
+            ),
+        ];
+        for (what, payload, want) in cases {
+            match decode_forged(payload) {
+                Err(SnapshotError::Malformed { context }) => {
+                    assert!(context.contains(want), "{what}: {context}");
+                }
+                other => panic!("{what}: expected Malformed, got {other:?}"),
             }
         }
     }
@@ -1984,6 +2111,51 @@ mod tests {
             manifest_from_bytes(&bytes),
             Err(SnapshotError::UnsupportedVersion { found: 99 })
         ));
+    }
+
+    #[test]
+    fn a_version_1_snapshot_is_unsupported() {
+        // Version 1 stored a list length for every vocabulary term; this
+        // build does not decode it (rebuild on mismatch, DESIGN.md §14).
+        let dir = temp_dir("v1");
+        save_segmented(&dir, &small_segmented(), 1).unwrap();
+        let mut bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
+        assert!(matches!(
+            load_segmented(&dir),
+            Err(SnapshotError::UnsupportedVersion { found: 1 })
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_segment_file_does_not_grow_with_the_vocabulary() {
+        // The same one-document batch on a 3 000-term and a 120 000-term
+        // epoch writes segment files of equal length: the payload holds
+        // the batch's lists, not one length per vocabulary term.
+        let doc = Document::from_tokens("one".into(), vec![7, 42, 42, 1_999]);
+        let mut lens = Vec::new();
+        for vocab in [3_000usize, 120_000] {
+            let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(vocab);
+            b.add_tokens("base".into(), vec![0, 1, 2]);
+            let mut index = SegmentedIndex::build(b.build());
+            let dir = temp_dir(&format!("vocab{vocab}"));
+            save_segmented(&dir, &index, 1).unwrap();
+            index.add_docs(vec![doc.clone()]);
+            let added = index.segments().last().unwrap();
+            assert_eq!(added.index().lists().count(), doc.distinct_terms());
+            assert_eq!(added.index().num_terms(), vocab);
+            save_segmented(&dir, &index, 2).unwrap();
+            lens.push(file_len(&dir, &segment_file_name(added.id())).unwrap());
+            let (loaded, _) = load_segmented(&dir).unwrap();
+            loaded.verify_rebuild_equivalence().unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(
+            lens[0], lens[1],
+            "segment file length depends on the vocabulary"
+        );
     }
 
     #[test]

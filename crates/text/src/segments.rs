@@ -154,11 +154,7 @@ impl Segment {
         let mut hi = 0;
         let mut any = false;
         let mut h = Fnv1a::new();
-        for t in 0..index.num_terms() as TermId {
-            let postings = index.postings(t);
-            if postings.is_empty() {
-                continue;
-            }
+        for (t, postings) in index.lists() {
             h.write_u32(t);
             h.write_u64(postings.len() as u64);
             for p in postings {
@@ -180,8 +176,8 @@ impl Segment {
             };
         }
         let mut words = vec![0u64; ((hi - lo) as usize + 1).div_ceil(64)];
-        for t in 0..index.num_terms() as TermId {
-            for p in index.postings(t) {
+        for (_, postings) in index.lists() {
+            for p in postings {
                 let bit = (p.doc - lo) as usize;
                 words[bit / 64] |= 1u64 << (bit % 64);
             }
@@ -510,8 +506,9 @@ impl SegmentedIndex {
     /// (0 after that segment has been compacted).
     fn dead_docs_in(&self, i: usize) -> usize {
         let index = &self.segments[i].index;
-        let mut dead: Vec<DocId> = (0..index.num_terms() as TermId)
-            .flat_map(|t| index.postings(t).iter().map(|p| p.doc))
+        let mut dead: Vec<DocId> = index
+            .lists()
+            .flat_map(|(_, list)| list.iter().map(|p| p.doc))
             .filter(|&d| self.deleted.contains(d))
             .collect();
         dead.sort_unstable();
@@ -520,21 +517,46 @@ impl SegmentedIndex {
     }
 
     /// Merges the posting lists of `self.segments[indices]` into one
-    /// segment (with the given fresh id), dropping tombstoned docs.
+    /// segment (with the given fresh id), dropping tombstoned docs. Walks
+    /// only the union of the sources' present terms (a k-way merge of
+    /// their sorted term arrays); a term whose postings are all
+    /// tombstoned gets no list.
     fn merge_segments(&self, id: u64, indices: &[usize]) -> Segment {
-        let num_terms = self.corpus.num_terms();
-        let mut lists: Vec<Vec<Posting>> = Vec::with_capacity(num_terms);
-        for t in 0..num_terms as TermId {
-            let mut merged: Vec<Posting> = indices
-                .iter()
-                .flat_map(|&i| self.segments[i].index.postings(t))
-                .filter(|p| !self.deleted.contains(p.doc))
-                .copied()
-                .collect();
+        let mut sources: Vec<_> = indices
+            .iter()
+            .map(|&i| self.segments[i].index.lists().peekable())
+            .collect();
+        let mut lists: Vec<(TermId, Vec<Posting>)> = Vec::new();
+        let mut parts: Vec<&[Posting]> = Vec::with_capacity(sources.len());
+        while let Some(t) = sources
+            .iter_mut()
+            .filter_map(|s| s.peek().map(|&(t, _)| t))
+            .min()
+        {
+            parts.clear();
+            parts.extend(
+                sources
+                    .iter_mut()
+                    .filter_map(|s| s.next_if(|&(u, _)| u == t).map(|(_, list)| list)),
+            );
+            let mut merged: Vec<Posting> = Vec::with_capacity(parts.iter().map(|l| l.len()).sum());
+            merged.extend(
+                parts
+                    .iter()
+                    .flat_map(|l| l.iter())
+                    .filter(|p| !self.deleted.contains(p.doc)),
+            );
+            if merged.is_empty() {
+                continue;
+            }
+            merged.shrink_to_fit();
             merged.sort_unstable_by(InvertedIndex::posting_order);
-            lists.push(merged);
+            lists.push((t, merged));
         }
-        Segment::new(id, InvertedIndex::from_sorted_lists(lists))
+        Segment::new(
+            id,
+            InvertedIndex::from_sorted_lists(self.corpus.num_terms(), lists),
+        )
     }
 
     /// One incremental posting-list scan per segment for a single keyword
@@ -663,30 +685,52 @@ impl SegmentedIndex {
         InvertedIndex::build_where(&self.corpus, |d| !self.deleted.contains(d))
     }
 
-    /// Verifies the core invariant directly on the data: the tombstone-
-    /// filtered merge of all segment posting lists must equal the rebuilt
-    /// index's lists, doc for doc and bit for bit — and the incremental
-    /// weight table must match a from-scratch [`doc_weights`]. Returns a
-    /// description of the first discrepancy, if any.
+    /// Verifies the core invariant directly on the data: every stored
+    /// list is non-empty, the tombstone-filtered merge of all segment
+    /// posting lists must equal the rebuilt index's lists — the same
+    /// terms, doc for doc and bit for bit — and the incremental weight
+    /// table must match a from-scratch [`doc_weights`]. Returns a
+    /// description of the first discrepancy, naming its term, if any.
     pub fn verify_rebuild_equivalence(&self) -> Result<(), String> {
+        for segment in &self.segments {
+            if let Some((t, _)) = segment.index.lists().find(|(_, list)| list.is_empty()) {
+                return Err(format!(
+                    "term {t}: segment {} stores an empty list",
+                    segment.id
+                ));
+            }
+        }
         let rebuilt = self.rebuilt_index();
         let all: Vec<usize> = (0..self.segments.len()).collect();
         let merged = self.merge_segments(self.next_segment_id, &all);
-        for t in 0..self.corpus.num_terms() as TermId {
-            let a = merged.index.postings(t);
-            let b = rebuilt.postings(t);
-            if a.len() != b.len() {
+        let (mut a, mut b) = (merged.index.lists(), rebuilt.lists());
+        loop {
+            let (t, x, y) = match (a.next(), b.next()) {
+                (None, None) => break,
+                (Some((t, x)), Some((u, y))) if t == u => (t, x, y),
+                (x, y) => {
+                    // The smaller term is the one the other side lacks.
+                    let first = |side: Option<(TermId, _)>| side.map_or(TermId::MAX, |(t, _)| t);
+                    let (t, u) = (first(x), first(y));
+                    return Err(if t < u {
+                        format!("term {t}: in the merged view, not in the rebuild")
+                    } else {
+                        format!("term {u}: in the rebuild, not in the merged view")
+                    });
+                }
+            };
+            if x.len() != y.len() {
                 return Err(format!(
                     "term {t}: merged view has {} postings, rebuild has {}",
-                    a.len(),
-                    b.len()
+                    x.len(),
+                    y.len()
                 ));
             }
-            for (x, y) in a.iter().zip(b) {
-                if x.doc != y.doc || x.partial.to_bits() != y.partial.to_bits() {
+            for (p, q) in x.iter().zip(y) {
+                if p.doc != q.doc || p.partial.to_bits() != q.partial.to_bits() {
                     return Err(format!(
                         "term {t}: merged ({}, {}) vs rebuilt ({}, {})",
-                        x.doc, x.partial, y.doc, y.partial
+                        p.doc, p.partial, q.doc, q.partial
                     ));
                 }
             }
@@ -927,6 +971,76 @@ mod tests {
         assert_eq!(seg.corpus().doc(id).tf(solar), 1);
         assert_eq!(seg.corpus().doc(id).len, 1);
         seg.verify_rebuild_equivalence().unwrap();
+    }
+
+    #[test]
+    fn segment_fingerprints_do_not_depend_on_the_list_layout() {
+        // Recorded on the dense layout (one list per vocabulary term): the
+        // fingerprint hashes the non-empty lists in term order, so storing
+        // only those must not move it — nor the snapshot files keyed by it.
+        let mut b = Corpus::builder();
+        b.add_text("d0", "apple apple orchard");
+        b.add_text("d1", "apple pie");
+        b.add_text("d2", "orchard walk trees");
+        b.add_text("d3", "completely different");
+        let mut seg = SegmentedIndex::build_partitioned(b.build(), 2);
+        let apple = seg.corpus().term_id("apple").unwrap();
+        seg.add_docs(vec![Document::from_tokens("n".into(), vec![apple, apple])]);
+        let fingerprints: Vec<u64> = seg.segments().iter().map(|s| s.fingerprint()).collect();
+        assert_eq!(
+            fingerprints,
+            [
+                0x217a_38d3_e90f_bcc9,
+                0xa76e_d072_8e01_5bad,
+                0xe108_5f90_39ee_46c7
+            ]
+        );
+    }
+
+    #[test]
+    fn rebuild_check_names_the_term_of_a_list_mismatch() {
+        let mut b = Corpus::builder();
+        b.add_text("d0", "apple pie");
+        b.add_text("d1", "zebra crossing");
+        let corpus = b.build();
+        let zebra = corpus.term_id("zebra").unwrap();
+        let weights: ChunkedVec<f64> = doc_weights(&corpus).into_iter().collect();
+        let layout = |index: InvertedIndex| {
+            SegmentedIndex::from_parts(
+                Arc::new(corpus.clone()),
+                weights.clone(),
+                vec![Arc::new(Segment::new(0, index))],
+                Tombstones::default(),
+                0,
+                1,
+            )
+        };
+        // d1's postings never made it into a segment: its terms are in
+        // the rebuild only.
+        let err = layout(InvertedIndex::build_range(&corpus, 0..1))
+            .verify_rebuild_equivalence()
+            .unwrap_err();
+        assert!(
+            err.contains("in the rebuild, not in the merged view"),
+            "{err}"
+        );
+        // A stored empty list is named by its term.
+        let mut lists: Vec<(TermId, Vec<Posting>)> = InvertedIndex::build(&corpus)
+            .lists()
+            .map(|(t, l)| (t, l.to_vec()))
+            .collect();
+        for (t, list) in &mut lists {
+            if *t == zebra {
+                list.clear();
+            }
+        }
+        let err = layout(InvertedIndex::from_sorted_lists(corpus.num_terms(), lists))
+            .verify_rebuild_equivalence()
+            .unwrap_err();
+        assert_eq!(err, format!("term {zebra}: segment 0 stores an empty list"));
+        layout(InvertedIndex::build(&corpus))
+            .verify_rebuild_equivalence()
+            .unwrap();
     }
 
     #[test]
