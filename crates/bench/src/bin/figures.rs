@@ -613,7 +613,12 @@ fn frontier(_ds: &mut Datasets, ctx: &Ctx) {
             .with_limits(limits.clone())
             .with_bound_decay(ctx.decay);
         let direct = if terms == 1 {
-            DivTopK::new(ScanSource::new(&index, query.terms[0]), similar, config).run()
+            DivTopK::new(
+                ScanSource::new(&corpus, &index, query.terms[0]),
+                similar,
+                config,
+            )
+            .run()
         } else {
             DivTopK::new(
                 TaSource::new(&corpus, &index, &query.terms),

@@ -363,6 +363,13 @@ impl Server {
         &self.shared.metrics
     }
 
+    /// The admission gate searches pass (module docs): its `running` and
+    /// `waiting` are the search load right now. A permit taken here
+    /// holds a search slot exactly as a search does.
+    pub fn gate(&self) -> &Gate {
+        &self.shared.gate
+    }
+
     /// Graceful shutdown: stop admitting, unblock every connection's
     /// read, join all threads. Searches already in the gate — executing
     /// or waiting their turn — finish; clients see their connections

@@ -1,10 +1,17 @@
 //! The inverted index: per-term posting lists sorted by score contribution.
 //!
-//! Each posting stores the document and its *partial score*
-//! `tf · idf / sqrt(len)` for that term, so a list scan enumerates
-//! documents in non-increasing order of their single-term score (the
-//! incremental source of §8's reuters setup) and the threshold algorithm's
-//! sorted accesses are exactly list positions (the enwiki setup).
+//! A posting is `(doc, tf)`, 8 bytes. Its *partial score*, the term's
+//! contribution to Eq. 3, is not stored: with IDF frozen for each
+//! statistics epoch it is a pure function of `tf`, the term's IDF and the
+//! document's length, and [`partial`] computes it wherever it is read — a
+//! scan's pull, the threshold algorithm's threshold, the sort of a build
+//! or a merge, the snapshot loader's order check, the segment
+//! fingerprint. One function, so all of them agree to the bit. Every list
+//! is in `(partial desc, doc asc)` order under it, so a list scan
+//! enumerates documents in non-increasing order of their single-term
+//! score (the incremental source of §8's reuters setup) and the threshold
+//! algorithm's sorted accesses are exactly list positions (the enwiki
+//! setup).
 //!
 //! An index is **sparse in the vocabulary**: it stores one list per term
 //! it actually holds — a sorted `terms` array beside one exact-capacity,
@@ -19,16 +26,76 @@
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
+use std::cmp::Ordering;
 
-/// One inverted-list entry.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One inverted-list entry. The partial score is computed, not stored:
+/// see [`Posting::partial`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// The document.
     pub doc: DocId,
     /// Term frequency of the list's term in `doc`.
     pub tf: u32,
-    /// `tf · idf / sqrt(len(doc))` — this term's contribution to Eq. 3.
-    pub partial: f64,
+}
+
+impl Posting {
+    /// `tf · idf · (1/√len(doc))` — this posting's contribution to Eq. 3,
+    /// for the list whose term has weight `idf`.
+    pub fn partial(&self, corpus: &Corpus, idf: f64) -> f64 {
+        partial(self.tf, idf, inv_sqrt_len(corpus.doc(self.doc).len))
+    }
+}
+
+/// `1/√len`: Eq. 3's length normalisation, the factor a build and a load
+/// tabulate once per document.
+pub fn inv_sqrt_len(len: u32) -> f64 {
+    1.0 / (len as f64).sqrt()
+}
+
+/// The partial score of a posting, `tf · idf · (1/√len)`, multiplied left
+/// to right. Builds, merges, the loader, scans, the threshold algorithm
+/// and the segment fingerprint all compute it here, so a partial has one
+/// value wherever it is read. (It may differ from
+/// [`crate::tfidf::partial_score`]'s `tf · idf / √len` in the last ulp.)
+pub fn partial(tf: u32, idf: f64, inv_sqrt_len: f64) -> f64 {
+    tf as f64 * idf * inv_sqrt_len
+}
+
+/// A posting beside its computed partial score: what a build or a merge
+/// sorts, and what it hands each finished list to its caller as.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Keyed {
+    pub(crate) partial: f64,
+    pub(crate) posting: Posting,
+}
+
+/// `(partial desc, doc asc)` — the one posting order of every list.
+pub(crate) fn posting_order(a: &Keyed, b: &Keyed) -> Ordering {
+    b.partial
+        .partial_cmp(&a.partial)
+        .expect("partial scores are finite")
+        .then(a.posting.doc.cmp(&b.posting.doc))
+}
+
+/// Sorts `list` into the posting order under `partial_of`, through the
+/// reusable `scratch`, and hands the sorted keyed list to `sink`.
+fn sort_list(
+    term: TermId,
+    list: &mut [Posting],
+    scratch: &mut Vec<Keyed>,
+    partial_of: impl Fn(&Posting) -> f64,
+    sink: &mut impl FnMut(TermId, &[Keyed]),
+) {
+    scratch.clear();
+    scratch.extend(list.iter().map(|&posting| Keyed {
+        partial: partial_of(&posting),
+        posting,
+    }));
+    scratch.sort_unstable_by(posting_order);
+    for (slot, keyed) in list.iter_mut().zip(scratch.iter()) {
+        *slot = keyed.posting;
+    }
+    sink(term, scratch);
 }
 
 /// Inverted index over a corpus (see the module docs for the layout).
@@ -43,7 +110,7 @@ pub struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    /// Builds the index; each list is sorted by `partial` descending
+    /// Builds the index; each list is sorted by partial score descending
     /// (ties: ascending doc id, so ordering is deterministic — repeated
     /// builds and scans yield identical posting sequences).
     pub fn build(corpus: &Corpus) -> InvertedIndex {
@@ -64,6 +131,7 @@ impl InvertedIndex {
         InvertedIndex::build_from_ids(
             corpus,
             (0..corpus.num_docs() as DocId).filter(move |&d| keep(d)),
+            |_, _| {},
         )
     }
 
@@ -78,15 +146,25 @@ impl InvertedIndex {
             range.end as usize <= corpus.num_docs(),
             "doc range {range:?} outside corpus"
         );
-        InvertedIndex::build_from_ids(corpus, range)
+        InvertedIndex::build_from_ids(corpus, range, |_, _| {})
     }
 
-    /// O(postings + V/64): a vocabulary bitset marks the present terms,
-    /// a per-word rank turns a term into its list slot in O(1), then each
-    /// list is counted, allocated once at its exact size, filled in doc
-    /// order and sorted. The bitset and the rank are the only structures
-    /// sized by the vocabulary.
-    fn build_from_ids(corpus: &Corpus, ids: impl Iterator<Item = DocId> + Clone) -> InvertedIndex {
+    /// Builds the index over `ids` (strictly increasing) and hands each
+    /// sorted list, with its partials, to `sink` in term order.
+    ///
+    /// O(postings + V/64 + span): a vocabulary bitset marks the present
+    /// terms, a per-word rank turns a term into its list slot in O(1), then
+    /// each list is counted, allocated once at its exact size, filled in
+    /// doc order and sorted. The bitset and the rank are the only
+    /// structures sized by the vocabulary; the `1/√len` table the sort
+    /// reads is sized by the id span, so a batch at the top of a large
+    /// corpus costs the batch.
+    pub(crate) fn build_from_ids(
+        corpus: &Corpus,
+        ids: impl Iterator<Item = DocId> + Clone,
+        mut sink: impl FnMut(TermId, &[Keyed]),
+    ) -> InvertedIndex {
+        let first = ids.clone().next().unwrap_or(0);
         let docs = || {
             ids.clone()
                 .map(|d| (d, corpus.doc(d)))
@@ -119,19 +197,78 @@ impl InvertedIndex {
             }
         }
         let mut lists: Vec<Vec<Posting>> = counts.into_iter().map(Vec::with_capacity).collect();
+        // `inv_len[d − first]` is `1/√len(d)`; ids the build skips read 0.
+        let mut inv_len: Vec<f64> = Vec::new();
         for (doc_id, doc) in docs() {
-            let inv_sqrt_len = 1.0 / (doc.len as f64).sqrt();
+            inv_len.resize((doc_id - first) as usize, 0.0);
+            inv_len.push(inv_sqrt_len(doc.len));
             for &(t, tf) in &doc.terms {
-                let partial = tf as f64 * corpus.idf(t) * inv_sqrt_len;
-                lists[slot(t)].push(Posting {
-                    doc: doc_id,
-                    tf,
-                    partial,
-                });
+                lists[slot(t)].push(Posting { doc: doc_id, tf });
             }
         }
-        for list in &mut lists {
-            list.sort_by(posting_order);
+        let mut scratch = Vec::new();
+        for (&t, list) in terms.iter().zip(&mut lists) {
+            let idf = corpus.idf(t);
+            sort_list(
+                t,
+                list,
+                &mut scratch,
+                |p| partial(p.tf, idf, inv_len[(p.doc - first) as usize]),
+                &mut sink,
+            );
+        }
+        InvertedIndex {
+            num_terms: corpus.num_terms(),
+            terms,
+            lists,
+        }
+    }
+
+    /// Merges the lists of `parts` term by term, dropping the postings
+    /// `keep` rejects, and hands each sorted list, with its partials, to
+    /// `sink` in term order — compaction's primitive. Walks only the union
+    /// of the parts' present terms (a k-way merge of their sorted term
+    /// arrays); a term whose postings are all dropped gets no list. The
+    /// merged lists are re-sorted on computed partials, which equal the
+    /// bits a build computes, so a merge of segments is the build over
+    /// their surviving documents.
+    pub(crate) fn merge<'a>(
+        corpus: &Corpus,
+        parts: impl IntoIterator<Item = &'a InvertedIndex>,
+        keep: impl Fn(DocId) -> bool,
+        mut sink: impl FnMut(TermId, &[Keyed]),
+    ) -> InvertedIndex {
+        let mut sources: Vec<_> = parts.into_iter().map(|p| p.lists().peekable()).collect();
+        let (mut terms, mut lists) = (Vec::new(), Vec::new());
+        let mut held: Vec<&[Posting]> = Vec::with_capacity(sources.len());
+        let mut scratch = Vec::new();
+        while let Some(t) = sources
+            .iter_mut()
+            .filter_map(|s| s.peek().map(|&(t, _)| t))
+            .min()
+        {
+            held.clear();
+            held.extend(
+                sources
+                    .iter_mut()
+                    .filter_map(|s| s.next_if(|&(u, _)| u == t).map(|(_, list)| list)),
+            );
+            let mut merged: Vec<Posting> = Vec::with_capacity(held.iter().map(|l| l.len()).sum());
+            merged.extend(held.iter().flat_map(|l| l.iter()).filter(|p| keep(p.doc)));
+            if merged.is_empty() {
+                continue;
+            }
+            merged.shrink_to_fit();
+            let idf = corpus.idf(t);
+            sort_list(
+                t,
+                &mut merged,
+                &mut scratch,
+                |p| p.partial(corpus, idf),
+                &mut sink,
+            );
+            terms.push(t);
+            lists.push(merged);
         }
         InvertedIndex {
             num_terms: corpus.num_terms(),
@@ -143,11 +280,10 @@ impl InvertedIndex {
     /// Assembles an index over a vocabulary of `num_terms` terms directly
     /// from `(term, list)` pairs in increasing term order, each list
     /// non-empty and already in `(partial desc, doc asc)` order — the
-    /// compaction and load primitive: merging segment lists
-    /// posting-by-posting preserves the stored `partial` bits exactly,
-    /// where a rescore could only *equal* them. Debug builds verify the
-    /// orders and the term range; the snapshot decoder checks every
-    /// invariant on untrusted bytes before calling this, and
+    /// load primitive. Debug builds verify the term order and range. The
+    /// posting order needs the partials, so the caller checks it: the
+    /// snapshot decoder checks every invariant on untrusted bytes, the
+    /// posting order included, before calling this, and
     /// [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
     /// reports an empty list.
     pub(crate) fn from_sorted_lists(
@@ -157,21 +293,11 @@ impl InvertedIndex {
         let (terms, lists): (Vec<TermId>, Vec<Vec<Posting>>) = pairs.into_iter().unzip();
         debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
-        debug_assert!(lists.iter().all(|list| {
-            list.windows(2)
-                .all(|w| posting_order(&w[0], &w[1]) != std::cmp::Ordering::Greater)
-        }));
         InvertedIndex {
             num_terms,
             terms,
             lists,
         }
-    }
-
-    /// The posting-list total order every build and merge in this crate
-    /// uses: partial score descending, ties by ascending doc id.
-    pub fn posting_order(a: &Posting, b: &Posting) -> std::cmp::Ordering {
-        posting_order(a, b)
     }
 
     /// The posting list for `term` (sorted by partial score, descending);
@@ -204,15 +330,6 @@ impl InvertedIndex {
     }
 }
 
-/// `(partial desc, doc asc)` — the one true posting order (see
-/// [`InvertedIndex::posting_order`]).
-fn posting_order(a: &Posting, b: &Posting) -> std::cmp::Ordering {
-    b.partial
-        .partial_cmp(&a.partial)
-        .expect("partial scores are finite")
-        .then(a.doc.cmp(&b.doc))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,13 +356,19 @@ mod tests {
     }
 
     #[test]
+    fn a_posting_is_a_doc_and_a_tf() {
+        assert_eq!(std::mem::size_of::<Posting>(), 8);
+    }
+
+    #[test]
     fn lists_are_sorted_by_partial_desc() {
         let c = corpus();
         let idx = InvertedIndex::build(&c);
         for t in 0..c.num_terms() as TermId {
             let list = idx.postings(t);
             assert!(
-                list.windows(2).all(|w| w[0].partial >= w[1].partial),
+                list.windows(2)
+                    .all(|w| w[0].partial(&c, c.idf(t)) >= w[1].partial(&c, c.idf(t))),
                 "list for {t} unsorted"
             );
         }
@@ -258,7 +381,7 @@ mod tests {
         for t in 0..c.num_terms() as TermId {
             for p in idx.postings(t) {
                 let want = tfidf::partial_score(&c, t, p.doc);
-                assert!((p.partial - want).abs() < 1e-12);
+                assert!((p.partial(&c, c.idf(t)) - want).abs() < 1e-12);
             }
         }
     }
@@ -294,13 +417,12 @@ mod tests {
             for t in 0..c.num_terms() as TermId {
                 // Partition: every posting lands in exactly one shard, and
                 // each shard list preserves the full list's relative order
-                // (same comparator on a subset of a total order).
+                // (same comparator on a subset of a total order). Equal
+                // `(doc, tf)` under the same statistics is an equal partial.
                 let mut cursors = vec![0usize; shards];
                 for p in full.postings(t) {
                     let s = p.doc as usize % shards;
-                    let got = parts[s].postings(t)[cursors[s]];
-                    assert_eq!(got.doc, p.doc);
-                    assert_eq!(got.partial.to_bits(), p.partial.to_bits());
+                    assert_eq!(parts[s].postings(t)[cursors[s]], *p);
                     cursors[s] += 1;
                 }
                 for (s, part) in parts.iter().enumerate() {
@@ -323,12 +445,7 @@ mod tests {
             for t in 0..c.num_terms() as TermId {
                 let a = ranged.postings(t);
                 let b = filtered.postings(t);
-                assert_eq!(a.len(), b.len(), "term {t} range {start}..{end}");
-                for (x, y) in a.iter().zip(b) {
-                    assert_eq!(x.doc, y.doc);
-                    assert_eq!(x.tf, y.tf);
-                    assert_eq!(x.partial.to_bits(), y.partial.to_bits());
-                }
+                assert_eq!(a, b, "term {t} range {start}..{end}");
             }
         }
     }

@@ -79,7 +79,7 @@
 use crate::chunked::{CHUNK, ChunkedVec, Fnv1a};
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
-use crate::index::{InvertedIndex, Posting};
+use crate::index::{self, InvertedIndex, Keyed, Posting};
 use crate::segments::{Segment, SegmentedIndex, Tombstones};
 use crate::vocab::Vocabulary;
 use std::fmt;
@@ -853,7 +853,7 @@ fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
     buf
 }
 
-/// Decodes one segment posting payload, recomputing each partial score
+/// Decodes one segment posting payload, computing each partial score
 /// bit-exactly from the epoch IDF table and the per-document
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
@@ -862,7 +862,8 @@ fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
 /// `Segment::fingerprint` would not cover it), doc ids in range, non-zero
 /// term frequencies, plausible partials, and the one true
 /// `(partial desc, doc asc)` order — forged CRC-valid bytes still fail
-/// typed.
+/// typed. The index keeps `(doc, tf)` only: the partials are checked,
+/// then dropped.
 fn read_segment_index(
     mut r: ByteReader<'_>,
     idf: &[f64],
@@ -897,6 +898,7 @@ fn read_segment_index(
             });
         }
         let mut list: Vec<Posting> = Vec::with_capacity(n);
+        let mut prev: Option<Keyed> = None;
         let raw = r.take(n * 8)?;
         for entry in raw.chunks_exact(8) {
             let doc = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
@@ -914,11 +916,11 @@ fn read_segment_index(
                     context: "zero term frequency in a posting",
                 });
             }
-            // The §7 build expression, association order and all — the
-            // recomputed bits equal the bits the saver held. Both
-            // factors were range-checked on load (IDF by `read_stats`,
-            // doc lengths by `read_docs`), so the product is finite.
-            let partial = tf as f64 * term_idf * inv_len[doc as usize];
+            // The build's own expression — the bits the saver sorted on.
+            // Both factors were range-checked on load (IDF by
+            // `read_stats`, doc lengths by `read_docs`), so the product
+            // is finite.
+            let partial = index::partial(tf, term_idf, inv_len[doc as usize]);
             if !(0.0..=MAX_STORED_VALUE).contains(&partial) {
                 // The plausibility cap of every stored score-feeding
                 // value: an absurd tf × a near-cap IDF can still
@@ -927,16 +929,18 @@ fn read_segment_index(
                     context: "posting partial score outside the plausible range",
                 });
             }
-            let posting = Posting { doc, tf, partial };
-            if list
-                .last()
-                .is_some_and(|prev| InvertedIndex::posting_order(prev, &posting).is_gt())
-            {
+            let keyed = Keyed {
+                partial,
+                posting: Posting { doc, tf },
+            };
+            if prev.is_some_and(|prev| index::posting_order(&prev, &keyed).is_gt()) {
                 return Err(SnapshotError::Malformed {
                     context: "posting list not in (partial desc, doc asc) order",
                 });
             }
-            list.push(posting);
+            // Validated, the partial is dropped: readers recompute it.
+            list.push(keyed.posting);
+            prev = Some(keyed);
         }
         lists.push((term, list));
     }
@@ -1552,17 +1556,16 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let weights = ChunkedVec::from_chunks(weight_parts).ok_or_else(invariant)?;
     let corpus = Corpus::from_parts(vocab, docs, doc_freq, idf);
     let num_docs = corpus.num_docs();
-    // Per-doc `1/sqrt(len)` factors, precomputed once so every segment's
-    // partial-score recompute is a multiply — bit-identical to
-    // `InvertedIndex::build_from_ids`, which uses the same
-    // multiply-by-reciprocal expression.
+    // Per-doc `1/sqrt(len)` factors, tabulated once so every segment's
+    // partial-score check is a multiply, through the build's own
+    // `index::inv_sqrt_len`.
     let inv_len: Vec<f64> = corpus
         .docs()
         .map(|d| {
             if d.len == 0 {
                 0.0
             } else {
-                1.0 / (d.len as f64).sqrt()
+                index::inv_sqrt_len(d.len)
             }
         })
         .collect();
@@ -1734,17 +1737,7 @@ mod tests {
         // product leaves the plausible range must be stopped at decode,
         // not at query time.
         for (tf, idf) in [(1, -1.0), (u32::MAX, MAX_STORED_VALUE)] {
-            let index = InvertedIndex::from_sorted_lists(
-                1,
-                [(
-                    0,
-                    vec![Posting {
-                        doc: 0,
-                        tf,
-                        partial: 0.0,
-                    }],
-                )],
-            );
+            let index = InvertedIndex::from_sorted_lists(1, [(0, vec![Posting { doc: 0, tf }])]);
             let payload = segment_postings_payload(&index);
             let reader = ByteReader::new(&payload, "segment index section");
             match read_segment_index(reader, &[idf], &[1.0]) {
@@ -1875,8 +1868,8 @@ mod tests {
         // soundness proof rests on; a snapshot whose segments share a
         // document must not load.
         let corpus = generate(&SynthConfig::tiny());
-        let seg_a = Segment::new(0, InvertedIndex::build_range(&corpus, 0..40));
-        let seg_b = Segment::new(1, InvertedIndex::build_range(&corpus, 30..80));
+        let seg_a = Segment::build(0, &corpus, 0..40);
+        let seg_b = Segment::build(1, &corpus, 30..80);
         let weights = crate::search::doc_weights(&corpus).into_iter().collect();
         let overlapping = SegmentedIndex::from_parts(
             Arc::new(corpus),

@@ -6,20 +6,33 @@
 //! precisely the incremental top-k framework (Algorithm 1): the unseen
 //! bound is the score of the last emitted result.
 
+use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use crate::index::{InvertedIndex, Posting};
 use divtopk_core::{ResultSource, Score, Scored, UnseenBound};
 
 /// Incremental scan of one posting list.
 pub struct ScanSource<'a> {
+    corpus: &'a Corpus,
+    /// The list's term weight, read once: a pull computes its posting's
+    /// partial score from it ([`Posting::partial`]).
+    idf: f64,
     postings: std::slice::Iter<'a, Posting>,
     last: Option<Score>,
 }
 
 impl<'a> ScanSource<'a> {
-    /// Creates a scan source for a single-keyword query.
-    pub fn new(index: &'a InvertedIndex, term: TermId) -> ScanSource<'a> {
+    /// Creates a scan source for a single-keyword query over `index`,
+    /// whose statistics are `corpus`'s.
+    pub fn new(corpus: &'a Corpus, index: &'a InvertedIndex, term: TermId) -> ScanSource<'a> {
         ScanSource {
+            corpus,
+            // A term outside the vocabulary has no postings to weigh.
+            idf: corpus
+                .idf_table()
+                .get(term as usize)
+                .copied()
+                .unwrap_or(0.0),
             postings: index.postings(term).iter(),
             last: None,
         }
@@ -31,7 +44,7 @@ impl ResultSource for ScanSource<'_> {
 
     fn next_result(&mut self) -> Option<Scored<DocId>> {
         let p = self.postings.next()?;
-        let score = Score::new(p.partial);
+        let score = Score::new(p.partial(self.corpus, self.idf));
         self.last = Some(score);
         Some(Scored::new(p.doc, score))
     }
@@ -73,7 +86,7 @@ mod tests {
         let c = corpus();
         let idx = InvertedIndex::build(&c);
         let wheat = c.term_id("wheat").unwrap();
-        let mut src = ScanSource::new(&idx, wheat);
+        let mut src = ScanSource::new(&c, &idx, wheat);
         let mut scores = Vec::new();
         while let Some(r) = src.next_result() {
             let want = tfidf::score(&c, &[wheat], r.item);
@@ -89,7 +102,7 @@ mod tests {
         let c = corpus();
         let idx = InvertedIndex::build(&c);
         let prices = c.term_id("prices").unwrap();
-        let mut src = ScanSource::new(&idx, prices);
+        let mut src = ScanSource::new(&c, &idx, prices);
         assert_eq!(src.unseen_bound(), UnseenBound::Unbounded);
         let first = src.next_result().unwrap();
         assert_eq!(src.unseen_bound(), UnseenBound::At(first.score));
@@ -100,7 +113,7 @@ mod tests {
         let c = corpus();
         let idx = InvertedIndex::build(&c);
         let stable = c.term_id("stable").unwrap();
-        let mut src = ScanSource::new(&idx, stable);
+        let mut src = ScanSource::new(&c, &idx, stable);
         assert!(src.next_result().is_some()); // d3 contains it once
         assert!(src.next_result().is_none());
     }

@@ -288,7 +288,7 @@ impl<'a> DiversifiedSearcher<'a> {
     ) -> Result<SearchOutput, SearchError> {
         options.validate()?;
         validate_terms(&[term], self.index)?;
-        let source = ScanSource::new(self.index, term);
+        let source = ScanSource::new(self.corpus, self.index, term);
         search_with_source(self.corpus, &self.doc_weights, source, options)
     }
 }

@@ -13,16 +13,16 @@
 //!   segments are never touched;
 //! * [`SegmentedIndex::compact`] merges the smallest size tier of segments
 //!   into one, dropping tombstoned postings, by **merging the stored
-//!   posting lists** (never rescoring — the merged segment's partials are
-//!   the original bits).
+//!   posting lists** and re-sorting them on the partials
+//!   [`crate::index::partial`] computes — the bits a build computes.
 //!
 //! ## Why the result is exactly a rebuild
 //!
 //! Scoring statistics (vocabulary, df, IDF) are **frozen at the epoch the
 //! base corpus was built** ([`Corpus::append_frozen`]): every posting in
-//! every segment carries the same global IDF and length normalization a
-//! from-scratch [`InvertedIndex::build_where`] over the surviving
-//! documents would compute, and every list is sorted by the same total
+//! every segment scores with the same global IDF and length normalization
+//! a from-scratch [`InvertedIndex::build_where`] over the surviving
+//! documents would use, and every list is sorted by the same total
 //! order `(partial desc, doc asc)`. Segment lists are therefore disjoint
 //! sorted subsequences of the rebuilt lists, so a k-way merge with the
 //! same tie-break, minus tombstones, reproduces the rebuilt lists *item
@@ -43,7 +43,7 @@
 use crate::chunked::{ChunkedVec, Fnv1a};
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
-use crate::index::{InvertedIndex, Posting};
+use crate::index::{InvertedIndex, Keyed};
 use crate::jaccard::total_weight;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
@@ -134,40 +134,59 @@ pub struct Segment {
     /// Distinct documents with at least one posting in this segment —
     /// the segment's size for the tiered compaction policy.
     doc_count: usize,
-    /// FNV-1a over the full posting content — the incremental snapshot
+    /// FNV-1a over the full posting content, partial-score bits included
+    /// ([`hash_list`]) — the incremental snapshot
     /// layer's guard against reusing a stale on-disk segment file whose
     /// id happens to collide (e.g. across diverged lineages saved into
     /// the same directory).
     fingerprint: u64,
 }
 
+/// Feeds one sorted list into a segment fingerprint: the term, the
+/// length, then each posting's doc, tf and partial-score bits. The
+/// fingerprint's definition; a build or merge calls it with the partials
+/// it sorted on, so fingerprinting costs no second pass over the
+/// postings.
+fn hash_list(h: &mut Fnv1a, term: TermId, list: &[Keyed]) {
+    h.write_u32(term);
+    h.write_u64(list.len() as u64);
+    for k in list {
+        h.write_u32(k.posting.doc);
+        h.write_u32(k.posting.tf);
+        h.write_u64(k.partial.to_bits());
+    }
+}
+
 impl Segment {
-    pub(crate) fn new(id: u64, index: InvertedIndex) -> Segment {
+    /// A segment over the documents `ids` (strictly increasing) of
+    /// `corpus`, fingerprinted from the partials the build sorts on.
+    pub(crate) fn build(
+        id: u64,
+        corpus: &Corpus,
+        ids: impl Iterator<Item = DocId> + Clone,
+    ) -> Segment {
+        let mut h = Fnv1a::new();
+        let index =
+            InvertedIndex::build_from_ids(corpus, ids, |t, list| hash_list(&mut h, t, list));
+        Segment::new(id, index, h.finish())
+    }
+
+    fn new(id: u64, index: InvertedIndex, fingerprint: u64) -> Segment {
         // Count distinct docs via a bitset over the segment's own id
         // span: O(postings + span/64) instead of collect-sort-dedup —
-        // this runs on every add batch and on every segment of a
-        // snapshot load. The bitset is offset by the minimum doc id, so
-        // a small late batch on a huge corpus (ids all near the top of
-        // the global space) stays O(batch), not O(corpus). The content
-        // fingerprint rides along in the same pass.
+        // this runs on every add batch and every compaction. The bitset
+        // is offset by the minimum doc id, so a small late batch on a
+        // huge corpus (ids all near the top of the global space) stays
+        // O(batch), not O(corpus).
         let mut lo = DocId::MAX;
         let mut hi = 0;
-        let mut any = false;
-        let mut h = Fnv1a::new();
-        for (t, postings) in index.lists() {
-            h.write_u32(t);
-            h.write_u64(postings.len() as u64);
+        for (_, postings) in index.lists() {
             for p in postings {
                 lo = lo.min(p.doc);
                 hi = hi.max(p.doc);
-                any = true;
-                h.write_u32(p.doc);
-                h.write_u32(p.tf);
-                h.write_u64(p.partial.to_bits());
             }
         }
-        let fingerprint = h.finish();
-        if !any {
+        if lo > hi {
             return Segment {
                 id,
                 index,
@@ -278,10 +297,8 @@ impl SegmentedIndex {
         assert!(parts >= 1, "segment partition count must be at least 1");
         let segments = (0..parts)
             .map(|p| {
-                Arc::new(Segment::new(
-                    p as u64,
-                    InvertedIndex::build_where(&corpus, |d| d as usize % parts == p),
-                ))
+                let ids = (0..corpus.num_docs() as DocId).filter(move |&d| d as usize % parts == p);
+                Arc::new(Segment::build(p as u64, &corpus, ids))
             })
             .collect();
         let weights = doc_weights(&corpus).into_iter().collect();
@@ -412,7 +429,7 @@ impl SegmentedIndex {
             self.weights
                 .push(total_weight(corpus.idf_table(), corpus.doc(d)));
         }
-        let segment = Segment::new(id, InvertedIndex::build_range(corpus, range.clone()));
+        let segment = Segment::build(id, corpus, range.clone());
         self.segments.push(Arc::new(segment));
         range
     }
@@ -460,9 +477,10 @@ impl SegmentedIndex {
     /// Size-tiered compaction: finds the smallest tier
     /// (`⌊log2(doc_count)⌋`) holding at least two segments and merges all
     /// of that tier's segments into one, **purging tombstoned postings**.
-    /// The merge concatenates and re-sorts the stored posting lists under
-    /// the shared `(partial desc, doc asc)` order — partials keep their
-    /// exact bits, so rebuild equivalence is preserved by construction.
+    /// The merge concatenates the stored posting lists and re-sorts them
+    /// under the shared `(partial desc, doc asc)` order, on partials
+    /// computed by the build's own expression — so rebuild equivalence is
+    /// preserved by construction.
     ///
     /// When no tier holds two segments, a heavily-tombstoned *lone*
     /// segment (≥ 1/4 of its documents deleted) is rewritten in place
@@ -517,46 +535,17 @@ impl SegmentedIndex {
     }
 
     /// Merges the posting lists of `self.segments[indices]` into one
-    /// segment (with the given fresh id), dropping tombstoned docs. Walks
-    /// only the union of the sources' present terms (a k-way merge of
-    /// their sorted term arrays); a term whose postings are all
-    /// tombstoned gets no list.
+    /// segment (with the given fresh id), dropping tombstoned docs,
+    /// fingerprinted from the partials the merge sorts on.
     fn merge_segments(&self, id: u64, indices: &[usize]) -> Segment {
-        let mut sources: Vec<_> = indices
-            .iter()
-            .map(|&i| self.segments[i].index.lists().peekable())
-            .collect();
-        let mut lists: Vec<(TermId, Vec<Posting>)> = Vec::new();
-        let mut parts: Vec<&[Posting]> = Vec::with_capacity(sources.len());
-        while let Some(t) = sources
-            .iter_mut()
-            .filter_map(|s| s.peek().map(|&(t, _)| t))
-            .min()
-        {
-            parts.clear();
-            parts.extend(
-                sources
-                    .iter_mut()
-                    .filter_map(|s| s.next_if(|&(u, _)| u == t).map(|(_, list)| list)),
-            );
-            let mut merged: Vec<Posting> = Vec::with_capacity(parts.iter().map(|l| l.len()).sum());
-            merged.extend(
-                parts
-                    .iter()
-                    .flat_map(|l| l.iter())
-                    .filter(|p| !self.deleted.contains(p.doc)),
-            );
-            if merged.is_empty() {
-                continue;
-            }
-            merged.shrink_to_fit();
-            merged.sort_unstable_by(InvertedIndex::posting_order);
-            lists.push((t, merged));
-        }
-        Segment::new(
-            id,
-            InvertedIndex::from_sorted_lists(self.corpus.num_terms(), lists),
-        )
+        let mut h = Fnv1a::new();
+        let index = InvertedIndex::merge(
+            &self.corpus,
+            indices.iter().map(|&i| &self.segments[i].index),
+            |d| !self.deleted.contains(d),
+            |t, list| hash_list(&mut h, t, list),
+        );
+        Segment::new(id, index, h.finish())
     }
 
     /// One incremental posting-list scan per segment for a single keyword
@@ -564,7 +553,7 @@ impl SegmentedIndex {
     pub fn scan_sources(&self, term: TermId) -> Vec<ScanSource<'_>> {
         self.segments
             .iter()
-            .map(|s| ScanSource::new(&s.index, term))
+            .map(|s| ScanSource::new(&self.corpus, &s.index, term))
             .collect()
     }
 
@@ -726,13 +715,13 @@ impl SegmentedIndex {
                     y.len()
                 ));
             }
-            for (p, q) in x.iter().zip(y) {
-                if p.doc != q.doc || p.partial.to_bits() != q.partial.to_bits() {
-                    return Err(format!(
-                        "term {t}: merged ({}, {}) vs rebuilt ({}, {})",
-                        p.doc, p.partial, q.doc, q.partial
-                    ));
-                }
+            // Equal `(doc, tf)` under the frozen statistics is an equal
+            // partial, bit for bit.
+            if let Some((p, q)) = x.iter().zip(y).find(|(p, q)| p != q) {
+                return Err(format!(
+                    "term {t}: merged (doc {}, tf {}) vs rebuilt (doc {}, tf {})",
+                    p.doc, p.tf, q.doc, q.tf
+                ));
             }
         }
         let fresh = doc_weights(&self.corpus);
@@ -751,6 +740,7 @@ impl SegmentedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::Posting;
     use crate::search::DiversifiedSearcher;
     use crate::synth::{SynthConfig, generate};
 
@@ -1009,7 +999,8 @@ mod tests {
             SegmentedIndex::from_parts(
                 Arc::new(corpus.clone()),
                 weights.clone(),
-                vec![Arc::new(Segment::new(0, index))],
+                // The rebuild check reads no fingerprint.
+                vec![Arc::new(Segment::new(0, index, 0))],
                 Tombstones::default(),
                 0,
                 1,

@@ -54,6 +54,9 @@ pub struct TaSource<'a> {
     corpus: &'a Corpus,
     query: Vec<TermId>,
     lists: Vec<&'a [crate::index::Posting]>,
+    /// `idfs[j]` is the weight of `query[j]`, read once: the threshold
+    /// computes the partial at each cursor from it.
+    idfs: Vec<f64>,
     cursors: Vec<usize>,
     seen: HashSet<DocId>,
     /// Fully-scored documents discovered but not yet handed out; the top
@@ -74,8 +77,14 @@ impl<'a> TaSource<'a> {
         terms.sort_unstable();
         terms.dedup();
         let lists = terms.iter().map(|&t| index.postings(t)).collect::<Vec<_>>();
+        // A term outside the vocabulary has no postings to weigh.
+        let idfs = terms
+            .iter()
+            .map(|&t| corpus.idf_table().get(t as usize).copied().unwrap_or(0.0))
+            .collect();
         let mut source = TaSource {
             corpus,
+            idfs,
             cursors: vec![0; terms.len()],
             query: terms,
             lists,
@@ -96,8 +105,9 @@ impl<'a> TaSource<'a> {
     fn threshold(&self) -> f64 {
         self.lists
             .iter()
+            .zip(&self.idfs)
             .zip(&self.cursors)
-            .map(|(list, &cur)| list.get(cur).map_or(0.0, |p| p.partial))
+            .map(|((list, &idf), &cur)| list.get(cur).map_or(0.0, |p| p.partial(self.corpus, idf)))
             .sum()
     }
 
@@ -130,7 +140,7 @@ impl<'a> TaSource<'a> {
                     // The full score is recomputed canonically — every
                     // term in ascending order through the same
                     // [`tfidf::score`] expression — rather than seeded
-                    // from the surfacing posting's stored partial. Float
+                    // from the surfacing posting's partial. Float
                     // addition is not associative, so a surfacing-order
                     // sum differs in the last ulp depending on *which
                     // list happened to see the document first*; that

@@ -8,9 +8,13 @@ use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use divtopk_core::Score;
 
-/// The contribution of a single query term to a document's score
-/// (`tf · idf / sqrt(len)`), the unit both the inverted-index postings and
-/// the threshold algorithm work in. Zero for documents of length zero.
+/// The contribution of a single query term to a document's score,
+/// `tf · idf / sqrt(len)`: the unit [`score`] sums, and so the unit of the
+/// threshold algorithm's emitted scores. Zero for documents of length
+/// zero. Posting lists are ordered by [`crate::index::partial`] instead,
+/// `tf · idf · (1 / sqrt(len))`, which may differ from this in the last
+/// ulp; each expression stays as it is, because moving either would move
+/// scores or list orders.
 pub fn partial_score(corpus: &Corpus, term: TermId, doc: DocId) -> f64 {
     let d = corpus.doc(doc);
     if d.len == 0 {

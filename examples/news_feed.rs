@@ -54,10 +54,11 @@ fn main() {
 
     // Greedy vs exact on the full materialized graph (τ = 0.6).
     let tau = 0.6;
+    let idf = corpus.idf(term);
     let items: Vec<(DocId, Score)> = index
         .postings(term)
         .iter()
-        .map(|p| (p.doc, Score::new(p.partial)))
+        .map(|p| (p.doc, Score::new(p.partial(&corpus, idf))))
         .collect();
     let (graph, _) = DiversityGraph::from_items(
         &items,

@@ -122,7 +122,7 @@ fn exact_mode_is_byte_identical_to_driving_the_framework_directly() {
             // The pre-redesign path: DivTopK over the scan source with the
             // thresholded predicate, no trait in between.
             let direct = DivTopK::new(
-                ScanSource::new(&index, term),
+                ScanSource::new(&corpus, &index, term),
                 |a: &DocId, b: &DocId| similar(&corpus, &weights, *a, *b, tau),
                 DivSearchConfig::new(k).with_algorithm(algorithm),
             )

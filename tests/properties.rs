@@ -367,3 +367,80 @@ proptest! {
         }
     }
 }
+
+// ---------- posting order under the computed partial ----------
+
+/// Every list of `index` is in `(partial desc, doc asc)` order under the
+/// partial score readers compute (postings store only `(doc, tf)`).
+fn in_posting_order(corpus: &Corpus, index: &InvertedIndex) -> bool {
+    index.lists().all(|(t, list)| {
+        let idf = corpus.idf(t);
+        list.windows(2).all(|w| {
+            let (a, b) = (w[0].partial(corpus, idf), w[1].partial(corpus, idf));
+            a > b || (a == b && w[0].doc < w[1].doc)
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn every_list_is_in_posting_order_under_the_computed_partial(
+        seed in 0u64..1_000_000,
+        parts in 1usize..4,
+    ) {
+        let corpus = generate(&SynthConfig {
+            num_docs: 90,
+            near_dup_prob: 0.35, // duplicates tie partials: the doc order decides
+            ..SynthConfig::tiny().with_seed(seed)
+        });
+        prop_assert!(in_posting_order(&corpus, &InvertedIndex::build(&corpus)));
+        prop_assert!(in_posting_order(&corpus, &InvertedIndex::build_range(&corpus, 25..70)));
+        let shard = (seed % 3) as DocId;
+        prop_assert!(in_posting_order(
+            &corpus,
+            &InvertedIndex::build_where(&corpus, |d| d % 3 == shard),
+        ));
+
+        // Adds, deletes and compactions (tier merges and lone rewrites),
+        // then a save and a load.
+        let mut rng = divtopk::core::rng::Pcg::new(seed);
+        let n_terms = corpus.num_terms() as u32;
+        let mut seg = SegmentedIndex::build_partitioned(corpus, parts);
+        for batch in 0..6 {
+            let docs: Vec<Document> = (0..4)
+                .map(|i| {
+                    let len = rng.range(1, 12);
+                    let tokens = (0..len).map(|_| rng.range(0, n_terms)).collect();
+                    Document::from_tokens(format!("b{batch}d{i}"), tokens)
+                })
+                .collect();
+            let added = seg.add_docs(docs);
+            let dead: Vec<DocId> = (0..seg.corpus().num_docs() as DocId)
+                .filter(|_| rng.chance(0.1))
+                .collect();
+            seg.delete_docs(&dead);
+            if batch % 2 == 1 {
+                while seg.compact() > 0 {}
+            }
+            prop_assert!(!added.is_empty());
+        }
+        prop_assert!(seg.compactions() > 0);
+        for s in seg.segments() {
+            prop_assert!(in_posting_order(seg.corpus(), s.index()));
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "divtopk-order-{}-{seed}-{parts}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        divtopk::text::persist::save_segmented(&dir, &seg, 0).unwrap();
+        let (loaded, _) = divtopk::text::persist::load_segmented(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        prop_assert_eq!(loaded.segments().len(), seg.segments().len());
+        for s in loaded.segments() {
+            prop_assert!(in_posting_order(loaded.corpus(), s.index()));
+        }
+    }
+}

@@ -283,13 +283,17 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
     .expect("server start");
     let addr = server.addr().to_string();
 
-    // 16 clients release one search each at the same instant: at most 2
-    // can be in flight, so the first wave must reject most of them.
+    // Both slots are full before the burst, whatever the machine's speed:
+    // the test holds the one worker permit, and the first client's search
+    // waits in the one queue slot. The other 15 clients then release one
+    // search each at the same instant, and the gate must shed every one.
+    let gate = server.gate();
+    let held = gate.enter().expect("an idle gate admits");
     let barrier = Arc::new(std::sync::Barrier::new(16));
     let hits = Arc::new(AtomicU64::new(0));
     let overloaded = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..16)
-        .map(|_| {
+        .map(|i| {
             let addr = addr.clone();
             let barrier = Arc::clone(&barrier);
             let hits = Arc::clone(&hits);
@@ -304,7 +308,9 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
                     bound_decay: 0.005,
                     mode: DiversifyMode::exact(),
                 };
-                barrier.wait();
+                if i > 0 {
+                    barrier.wait();
+                }
                 match call(&mut stream, &request).unwrap() {
                     Response::Hits(_) => hits.fetch_add(1, Ordering::Relaxed),
                     Response::Overloaded { queue_capacity } => {
@@ -316,12 +322,31 @@ fn overload_draws_typed_backpressure_and_never_hangs() {
             })
         })
         .collect();
+    let wait_until = |done: &dyn Fn() -> bool| {
+        let started = Instant::now();
+        while !done() {
+            assert!(
+                started.elapsed() < CLIENT_TIMEOUT,
+                "the gate never got there"
+            );
+            std::thread::yield_now();
+        }
+    };
+    wait_until(&|| gate.waiting() == 1);
+    barrier.wait();
+    wait_until(&|| server.metrics().overloaded.load(Ordering::Relaxed) == 15);
+    drop(held);
     for client in clients {
         client.join().expect("client thread"); // a hang trips the timeout
     }
     let (hits, overloaded) = (
         hits.load(Ordering::Relaxed),
         overloaded.load(Ordering::Relaxed),
+    );
+    assert_eq!(
+        (hits, overloaded),
+        (1, 15),
+        "the queued search ran, the burst was shed"
     );
     assert_eq!(hits + overloaded, 16, "every request drew a response");
     assert!(hits >= 1, "nothing was served under burst");
