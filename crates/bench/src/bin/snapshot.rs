@@ -168,11 +168,10 @@ fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
 }
 
 /// Bytes of a segment file that are not posting lists: the file header
-/// (magic, version, kind, section count: 20), the `META` section (16 B
-/// section header + id, fingerprint, doc count: 24) and the `INDX`
+/// (magic, version, kind, section count: 20) and its one `INDX`
 /// section's header (16) and payload prefix (vocabulary size, list
 /// count: 16).
-const SEGMENT_FILE_OVERHEAD: u64 = 20 + (16 + 24) + (16 + 16);
+const SEGMENT_FILE_OVERHEAD: u64 = 20 + 16 + 16;
 
 /// The incremental-checkpoint gate: after one mutation batch, the second
 /// save must rewrite **only** the manifest and the (unsealed) tail

@@ -230,6 +230,9 @@ pub struct Engine {
     snapshot: RwLock<Arc<Snapshot>>,
     /// Serializes writers; readers never take it.
     writer: Mutex<()>,
+    /// Serializes [`Engine::save_snapshot`] calls; mutations never take
+    /// it, so a save never blocks a writer.
+    saver: Mutex<()>,
     cache: Mutex<LruCache<CacheKey, SearchOutput>>,
     cache_capacity: usize,
     /// Concurrent misses on one key compute it once.
@@ -281,6 +284,7 @@ impl Engine {
         Engine {
             snapshot: RwLock::new(Arc::new(Snapshot { generation, index })),
             writer: Mutex::new(()),
+            saver: Mutex::new(()),
             cache: Mutex::new(LruCache::new(config.cache_capacity)),
             cache_capacity: config.cache_capacity,
             flight: SingleFlight::default(),
@@ -396,20 +400,27 @@ impl Engine {
         merged
     }
 
-    /// Persists the current serving state — corpus epoch, weight table,
-    /// every segment's posting lists (bit-exact via [`f64::to_bits`]),
+    /// Persists the current serving state — corpus epoch (IDF bit-exact
+    /// via [`f64::to_bits`]), documents, every segment's posting lists,
     /// tombstones, compaction counter, and the snapshot generation — to
     /// the snapshot **directory** `dir` in the segment-granular layout of
-    /// [`divtopk_text::persist`] (DESIGN.md §14). The save is
-    /// incremental: files the directory's previous checkpoint already
-    /// holds (unchanged segments, sealed document chunks, the epoch) are
-    /// reused, so a steady-state checkpoint writes O(what changed) bytes.
-    /// Caches and serving counters are deliberately not part of the
-    /// durable state. Returns the [`SaveReport`] describing the work.
+    /// [`divtopk_text::persist`] (DESIGN.md §14). Partial scores and the
+    /// weight table are not stored: a load derives them. The save is
+    /// incremental: a segment or sealed document chunk whose file this
+    /// engine wrote or loaded, and which the directory's previous
+    /// manifest still names with that length and CRC, is reused, and so
+    /// is an unchanged epoch file, so a steady-state checkpoint writes
+    /// O(what changed) bytes. Caches and serving counters are
+    /// deliberately not part of the durable state. Returns the
+    /// [`SaveReport`] describing the work.
     ///
     /// The save pins one snapshot, so a concurrent mutation can never
     /// tear the directory: what lands on disk is exactly one generation.
+    /// Saves of one engine run one at a time (they share temp-file names
+    /// and each collects the directory's garbage); mutations proceed
+    /// while a save runs.
     pub fn save_snapshot(&self, dir: impl AsRef<Path>) -> Result<SaveReport, SnapshotError> {
+        let _saver = lock_unpoisoned(&self.saver);
         let snap = self.pin();
         persist::save_segmented(dir, &snap.index, snap.generation)
     }

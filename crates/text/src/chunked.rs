@@ -12,15 +12,14 @@
 //! per batch). All chunks except the last are exactly [`CHUNK`] long —
 //! the invariant that makes indexing two shifts and keeps chunk
 //! boundaries stable, so a full chunk's serialized form never changes
-//! once sealed and incremental snapshots (DESIGN.md §14) can skip it
-//! by fingerprint.
+//! once sealed and incremental snapshots (DESIGN.md §14) can skip it.
 //!
-//! Per-chunk content fingerprints ([`ChunkedVec::chunk_fingerprint`])
-//! are memoized in a [`OnceLock`] shared through the `Arc`, so across a
-//! checkpoint sequence each sealed chunk is hashed once, ever — the
-//! memo survives COW clones of the vector (the `Arc` is shared) and is
-//! reset only when a chunk is actually deep-copied for mutation.
+//! Each chunk remembers the snapshot file it was last written as or
+//! loaded from (`ChunkedVec::chunk_file`): a [`OnceLock`] shared through
+//! the `Arc`, so the memo survives COW clones of the vector, and cleared
+//! by [`ChunkedVec::push`] whenever the chunk's items change.
 
+use crate::persist::FileStamp;
 use std::sync::{Arc, OnceLock};
 
 /// Items per chunk. A power of two so indexing is a shift and a mask;
@@ -31,97 +30,19 @@ pub const CHUNK: usize = 1024;
 const CHUNK_SHIFT: u32 = CHUNK.trailing_zeros();
 const CHUNK_MASK: usize = CHUNK - 1;
 
-/// 64-bit FNV-1a — the in-repo content hash used for chunk and segment
-/// fingerprints (persist needs no cryptographic strength here: the
-/// fingerprint guards against *stale lineage* reuse, and every file is
-/// additionally CRC-checked byte-for-byte on load).
-#[derive(Debug)]
-pub struct Fnv1a(u64);
-
-impl Fnv1a {
-    /// Standard FNV-1a offset basis / prime.
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    /// Fresh hasher.
-    #[must_use]
-    pub fn new() -> Self {
-        Fnv1a(Self::OFFSET)
-    }
-
-    /// Feeds raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
-    }
-
-    /// Feeds a `u32` (little-endian, matching the snapshot encoding).
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Feeds a `u64` (little-endian).
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// Final hash value.
-    #[must_use]
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fnv1a {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Content types that can feed a chunk fingerprint.
-///
-/// Implementations must hash every field that participates in the
-/// serialized form — two values that fingerprint equal must serialize
-/// equal, or incremental saves could wrongly reuse a stale chunk file.
-pub trait Fingerprint {
-    /// Feeds this value into the hasher.
-    fn fingerprint_into(&self, h: &mut Fnv1a);
-}
-
-impl Fingerprint for f64 {
-    fn fingerprint_into(&self, h: &mut Fnv1a) {
-        h.write_u64(self.to_bits());
-    }
-}
-
-/// One fixed-size run of items plus its memoized content hash.
-#[derive(Debug)]
+/// One fixed-size run of items plus the snapshot file that holds them.
+#[derive(Debug, Clone)]
 struct Chunk<T> {
     items: Vec<T>,
-    /// Lazily computed by [`ChunkedVec::chunk_fingerprint`]; shared
-    /// across COW clones through the `Arc`, reset on deep copy (the
-    /// clone below) because the copy is about to be mutated.
-    fp: OnceLock<u64>,
+    /// See [`ChunkedVec::chunk_file`].
+    file: OnceLock<FileStamp>,
 }
 
 impl<T> Chunk<T> {
-    fn new() -> Self {
+    fn new(items: Vec<T>) -> Self {
         Chunk {
-            items: Vec::with_capacity(CHUNK),
-            fp: OnceLock::new(),
-        }
-    }
-}
-
-impl<T: Clone> Clone for Chunk<T> {
-    fn clone(&self) -> Self {
-        // A chunk is only ever deep-copied (`Arc::make_mut`) on the
-        // append path, right before its items change — so the memoized
-        // fingerprint must NOT travel with the copy.
-        Chunk {
-            items: self.items.clone(),
-            fp: OnceLock::new(),
+            items,
+            file: OnceLock::new(),
         }
     }
 }
@@ -185,6 +106,13 @@ impl<T> ChunkedVec<T> {
     pub fn chunk_items(&self, i: usize) -> &[T] {
         &self.chunks[i].items
     }
+
+    /// The snapshot file chunk `i` was last durably written as, or
+    /// loaded from, once the snapshot layer has set it — empty while the
+    /// items differ from every file this process wrote or read.
+    pub(crate) fn chunk_file(&self, i: usize) -> &OnceLock<FileStamp> {
+        &self.chunks[i].file
+    }
 }
 
 impl<T: Clone> ChunkedVec<T> {
@@ -195,17 +123,23 @@ impl<T: Clone> ChunkedVec<T> {
             Some(c) => c.items.len() == CHUNK,
         };
         if start_new {
-            self.chunks.push(Arc::new(Chunk::new()));
+            self.chunks
+                .push(Arc::new(Chunk::new(Vec::with_capacity(CHUNK))));
         }
         // The tail exists by construction; `make_mut` deep-copies it
-        // only when another clone still shares it (O(CHUNK) worst case).
+        // only when another clone still shares it (O(CHUNK) worst case),
+        // and that clone keeps its file memo. These items change, so
+        // this chunk's memo goes.
         let idx = self.chunks.len() - 1;
-        Arc::make_mut(&mut self.chunks[idx]).items.push(value);
+        let tail = Arc::make_mut(&mut self.chunks[idx]);
+        tail.items.push(value);
+        tail.file.take();
         self.len += 1;
     }
 
     /// Rebuilds from parsed chunks, enforcing the all-but-last-sealed
-    /// invariant. Used by the snapshot loader.
+    /// invariant. Used by the snapshot loader, which then records each
+    /// chunk's file ([`ChunkedVec::chunk_file`]).
     pub(crate) fn from_chunks(parts: Vec<Vec<T>>) -> Option<Self> {
         let mut len = 0usize;
         for (i, part) in parts.iter().enumerate() {
@@ -218,32 +152,9 @@ impl<T: Clone> ChunkedVec<T> {
         Some(ChunkedVec {
             chunks: parts
                 .into_iter()
-                .map(|items| {
-                    Arc::new(Chunk {
-                        items,
-                        fp: OnceLock::new(),
-                    })
-                })
+                .map(|items| Arc::new(Chunk::new(items)))
                 .collect(),
             len,
-        })
-    }
-}
-
-impl<T: Fingerprint> ChunkedVec<T> {
-    /// Content fingerprint of chunk `i`, memoized per chunk and shared
-    /// across COW clones — across a checkpoint sequence each sealed
-    /// chunk is hashed once, keeping incremental saves O(delta) CPU.
-    #[must_use]
-    pub fn chunk_fingerprint(&self, i: usize) -> u64 {
-        let chunk = &self.chunks[i];
-        *chunk.fp.get_or_init(|| {
-            let mut h = Fnv1a::new();
-            h.write_u64(chunk.items.len() as u64);
-            for item in &chunk.items {
-                item.fingerprint_into(&mut h);
-            }
-            h.finish()
         })
     }
 }
@@ -327,30 +238,27 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_are_memoized_across_clones_and_reset_on_mutation() {
+    fn a_push_clears_the_file_memo_of_the_chunk_it_changes() {
+        let stamp = (7, 0xDEAD_BEEF);
         let mut a: ChunkedVec<f64> = (0..(CHUNK + 1)).map(|i| i as f64).collect();
-        let sealed_fp = a.chunk_fingerprint(0);
-        let tail_fp = a.chunk_fingerprint(1);
+        a.chunk_file(0).set(stamp).unwrap();
+        a.chunk_file(1).set(stamp).unwrap();
+        // An unshared tail is mutated in place: the push clears its memo.
+        assert_eq!(Arc::strong_count(&a.chunks[1]), 1);
+        a.push(1.0);
+        assert_eq!(a.chunk_file(1).get(), None);
+        // A shared tail is copied first: the copy's memo is cleared, the
+        // clone that still holds the old items keeps its own.
+        a.chunk_file(1).set(stamp).unwrap();
         let b = a.clone();
-        // Memo travels with the shared Arc: no recompute, same value.
-        assert_eq!(b.chunk_fingerprint(0), sealed_fp);
-        a.push(99.0);
-        // The mutated tail must re-fingerprint; the sealed chunk keeps
-        // its memo and its value.
-        assert_ne!(a.chunk_fingerprint(1), tail_fp);
-        assert_eq!(a.chunk_fingerprint(0), sealed_fp);
-        assert_eq!(b.chunk_fingerprint(1), tail_fp);
-    }
-
-    #[test]
-    fn equal_content_fingerprints_equal() {
-        let a: ChunkedVec<f64> = (0..10).map(|i| i as f64).collect();
-        let b: ChunkedVec<f64> = (0..10).map(|i| i as f64).collect();
-        let c: ChunkedVec<f64> = (0..10).map(|i| (i + 1) as f64).collect();
-        assert_eq!(a, b);
-        assert_eq!(a.chunk_fingerprint(0), b.chunk_fingerprint(0));
-        assert_ne!(a, c);
-        assert_ne!(a.chunk_fingerprint(0), c.chunk_fingerprint(0));
+        a.push(2.0);
+        assert!(!Arc::ptr_eq(&a.chunks[1], &b.chunks[1]));
+        assert_eq!(a.chunk_file(1).get(), None);
+        assert_eq!(b.chunk_file(1).get(), Some(&stamp));
+        // A sealed chunk never changes: both clones keep its memo.
+        assert!(Arc::ptr_eq(&a.chunks[0], &b.chunks[0]));
+        assert_eq!(a.chunk_file(0).get(), Some(&stamp));
+        assert_eq!(b.chunk_file(0).get(), Some(&stamp));
     }
 
     #[test]

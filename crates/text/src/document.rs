@@ -1,7 +1,5 @@
 //! Documents as term-multiset signatures.
 
-use crate::chunked::{Fingerprint, Fnv1a};
-
 /// Document identifier within one corpus. Dense, `0..n`.
 pub type DocId = u32;
 
@@ -55,22 +53,6 @@ impl Document {
     /// Number of distinct terms.
     pub fn distinct_terms(&self) -> usize {
         self.terms.len()
-    }
-}
-
-impl Fingerprint for Document {
-    /// Hashes the full signature — title bytes, token count, and the
-    /// sorted `(term, count)` multiset — so the snapshot layer's chunk
-    /// fingerprints change iff any stored document byte changes.
-    fn fingerprint_into(&self, h: &mut Fnv1a) {
-        h.write_u64(self.title.len() as u64);
-        h.write_bytes(self.title.as_bytes());
-        h.write_u32(self.len);
-        h.write_u64(self.terms.len() as u64);
-        for &(t, count) in &self.terms {
-            h.write_u32(t);
-            h.write_u32(count);
-        }
     }
 }
 

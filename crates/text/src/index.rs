@@ -5,13 +5,12 @@
 //! statistics epoch it is a pure function of `tf`, the term's IDF and the
 //! document's length, and [`partial`] computes it wherever it is read — a
 //! scan's pull, the threshold algorithm's threshold, the sort of a build
-//! or a merge, the snapshot loader's order check, the segment
-//! fingerprint. One function, so all of them agree to the bit. Every list
-//! is in `(partial desc, doc asc)` order under it, so a list scan
-//! enumerates documents in non-increasing order of their single-term
-//! score (the incremental source of §8's reuters setup) and the threshold
-//! algorithm's sorted accesses are exactly list positions (the enwiki
-//! setup).
+//! or a merge, the snapshot loader's order check. One function, so all
+//! of them agree to the bit. Every list is in `(partial desc, doc asc)`
+//! order under it, so a list scan enumerates documents in non-increasing
+//! order of their single-term score (the incremental source of §8's
+//! reuters setup) and the threshold algorithm's sorted accesses are
+//! exactly list positions (the enwiki setup).
 //!
 //! An index is **sparse in the vocabulary**: it stores one list per term
 //! it actually holds — a sorted `terms` array beside one exact-capacity,
@@ -53,16 +52,16 @@ pub fn inv_sqrt_len(len: u32) -> f64 {
 }
 
 /// The partial score of a posting, `tf · idf · (1/√len)`, multiplied left
-/// to right. Builds, merges, the loader, scans, the threshold algorithm
-/// and the segment fingerprint all compute it here, so a partial has one
-/// value wherever it is read. (It may differ from
-/// [`crate::tfidf::partial_score`]'s `tf · idf / √len` in the last ulp.)
+/// to right. Builds, merges, the loader, scans and the threshold
+/// algorithm all compute it here, so a partial has one value wherever it
+/// is read. (It may differ from [`crate::tfidf::partial_score`]'s
+/// `tf · idf / √len` in the last ulp.)
 pub fn partial(tf: u32, idf: f64, inv_sqrt_len: f64) -> f64 {
     tf as f64 * idf * inv_sqrt_len
 }
 
 /// A posting beside its computed partial score: what a build or a merge
-/// sorts, and what it hands each finished list to its caller as.
+/// sorts, and what the loader checks the stored order with.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Keyed {
     pub(crate) partial: f64,
@@ -78,14 +77,8 @@ pub(crate) fn posting_order(a: &Keyed, b: &Keyed) -> Ordering {
 }
 
 /// Sorts `list` into the posting order under `partial_of`, through the
-/// reusable `scratch`, and hands the sorted keyed list to `sink`.
-fn sort_list(
-    term: TermId,
-    list: &mut [Posting],
-    scratch: &mut Vec<Keyed>,
-    partial_of: impl Fn(&Posting) -> f64,
-    sink: &mut impl FnMut(TermId, &[Keyed]),
-) {
+/// reusable `scratch`.
+fn sort_list(list: &mut [Posting], scratch: &mut Vec<Keyed>, partial_of: impl Fn(&Posting) -> f64) {
     scratch.clear();
     scratch.extend(list.iter().map(|&posting| Keyed {
         partial: partial_of(&posting),
@@ -95,7 +88,6 @@ fn sort_list(
     for (slot, keyed) in list.iter_mut().zip(scratch.iter()) {
         *slot = keyed.posting;
     }
-    sink(term, scratch);
 }
 
 /// Inverted index over a corpus (see the module docs for the layout).
@@ -131,7 +123,6 @@ impl InvertedIndex {
         InvertedIndex::build_from_ids(
             corpus,
             (0..corpus.num_docs() as DocId).filter(move |&d| keep(d)),
-            |_, _| {},
         )
     }
 
@@ -146,11 +137,10 @@ impl InvertedIndex {
             range.end as usize <= corpus.num_docs(),
             "doc range {range:?} outside corpus"
         );
-        InvertedIndex::build_from_ids(corpus, range, |_, _| {})
+        InvertedIndex::build_from_ids(corpus, range)
     }
 
-    /// Builds the index over `ids` (strictly increasing) and hands each
-    /// sorted list, with its partials, to `sink` in term order.
+    /// Builds the index over `ids` (strictly increasing).
     ///
     /// O(postings + V/64 + span): a vocabulary bitset marks the present
     /// terms, a per-word rank turns a term into its list slot in O(1), then
@@ -162,7 +152,6 @@ impl InvertedIndex {
     pub(crate) fn build_from_ids(
         corpus: &Corpus,
         ids: impl Iterator<Item = DocId> + Clone,
-        mut sink: impl FnMut(TermId, &[Keyed]),
     ) -> InvertedIndex {
         let first = ids.clone().next().unwrap_or(0);
         let docs = || {
@@ -209,13 +198,9 @@ impl InvertedIndex {
         let mut scratch = Vec::new();
         for (&t, list) in terms.iter().zip(&mut lists) {
             let idf = corpus.idf(t);
-            sort_list(
-                t,
-                list,
-                &mut scratch,
-                |p| partial(p.tf, idf, inv_len[(p.doc - first) as usize]),
-                &mut sink,
-            );
+            sort_list(list, &mut scratch, |p| {
+                partial(p.tf, idf, inv_len[(p.doc - first) as usize])
+            });
         }
         InvertedIndex {
             num_terms: corpus.num_terms(),
@@ -225,8 +210,7 @@ impl InvertedIndex {
     }
 
     /// Merges the lists of `parts` term by term, dropping the postings
-    /// `keep` rejects, and hands each sorted list, with its partials, to
-    /// `sink` in term order — compaction's primitive. Walks only the union
+    /// `keep` rejects — compaction's primitive. Walks only the union
     /// of the parts' present terms (a k-way merge of their sorted term
     /// arrays); a term whose postings are all dropped gets no list. The
     /// merged lists are re-sorted on computed partials, which equal the
@@ -236,7 +220,6 @@ impl InvertedIndex {
         corpus: &Corpus,
         parts: impl IntoIterator<Item = &'a InvertedIndex>,
         keep: impl Fn(DocId) -> bool,
-        mut sink: impl FnMut(TermId, &[Keyed]),
     ) -> InvertedIndex {
         let mut sources: Vec<_> = parts.into_iter().map(|p| p.lists().peekable()).collect();
         let (mut terms, mut lists) = (Vec::new(), Vec::new());
@@ -260,13 +243,7 @@ impl InvertedIndex {
             }
             merged.shrink_to_fit();
             let idf = corpus.idf(t);
-            sort_list(
-                t,
-                &mut merged,
-                &mut scratch,
-                |p| p.partial(corpus, idf),
-                &mut sink,
-            );
+            sort_list(&mut merged, &mut scratch, |p| p.partial(corpus, idf));
             terms.push(t);
             lists.push(merged);
         }

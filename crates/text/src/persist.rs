@@ -8,7 +8,9 @@
 //! [`save_segmented`] / [`load_segmented`], which persist the full
 //! [`SegmentedIndex`] serving state (vocabulary, frozen-statistics epoch,
 //! document store, per-segment posting lists, tombstones) as a
-//! **snapshot directory** in the LSM-manifest shape.
+//! **snapshot directory** in the LSM-manifest shape. Nothing derivable
+//! is stored: the loader computes each posting's partial score and each
+//! document's weight `W(d)` from the frozen IDF, as a build does.
 //!
 //! ## Container layout (every file in the snapshot)
 //!
@@ -32,12 +34,15 @@
 //!
 //! ```text
 //! <dir>/MANIFEST            generation, counters, and one entry (length,
-//!                           content fingerprint, whole-file CRC32) per
-//!                           file below, plus the sparse tombstone list
+//!                           whole-file CRC32) per file below, plus the
+//!                           sparse tombstone list
 //! <dir>/epoch.bin           vocabulary + frozen statistics (df, IDF)
-//! <dir>/seg-<id:016x>.bin   one immutable segment's posting lists
-//! <dir>/docs-<idx:08x>.bin  one document-store chunk + its weights
+//! <dir>/seg-<id:016x>.bin   one immutable segment's posting lists (INDX)
+//! <dir>/docs-<idx:08x>.bin  one document-store chunk (DOCS)
 //! ```
+//!
+//! A data file is just its payload: the manifest entry that names it
+//! already holds its id or position, its doc count and its length.
 //!
 //! Segments and sealed document chunks are immutable, so a checkpoint
 //! writes **only the files that did not exist at the previous
@@ -47,10 +52,11 @@
 //! fsync**) and the manifest is written last, so a crash at any point
 //! leaves the *previous* manifest pointing at a complete, untouched file
 //! set; files the new manifest no longer references are garbage-collected
-//! only after the new manifest is durable. A snapshot directory belongs
-//! to one engine lineage; per-file content fingerprints let the writer
-//! (and loader) detect a stale file from a diverged lineage instead of
-//! silently reusing it.
+//! only after the new manifest is durable. A save reuses a segment or
+//! chunk file only when the in-memory piece remembers being written as,
+//! or loaded from, exactly the `(length, CRC32)` the prior manifest
+//! records for it, so a file another lineage wrote under the same name
+//! is rewritten rather than reused (barring a CRC32 collision).
 //!
 //! ## Failure model
 //!
@@ -70,13 +76,14 @@
 //!
 //! [`FORMAT_VERSION`] identifies the container revision. Readers accept
 //! exactly the versions they know how to decode (currently only
-//! version 2; version 1 stored a list length for every vocabulary term)
-//! and reject everything else with
+//! version 3; version 1 stored a list length for every vocabulary term,
+//! version 2 a content fingerprint, a `META` copy of manifest fields and
+//! a weight table in every data file) and reject everything else with
 //! [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
 //! regenerate from the corpus, so there is no silent best-effort decoding
 //! of future or past revisions. Any layout change bumps the version.
 
-use crate::chunked::{CHUNK, ChunkedVec, Fnv1a};
+use crate::chunked::{CHUNK, ChunkedVec};
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
 use crate::index::{self, InvertedIndex, Keyed, Posting};
@@ -84,13 +91,13 @@ use crate::segments::{Segment, SegmentedIndex, Tombstones};
 use crate::vocab::Vocabulary;
 use std::fmt;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The 8-byte file magic every snapshot starts with.
 pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 
 /// The container format revision this build writes and reads.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
 /// directory (what `Engine::save_snapshot` writes). Kinds 1–3 belonged to
@@ -119,8 +126,8 @@ pub fn chunk_file_name(index: usize) -> String {
     format!("docs-{index:08x}.bin")
 }
 
-/// Upper bound accepted for any stored score-feeding value (IDF,
-/// posting partial, document weight). Legitimate values are tiny —
+/// Upper bound accepted for any score-feeding value a load reads or
+/// computes (IDF, posting partial). Legitimate values are tiny —
 /// `idf ≤ ln(N)` and `partial ≤ tf·idf ≲ 10¹³` — while queries sum up
 /// to `u32::MAX` of them, so admitting anything close to `f64::MAX`
 /// would let a CRC-valid-but-forged snapshot overflow a query-time sum
@@ -132,11 +139,16 @@ const TAG_META: [u8; 4] = *b"META";
 const TAG_VOCAB: [u8; 4] = *b"VOCB";
 const TAG_STATS: [u8; 4] = *b"STAT";
 const TAG_DOCS: [u8; 4] = *b"DOCS";
-const TAG_WEIGHTS: [u8; 4] = *b"WGTS";
 const TAG_TOMB: [u8; 4] = *b"TOMB";
 const TAG_SEGS: [u8; 4] = *b"SEGS";
 const TAG_CHUNKS: [u8; 4] = *b"CHNK";
 const TAG_INDEX: [u8; 4] = *b"INDX";
+/// The `(length, whole-file CRC32)` a manifest records for one data file
+/// — and what a segment or chunk remembers of the file it was written as
+/// or loaded from, so a save can tell whether the file a prior manifest
+/// names holds exactly that piece.
+pub(crate) type FileStamp = (u64, u32);
+
 /// Pseudo-tag reported in [`SnapshotError::ChecksumMismatch`] when a
 /// whole referenced *file*'s bytes disagree with the CRC the manifest
 /// recorded for it (as opposed to a section inside a file).
@@ -678,9 +690,9 @@ fn read_stats(
     Ok((doc_freq, idf))
 }
 
-fn docs_payload<'a>(docs: impl Iterator<Item = &'a Document>, count: usize) -> Vec<u8> {
+fn docs_payload(docs: &[Document]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, count as u64);
+    put_u64(&mut buf, docs.len() as u64);
     for doc in docs {
         put_str(&mut buf, &doc.title);
         put_u32(&mut buf, doc.len);
@@ -694,7 +706,7 @@ fn docs_payload<'a>(docs: impl Iterator<Item = &'a Document>, count: usize) -> V
 }
 
 /// Decodes one documents payload, which must hold exactly the `expected`
-/// documents its chunk file's own header declared.
+/// documents the manifest declared for its chunk.
 fn read_docs(
     mut r: ByteReader<'_>,
     num_terms: usize,
@@ -703,7 +715,7 @@ fn read_docs(
     let n = r.counted(12)?;
     if expected != n {
         return Err(SnapshotError::Malformed {
-            context: "document count disagrees with the declared chunk length",
+            context: "document count disagrees with the manifest's chunk length",
         });
     }
     let mut docs = Vec::with_capacity(n);
@@ -858,11 +870,10 @@ fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
 /// used). Validation: term ids strictly increasing and inside the
-/// vocabulary, no empty list (the writer never stores one, and
-/// `Segment::fingerprint` would not cover it), doc ids in range, non-zero
-/// term frequencies, plausible partials, and the one true
-/// `(partial desc, doc asc)` order — forged CRC-valid bytes still fail
-/// typed. The index keeps `(doc, tf)` only: the partials are checked,
+/// vocabulary, no empty list (the writer never stores one), doc ids in
+/// range, non-zero term frequencies, plausible partials, and the one
+/// true `(partial desc, doc asc)` order — forged CRC-valid bytes still
+/// fail typed. The index keeps `(doc, tf)` only: the partials are checked,
 /// then dropped.
 fn read_segment_index(
     mut r: ByteReader<'_>,
@@ -910,8 +921,8 @@ fn read_segment_index(
             }
             if tf == 0 {
                 // The build never emits tf = 0 (a document signature
-                // with a zero count is itself rejected), and a zero here
-                // would fingerprint differently from every honest build.
+                // with a zero count is itself rejected), so a zero here
+                // is forged.
                 return Err(SnapshotError::Malformed {
                     context: "zero term frequency in a posting",
                 });
@@ -949,46 +960,6 @@ fn read_segment_index(
 }
 
 // ---------------------------------------------------------------------------
-// SegmentedIndex (the full serving state)
-// ---------------------------------------------------------------------------
-
-fn weights_payload(weights: &[f64]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u64(&mut buf, weights.len() as u64);
-    for &w in weights {
-        put_f64(&mut buf, w);
-    }
-    buf
-}
-
-fn read_weights(mut r: ByteReader<'_>, num_docs: usize) -> Result<Vec<f64>, SnapshotError> {
-    let n = r.counted(8)?;
-    if n != num_docs {
-        return Err(SnapshotError::Malformed {
-            context: "weight table size disagrees with the document count",
-        });
-    }
-    let mut weights = Vec::with_capacity(n);
-    let raw = r.take(n * 8)?;
-    for b in raw.chunks_exact(8) {
-        let w = f64::from_bits(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]));
-        if !w.is_finite() || !(0.0..=MAX_STORED_VALUE).contains(&w) {
-            // `W(d)` is a sum of non-negative IDF terms; a negative or
-            // implausibly huge value is forged and would skew (or
-            // overflow) the similarity prefilter.
-            return Err(SnapshotError::Malformed {
-                context: "document weight outside the plausible range",
-            });
-        }
-        weights.push(w);
-    }
-    r.finish()?;
-    Ok(weights)
-}
-
-// ---------------------------------------------------------------------------
 // The snapshot directory: MANIFEST + epoch + segment files + chunk files.
 // ---------------------------------------------------------------------------
 
@@ -996,7 +967,6 @@ fn read_weights(mut r: ByteReader<'_>, num_docs: usize) -> Result<Vec<f64>, Snap
 #[derive(Debug, Clone, Copy)]
 struct SegmentEntry {
     id: u64,
-    fingerprint: u64,
     doc_count: u64,
     file_len: u64,
     file_crc: u32,
@@ -1006,7 +976,6 @@ struct SegmentEntry {
 #[derive(Debug, Clone, Copy)]
 struct ChunkEntry {
     len: u64,
-    fingerprint: u64,
     file_len: u64,
     file_crc: u32,
 }
@@ -1045,7 +1014,6 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
     put_u64(&mut segs, m.segments.len() as u64);
     for e in &m.segments {
         put_u64(&mut segs, e.id);
-        put_u64(&mut segs, e.fingerprint);
         put_u64(&mut segs, e.doc_count);
         put_u64(&mut segs, e.file_len);
         put_u32(&mut segs, e.file_crc);
@@ -1054,7 +1022,6 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
     put_u64(&mut chunks, m.chunks.len() as u64);
     for e in &m.chunks {
         put_u64(&mut chunks, e.len);
-        put_u64(&mut chunks, e.fingerprint);
         put_u64(&mut chunks, e.file_len);
         put_u32(&mut chunks, e.file_crc);
     }
@@ -1092,12 +1059,11 @@ fn manifest_from_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
         });
     }
     let mut segs = container.section(TAG_SEGS, "manifest segment table")?;
-    let n = segs.counted(36)?;
+    let n = segs.counted(28)?;
     let mut segments = Vec::with_capacity(n);
     for _ in 0..n {
         segments.push(SegmentEntry {
             id: segs.u64()?,
-            fingerprint: segs.u64()?,
             doc_count: segs.u64()?,
             file_len: segs.u64()?,
             file_crc: segs.u32()?,
@@ -1105,12 +1071,11 @@ fn manifest_from_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
     }
     segs.finish()?;
     let mut chnk = container.section(TAG_CHUNKS, "manifest chunk table")?;
-    let n = chnk.counted(28)?;
+    let n = chnk.counted(20)?;
     let mut chunks = Vec::with_capacity(n);
     for _ in 0..n {
         chunks.push(ChunkEntry {
             len: chnk.u64()?,
-            fingerprint: chnk.u64()?,
             file_len: chnk.u64()?,
             file_crc: chnk.u32()?,
         });
@@ -1205,43 +1170,14 @@ fn epoch_to_bytes(c: &Corpus) -> Vec<u8> {
 }
 
 fn segment_to_bytes(segment: &Segment) -> Vec<u8> {
-    let mut meta = Vec::new();
-    put_u64(&mut meta, segment.id());
-    put_u64(&mut meta, segment.fingerprint());
-    put_u64(&mut meta, segment.doc_count() as u64);
     assemble(
         KIND_SEGMENT,
-        vec![
-            (TAG_META, meta),
-            (TAG_INDEX, segment_postings_payload(segment.index())),
-        ],
+        vec![(TAG_INDEX, segment_postings_payload(segment.index()))],
     )
 }
 
-fn chunk_to_bytes(index: usize, docs: &[Document], weights: &[f64], fingerprint: u64) -> Vec<u8> {
-    let mut meta = Vec::new();
-    put_u64(&mut meta, index as u64);
-    put_u64(&mut meta, docs.len() as u64);
-    put_u64(&mut meta, fingerprint);
-    assemble(
-        KIND_CHUNK,
-        vec![
-            (TAG_META, meta),
-            (TAG_DOCS, docs_payload(docs.iter(), docs.len())),
-            (TAG_WEIGHTS, weights_payload(weights)),
-        ],
-    )
-}
-
-/// Combined content fingerprint of document-store chunk `i` and its
-/// weight chunk — the identity incremental saves use to reuse the
-/// on-disk chunk file. Memoized per chunk via [`ChunkedVec`], so across
-/// a checkpoint sequence each sealed chunk is hashed once.
-fn chunk_fp(docs: &ChunkedVec<Document>, weights: &ChunkedVec<f64>, i: usize) -> u64 {
-    let mut h = Fnv1a::new();
-    h.write_u64(docs.chunk_fingerprint(i));
-    h.write_u64(weights.chunk_fingerprint(i));
-    h.finish()
+fn chunk_to_bytes(docs: &[Document]) -> Vec<u8> {
+    assemble(KIND_CHUNK, vec![(TAG_DOCS, docs_payload(docs))])
 }
 
 /// Size of `dir/name` if it exists as a regular file.
@@ -1323,20 +1259,66 @@ pub struct SaveReport {
     pub total_bytes: u64,
 }
 
+/// Writes `bytes` as `dir/name` and counts it in `report`.
+fn write_counted(
+    dir: &Path,
+    name: &str,
+    bytes: &[u8],
+    report: &mut SaveReport,
+) -> Result<(), SnapshotError> {
+    write_atomic(&dir.join(name), bytes)?;
+    report.files_written += 1;
+    report.bytes_written += bytes.len() as u64;
+    report.total_bytes += bytes.len() as u64;
+    Ok(())
+}
+
+/// Saves one segment or chunk as `dir/name` and returns the stamp the
+/// new manifest records for it. The file is reused, not rewritten, iff
+/// `memo` — the piece's memory of the file it was written as or loaded
+/// from — equals the stamp the prior manifest `recorded` under this name
+/// and a file of that length is still there. Here `memo` is set only
+/// after a durable write; the bytes of one piece never change, so a memo
+/// that is already set keeps the same value.
+fn save_data_file(
+    dir: &Path,
+    name: &str,
+    memo: &OnceLock<FileStamp>,
+    recorded: Option<FileStamp>,
+    encode: impl FnOnce() -> Vec<u8>,
+    report: &mut SaveReport,
+) -> Result<FileStamp, SnapshotError> {
+    let reusable = recorded.filter(|&r| memo.get() == Some(&r) && file_len(dir, name) == Some(r.0));
+    if let Some(stamp) = reusable {
+        report.files_reused += 1;
+        report.total_bytes += stamp.0;
+        return Ok(stamp);
+    }
+    let bytes = encode();
+    write_counted(dir, name, &bytes, report)?;
+    let stamp = (bytes.len() as u64, crc32(&bytes));
+    let _ = memo.set(stamp);
+    Ok(stamp)
+}
+
 /// Writes a [`SegmentedIndex`] snapshot directory (plus the caller's
 /// generation) to `dir`, creating it if needed — **incrementally**: a
-/// file whose identity (segment id + content fingerprint, or chunk
-/// index + length + content fingerprint, or the epoch's exact bytes)
-/// already appears in the directory's previous manifest is reused
-/// without rewriting, so a checkpoint writes O(what changed) bytes, not
-/// O(corpus). The manifest is written last (atomically, with parent-
-/// directory fsync), then unreferenced files are garbage-collected.
+/// segment or chunk file the directory's previous manifest records with
+/// exactly the `(length, CRC32)` the in-memory piece was written as or
+/// loaded from is reused without rewriting, and so is an epoch file
+/// holding the exact bytes, so a checkpoint writes O(what changed)
+/// bytes, not O(corpus). The manifest is written last (atomically, with
+/// parent-directory fsync), then unreferenced files are
+/// garbage-collected.
 ///
-/// A snapshot directory belongs to **one engine lineage**: saving
-/// states from diverged lineages into the same directory is detected
-/// via the content fingerprints (stale files are rewritten, never
-/// silently reused), but interleaving lineages forfeits the incremental
-/// savings. Returns a [`SaveReport`] describing the work done.
+/// A snapshot directory belongs to **one engine lineage**: saving states
+/// from diverged lineages into the same directory is safe (a file
+/// another lineage wrote under a shared name matches this lineage's
+/// memory of its own file only on a CRC32 collision, so it is
+/// rewritten), but
+/// interleaving lineages forfeits the incremental savings. Concurrent
+/// saves into one directory must be serialized by the caller. Returns a
+/// [`SaveReport`] describing the work done.
 pub fn save_segmented(
     dir: impl AsRef<Path>,
     index: &SegmentedIndex,
@@ -1357,18 +1339,6 @@ pub fn save_segmented(
         bytes_written: 0,
         total_bytes: 0,
     };
-    fn write_counted(
-        dir: &Path,
-        name: &str,
-        bytes: &[u8],
-        report: &mut SaveReport,
-    ) -> Result<(), SnapshotError> {
-        write_atomic(&dir.join(name), bytes)?;
-        report.files_written += 1;
-        report.bytes_written += bytes.len() as u64;
-        report.total_bytes += bytes.len() as u64;
-        Ok(())
-    }
 
     // The epoch (vocabulary + frozen statistics) never changes within a
     // lineage; its bytes are re-derived (O(vocabulary) CPU) but only
@@ -1387,75 +1357,56 @@ pub fn save_segmented(
         write_counted(dir, EPOCH_NAME, &epoch_bytes, &mut report)?;
     }
 
-    // Document-store chunks: sealed chunks are immutable, so any chunk
-    // whose (index, length, fingerprint) matches the prior manifest is
-    // reused byte-for-byte; only the partial tail chunk (and genuinely
-    // new chunks) are written.
+    // Document-store chunks: sealed chunks never change, so their files
+    // are reused; the partial tail chunk (and genuinely new chunks) are
+    // written.
     let docs = corpus.doc_store();
-    let weights = index.weights();
     let mut chunk_entries: Vec<ChunkEntry> = Vec::with_capacity(docs.num_chunks());
     for i in 0..docs.num_chunks() {
-        let len = docs.chunk_items(i).len() as u64;
-        let fingerprint = chunk_fp(docs, weights, i);
-        let reusable = prior
+        let items = docs.chunk_items(i);
+        let recorded = prior
             .as_ref()
             .and_then(|p| p.chunks.get(i))
-            .filter(|e| e.len == len && e.fingerprint == fingerprint)
-            .filter(|e| file_len(dir, &chunk_file_name(i)) == Some(e.file_len))
-            .copied();
-        match reusable {
-            Some(entry) => {
-                chunk_entries.push(entry);
-                report.files_reused += 1;
-                report.total_bytes += entry.file_len;
-            }
-            None => {
-                let bytes =
-                    chunk_to_bytes(i, docs.chunk_items(i), weights.chunk_items(i), fingerprint);
-                write_counted(dir, &chunk_file_name(i), &bytes, &mut report)?;
-                chunk_entries.push(ChunkEntry {
-                    len,
-                    fingerprint,
-                    file_len: bytes.len() as u64,
-                    file_crc: crc32(&bytes),
-                });
-            }
-        }
+            .map(|e| (e.file_len, e.file_crc));
+        let (file_len, file_crc) = save_data_file(
+            dir,
+            &chunk_file_name(i),
+            docs.chunk_file(i),
+            recorded,
+            || chunk_to_bytes(items),
+            &mut report,
+        )?;
+        chunk_entries.push(ChunkEntry {
+            len: items.len() as u64,
+            file_len,
+            file_crc,
+        });
     }
 
-    // Segments are immutable and id-keyed; a segment the prior manifest
-    // already recorded (same id, same content fingerprint) keeps its
-    // file untouched. This is the O(delta) heart of the checkpoint: the
-    // big old segments are never re-serialized, let alone rewritten.
+    // Segments are immutable and id-keyed, so a segment keeps its file
+    // untouched across checkpoints. This is the O(delta) heart of the
+    // checkpoint: the big old segments are never re-serialized, let
+    // alone rewritten.
     let mut segment_entries: Vec<SegmentEntry> = Vec::with_capacity(index.num_segments());
     for segment in index.segments() {
-        let name = segment_file_name(segment.id());
-        let reusable = prior
+        let recorded = prior
             .as_ref()
             .and_then(|p| p.segments.iter().find(|e| e.id == segment.id()))
-            .filter(|e| {
-                e.fingerprint == segment.fingerprint() && e.doc_count == segment.doc_count() as u64
-            })
-            .filter(|e| file_len(dir, &name) == Some(e.file_len))
-            .copied();
-        match reusable {
-            Some(entry) => {
-                segment_entries.push(entry);
-                report.files_reused += 1;
-                report.total_bytes += entry.file_len;
-            }
-            None => {
-                let bytes = segment_to_bytes(segment);
-                write_counted(dir, &name, &bytes, &mut report)?;
-                segment_entries.push(SegmentEntry {
-                    id: segment.id(),
-                    fingerprint: segment.fingerprint(),
-                    doc_count: segment.doc_count() as u64,
-                    file_len: bytes.len() as u64,
-                    file_crc: crc32(&bytes),
-                });
-            }
-        }
+            .map(|e| (e.file_len, e.file_crc));
+        let (file_len, file_crc) = save_data_file(
+            dir,
+            &segment_file_name(segment.id()),
+            segment.file(),
+            recorded,
+            || segment_to_bytes(segment),
+            &mut report,
+        )?;
+        segment_entries.push(SegmentEntry {
+            id: segment.id(),
+            doc_count: segment.doc_count() as u64,
+            file_len,
+            file_crc,
+        });
     }
 
     let manifest = Manifest {
@@ -1495,7 +1446,8 @@ pub fn save_segmented(
 /// referenced file is CRC-verified against the manifest and decoded —
 /// no monolithic re-parse, and any cross-file inconsistency (missing or
 /// stale file, duplicate segment id, overlapping per-segment doc sets)
-/// is a typed [`SnapshotError`].
+/// is a typed [`SnapshotError`]. Each segment and chunk remembers the
+/// file it was loaded from, so the next save into `dir` reuses it.
 ///
 /// The loaded index is **byte-identical** to the saved one: every scan
 /// and threshold-algorithm read (hits, metrics, early-stop point)
@@ -1520,40 +1472,24 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         });
     }
     let mut doc_parts: Vec<Vec<Document>> = Vec::with_capacity(manifest.chunks.len());
-    let mut weight_parts: Vec<Vec<f64>> = Vec::with_capacity(manifest.chunks.len());
     for (i, entry) in manifest.chunks.iter().enumerate() {
         let bytes = read_checked_file(dir, &chunk_file_name(i), entry.file_len, entry.file_crc)?;
         let mut c = Container::open_trusted(&bytes, KIND_CHUNK)?;
-        let mut meta = c.section(TAG_META, "chunk meta section")?;
-        let idx = meta.u64()?;
-        let len = meta.u64()?;
-        let fp = meta.u64()?;
-        meta.finish()?;
-        if idx != i as u64 || len != entry.len || fp != entry.fingerprint {
-            return Err(SnapshotError::Malformed {
-                context: "chunk file header disagrees with the manifest",
-            });
-        }
-        let chunk_docs = read_docs(
+        doc_parts.push(read_docs(
             c.section(TAG_DOCS, "chunk documents section")?,
             vocab.len(),
             entry.len as usize,
-        )?;
-        let chunk_weights = read_weights(
-            c.section(TAG_WEIGHTS, "chunk weight section")?,
-            entry.len as usize,
-        )?;
+        )?);
         c.finish()?;
-        doc_parts.push(chunk_docs);
-        weight_parts.push(chunk_weights);
     }
     // The manifest validation already pinned the per-chunk lengths, so
-    // these cannot fail on manifest-consistent data.
-    let invariant = || SnapshotError::Malformed {
+    // this cannot fail on manifest-consistent data.
+    let docs = ChunkedVec::from_chunks(doc_parts).ok_or(SnapshotError::Malformed {
         context: "chunk lengths violate the sealed-chunk invariant",
-    };
-    let docs = ChunkedVec::from_chunks(doc_parts).ok_or_else(invariant)?;
-    let weights = ChunkedVec::from_chunks(weight_parts).ok_or_else(invariant)?;
+    })?;
+    for (i, entry) in manifest.chunks.iter().enumerate() {
+        let _ = docs.chunk_file(i).set((entry.file_len, entry.file_crc));
+    }
     let corpus = Corpus::from_parts(vocab, docs, doc_freq, idf);
     let num_docs = corpus.num_docs();
     // Per-doc `1/sqrt(len)` factors, tabulated once so every segment's
@@ -1585,23 +1521,6 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             entry.file_crc,
         )?;
         let mut c = Container::open_trusted(&bytes, KIND_SEGMENT)?;
-        let mut meta = c.section(TAG_META, "segment meta section")?;
-        let id = meta.u64()?;
-        let fp = meta.u64()?;
-        let doc_count = meta.u64()?;
-        meta.finish()?;
-        // The embedded fingerprint pins the posting data to what the
-        // manifest promised — a stale file from a diverged lineage (or a
-        // hand-edited manifest) fails here even when the file is
-        // internally self-consistent: the whole-file CRC binds the
-        // embedded value to the posting bytes it was computed over, so
-        // it cannot drift from the content without tripping the
-        // checksum first.
-        if id != entry.id || fp != entry.fingerprint || doc_count != entry.doc_count {
-            return Err(SnapshotError::Malformed {
-                context: "segment file content disagrees with the manifest",
-            });
-        }
         let index = read_segment_index(
             c.section(TAG_INDEX, "segment index section")?,
             corpus.idf_table(),
@@ -1624,16 +1543,16 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             *seen |= *m;
             covered += u64::from(m.count_ones());
         }
-        if covered != doc_count {
+        if covered != entry.doc_count {
             return Err(SnapshotError::Malformed {
                 context: "segment file content disagrees with the manifest",
             });
         }
         segments.push(Arc::new(Segment::from_trusted_parts(
-            id,
-            fp,
-            doc_count as usize,
+            entry.id,
+            covered as usize,
             index,
+            (entry.file_len, entry.file_crc),
         )));
     }
 
@@ -1641,7 +1560,6 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     Ok((
         SegmentedIndex::from_parts(
             Arc::new(corpus),
-            weights,
             segments,
             deleted,
             manifest.compactions,
@@ -1870,10 +1788,8 @@ mod tests {
         let corpus = generate(&SynthConfig::tiny());
         let seg_a = Segment::build(0, &corpus, 0..40);
         let seg_b = Segment::build(1, &corpus, 30..80);
-        let weights = crate::search::doc_weights(&corpus).into_iter().collect();
         let overlapping = SegmentedIndex::from_parts(
             Arc::new(corpus),
-            weights,
             vec![Arc::new(seg_a), Arc::new(seg_b)],
             Tombstones::default(),
             0,
@@ -2108,17 +2024,22 @@ mod tests {
 
     #[test]
     fn a_version_1_snapshot_is_unsupported() {
-        // Version 1 stored a list length for every vocabulary term; this
-        // build does not decode it (rebuild on mismatch, DESIGN.md §14).
+        // Version 1 stored a list length for every vocabulary term,
+        // version 2 a fingerprint, a META section and a weight table in
+        // every data file; this build decodes neither (rebuild on
+        // mismatch, DESIGN.md §14).
         let dir = temp_dir("v1");
         save_segmented(&dir, &small_segmented(), 1).unwrap();
-        let mut bytes = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
-        assert!(matches!(
-            load_segmented(&dir),
-            Err(SnapshotError::UnsupportedVersion { found: 1 })
-        ));
+        let pristine = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
+        for version in [1u32, 2] {
+            let mut bytes = pristine.clone();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
+            match load_segmented(&dir) {
+                Err(SnapshotError::UnsupportedVersion { found }) => assert_eq!(found, version),
+                other => panic!("version {version}: expected UnsupportedVersion, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

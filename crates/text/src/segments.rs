@@ -40,11 +40,12 @@
 //! ([`MergedSource::incremental_filtered`] /
 //! [`MergedSource::bounding_filtered`]), so Lemmas 1–3 apply verbatim.
 
-use crate::chunked::{ChunkedVec, Fnv1a};
+use crate::chunked::ChunkedVec;
 use crate::corpus::Corpus;
 use crate::document::{DocId, Document, TermId};
-use crate::index::{InvertedIndex, Keyed};
+use crate::index::InvertedIndex;
 use crate::jaccard::total_weight;
+use crate::persist::FileStamp;
 use crate::query::KeywordQuery;
 use crate::scan::ScanSource;
 use crate::search::{SearchOptions, SearchOutput, doc_weights, search_with_source, validate_terms};
@@ -54,7 +55,7 @@ use crate::tokenize::tokenize;
 use divtopk_core::prefetch::{DEFAULT_PREFETCH_DEPTH, PrefetchedSource};
 use divtopk_core::{MergedSource, SearchError, WorkerPool};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A dense bitset over global doc ids marking deleted documents.
 ///
@@ -134,44 +135,25 @@ pub struct Segment {
     /// Distinct documents with at least one posting in this segment —
     /// the segment's size for the tiered compaction policy.
     doc_count: usize,
-    /// FNV-1a over the full posting content, partial-score bits included
-    /// ([`hash_list`]) — the incremental snapshot
-    /// layer's guard against reusing a stale on-disk segment file whose
-    /// id happens to collide (e.g. across diverged lineages saved into
-    /// the same directory).
-    fingerprint: u64,
-}
-
-/// Feeds one sorted list into a segment fingerprint: the term, the
-/// length, then each posting's doc, tf and partial-score bits. The
-/// fingerprint's definition; a build or merge calls it with the partials
-/// it sorted on, so fingerprinting costs no second pass over the
-/// postings.
-fn hash_list(h: &mut Fnv1a, term: TermId, list: &[Keyed]) {
-    h.write_u32(term);
-    h.write_u64(list.len() as u64);
-    for k in list {
-        h.write_u32(k.posting.doc);
-        h.write_u32(k.posting.tf);
-        h.write_u64(k.partial.to_bits());
-    }
+    /// The snapshot file this segment was durably written as, or loaded
+    /// from: a save reuses the file a prior manifest names only when it
+    /// records exactly this stamp ([`crate::persist`]). A segment never
+    /// changes, so the memo never goes stale.
+    file: OnceLock<FileStamp>,
 }
 
 impl Segment {
     /// A segment over the documents `ids` (strictly increasing) of
-    /// `corpus`, fingerprinted from the partials the build sorts on.
+    /// `corpus`.
     pub(crate) fn build(
         id: u64,
         corpus: &Corpus,
         ids: impl Iterator<Item = DocId> + Clone,
     ) -> Segment {
-        let mut h = Fnv1a::new();
-        let index =
-            InvertedIndex::build_from_ids(corpus, ids, |t, list| hash_list(&mut h, t, list));
-        Segment::new(id, index, h.finish())
+        Segment::new(id, InvertedIndex::build_from_ids(corpus, ids))
     }
 
-    fn new(id: u64, index: InvertedIndex, fingerprint: u64) -> Segment {
+    fn new(id: u64, index: InvertedIndex) -> Segment {
         // Count distinct docs via a bitset over the segment's own id
         // span: O(postings + span/64) instead of collect-sort-dedup —
         // this runs on every add batch and every compaction. The bitset
@@ -186,46 +168,40 @@ impl Segment {
                 hi = hi.max(p.doc);
             }
         }
-        if lo > hi {
-            return Segment {
-                id,
-                index,
-                doc_count: 0,
-                fingerprint,
-            };
-        }
-        let mut words = vec![0u64; ((hi - lo) as usize + 1).div_ceil(64)];
-        for (_, postings) in index.lists() {
-            for p in postings {
-                let bit = (p.doc - lo) as usize;
-                words[bit / 64] |= 1u64 << (bit % 64);
+        let mut doc_count = 0;
+        if lo <= hi {
+            let mut words = vec![0u64; ((hi - lo) as usize + 1).div_ceil(64)];
+            for (_, postings) in index.lists() {
+                for p in postings {
+                    let bit = (p.doc - lo) as usize;
+                    words[bit / 64] |= 1u64 << (bit % 64);
+                }
             }
+            doc_count = words.iter().map(|w| w.count_ones() as usize).sum();
         }
-        let doc_count = words.iter().map(|w| w.count_ones() as usize).sum();
         Segment {
             id,
             index,
             doc_count,
-            fingerprint,
+            file: OnceLock::new(),
         }
     }
 
     /// Reassembles a segment from parts the snapshot layer persisted
-    /// (DESIGN.md §14). The caller vouches for `fingerprint` and
-    /// `doc_count`: the load path checks both against the manifest and
-    /// the whole-file checksum instead of recomputing them here, so a
-    /// cold start makes one pass over the posting bytes, not two.
+    /// (DESIGN.md §14). The caller vouches for `doc_count` — the load
+    /// path derives it from the overlap bitset it builds anyway — and
+    /// for `file`, the stamp of the CRC-checked file it decoded.
     pub(crate) fn from_trusted_parts(
         id: u64,
-        fingerprint: u64,
         doc_count: usize,
         index: InvertedIndex,
+        file: FileStamp,
     ) -> Segment {
         Segment {
             id,
             index,
             doc_count,
-            fingerprint,
+            file: OnceLock::from(file),
         }
     }
 
@@ -234,9 +210,10 @@ impl Segment {
         self.id
     }
 
-    /// FNV-1a content fingerprint over the posting lists.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// The snapshot file this segment was written as or loaded from
+    /// (see the field docs).
+    pub(crate) fn file(&self) -> &OnceLock<FileStamp> {
+        &self.file
     }
 
     /// The segment's inverted index (global doc ids, frozen statistics).
@@ -267,7 +244,8 @@ pub struct SegmentedIndex {
     /// All documents ever added, with the frozen statistics epoch.
     corpus: Arc<Corpus>,
     /// Per-document total IDF weight under the frozen epoch (the
-    /// similarity prefilter's `W(d)`), extended incrementally on add.
+    /// similarity prefilter's `W(d)`), extended incrementally on add and
+    /// never stored: a snapshot load derives it ([`Self::from_parts`]).
     /// Chunked like the document store, so COW clones share sealed
     /// chunks and an append copies at most the tail chunk.
     weights: ChunkedVec<f64>,
@@ -301,31 +279,31 @@ impl SegmentedIndex {
                 Arc::new(Segment::build(p as u64, &corpus, ids))
             })
             .collect();
-        let weights = doc_weights(&corpus).into_iter().collect();
-        SegmentedIndex {
-            corpus: Arc::new(corpus),
-            weights,
+        SegmentedIndex::from_parts(
+            Arc::new(corpus),
             segments,
-            deleted: Tombstones::default(),
-            compactions: 0,
-            next_segment_id: parts as u64,
-        }
+            Tombstones::default(),
+            0,
+            parts as u64,
+        )
     }
 
-    /// Reassembles a segmented index from decoded snapshot parts
-    /// ([`crate::persist`]); the caller has validated shape invariants
-    /// (segment/corpus term-count agreement, posting order, id ranges).
+    /// Assembles a segmented index from its parts: a fresh build's, or
+    /// the ones the snapshot loader ([`crate::persist`]) decoded after
+    /// validating their shape (segment/corpus term-count agreement,
+    /// posting order, id ranges). The weight table is derived, never
+    /// stored: [`doc_weights`] under the frozen IDF computes the bits
+    /// every add computed.
     pub(crate) fn from_parts(
         corpus: Arc<Corpus>,
-        weights: ChunkedVec<f64>,
         segments: Vec<Arc<Segment>>,
         deleted: Tombstones,
         compactions: u64,
         next_segment_id: u64,
     ) -> SegmentedIndex {
         SegmentedIndex {
+            weights: doc_weights(&corpus).into_iter().collect(),
             corpus,
-            weights,
             segments,
             deleted,
             compactions,
@@ -535,17 +513,14 @@ impl SegmentedIndex {
     }
 
     /// Merges the posting lists of `self.segments[indices]` into one
-    /// segment (with the given fresh id), dropping tombstoned docs,
-    /// fingerprinted from the partials the merge sorts on.
+    /// segment (with the given fresh id), dropping tombstoned docs.
     fn merge_segments(&self, id: u64, indices: &[usize]) -> Segment {
-        let mut h = Fnv1a::new();
         let index = InvertedIndex::merge(
             &self.corpus,
             indices.iter().map(|&i| &self.segments[i].index),
             |d| !self.deleted.contains(d),
-            |t, list| hash_list(&mut h, t, list),
         );
-        Segment::new(id, index, h.finish())
+        Segment::new(id, index)
     }
 
     /// One incremental posting-list scan per segment for a single keyword
@@ -964,43 +939,16 @@ mod tests {
     }
 
     #[test]
-    fn segment_fingerprints_do_not_depend_on_the_list_layout() {
-        // Recorded on the dense layout (one list per vocabulary term): the
-        // fingerprint hashes the non-empty lists in term order, so storing
-        // only those must not move it — nor the snapshot files keyed by it.
-        let mut b = Corpus::builder();
-        b.add_text("d0", "apple apple orchard");
-        b.add_text("d1", "apple pie");
-        b.add_text("d2", "orchard walk trees");
-        b.add_text("d3", "completely different");
-        let mut seg = SegmentedIndex::build_partitioned(b.build(), 2);
-        let apple = seg.corpus().term_id("apple").unwrap();
-        seg.add_docs(vec![Document::from_tokens("n".into(), vec![apple, apple])]);
-        let fingerprints: Vec<u64> = seg.segments().iter().map(|s| s.fingerprint()).collect();
-        assert_eq!(
-            fingerprints,
-            [
-                0x217a_38d3_e90f_bcc9,
-                0xa76e_d072_8e01_5bad,
-                0xe108_5f90_39ee_46c7
-            ]
-        );
-    }
-
-    #[test]
     fn rebuild_check_names_the_term_of_a_list_mismatch() {
         let mut b = Corpus::builder();
         b.add_text("d0", "apple pie");
         b.add_text("d1", "zebra crossing");
         let corpus = b.build();
         let zebra = corpus.term_id("zebra").unwrap();
-        let weights: ChunkedVec<f64> = doc_weights(&corpus).into_iter().collect();
         let layout = |index: InvertedIndex| {
             SegmentedIndex::from_parts(
                 Arc::new(corpus.clone()),
-                weights.clone(),
-                // The rebuild check reads no fingerprint.
-                vec![Arc::new(Segment::new(0, index, 0))],
+                vec![Arc::new(Segment::new(0, index))],
                 Tombstones::default(),
                 0,
                 1,

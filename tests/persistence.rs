@@ -137,8 +137,9 @@ fn segmented_round_trip_serves_byte_identically() {
 fn random_mutation_scripts_round_trip() {
     let mut rng = Pcg::new(0x5EED_CAFE);
     // One directory reused across all trials: every trial's state is a
-    // *different lineage*, so each save must detect the stale files by
-    // fingerprint and rewrite (never silently reuse) them.
+    // *different lineage*, whose pieces remember no file of the
+    // directory, so each save must rewrite (never silently reuse) the
+    // files the previous trial left under the same names.
     let dir = temp_path("scripts.snapshot");
     for trial in 0..5 {
         let donor = generate(&SynthConfig {
@@ -220,6 +221,109 @@ fn incremental_checkpoints_reuse_files_and_load_identically() {
     // manifest (the generation lives there).
     let idle = persist::save_segmented(&dir, &seg, generation + 1).unwrap();
     assert_eq!(idle.files_written, 1, "{idle:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn diverged_lineages_rewrite_the_segment_id_they_share() {
+    // 1 100 documents: one sealed 1 024-document chunk and a tail.
+    let donor = generate(&SynthConfig {
+        num_docs: 1120,
+        ..SynthConfig::tiny()
+    });
+    let base_docs = || {
+        let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
+        for d in 0..1100u32 {
+            builder.add_document(donor.doc(d).clone());
+        }
+        builder.build()
+    };
+    let dir = temp_path("lineages.snapshot");
+    let config = EngineConfig::new(2).with_threads(1);
+    Engine::new(base_docs(), config.clone())
+        .save_snapshot(&dir)
+        .unwrap();
+    let a = Engine::load_snapshot(&dir, &config).unwrap();
+    let b = Engine::load_snapshot(&dir, &config).unwrap();
+    // Both mint segment id 2 (the base holds 0 and 1), over different
+    // documents.
+    a.add_docs((1100..1110u32).map(|d| donor.doc(d).clone()).collect());
+    b.add_docs((1110..1120u32).map(|d| donor.doc(d).clone()).collect());
+    let shared = dir.join(persist::segment_file_name(2));
+    let mut previous = Vec::new();
+    for (who, engine) in [("A", &a), ("B", &b), ("A again", &a)] {
+        let report = engine.save_snapshot(&dir).unwrap();
+        // Written: segment 2, the tail chunk and the manifest. Reused:
+        // the epoch, both base segments and the sealed chunk.
+        assert_eq!(
+            (report.files_written, report.files_reused),
+            (3, 4),
+            "{who}: {report:?}"
+        );
+        let bytes = std::fs::read(&shared).unwrap();
+        assert_ne!(bytes, previous, "{who}: segment 2 was not rewritten");
+        previous = bytes;
+        let loaded = Engine::load_snapshot(&dir, &config).unwrap();
+        assert_eq!(loaded.generation(), engine.generation(), "{who}");
+        assert!(loaded.corpus().docs().eq(engine.corpus().docs()), "{who}");
+        loaded.verify_rebuild_equivalence().unwrap();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn concurrent_saves_of_one_engine_all_succeed() {
+    // Two savers and a mutator on one engine and one directory, released
+    // together: the saves share temp-file names and each collects the
+    // directory's garbage, so unless they run one at a time one deletes
+    // the other's temp file mid-write.
+    let donor = generate(&SynthConfig {
+        num_docs: 220,
+        ..SynthConfig::tiny()
+    });
+    let engine = Engine::new(base(100), EngineConfig::new(2).with_threads(1));
+    let dir = temp_path("concurrent.snapshot");
+    let mut next = 100u32;
+    for round in 0..20 {
+        let batches: Vec<Vec<Document>> = (0..3)
+            .map(|i| {
+                (next + 2 * i..next + 2 * i + 2)
+                    .map(|d| donor.doc(d).clone())
+                    .collect()
+            })
+            .collect();
+        next += 6;
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            let savers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..3)
+                            .map(|_| engine.save_snapshot(&dir))
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            scope.spawn(|| {
+                start.wait();
+                for batch in batches {
+                    let added = engine.add_docs(batch);
+                    engine.delete_docs(&[added.start]);
+                    engine.compact();
+                }
+            });
+            for saver in savers {
+                for result in saver.join().unwrap() {
+                    if let Err(e) = result {
+                        panic!("round {round}: a concurrent save failed: {e}");
+                    }
+                }
+            }
+        });
+        let loaded = Engine::load_snapshot(&dir, &EngineConfig::default()).unwrap();
+        loaded.verify_rebuild_equivalence().unwrap();
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
