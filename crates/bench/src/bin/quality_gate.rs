@@ -1,14 +1,20 @@
 //! `quality_gate` — the CI quality gate: replays the default query pack
 //! ([`QueryPack::default_pack`]) through the engine twice per query
 //! (diversity on vs. off, same snapshot), scores diversity and relevance,
-//! and exits non-zero naming the family and metric of every gate that
-//! failed.
+//! prints the evidence table ([`QualityReport::render`]), and exits 1
+//! naming the family and metric of every gate that failed (2 on a bad
+//! flag or an unwritable `--out`).
 //!
 //! ```text
 //! quality_gate [--out PATH]
 //! ```
 //!
-//! `--out` writes the self-validated `divtopk-quality/1` evidence table.
+//! `--out` also writes the table, byte for byte as printed. The default
+//! pack's table is committed as `tests/data/quality_evidence.md`;
+//! regenerate it with
+//! `cargo run --release -p divtopk-bench --bin quality_gate -- --out tests/data/quality_evidence.md`.
+//!
+//! [`QualityReport::render`]: divtopk_bench::quality::QualityReport::render
 
 use divtopk_bench::quality::evaluate;
 use divtopk_bench::workload::QueryPack;
@@ -50,9 +56,10 @@ fn main() {
         }
     };
 
-    println!("{}", report.render_table());
+    let table = report.render();
+    print!("{table}");
     if let Some(path) = &out {
-        std::fs::write(path, report.to_json_pretty()).unwrap_or_else(|e| {
+        std::fs::write(path, &table).unwrap_or_else(|e| {
             eprintln!("quality_gate: writing {path}: {e}");
             std::process::exit(2);
         });

@@ -3,7 +3,6 @@
 //! the small measurement/format helpers the `figures` binary uses
 //! (DESIGN.md §6), plus the quality gate's query pack and evaluator.
 
-pub mod json;
 pub mod quality;
 pub mod workload;
 
@@ -70,12 +69,6 @@ unsafe impl GlobalAlloc for PeakAlloc {
         }
         new_ptr
     }
-}
-
-/// Bytes currently live (as seen by the counting allocator).
-pub fn current_bytes() -> usize {
-    // RELAXED: measurement read — see `PeakAlloc::alloc`.
-    CURRENT.load(Ordering::Relaxed)
 }
 
 /// Resets the peak to the current live size; returns the baseline.

@@ -10,9 +10,12 @@
 //! score-descending top-k, which is DCG-maximal for these gains, so its
 //! NDCG and MRR are 1.0 by construction and every on-side delta is a
 //! bounded sacrifice. Per-family pass criteria are each family's
-//! [`Gates`]; [`QualityReport::to_json_pretty`] emits the
-//! self-validated evidence table (`divtopk-quality/1`) that
-//! `quality_gate` writes and the CI `quality` job uploads.
+//! [`Gates`]; [`QualityReport::render`] is the evidence table that
+//! `quality_gate` prints and writes. [`evaluate`] reads no clock, so the
+//! table is a pure function of the pack: the default pack's is committed
+//! as `tests/data/quality_evidence.md`, and a test holds the gate's
+//! output byte-equal to it. What a mode costs in time is measured by
+//! `figures frontier` and the e2e benchmark, not here.
 
 use crate::workload::{CacheMode, Gates, Mutation, PackEvent, QueryPack};
 use divtopk_core::metrics::{max_share, ndcg, reciprocal_rank, unique_labels};
@@ -22,12 +25,6 @@ use divtopk_text::jaccard::weighted_jaccard;
 use divtopk_text::mode::DiversifyMode;
 use divtopk_text::search::{SearchOptions, SearchOutput};
 use divtopk_text::synth::generate_labeled;
-use std::time::Instant;
-
-use crate::json::{self, Value};
-
-/// The evidence-table schema this module emits.
-pub const QUALITY_VERSION: &str = "divtopk-quality/1";
 
 /// Aggregate metrics of one side (diversity on or off) of a family.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,10 +39,6 @@ pub struct SideStats {
     pub mean_ndcg: f64,
     /// Mean MRR of the oracle's top hit (off side: 1.0 by definition).
     pub mean_mrr: f64,
-    /// Median per-query engine latency, ms.
-    pub p50_ms: f64,
-    /// 95th-percentile per-query engine latency, ms.
-    pub p95_ms: f64,
 }
 
 /// The on-minus-off family deltas the gates judge.
@@ -68,7 +61,7 @@ pub struct Deltas {
 pub struct GateFailure {
     /// The family whose gate failed.
     pub family: String,
-    /// The gate's JSON key (e.g. `min_ndcg_delta`).
+    /// The gate's name, a field of [`Gates`] (e.g. `min_ndcg_delta`).
     pub metric: String,
     /// The threshold the pack declared.
     pub threshold: f64,
@@ -125,162 +118,156 @@ impl QualityReport {
         self.families.iter().flat_map(|f| &f.failures)
     }
 
-    /// The evidence table as a JSON DOM (`divtopk-quality/1`).
-    pub fn to_value(&self) -> Value {
-        let side = |s: &SideStats| {
-            Value::Object(vec![
-                (
-                    "unique_sources_at_k".into(),
-                    Value::Number(s.mean_unique_sources),
-                ),
-                ("max_share_at_k".into(), Value::Number(s.mean_max_share)),
-                (
-                    "dissimilarity_at_k".into(),
-                    Value::Number(s.mean_dissimilarity),
-                ),
-                ("ndcg_at_k".into(), Value::Number(s.mean_ndcg)),
-                ("mrr".into(), Value::Number(s.mean_mrr)),
-                ("p50_ms".into(), Value::Number(s.p50_ms)),
-                ("p95_ms".into(), Value::Number(s.p95_ms)),
-            ])
-        };
-        let families = self
-            .families
-            .iter()
-            .map(|f| {
-                Value::Object(vec![
-                    ("name".into(), Value::String(f.name.clone())),
-                    ("queries".into(), Value::Number(f.queries as f64)),
-                    ("pass".into(), Value::Bool(f.failures.is_empty())),
-                    ("diversity_on".into(), side(&f.on)),
-                    ("diversity_off".into(), side(&f.off)),
-                    (
-                        "deltas".into(),
-                        Value::Object(vec![
-                            (
-                                "unique_sources_gain".into(),
-                                Value::Number(f.deltas.unique_sources_gain),
-                            ),
-                            (
-                                "max_share_delta".into(),
-                                Value::Number(f.deltas.max_share_delta),
-                            ),
-                            (
-                                "dissimilarity_gain".into(),
-                                Value::Number(f.deltas.dissimilarity_gain),
-                            ),
-                            ("ndcg_delta".into(), Value::Number(f.deltas.ndcg_delta)),
-                            ("mrr_delta".into(), Value::Number(f.deltas.mrr_delta)),
-                        ]),
-                    ),
-                    (
-                        "gates".into(),
-                        Value::Object(
-                            f.gates
-                                .entries()
-                                .into_iter()
-                                .map(|(k, v)| (k.to_owned(), Value::Number(v)))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "failures".into(),
-                        Value::Array(
-                            f.failures
-                                .iter()
-                                .map(|fail| {
-                                    Value::Object(vec![
-                                        ("metric".into(), Value::String(fail.metric.clone())),
-                                        ("threshold".into(), Value::Number(fail.threshold)),
-                                        ("actual".into(), Value::Number(fail.actual)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("version".into(), Value::String(QUALITY_VERSION.into())),
-            ("pack".into(), Value::String(self.pack.clone())),
-            ("pass".into(), Value::Bool(self.pass())),
-            ("families".into(), Value::Array(families)),
-        ])
-    }
-
-    /// Pretty JSON evidence table, self-validated before it is returned
-    /// (a malformed emission is a bug in this crate, caught here rather
-    /// than downstream).
-    pub fn to_json_pretty(&self) -> String {
-        let mut text = json::emit_pretty(&self.to_value());
-        text.push('\n');
-        json::validate(&text).expect("evidence table must be well-formed JSON");
-        text
-    }
-
-    /// The on/off comparison as a human-readable table (one row per
-    /// family-side, SNIPPETS-style evidence framing).
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<16} {:>4} {:>9} {:>10} {:>9} {:>8} {:>7} {:>8} {:>8}  {}\n",
-            "family",
-            "side",
-            "uniq@k",
-            "maxshare",
-            "dissim",
-            "ndcg",
-            "mrr",
-            "p50ms",
-            "p95ms",
-            "gates"
-        ));
+    /// The evidence table: the pack's name, one Markdown row per family
+    /// and metric with both sides' means, the on − off delta, the gate
+    /// the pack declares on that delta and its outcome, then the verdict.
+    /// Every number prints at 6 decimals, so equal reports render to equal
+    /// bytes; `tests/data/quality_evidence.md` is the default pack's.
+    pub fn render(&self) -> String {
+        let mut out = format!(
+            "# Quality evidence: pack `{}`\n\n\
+             Each query ran twice against one snapshot, diversity on and \
+             off; a figure is the mean over the family's queries, and a \
+             delta is on − off.\n\n\
+             | Family | Queries | Metric | Diversity off | Diversity on | Delta (on-off) | Gate | Verdict |\n\
+             | --- | ---: | --- | ---: | ---: | ---: | --- | --- |\n",
+            self.pack
+        );
         for f in &self.families {
-            for (tag, s) in [("on", &f.on), ("off", &f.off)] {
-                let verdict = if tag == "on" {
-                    if f.failures.is_empty() {
-                        "pass".to_owned()
-                    } else {
-                        format!(
-                            "FAIL [{}]",
-                            f.failures
-                                .iter()
-                                .map(|x| x.metric.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        )
+            for row in f.rows() {
+                let (gate, outcome) = match row.threshold {
+                    None => ("—".to_owned(), "—".to_owned()),
+                    Some(t) => {
+                        let bound = if row.ceiling { "≤" } else { "≥" };
+                        let outcome = match f.failures.iter().find(|x| x.metric == row.gate) {
+                            Some(x) => format!("FAIL (measured {:+.6})", x.actual),
+                            None => "pass".to_owned(),
+                        };
+                        (format!("`{}` {bound} {t:+.6}", row.gate), outcome)
                     }
-                } else {
-                    String::new()
                 };
                 out.push_str(&format!(
-                    "{:<16} {:>4} {:>9.3} {:>10.3} {:>9.3} {:>8.3} {:>7.3} {:>8.3} {:>8.3}  {}\n",
-                    f.name,
-                    tag,
-                    s.mean_unique_sources,
-                    s.mean_max_share,
-                    s.mean_dissimilarity,
-                    s.mean_ndcg,
-                    s.mean_mrr,
-                    s.p50_ms,
-                    s.p95_ms,
-                    verdict
+                    "| {} | {} | {} | {:.6} | {:.6} | {:+.6} | {gate} | {outcome} |\n",
+                    f.name, f.queries, row.metric, row.off, row.on, row.delta
                 ));
             }
         }
+        let failed = self
+            .families
+            .iter()
+            .filter(|f| !f.failures.is_empty())
+            .count();
+        out.push_str(&match failed {
+            0 => format!("\nVerdict: PASS ({} families).\n", self.families.len()),
+            _ => format!(
+                "\nVerdict: FAIL ({failed} of {} families).\n",
+                self.families.len()
+            ),
+        });
         out
     }
 }
 
-/// Latency quantile over raw ns samples, in ms.
-fn quantile_ms(samples: &mut [u64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+/// One metric of a family as the gates and the evidence table see it.
+struct MetricRow {
+    /// The metric's name in the evidence table.
+    metric: &'static str,
+    /// Diversity-off mean.
+    off: f64,
+    /// Diversity-on mean.
+    on: f64,
+    /// On − off.
+    delta: f64,
+    /// The key of the gate on `delta` (a field of [`Gates`]).
+    gate: &'static str,
+    /// The gate's threshold, if the pack declares one.
+    threshold: Option<f64>,
+    /// True when the gate is a ceiling on `delta`, false for a floor.
+    ceiling: bool,
+}
+
+impl FamilyReport {
+    /// The five metrics in evidence order, each beside its gate.
+    fn rows(&self) -> [MetricRow; 5] {
+        let (on, off, d, g) = (&self.on, &self.off, &self.deltas, &self.gates);
+        let row = |metric, off, on, delta, gate, threshold, ceiling| MetricRow {
+            metric,
+            off,
+            on,
+            delta,
+            gate,
+            threshold,
+            ceiling,
+        };
+        [
+            row(
+                "unique_sources@k",
+                off.mean_unique_sources,
+                on.mean_unique_sources,
+                d.unique_sources_gain,
+                "min_unique_sources_gain",
+                g.min_unique_sources_gain,
+                false,
+            ),
+            row(
+                "max_share@k",
+                off.mean_max_share,
+                on.mean_max_share,
+                d.max_share_delta,
+                "max_max_share_delta",
+                g.max_max_share_delta,
+                true,
+            ),
+            row(
+                "dissimilarity@k",
+                off.mean_dissimilarity,
+                on.mean_dissimilarity,
+                d.dissimilarity_gain,
+                "min_dissimilarity_gain",
+                g.min_dissimilarity_gain,
+                false,
+            ),
+            row(
+                "ndcg@k",
+                off.mean_ndcg,
+                on.mean_ndcg,
+                d.ndcg_delta,
+                "min_ndcg_delta",
+                g.min_ndcg_delta,
+                false,
+            ),
+            row(
+                "mrr",
+                off.mean_mrr,
+                on.mean_mrr,
+                d.mrr_delta,
+                "min_mrr_delta",
+                g.min_mrr_delta,
+                false,
+            ),
+        ]
     }
-    samples.sort_unstable();
-    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1] as f64 / 1e6
+
+    /// The declared gates that this family's deltas fail, in row order.
+    fn check_gates(&self) -> Vec<GateFailure> {
+        self.rows()
+            .into_iter()
+            .filter_map(|row| {
+                let threshold = row.threshold?;
+                let failed = if row.ceiling {
+                    row.delta > threshold
+                } else {
+                    row.delta < threshold
+                };
+                failed.then(|| GateFailure {
+                    family: self.name.clone(),
+                    metric: row.gate.to_owned(),
+                    threshold,
+                    actual: row.delta,
+                })
+            })
+            .collect()
+    }
 }
 
 /// Per-query metric accumulator for one side.
@@ -291,11 +278,10 @@ struct SideAcc {
     dissim: f64,
     ndcg: f64,
     mrr: f64,
-    latencies_ns: Vec<u64>,
 }
 
 impl SideAcc {
-    fn stats(mut self, n: usize) -> SideStats {
+    fn stats(self, n: usize) -> SideStats {
         let n = n.max(1) as f64;
         SideStats {
             mean_unique_sources: self.unique / n,
@@ -303,16 +289,13 @@ impl SideAcc {
             mean_dissimilarity: self.dissim / n,
             mean_ndcg: self.ndcg / n,
             mean_mrr: self.mrr / n,
-            p50_ms: quantile_ms(&mut self.latencies_ns, 0.50),
-            p95_ms: quantile_ms(&mut self.latencies_ns, 0.95),
         }
     }
 }
 
 /// Runs the full evaluation: builds the pack's corpus, compiles every
 /// family, replays each against a fresh engine (mutations included), and
-/// scores both sides of every query. Deterministic in everything except
-/// the latency columns.
+/// scores both sides of every query. A pure function of the pack.
 pub fn evaluate(pack: &QueryPack) -> Result<QualityReport, String> {
     let (corpus, base_labels) = generate_labeled(&pack.corpus);
     let index = InvertedIndex::build(&corpus);
@@ -347,8 +330,8 @@ pub fn evaluate(pack: &QueryPack) -> Result<QualityReport, String> {
                 }
                 PackEvent::Query(query) => {
                     let generation = engine.generation();
-                    let out_on = run_side(&engine, query, &options_on, family.cache, &mut on)?;
-                    let out_off = run_side(&engine, query, &options_off, family.cache, &mut off)?;
+                    let out_on = run_side(&engine, query, &options_on, family.cache)?;
+                    let out_off = run_side(&engine, query, &options_off, family.cache)?;
                     assert_eq!(
                         generation,
                         engine.generation(),
@@ -368,16 +351,17 @@ pub fn evaluate(pack: &QueryPack) -> Result<QualityReport, String> {
             ndcg_delta: on.mean_ndcg - off.mean_ndcg,
             mrr_delta: on.mean_mrr - off.mean_mrr,
         };
-        let failures = check_gates(&family.name, &family.gates, &deltas);
-        families.push(FamilyReport {
+        let mut report = FamilyReport {
             name: family.name.clone(),
             queries,
             on,
             off,
             deltas,
             gates: family.gates.clone(),
-            failures,
-        });
+            failures: Vec::new(),
+        };
+        report.failures = report.check_gates();
+        families.push(report);
     }
     Ok(QualityReport {
         pack: pack.name.clone(),
@@ -385,25 +369,18 @@ pub fn evaluate(pack: &QueryPack) -> Result<QualityReport, String> {
     })
 }
 
-/// Runs one side of a query, recording its latency.
+/// Runs one side of a query, through the cache or around it.
 fn run_side(
     engine: &Engine,
     query: &Query,
     options: &SearchOptions,
     cache: CacheMode,
-    acc: &mut SideAcc,
 ) -> Result<SearchOutput, String> {
-    // LINT-ALLOW(wallclock): latency measurement only — the timings
-    // land in the report's latency fields, never in result selection, so
-    // replayed runs stay byte-identical everywhere the harness compares.
-    let started = Instant::now();
-    let out = match cache {
+    match cache {
         CacheMode::Normal => engine.search(query, options),
         CacheMode::Bypass => engine.search_uncached(query, options),
     }
-    .map_err(|e| format!("query {query:?}: {e}"))?;
-    acc.latencies_ns.push(started.elapsed().as_nanos() as u64);
-    Ok(out)
+    .map_err(|e| format!("query {query:?}: {e}"))
 }
 
 /// Scores one on/off pair into the accumulators.
@@ -459,47 +436,6 @@ fn score_pair(
     off.mrr += 1.0;
 }
 
-/// Applies the declared gates to the measured deltas.
-fn check_gates(family: &str, gates: &Gates, deltas: &Deltas) -> Vec<GateFailure> {
-    let mut failures = Vec::new();
-    let mut floor = |metric: &str, threshold: Option<f64>, actual: f64| {
-        if let Some(t) = threshold {
-            if actual < t {
-                failures.push(GateFailure {
-                    family: family.to_owned(),
-                    metric: metric.to_owned(),
-                    threshold: t,
-                    actual,
-                });
-            }
-        }
-    };
-    floor(
-        "min_unique_sources_gain",
-        gates.min_unique_sources_gain,
-        deltas.unique_sources_gain,
-    );
-    floor(
-        "min_dissimilarity_gain",
-        gates.min_dissimilarity_gain,
-        deltas.dissimilarity_gain,
-    );
-    floor("min_ndcg_delta", gates.min_ndcg_delta, deltas.ndcg_delta);
-    floor("min_mrr_delta", gates.min_mrr_delta, deltas.mrr_delta);
-    // The share gate is a ceiling: concentration must not rise past it.
-    if let Some(t) = gates.max_max_share_delta {
-        if deltas.max_share_delta > t {
-            failures.push(GateFailure {
-                family: family.to_owned(),
-                metric: "max_max_share_delta".to_owned(),
-                threshold: t,
-                actual: deltas.max_share_delta,
-            });
-        }
-    }
-    failures
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -524,13 +460,10 @@ mod tests {
         let pack = shrunk_pack();
         let a = evaluate(&pack).unwrap();
         let b = evaluate(&pack).unwrap();
+        assert_eq!(a, b);
+        assert_eq!(a.render(), b.render());
         assert_eq!(a.families.len(), pack.families.len());
-        for (fa, fb) in a.families.iter().zip(&b.families) {
-            // Everything except wall-clock latency is deterministic.
-            assert_eq!(fa.name, fb.name);
-            assert_eq!(fa.queries, fb.queries);
-            assert_eq!(fa.deltas, fb.deltas);
-            assert_eq!(fa.failures, fb.failures);
+        for fa in &a.families {
             // The off oracle is exact: NDCG = MRR = 1 by construction,
             // and the on side can only sacrifice relevance.
             assert_eq!(fa.off.mean_ndcg, 1.0);
@@ -541,37 +474,6 @@ mod tests {
             assert!(fa.deltas.unique_sources_gain >= -1e-9);
             assert!(fa.deltas.dissimilarity_gain >= -1e-9);
         }
-    }
-
-    #[test]
-    fn evidence_table_is_self_validated_json() {
-        let report = evaluate(&shrunk_pack()).unwrap();
-        let text = report.to_json_pretty();
-        let doc = json::parse(&text).unwrap();
-        assert_eq!(
-            doc.get("version").and_then(Value::as_str),
-            Some(QUALITY_VERSION)
-        );
-        let families = doc.get("families").and_then(Value::as_array).unwrap();
-        assert_eq!(families.len(), report.families.len());
-        for fam in families {
-            for side in ["diversity_on", "diversity_off"] {
-                let s = fam.get(side).unwrap();
-                for key in [
-                    "unique_sources_at_k",
-                    "max_share_at_k",
-                    "dissimilarity_at_k",
-                    "ndcg_at_k",
-                    "mrr",
-                    "p50_ms",
-                    "p95_ms",
-                ] {
-                    let v = s.get(key).and_then(Value::as_f64).unwrap();
-                    assert!(v.is_finite(), "{side}.{key}");
-                }
-            }
-        }
-        assert!(!report.render_table().is_empty());
     }
 
     #[test]
@@ -588,5 +490,27 @@ mod tests {
         let shown = failure.to_string();
         assert!(shown.contains(&pack.families[0].name), "{shown}");
         assert!(shown.contains("min_ndcg_delta"), "{shown}");
+        // The evidence table carries the verdict, the threshold and the
+        // measured value on the failing family's row.
+        let table = report.render();
+        assert!(
+            table.contains(&format!(
+                "Verdict: FAIL (1 of {} families)",
+                pack.families.len()
+            )),
+            "{table}"
+        );
+        let row = format!(
+            "| {} | {} | ndcg@k | 1.000000 | {:.6} | {:+.6} | `min_ndcg_delta` ≥ +0.500000 | FAIL (measured {:+.6}) |",
+            failure.family,
+            report.families[0].queries,
+            report.families[0].on.mean_ndcg,
+            failure.actual,
+            failure.actual
+        );
+        assert!(
+            table.lines().any(|l| l == row),
+            "no row {row:?} in\n{table}"
+        );
     }
 }

@@ -122,22 +122,6 @@ pub struct Gates {
     pub min_mrr_delta: Option<f64>,
 }
 
-impl Gates {
-    /// `(evidence-table key, threshold)` pairs of the gates that are set.
-    pub fn entries(&self) -> Vec<(&'static str, f64)> {
-        [
-            ("min_unique_sources_gain", self.min_unique_sources_gain),
-            ("max_max_share_delta", self.max_max_share_delta),
-            ("min_dissimilarity_gain", self.min_dissimilarity_gain),
-            ("min_ndcg_delta", self.min_ndcg_delta),
-            ("min_mrr_delta", self.min_mrr_delta),
-        ]
-        .into_iter()
-        .filter_map(|(k, v)| v.map(|v| (k, v)))
-        .collect()
-    }
-}
-
 /// One named query family.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Family {

@@ -2,7 +2,9 @@
 //! reaches EOF; it turns a deployment flag the engine would assert on
 //! into a usage error, like every other bad flag, and a snapshot or port
 //! it cannot have into a one-line error; `snapshot` does the same for a
-//! directory it cannot read or write.
+//! directory it cannot read or write; `quality_gate` exits 2 with its
+//! usage line on a flag it does not know or an `--out` without a path,
+//! and with one line naming the path on an `--out` it cannot write.
 
 use divtopk_engine::engine::Query;
 use divtopk_engine::proto::{self, Request, Response};
@@ -182,4 +184,33 @@ fn a_missing_or_unwritable_snapshot_directory_is_an_error_message_not_a_panic() 
             "{command} {operand}: {stderr}"
         );
     }
+}
+
+#[test]
+fn quality_gate_rejects_bad_flags_and_an_unwritable_out_without_a_panic() {
+    for args in [&["--pack", "x"][..], &["--out"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_quality_gate"))
+            .args(args)
+            .output()
+            .expect("spawning quality_gate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: quality_gate"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+
+    let path = "/proc/nope/ev.md";
+    let out = Command::new(env!("CARGO_BIN_EXE_quality_gate"))
+        .args(["--out", path])
+        .output()
+        .expect("spawning quality_gate");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "--out {path}: {stderr}");
+    let writing: Vec<_> = stderr
+        .lines()
+        .filter(|l| l.starts_with("quality_gate: writing "))
+        .collect();
+    assert_eq!(writing.len(), 1, "{stderr}");
+    assert!(writing[0].contains(path), "{stderr}");
+    assert!(!stderr.contains("panicked"), "--out {path}: {stderr}");
 }

@@ -1,7 +1,7 @@
 //! A hand-written Rust line scanner — the lexical substrate the rules in
-//! [`crate::rules`] run on. Same spirit as the in-repo JSON parser from
-//! PR 2: a small, dependency-free, fully-owned piece of the trusted base
-//! instead of an external parser the linter would then have to trust.
+//! [`crate::rules`] run on: a small, dependency-free, fully-owned piece
+//! of the trusted base instead of an external parser the linter would
+//! then have to trust.
 //!
 //! The scanner does **not** parse Rust. It performs exactly the lexical
 //! separation the rules need and nothing more:

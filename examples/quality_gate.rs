@@ -5,8 +5,10 @@
 //! diversity on vs. off against the same snapshot — and prints the
 //! evidence table: unique-source@k, max-share@k, pairwise
 //! dissimilarity@k, plus the NDCG/MRR relevance guards against the
-//! diversity-off oracle. Then it tightens one gate past measured reality
-//! to show what a CI failure looks like. Run with:
+//! diversity-off oracle, each beside the gate the pack declares on it.
+//! The table is the committed `tests/data/quality_evidence.md`, byte for
+//! byte. Then it tightens one gate past measured reality to show what a
+//! CI failure looks like. Run with:
 //!
 //! ```text
 //! cargo run --release --example quality_gate
@@ -26,10 +28,10 @@ fn main() {
     );
 
     let report = evaluate(&pack).expect("default pack evaluates");
-    println!("{}", report.render_table());
+    print!("{}", report.render());
     assert!(report.pass(), "the committed pack must pass its own gates");
     println!(
-        "all {} families pass their declared gates\n",
+        "\nall {} families pass their declared gates\n",
         report.families.len()
     );
 

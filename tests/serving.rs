@@ -15,6 +15,10 @@
 //!   produce a typed error or a clean close — and the server keeps
 //!   serving afterwards. Mirrors PR 5's truncate-every-offset sweep one
 //!   layer up, at the frame boundary.
+//! * **Reload**: a `Reload` request swaps in a saved snapshot under a
+//!   generation above every one served before, so the first answer after
+//!   it is computed afresh and equals a fresh load's; a missing snapshot
+//!   is a typed error that changes nothing.
 
 use divtopk::ExactAlgorithm;
 use divtopk::core::rng::Pcg;
@@ -733,6 +737,85 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
         Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
         other => panic!("expected hits after the huge-k frames, got {other:?}"),
     }
+}
+
+#[test]
+fn reload_over_tcp_publishes_a_fresh_generation_and_never_answers_from_the_old_cache() {
+    let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(120));
+    let term = interesting_terms(&corpus, 1)[0];
+    let last = corpus.num_docs() as DocId - 1;
+    let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
+    let query = Query::Scan(term);
+    let options = SearchOptions::new(5).with_tau(0.5);
+    let search = Request::Search {
+        query: query.clone(),
+        k: 5,
+        tau: 0.5,
+        bound_decay: 0.0,
+        mode: DiversifyMode::exact(),
+    };
+
+    // Save at a generation past 0, then delete the query's top hit so
+    // the live state runs ahead of the snapshot and answers differently.
+    engine.delete_docs(&[last]);
+    let dir = std::env::temp_dir().join(format!("divtopk-{}-reload.snapshot", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    engine.save_snapshot(&dir).expect("saving the snapshot");
+    let saved = engine.generation();
+    let top = engine.search(&query, &options).unwrap().hits[0].doc;
+    assert_eq!(engine.delete_docs(&[top]), 1);
+    let live = engine.generation();
+
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", ServerConfig::default())
+        .expect("server start");
+    let mut stream = connect(&server.addr().to_string());
+    let served = |stream: &mut TcpStream| match call(stream, &search).unwrap() {
+        Response::Hits(hits) => hits,
+        other => panic!("expected hits, got {other:?}"),
+    };
+    // Twice, so the pre-reload answer is in the cache.
+    for _ in 0..2 {
+        let hits = served(&mut stream);
+        assert_eq!(hits.generation, live);
+        assert!(hits.hits.iter().all(|&(doc, _)| doc != top));
+    }
+
+    let path = dir.to_str().expect("UTF-8 temp path").to_owned();
+    let generation = match call(&mut stream, &Request::Reload { path }).unwrap() {
+        Response::Reloaded { generation } => generation,
+        other => panic!("expected a reload answer, got {other:?}"),
+    };
+    assert_eq!(generation, saved.max(live + 1));
+    assert_eq!(engine.generation(), generation);
+
+    // The first answer after the swap is computed on the loaded state,
+    // not served from the cache, and equals a fresh load's.
+    let cache_hits = engine.stats().cache_hits;
+    let hits = served(&mut stream);
+    assert_eq!(engine.stats().cache_hits, cache_hits);
+    assert_eq!(hits.generation, generation);
+    let fresh = Engine::load_snapshot(&dir, &EngineConfig::new(2)).expect("loading the snapshot");
+    assert_eq!(
+        key_of_wire(&hits),
+        key_of_output(&fresh.search(&query, &options).unwrap())
+    );
+    assert!(hits.hits.iter().any(|&(doc, _)| doc == top));
+
+    // A snapshot that is not there is a typed search error; the serving
+    // state and the connection carry on.
+    let missing = Request::Reload {
+        path: "/nonexistent/divtopk.snapshot".to_owned(),
+    };
+    match call(&mut stream, &missing).unwrap() {
+        Response::Error {
+            code: proto::ErrorCode::Search,
+            ..
+        } => {}
+        other => panic!("expected a search error, got {other:?}"),
+    }
+    assert_eq!(engine.generation(), generation);
+    assert_eq!(served(&mut stream).generation, generation);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
