@@ -168,19 +168,32 @@ fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
 }
 
 /// Bytes of a segment file that are not posting lists: the file header
-/// (magic, version, kind, section count: 20) and its one `INDX`
-/// section's header (16) and payload prefix (vocabulary size, list
-/// count: 16).
-const SEGMENT_FILE_OVERHEAD: u64 = 20 + 16 + 16;
+/// (magic, version, kind, section count: 20), its one `INDX` section's
+/// header (16) and the payload prefix — the vocabulary size (8), the list
+/// count and the base doc id (LEB128 of a 32-bit value, ≤ 5 each) and the
+/// doc-offset and tf widths (1 each): ≤ 20.
+const SEGMENT_FILE_OVERHEAD: u64 = 20 + 16 + 20;
+
+/// Bytes per stored list in the checked batch's segment file: a term gap
+/// and a length, LEB128, at most 2 bytes each (the batch's term ids and
+/// list lengths are far below 2¹⁴). The fixed-width layout took 12.
+const SEGMENT_BYTES_PER_LIST: u64 = 4;
+
+/// Bytes per posting in the checked batch's segment file: a doc offset
+/// and a tf at the segment's narrowest widths, 1 byte each for a batch
+/// of under 256 documents with every tf under 256. The fixed-width layout
+/// took 8.
+const SEGMENT_BYTES_PER_POSTING: u64 = 2;
 
 /// The incremental-checkpoint gate: after one mutation batch, the second
 /// save must rewrite **only** the manifest and the (unsealed) tail
 /// chunk, and add **only** the batch's new segment file — every other
 /// file must be byte-identical on disk. This pins the O(delta) claim at
 /// the file-system level, not just via `SaveReport`'s own accounting.
-/// The new segment file must also fit [`SEGMENT_FILE_OVERHEAD`] plus its
-/// lists and postings, so a payload that grows with the vocabulary
-/// fails here.
+/// The new segment file must also fit [`SEGMENT_FILE_OVERHEAD`] plus
+/// [`SEGMENT_BYTES_PER_LIST`] per list and [`SEGMENT_BYTES_PER_POSTING`]
+/// per posting, so a payload that grows with the vocabulary, or stores
+/// fixed 4- and 8-byte fields, fails here.
 fn incremental(path: &str) {
     let _ = std::fs::remove_dir_all(path);
     let engine = reference_engine();
@@ -239,11 +252,13 @@ fn incremental(path: &str) {
         );
     }
     assert_eq!(added.len(), 1, "one mutation batch must add one segment");
-    // A segment file is O(its postings): the container around it, then
-    // per stored list a term id and a length (12 B) and per posting a
-    // `(doc, tf)` pair (8 B) — no byte per vocabulary term.
+    // A segment file is O(its postings) at narrow widths: the container
+    // around it, then per stored list a term gap and a length and per
+    // posting a `(doc offset, tf)` pair — no byte per vocabulary term.
     let segment_len = after[added[0]].len() as u64;
-    let bound = SEGMENT_FILE_OVERHEAD + 12 * batch_lists + 8 * batch_postings;
+    let bound = SEGMENT_FILE_OVERHEAD
+        + SEGMENT_BYTES_PER_LIST * batch_lists
+        + SEGMENT_BYTES_PER_POSTING * batch_postings;
     assert!(
         segment_len <= bound,
         "the batch's segment file is {segment_len} B, over the {bound} B its \

@@ -20,13 +20,19 @@
 //! section  := tag[4]  payload_len:u64  crc32:u32  payload[payload_len]
 //! ```
 //!
-//! All integers are explicit little-endian; floats travel as
-//! [`f64::to_bits`] words, so a load reproduces the exact bits the writer
-//! held — the substrate of the byte-equality-after-load contract. Each
-//! section's payload is protected by an in-repo CRC32 ([`crc32`], the
-//! IEEE/zlib polynomial); the header fields are protected structurally
-//! (magic, a pinned [`FORMAT_VERSION`], a per-snapshot-kind section
-//! schedule, and an exact-consumption check at every level).
+//! The header and section framing are fixed-width little-endian. Inside
+//! a payload, counts, lengths and small integers are unsigned LEB128
+//! (shortest form only), increasing id sequences — a segment's term ids,
+//! a document's signature, the tombstones — are stored as gaps, and a
+//! segment's postings are fixed-width little-endian at the narrowest
+//! width (1–4 bytes) the segment needs; each payload's doc comment gives
+//! its grammar. Floats travel as [`f64::to_bits`] words, so a load
+//! reproduces the exact bits the writer held — the substrate of the
+//! byte-equality-after-load contract. Each section's payload is
+//! protected by an in-repo CRC32 ([`crc32`], the IEEE/zlib polynomial);
+//! the header fields are protected structurally (magic, a pinned
+//! [`FORMAT_VERSION`], a per-snapshot-kind section schedule, and an
+//! exact-consumption check at every level).
 //!
 //! ## The snapshot directory (DESIGN.md §14)
 //!
@@ -76,10 +82,11 @@
 //!
 //! [`FORMAT_VERSION`] identifies the container revision. Readers accept
 //! exactly the versions they know how to decode (currently only
-//! version 3; version 1 stored a list length for every vocabulary term,
+//! version 4; version 1 stored a list length for every vocabulary term,
 //! version 2 a content fingerprint, a `META` copy of manifest fields and
-//! a weight table in every data file) and reject everything else with
-//! [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
+//! a weight table in every data file, version 3 every id, count and
+//! posting field as a fixed 4- or 8-byte word) and reject everything
+//! else with [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
 //! regenerate from the corpus, so there is no silent best-effort decoding
 //! of future or past revisions. Any layout change bumps the version.
 
@@ -97,7 +104,7 @@ use std::sync::{Arc, OnceLock};
 pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 
 /// The container format revision this build writes and reads.
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
 /// directory (what `Engine::save_snapshot` writes). Kinds 1–3 belonged to
@@ -365,7 +372,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian payload encoding helpers.
+// Payload encoding helpers: fixed-width little-endian words and LEB128.
 // ---------------------------------------------------------------------------
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -380,14 +387,38 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     put_u64(buf, v.to_bits());
 }
 
+/// Unsigned LEB128: seven bits per byte, low group first, the high bit
+/// set on every byte but the last. The writer always emits the shortest
+/// form, so one value has one encoding.
+fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
+    put_varint(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// A bounds-checked little-endian cursor over one payload (or the file
-/// header). Every read returns [`SnapshotError::Truncated`] instead of
-/// slicing out of range.
+/// Writes an increasing id sequence as gaps: each id as its distance past
+/// the smallest id the sequence could still take (`0` first, then one
+/// past the previous id), so a strictly increasing sequence is the only
+/// kind the bytes can express.
+fn put_gap(buf: &mut Vec<u8>, next: &mut u64, id: u64) {
+    put_varint(buf, id - *next);
+    *next = id + 1;
+}
+
+/// The fewest bytes (1–4) that hold `max` little-endian.
+fn byte_width(max: u32) -> u8 {
+    1 + u8::from(max > 0xFF) + u8::from(max > 0xFFFF) + u8::from(max > 0xFF_FFFF)
+}
+
+/// A bounds-checked cursor over one payload (or the file header). Every
+/// read returns a typed [`SnapshotError`] instead of slicing out of range.
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -420,6 +451,10 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
+    fn u8(&mut self) -> Result<u8, SnapshotError> {
+        Ok(self.take(1)?[0])
+    }
+
     fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -432,25 +467,76 @@ impl<'a> ByteReader<'a> {
         ]))
     }
 
+    /// Reads one LEB128 integer ([`put_varint`]'s form). A value past 64
+    /// bits, a redundant trailing zero group (which would give one value
+    /// two encodings) and a continuation bit running off the payload are
+    /// each [`SnapshotError::Malformed`].
+    fn varint(&mut self) -> Result<u64, SnapshotError> {
+        if self.remaining() == 0 {
+            return Err(SnapshotError::Truncated {
+                context: self.context,
+                needed: 1,
+                available: 0,
+            });
+        }
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let Some(&byte) = self.bytes.get(self.pos) else {
+                return Err(SnapshotError::Malformed {
+                    context: "unterminated LEB128 integer",
+                });
+            };
+            self.pos += 1;
+            let group = u64::from(byte & 0x7F);
+            if shift == 63 && group > 1 {
+                break;
+            }
+            value |= group << shift;
+            if byte & 0x80 == 0 {
+                if byte == 0 && shift > 0 {
+                    return Err(SnapshotError::Malformed {
+                        context: "overlong LEB128 integer",
+                    });
+                }
+                return Ok(value);
+            }
+        }
+        Err(SnapshotError::Malformed {
+            context: "LEB128 integer overflows 64 bits",
+        })
+    }
+
+    /// A LEB128 integer that must fit 32 bits (a term frequency, a
+    /// document length).
+    fn varint_u32(&mut self) -> Result<u32, SnapshotError> {
+        u32::try_from(self.varint()?).map_err(|_| SnapshotError::Malformed {
+            context: "LEB128 integer overflows 32 bits",
+        })
+    }
+
+    /// Reads one gap-coded id ([`put_gap`]): `next` plus the stored gap.
+    /// The caller checks the id against its range and sets `next` one
+    /// past it.
+    fn gap_id(&mut self, next: u64) -> Result<u64, SnapshotError> {
+        let gap = self.varint()?;
+        next.checked_add(gap).ok_or(SnapshotError::Malformed {
+            context: "gap-coded id overflows 64 bits",
+        })
+    }
+
     fn str(&mut self) -> Result<&'a str, SnapshotError> {
-        let len = self.u32()? as usize;
+        let len = self.counted(1)?;
         let bytes = self.take(len)?;
         std::str::from_utf8(bytes).map_err(|_| SnapshotError::Malformed {
             context: "non-UTF-8 string",
         })
     }
 
-    /// Reads a `u64` element count and validates it against the bytes
+    /// Reads a LEB128 element count and validates it against the bytes
     /// still present (`elem_min_bytes` ≥ 1 per element), so a forged
     /// count can never drive an oversized allocation.
     fn counted(&mut self, elem_min_bytes: usize) -> Result<usize, SnapshotError> {
-        let count = self.u64()?;
-        self.check_count(count, elem_min_bytes)
-    }
-
-    /// Like [`ByteReader::counted`] with a `u32` count on the wire.
-    fn counted_u32(&mut self, elem_min_bytes: usize) -> Result<usize, SnapshotError> {
-        let count = self.u32()? as u64;
+        let count = self.varint()?;
         self.check_count(count, elem_min_bytes)
     }
 
@@ -614,7 +700,7 @@ impl<'a> Container<'a> {
 
 fn vocab_payload(v: &Vocabulary) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, v.len() as u64);
+    put_varint(&mut buf, v.len() as u64);
     for id in 0..v.len() as TermId {
         put_str(&mut buf, v.term(id));
     }
@@ -622,7 +708,8 @@ fn vocab_payload(v: &Vocabulary) -> Vec<u8> {
 }
 
 fn read_vocab(mut r: ByteReader<'_>) -> Result<Vocabulary, SnapshotError> {
-    let n = r.counted(4)?;
+    // A term is at least its one-byte length.
+    let n = r.counted(1)?;
     let mut terms = Vec::with_capacity(n);
     for _ in 0..n {
         terms.push(r.str()?.to_owned());
@@ -639,12 +726,18 @@ fn read_vocab(mut r: ByteReader<'_>) -> Result<Vocabulary, SnapshotError> {
 // Frozen statistics and documents
 // ---------------------------------------------------------------------------
 
+/// Epoch statistics payload: the term count, every document frequency
+/// as LEB128, then every IDF weight as its [`f64::to_bits`] word —
+///
+/// ```text
+/// n:leb  doc_freq:leb×n  idf:u64×n
+/// ```
 fn stats_payload(c: &Corpus) -> Vec<u8> {
     let mut buf = Vec::new();
     let n = c.num_terms();
-    put_u64(&mut buf, n as u64);
+    put_varint(&mut buf, n as u64);
     for t in 0..n as TermId {
-        put_u32(&mut buf, c.doc_freq(t));
+        put_varint(&mut buf, u64::from(c.doc_freq(t)));
     }
     for &idf in c.idf_table() {
         put_f64(&mut buf, idf);
@@ -656,19 +749,18 @@ fn read_stats(
     mut r: ByteReader<'_>,
     num_terms: usize,
 ) -> Result<(Vec<u32>, Vec<f64>), SnapshotError> {
-    let n = r.counted(12)?;
+    // A term's statistics are at least a one-byte df and an 8-byte IDF.
+    let n = r.counted(9)?;
     if n != num_terms {
         return Err(SnapshotError::Malformed {
             context: "statistics table size disagrees with the vocabulary",
         });
     }
-    // One bounds check per table, then chunked decodes (`counted`
-    // proved the bytes are present).
     let mut doc_freq = Vec::with_capacity(n);
-    let raw_df = r.take(n * 4)?;
-    for b in raw_df.chunks_exact(4) {
-        doc_freq.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
+    for _ in 0..n {
+        doc_freq.push(r.varint_u32()?);
     }
+    // One bounds check for the IDF table, then a chunked decode.
     let mut idf = Vec::with_capacity(n);
     let raw_idf = r.take(n * 8)?;
     for b in raw_idf.chunks_exact(8) {
@@ -690,16 +782,28 @@ fn read_stats(
     Ok((doc_freq, idf))
 }
 
+/// Document-chunk payload: the document count, then per document its
+/// title, its length, its distinct-term count and its signature as
+/// gap-coded `(term, tf)` pairs in increasing term order —
+///
+/// ```text
+/// n:leb  (title_len:leb  title[title_len]  len:leb  n_terms:leb  (term_gap:leb  tf:leb)×n_terms)×n
+/// ```
+///
+/// where a term gap is the term id minus one past the previous term id
+/// (minus 0 for the first), so a signature decodes strictly increasing
+/// by construction.
 fn docs_payload(docs: &[Document]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_u64(&mut buf, docs.len() as u64);
+    put_varint(&mut buf, docs.len() as u64);
     for doc in docs {
         put_str(&mut buf, &doc.title);
-        put_u32(&mut buf, doc.len);
-        put_u32(&mut buf, doc.terms.len() as u32);
+        put_varint(&mut buf, u64::from(doc.len));
+        put_varint(&mut buf, doc.terms.len() as u64);
+        let mut next = 0;
         for &(t, tf) in &doc.terms {
-            put_u32(&mut buf, t);
-            put_u32(&mut buf, tf);
+            put_gap(&mut buf, &mut next, u64::from(t));
+            put_varint(&mut buf, u64::from(tf));
         }
     }
     buf
@@ -712,7 +816,9 @@ fn read_docs(
     num_terms: usize,
     expected: usize,
 ) -> Result<Vec<Document>, SnapshotError> {
-    let n = r.counted(12)?;
+    // A document is at least a one-byte title length, length and term
+    // count.
+    let n = r.counted(3)?;
     if expected != n {
         return Err(SnapshotError::Malformed {
             context: "document count disagrees with the manifest's chunk length",
@@ -721,33 +827,26 @@ fn read_docs(
     let mut docs = Vec::with_capacity(n);
     for _ in 0..n {
         let title = r.str()?.to_owned();
-        let len = r.u32()?;
-        let n_terms = r.counted_u32(8)?;
+        let len = r.varint_u32()?;
+        // A signature entry is at least a one-byte gap and tf.
+        let n_terms = r.counted(2)?;
         let mut terms: Vec<(TermId, u32)> = Vec::with_capacity(n_terms);
-        // One bounds check for the doc's whole signature, then a chunked
-        // decode (`counted_u32` proved the bytes are present).
-        let pairs = r.take(n_terms * 8)?;
-        for pair in pairs.chunks_exact(8) {
-            let t = u32::from_le_bytes([pair[0], pair[1], pair[2], pair[3]]);
-            let tf = u32::from_le_bytes([pair[4], pair[5], pair[6], pair[7]]);
-            if (t as usize) >= num_terms {
+        let mut next = 0;
+        for _ in 0..n_terms {
+            let t = r.gap_id(next)?;
+            if t >= num_terms as u64 {
                 return Err(SnapshotError::Malformed {
                     context: "document references a term outside the vocabulary",
                 });
             }
+            let tf = r.varint_u32()?;
             if tf == 0 {
                 return Err(SnapshotError::Malformed {
                     context: "zero term frequency in a document signature",
                 });
             }
-            if terms.last().is_some_and(|&(prev, _)| prev >= t) {
-                // `Document::tf` binary-searches; an unsorted signature
-                // would silently mis-score instead of failing loudly.
-                return Err(SnapshotError::Malformed {
-                    context: "document term signature not strictly sorted",
-                });
-            }
-            terms.push((t, tf));
+            terms.push((t as TermId, tf));
+            next = t + 1;
         }
         docs.push(Document { title, terms, len });
     }
@@ -835,31 +934,45 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
 // ---------------------------------------------------------------------------
 
 /// Segment-file posting payload (DESIGN.md §14): the vocabulary size,
-/// the number of stored lists, then per non-empty list in increasing
-/// term order its term id, its length, and `(doc, tf)` pairs in the
-/// stored serving order —
+/// the number of stored lists, the segment's smallest doc id (`base`),
+/// the byte widths (1–4) of a posting's doc offset and tf, then per
+/// non-empty list in increasing term order its term gap, its length, and
+/// its postings in the stored serving order as fixed-width little-endian
+/// `(doc − base, tf)` pairs —
 ///
 /// ```text
-/// vocab_len:u64  n_lists:u64  (term:u32  len:u64  (doc:u32 tf:u32)×len)×n_lists
+/// vocab_len:u64  n_lists:leb  base:leb  doc_width:u8  tf_width:u8
+///     (term_gap:leb  len:leb  (doc_offset[doc_width]  tf[tf_width])×len)×n_lists
 /// ```
 ///
-/// so the payload is O(postings), whatever the vocabulary. The
-/// per-posting `partial` is *not* stored: it is a deterministic IEEE-754
-/// function of data the snapshot already carries
-/// (`tf as f64 * idf(t) * (1 / sqrt(len))`, the exact expression
-/// `InvertedIndex::build_from_ids` evaluates), so the load recomputes the
-/// identical bits — halving segment bytes, which dominate cold-start I/O.
+/// so the payload is O(postings), whatever the vocabulary, and a posting
+/// takes the bytes its segment's widest offset and tf need: two in a
+/// small live-update batch. A term gap is the term id minus one past the
+/// previous list's term (minus 0 for the first). The per-posting
+/// `partial` is *not* stored: it is a deterministic IEEE-754 function of
+/// data the snapshot already carries (`index::partial`, the exact
+/// expression `InvertedIndex::build_from_ids` evaluates), so the load
+/// recomputes the identical bits.
 fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
+    let postings = || index.lists().flat_map(|(_, list)| list);
+    let base = postings().map(|p| p.doc).min().unwrap_or(0);
+    let doc_width = byte_width(postings().map(|p| p.doc - base).max().unwrap_or(0));
+    let tf_width = byte_width(postings().map(|p| p.tf).max().unwrap_or(0));
+    let (dw, tw) = (usize::from(doc_width), usize::from(tf_width));
     let lists = index.lists();
-    let mut buf = Vec::with_capacity(16 + 12 * lists.len() + 8 * index.num_postings());
+    let mut buf = Vec::with_capacity(24 + 4 * lists.len() + (dw + tw) * index.num_postings());
     put_u64(&mut buf, index.num_terms() as u64);
-    put_u64(&mut buf, lists.len() as u64);
+    put_varint(&mut buf, lists.len() as u64);
+    put_varint(&mut buf, u64::from(base));
+    buf.push(doc_width);
+    buf.push(tf_width);
+    let mut next = 0;
     for (t, list) in lists {
-        put_u32(&mut buf, t);
-        put_u64(&mut buf, list.len() as u64);
+        put_gap(&mut buf, &mut next, u64::from(t));
+        put_varint(&mut buf, list.len() as u64);
         for p in list {
-            put_u32(&mut buf, p.doc);
-            put_u32(&mut buf, p.tf);
+            buf.extend_from_slice(&(p.doc - base).to_le_bytes()[..dw]);
+            buf.extend_from_slice(&p.tf.to_le_bytes()[..tw]);
         }
     }
     buf
@@ -869,12 +982,12 @@ fn segment_postings_payload(index: &InvertedIndex) -> Vec<u8> {
 /// bit-exactly from the epoch IDF table and the per-document
 /// `1/sqrt(len)` factors (`inv_len`, indexed by doc id, 0.0 for
 /// zero-length docs — which never have postings, so the value is never
-/// used). Validation: term ids strictly increasing and inside the
-/// vocabulary, no empty list (the writer never stores one), doc ids in
-/// range, non-zero term frequencies, plausible partials, and the one
-/// true `(partial desc, doc asc)` order — forged CRC-valid bytes still
-/// fail typed. The index keeps `(doc, tf)` only: the partials are checked,
-/// then dropped.
+/// used). Validation: term ids inside the vocabulary (increasing by
+/// construction), no empty list (the writer never stores one), widths in
+/// 1..=4, doc ids in range, non-zero term frequencies, plausible
+/// partials, and the one true `(partial desc, doc asc)` order — forged
+/// CRC-valid bytes still fail typed. The index keeps `(doc, tf)` only:
+/// the partials are checked, then dropped.
 fn read_segment_index(
     mut r: ByteReader<'_>,
     idf: &[f64],
@@ -886,77 +999,128 @@ fn read_segment_index(
             context: "segment vocabulary size disagrees with the corpus vocabulary",
         });
     }
-    // A stored list is at least its 12-byte header plus one posting.
-    let n_lists = r.counted(20)?;
-    let num_docs = inv_len.len();
+    let n_lists = r.varint()?;
+    let base = u32::try_from(r.varint()?).map_err(|_| SnapshotError::Malformed {
+        context: "segment base doc id overflows 32 bits",
+    })?;
+    let (doc_width, tf_width) = (r.u8()?, r.u8()?);
+    let Some(decode) = list_decoder(doc_width, tf_width) else {
+        return Err(SnapshotError::Malformed {
+            context: "posting field width outside 1..=4 bytes",
+        });
+    };
+    let posting_bytes = usize::from(doc_width) + usize::from(tf_width);
+    // A stored list is at least a one-byte term gap and length plus one
+    // posting.
+    let n_lists = r.check_count(n_lists, 2 + posting_bytes)?;
     let mut lists: Vec<(TermId, Vec<Posting>)> = Vec::with_capacity(n_lists);
+    let mut next = 0;
     for _ in 0..n_lists {
-        let term = r.u32()?;
-        let Some(&term_idf) = idf.get(term as usize) else {
+        let term = r.gap_id(next)?;
+        let Some(&term_idf) = usize::try_from(term).ok().and_then(|t| idf.get(t)) else {
             return Err(SnapshotError::Malformed {
                 context: "posting list term outside the vocabulary",
             });
         };
-        if lists.last().is_some_and(|&(prev, _)| prev >= term) {
-            return Err(SnapshotError::Malformed {
-                context: "posting list terms not strictly increasing",
-            });
-        }
-        let n = r.counted(8)?;
+        next = term + 1;
+        let n = r.counted(posting_bytes)?;
         if n == 0 {
             return Err(SnapshotError::Malformed {
                 context: "empty posting list stored",
             });
         }
         let mut list: Vec<Posting> = Vec::with_capacity(n);
-        let mut prev: Option<Keyed> = None;
-        let raw = r.take(n * 8)?;
-        for entry in raw.chunks_exact(8) {
-            let doc = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
-            let tf = u32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
-            if doc as usize >= num_docs {
-                return Err(SnapshotError::Malformed {
-                    context: "posting references a document outside the corpus",
-                });
-            }
-            if tf == 0 {
-                // The build never emits tf = 0 (a document signature
-                // with a zero count is itself rejected), so a zero here
-                // is forged.
-                return Err(SnapshotError::Malformed {
-                    context: "zero term frequency in a posting",
-                });
-            }
-            // The build's own expression — the bits the saver sorted on.
-            // Both factors were range-checked on load (IDF by
-            // `read_stats`, doc lengths by `read_docs`), so the product
-            // is finite.
-            let partial = index::partial(tf, term_idf, inv_len[doc as usize]);
-            if !(0.0..=MAX_STORED_VALUE).contains(&partial) {
-                // The plausibility cap of every stored score-feeding
-                // value: an absurd tf × a near-cap IDF can still
-                // multiply out to a query-time +inf.
-                return Err(SnapshotError::Malformed {
-                    context: "posting partial score outside the plausible range",
-                });
-            }
-            let keyed = Keyed {
-                partial,
-                posting: Posting { doc, tf },
-            };
-            if prev.is_some_and(|prev| index::posting_order(&prev, &keyed).is_gt()) {
-                return Err(SnapshotError::Malformed {
-                    context: "posting list not in (partial desc, doc asc) order",
-                });
-            }
-            // Validated, the partial is dropped: readers recompute it.
-            list.push(keyed.posting);
-            prev = Some(keyed);
-        }
-        lists.push((term, list));
+        let raw = r.take(n * posting_bytes)?;
+        decode(raw, base, term_idf, inv_len, &mut list)?;
+        lists.push((term as TermId, list));
     }
     r.finish()?;
     Ok(InvertedIndex::from_sorted_lists(idf.len(), lists))
+}
+
+/// Decodes one list's fixed-width postings into `list`, validating each
+/// (see [`read_segment_index`]).
+type DecodeList = fn(&[u8], u32, f64, &[f64], &mut Vec<Posting>) -> Result<(), SnapshotError>;
+
+/// The [`DecodeList`] for one `(doc_width, tf_width)` pair, or `None` for
+/// a width outside 1..=4. Chosen once per segment, so the per-posting
+/// loop runs with both widths as constants.
+fn list_decoder(doc_width: u8, tf_width: u8) -> Option<DecodeList> {
+    fn with_doc_width<const DW: usize>(tf_width: u8) -> Option<DecodeList> {
+        match tf_width {
+            1 => Some(decode_list::<DW, 1>),
+            2 => Some(decode_list::<DW, 2>),
+            3 => Some(decode_list::<DW, 3>),
+            4 => Some(decode_list::<DW, 4>),
+            _ => None,
+        }
+    }
+    match doc_width {
+        1 => with_doc_width::<1>(tf_width),
+        2 => with_doc_width::<2>(tf_width),
+        3 => with_doc_width::<3>(tf_width),
+        4 => with_doc_width::<4>(tf_width),
+        _ => None,
+    }
+}
+
+/// A little-endian `u32` stored in its low `N` bytes.
+#[inline(always)]
+fn le_u32<const N: usize>(bytes: &[u8]) -> u32 {
+    let mut word = [0u8; 4];
+    word[..N].copy_from_slice(&bytes[..N]);
+    u32::from_le_bytes(word)
+}
+
+fn decode_list<const DW: usize, const TW: usize>(
+    raw: &[u8],
+    base: u32,
+    term_idf: f64,
+    inv_len: &[f64],
+    list: &mut Vec<Posting>,
+) -> Result<(), SnapshotError> {
+    let mut prev: Option<Keyed> = None;
+    for entry in raw.chunks_exact(DW + TW) {
+        let doc = base.checked_add(le_u32::<DW>(entry));
+        let Some((doc, &inv)) = doc.and_then(|d| Some((d, inv_len.get(d as usize)?))) else {
+            return Err(SnapshotError::Malformed {
+                context: "posting references a document outside the corpus",
+            });
+        };
+        let tf = le_u32::<TW>(&entry[DW..]);
+        if tf == 0 {
+            // The build never emits tf = 0 (a document signature with a
+            // zero count is itself rejected), so a zero here is forged.
+            return Err(SnapshotError::Malformed {
+                context: "zero term frequency in a posting",
+            });
+        }
+        // The build's own expression — the bits the saver sorted on.
+        // Both factors were range-checked on load (IDF by `read_stats`,
+        // doc lengths by `read_docs`), so the product is finite.
+        let partial = index::partial(tf, term_idf, inv);
+        if !(0.0..=MAX_STORED_VALUE).contains(&partial) {
+            // The plausibility cap of every stored score-feeding value:
+            // an absurd tf × a near-cap IDF can still multiply out to a
+            // query-time +inf.
+            return Err(SnapshotError::Malformed {
+                context: "posting partial score outside the plausible range",
+            });
+        }
+        let keyed = Keyed {
+            partial,
+            posting: Posting { doc, tf },
+        };
+        if prev.is_some_and(|prev| index::posting_order(&prev, &keyed).is_gt()) {
+            return Err(SnapshotError::Malformed {
+                context: "posting list not in (partial desc, doc asc) order",
+            });
+        }
+        // Validated, the partial is dropped: readers recompute it.
+        list.push(keyed.posting);
+        prev = Some(keyed);
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1000,6 +1164,42 @@ struct Manifest {
     deleted: Vec<DocId>,
 }
 
+/// Manifest tombstone payload: the count, then the deleted ids gap-coded
+/// in increasing order —
+///
+/// ```text
+/// n:leb  id_gap:leb×n
+/// ```
+fn tomb_payload(deleted: &[DocId]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_varint(&mut buf, deleted.len() as u64);
+    let mut next = 0;
+    for &d in deleted {
+        put_gap(&mut buf, &mut next, u64::from(d));
+    }
+    buf
+}
+
+fn read_tomb(mut r: ByteReader<'_>, num_docs: u64) -> Result<Vec<DocId>, SnapshotError> {
+    let n = r.counted(1)?;
+    let mut deleted: Vec<DocId> = Vec::with_capacity(n);
+    let mut next = 0;
+    for _ in 0..n {
+        let d = r.gap_id(next)?;
+        if d >= num_docs.min(u64::from(DocId::MAX) + 1) {
+            // A mark past the last allocated id would make the
+            // live-document accounting (`num_docs - deleted`) underflow.
+            return Err(SnapshotError::Malformed {
+                context: "tombstone for an unallocated document id",
+            });
+        }
+        deleted.push(d as DocId);
+        next = d + 1;
+    }
+    r.finish()?;
+    Ok(deleted)
+}
+
 fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
     let mut meta = Vec::new();
     put_u64(&mut meta, m.generation);
@@ -1011,7 +1211,7 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
     put_u64(&mut meta, m.epoch_len);
     put_u32(&mut meta, m.epoch_crc);
     let mut segs = Vec::new();
-    put_u64(&mut segs, m.segments.len() as u64);
+    put_varint(&mut segs, m.segments.len() as u64);
     for e in &m.segments {
         put_u64(&mut segs, e.id);
         put_u64(&mut segs, e.doc_count);
@@ -1019,16 +1219,11 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
         put_u32(&mut segs, e.file_crc);
     }
     let mut chunks = Vec::new();
-    put_u64(&mut chunks, m.chunks.len() as u64);
+    put_varint(&mut chunks, m.chunks.len() as u64);
     for e in &m.chunks {
         put_u64(&mut chunks, e.len);
         put_u64(&mut chunks, e.file_len);
         put_u32(&mut chunks, e.file_crc);
-    }
-    let mut tomb = Vec::new();
-    put_u64(&mut tomb, m.deleted.len() as u64);
-    for &d in &m.deleted {
-        put_u32(&mut tomb, d);
     }
     assemble(
         KIND_MANIFEST,
@@ -1036,7 +1231,7 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
             (TAG_META, meta),
             (TAG_SEGS, segs),
             (TAG_CHUNKS, chunks),
-            (TAG_TOMB, tomb),
+            (TAG_TOMB, tomb_payload(&m.deleted)),
         ],
     )
 }
@@ -1081,26 +1276,10 @@ fn manifest_from_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
         });
     }
     chnk.finish()?;
-    let mut tomb = container.section(TAG_TOMB, "manifest tombstone list")?;
-    let n = tomb.counted(4)?;
-    let mut deleted: Vec<DocId> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let d = tomb.u32()?;
-        if d as u64 >= num_docs {
-            // A mark past the last allocated id would make the
-            // live-document accounting (`num_docs - deleted`) underflow.
-            return Err(SnapshotError::Malformed {
-                context: "tombstone for an unallocated document id",
-            });
-        }
-        if deleted.last().is_some_and(|&prev| prev >= d) {
-            return Err(SnapshotError::Malformed {
-                context: "tombstone list not strictly sorted",
-            });
-        }
-        deleted.push(d);
-    }
-    tomb.finish()?;
+    let deleted = read_tomb(
+        container.section(TAG_TOMB, "manifest tombstone list")?,
+        num_docs,
+    )?;
     container.finish()?;
     if segments.is_empty() {
         return Err(SnapshotError::Malformed {
@@ -1669,23 +1848,39 @@ mod tests {
 
     /// A segment posting payload written by hand, so a test can forge
     /// what the writer never emits: the vocabulary size, the declared
-    /// list count, then each `(term, [(doc, tf)])` list as given.
+    /// list count, the base doc id and the `(doc, tf)` widths, then each
+    /// `(term gap, [(doc offset, tf)])` list as given, every posting field
+    /// cut to its declared width (at most 4 bytes).
     fn forged_payload(
         vocab_len: u64,
         n_lists: u64,
-        lists: &[(TermId, &[(DocId, u32)])],
+        base: u64,
+        (doc_width, tf_width): (u8, u8),
+        lists: &[(u64, &[(u32, u32)])],
     ) -> Vec<u8> {
+        let (dw, tw) = (usize::from(doc_width.min(4)), usize::from(tf_width.min(4)));
         let mut buf = Vec::new();
         put_u64(&mut buf, vocab_len);
-        put_u64(&mut buf, n_lists);
-        for &(t, list) in lists {
-            put_u32(&mut buf, t);
-            put_u64(&mut buf, list.len() as u64);
-            for &(doc, tf) in list {
-                put_u32(&mut buf, doc);
-                put_u32(&mut buf, tf);
+        put_varint(&mut buf, n_lists);
+        put_varint(&mut buf, base);
+        buf.extend_from_slice(&[doc_width, tf_width]);
+        for &(gap, list) in lists {
+            put_varint(&mut buf, gap);
+            put_varint(&mut buf, list.len() as u64);
+            for &(offset, tf) in list {
+                buf.extend_from_slice(&offset.to_le_bytes()[..dw]);
+                buf.extend_from_slice(&tf.to_le_bytes()[..tw]);
             }
         }
+        buf
+    }
+
+    /// The vocabulary size of a forged segment payload followed by `raw`
+    /// in the list-count position — for forgeries of the LEB128 itself.
+    fn forged_count(raw: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 4);
+        buf.extend_from_slice(raw);
         buf
     }
 
@@ -1702,58 +1897,366 @@ mod tests {
         )
     }
 
-    #[test]
-    fn forged_segment_payloads_are_rejected_even_with_a_valid_crc() {
-        // The honest control: the forger's bytes are the writer's bytes.
-        let honest: &[(TermId, &[(DocId, u32)])] = &[(1, &[(0, 2), (3, 1)]), (3, &[(2, 1)])];
-        let index = decode_forged(forged_payload(4, 2, honest)).unwrap();
-        assert_eq!(
-            segment_postings_payload(&index),
-            forged_payload(4, 2, honest)
-        );
-        assert_eq!(index.lists().len(), 2);
-        assert!(index.postings(0).is_empty());
-
-        let one: &[(DocId, u32)] = &[(0, 1)];
-        let two: &[(DocId, u32)] = &[(0, 1), (1, 1)];
-        let cases: [(&str, Vec<u8>, &str); 5] = [
-            (
-                "unsorted term ids",
-                forged_payload(4, 2, &[(2, one), (1, one)]),
-                "not strictly increasing",
-            ),
-            (
-                "duplicate term id",
-                forged_payload(4, 2, &[(1, one), (1, one)]),
-                "not strictly increasing",
-            ),
-            (
-                "term id at the vocabulary size",
-                forged_payload(4, 1, &[(4, one)]),
-                "outside the vocabulary",
-            ),
-            (
-                // The second list carries two postings so the count
-                // check (20 B per list) passes and the empty list is
-                // what fails.
-                "stored empty list",
-                forged_payload(4, 2, &[(1, &[]), (2, two)]),
-                "empty posting list",
-            ),
-            (
-                "list count overclaiming its section",
-                forged_payload(4, 3, &[(1, one)]),
-                "element count larger than the section",
-            ),
-        ];
-        for (what, payload, want) in cases {
-            match decode_forged(payload) {
+    /// Asserts each `(what, result, wanted context)` case failed
+    /// [`SnapshotError::Malformed`] with a context containing the wanted
+    /// text.
+    fn assert_malformed<T: fmt::Debug>(cases: Vec<(&str, Result<T, SnapshotError>, &str)>) {
+        for (what, result, want) in cases {
+            match result {
                 Err(SnapshotError::Malformed { context }) => {
                     assert!(context.contains(want), "{what}: {context}");
                 }
                 other => panic!("{what}: expected Malformed, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn forged_segment_payloads_are_rejected_even_with_a_valid_crc() {
+        // The honest control: the forger's bytes are the writer's bytes.
+        let honest: &[(u64, &[(u32, u32)])] = &[(1, &[(0, 2), (3, 1)]), (1, &[(2, 1)])];
+        let index = decode_forged(forged_payload(4, 2, 0, (1, 1), honest)).unwrap();
+        assert_eq!(
+            segment_postings_payload(&index),
+            forged_payload(4, 2, 0, (1, 1), honest)
+        );
+        assert_eq!(index.lists().len(), 2);
+        assert_eq!(index.postings(3), &[Posting { doc: 2, tf: 1 }]);
+        assert!(index.postings(0).is_empty());
+
+        let one: &[(u32, u32)] = &[(0, 1)];
+        let two: &[(u32, u32)] = &[(0, 1), (1, 1)];
+        let w = (1, 1);
+        assert_malformed(vec![
+            (
+                "term gap past the vocabulary",
+                decode_forged(forged_payload(4, 1, 0, w, &[(4, one)])),
+                "outside the vocabulary",
+            ),
+            (
+                "term gap past the vocabulary after a list",
+                decode_forged(forged_payload(4, 2, 0, w, &[(1, one), (2, one)])),
+                "outside the vocabulary",
+            ),
+            (
+                // Gap coding cannot express v3's "duplicate term id"; the
+                // nearest forgery is a gap whose sum wraps back onto the
+                // previous term, and the checked sum stops it.
+                "gap sum wrapping onto the previous term",
+                decode_forged(forged_payload(4, 2, 0, w, &[(0, one), (u64::MAX, one)])),
+                "overflows 64 bits",
+            ),
+            (
+                // Likewise v3's "unsorted term ids": a sum wrapping below.
+                "gap sum wrapping below the previous term",
+                decode_forged(forged_payload(4, 2, 0, w, &[(2, one), (u64::MAX - 1, one)])),
+                "overflows 64 bits",
+            ),
+            (
+                "overlong LEB128 list count",
+                decode_forged(forged_count(&[0x81, 0x00])),
+                "overlong",
+            ),
+            (
+                "unterminated LEB128 list count",
+                decode_forged(forged_count(&[0x80])),
+                "unterminated",
+            ),
+            (
+                "LEB128 list count past 64 bits",
+                decode_forged(forged_count(&[
+                    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02,
+                ])),
+                "overflows 64 bits",
+            ),
+            (
+                "doc width 0",
+                decode_forged(forged_payload(4, 1, 0, (0, 1), &[(1, one)])),
+                "width outside",
+            ),
+            (
+                "doc width 5",
+                decode_forged(forged_payload(4, 1, 0, (5, 1), &[(1, one)])),
+                "width outside",
+            ),
+            (
+                "tf width 0",
+                decode_forged(forged_payload(4, 1, 0, (1, 0), &[(1, one)])),
+                "width outside",
+            ),
+            (
+                "tf width 5",
+                decode_forged(forged_payload(4, 1, 0, (1, 5), &[(1, one)])),
+                "width outside",
+            ),
+            (
+                "doc offset past the corpus",
+                decode_forged(forged_payload(4, 1, 0, w, &[(1, &[(4, 1)])])),
+                "outside the corpus",
+            ),
+            (
+                "base + offset past the corpus",
+                decode_forged(forged_payload(4, 1, 3, w, &[(1, &[(1, 1)])])),
+                "outside the corpus",
+            ),
+            (
+                "base + offset overflowing 32 bits",
+                decode_forged(forged_payload(4, 1, u32::MAX.into(), w, &[(1, &[(1, 1)])])),
+                "outside the corpus",
+            ),
+            (
+                "base past 32 bits",
+                decode_forged(forged_payload(4, 1, 1 << 32, w, &[(1, one)])),
+                "overflows 32 bits",
+            ),
+            (
+                "zero tf",
+                decode_forged(forged_payload(4, 1, 0, w, &[(1, &[(0, 0)])])),
+                "zero term frequency",
+            ),
+            (
+                "postings out of serving order",
+                decode_forged(forged_payload(4, 1, 0, w, &[(1, &[(1, 1), (0, 2)])])),
+                "(partial desc, doc asc) order",
+            ),
+            (
+                // The second list carries two postings so the count
+                // check (4 B per list at these widths) passes and the
+                // empty list is what fails.
+                "stored empty list",
+                decode_forged(forged_payload(4, 2, 0, w, &[(1, &[]), (1, two)])),
+                "empty posting list",
+            ),
+            (
+                "list count overclaiming its section",
+                decode_forged(forged_payload(4, 3, 0, w, &[(1, one)])),
+                "element count larger than the section",
+            ),
+        ]);
+    }
+
+    /// One forged document: `(title length, title, len, [(term gap, tf)])`.
+    type ForgedDoc<'a> = (u64, &'a str, u32, &'a [(u64, u32)]);
+
+    /// A document-chunk payload written by hand: the declared document
+    /// count, then each [`ForgedDoc`] as given.
+    fn forged_docs(n: u64, docs: &[ForgedDoc<'_>]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_varint(&mut buf, n);
+        for &(title_len, title, len, terms) in docs {
+            put_varint(&mut buf, title_len);
+            buf.extend_from_slice(title.as_bytes());
+            put_varint(&mut buf, len.into());
+            put_varint(&mut buf, terms.len() as u64);
+            for &(gap, tf) in terms {
+                put_varint(&mut buf, gap);
+                put_varint(&mut buf, tf.into());
+            }
+        }
+        buf
+    }
+
+    /// Decodes `payload` as a one-document chunk over four terms.
+    fn decode_docs(payload: Vec<u8>) -> Result<Vec<Document>, SnapshotError> {
+        read_docs(ByteReader::new(&payload, "chunk documents section"), 4, 1)
+    }
+
+    #[test]
+    fn forged_document_and_tombstone_payloads_are_rejected() {
+        let honest = forged_docs(1, &[(1, "a", 3, &[(1, 2), (1, 1)])]);
+        let docs = decode_docs(honest.clone()).unwrap();
+        assert_eq!(docs[0].terms, [(1, 2), (3, 1)]);
+        assert_eq!(docs_payload(&docs), honest);
+        assert_malformed(vec![
+            (
+                "signature term gap past the vocabulary",
+                decode_docs(forged_docs(1, &[(1, "a", 3, &[(1, 2), (2, 1)])])),
+                "outside the vocabulary",
+            ),
+            (
+                "signature gap sum overflowing",
+                decode_docs(forged_docs(1, &[(1, "a", 3, &[(0, 2), (u64::MAX, 1)])])),
+                "overflows 64 bits",
+            ),
+            (
+                "zero tf in a signature",
+                decode_docs(forged_docs(1, &[(1, "a", 3, &[(1, 0)])])),
+                "zero term frequency",
+            ),
+            (
+                "title longer than its section",
+                decode_docs(forged_docs(1, &[(1_000, "a", 3, &[(1, 1)])])),
+                "element count larger than the section",
+            ),
+            (
+                "document count overclaiming its section",
+                decode_docs(forged_docs(5, &[(1, "a", 3, &[(1, 1)])])),
+                "element count larger than the section",
+            ),
+        ]);
+
+        let decode_tomb =
+            |payload: Vec<u8>| read_tomb(ByteReader::new(&payload, "manifest tombstone list"), 5);
+        let forged_tomb = |n: u64, gaps: &[u64]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, n);
+            gaps.iter().for_each(|&g| put_varint(&mut buf, g));
+            buf
+        };
+        assert_eq!(decode_tomb(tomb_payload(&[0, 3, 4])).unwrap(), [0, 3, 4]);
+        assert_eq!(tomb_payload(&[0, 3, 4]), forged_tomb(3, &[0, 2, 0]));
+        assert_malformed(vec![
+            (
+                "tombstone gap past the allocated ids",
+                decode_tomb(forged_tomb(2, &[1, 3])),
+                "unallocated document id",
+            ),
+            (
+                "tombstone gap sum overflowing",
+                decode_tomb(forged_tomb(2, &[0, u64::MAX])),
+                "overflows 64 bits",
+            ),
+            (
+                "tombstone count overclaiming its section",
+                decode_tomb(forged_tomb(3, &[0])),
+                "element count larger than the section",
+            ),
+        ]);
+    }
+
+    /// Term frequencies on both sides of every tf width boundary.
+    const TF_BOUNDARIES: [u32; 6] = [1, 255, 256, 65_535, 65_536, u32::MAX];
+
+    /// The `(doc_width, tf_width)` bytes of a segment posting payload.
+    fn payload_widths(payload: &[u8]) -> (u8, u8) {
+        let mut r = ByteReader::new(payload, "segment index section");
+        r.u64().unwrap();
+        r.varint().unwrap();
+        r.varint().unwrap();
+        (r.u8().unwrap(), r.u8().unwrap())
+    }
+
+    #[test]
+    fn segment_payloads_round_trip_across_width_boundaries() {
+        // Doc spans on both sides of 2⁸, 2¹⁶ and 2²⁴ from a non-zero
+        // base, each with every boundary tf. A 2²⁴-document corpus is
+        // out of reach of a unit test, so this one decodes the payload
+        // directly against a zeroed `1/sqrt(len)` table whose pages no
+        // posting touches are never written.
+        let base = 5u32;
+        let spans = [1u32, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
+        let doc_widths = [1u8, 1, 2, 2, 3, 3, 4];
+        let tf_widths = [1u8, 1, 2, 2, 3, 4];
+        let mut inv_len = vec![0.0; (base + (1 << 24)) as usize + 1];
+        inv_len[base as usize] = 1.0;
+        for span in spans {
+            inv_len[(base + span) as usize] = 1.0;
+        }
+        for (&tf, &tf_width) in TF_BOUNDARIES.iter().zip(&tf_widths) {
+            for (&span, &doc_width) in spans.iter().zip(&doc_widths) {
+                let (near, far) = (
+                    Posting { doc: base, tf: 1 },
+                    Posting {
+                        doc: base + span,
+                        tf,
+                    },
+                );
+                // `(partial desc, doc asc)` with every partial = tf.
+                let two = if tf > 1 {
+                    vec![far, near]
+                } else {
+                    vec![near, far]
+                };
+                let index = InvertedIndex::from_sorted_lists(3, [(0, vec![far]), (2, two)]);
+                let payload = segment_postings_payload(&index);
+                assert_eq!(
+                    payload_widths(&payload),
+                    (doc_width, tf_width),
+                    "span {span} tf {tf}"
+                );
+                let reader = ByteReader::new(&payload, "segment index section");
+                let loaded = read_segment_index(reader, &[1.0; 3], &inv_len).unwrap();
+                assert!(loaded.lists().eq(index.lists()), "span {span} tf {tf}");
+                assert_eq!(segment_postings_payload(&loaded), payload);
+            }
+        }
+    }
+
+    #[test]
+    fn snapshots_round_trip_across_width_boundaries() {
+        // A base segment of 65 540 documents (doc offsets past 2¹⁶) whose
+        // first six carry the boundary tfs; a 300-document batch (past
+        // 2⁸); a one-document segment of one-posting lists; and two
+        // boundary-tf batches in one tier, merged by compaction after a
+        // delete.
+        let boundary_docs = |tag: &str| -> Vec<Document> {
+            TF_BOUNDARIES
+                .iter()
+                .map(|&tf| Document {
+                    title: format!("{tag}{tf}"),
+                    terms: vec![(3, tf), (4, 1)],
+                    len: tf,
+                })
+                .collect()
+        };
+        let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(8);
+        for doc in boundary_docs("base") {
+            b.add_document(doc);
+        }
+        for i in 0..65_534u32 {
+            b.add_tokens(format!("d{i}"), vec![i % 3]);
+        }
+        let mut index = SegmentedIndex::build(b.build());
+        index.add_docs(
+            (0..300u32)
+                .map(|i| Document::from_tokens(format!("batch{i}"), vec![i % 5, 6]))
+                .collect(),
+        );
+        index.add_docs(vec![Document::from_tokens("lone".into(), vec![5, 7])]);
+        index.add_docs(boundary_docs("a"));
+        index.add_docs(boundary_docs("b"));
+        index.delete_docs(&[2, 65_541]);
+        assert!(index.compact() >= 2);
+
+        let widths: Vec<(u8, u8)> = index
+            .segments()
+            .iter()
+            .map(|s| payload_widths(&segment_postings_payload(s.index())))
+            .collect();
+        for doc_width in 1..=3 {
+            assert!(widths.iter().any(|w| w.0 == doc_width), "{widths:?}");
+        }
+        assert!(widths.contains(&(1, 4)), "{widths:?}");
+        assert!(widths.contains(&(3, 4)), "{widths:?}");
+
+        let dir = temp_dir("widths");
+        save_segmented(&dir, &index, 1).unwrap();
+        let (loaded, _) = load_segmented(&dir).unwrap();
+        assert_eq!(loaded.num_segments(), index.num_segments());
+        for (a, b) in loaded.segments().iter().zip(index.segments()) {
+            assert_eq!(a.id(), b.id());
+            assert!(
+                a.index().lists().eq(b.index().lists()),
+                "segment {}",
+                a.id()
+            );
+        }
+        loaded.verify_rebuild_equivalence().unwrap();
+        // The loaded state saves to the same bytes, file by file.
+        let again = temp_dir("widths-again");
+        save_segmented(&again, &loaded, 1).unwrap();
+        let files = |d: &Path| -> std::collections::BTreeMap<_, _> {
+            std::fs::read_dir(d)
+                .unwrap()
+                .map(|e| {
+                    let e = e.unwrap();
+                    (e.file_name(), std::fs::read(e.path()).unwrap())
+                })
+                .collect()
+        };
+        assert!(files(&dir) == files(&again));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&again);
     }
 
     /// A process-unique scratch directory for one test; removed and
@@ -2026,12 +2529,13 @@ mod tests {
     fn a_version_1_snapshot_is_unsupported() {
         // Version 1 stored a list length for every vocabulary term,
         // version 2 a fingerprint, a META section and a weight table in
-        // every data file; this build decodes neither (rebuild on
+        // every data file, version 3 fixed-width ids, counts and
+        // postings; this build decodes none of them (rebuild on
         // mismatch, DESIGN.md §14).
         let dir = temp_dir("v1");
         save_segmented(&dir, &small_segmented(), 1).unwrap();
         let pristine = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
-        for version in [1u32, 2] {
+        for version in [1u32, 2, 3] {
             let mut bytes = pristine.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();

@@ -346,6 +346,59 @@ fn window_spread_enforces_the_cap_when_candidates_are_eligible() {
     }
 }
 
+// ------------------------------------------------- the rerank pool's size
+
+/// The pool the rerank modes pull is `RERANK_OVERSAMPLE · k` deep, and a
+/// planted stream shows it: ranks `0..2k` are near-duplicates of one
+/// source, ranks `2k..4k` are distinct sources scored slightly lower.
+/// Every rerank mode must reach past rank `2k` for a distinct source —
+/// which only a pool deeper than `2k` holds.
+///
+/// Planted mutant, checked on a copy of the tree: `RERANK_OVERSAMPLE = 2`
+/// (a pool of exactly the duplicates) fails this test in all four modes.
+#[test]
+fn every_rerank_mode_reaches_past_rank_2k_for_a_distinct_source() {
+    use divtopk::core::diversify::{disc, knn, mmr, window};
+    use divtopk::core::limits::SearchLimits;
+    use divtopk::core::sources::IncrementalVecSource;
+
+    let k = 5;
+    // Items are (rank, source): similar iff same source.
+    let items: Vec<Scored<(usize, usize)>> = (0..4 * k)
+        .map(|rank| {
+            let (source, score) = if rank < 2 * k {
+                (0, 100.0 - rank as f64 * 0.1)
+            } else {
+                (rank, 90.0 - rank as f64 * 0.1)
+            };
+            Scored::new((rank, source), Score::new(score))
+        })
+        .collect();
+    let stream = || IncrementalVecSource::new(items.clone());
+    let above = |a: &(usize, usize), b: &(usize, usize)| a.1 == b.1;
+    let value = |a: &(usize, usize), b: &(usize, usize), floor: f64| {
+        Some(if a.1 == b.1 { 1.0 } else { 0.0 }).filter(|&s| s > floor)
+    };
+    let limits = SearchLimits::unlimited();
+    let outcomes = [
+        ("mmr", mmr(stream(), value, 0.5, k, &limits).unwrap()),
+        (
+            "window",
+            window(stream(), above, &WindowConfig::default(), k, &limits).unwrap(),
+        ),
+        ("disc", disc(stream(), above, k, &limits).unwrap()),
+        ("knn", knn(stream(), value, 2, k, &limits).unwrap()),
+    ];
+    for (mode, outcome) in outcomes {
+        let ranks: Vec<usize> = outcome.selected.iter().map(|r| r.item.0).collect();
+        assert!(
+            ranks.iter().any(|&rank| rank >= 2 * k),
+            "{mode} selected only near-duplicates {ranks:?} from a pool of {}",
+            outcome.diversifier.candidates_pulled
+        );
+    }
+}
+
 // ----------------------------------------- pure-kernel properties (proptest)
 
 /// Relevance-ordered random pool: scores descending, arbitrary labels.
