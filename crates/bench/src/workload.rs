@@ -495,7 +495,8 @@ fn mutation_chunks(
     Ok((0..events)
         .map(|e| {
             let mut docs: Vec<DocId> = (0..docs_per_event)
-                .map(|x| postings[(e * docs_per_event + x) % postings.len()].doc)
+                .filter_map(|x| postings.get((e * docs_per_event + x) % postings.len()))
+                .map(|p| p.doc)
                 .collect();
             docs.sort_unstable();
             docs.dedup();

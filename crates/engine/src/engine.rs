@@ -1012,7 +1012,7 @@ mod tests {
         let index = InvertedIndex::build(&corpus);
         let searcher = DiversifiedSearcher::new(&corpus, &index);
         let term = 2;
-        let top: Vec<DocId> = index.postings(term)[..5].iter().map(|p| p.doc).collect();
+        let top: Vec<DocId> = index.postings(term).iter().take(5).map(|p| p.doc).collect();
         let mut pairs = 0;
         for (i, &a) in top.iter().enumerate() {
             for &b in &top[i + 1..] {

@@ -2,10 +2,11 @@
 
 use crate::chunked::ChunkedVec;
 use crate::document::{DocId, Document, TermId};
+use crate::persist::FileStamp;
 use crate::stopwords::is_stopword;
 use crate::tokenize::tokenize;
 use crate::vocab::Vocabulary;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An in-memory corpus with everything Eq. 3 / Eq. 4 need precomputed:
 /// per-term document frequencies and the IDF table.
@@ -28,6 +29,8 @@ pub struct Corpus {
     /// document otherwise get a (small) negative IDF, which would break the
     /// score invariants; ranking shape is unaffected).
     idf: Arc<Vec<f64>>,
+    /// See [`Corpus::epoch_file`]; shared like the tables it describes.
+    epoch_file: Arc<OnceLock<FileStamp>>,
 }
 
 impl Corpus {
@@ -95,6 +98,14 @@ impl Corpus {
         self.doc_freq.iter().copied().max().unwrap_or(0)
     }
 
+    /// The snapshot epoch file (vocabulary + statistics) this corpus's
+    /// tables were last durably written as, or loaded from, once the
+    /// snapshot layer has set it. Every clone and every
+    /// [`Corpus::append_frozen`] shares it: the tables never change.
+    pub(crate) fn epoch_file(&self) -> &OnceLock<FileStamp> {
+        &self.epoch_file
+    }
+
     /// Reassembles a corpus from decoded snapshot parts
     /// ([`crate::persist`]); the caller has validated shape invariants
     /// (table sizes, term-id ranges, finite weights).
@@ -109,6 +120,7 @@ impl Corpus {
             docs,
             doc_freq: Arc::new(doc_freq),
             idf: Arc::new(idf),
+            epoch_file: Arc::default(),
         }
     }
 
@@ -240,6 +252,7 @@ impl CorpusBuilder {
             docs: self.docs.into_iter().collect(),
             doc_freq: Arc::new(doc_freq),
             idf: Arc::new(idf),
+            epoch_file: Arc::default(),
         }
     }
 }

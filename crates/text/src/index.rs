@@ -1,6 +1,6 @@
 //! The inverted index: per-term posting lists sorted by score contribution.
 //!
-//! A posting is `(doc, tf)`, 8 bytes. Its *partial score*, the term's
+//! A posting is `(doc, tf)`. Its *partial score*, the term's
 //! contribution to Eq. 3, is not stored: with IDF frozen for each
 //! statistics epoch it is a pure function of `tf`, the term's IDF and the
 //! document's length, and [`partial`] computes it wherever it is read — a
@@ -13,22 +13,35 @@
 //! exactly list positions (the enwiki setup).
 //!
 //! An index is **sparse in the vocabulary**: it stores one list per term
-//! it actually holds — a sorted `terms` array beside one exact-capacity,
-//! never-empty `Vec<Posting>` per present term — and remembers only the
+//! it actually holds — a sorted `terms` array beside one exact-size,
+//! never-empty byte list per present term — and remembers only the
 //! vocabulary's *size*. A one-document segment therefore costs its own
-//! postings, not 24 bytes of `Vec` header per vocabulary term, and
-//! [`InvertedIndex::postings`] answers an absent term with an empty slice
-//! (one binary search over `terms`). The lists stay separate allocations
-//! on purpose (DESIGN.md §9, "Segment layout"): one flat array per index
-//! cannot reuse the heap the corpus generator freed, and measured higher
-//! RSS on every serving workload.
+//! postings, not a list header per vocabulary term, and
+//! [`InvertedIndex::postings`] answers an absent term with an empty list
+//! (one binary search over `terms`).
+//!
+//! A list holds its postings **packed at the index's widths**, exactly as
+//! the snapshot's segment payload lays them out (DESIGN.md §14): each
+//! posting is `(doc − base, tf)` little-endian, the doc offset in the
+//! fewest bytes (1–4) that hold the index's largest `doc − base` and the
+//! tf in the fewest that hold its largest tf, `base` being its smallest
+//! doc id (a loaded index keeps the layout its file declares, which the
+//! writer chose by this rule). An index spanning fewer than 2¹⁶
+//! documents with every tf under 256 takes 3 bytes a posting. Readers see a list through the `Copy`
+//! view [`PostingList`], which decodes a [`Posting`] on access; the
+//! snapshot writer copies the bytes as held and the loader keeps the
+//! bytes it validated. The lists stay separate allocations on purpose
+//! (DESIGN.md §9, "Segment layout"): one flat array per index cannot
+//! reuse the heap the corpus generator freed, and measured higher RSS on
+//! every serving workload.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
 use std::cmp::Ordering;
+use std::fmt;
 
-/// One inverted-list entry. The partial score is computed, not stored:
-/// see [`Posting::partial`].
+/// One inverted-list entry, as a [`PostingList`] decodes it. The partial
+/// score is computed, not stored: see [`Posting::partial`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Posting {
     /// The document.
@@ -76,17 +89,204 @@ pub(crate) fn posting_order(a: &Keyed, b: &Keyed) -> Ordering {
         .then(a.posting.doc.cmp(&b.posting.doc))
 }
 
-/// Sorts `list` into the posting order under `partial_of`, through the
-/// reusable `scratch`.
-fn sort_list(list: &mut [Posting], scratch: &mut Vec<Keyed>, partial_of: impl Fn(&Posting) -> f64) {
-    scratch.clear();
-    scratch.extend(list.iter().map(|&posting| Keyed {
-        partial: partial_of(&posting),
-        posting,
-    }));
+/// The fewest bytes (1–4) that hold `max` little-endian.
+fn byte_width(max: u32) -> u8 {
+    1 + u8::from(max > 0xFF) + u8::from(max > 0xFFFF) + u8::from(max > 0xFF_FFFF)
+}
+
+/// A little-endian `u32` stored in its low `N` bytes.
+#[inline(always)]
+pub(crate) fn le_u32<const N: usize>(bytes: &[u8]) -> u32 {
+    let mut word = [0u8; 4];
+    word[..N].copy_from_slice(&bytes[..N]);
+    u32::from_le_bytes(word)
+}
+
+/// How an index packs its postings (module docs): every doc id as its
+/// offset from `base` in `doc_width` bytes, then the tf in `tf_width`
+/// bytes, both little-endian and both in 1..=4.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Layout {
+    pub(crate) base: DocId,
+    pub(crate) doc_width: u8,
+    pub(crate) tf_width: u8,
+}
+
+impl Layout {
+    /// The narrowest layout for postings whose docs span `docs`
+    /// (smallest, largest; `None` for no postings) and whose largest tf
+    /// is `max_tf`.
+    fn fitting(docs: Option<(DocId, DocId)>, max_tf: u32) -> Layout {
+        let (base, last) = docs.unwrap_or((0, 0));
+        Layout {
+            base,
+            doc_width: byte_width(last - base),
+            tf_width: byte_width(max_tf),
+        }
+    }
+
+    /// The narrowest layout for `postings`.
+    fn of(postings: impl Iterator<Item = Posting>) -> Layout {
+        let (mut docs, mut max_tf) = (None, 0);
+        for p in postings {
+            let (lo, hi) = docs.unwrap_or((p.doc, p.doc));
+            docs = Some((lo.min(p.doc), hi.max(p.doc)));
+            max_tf = max_tf.max(p.tf);
+        }
+        Layout::fitting(docs, max_tf)
+    }
+
+    /// Bytes per posting.
+    pub(crate) fn stride(self) -> usize {
+        usize::from(self.doc_width) + usize::from(self.tf_width)
+    }
+
+    /// Writes `p` into the `stride()` bytes of `entry`.
+    #[inline]
+    fn put(self, entry: &mut [u8], p: Posting) {
+        let (doc, tf) = entry.split_at_mut(usize::from(self.doc_width));
+        put_le_of_width(doc, p.doc - self.base);
+        put_le_of_width(tf, p.tf);
+    }
+
+    /// Reads the posting in the `stride()` bytes of `entry`.
+    #[inline]
+    fn get(self, entry: &[u8]) -> Posting {
+        let (doc, tf) = entry.split_at(usize::from(self.doc_width));
+        Posting {
+            doc: self.base + le_u32_of_width(doc),
+            tf: le_u32_of_width(tf),
+        }
+    }
+}
+
+/// [`le_u32`] at the width of `bytes` (1–4).
+#[inline(always)]
+fn le_u32_of_width(bytes: &[u8]) -> u32 {
+    match bytes.len() {
+        1 => le_u32::<1>(bytes),
+        2 => le_u32::<2>(bytes),
+        3 => le_u32::<3>(bytes),
+        _ => le_u32::<4>(bytes),
+    }
+}
+
+/// Writes the low `bytes.len()` (1–4) bytes of `v` little-endian, each
+/// width a fixed-size copy.
+#[inline(always)]
+fn put_le_of_width(bytes: &mut [u8], v: u32) {
+    let le = v.to_le_bytes();
+    match bytes.len() {
+        1 => bytes[..1].copy_from_slice(&le[..1]),
+        2 => bytes[..2].copy_from_slice(&le[..2]),
+        3 => bytes[..3].copy_from_slice(&le[..3]),
+        _ => bytes[..4].copy_from_slice(&le),
+    }
+}
+
+/// One posting list as the index holds it: a `Copy` view over its packed
+/// bytes that decodes a [`Posting`] on access. Equality and `Debug` are
+/// over the decoded postings, whatever the widths.
+#[derive(Clone, Copy)]
+pub struct PostingList<'a> {
+    bytes: &'a [u8],
+    layout: Layout,
+    /// `bytes.len() / layout.stride()`, divided once: the threshold
+    /// algorithm asks every round.
+    len: usize,
+}
+
+impl<'a> PostingList<'a> {
+    fn new(bytes: &'a [u8], layout: Layout) -> PostingList<'a> {
+        PostingList {
+            bytes,
+            layout,
+            len: bytes.len() / layout.stride(),
+        }
+    }
+
+    /// Number of postings.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the list holds no posting.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The `i`-th posting, or `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Posting> {
+        if i >= self.len {
+            return None;
+        }
+        let stride = self.layout.stride();
+        Some(self.layout.get(&self.bytes[i * stride..][..stride]))
+    }
+
+    /// The postings in list order.
+    pub fn iter(&self) -> PostingIter<'a> {
+        PostingIter {
+            entries: self.bytes.chunks_exact(self.layout.stride()),
+            layout: self.layout,
+        }
+    }
+
+    /// The packed bytes, at the index's layout.
+    pub(crate) fn as_bytes(&self) -> &'a [u8] {
+        self.bytes
+    }
+}
+
+impl PartialEq for PostingList<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl fmt::Debug for PostingList<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl<'a> IntoIterator for PostingList<'a> {
+    type Item = Posting;
+    type IntoIter = PostingIter<'a>;
+
+    fn into_iter(self) -> PostingIter<'a> {
+        self.iter()
+    }
+}
+
+/// The decoding iterator of a [`PostingList`].
+pub struct PostingIter<'a> {
+    entries: std::slice::ChunksExact<'a, u8>,
+    layout: Layout,
+}
+
+impl Iterator for PostingIter<'_> {
+    type Item = Posting;
+
+    #[inline]
+    fn next(&mut self) -> Option<Posting> {
+        self.entries.next().map(|entry| self.layout.get(entry))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.entries.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PostingIter<'_> {}
+
+/// Sorts the postings in `scratch` into the posting order and packs them
+/// into `list` (exactly `scratch.len()` entries at `layout`).
+fn pack_sorted(list: &mut [u8], layout: Layout, scratch: &mut [Keyed]) {
     scratch.sort_unstable_by(posting_order);
-    for (slot, keyed) in list.iter_mut().zip(scratch.iter()) {
-        *slot = keyed.posting;
+    for (entry, keyed) in list.chunks_exact_mut(layout.stride()).zip(scratch.iter()) {
+        layout.put(entry, keyed.posting);
     }
 }
 
@@ -95,10 +295,13 @@ fn sort_list(list: &mut [Posting], scratch: &mut Vec<Keyed>, partial_of: impl Fn
 pub struct InvertedIndex {
     /// Size of the vocabulary the term ids index into.
     num_terms: usize,
+    /// How every list below packs its postings.
+    layout: Layout,
     /// The terms holding at least one posting, strictly increasing.
     terms: Vec<TermId>,
-    /// `lists[i]` is the non-empty posting list of `terms[i]`.
-    lists: Vec<Vec<Posting>>,
+    /// `lists[i]` is the non-empty posting list of `terms[i]`, packed at
+    /// `layout`.
+    lists: Vec<Box<[u8]>>,
 }
 
 impl InvertedIndex {
@@ -144,11 +347,11 @@ impl InvertedIndex {
     ///
     /// O(postings + V/64 + span): a vocabulary bitset marks the present
     /// terms, a per-word rank turns a term into its list slot in O(1), then
-    /// each list is counted, allocated once at its exact size, filled in
-    /// doc order and sorted. The bitset and the rank are the only
-    /// structures sized by the vocabulary; the `1/√len` table the sort
-    /// reads is sized by the id span, so a batch at the top of a large
-    /// corpus costs the batch.
+    /// a counting pass sizes each list and the layout, each list is
+    /// allocated once at its exact packed size, filled in doc order and
+    /// sorted. The bitset and the rank are the only structures sized by
+    /// the vocabulary; the `1/√len` table the sort reads is sized by the
+    /// id span, so a batch at the top of a large corpus costs the batch.
     pub(crate) fn build_from_ids(
         corpus: &Corpus,
         ids: impl Iterator<Item = DocId> + Clone,
@@ -180,30 +383,49 @@ impl InvertedIndex {
             rank[w] as usize + (present[w] & ((1u64 << b) - 1)).count_ones() as usize
         };
         let mut counts = vec![0usize; terms.len()];
-        for (_, doc) in docs() {
-            for &(t, _) in &doc.terms {
+        let (mut span, mut max_tf) = (None, 0);
+        for (doc_id, doc) in docs() {
+            span = Some((span.map_or(doc_id, |(lo, _)| lo), doc_id));
+            for &(t, tf) in &doc.terms {
                 counts[slot(t)] += 1;
+                max_tf = max_tf.max(tf);
             }
         }
-        let mut lists: Vec<Vec<Posting>> = counts.into_iter().map(Vec::with_capacity).collect();
+        let layout = Layout::fitting(span, max_tf);
+        let stride = layout.stride();
+        let mut lists: Vec<Box<[u8]>> = counts
+            .iter()
+            .map(|&n| vec![0u8; n * stride].into_boxed_slice())
+            .collect();
+        // `counts` becomes each list's fill cursor, in bytes.
+        counts.fill(0);
         // `inv_len[d − first]` is `1/√len(d)`; ids the build skips read 0.
         let mut inv_len: Vec<f64> = Vec::new();
         for (doc_id, doc) in docs() {
             inv_len.resize((doc_id - first) as usize, 0.0);
             inv_len.push(inv_sqrt_len(doc.len));
             for &(t, tf) in &doc.terms {
-                lists[slot(t)].push(Posting { doc: doc_id, tf });
+                let (s, posting) = (slot(t), Posting { doc: doc_id, tf });
+                layout.put(&mut lists[s][counts[s]..counts[s] + stride], posting);
+                counts[s] += stride;
             }
         }
         let mut scratch = Vec::new();
         for (&t, list) in terms.iter().zip(&mut lists) {
             let idf = corpus.idf(t);
-            sort_list(list, &mut scratch, |p| {
-                partial(p.tf, idf, inv_len[(p.doc - first) as usize])
-            });
+            scratch.clear();
+            scratch.extend(list.chunks_exact(stride).map(|entry| {
+                let posting = layout.get(entry);
+                Keyed {
+                    partial: partial(posting.tf, idf, inv_len[(posting.doc - first) as usize]),
+                    posting,
+                }
+            }));
+            pack_sorted(list, layout, &mut scratch);
         }
         InvertedIndex {
             num_terms: corpus.num_terms(),
+            layout,
             terms,
             lists,
         }
@@ -212,87 +434,131 @@ impl InvertedIndex {
     /// Merges the lists of `parts` term by term, dropping the postings
     /// `keep` rejects — compaction's primitive. Walks only the union
     /// of the parts' present terms (a k-way merge of their sorted term
-    /// arrays); a term whose postings are all dropped gets no list. The
-    /// merged lists are re-sorted on computed partials, which equal the
-    /// bits a build computes, so a merge of segments is the build over
-    /// their surviving documents.
+    /// arrays); a term whose postings are all dropped gets no list. A
+    /// first pass over the surviving postings sizes the layout; each
+    /// merged list is then gathered, re-sorted on computed partials, which
+    /// equal the bits a build computes, and packed once at its exact size,
+    /// so a merge of segments is the build over their surviving documents.
     pub(crate) fn merge<'a>(
         corpus: &Corpus,
         parts: impl IntoIterator<Item = &'a InvertedIndex>,
         keep: impl Fn(DocId) -> bool,
     ) -> InvertedIndex {
-        let mut sources: Vec<_> = parts.into_iter().map(|p| p.lists().peekable()).collect();
+        let parts: Vec<&InvertedIndex> = parts.into_iter().collect();
+        let layout = Layout::of(
+            parts
+                .iter()
+                .flat_map(|p| p.lists().flat_map(|(_, list)| list))
+                .filter(|p| keep(p.doc)),
+        );
+        let mut sources: Vec<_> = parts.iter().map(|p| p.lists().peekable()).collect();
         let (mut terms, mut lists) = (Vec::new(), Vec::new());
-        let mut held: Vec<&[Posting]> = Vec::with_capacity(sources.len());
         let mut scratch = Vec::new();
         while let Some(t) = sources
             .iter_mut()
             .filter_map(|s| s.peek().map(|&(t, _)| t))
             .min()
         {
-            held.clear();
-            held.extend(
-                sources
-                    .iter_mut()
-                    .filter_map(|s| s.next_if(|&(u, _)| u == t).map(|(_, list)| list)),
-            );
-            let mut merged: Vec<Posting> = Vec::with_capacity(held.iter().map(|l| l.len()).sum());
-            merged.extend(held.iter().flat_map(|l| l.iter()).filter(|p| keep(p.doc)));
-            if merged.is_empty() {
+            let idf = corpus.idf(t);
+            scratch.clear();
+            for source in &mut sources {
+                let Some((_, list)) = source.next_if(|&(u, _)| u == t) else {
+                    continue;
+                };
+                scratch.extend(list.iter().filter(|p| keep(p.doc)).map(|posting| Keyed {
+                    partial: posting.partial(corpus, idf),
+                    posting,
+                }));
+            }
+            if scratch.is_empty() {
                 continue;
             }
-            merged.shrink_to_fit();
-            let idf = corpus.idf(t);
-            sort_list(&mut merged, &mut scratch, |p| p.partial(corpus, idf));
+            let mut list = vec![0u8; scratch.len() * layout.stride()].into_boxed_slice();
+            pack_sorted(&mut list, layout, &mut scratch);
             terms.push(t);
-            lists.push(merged);
+            lists.push(list);
         }
         InvertedIndex {
             num_terms: corpus.num_terms(),
+            layout,
             terms,
             lists,
         }
     }
 
-    /// Assembles an index over a vocabulary of `num_terms` terms directly
-    /// from `(term, list)` pairs in increasing term order, each list
-    /// non-empty and already in `(partial desc, doc asc)` order — the
-    /// load primitive. Debug builds verify the term order and range. The
-    /// posting order needs the partials, so the caller checks it: the
-    /// snapshot decoder checks every invariant on untrusted bytes, the
-    /// posting order included, before calling this, and
-    /// [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
+    /// Assembles an index over a vocabulary of `num_terms` terms from
+    /// lists already packed at `layout`, beside their terms in increasing
+    /// order, each list non-empty and in `(partial desc, doc asc)` order —
+    /// the load primitive. Debug builds verify the term order and range
+    /// and the list sizes. The posting order needs the partials, so the
+    /// caller checks it: the snapshot decoder checks every invariant on
+    /// untrusted bytes, the posting order included, before calling this,
+    /// and [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
     /// reports an empty list.
+    pub(crate) fn from_packed(
+        num_terms: usize,
+        layout: Layout,
+        terms: Vec<TermId>,
+        lists: Vec<Box<[u8]>>,
+    ) -> InvertedIndex {
+        debug_assert_eq!(terms.len(), lists.len());
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
+        debug_assert!(lists.iter().all(|l| l.len() % layout.stride() == 0));
+        InvertedIndex {
+            num_terms,
+            layout,
+            terms,
+            lists,
+        }
+    }
+
+    /// [`InvertedIndex::from_packed`] from `(term, postings)` pairs, packed
+    /// at the narrowest layout that holds them all.
+    #[cfg(test)]
     pub(crate) fn from_sorted_lists(
         num_terms: usize,
         pairs: impl IntoIterator<Item = (TermId, Vec<Posting>)>,
     ) -> InvertedIndex {
-        let (terms, lists): (Vec<TermId>, Vec<Vec<Posting>>) = pairs.into_iter().unzip();
-        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
-        InvertedIndex {
-            num_terms,
-            terms,
-            lists,
-        }
+        let (terms, postings): (Vec<TermId>, Vec<Vec<Posting>>) = pairs.into_iter().unzip();
+        let layout = Layout::of(postings.iter().flatten().copied());
+        let lists = postings
+            .iter()
+            .map(|list| {
+                let mut bytes = vec![0u8; list.len() * layout.stride()].into_boxed_slice();
+                for (entry, &p) in bytes.chunks_exact_mut(layout.stride()).zip(list) {
+                    layout.put(entry, p);
+                }
+                bytes
+            })
+            .collect();
+        InvertedIndex::from_packed(num_terms, layout, terms, lists)
     }
 
     /// The posting list for `term` (sorted by partial score, descending);
     /// empty for a term this index holds no posting of.
-    pub fn postings(&self, term: TermId) -> &[Posting] {
-        match self.terms.binary_search(&term) {
+    pub fn postings(&self, term: TermId) -> PostingList<'_> {
+        let bytes = match self.terms.binary_search(&term) {
             Ok(i) => &self.lists[i],
-            Err(_) => &[],
-        }
+            Err(_) => &[][..],
+        };
+        PostingList::new(bytes, self.layout)
     }
 
     /// The non-empty posting lists as `(term, list)` pairs, in
     /// increasing term order.
-    pub fn lists(&self) -> impl ExactSizeIterator<Item = (TermId, &[Posting])> + '_ {
-        self.terms
-            .iter()
-            .copied()
-            .zip(self.lists.iter().map(Vec::as_slice))
+    pub fn lists(&self) -> impl ExactSizeIterator<Item = (TermId, PostingList<'_>)> + '_ {
+        let layout = self.layout;
+        self.terms.iter().copied().zip(
+            self.lists
+                .iter()
+                .map(move |bytes| PostingList::new(bytes, layout)),
+        )
+    }
+
+    /// How the lists pack their postings.
+    pub(crate) fn layout(&self) -> Layout {
+        self.layout
     }
 
     /// Size of the vocabulary the index's term ids range over (not the
@@ -303,7 +569,7 @@ impl InvertedIndex {
 
     /// Total number of postings (index size).
     pub fn num_postings(&self) -> usize {
-        self.lists.iter().map(Vec::len).sum()
+        self.lists.iter().map(|l| l.len()).sum::<usize>() / self.layout.stride()
     }
 }
 
@@ -338,11 +604,32 @@ mod tests {
     }
 
     #[test]
+    fn an_index_under_2_16_documents_with_small_tfs_holds_3_bytes_a_posting() {
+        let c = crate::synth::generate(&crate::synth::SynthConfig {
+            num_docs: 400,
+            ..crate::synth::SynthConfig::tiny()
+        });
+        let postings: usize = c.docs().map(|d| d.terms.len()).sum();
+        assert!(c.docs().all(|d| d.terms.iter().all(|&(_, tf)| tf < 256)));
+        // 400 documents: 2-byte doc offsets, 1-byte tfs.
+        for idx in [
+            InvertedIndex::build(&c),
+            InvertedIndex::build_range(&c, 7..400),
+        ] {
+            let layout = idx.layout();
+            assert_eq!((layout.doc_width, layout.tf_width), (2, 1));
+            let payload: usize = idx.lists.iter().map(|l| l.len()).sum();
+            assert_eq!(payload, 3 * idx.num_postings());
+        }
+        assert_eq!(InvertedIndex::build(&c).num_postings(), postings);
+    }
+
+    #[test]
     fn lists_are_sorted_by_partial_desc() {
         let c = corpus();
         let idx = InvertedIndex::build(&c);
         for t in 0..c.num_terms() as TermId {
-            let list = idx.postings(t);
+            let list: Vec<Posting> = idx.postings(t).iter().collect();
             assert!(
                 list.windows(2)
                     .all(|w| w[0].partial(&c, c.idf(t)) >= w[1].partial(&c, c.idf(t))),
@@ -399,7 +686,7 @@ mod tests {
                 let mut cursors = vec![0usize; shards];
                 for p in full.postings(t) {
                     let s = p.doc as usize % shards;
-                    assert_eq!(parts[s].postings(t)[cursors[s]], *p);
+                    assert_eq!(parts[s].postings(t).get(cursors[s]), Some(p));
                     cursors[s] += 1;
                 }
                 for (s, part) in parts.iter().enumerate() {

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use crate::chunked::{CHUNK, ChunkedVec};
     pub use crate::corpus::{Corpus, CorpusBuilder};
     pub use crate::document::{DocId, Document, TermId};
-    pub use crate::index::{InvertedIndex, Posting};
+    pub use crate::index::{InvertedIndex, Posting, PostingList};
     pub use crate::jaccard::{
         similar_above, total_weight, weighted_jaccard, weighted_jaccard_above,
         weighted_jaccard_with,

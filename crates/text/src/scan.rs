@@ -8,16 +8,16 @@
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
-use crate::index::{InvertedIndex, Posting};
+use crate::index::{InvertedIndex, PostingIter};
 use divtopk_core::{ResultSource, Score, Scored, UnseenBound};
 
 /// Incremental scan of one posting list.
 pub struct ScanSource<'a> {
     corpus: &'a Corpus,
     /// The list's term weight, read once: a pull computes its posting's
-    /// partial score from it ([`Posting::partial`]).
+    /// partial score from it ([`crate::index::Posting::partial`]).
     idf: f64,
-    postings: std::slice::Iter<'a, Posting>,
+    postings: PostingIter<'a>,
     last: Option<Score>,
 }
 

@@ -155,30 +155,24 @@ impl Segment {
 
     fn new(id: u64, index: InvertedIndex) -> Segment {
         // Count distinct docs via a bitset over the segment's own id
-        // span: O(postings + span/64) instead of collect-sort-dedup —
-        // this runs on every add batch and every compaction. The bitset
-        // is offset by the minimum doc id, so a small late batch on a
-        // huge corpus (ids all near the top of the global space) stays
-        // O(batch), not O(corpus).
-        let mut lo = DocId::MAX;
-        let mut hi = 0;
+        // span in one pass: O(postings + span/64) instead of
+        // collect-sort-dedup — this runs on every add batch and every
+        // compaction. The bitset is offset by the layout's base, the
+        // smallest doc id of a built or merged index, so a small late
+        // batch on a huge corpus (ids all near the top of the global
+        // space) stays O(batch), not O(corpus).
+        let base = index.layout().base;
+        let mut words: Vec<u64> = Vec::new();
         for (_, postings) in index.lists() {
             for p in postings {
-                lo = lo.min(p.doc);
-                hi = hi.max(p.doc);
-            }
-        }
-        let mut doc_count = 0;
-        if lo <= hi {
-            let mut words = vec![0u64; ((hi - lo) as usize + 1).div_ceil(64)];
-            for (_, postings) in index.lists() {
-                for p in postings {
-                    let bit = (p.doc - lo) as usize;
-                    words[bit / 64] |= 1u64 << (bit % 64);
+                let bit = (p.doc - base) as usize;
+                if bit / 64 >= words.len() {
+                    words.resize(bit / 64 + 1, 0);
                 }
+                words[bit / 64] |= 1u64 << (bit % 64);
             }
-            doc_count = words.iter().map(|w| w.count_ones() as usize).sum();
         }
+        let doc_count = words.iter().map(|w| w.count_ones() as usize).sum();
         Segment {
             id,
             index,
@@ -966,7 +960,7 @@ mod tests {
         // A stored empty list is named by its term.
         let mut lists: Vec<(TermId, Vec<Posting>)> = InvertedIndex::build(&corpus)
             .lists()
-            .map(|(t, l)| (t, l.to_vec()))
+            .map(|(t, l)| (t, l.iter().collect()))
             .collect();
         for (t, list) in &mut lists {
             if *t == zebra {

@@ -19,7 +19,7 @@
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
-use crate::index::InvertedIndex;
+use crate::index::{InvertedIndex, PostingList};
 use crate::tfidf;
 use divtopk_core::{ResultSource, Score, Scored, UnseenBound};
 use std::cmp::Reverse;
@@ -53,7 +53,7 @@ use std::collections::{BinaryHeap, HashSet};
 pub struct TaSource<'a> {
     corpus: &'a Corpus,
     query: Vec<TermId>,
-    lists: Vec<&'a [crate::index::Posting]>,
+    lists: Vec<PostingList<'a>>,
     /// `idfs[j]` is the weight of `query[j]`, read once: the threshold
     /// computes the partial at each cursor from it.
     idfs: Vec<f64>,
@@ -130,7 +130,7 @@ impl<'a> TaSource<'a> {
     fn pump(&mut self) {
         while self.top().is_none_or(|top| top < self.min_threshold) && !self.exhausted() {
             for j in 0..self.lists.len() {
-                let Some(&posting) = self.lists[j].get(self.cursors[j]) else {
+                let Some(posting) = self.lists[j].get(self.cursors[j]) else {
                     continue;
                 };
                 self.cursors[j] += 1;

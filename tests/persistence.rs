@@ -272,6 +272,67 @@ fn diverged_lineages_rewrite_the_segment_id_they_share() {
 }
 
 #[test]
+fn a_resave_after_a_mutation_reuses_the_epoch_file() {
+    // 120 documents in one chunk over two base segments. The add's
+    // corpus is a clone of the saved one, so it shares the saved epoch's
+    // stamp: written are the new segment, the tail chunk and the
+    // manifest; reused are the epoch and both base segments.
+    let donor = base(130);
+    let mut seg = SegmentedIndex::build_partitioned(base(120), 2);
+    let dir = temp_path("epoch-reuse.snapshot");
+    persist::save_segmented(&dir, &seg, 1).unwrap();
+    seg.add_docs((120..130u32).map(|d| donor.doc(d).clone()).collect());
+    let report = persist::save_segmented(&dir, &seg, 2).unwrap();
+    assert_eq!(
+        (report.files_written, report.files_reused),
+        (3, 3),
+        "{report:?}"
+    );
+    // A loaded state remembers the epoch file it was read from.
+    let (mut loaded, _) = persist::load_segmented(&dir).unwrap();
+    loaded.delete_docs(&[3]);
+    let report = persist::save_segmented(&dir, &loaded, 3).unwrap();
+    assert_eq!(
+        (report.files_written, report.files_reused),
+        (1, 5),
+        "{report:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_foreign_epoch_file_of_the_same_length_is_rewritten() {
+    // Two epochs over one vocabulary whose statistics differ in value
+    // but not in encoded length: the directory's `epoch.bin` is A's, B
+    // remembers its own file elsewhere, so B's save must rewrite it.
+    let epoch = |tokens: [u32; 3]| {
+        let mut b = CorpusBuilder::with_synthetic_vocab(4);
+        for (i, &t) in tokens.iter().enumerate() {
+            b.add_tokens(format!("d{i}"), vec![t, 3]);
+        }
+        SegmentedIndex::build(b.build())
+    };
+    let (a, b) = (epoch([0, 0, 1]), epoch([0, 1, 2]));
+    assert_ne!(a.corpus().idf_table(), b.corpus().idf_table());
+    let (dir, elsewhere) = (temp_path("epoch-a.snapshot"), temp_path("epoch-b.snapshot"));
+    persist::save_segmented(&dir, &a, 1).unwrap();
+    persist::save_segmented(&elsewhere, &b, 1).unwrap();
+    let epoch_len = |d: &PathBuf| {
+        std::fs::metadata(d.join(persist::EPOCH_NAME))
+            .unwrap()
+            .len()
+    };
+    assert_eq!(epoch_len(&dir), epoch_len(&elsewhere));
+    let report = persist::save_segmented(&dir, &b, 2).unwrap();
+    assert_eq!(report.files_reused, 0, "{report:?}");
+    let (loaded, _) = persist::load_segmented(&dir).unwrap();
+    assert_eq!(loaded.corpus().idf_table(), b.corpus().idf_table());
+    loaded.verify_rebuild_equivalence().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&elsewhere).unwrap();
+}
+
+#[test]
 fn concurrent_saves_of_one_engine_all_succeed() {
     // Two savers and a mutator on one engine and one directory, released
     // together: the saves share temp-file names and each collects the

@@ -375,6 +375,7 @@ proptest! {
 fn in_posting_order(corpus: &Corpus, index: &InvertedIndex) -> bool {
     index.lists().all(|(t, list)| {
         let idf = corpus.idf(t);
+        let list: Vec<Posting> = list.iter().collect();
         list.windows(2).all(|w| {
             let (a, b) = (w[0].partial(corpus, idf), w[1].partial(corpus, idf));
             a > b || (a == b && w[0].doc < w[1].doc)
@@ -442,5 +443,121 @@ proptest! {
         for s in loaded.segments() {
             prop_assert!(in_posting_order(loaded.corpus(), s.index()));
         }
+    }
+}
+
+// ---------- packed posting lists decode to their postings ----------
+
+/// The postings of `docs` (strictly increasing) for each term they hold,
+/// each list sorted by `(partial desc, doc asc)` — the lists an index
+/// over exactly `docs` must decode to, built without the index.
+fn reference_lists(
+    corpus: &Corpus,
+    docs: impl Iterator<Item = DocId>,
+) -> std::collections::BTreeMap<TermId, Vec<Posting>> {
+    let mut lists = std::collections::BTreeMap::<TermId, Vec<Posting>>::new();
+    for doc in docs {
+        for &(t, tf) in &corpus.doc(doc).terms {
+            lists.entry(t).or_default().push(Posting { doc, tf });
+        }
+    }
+    for (&t, list) in &mut lists {
+        let key = |p: &Posting| p.partial(corpus, corpus.idf(t));
+        list.sort_by(|a, b| key(b).total_cmp(&key(a)).then(a.doc.cmp(&b.doc)));
+    }
+    lists
+}
+
+/// Asserts every list of `index` decodes — through `lists()`, `postings`,
+/// `get` and `iter` — to the reference postings of the documents it
+/// holds, and that those are `want` when given.
+fn assert_decodes_to_reference(corpus: &Corpus, index: &InvertedIndex, want: Option<Vec<DocId>>) {
+    let mut held: Vec<DocId> = index.lists().flat_map(|(_, l)| l).map(|p| p.doc).collect();
+    held.sort_unstable();
+    held.dedup();
+    if let Some(want) = want {
+        assert_eq!(held, want);
+    }
+    let reference = reference_lists(corpus, held.into_iter());
+    assert_eq!(index.lists().len(), reference.len());
+    for ((t, list), (&u, want)) in index.lists().zip(&reference) {
+        assert_eq!(t, u);
+        assert_eq!(list.len(), want.len(), "term {t}");
+        assert_eq!(list, index.postings(t));
+        let got: Vec<Posting> = list.iter().collect();
+        assert_eq!(&got, want, "term {t}");
+        let by_get: Vec<Posting> = (0..list.len()).map_while(|i| list.get(i)).collect();
+        assert_eq!(&by_get, want, "term {t}");
+        assert_eq!(list.get(list.len()), None);
+    }
+    assert_eq!(
+        index.num_postings(),
+        reference.values().map(Vec::len).sum::<usize>()
+    );
+}
+
+#[test]
+fn every_posting_list_decodes_to_its_postings_across_width_boundaries() {
+    // Term frequencies on both sides of 2⁸, 2¹⁶ and 2²⁴ (a document's
+    // length is its tf plus one); doc spans on both sides of 2⁸ and 2¹⁶.
+    // A span past 2²⁴ needs a 2²⁴-document corpus; the index and segment
+    // codec unit tests decode such lists without one.
+    const TFS: [u32; 7] = [1, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
+    let boundary_docs = |tag: &str| -> Vec<Document> {
+        TFS.iter()
+            .map(|&tf| Document {
+                title: format!("{tag}{tf}"),
+                terms: vec![(3, tf), (4, 1)],
+                len: tf + 1,
+            })
+            .collect()
+    };
+    let mut b = CorpusBuilder::with_synthetic_vocab(8);
+    for i in 0..3u32 {
+        b.add_tokens(format!("head{i}"), vec![i % 3]);
+    }
+    for doc in boundary_docs("base") {
+        b.add_document(doc);
+    }
+    for i in 0..65_540u32 {
+        b.add_tokens(format!("d{i}"), vec![i % 3, 5]);
+    }
+    let corpus = b.build();
+    let n = corpus.num_docs() as DocId;
+    assert_decodes_to_reference(
+        &corpus,
+        &InvertedIndex::build(&corpus),
+        Some((0..n).collect()),
+    );
+    for span in [255u32, 256, 65_535, 65_536] {
+        let range = 3..3 + span + 1;
+        let index = InvertedIndex::build_range(&corpus, range.clone());
+        assert_decodes_to_reference(&corpus, &index, Some(range.collect()));
+    }
+
+    // Compaction: two boundary-tf batches merged as one tier, and a base
+    // segment past 2¹⁶ documents rewritten once a quarter of it is dead.
+    let mut seg = SegmentedIndex::build_partitioned(corpus, 1);
+    seg.add_docs(boundary_docs("a"));
+    seg.add_docs(boundary_docs("b"));
+    let dead: Vec<DocId> = (0..n).filter(|d| d % 3 == 1).chain([n + 2]).collect();
+    seg.delete_docs(&dead);
+    let before = seg.compactions();
+    while seg.compact() > 0 {}
+    assert!(seg.compactions() >= before + 2, "{}", seg.compactions());
+    seg.verify_rebuild_equivalence().unwrap();
+    for s in seg.segments() {
+        assert_decodes_to_reference(seg.corpus(), s.index(), None);
+    }
+
+    let dir = std::env::temp_dir().join(format!("divtopk-widths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    divtopk::text::persist::save_segmented(&dir, &seg, 0).unwrap();
+    let (loaded, _) = divtopk::text::persist::load_segmented(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(loaded.num_segments(), seg.num_segments());
+    for (a, b) in loaded.segments().iter().zip(seg.segments()) {
+        assert!(a.index().lists().eq(b.index().lists()));
+        assert_decodes_to_reference(loaded.corpus(), a.index(), None);
     }
 }

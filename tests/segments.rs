@@ -267,7 +267,7 @@ fn bound_head_fixture() -> (SegmentedIndex, TermId, TermId, DocId) {
     seg.add_text("tail2", "rare heavy sample");
     // Sanity: the added doc really is the global top for `heavy`.
     let rebuilt = seg.rebuilt_index();
-    assert_eq!(rebuilt.postings(heavy)[0].doc, head);
+    assert_eq!(rebuilt.postings(heavy).get(0).unwrap().doc, head);
     seg.delete_docs(&[head]);
     (seg, heavy, rare, head)
 }
