@@ -385,10 +385,12 @@ impl Engine {
         deleted
     }
 
-    /// Runs one size-tiered compaction step (merging the smallest tier of
-    /// segments, purging tombstoned postings) and publishes a new
-    /// generation if anything merged. Returns the number of segments
-    /// merged away (0 = nothing to do).
+    /// Runs one size-tiered compaction step and publishes a new
+    /// generation if anything was compacted: the smallest tier of
+    /// segments (or a heavily-tombstoned lone segment) is replaced by one
+    /// segment built over its live documents
+    /// ([`SegmentedIndex::compact`]). Returns the number of segments
+    /// compacted (0 = nothing to do).
     pub fn compact(&self) -> usize {
         let _writer = lock_unpoisoned(&self.writer);
         let current = self.pin();

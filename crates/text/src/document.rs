@@ -21,11 +21,16 @@ pub struct Document {
 }
 
 impl Document {
-    /// Builds a document signature from an unsorted token-id list.
+    /// Builds a document signature from an unsorted token-id list. The
+    /// signature is allocated once at its exact size (the distinct ids,
+    /// counted on the sorted tokens), so a corpus keeps no spare capacity.
     pub fn from_tokens(title: String, mut tokens: Vec<TermId>) -> Document {
         tokens.sort_unstable();
         let len = tokens.len() as u32;
-        let mut terms: Vec<(TermId, u32)> = Vec::new();
+        let distinct = tokens.first().map_or(0, |_| {
+            1 + tokens.windows(2).filter(|w| w[0] != w[1]).count()
+        });
+        let mut terms: Vec<(TermId, u32)> = Vec::with_capacity(distinct);
         for t in tokens {
             match terms.last_mut() {
                 Some((last, count)) if *last == t => *count += 1,
@@ -66,6 +71,19 @@ mod tests {
         assert_eq!(d.terms, vec![(2, 2), (5, 3), (9, 1)]);
         assert_eq!(d.len, 6);
         assert_eq!(d.distinct_terms(), 3);
+    }
+
+    #[test]
+    fn from_tokens_allocates_the_signature_at_its_exact_size() {
+        for tokens in [
+            vec![],
+            vec![4],
+            vec![9, 9, 9],
+            (0..1000).map(|i| i % 37).collect(),
+        ] {
+            let d = Document::from_tokens("t".into(), tokens);
+            assert_eq!(d.terms.capacity(), d.terms.len());
+        }
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! contribution to Eq. 3, is not stored: with IDF frozen for each
 //! statistics epoch it is a pure function of `tf`, the term's IDF and the
 //! document's length, and [`partial`] computes it wherever it is read — a
-//! scan's pull, the threshold algorithm's threshold, the sort of a build
-//! or a merge, the snapshot loader's order check. One function, so all
-//! of them agree to the bit. Every list is in `(partial desc, doc asc)`
+//! scan's pull, the threshold algorithm's threshold, the sort of a build,
+//! the snapshot loader's order check. One function, so all of them agree
+//! to the bit. Every list is in `(partial desc, doc asc)`
 //! order under it, so a list scan enumerates documents in non-increasing
 //! order of their single-term score (the incremental source of §8's
 //! reuters setup) and the threshold algorithm's sorted accesses are
@@ -65,16 +65,16 @@ pub fn inv_sqrt_len(len: u32) -> f64 {
 }
 
 /// The partial score of a posting, `tf · idf · (1/√len)`, multiplied left
-/// to right. Builds, merges, the loader, scans and the threshold
-/// algorithm all compute it here, so a partial has one value wherever it
+/// to right. The build and loader, scans and the threshold algorithm all
+/// compute it here, so a partial has one value wherever it
 /// is read. (It may differ from [`crate::tfidf::partial_score`]'s
 /// `tf · idf / √len` in the last ulp.)
 pub fn partial(tf: u32, idf: f64, inv_sqrt_len: f64) -> f64 {
     tf as f64 * idf * inv_sqrt_len
 }
 
-/// A posting beside its computed partial score: what a build or a merge
-/// sorts, and what the loader checks the stored order with.
+/// A posting beside its computed partial score: what the build and loader
+/// sort and check the stored order with.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Keyed {
     pub(crate) partial: f64,
@@ -123,17 +123,6 @@ impl Layout {
             doc_width: byte_width(last - base),
             tf_width: byte_width(max_tf),
         }
-    }
-
-    /// The narrowest layout for `postings`.
-    fn of(postings: impl Iterator<Item = Posting>) -> Layout {
-        let (mut docs, mut max_tf) = (None, 0);
-        for p in postings {
-            let (lo, hi) = docs.unwrap_or((p.doc, p.doc));
-            docs = Some((lo.min(p.doc), hi.max(p.doc)));
-            max_tf = max_tf.max(p.tf);
-        }
-        Layout::fitting(docs, max_tf)
     }
 
     /// Bytes per posting.
@@ -281,15 +270,6 @@ impl Iterator for PostingIter<'_> {
 
 impl ExactSizeIterator for PostingIter<'_> {}
 
-/// Sorts the postings in `scratch` into the posting order and packs them
-/// into `list` (exactly `scratch.len()` entries at `layout`).
-fn pack_sorted(list: &mut [u8], layout: Layout, scratch: &mut [Keyed]) {
-    scratch.sort_unstable_by(posting_order);
-    for (entry, keyed) in list.chunks_exact_mut(layout.stride()).zip(scratch.iter()) {
-        layout.put(entry, keyed.posting);
-    }
-}
-
 /// Inverted index over a corpus (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
@@ -421,62 +401,10 @@ impl InvertedIndex {
                     posting,
                 }
             }));
-            pack_sorted(list, layout, &mut scratch);
-        }
-        InvertedIndex {
-            num_terms: corpus.num_terms(),
-            layout,
-            terms,
-            lists,
-        }
-    }
-
-    /// Merges the lists of `parts` term by term, dropping the postings
-    /// `keep` rejects — compaction's primitive. Walks only the union
-    /// of the parts' present terms (a k-way merge of their sorted term
-    /// arrays); a term whose postings are all dropped gets no list. A
-    /// first pass over the surviving postings sizes the layout; each
-    /// merged list is then gathered, re-sorted on computed partials, which
-    /// equal the bits a build computes, and packed once at its exact size,
-    /// so a merge of segments is the build over their surviving documents.
-    pub(crate) fn merge<'a>(
-        corpus: &Corpus,
-        parts: impl IntoIterator<Item = &'a InvertedIndex>,
-        keep: impl Fn(DocId) -> bool,
-    ) -> InvertedIndex {
-        let parts: Vec<&InvertedIndex> = parts.into_iter().collect();
-        let layout = Layout::of(
-            parts
-                .iter()
-                .flat_map(|p| p.lists().flat_map(|(_, list)| list))
-                .filter(|p| keep(p.doc)),
-        );
-        let mut sources: Vec<_> = parts.iter().map(|p| p.lists().peekable()).collect();
-        let (mut terms, mut lists) = (Vec::new(), Vec::new());
-        let mut scratch = Vec::new();
-        while let Some(t) = sources
-            .iter_mut()
-            .filter_map(|s| s.peek().map(|&(t, _)| t))
-            .min()
-        {
-            let idf = corpus.idf(t);
-            scratch.clear();
-            for source in &mut sources {
-                let Some((_, list)) = source.next_if(|&(u, _)| u == t) else {
-                    continue;
-                };
-                scratch.extend(list.iter().filter(|p| keep(p.doc)).map(|posting| Keyed {
-                    partial: posting.partial(corpus, idf),
-                    posting,
-                }));
+            scratch.sort_unstable_by(posting_order);
+            for (entry, keyed) in list.chunks_exact_mut(stride).zip(&scratch) {
+                layout.put(entry, keyed.posting);
             }
-            if scratch.is_empty() {
-                continue;
-            }
-            let mut list = vec![0u8; scratch.len() * layout.stride()].into_boxed_slice();
-            pack_sorted(&mut list, layout, &mut scratch);
-            terms.push(t);
-            lists.push(list);
         }
         InvertedIndex {
             num_terms: corpus.num_terms(),
@@ -521,7 +449,11 @@ impl InvertedIndex {
         pairs: impl IntoIterator<Item = (TermId, Vec<Posting>)>,
     ) -> InvertedIndex {
         let (terms, postings): (Vec<TermId>, Vec<Vec<Posting>>) = pairs.into_iter().unzip();
-        let layout = Layout::of(postings.iter().flatten().copied());
+        let docs = || postings.iter().flatten().map(|p| p.doc);
+        let layout = Layout::fitting(
+            docs().min().zip(docs().max()),
+            postings.iter().flatten().map(|p| p.tf).max().unwrap_or(0),
+        );
         let lists = postings
             .iter()
             .map(|list| {
@@ -554,6 +486,35 @@ impl InvertedIndex {
                 .iter()
                 .map(move |bytes| PostingList::new(bytes, layout)),
         )
+    }
+
+    /// The distinct documents this index holds a posting of, increasing:
+    /// one pass over the postings into a bitset offset by the layout's
+    /// base (no doc is below it), so an index over a small batch at the
+    /// top of a large corpus costs O(postings + span/64), not O(corpus).
+    /// Segment sizes, compaction, the rebuild check and the loader's
+    /// overlap check all read a segment's documents here.
+    pub(crate) fn doc_ids(&self) -> Vec<DocId> {
+        let base = self.layout.base;
+        let mut words: Vec<u64> = Vec::new();
+        for (_, list) in self.lists() {
+            for p in list {
+                let bit = (p.doc - base) as usize;
+                if bit / 64 >= words.len() {
+                    words.resize(bit / 64 + 1, 0);
+                }
+                words[bit / 64] |= 1u64 << (bit % 64);
+            }
+        }
+        let mut ids = Vec::with_capacity(words.iter().map(|w| w.count_ones() as usize).sum());
+        for (w, &word) in words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                ids.push(base + (w * 64) as DocId + bits.trailing_zeros());
+                bits &= bits - 1;
+            }
+        }
+        ids
     }
 
     /// How the lists pack their postings.
@@ -751,6 +712,32 @@ mod tests {
             .collect();
         assert_eq!(held, positive);
         assert_eq!(InvertedIndex::build_range(&c, 2..2).lists().len(), 0);
+    }
+
+    #[test]
+    fn doc_ids_are_the_distinct_documents_of_the_postings() {
+        let c = crate::synth::generate(&crate::synth::SynthConfig {
+            num_docs: 400,
+            ..crate::synth::SynthConfig::tiny()
+        });
+        let some = |d: DocId| d % 3 != 1 && c.doc(d).len > 0;
+        for (index, want) in [
+            (
+                InvertedIndex::build(&c),
+                (0..400).filter(|&d| c.doc(d).len > 0).collect(),
+            ),
+            (
+                InvertedIndex::build_range(&c, 330..340),
+                (330..340).filter(|&d| c.doc(d).len > 0).collect(),
+            ),
+            (
+                InvertedIndex::build_where(&c, some),
+                (0..400).filter(|&d| some(d)).collect(),
+            ),
+            (InvertedIndex::build_range(&c, 5..5), Vec::<DocId>::new()),
+        ] {
+            assert_eq!(index.doc_ids(), want);
+        }
     }
 
     #[test]

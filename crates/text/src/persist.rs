@@ -1491,8 +1491,7 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     // the merged-bound soundness proof (DESIGN.md §8) rests on; an
     // overlap would serve duplicate hits, so it is rejected like every
     // other CRC-valid-but-inconsistent payload.
-    let words = num_docs.div_ceil(64);
-    let mut claimed = vec![0u64; words];
+    let mut claimed = vec![0u64; num_docs.div_ceil(64)];
     let mut segments = Vec::with_capacity(manifest.segments.len());
     for entry in &manifest.segments {
         let bytes = read_checked_file(
@@ -1508,30 +1507,24 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             &inv_len,
         )?;
         c.finish()?;
-        let mut mine = vec![0u64; words];
-        for (_, list) in index.lists() {
-            for p in list {
-                mine[p.doc as usize / 64] |= 1u64 << (p.doc as usize % 64);
-            }
-        }
-        let mut covered: u64 = 0;
-        for (seen, m) in claimed.iter_mut().zip(&mine) {
-            if *seen & *m != 0 {
+        let ids = index.doc_ids();
+        for &d in &ids {
+            let (word, bit) = (d as usize / 64, 1u64 << (d % 64));
+            if claimed[word] & bit != 0 {
                 return Err(SnapshotError::Malformed {
                     context: "two segments claim the same document",
                 });
             }
-            *seen |= *m;
-            covered += u64::from(m.count_ones());
+            claimed[word] |= bit;
         }
-        if covered != entry.doc_count {
+        if ids.len() as u64 != entry.doc_count {
             return Err(SnapshotError::Malformed {
                 context: "segment file content disagrees with the manifest",
             });
         }
         segments.push(Arc::new(Segment::from_trusted_parts(
             entry.id,
-            covered as usize,
+            ids.len(),
             index,
             (entry.file_len, entry.file_crc),
         )));

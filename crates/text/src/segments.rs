@@ -11,10 +11,10 @@
 //!   O(corpus);
 //! * [`SegmentedIndex::delete_docs`] only sets tombstone bits — the
 //!   segments are never touched;
-//! * [`SegmentedIndex::compact`] merges the smallest size tier of segments
-//!   into one, dropping tombstoned postings, by **merging the stored
-//!   posting lists** and re-sorting them on the partials
-//!   [`crate::index::partial`] computes — the bits a build computes.
+//! * [`SegmentedIndex::compact`] replaces the smallest size tier of
+//!   segments by one **built** over their surviving documents — the
+//!   sorted union of their doc ids minus tombstones — with the build
+//!   every other segment comes from.
 //!
 //! ## Why the result is exactly a rebuild
 //!
@@ -23,11 +23,12 @@
 //! every segment scores with the same global IDF and length normalization
 //! a from-scratch [`InvertedIndex::build_where`] over the surviving
 //! documents would use, and every list is sorted by the same total
-//! order `(partial desc, doc asc)`. Segment lists are therefore disjoint
-//! sorted subsequences of the rebuilt lists, so a k-way merge with the
-//! same tie-break, minus tombstones, reproduces the rebuilt lists *item
-//! for item, bit for bit* — `tests/segments.rs` pins this for random
-//! interleavings of adds, deletes, and compactions.
+//! order `(partial desc, doc asc)`. Every segment — base, batch or
+//! compacted — is that build over its own doc ids, so segment lists are
+//! disjoint sorted subsequences of the rebuilt lists, and a k-way merge
+//! with the same tie-break, minus tombstones, reproduces the rebuilt
+//! lists *item for item, bit for bit* — `tests/segments.rs` pins this for
+//! random interleavings of adds, deletes, and compactions.
 //!
 //! ## Why bounds stay sound under deletion
 //!
@@ -154,36 +155,17 @@ impl Segment {
     }
 
     fn new(id: u64, index: InvertedIndex) -> Segment {
-        // Count distinct docs via a bitset over the segment's own id
-        // span in one pass: O(postings + span/64) instead of
-        // collect-sort-dedup — this runs on every add batch and every
-        // compaction. The bitset is offset by the layout's base, the
-        // smallest doc id of a built or merged index, so a small late
-        // batch on a huge corpus (ids all near the top of the global
-        // space) stays O(batch), not O(corpus).
-        let base = index.layout().base;
-        let mut words: Vec<u64> = Vec::new();
-        for (_, postings) in index.lists() {
-            for p in postings {
-                let bit = (p.doc - base) as usize;
-                if bit / 64 >= words.len() {
-                    words.resize(bit / 64 + 1, 0);
-                }
-                words[bit / 64] |= 1u64 << (bit % 64);
-            }
-        }
-        let doc_count = words.iter().map(|w| w.count_ones() as usize).sum();
         Segment {
             id,
+            doc_count: index.doc_ids().len(),
             index,
-            doc_count,
             file: OnceLock::new(),
         }
     }
 
     /// Reassembles a segment from parts the snapshot layer persisted
     /// (DESIGN.md §14). The caller vouches for `doc_count` — the load
-    /// path derives it from the overlap bitset it builds anyway — and
+    /// path counts the doc ids it checks for overlap anyway — and
     /// for `file`, the stamp of the CRC-checked file it decoded.
     pub(crate) fn from_trusted_parts(
         id: u64,
@@ -447,18 +429,17 @@ impl SegmentedIndex {
     }
 
     /// Size-tiered compaction: finds the smallest tier
-    /// (`⌊log2(doc_count)⌋`) holding at least two segments and merges all
-    /// of that tier's segments into one, **purging tombstoned postings**.
-    /// The merge concatenates the stored posting lists and re-sorts them
-    /// under the shared `(partial desc, doc asc)` order, on partials
-    /// computed by the build's own expression — so rebuild equivalence is
-    /// preserved by construction.
+    /// (`⌊log2(doc_count)⌋`) holding at least two segments and replaces
+    /// all of that tier's segments by one, **dropping tombstoned
+    /// documents**: the new segment is the build over the sorted union of
+    /// their doc ids minus tombstones, the same build every segment comes
+    /// from — so rebuild equivalence holds by construction.
     ///
     /// When no tier holds two segments, a heavily-tombstoned *lone*
-    /// segment (≥ 1/4 of its documents deleted) is rewritten in place
-    /// instead — otherwise a single-segment layout could never reclaim
-    /// its deletions, and queries would filter-drop the dead postings on
-    /// every read forever.
+    /// segment (≥ 1/4 of its documents deleted) is rebuilt in place the
+    /// same way instead — otherwise a single-segment layout could never
+    /// reclaim its deletions, and queries would filter-drop the dead
+    /// postings on every read forever.
     ///
     /// Returns the number of segments compacted (≥ 2 for a tier merge, 1
     /// for a lone rewrite, 0 = nothing to do). Call repeatedly to
@@ -468,53 +449,41 @@ impl SegmentedIndex {
         for (i, segment) in self.segments.iter().enumerate() {
             by_tier.entry(segment.tier()).or_default().push(i);
         }
-        if let Some(group) = by_tier.into_values().find(|v| v.len() >= 2) {
-            let id = self.alloc_segment_id();
-            let merged = self.merge_segments(id, &group);
-            self.segments[group[0]] = Arc::new(merged);
-            for &i in group.iter().skip(1).rev() {
-                self.segments.remove(i);
+        let group = match by_tier.into_values().find(|v| v.len() >= 2) {
+            Some(group) => group,
+            None => {
+                let rewrite = (0..self.segments.len()).find(|&i| {
+                    let doc_count = self.segments[i].doc_count;
+                    doc_count > 0 && self.dead_docs_in(i) * 4 >= doc_count
+                });
+                let Some(i) = rewrite else {
+                    return 0;
+                };
+                vec![i]
             }
-            self.compactions += 1;
-            return group.len();
-        }
-        let rewrite = (0..self.segments.len()).find(|&i| {
-            let doc_count = self.segments[i].doc_count;
-            doc_count > 0 && self.dead_docs_in(i) * 4 >= doc_count
-        });
-        let Some(i) = rewrite else {
-            return 0;
         };
+        let mut ids: Vec<DocId> = group
+            .iter()
+            .flat_map(|&i| self.segments[i].index.doc_ids())
+            .filter(|&d| !self.deleted.contains(d))
+            .collect();
+        ids.sort_unstable();
         let id = self.alloc_segment_id();
-        let rewritten = self.merge_segments(id, &[i]);
-        self.segments[i] = Arc::new(rewritten);
+        self.segments[group[0]] = Arc::new(Segment::build(id, &self.corpus, ids.iter().copied()));
+        for &i in group.iter().skip(1).rev() {
+            self.segments.remove(i);
+        }
         self.compactions += 1;
-        1
+        group.len()
     }
 
     /// Distinct tombstoned documents still materialized in segment `i`
     /// (0 after that segment has been compacted).
     fn dead_docs_in(&self, i: usize) -> usize {
-        let index = &self.segments[i].index;
-        let mut dead: Vec<DocId> = index
-            .lists()
-            .flat_map(|(_, list)| list.iter().map(|p| p.doc))
+        let ids = self.segments[i].index.doc_ids();
+        ids.into_iter()
             .filter(|&d| self.deleted.contains(d))
-            .collect();
-        dead.sort_unstable();
-        dead.dedup();
-        dead.len()
-    }
-
-    /// Merges the posting lists of `self.segments[indices]` into one
-    /// segment (with the given fresh id), dropping tombstoned docs.
-    fn merge_segments(&self, id: u64, indices: &[usize]) -> Segment {
-        let index = InvertedIndex::merge(
-            &self.corpus,
-            indices.iter().map(|&i| &self.segments[i].index),
-            |d| !self.deleted.contains(d),
-        );
-        Segment::new(id, index)
+            .count()
     }
 
     /// One incremental posting-list scan per segment for a single keyword
@@ -644,11 +613,14 @@ impl SegmentedIndex {
     }
 
     /// Verifies the core invariant directly on the data: every stored
-    /// list is non-empty, the tombstone-filtered merge of all segment
-    /// posting lists must equal the rebuilt index's lists — the same
-    /// terms, doc for doc and bit for bit — and the incremental weight
-    /// table must match a from-scratch [`doc_weights`]. Returns a
-    /// description of the first discrepancy, naming its term, if any.
+    /// list is non-empty; each segment's lists are exactly the build over
+    /// its own doc ids — the same terms, doc for doc and bit for bit; the
+    /// segments' doc sets are pairwise disjoint and together hold every
+    /// live document with `len > 0`; and the incremental weight table
+    /// matches a from-scratch [`doc_weights`]. Those make the
+    /// tombstone-filtered union of the segments the rebuilt index. Returns
+    /// a description of the first discrepancy, naming its term or
+    /// document, if any.
     pub fn verify_rebuild_equivalence(&self) -> Result<(), String> {
         for segment in &self.segments {
             if let Some((t, _)) = segment.index.lists().find(|(_, list)| list.is_empty()) {
@@ -658,40 +630,57 @@ impl SegmentedIndex {
                 ));
             }
         }
-        let rebuilt = self.rebuilt_index();
-        let all: Vec<usize> = (0..self.segments.len()).collect();
-        let merged = self.merge_segments(self.next_segment_id, &all);
-        let (mut a, mut b) = (merged.index.lists(), rebuilt.lists());
-        loop {
-            let (t, x, y) = match (a.next(), b.next()) {
-                (None, None) => break,
-                (Some((t, x)), Some((u, y))) if t == u => (t, x, y),
-                (x, y) => {
-                    // The smaller term is the one the other side lacks.
-                    let first = |side: Option<(TermId, _)>| side.map_or(TermId::MAX, |(t, _)| t);
-                    let (t, u) = (first(x), first(y));
-                    return Err(if t < u {
-                        format!("term {t}: in the merged view, not in the rebuild")
-                    } else {
-                        format!("term {u}: in the rebuild, not in the merged view")
-                    });
+        let num_docs = self.corpus.num_docs();
+        // `holder[d]`: the segment holding document `d`, if any.
+        let mut holder: Vec<Option<u64>> = vec![None; num_docs];
+        for segment in &self.segments {
+            let id = segment.id;
+            let ids = segment.index.doc_ids();
+            for &d in &ids {
+                if let Some(other) = holder[d as usize].replace(id) {
+                    return Err(format!("doc {d}: held by segments {other} and {id}"));
                 }
-            };
-            if x.len() != y.len() {
-                return Err(format!(
-                    "term {t}: merged view has {} postings, rebuild has {}",
-                    x.len(),
-                    y.len()
-                ));
             }
-            // Equal `(doc, tf)` under the frozen statistics is an equal
-            // partial, bit for bit.
-            if let Some((p, q)) = x.iter().zip(y).find(|(p, q)| p != q) {
-                return Err(format!(
-                    "term {t}: merged (doc {}, tf {}) vs rebuilt (doc {}, tf {})",
-                    p.doc, p.tf, q.doc, q.tf
-                ));
+            let built = InvertedIndex::build_from_ids(&self.corpus, ids.iter().copied());
+            let (mut a, mut b) = (segment.index.lists(), built.lists());
+            loop {
+                let (t, x, y) = match (a.next(), b.next()) {
+                    (None, None) => break,
+                    (Some((t, x)), Some((u, y))) if t == u => (t, x, y),
+                    (x, y) => {
+                        // The smaller term is the one the other side lacks.
+                        let first =
+                            |side: Option<(TermId, _)>| side.map_or(TermId::MAX, |(t, _)| t);
+                        let (t, u) = (first(x), first(y));
+                        return Err(if t < u {
+                            format!("term {t}: in segment {id}, not in the build over its docs")
+                        } else {
+                            format!("term {u}: in the build over segment {id}'s docs, not in it")
+                        });
+                    }
+                };
+                if x.len() != y.len() {
+                    return Err(format!(
+                        "term {t}: segment {id} has {} postings, the build over its docs {}",
+                        x.len(),
+                        y.len()
+                    ));
+                }
+                // Equal `(doc, tf)` under the frozen statistics is an
+                // equal partial, bit for bit.
+                if let Some((p, q)) = x.iter().zip(y).find(|(p, q)| p != q) {
+                    return Err(format!(
+                        "term {t}: segment {id} (doc {}, tf {}) vs built (doc {}, tf {})",
+                        p.doc, p.tf, q.doc, q.tf
+                    ));
+                }
             }
+        }
+        let unheld = (0..num_docs as DocId).find(|&d| {
+            holder[d as usize].is_none() && self.is_live(d) && self.corpus.doc(d).len > 0
+        });
+        if let Some(d) = unheld {
+            return Err(format!("doc {d}: live, but no segment holds it"));
         }
         let fresh = doc_weights(&self.corpus);
         if fresh.len() != self.weights.len()
@@ -932,48 +921,141 @@ mod tests {
         seg.verify_rebuild_equivalence().unwrap();
     }
 
-    #[test]
-    fn rebuild_check_names_the_term_of_a_list_mismatch() {
+    /// `d0` = "apple pie", `d1` = "zebra crossing".
+    fn two_docs() -> Corpus {
         let mut b = Corpus::builder();
         b.add_text("d0", "apple pie");
         b.add_text("d1", "zebra crossing");
-        let corpus = b.build();
-        let zebra = corpus.term_id("zebra").unwrap();
-        let layout = |index: InvertedIndex| {
-            SegmentedIndex::from_parts(
-                Arc::new(corpus.clone()),
-                vec![Arc::new(Segment::new(0, index))],
-                Tombstones::default(),
-                0,
-                1,
-            )
-        };
-        // d1's postings never made it into a segment: its terms are in
-        // the rebuild only.
-        let err = layout(InvertedIndex::build_range(&corpus, 0..1))
-            .verify_rebuild_equivalence()
-            .unwrap_err();
-        assert!(
-            err.contains("in the rebuild, not in the merged view"),
-            "{err}"
-        );
-        // A stored empty list is named by its term.
-        let mut lists: Vec<(TermId, Vec<Posting>)> = InvertedIndex::build(&corpus)
+        b.build()
+    }
+
+    /// A segmented index over `corpus` holding exactly `indexes`, as
+    /// segments 0, 1, … — a layout no mutation sequence would produce.
+    fn forged(corpus: &Corpus, indexes: Vec<InvertedIndex>) -> SegmentedIndex {
+        let n = indexes.len() as u64;
+        SegmentedIndex::from_parts(
+            Arc::new(corpus.clone()),
+            (0..)
+                .zip(indexes)
+                .map(|(id, index)| Arc::new(Segment::new(id, index)))
+                .collect(),
+            Tombstones::default(),
+            0,
+            n,
+        )
+    }
+
+    /// `index`'s lists as `(term, postings)` pairs, for forging.
+    fn unpacked(index: &InvertedIndex) -> Vec<(TermId, Vec<Posting>)> {
+        index
             .lists()
             .map(|(t, l)| (t, l.iter().collect()))
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn rebuild_check_names_the_term_of_a_list_mismatch() {
+        let corpus = two_docs();
+        let zebra = corpus.term_id("zebra").unwrap();
+        // d1's postings never made it into a segment: the partition
+        // check names it.
+        let err = forged(&corpus, vec![InvertedIndex::build_range(&corpus, 0..1)])
+            .verify_rebuild_equivalence()
+            .unwrap_err();
+        assert_eq!(err, "doc 1: live, but no segment holds it");
+        // A stored empty list is named by its term.
+        let mut lists = unpacked(&InvertedIndex::build(&corpus));
         for (t, list) in &mut lists {
             if *t == zebra {
                 list.clear();
             }
         }
-        let err = layout(InvertedIndex::from_sorted_lists(corpus.num_terms(), lists))
-            .verify_rebuild_equivalence()
-            .unwrap_err();
+        let err = forged(
+            &corpus,
+            vec![InvertedIndex::from_sorted_lists(corpus.num_terms(), lists)],
+        )
+        .verify_rebuild_equivalence()
+        .unwrap_err();
         assert_eq!(err, format!("term {zebra}: segment 0 stores an empty list"));
-        layout(InvertedIndex::build(&corpus))
+        forged(&corpus, vec![InvertedIndex::build(&corpus)])
             .verify_rebuild_equivalence()
             .unwrap();
+    }
+
+    #[test]
+    fn rebuild_check_names_a_wrong_posting_of_a_tombstoned_document() {
+        // d1 is deleted but not compacted away, and its "zebra" posting
+        // carries tf 2 instead of 1. Reads filter d1 out, so a check of
+        // the tombstone-filtered segments cannot see the fault; the
+        // segment is still not the build over its own documents.
+        let corpus = two_docs();
+        let zebra = corpus.term_id("zebra").unwrap();
+        let mut lists = unpacked(&InvertedIndex::build(&corpus));
+        for (t, list) in &mut lists {
+            if *t == zebra {
+                list[0].tf += 1;
+            }
+        }
+        let mut seg = forged(
+            &corpus,
+            vec![InvertedIndex::from_sorted_lists(corpus.num_terms(), lists)],
+        );
+        seg.delete_docs(&[1]);
+        assert_eq!(
+            seg.verify_rebuild_equivalence().unwrap_err(),
+            format!("term {zebra}: segment 0 (doc 1, tf 2) vs built (doc 1, tf 1)")
+        );
+    }
+
+    #[test]
+    fn rebuild_check_names_a_document_two_segments_hold() {
+        let corpus = two_docs();
+        let seg = forged(
+            &corpus,
+            vec![
+                InvertedIndex::build_range(&corpus, 0..2),
+                InvertedIndex::build_range(&corpus, 1..2),
+            ],
+        );
+        assert_eq!(
+            seg.verify_rebuild_equivalence().unwrap_err(),
+            "doc 1: held by segments 0 and 1"
+        );
+    }
+
+    #[test]
+    fn a_fully_tombstoned_tier_compacts_to_one_empty_segment() {
+        let donor = generate(&SynthConfig {
+            num_docs: 140,
+            ..SynthConfig::tiny()
+        });
+        let mut seg = SegmentedIndex::build(base(100));
+        for start in [100u32, 104, 108] {
+            seg.add_docs((start..start + 4).map(|d| donor.doc(d).clone()).collect());
+        }
+        seg.delete_docs(&(100..112).collect::<Vec<DocId>>());
+        assert_eq!(seg.compact(), 3, "the three tier-2 add segments merge");
+        assert_eq!(seg.num_segments(), 2);
+        let empty = |seg: &SegmentedIndex| {
+            let s = &seg.segments()[1];
+            let layout = s.index().layout();
+            assert_eq!(s.doc_count(), 0);
+            assert_eq!(s.index().lists().len(), 0);
+            assert_eq!((layout.base, layout.doc_width, layout.tf_width), (0, 1, 1));
+            seg.verify_rebuild_equivalence().unwrap();
+        };
+        empty(&seg);
+        let dir = std::env::temp_dir().join(format!(
+            "divtopk-segments-empty-tier-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        crate::persist::save_segmented(&dir, &seg, 1).unwrap();
+        let (mut loaded, _) = crate::persist::load_segmented(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        empty(&loaded);
+        assert_eq!(loaded.compact(), 0);
+        assert_eq!(seg.compact(), 0);
     }
 
     #[test]
