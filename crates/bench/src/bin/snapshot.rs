@@ -9,15 +9,19 @@
 //! snapshot check --in  DIR       # rebuild the same state from scratch, load the
 //!                                # artifact, assert byte-equality of every answer
 //! snapshot incremental --dir DIR # save, mutate, save again; assert the second
-//!                                # checkpoint rewrote only the new segment, the
-//!                                # tail chunk, and the manifest (by content diff),
-//!                                # and that the new segment file is O(its postings)
+//!                                # checkpoint rewrote no file but the manifest and
+//!                                # added only the new segment and the grown tail
+//!                                # chunk (by content diff), and that the new
+//!                                # segment file is its doc ids, 2 B a document
 //! ```
 //!
 //! Both sides construct the *same deterministic reference state*
 //! (seeded synthetic corpus + a scripted mutation log), so `check` can
 //! compare the loaded engine against a fresh in-process rebuild without
-//! any side channel. Because save and load happen in different
+//! any side channel. The reference state holds segments of both
+//! payloads — the two base segments are saved as posting lists, the
+//! batches as doc ids — so the artifact carries both decoders' input.
+//! Because save and load happen in different
 //! processes — and, in CI, in different jobs on different runners — the
 //! comparison catches host- or build-dependence in the format (struct
 //! layout leaks, endianness mistakes, uninitialized padding) that a
@@ -33,17 +37,21 @@
 
 use divtopk_core::rng::Pcg;
 use divtopk_engine::prelude::*;
+use divtopk_text::persist;
 use divtopk_text::prelude::*;
 
 /// Deterministic seed for the reference state and query selection.
 const SEED: u64 = 0x0510;
 
-/// The reference serving state: a 700-document reuters-like base epoch
-/// partitioned into 2 segments, plus a scripted add/delete/compact log —
-/// so the snapshot exercises every section type (multiple segments,
-/// tombstones, a bumped compaction counter, a non-zero generation).
+/// The reference serving state: a 2 100-document reuters-like base epoch
+/// partitioned into 2 segments of at least
+/// [`CHUNK`](divtopk_text::chunked::CHUNK) documents, plus a
+/// scripted add/delete/compact log — so the snapshot exercises every
+/// file kind and section type (segments saved as posting lists and as
+/// doc ids, tombstones, a bumped compaction counter, a non-zero
+/// generation).
 fn reference_engine() -> Engine {
-    let base_docs = 700usize;
+    let base_docs = 2_100usize;
     let pool = 60usize;
     let donor = generate(&SynthConfig::reuters_like().with_num_docs(base_docs + pool));
     let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
@@ -102,8 +110,24 @@ fn save(path: &str) {
     let report = engine
         .save_snapshot(path)
         .unwrap_or_else(|e| fail(format!("saving {path}: {e}")));
+    let contents = dir_contents(path);
+    let segments = |kind: u32| {
+        contents
+            .iter()
+            .filter(|(name, bytes)| name.starts_with("seg-") && file_kind(bytes) == kind)
+            .count()
+    };
+    let (postings, ids) = (
+        segments(persist::KIND_SEGMENT),
+        segments(persist::KIND_SEGMENT_IDS),
+    );
+    assert!(
+        postings > 0 && ids > 0,
+        "the artifact must hold segments of both payloads ({postings} postings, {ids} ids)"
+    );
     eprintln!(
-        "[snapshot save] generation {} · {} segments · {} tombstones → {} files, {} bytes at {path}",
+        "[snapshot save] generation {} · {} segments ({postings} postings, {ids} ids) · \
+         {} tombstones → {} files, {} bytes at {path}",
         engine.generation(),
         engine.stats().segments,
         engine.stats().tombstones,
@@ -152,7 +176,7 @@ fn check(path: &str) {
 }
 
 /// Every file in the snapshot directory, by name → content bytes. The
-/// directory is small (the reference state is ~1 MB), so a full read is
+/// directory is small (the reference state is ~1.4 MB), so a full read is
 /// the simplest honest way to detect rewrites.
 fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     let read = || -> std::io::Result<_> {
@@ -167,33 +191,33 @@ fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     read().unwrap_or_else(|e| fail(format!("reading {path}: {e}")))
 }
 
-/// Bytes of a segment file that are not posting lists: the file header
-/// (magic, version, kind, section count: 20), its one `INDX` section's
-/// header (16) and the payload prefix — the vocabulary size (8), the list
-/// count and the base doc id (LEB128 of a 32-bit value, ≤ 5 each) and the
-/// doc-offset and tf widths (1 each): ≤ 20.
-const SEGMENT_FILE_OVERHEAD: u64 = 20 + 16 + 20;
+/// The kind a snapshot file's header declares (bytes 12..16, after the
+/// magic and the version).
+fn file_kind(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes[12..16].try_into().expect("a snapshot file header"))
+}
 
-/// Bytes per stored list in the checked batch's segment file: a term gap
-/// and a length, LEB128, at most 2 bytes each (the batch's term ids and
-/// list lengths are far below 2¹⁴). The fixed-width layout took 12.
-const SEGMENT_BYTES_PER_LIST: u64 = 4;
+/// Bytes of a doc-id segment file around its ids: the file header
+/// (magic, version, kind, section count: 20) and its one `IDS ` section's
+/// header (16).
+const ID_FILE_CONTAINER: u64 = 20 + 16;
 
-/// Bytes per posting in the checked batch's segment file: a doc offset
-/// and a tf at the segment's narrowest widths, 1 byte each for a batch
-/// of under 256 documents with every tf under 256. The fixed-width layout
-/// took 8.
-const SEGMENT_BYTES_PER_POSTING: u64 = 2;
+/// Bytes per document in the checked batch's doc-id segment file: its
+/// share of the LEB128 count and a gap, 1 byte after the first id and 2
+/// for the first (ids below 2¹⁴).
+const ID_FILE_BYTES_PER_DOC: u64 = 2;
 
 /// The incremental-checkpoint gate: after one mutation batch, the second
-/// save must rewrite **only** the manifest and the (unsealed) tail
-/// chunk, and add **only** the batch's new segment file — every other
+/// save must rewrite **no** existing file but the manifest — the grown
+/// tail chunk goes to a new name, its CRC being part of it — and add
+/// **only** the batch's new segment file and that chunk. Every other
 /// file must be byte-identical on disk. This pins the O(delta) claim at
-/// the file-system level, not just via `SaveReport`'s own accounting.
-/// The new segment file must also fit [`SEGMENT_FILE_OVERHEAD`] plus
-/// [`SEGMENT_BYTES_PER_LIST`] per list and [`SEGMENT_BYTES_PER_POSTING`]
-/// per posting, so a payload that grows with the vocabulary, or stores
-/// fixed 4- and 8-byte fields, fails here.
+/// the file-system level, not just via `SaveReport`'s own accounting,
+/// and that no save replaces a file the previous manifest names. The
+/// new segment file must be a doc-id file of at most
+/// [`ID_FILE_CONTAINER`] plus [`ID_FILE_BYTES_PER_DOC`] per document, so
+/// a small batch whose postings are written, or an id list that grows
+/// with the corpus, fails here.
 fn incremental(path: &str) {
     let _ = std::fs::remove_dir_all(path);
     let engine = reference_engine();
@@ -211,12 +235,7 @@ fn incremental(path: &str) {
             )
         })
         .collect();
-    let batch_postings: u64 = batch.iter().map(|d| d.distinct_terms() as u64).sum();
-    let batch_lists = batch
-        .iter()
-        .flat_map(|d| d.terms.iter().map(|&(t, _)| t))
-        .collect::<std::collections::BTreeSet<TermId>>()
-        .len() as u64;
+    let batch_docs = batch.len() as u64;
     engine.add_docs(batch);
     engine.delete_docs(&[2, 5]);
     let second = engine
@@ -233,36 +252,38 @@ fn incremental(path: &str) {
             Some(_) => {}
         }
     }
-    let tail_chunk = before
-        .keys()
-        .filter(|n| n.starts_with("docs-"))
-        .max()
-        .cloned()
-        .expect("reference snapshot has a document chunk");
-    for name in &rewritten {
-        assert!(
-            *name == "MANIFEST" || **name == tail_chunk,
-            "incremental save rewrote {name}, expected only MANIFEST and {tail_chunk}"
-        );
-    }
-    for name in &added {
-        assert!(
-            name.starts_with("seg-") && name.ends_with(".bin"),
-            "incremental save added unexpected file {name}"
-        );
-    }
-    assert_eq!(added.len(), 1, "one mutation batch must add one segment");
-    // A segment file is O(its postings) at narrow widths: the container
-    // around it, then per stored list a term gap and a length and per
-    // posting a `(doc offset, tf)` pair — no byte per vocabulary term.
-    let segment_len = after[added[0]].len() as u64;
-    let bound = SEGMENT_FILE_OVERHEAD
-        + SEGMENT_BYTES_PER_LIST * batch_lists
-        + SEGMENT_BYTES_PER_POSTING * batch_postings;
+    assert_eq!(
+        rewritten,
+        ["MANIFEST"],
+        "incremental save rewrote an existing file other than the manifest"
+    );
+    let added_segments: Vec<&str> = added
+        .iter()
+        .copied()
+        .filter(|n| n.starts_with("seg-") && n.ends_with(".bin"))
+        .collect();
+    let added_chunks = added
+        .iter()
+        .filter(|n| n.starts_with("docs-") && n.ends_with(".bin"))
+        .count();
+    assert!(
+        added_segments.len() == 1 && added_chunks == 1 && added.len() == 2,
+        "incremental save added {added:?}, expected one segment file and the tail chunk"
+    );
+    // A batch under one chunk of documents is saved as its doc ids:
+    // the container, then a count and one gap per document.
+    let segment = &after[added_segments[0]];
+    assert_eq!(
+        file_kind(segment),
+        persist::KIND_SEGMENT_IDS,
+        "the batch's segment file is not a doc-id file"
+    );
+    let segment_len = segment.len() as u64;
+    let bound = ID_FILE_CONTAINER + ID_FILE_BYTES_PER_DOC * batch_docs;
     assert!(
         segment_len <= bound,
         "the batch's segment file is {segment_len} B, over the {bound} B its \
-         {batch_lists} lists and {batch_postings} postings need"
+         {batch_docs} doc ids need"
     );
     let unchanged = after.len() - rewritten.len() - added.len();
     assert!(

@@ -403,11 +403,14 @@ impl Engine {
     }
 
     /// Persists the current serving state — corpus epoch (IDF bit-exact
-    /// via [`f64::to_bits`]), documents, every segment's posting lists,
-    /// tombstones, compaction counter, and the snapshot generation — to
-    /// the snapshot **directory** `dir` in the segment-granular layout of
-    /// [`divtopk_text::persist`] (DESIGN.md §14). Partial scores and the
-    /// weight table are not stored: a load derives them. The save is
+    /// via [`f64::to_bits`]), documents, every segment (its doc ids if it
+    /// holds fewer than [`divtopk_text::chunked::CHUNK`] documents, its
+    /// posting lists otherwise), tombstones, compaction counter, and the
+    /// snapshot generation — to the snapshot **directory** `dir` in the
+    /// segment-granular layout of [`divtopk_text::persist`] (DESIGN.md
+    /// §14). Partial scores, the weight table and a small segment's lists
+    /// are not stored: a load derives them. A save that fails part-way
+    /// leaves the directory's previous snapshot loadable. The save is
     /// incremental: a segment or sealed document chunk whose file this
     /// engine wrote or loaded, and which the directory's previous
     /// manifest still names with that length and CRC, is reused, and so

@@ -7,10 +7,11 @@
 //! binary container and one writer/reader pair built on it:
 //! [`save_segmented`] / [`load_segmented`], which persist the full
 //! [`SegmentedIndex`] serving state (vocabulary, frozen-statistics epoch,
-//! document store, per-segment posting lists, tombstones) as a
-//! **snapshot directory** in the LSM-manifest shape. Nothing derivable
-//! is stored: the loader computes each posting's partial score and each
-//! document's weight `W(d)` from the frozen IDF, as a build does.
+//! document store, segments, tombstones) as a **snapshot directory** in
+//! the LSM-manifest shape. Nothing derivable is stored: the loader
+//! computes each posting's partial score and each document's weight
+//! `W(d)` from the frozen IDF, as a build does, and rebuilds a segment
+//! of fewer than [`CHUNK`] documents from its doc ids.
 //!
 //! ## Container layout (every file in the snapshot)
 //!
@@ -22,13 +23,13 @@
 //!
 //! The header and section framing are fixed-width little-endian. Inside
 //! a payload, counts, lengths and small integers are unsigned LEB128
-//! (shortest form only), increasing id sequences — a segment's term ids,
-//! a document's signature, the tombstones — are stored as gaps, and a
-//! segment's postings are fixed-width little-endian at the narrowest
-//! width (1–4 bytes) the segment needs; each payload's doc comment gives
-//! its grammar. Floats travel as [`f64::to_bits`] words, so a load
-//! reproduces the exact bits the writer held — the substrate of the
-//! byte-equality-after-load contract. Each section's payload is
+//! (shortest form only), increasing id sequences — a segment's term ids
+//! or doc ids, a document's signature, the tombstones — are stored as
+//! gaps, and a segment's postings are fixed-width little-endian at the
+//! narrowest width (1–4 bytes) the segment needs; each payload's doc
+//! comment gives its grammar. Floats travel as [`f64::to_bits`] words, so
+//! a load reproduces the exact bits the writer held — the substrate of
+//! the byte-equality-after-load contract. Each section's payload is
 //! protected by an in-repo CRC32 ([`crc32`], the IEEE/zlib polynomial);
 //! the header fields are protected structurally (magic, a pinned
 //! [`FORMAT_VERSION`], a per-snapshot-kind section schedule, and an
@@ -39,30 +40,36 @@
 //! [`save_segmented`] writes a *directory*, not one monolithic file:
 //!
 //! ```text
-//! <dir>/MANIFEST            generation, counters, and one entry (length,
-//!                           whole-file CRC32) per file below, plus the
-//!                           sparse tombstone list
-//! <dir>/epoch.bin           vocabulary + frozen statistics (df, IDF)
-//! <dir>/seg-<id:016x>.bin   one immutable segment's posting lists (INDX)
-//! <dir>/docs-<idx:08x>.bin  one document-store chunk (DOCS)
+//! <dir>/MANIFEST                      generation, counters, and one entry
+//!                                     (length, whole-file CRC32) per file
+//!                                     below, plus the sparse tombstone list
+//! <dir>/epoch-<crc>.bin               vocabulary + frozen statistics (df, IDF)
+//! <dir>/seg-<id:016x>-<crc>.bin       one immutable segment: its doc ids
+//!                                     (IDS) under CHUNK documents, its
+//!                                     posting lists (INDX) from CHUNK up
+//! <dir>/docs-<idx:08x>-<crc>.bin      one document-store chunk (DOCS)
 //! ```
 //!
 //! A data file is just its payload: the manifest entry that names it
-//! already holds its id or position, its doc count and its length.
+//! already holds its id or position, its doc count and its length. Its
+//! name ends in its whole-file CRC32 (`<crc>`, 8 hex digits), so a file
+//! whose bytes change gets a new name.
 //!
 //! Segments and sealed document chunks are immutable, so a checkpoint
 //! writes **only the files that did not exist at the previous
 //! checkpoint** (new segments, the partial tail chunk) plus the small
 //! manifest — O(delta) bytes, independent of corpus size. Every file is
 //! written atomically (temp + fsync + rename + **parent-directory
-//! fsync**) and the manifest is written last, so a crash at any point
-//! leaves the *previous* manifest pointing at a complete, untouched file
-//! set; files the new manifest no longer references are garbage-collected
-//! only after the new manifest is durable. A save reuses the epoch, a
-//! segment or a chunk file only when the in-memory piece remembers being
-//! written as, or loaded from, exactly the `(length, CRC32)` the prior
-//! manifest records for it, so a file another lineage wrote under the
-//! same name is rewritten rather than reused (barring a CRC32 collision).
+//! fsync**) under a name no manifest has named before (barring a CRC32
+//! collision), and the manifest is written last, so a failure or crash
+//! at any point leaves the *previous* manifest pointing at a complete,
+//! untouched file set; files the new manifest no longer references are
+//! garbage-collected only after the new manifest is durable. A save
+//! reuses the epoch, a segment or a chunk file only when the in-memory
+//! piece remembers being written as, or loaded from, exactly the
+//! `(length, CRC32)` the prior manifest records for it, so a file another
+//! lineage wrote is never taken for this lineage's (barring a CRC32
+//! collision).
 //!
 //! ## Failure model
 //!
@@ -82,11 +89,12 @@
 //!
 //! [`FORMAT_VERSION`] identifies the container revision. Readers accept
 //! exactly the versions they know how to decode (currently only
-//! version 4; version 1 stored a list length for every vocabulary term,
+//! version 5; version 1 stored a list length for every vocabulary term,
 //! version 2 a content fingerprint, a `META` copy of manifest fields and
 //! a weight table in every data file, version 3 every id, count and
-//! posting field as a fixed 4- or 8-byte word) and reject everything
-//! else with [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
+//! posting field as a fixed 4- or 8-byte word, version 4 every segment's
+//! posting lists under names without a CRC) and reject everything else
+//! with [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
 //! regenerate from the corpus, so there is no silent best-effort decoding
 //! of future or past revisions. Any layout change bumps the version.
 
@@ -107,33 +115,44 @@ use segment::{read_segment_index, segment_postings_payload};
 pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 
 /// The container format revision this build writes and reads.
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 /// Snapshot kind: the `MANIFEST` of a [`SegmentedIndex`] snapshot
 /// directory (what `Engine::save_snapshot` writes). Kinds 1–3 belonged to
 /// retired single-file formats and are never reused, so such a file can
 /// never half-decode as a manifest.
 pub const KIND_MANIFEST: u32 = 4;
-/// Snapshot kind: the `epoch.bin` file (vocabulary + frozen statistics).
+/// Snapshot kind: the `epoch-*.bin` file (vocabulary + frozen statistics).
 pub const KIND_EPOCH: u32 = 5;
-/// Snapshot kind: one `seg-*.bin` immutable segment file.
+/// Snapshot kind: one `seg-*.bin` segment file holding the segment's
+/// posting lists (`INDX`), written for a segment of at least [`CHUNK`]
+/// documents.
 pub const KIND_SEGMENT: u32 = 6;
 /// Snapshot kind: one `docs-*.bin` document-store chunk file.
 pub const KIND_CHUNK: u32 = 7;
+/// Snapshot kind: one `seg-*.bin` segment file holding only the
+/// segment's doc ids (`IDS `), written for a segment of fewer than
+/// [`CHUNK`] documents; the load rebuilds its lists from the documents.
+pub const KIND_SEGMENT_IDS: u32 = 8;
 
 /// File name of the manifest inside a snapshot directory.
 pub const MANIFEST_NAME: &str = "MANIFEST";
-/// File name of the epoch (vocabulary + statistics) file.
-pub const EPOCH_NAME: &str = "epoch.bin";
 
-/// File name of the segment file for segment `id`.
-pub fn segment_file_name(id: u64) -> String {
-    format!("seg-{id:016x}.bin")
+/// File name of the epoch (vocabulary + statistics) file whose bytes
+/// have CRC32 `crc`.
+pub fn epoch_file_name(crc: u32) -> String {
+    format!("epoch-{crc:08x}.bin")
 }
 
-/// File name of the document-store chunk file for chunk `index`.
-pub fn chunk_file_name(index: usize) -> String {
-    format!("docs-{index:08x}.bin")
+/// File name of the file of segment `id` whose bytes have CRC32 `crc`.
+pub fn segment_file_name(id: u64, crc: u32) -> String {
+    format!("seg-{id:016x}-{crc:08x}.bin")
+}
+
+/// File name of the file of document-store chunk `index` whose bytes
+/// have CRC32 `crc`.
+pub fn chunk_file_name(index: usize, crc: u32) -> String {
+    format!("docs-{index:08x}-{crc:08x}.bin")
 }
 
 /// Upper bound accepted for any score-feeding value a load reads or
@@ -153,6 +172,7 @@ const TAG_TOMB: [u8; 4] = *b"TOMB";
 const TAG_SEGS: [u8; 4] = *b"SEGS";
 const TAG_CHUNKS: [u8; 4] = *b"CHNK";
 const TAG_INDEX: [u8; 4] = *b"INDX";
+const TAG_IDS: [u8; 4] = *b"IDS ";
 /// The `(length, whole-file CRC32)` a manifest records for one data file
 /// — and what an epoch, segment or chunk remembers of the file it was
 /// written as or loaded from, so a save can tell whether the file a
@@ -597,15 +617,22 @@ struct Container<'a> {
 }
 
 impl<'a> Container<'a> {
-    /// Opens a container whose bytes were already authenticated by an
+    /// [`Container::open_any`] for bytes already authenticated by an
     /// enclosing whole-file checksum (see [`read_checked_file`]).
-    fn open_trusted(bytes: &'a [u8], expected_kind: u32) -> Result<Container<'a>, SnapshotError> {
-        let mut c = Container::open(bytes, expected_kind)?;
+    fn open_trusted(bytes: &'a [u8], kinds: &[u32]) -> Result<(Container<'a>, u32), SnapshotError> {
+        let (mut c, kind) = Container::open_any(bytes, kinds)?;
         c.trusted = true;
-        Ok(c)
+        Ok((c, kind))
     }
 
     fn open(bytes: &'a [u8], expected_kind: u32) -> Result<Container<'a>, SnapshotError> {
+        Ok(Container::open_any(bytes, &[expected_kind])?.0)
+    }
+
+    /// Opens a container of any of `kinds` (the first is the one a
+    /// [`SnapshotError::WrongKind`] names) and returns the kind it holds,
+    /// for a caller that picks the decoder by kind.
+    fn open_any(bytes: &'a [u8], kinds: &[u32]) -> Result<(Container<'a>, u32), SnapshotError> {
         let mut reader = ByteReader::new(bytes, "snapshot header");
         let magic = reader.take(8)?;
         if magic != MAGIC {
@@ -618,18 +645,19 @@ impl<'a> Container<'a> {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
         let kind = reader.u32()?;
-        if kind != expected_kind {
+        if !kinds.contains(&kind) {
             return Err(SnapshotError::WrongKind {
                 found: kind,
-                expected: expected_kind,
+                expected: kinds[0],
             });
         }
         let sections_left = reader.u32()?;
-        Ok(Container {
+        let container = Container {
             reader,
             sections_left,
             trusted: false,
-        })
+        };
+        Ok((container, kind))
     }
 
     /// Reads the next section, which must carry `tag`; verifies its CRC
@@ -968,40 +996,45 @@ struct Manifest {
     deleted: Vec<DocId>,
 }
 
-/// Manifest tombstone payload: the count, then the deleted ids gap-coded
-/// in increasing order —
+/// Doc-id list payload — the manifest's tombstones (`TOMB`) and a small
+/// segment's doc ids (`IDS `): the count, then the ids gap-coded in
+/// increasing order —
 ///
 /// ```text
 /// n:leb  id_gap:leb×n
 /// ```
-fn tomb_payload(deleted: &[DocId]) -> Vec<u8> {
+fn doc_ids_payload(ids: &[DocId]) -> Vec<u8> {
     let mut buf = Vec::new();
-    put_varint(&mut buf, deleted.len() as u64);
+    put_varint(&mut buf, ids.len() as u64);
     let mut next = 0;
-    for &d in deleted {
+    for &d in ids {
         put_gap(&mut buf, &mut next, u64::from(d));
     }
     buf
 }
 
-fn read_tomb(mut r: ByteReader<'_>, num_docs: u64) -> Result<Vec<DocId>, SnapshotError> {
+/// Decodes a [`doc_ids_payload`]. The ids increase strictly by
+/// construction (a gap is the distance past one more than the previous
+/// id); one at or past `num_docs` is [`SnapshotError::Malformed`] with
+/// `past_end` as its context.
+fn read_doc_ids(
+    mut r: ByteReader<'_>,
+    num_docs: u64,
+    past_end: &'static str,
+) -> Result<Vec<DocId>, SnapshotError> {
     let n = r.counted(1)?;
-    let mut deleted: Vec<DocId> = Vec::with_capacity(n);
+    let mut ids: Vec<DocId> = Vec::with_capacity(n);
     let mut next = 0;
     for _ in 0..n {
         let d = r.gap_id(next)?;
         if d >= num_docs.min(u64::from(DocId::MAX) + 1) {
-            // A mark past the last allocated id would make the
-            // live-document accounting (`num_docs - deleted`) underflow.
-            return Err(SnapshotError::Malformed {
-                context: "tombstone for an unallocated document id",
-            });
+            return Err(SnapshotError::Malformed { context: past_end });
         }
-        deleted.push(d as DocId);
+        ids.push(d as DocId);
         next = d + 1;
     }
     r.finish()?;
-    Ok(deleted)
+    Ok(ids)
 }
 
 fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
@@ -1035,7 +1068,7 @@ fn manifest_to_bytes(m: &Manifest) -> Vec<u8> {
             (TAG_META, meta),
             (TAG_SEGS, segs),
             (TAG_CHUNKS, chunks),
-            (TAG_TOMB, tomb_payload(&m.deleted)),
+            (TAG_TOMB, doc_ids_payload(&m.deleted)),
         ],
     )
 }
@@ -1080,9 +1113,12 @@ fn manifest_from_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotError> {
         });
     }
     chnk.finish()?;
-    let deleted = read_tomb(
+    let deleted = read_doc_ids(
         container.section(TAG_TOMB, "manifest tombstone list")?,
         num_docs,
+        // A mark past the last allocated id would make the live-document
+        // accounting (`num_docs - deleted`) underflow.
+        "tombstone for an unallocated document id",
     )?;
     container.finish()?;
     if segments.is_empty() {
@@ -1152,11 +1188,17 @@ fn epoch_to_bytes(c: &Corpus) -> Vec<u8> {
     )
 }
 
+/// A segment's file: under [`CHUNK`] documents only its doc ids — the
+/// load rebuilds the lists with the build that made them — and from
+/// [`CHUNK`] up its posting lists, which a load keeps as read.
 fn segment_to_bytes(segment: &Segment) -> Vec<u8> {
-    assemble(
-        KIND_SEGMENT,
-        vec![(TAG_INDEX, segment_postings_payload(segment.index()))],
-    )
+    if segment.doc_count() < CHUNK {
+        let ids = segment.index().doc_ids();
+        assemble(KIND_SEGMENT_IDS, vec![(TAG_IDS, doc_ids_payload(&ids))])
+    } else {
+        let postings = segment_postings_payload(segment.index());
+        assemble(KIND_SEGMENT, vec![(TAG_INDEX, postings)])
+    }
 }
 
 fn chunk_to_bytes(docs: &[Document]) -> Vec<u8> {
@@ -1216,7 +1258,7 @@ fn gc_unreferenced(dir: &Path, keep: &std::collections::HashSet<String>) {
         if name == MANIFEST_NAME || keep.contains(name) {
             continue;
         }
-        let ours = name == EPOCH_NAME
+        let ours = (name.starts_with("epoch") && name.ends_with(".bin"))
             || (name.starts_with("seg-") && name.ends_with(".bin"))
             || (name.starts_with("docs-") && name.ends_with(".bin"))
             || name.contains(".tmp.");
@@ -1256,52 +1298,60 @@ fn write_counted(
     Ok(())
 }
 
-/// Saves the epoch, one segment or one chunk as `dir/name` and returns
-/// the stamp the new manifest records for it. The file is reused, not
-/// rewritten, iff `memo` — the piece's memory of the file it was written
-/// as or loaded from — equals the stamp the prior manifest `recorded`
-/// under this name and a file of that length is still there. Here `memo`
-/// is set only after a durable write; the bytes of one piece never
-/// change, so a memo that is already set keeps the same value.
+/// Saves the epoch, one segment or one chunk as the file `name(crc)` of
+/// `dir` and returns the stamp the new manifest records for it. The file
+/// is reused, not rewritten, iff `memo` — the piece's memory of the file
+/// it was written as or loaded from — equals the stamp the prior
+/// manifest `recorded` for this piece and a file of that length is still
+/// under its name. Otherwise the bytes go to the name their own CRC
+/// gives, which no manifest names unless it records these bytes (barring
+/// a CRC32 collision), so the prior manifest's files stay intact until
+/// the new manifest lands. Here `memo` is set only after a durable
+/// write; the bytes of one piece never change, so a memo that is
+/// already set keeps the same value.
 fn save_data_file(
     dir: &Path,
-    name: &str,
+    name: impl Fn(u32) -> String,
     memo: &OnceLock<FileStamp>,
     recorded: Option<FileStamp>,
     encode: impl FnOnce() -> Vec<u8>,
     report: &mut SaveReport,
 ) -> Result<FileStamp, SnapshotError> {
-    let reusable = recorded.filter(|&r| memo.get() == Some(&r) && file_len(dir, name) == Some(r.0));
+    let reusable =
+        recorded.filter(|&r| memo.get() == Some(&r) && file_len(dir, &name(r.1)) == Some(r.0));
     if let Some(stamp) = reusable {
         report.files_reused += 1;
         report.total_bytes += stamp.0;
         return Ok(stamp);
     }
     let bytes = encode();
-    write_counted(dir, name, &bytes, report)?;
     let stamp = (bytes.len() as u64, crc32(&bytes));
+    write_counted(dir, &name(stamp.1), &bytes, report)?;
     let _ = memo.set(stamp);
     Ok(stamp)
 }
 
 /// Writes a [`SegmentedIndex`] snapshot directory (plus the caller's
-/// generation) to `dir`, creating it if needed — **incrementally**: an
-/// epoch, segment or chunk file the directory's previous manifest
-/// records with exactly the `(length, CRC32)` the in-memory piece was
-/// written as or loaded from is reused without re-encoding or
-/// rewriting, so a checkpoint writes O(what changed) bytes, not
-/// O(corpus). The manifest is written last (atomically, with
-/// parent-directory fsync), then unreferenced files are
-/// garbage-collected.
+/// generation) to `dir`, creating it if needed: the epoch, every
+/// document chunk, every segment — a segment of fewer than [`CHUNK`]
+/// documents as its doc ids, a larger one as its posting lists — and the
+/// manifest. The save is **incremental**: an epoch, segment or chunk
+/// file the directory's previous manifest records with exactly the
+/// `(length, CRC32)` the in-memory piece was written as or loaded from
+/// is reused without re-encoding or rewriting, so a checkpoint writes
+/// O(what changed) bytes, not O(corpus). Every other file goes to a new
+/// name (its CRC is part of it), the manifest is written last
+/// (atomically, with parent-directory fsync), and only then are
+/// unreferenced files garbage-collected — so a save that fails or is
+/// killed part-way leaves the previous snapshot loadable.
 ///
 /// A snapshot directory belongs to **one engine lineage**: saving states
 /// from diverged lineages into the same directory is safe (a file
-/// another lineage wrote under a shared name matches this lineage's
-/// memory of its own file only on a CRC32 collision, so it is
-/// rewritten), but
-/// interleaving lineages forfeits the incremental savings. Concurrent
-/// saves into one directory must be serialized by the caller. Returns a
-/// [`SaveReport`] describing the work done.
+/// another lineage wrote matches this lineage's memory of its own file
+/// only on a CRC32 collision, so it is not reused), but interleaving
+/// lineages forfeits the incremental savings. Concurrent saves into one
+/// directory must be serialized by the caller. Returns a [`SaveReport`]
+/// describing the work done.
 pub fn save_segmented(
     dir: impl AsRef<Path>,
     index: &SegmentedIndex,
@@ -1328,7 +1378,7 @@ pub fn save_segmented(
     // not already hold the file this corpus remembers.
     let (epoch_len, epoch_crc) = save_data_file(
         dir,
-        EPOCH_NAME,
+        epoch_file_name,
         corpus.epoch_file(),
         prior.as_ref().map(|p| (p.epoch_len, p.epoch_crc)),
         || epoch_to_bytes(corpus),
@@ -1348,7 +1398,7 @@ pub fn save_segmented(
             .map(|e| (e.file_len, e.file_crc));
         let (file_len, file_crc) = save_data_file(
             dir,
-            &chunk_file_name(i),
+            |crc| chunk_file_name(i, crc),
             docs.chunk_file(i),
             recorded,
             || chunk_to_bytes(items),
@@ -1373,7 +1423,7 @@ pub fn save_segmented(
             .map(|e| (e.file_len, e.file_crc));
         let (file_len, file_crc) = save_data_file(
             dir,
-            &segment_file_name(segment.id()),
+            |crc| segment_file_name(segment.id(), crc),
             segment.file(),
             recorded,
             || segment_to_bytes(segment),
@@ -1408,12 +1458,12 @@ pub fn save_segmented(
     let mut keep: std::collections::HashSet<String> = std::collections::HashSet::with_capacity(
         2 + manifest.segments.len() + manifest.chunks.len(),
     );
-    keep.insert(EPOCH_NAME.to_string());
+    keep.insert(epoch_file_name(manifest.epoch_crc));
     for e in &manifest.segments {
-        keep.insert(segment_file_name(e.id));
+        keep.insert(segment_file_name(e.id, e.file_crc));
     }
-    for i in 0..manifest.chunks.len() {
-        keep.insert(chunk_file_name(i));
+    for (i, e) in manifest.chunks.iter().enumerate() {
+        keep.insert(chunk_file_name(i, e.file_crc));
     }
     gc_unreferenced(dir, &keep);
     Ok(report)
@@ -1424,8 +1474,12 @@ pub fn save_segmented(
 /// referenced file is CRC-verified against the manifest and decoded —
 /// no monolithic re-parse, and any cross-file inconsistency (missing or
 /// stale file, duplicate segment id, overlapping per-segment doc sets)
-/// is a typed [`SnapshotError`]. Each segment and chunk remembers the
-/// file it was loaded from, so the next save into `dir` reuses it.
+/// is a typed [`SnapshotError`]. A segment saved as its doc ids is
+/// rebuilt with [`Segment::build`] over them, once they are checked:
+/// strictly increasing, inside the corpus, each a non-empty document,
+/// as many as the manifest records, and claimed by no other segment.
+/// Each segment and chunk remembers the file it was loaded from, so the
+/// next save into `dir` reuses it.
 ///
 /// The loaded index is **byte-identical** to the saved one: every scan
 /// and threshold-algorithm read (hits, metrics, early-stop point)
@@ -1436,8 +1490,13 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let dir = dir.as_ref();
     let manifest = manifest_from_bytes(&std::fs::read(dir.join(MANIFEST_NAME))?)?;
 
-    let epoch_bytes = read_checked_file(dir, EPOCH_NAME, manifest.epoch_len, manifest.epoch_crc)?;
-    let mut container = Container::open_trusted(&epoch_bytes, KIND_EPOCH)?;
+    let epoch_bytes = read_checked_file(
+        dir,
+        &epoch_file_name(manifest.epoch_crc),
+        manifest.epoch_len,
+        manifest.epoch_crc,
+    )?;
+    let (mut container, _) = Container::open_trusted(&epoch_bytes, &[KIND_EPOCH])?;
     let vocab = read_vocab(container.section(TAG_VOCAB, "vocabulary section")?)?;
     let (doc_freq, idf) = read_stats(
         container.section(TAG_STATS, "statistics section")?,
@@ -1451,8 +1510,9 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     }
     let mut doc_parts: Vec<Vec<Document>> = Vec::with_capacity(manifest.chunks.len());
     for (i, entry) in manifest.chunks.iter().enumerate() {
-        let bytes = read_checked_file(dir, &chunk_file_name(i), entry.file_len, entry.file_crc)?;
-        let mut c = Container::open_trusted(&bytes, KIND_CHUNK)?;
+        let name = chunk_file_name(i, entry.file_crc);
+        let bytes = read_checked_file(dir, &name, entry.file_len, entry.file_crc)?;
+        let (mut c, _) = Container::open_trusted(&bytes, &[KIND_CHUNK])?;
         doc_parts.push(read_docs(
             c.section(TAG_DOCS, "chunk documents section")?,
             vocab.len(),
@@ -1494,20 +1554,42 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let mut claimed = vec![0u64; num_docs.div_ceil(64)];
     let mut segments = Vec::with_capacity(manifest.segments.len());
     for entry in &manifest.segments {
-        let bytes = read_checked_file(
-            dir,
-            &segment_file_name(entry.id),
-            entry.file_len,
-            entry.file_crc,
-        )?;
-        let mut c = Container::open_trusted(&bytes, KIND_SEGMENT)?;
-        let index = read_segment_index(
-            c.section(TAG_INDEX, "segment index section")?,
-            corpus.idf_table(),
-            &inv_len,
-        )?;
+        let stamp = (entry.file_len, entry.file_crc);
+        let name = segment_file_name(entry.id, entry.file_crc);
+        let bytes = read_checked_file(dir, &name, entry.file_len, entry.file_crc)?;
+        let (mut c, kind) = Container::open_trusted(&bytes, &[KIND_SEGMENT, KIND_SEGMENT_IDS])?;
+        // An id file names the segment's documents, each of which must
+        // give the build a posting; a postings file holds the lists.
+        let (ids, index) = if kind == KIND_SEGMENT_IDS {
+            let ids = read_doc_ids(
+                c.section(TAG_IDS, "segment doc id section")?,
+                num_docs as u64,
+                "segment doc id past the corpus",
+            )?;
+            let empty = |d: DocId| {
+                let doc = corpus.doc(d);
+                doc.len == 0 || doc.terms.is_empty()
+            };
+            if ids.iter().any(|&d| empty(d)) {
+                return Err(SnapshotError::Malformed {
+                    context: "segment lists an empty document",
+                });
+            }
+            (ids, None)
+        } else {
+            let index = read_segment_index(
+                c.section(TAG_INDEX, "segment index section")?,
+                corpus.idf_table(),
+                &inv_len,
+            )?;
+            (index.doc_ids(), Some(index))
+        };
         c.finish()?;
-        let ids = index.doc_ids();
+        if ids.len() as u64 != entry.doc_count {
+            return Err(SnapshotError::Malformed {
+                context: "segment file content disagrees with the manifest",
+            });
+        }
         for &d in &ids {
             let (word, bit) = (d as usize / 64, 1u64 << (d % 64));
             if claimed[word] & bit != 0 {
@@ -1517,17 +1599,18 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             }
             claimed[word] |= bit;
         }
-        if ids.len() as u64 != entry.doc_count {
-            return Err(SnapshotError::Malformed {
-                context: "segment file content disagrees with the manifest",
-            });
-        }
-        segments.push(Arc::new(Segment::from_trusted_parts(
-            entry.id,
-            ids.len(),
-            index,
-            (entry.file_len, entry.file_crc),
-        )));
+        let segment = match index {
+            Some(index) => Segment::from_trusted_parts(entry.id, ids.len(), index, stamp),
+            None => {
+                // The build that made the segment, over the same
+                // documents under the same epoch: the same lists, bit
+                // for bit.
+                let segment = Segment::build(entry.id, &corpus, ids.iter().copied());
+                let _ = segment.file().set(stamp);
+                segment
+            }
+        };
+        segments.push(Arc::new(segment));
     }
 
     let deleted = Tombstones::from_ids(&manifest.deleted);
@@ -1698,16 +1781,18 @@ mod tests {
             ),
         ]);
 
-        let decode_tomb =
-            |payload: Vec<u8>| read_tomb(ByteReader::new(&payload, "manifest tombstone list"), 5);
+        let decode_tomb = |payload: Vec<u8>| {
+            let r = ByteReader::new(&payload, "manifest tombstone list");
+            read_doc_ids(r, 5, "tombstone for an unallocated document id")
+        };
         let forged_tomb = |n: u64, gaps: &[u64]| {
             let mut buf = Vec::new();
             put_varint(&mut buf, n);
             gaps.iter().for_each(|&g| put_varint(&mut buf, g));
             buf
         };
-        assert_eq!(decode_tomb(tomb_payload(&[0, 3, 4])).unwrap(), [0, 3, 4]);
-        assert_eq!(tomb_payload(&[0, 3, 4]), forged_tomb(3, &[0, 2, 0]));
+        assert_eq!(decode_tomb(doc_ids_payload(&[0, 3, 4])).unwrap(), [0, 3, 4]);
+        assert_eq!(doc_ids_payload(&[0, 3, 4]), forged_tomb(3, &[0, 2, 0]));
         assert_malformed(vec![
             (
                 "tombstone gap past the allocated ids",
@@ -1872,6 +1957,23 @@ mod tests {
         dir
     }
 
+    /// The manifest of the snapshot directory `dir`.
+    fn manifest_of(dir: &Path) -> Manifest {
+        manifest_from_bytes(&std::fs::read(dir.join(MANIFEST_NAME)).unwrap()).unwrap()
+    }
+
+    /// The path of the file of segment `i` of the snapshot at `dir`.
+    fn segment_path(dir: &Path, i: usize) -> std::path::PathBuf {
+        let e = manifest_of(dir).segments[i];
+        dir.join(segment_file_name(e.id, e.file_crc))
+    }
+
+    /// The kind a snapshot file's header declares.
+    fn kind_of(path: &Path) -> u32 {
+        let bytes = std::fs::read(path).unwrap();
+        u32::from_le_bytes(bytes[12..16].try_into().unwrap())
+    }
+
     /// A two-segment state with a live-update tail (one appended batch,
     /// two deletes) — the smallest shape exercising every manifest
     /// feature: multiple segments, a partial chunk, and tombstones.
@@ -1891,25 +1993,165 @@ mod tests {
     fn overlapping_segments_are_rejected() {
         // Disjoint segment doc sets are the invariant the merged-bound
         // soundness proof rests on; a snapshot whose segments share a
-        // document must not load.
-        let corpus = generate(&SynthConfig::tiny());
-        let seg_a = Segment::build(0, &corpus, 0..40);
-        let seg_b = Segment::build(1, &corpus, 30..80);
-        let overlapping = SegmentedIndex::from_parts(
-            Arc::new(corpus),
-            vec![Arc::new(seg_a), Arc::new(seg_b)],
-            Tombstones::default(),
-            0,
-            2,
-        );
-        let dir = temp_dir("overlap");
-        save_segmented(&dir, &overlapping, 0).unwrap();
-        match load_segmented(&dir) {
-            Err(SnapshotError::Malformed { context }) => {
-                assert!(context.contains("same document"), "{context}");
-            }
-            other => panic!("expected Malformed, got {other:?}"),
+        // document must not load, whether they are saved as doc ids
+        // (under one chunk of documents) or as posting lists.
+        let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(2);
+        // Room for both overlapping pairs' counts, which the manifest
+        // checks against the corpus before any file is read.
+        for i in 0..2_300u32 {
+            b.add_tokens(format!("d{i}"), vec![i % 2]);
         }
+        let corpus = Arc::new(b.build());
+        for (kind, a, b) in [
+            (KIND_SEGMENT_IDS, 0..40, 30..80),
+            (KIND_SEGMENT, 0..1_100, 1_000..2_100),
+        ] {
+            let overlapping = SegmentedIndex::from_parts(
+                Arc::clone(&corpus),
+                vec![
+                    Arc::new(Segment::build(0, &corpus, a)),
+                    Arc::new(Segment::build(1, &corpus, b)),
+                ],
+                Tombstones::default(),
+                0,
+                2,
+            );
+            let dir = temp_dir("overlap");
+            save_segmented(&dir, &overlapping, 0).unwrap();
+            assert_eq!(kind_of(&segment_path(&dir, 1)), kind);
+            match load_segmented(&dir) {
+                Err(SnapshotError::Malformed { context }) => {
+                    assert!(context.contains("same document"), "{context}");
+                }
+                other => panic!("kind {kind}: expected Malformed, got {other:?}"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A two-segment state whose corpus holds one empty document (id 2),
+    /// saved as two id files: what the forged id files below replace
+    /// segment 0's file in.
+    fn id_file_state(dir: &Path) -> SegmentedIndex {
+        let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(4);
+        for (i, tokens) in [vec![0, 1], vec![1], vec![], vec![2, 3], vec![3], vec![0]]
+            .into_iter()
+            .enumerate()
+        {
+            b.add_tokens(format!("d{i}"), tokens);
+        }
+        let index = SegmentedIndex::build_partitioned(b.build(), 2);
+        save_segmented(dir, &index, 1).unwrap();
+        index
+    }
+
+    /// Replaces segment 0's file in the snapshot at `dir` by an id file
+    /// holding `payload`, recorded in the manifest with `doc_count`
+    /// documents, and loads the directory.
+    fn load_forged_ids(
+        dir: &Path,
+        payload: Vec<u8>,
+        doc_count: u64,
+    ) -> Result<(SegmentedIndex, u64), SnapshotError> {
+        let mut manifest = manifest_of(dir);
+        let bytes = assemble(KIND_SEGMENT_IDS, vec![(TAG_IDS, payload)]);
+        let entry = &mut manifest.segments[0];
+        entry.doc_count = doc_count;
+        entry.file_len = bytes.len() as u64;
+        entry.file_crc = crc32(&bytes);
+        let name = segment_file_name(entry.id, entry.file_crc);
+        std::fs::write(dir.join(name), &bytes).unwrap();
+        std::fs::write(dir.join(MANIFEST_NAME), manifest_to_bytes(&manifest)).unwrap();
+        load_segmented(dir)
+    }
+
+    #[test]
+    fn forged_id_files_are_rejected() {
+        let dir = temp_dir("forged-ids");
+        let index = id_file_state(&dir);
+        // Segment 0 holds the non-empty even documents 0 and 4 (2 is
+        // empty), segment 1 the odd ones.
+        assert_eq!(index.segments()[0].index().doc_ids(), [0, 4]);
+        assert_eq!(index.segments()[1].index().doc_ids(), [1, 3, 5]);
+        let gaps = |n: u64, gaps: &[u64]| {
+            let mut buf = Vec::new();
+            put_varint(&mut buf, n);
+            gaps.iter().for_each(|&g| put_varint(&mut buf, g));
+            buf
+        };
+        // The honest payload is the gap form, and loads.
+        assert_eq!(doc_ids_payload(&[0, 4]), gaps(2, &[0, 3]));
+        load_forged_ids(&dir, gaps(2, &[0, 3]), 2)
+            .unwrap()
+            .0
+            .verify_rebuild_equivalence()
+            .unwrap();
+        assert_malformed(vec![
+            (
+                // A gap counts past one more than the previous id, so an
+                // id can repeat or go back only by wrapping 64 bits.
+                "unsorted or duplicate ids",
+                load_forged_ids(&dir, gaps(2, &[4, u64::MAX - 4]), 2),
+                "overflows 64 bits",
+            ),
+            (
+                "an id past the corpus",
+                load_forged_ids(&dir, gaps(2, &[0, 5]), 2),
+                "past the corpus",
+            ),
+            (
+                "a listed empty document",
+                load_forged_ids(&dir, gaps(2, &[0, 1]), 2),
+                "empty document",
+            ),
+            (
+                "a count that differs from the manifest",
+                load_forged_ids(&dir, gaps(2, &[0, 3]), 1),
+                "disagrees with the manifest",
+            ),
+            (
+                "an overclaiming count",
+                load_forged_ids(&dir, gaps(3, &[0, 3]), 3),
+                "element count larger than the section",
+            ),
+            (
+                "overlap with another segment",
+                load_forged_ids(&dir, gaps(2, &[0, 2]), 2),
+                "same document",
+            ),
+        ]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn segments_under_one_chunk_are_saved_as_ids() {
+        // A 1 023-document segment is saved as its doc ids, a 1 024-document
+        // one as its posting lists; both load to the lists they held.
+        let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(3);
+        for i in 0..(CHUNK as u32 - 1) {
+            b.add_tokens(format!("d{i}"), vec![i % 3]);
+        }
+        let mut index = SegmentedIndex::build(b.build());
+        index.add_docs(
+            (0..CHUNK as u32)
+                .map(|i| Document::from_tokens(format!("a{i}"), vec![i % 3, 2]))
+                .collect(),
+        );
+        let counts: Vec<usize> = index.segments().iter().map(|s| s.doc_count()).collect();
+        assert_eq!(counts, [CHUNK - 1, CHUNK]);
+        let dir = temp_dir("boundary");
+        save_segmented(&dir, &index, 1).unwrap();
+        assert_eq!(kind_of(&segment_path(&dir, 0)), KIND_SEGMENT_IDS);
+        assert_eq!(kind_of(&segment_path(&dir, 1)), KIND_SEGMENT);
+        let (loaded, _) = load_segmented(&dir).unwrap();
+        for (a, b) in loaded.segments().iter().zip(index.segments()) {
+            assert!(
+                a.index().lists().eq(b.index().lists()),
+                "segment {}",
+                a.id()
+            );
+        }
+        loaded.verify_rebuild_equivalence().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1919,7 +2161,8 @@ mod tests {
         // not by misparsing sections.
         let dir = temp_dir("kind");
         save_segmented(&dir, &small_segmented(), 1).unwrap();
-        std::fs::copy(dir.join(EPOCH_NAME), dir.join(MANIFEST_NAME)).unwrap();
+        let epoch = epoch_file_name(manifest_of(&dir).epoch_crc);
+        std::fs::copy(dir.join(epoch), dir.join(MANIFEST_NAME)).unwrap();
         assert!(matches!(
             load_segmented(&dir),
             Err(SnapshotError::WrongKind {
@@ -2043,8 +2286,7 @@ mod tests {
         let index = small_segmented();
         let dir = temp_dir("missingseg");
         save_segmented(&dir, &index, 1).unwrap();
-        let victim = segment_file_name(index.segments()[0].id());
-        std::fs::remove_file(dir.join(&victim)).unwrap();
+        std::fs::remove_file(segment_path(&dir, 0)).unwrap();
         assert!(matches!(load_segmented(&dir), Err(SnapshotError::Io(_))));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2057,12 +2299,12 @@ mod tests {
         let index = small_segmented();
         let dir = temp_dir("staleseg");
         save_segmented(&dir, &index, 1).unwrap();
-        let a = segment_file_name(index.segments()[0].id());
-        let b = segment_file_name(index.segments()[1].id());
+        // A base segment's file and the 5-document batch's.
+        let (a, b) = (segment_path(&dir, 0), segment_path(&dir, 2));
         // Different-length stale file: caught by the manifest's recorded
         // length before any parsing.
-        let original = std::fs::read(dir.join(&a)).unwrap();
-        std::fs::copy(dir.join(&b), dir.join(&a)).unwrap();
+        let original = std::fs::read(&a).unwrap();
+        std::fs::copy(&b, &a).unwrap();
         assert!(matches!(
             load_segmented(&dir),
             Err(SnapshotError::Truncated { .. } | SnapshotError::TrailingBytes { .. })
@@ -2076,7 +2318,7 @@ mod tests {
             .find(|&i| swapped[i] != swapped[i + 1])
             .unwrap();
         swapped.swap(i, i + 1);
-        std::fs::write(dir.join(&a), &swapped).unwrap();
+        std::fs::write(&a, &swapped).unwrap();
         match load_segmented(&dir) {
             Err(SnapshotError::ChecksumMismatch { tag, .. }) => assert_eq!(tag, TAG_FILE),
             other => panic!("expected whole-file ChecksumMismatch, got {other:?}"),
@@ -2134,12 +2376,13 @@ mod tests {
         // Version 1 stored a list length for every vocabulary term,
         // version 2 a fingerprint, a META section and a weight table in
         // every data file, version 3 fixed-width ids, counts and
-        // postings; this build decodes none of them (rebuild on
+        // postings, version 4 every segment's postings under names
+        // without a CRC; this build decodes none of them (rebuild on
         // mismatch, DESIGN.md §14).
         let dir = temp_dir("v1");
         save_segmented(&dir, &small_segmented(), 1).unwrap();
         let pristine = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
-        for version in [1u32, 2, 3] {
+        for version in 1..FORMAT_VERSION {
             let mut bytes = pristine.clone();
             bytes[8..12].copy_from_slice(&version.to_le_bytes());
             std::fs::write(dir.join(MANIFEST_NAME), &bytes).unwrap();
@@ -2154,8 +2397,9 @@ mod tests {
     #[test]
     fn a_segment_file_does_not_grow_with_the_vocabulary() {
         // The same one-document batch on a 3 000-term and a 120 000-term
-        // epoch writes segment files of equal length: the payload holds
-        // the batch's lists, not one length per vocabulary term.
+        // epoch encodes posting payloads of equal length: the payload
+        // holds the batch's lists, not one length per vocabulary term.
+        // (Saved, the batch is an id file, and loads as the same lists.)
         let doc = Document::from_tokens("one".into(), vec![7, 42, 42, 1_999]);
         let mut lens = Vec::new();
         for vocab in [3_000usize, 120_000] {
@@ -2168,15 +2412,17 @@ mod tests {
             let added = index.segments().last().unwrap();
             assert_eq!(added.index().lists().count(), doc.distinct_terms());
             assert_eq!(added.index().num_terms(), vocab);
+            lens.push(segment_postings_payload(added.index()).len());
             save_segmented(&dir, &index, 2).unwrap();
-            lens.push(file_len(&dir, &segment_file_name(added.id())).unwrap());
             let (loaded, _) = load_segmented(&dir).unwrap();
+            let reloaded = loaded.segments().last().unwrap();
+            assert!(reloaded.index().lists().eq(added.index().lists()));
             loaded.verify_rebuild_equivalence().unwrap();
             let _ = std::fs::remove_dir_all(&dir);
         }
         assert_eq!(
             lens[0], lens[1],
-            "segment file length depends on the vocabulary"
+            "segment payload length depends on the vocabulary"
         );
     }
 

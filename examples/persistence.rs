@@ -43,8 +43,9 @@ fn main() {
     );
 
     // Persist the full serving state: corpus epoch, document chunks,
-    // one file per segment (posting partials bit-exact), tombstones,
-    // generation — each file checksummed, tied together by a manifest.
+    // one file per segment (a small segment as its doc ids, rebuilt bit
+    // for bit at load), tombstones, generation — each file checksummed,
+    // tied together by a manifest.
     let path =
         std::env::temp_dir().join(format!("divtopk-example-{}.snapshot", std::process::id()));
     let _ = std::fs::remove_dir_all(&path);
@@ -72,7 +73,8 @@ fn main() {
     // The restored engine is a full serving engine: mutations continue
     // from the saved generation — and the next checkpoint is O(delta):
     // unchanged segment and chunk files are reused on disk, only the new
-    // segment, the tail chunk, and the manifest are rewritten.
+    // segment, the grown tail chunk (under a new name), and the manifest
+    // are written.
     restored.add_text("rust-5", "rust compiler diagnostics");
     let second = restored.save_snapshot(&path).unwrap();
     println!(

@@ -13,6 +13,7 @@
 //! swapped between names) are asserted typed as well.
 
 use divtopk::engine::{Engine, EngineConfig, Query};
+use divtopk::text::chunked::CHUNK;
 use divtopk::text::persist::{self, SnapshotError};
 use divtopk::text::prelude::*;
 use divtopk_core::rng::Pcg;
@@ -58,12 +59,18 @@ fn mutated_state() -> SegmentedIndex {
     seg
 }
 
-/// A deliberately small serving state (tiny vocabulary, a dozen docs)
-/// whose snapshot is a few KB — the corruption sweeps below are
+/// A deliberately small serving state whose snapshot is a few KB but
+/// holds both segment payloads — the corruption sweeps below are
 /// quadratic (every offset × a full directory load), so they run on
-/// this, not on [`mutated_state`].
+/// this, not on [`mutated_state`]. The base segment is [`CHUNK`]
+/// one-token documents plus a dozen texts, so it is saved as posting
+/// lists (one long list of 3-byte postings, the documents 5 bytes
+/// each); the compacted batch is saved as its doc ids.
 fn small_state() -> SegmentedIndex {
     let mut b = Corpus::builder();
+    for _ in 0..CHUNK {
+        b.add_text("", "pad");
+    }
     b.add_text("storm-1", "storm surge floods coastal city downtown");
     b.add_text("storm-2", "storm surge floods coastal city harbor");
     b.add_text("sports", "cup final penalty shootout drama");
@@ -71,12 +78,35 @@ fn small_state() -> SegmentedIndex {
     for i in 0..8 {
         b.add_text(&format!("f{i}"), "miscellaneous archive background noise");
     }
-    let mut seg = SegmentedIndex::build_partitioned(b.build(), 2);
-    seg.add_text("storm-3", "storm surge evacuation ordered");
+    let mut seg = SegmentedIndex::build(b.build());
+    let storm_3 = seg.add_text("storm-3", "storm surge evacuation ordered");
     seg.add_text("markets-2", "stocks slide forecast cut");
-    seg.delete_docs(&[1, 12]);
+    seg.delete_docs(&[CHUNK as DocId + 1, storm_3]);
     assert!(seg.compact() > 0);
+    assert_eq!(seg.num_segments(), 2);
+    assert!(seg.segments()[0].doc_count() >= CHUNK && seg.segments()[1].doc_count() < CHUNK);
     seg
+}
+
+/// The kind a snapshot file's header declares.
+fn file_kind(path: &std::path::Path) -> u32 {
+    let bytes = std::fs::read(path).unwrap();
+    u32::from_le_bytes(bytes[12..16].try_into().unwrap())
+}
+
+/// [`small_state`] saved into a fresh directory, which holds a segment
+/// file of each payload kind.
+fn saved_small_state(name: &str) -> PathBuf {
+    let dir = temp_path(name);
+    persist::save_segmented(&dir, &small_state(), 1).unwrap();
+    let mut kinds: Vec<u32> = snapshot_files(&dir)
+        .iter()
+        .filter(|n| n.starts_with("seg-"))
+        .map(|n| file_kind(&dir.join(n)))
+        .collect();
+    kinds.sort_unstable();
+    assert_eq!(kinds, [persist::KIND_SEGMENT, persist::KIND_SEGMENT_IDS]);
+    dir
 }
 
 /// A process-unique scratch path; any directory left over from a
@@ -226,9 +256,13 @@ fn incremental_checkpoints_reuse_files_and_load_identically() {
 
 #[test]
 fn diverged_lineages_rewrite_the_segment_id_they_share() {
-    // 1 100 documents: one sealed 1 024-document chunk and a tail.
+    // 1 100 documents: one sealed 1 024-document chunk and a tail. Each
+    // lineage then adds a batch of `CHUNK` different documents, saved as
+    // posting lists, at the same doc ids. (A smaller batch is saved as
+    // its doc ids, the same bytes in both lineages, and is reused.)
+    let batch = CHUNK as u32;
     let donor = generate(&SynthConfig {
-        num_docs: 1120,
+        num_docs: 1100 + 2 * CHUNK,
         ..SynthConfig::tiny()
     });
     let base_docs = || {
@@ -247,20 +281,31 @@ fn diverged_lineages_rewrite_the_segment_id_they_share() {
     let b = Engine::load_snapshot(&dir, &config).unwrap();
     // Both mint segment id 2 (the base holds 0 and 1), over different
     // documents.
-    a.add_docs((1100..1110u32).map(|d| donor.doc(d).clone()).collect());
-    b.add_docs((1110..1120u32).map(|d| donor.doc(d).clone()).collect());
-    let shared = dir.join(persist::segment_file_name(2));
+    let from = |lo: u32| (lo..lo + batch).map(|d| donor.doc(d).clone()).collect();
+    a.add_docs(from(1100));
+    b.add_docs(from(1100 + batch));
+    // Segment 2's file, whichever lineage wrote it last: its name ends
+    // in its CRC, so the two lineages' files have different names.
+    let shared = |dir: &PathBuf| {
+        let name = snapshot_files(dir)
+            .into_iter()
+            .find(|n| n.starts_with("seg-0000000000000002-"))
+            .unwrap();
+        assert_eq!(file_kind(&dir.join(&name)), persist::KIND_SEGMENT);
+        std::fs::read(dir.join(name)).unwrap()
+    };
     let mut previous = Vec::new();
     for (who, engine) in [("A", &a), ("B", &b), ("A again", &a)] {
         let report = engine.save_snapshot(&dir).unwrap();
-        // Written: segment 2, the tail chunk and the manifest. Reused:
-        // the epoch, both base segments and the sealed chunk.
+        // Written: segment 2, the chunk the batch sealed, the new tail
+        // chunk and the manifest. Reused: the epoch, both base segments
+        // and the first sealed chunk.
         assert_eq!(
             (report.files_written, report.files_reused),
-            (3, 4),
+            (4, 4),
             "{who}: {report:?}"
         );
-        let bytes = std::fs::read(&shared).unwrap();
+        let bytes = shared(&dir);
         assert_ne!(bytes, previous, "{who}: segment 2 was not rewritten");
         previous = bytes;
         let loaded = Engine::load_snapshot(&dir, &config).unwrap();
@@ -303,8 +348,8 @@ fn a_resave_after_a_mutation_reuses_the_epoch_file() {
 #[test]
 fn a_foreign_epoch_file_of_the_same_length_is_rewritten() {
     // Two epochs over one vocabulary whose statistics differ in value
-    // but not in encoded length: the directory's `epoch.bin` is A's, B
-    // remembers its own file elsewhere, so B's save must rewrite it.
+    // but not in encoded length: the directory's epoch file is A's, B
+    // remembers its own file elsewhere, so B's save must write its own.
     let epoch = |tokens: [u32; 3]| {
         let mut b = CorpusBuilder::with_synthetic_vocab(4);
         for (i, &t) in tokens.iter().enumerate() {
@@ -318,18 +363,115 @@ fn a_foreign_epoch_file_of_the_same_length_is_rewritten() {
     persist::save_segmented(&dir, &a, 1).unwrap();
     persist::save_segmented(&elsewhere, &b, 1).unwrap();
     let epoch_len = |d: &PathBuf| {
-        std::fs::metadata(d.join(persist::EPOCH_NAME))
-            .unwrap()
-            .len()
+        let name = snapshot_files(d)
+            .into_iter()
+            .find(|n| n.starts_with("epoch-"))
+            .unwrap();
+        std::fs::metadata(d.join(name)).unwrap().len()
     };
     assert_eq!(epoch_len(&dir), epoch_len(&elsewhere));
     let report = persist::save_segmented(&dir, &b, 2).unwrap();
-    assert_eq!(report.files_reused, 0, "{report:?}");
+    // Written: the epoch, the chunk and the manifest. Reused: the
+    // segment's file, which lists doc ids 0..3 in both lineages and so
+    // holds the same bytes.
+    assert_eq!(
+        (report.files_written, report.files_reused),
+        (3, 1),
+        "{report:?}"
+    );
     let (loaded, _) = persist::load_segmented(&dir).unwrap();
     assert_eq!(loaded.corpus().idf_table(), b.corpus().idf_table());
     loaded.verify_rebuild_equivalence().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&elsewhere).unwrap();
+}
+
+/// Copies every file of the snapshot directory `from` into a fresh
+/// directory `to`.
+fn copy_snapshot(from: &std::path::Path, to: &std::path::Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for name in snapshot_files(from) {
+        std::fs::copy(from.join(&name), to.join(&name)).unwrap();
+    }
+}
+
+#[test]
+fn a_failed_save_leaves_the_previous_snapshot_loadable() {
+    // A second save into a directory fails on each file it writes in
+    // turn — the name is taken by a directory — and the directory must
+    // still load the first save's state. Two second states: the same
+    // lineage after an add and a delete (a new segment and a grown tail
+    // chunk), and another lineage (every file, its segment ids shared).
+    let donor = base(136);
+    let first = SegmentedIndex::build_partitioned(base(120), 2);
+    let dir = temp_path("failed-save.first");
+    persist::save_segmented(&dir, &first, 1).unwrap();
+    let term = busy_term(first.corpus());
+    let query = ta_query(first.corpus());
+    let options = SearchOptions::new(5).with_tau(0.5);
+    let second = |same_lineage: bool| {
+        if same_lineage {
+            let mut second = first.clone();
+            second.add_docs((120..136u32).map(|d| donor.doc(d).clone()).collect());
+            second.delete_docs(&[3]);
+            second
+        } else {
+            SegmentedIndex::build_partitioned(donor.clone(), 2)
+        }
+    };
+    for (what, same_lineage) in [("same lineage", true), ("another lineage", false)] {
+        // The names the second save writes, from a run in a copy.
+        let probe = temp_path("failed-save.probe");
+        copy_snapshot(&dir, &probe);
+        persist::save_segmented(&probe, &second(same_lineage), 2).unwrap();
+        let before = snapshot_files(&dir);
+        let written: Vec<String> = snapshot_files(&probe)
+            .into_iter()
+            .filter(|n| !before.contains(n))
+            .collect();
+        std::fs::remove_dir_all(&probe).unwrap();
+        for name in &written {
+            let run = temp_path("failed-save.run");
+            copy_snapshot(&dir, &run);
+            std::fs::create_dir(run.join(name)).unwrap();
+            let state = second(same_lineage);
+            match persist::save_segmented(&run, &state, 2) {
+                Err(SnapshotError::Io(_)) => {}
+                other => panic!("{what}, {name} blocked: expected Io, got {other:?}"),
+            }
+            let (loaded, generation) = persist::load_segmented(&run)
+                .unwrap_or_else(|e| panic!("{what}, {name} blocked: {e}"));
+            assert_eq!(generation, 1, "{what}, {name} blocked");
+            loaded.verify_rebuild_equivalence().unwrap();
+            assert_eq!(
+                first.search_scan(term, &options).unwrap(),
+                loaded.search_scan(term, &options).unwrap(),
+                "{what}, {name} blocked"
+            );
+            assert_eq!(
+                first.search_ta(&query, &options).unwrap(),
+                loaded.search_ta(&query, &options).unwrap(),
+                "{what}, {name} blocked"
+            );
+            // Once the name is free again, the save lands.
+            std::fs::remove_dir(run.join(name)).unwrap();
+            persist::save_segmented(&run, &state, 2).unwrap();
+            let (loaded, generation) = persist::load_segmented(&run).unwrap();
+            assert_eq!(generation, 2);
+            assert_eq!(
+                state.search_scan(term, &options).unwrap(),
+                loaded.search_scan(term, &options).unwrap(),
+                "{what}, {name} unblocked"
+            );
+            std::fs::remove_dir_all(&run).unwrap();
+        }
+        // Among them a segment file and the grown or foreign chunk: no
+        // save writes to a name the previous manifest holds.
+        assert!(written.iter().any(|n| n.starts_with("seg-")), "{what}");
+        assert!(written.iter().any(|n| n.starts_with("docs-")), "{what}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -467,9 +609,7 @@ fn loaded_engine_keeps_mutating_from_where_it_stood() {
 
 #[test]
 fn truncation_at_every_offset_of_every_file_is_a_typed_error() {
-    let seg = small_state();
-    let dir = temp_path("truncate.snapshot");
-    persist::save_segmented(&dir, &seg, 1).unwrap();
+    let dir = saved_small_state("truncate.snapshot");
     for name in snapshot_files(&dir) {
         let path = dir.join(&name);
         let original = std::fs::read(&path).unwrap();
@@ -491,9 +631,7 @@ fn truncation_at_every_offset_of_every_file_is_a_typed_error() {
 
 #[test]
 fn bit_flips_in_every_byte_of_every_file_are_typed_errors() {
-    let seg = small_state();
-    let dir = temp_path("bitflip.snapshot");
-    persist::save_segmented(&dir, &seg, 1).unwrap();
+    let dir = saved_small_state("bitflip.snapshot");
     for name in snapshot_files(&dir) {
         let path = dir.join(&name);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -515,9 +653,7 @@ fn bit_flips_in_every_byte_of_every_file_are_typed_errors() {
 
 #[test]
 fn cross_file_inconsistencies_are_typed_errors() {
-    let seg = small_state();
-    let dir = temp_path("crossfile.snapshot");
-    persist::save_segmented(&dir, &seg, 1).unwrap();
+    let dir = saved_small_state("crossfile.snapshot");
     let files = snapshot_files(&dir);
 
     // Deleting any referenced file leaves a manifest naming a missing
