@@ -127,6 +127,39 @@ fn snapshot_files(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
+/// The committed listing [`the_saved_bytes_match_the_pinned_listing`]
+/// compares against.
+const PINNED_LISTING: &str = "tests/data/snapshot_files.txt";
+
+#[test]
+fn the_saved_bytes_match_the_pinned_listing() {
+    // Every data file's name ends in its CRC32, so a `name length`
+    // listing plus the manifest's CRC32 pins every byte a save writes. A
+    // format change updates the committed file in the same diff.
+    let mut listing = String::new();
+    for (state, seg) in [
+        ("small_state", small_state()),
+        ("mutated_state", mutated_state()),
+    ] {
+        let dir = temp_path(&format!("pinned-{state}.snapshot"));
+        persist::save_segmented(&dir, &seg, 1).unwrap();
+        listing += &format!("# {state}\n");
+        for name in snapshot_files(&dir) {
+            let len = std::fs::metadata(dir.join(&name)).unwrap().len();
+            listing += &format!("{name} {len}\n");
+        }
+        let manifest = std::fs::read(dir.join(persist::MANIFEST_NAME)).unwrap();
+        listing += &format!("MANIFEST crc32 {:08x}\n", persist::crc32(&manifest));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(PINNED_LISTING);
+    let pinned = std::fs::read_to_string(&path).unwrap_or_default();
+    assert!(
+        listing == pinned,
+        "the saved snapshot bytes differ from {PINNED_LISTING}; the new listing:\n{listing}"
+    );
+}
+
 #[test]
 fn segmented_round_trip_serves_byte_identically() {
     let seg = mutated_state();
