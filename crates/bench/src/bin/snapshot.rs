@@ -45,7 +45,7 @@ const SEED: u64 = 0x0510;
 
 /// The reference serving state: a 2 100-document reuters-like base epoch
 /// partitioned into 2 segments of at least
-/// [`CHUNK`](divtopk_text::chunked::CHUNK) documents, plus a
+/// [`CHUNK`] documents, plus a
 /// scripted add/delete/compact log — so the snapshot exercises every
 /// file kind and section type (segments saved as posting lists and as
 /// doc ids, tombstones, a bumped compaction counter, a non-zero
@@ -114,7 +114,9 @@ fn save(path: &str) {
     let segments = |kind: u32| {
         contents
             .iter()
-            .filter(|(name, bytes)| name.starts_with("seg-") && file_kind(bytes) == kind)
+            .filter(|(name, bytes)| {
+                name.starts_with("seg-") && persist::file_kind(bytes).ok() == Some(kind)
+            })
             .count()
     };
     let (postings, ids) = (
@@ -191,16 +193,9 @@ fn dir_contents(path: &str) -> std::collections::BTreeMap<String, Vec<u8>> {
     read().unwrap_or_else(|e| fail(format!("reading {path}: {e}")))
 }
 
-/// The kind a snapshot file's header declares (bytes 12..16, after the
-/// magic and the version).
-fn file_kind(bytes: &[u8]) -> u32 {
-    u32::from_le_bytes(bytes[12..16].try_into().expect("a snapshot file header"))
-}
-
-/// Bytes of a doc-id segment file around its ids: the file header
-/// (magic, version, kind, section count: 20) and its one `IDS ` section's
-/// header (16).
-const ID_FILE_CONTAINER: u64 = 20 + 16;
+/// Bytes of a doc-id segment file around its ids: the file header and
+/// its one `IDS ` section's header.
+const ID_FILE_CONTAINER: u64 = (persist::HEADER_LEN + persist::SECTION_HEADER_LEN) as u64;
 
 /// Bytes per document in the checked batch's doc-id segment file: its
 /// share of the LEB128 count and a gap, 1 byte after the first id and 2
@@ -274,8 +269,8 @@ fn incremental(path: &str) {
     // the container, then a count and one gap per document.
     let segment = &after[added_segments[0]];
     assert_eq!(
-        file_kind(segment),
-        persist::KIND_SEGMENT_IDS,
+        persist::file_kind(segment).ok(),
+        Some(persist::KIND_SEGMENT_IDS),
         "the batch's segment file is not a doc-id file"
     );
     let segment_len = segment.len() as u64;

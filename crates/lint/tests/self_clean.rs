@@ -43,7 +43,7 @@ fn walker_sees_the_real_tree() {
         "crates/engine/src/engine.rs",
         "crates/engine/src/server.rs",
         "crates/engine/src/proto.rs",
-        "crates/text/src/persist.rs",
+        "crates/text/src/persist/mod.rs",
         "crates/lint/src/rules.rs",
     ] {
         assert!(

@@ -1,10 +1,62 @@
-//! The segment file's posting payload (`INDX`, DESIGN.md §14): the
-//! writer copies each list's packed bytes as the index holds them, and
-//! the loader validates a list's bytes and keeps them as the list.
+//! The segment file: under [`CHUNK`] documents its doc ids (`IDS `,
+//! `KIND_SEGMENT_IDS`), which the load rebuilds the lists from, and from
+//! [`CHUNK`] up its posting lists (`INDX`, `KIND_SEGMENT`, DESIGN.md §14):
+//! the writer copies each list's packed bytes as the index holds them,
+//! and the loader validates a list's bytes and keeps them as the list.
 
-use super::{ByteReader, MAX_STORED_VALUE, SnapshotError, put_gap, put_u64, put_varint};
-use crate::document::TermId;
+use super::container::{
+    ByteReader, Container, KIND_SEGMENT, KIND_SEGMENT_IDS, assemble, doc_ids_payload, put_gap,
+    put_u64, put_varint, read_doc_ids,
+};
+use super::{MAX_STORED_VALUE, SnapshotError};
+use crate::chunked::CHUNK;
+use crate::corpus::Corpus;
+use crate::document::{DocId, TermId};
 use crate::index::{self, InvertedIndex, Keyed, Layout, Posting, le_u32};
+use crate::segments::Segment;
+
+const TAG_INDEX: [u8; 4] = *b"INDX";
+pub(super) const TAG_IDS: [u8; 4] = *b"IDS ";
+
+/// A segment's file: under [`CHUNK`] documents only its doc ids — the
+/// load rebuilds the lists with the build that made them — and from
+/// [`CHUNK`] up its posting lists, which a load keeps as read.
+pub(super) fn segment_to_bytes(segment: &Segment) -> Vec<u8> {
+    if segment.doc_count() < CHUNK {
+        let ids = segment.index().doc_ids();
+        assemble(KIND_SEGMENT_IDS, vec![(TAG_IDS, doc_ids_payload(&ids))])
+    } else {
+        let postings = segment_postings_payload(segment.index());
+        assemble(KIND_SEGMENT, vec![(TAG_INDEX, postings)])
+    }
+}
+
+/// Decodes a segment file of `kind` into the segment's doc ids and, for
+/// a postings file, its index. An id file's documents must each give the
+/// build that rebuilds its lists a posting: inside the corpus and not
+/// empty.
+pub(super) fn read_segment_file(
+    c: &mut Container<'_>,
+    kind: u32,
+    corpus: &Corpus,
+    inv_len: &[f64],
+) -> Result<(Vec<DocId>, Option<InvertedIndex>), SnapshotError> {
+    if kind == KIND_SEGMENT_IDS {
+        let r = c.section(TAG_IDS, "segment doc id section")?;
+        let num_docs = corpus.num_docs() as u64;
+        let ids = read_doc_ids(r, num_docs, "segment doc id past the corpus")?;
+        let empty = |d: DocId| corpus.doc(d).len == 0 || corpus.doc(d).terms.is_empty();
+        if ids.iter().any(|&d| empty(d)) {
+            return Err(SnapshotError::Malformed {
+                context: "segment lists an empty document",
+            });
+        }
+        return Ok((ids, None));
+    }
+    let r = c.section(TAG_INDEX, "segment index section")?;
+    let index = read_segment_index(r, corpus.idf_table(), inv_len)?;
+    Ok((index.doc_ids(), Some(index)))
+}
 
 /// Segment-file posting payload (DESIGN.md §14): the vocabulary size,
 /// the number of stored lists, the segment's smallest doc id (`base`),
@@ -189,7 +241,6 @@ fn decode_list<const DW: usize, const TW: usize>(
 #[cfg(test)]
 mod tests {
     use super::super::tests::assert_malformed;
-    use super::super::{Container, KIND_SEGMENT, TAG_INDEX, assemble};
     use super::*;
 
     #[test]
@@ -203,12 +254,8 @@ mod tests {
             let index = InvertedIndex::from_sorted_lists(1, [(0, vec![Posting { doc: 0, tf }])]);
             let payload = segment_postings_payload(&index);
             let reader = ByteReader::new(&payload, "segment index section");
-            match read_segment_index(reader, &[idf], &[1.0]) {
-                Err(SnapshotError::Malformed { context }) => {
-                    assert!(context.contains("partial"), "{context}");
-                }
-                other => panic!("expected Malformed, got {other:?}"),
-            }
+            let decoded = read_segment_index(reader, &[idf], &[1.0]);
+            assert_malformed(vec![("a forged (tf, IDF)", decoded, "partial")]);
         }
     }
 
@@ -255,7 +302,7 @@ mod tests {
     /// four-term vocabulary (IDF 1) and four documents (`1/sqrt(len)` 1).
     fn decode_forged(payload: Vec<u8>) -> Result<InvertedIndex, SnapshotError> {
         let bytes = assemble(KIND_SEGMENT, vec![(TAG_INDEX, payload)]);
-        let mut container = Container::open(&bytes, KIND_SEGMENT)?;
+        let mut container = Container::open(&bytes, &[KIND_SEGMENT], false)?.0;
         read_segment_index(
             container.section(TAG_INDEX, "segment index section")?,
             &[1.0; 4],

@@ -90,8 +90,7 @@ fn small_state() -> SegmentedIndex {
 
 /// The kind a snapshot file's header declares.
 fn file_kind(path: &std::path::Path) -> u32 {
-    let bytes = std::fs::read(path).unwrap();
-    u32::from_le_bytes(bytes[12..16].try_into().unwrap())
+    persist::file_kind(&std::fs::read(path).unwrap()).unwrap()
 }
 
 /// [`small_state`] saved into a fresh directory, which holds a segment
