@@ -12,6 +12,7 @@ use super::{
 };
 use crate::chunked::ChunkedVec;
 use crate::corpus::Corpus;
+use crate::document::DocId;
 use crate::index;
 use crate::segments::{Segment, SegmentedIndex, Tombstones};
 use std::collections::HashSet;
@@ -465,8 +466,20 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         };
         segments.push(Arc::new(segment));
     }
-
+    // And they must cover every live document a build would index: one
+    // that no segment holds would silently drop out of every answer.
     let deleted = Tombstones::from_ids(&manifest.deleted);
+    let unheld = |d: usize| claimed[d / 64] & (1u64 << (d % 64)) == 0;
+    let live = |d: usize| !deleted.contains(d as DocId);
+    let indexed = corpus.docs().map(|doc| doc.len > 0);
+    if indexed
+        .enumerate()
+        .any(|(d, indexed)| indexed && live(d) && unheld(d))
+    {
+        return Err(SnapshotError::Malformed {
+            context: "live document held by no segment",
+        });
+    }
     Ok((
         SegmentedIndex::from_parts(
             Arc::new(corpus),

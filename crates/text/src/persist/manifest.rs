@@ -188,8 +188,26 @@ pub(super) fn manifest_from_bytes(bytes: &[u8]) -> Result<Manifest, SnapshotErro
 #[cfg(test)]
 mod tests {
     use super::super::container::ByteReader;
-    use super::super::tests::{assert_malformed, forged_ids};
+    use super::super::tests::{
+        assert_malformed, forged_ids, manifest_of, small_segmented, temp_dir,
+    };
+    use super::super::{MANIFEST_NAME, load_segmented, save_segmented};
     use super::*;
+
+    #[test]
+    fn a_manifest_that_leaves_out_a_live_document_is_rejected() {
+        // Dropping a segment's entry leaves its live documents in no
+        // segment: the snapshot must not load and quietly stop serving
+        // them.
+        let dir = temp_dir("unheld");
+        save_segmented(&dir, &small_segmented(), 1).unwrap();
+        let mut manifest = manifest_of(&dir);
+        manifest.segments.remove(0);
+        std::fs::write(dir.join(MANIFEST_NAME), manifest_to_bytes(&manifest)).unwrap();
+        let dropped = load_segmented(&dir);
+        assert_malformed(vec![("a dropped segment", dropped, "held by no segment")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn forged_tombstone_payloads_are_rejected() {

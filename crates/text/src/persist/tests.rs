@@ -1,3 +1,8 @@
+//! Directory-level unit tests of the snapshot format: the save and the
+//! load end to end, the container's typed errors, and forged manifests
+//! and files that must fail typed.
+#![cfg(test)]
+
 use super::{container::*, dir::*, manifest::*, segment::*, *};
 use crate::chunked::CHUNK;
 use crate::document::{Document, TermId};
@@ -190,14 +195,14 @@ fn snapshots_round_trip_across_width_boundaries() {
 
 /// A process-unique scratch directory for one test; removed and
 /// recreated empty on each call.
-fn temp_dir(tag: &str) -> std::path::PathBuf {
+pub(super) fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("divtopk-persist-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
 
 /// The manifest of the snapshot directory `dir`.
-fn manifest_of(dir: &Path) -> Manifest {
+pub(super) fn manifest_of(dir: &Path) -> Manifest {
     manifest_from_bytes(&std::fs::read(dir.join(MANIFEST_NAME)).unwrap()).unwrap()
 }
 
@@ -215,7 +220,7 @@ fn kind_of(path: &Path) -> u32 {
 /// A two-segment state with a live-update tail (one appended batch,
 /// two deletes) — the smallest shape exercising every manifest
 /// feature: multiple segments, a partial chunk, and tombstones.
-fn small_segmented() -> SegmentedIndex {
+pub(super) fn small_segmented() -> SegmentedIndex {
     let corpus = generate(&SynthConfig::tiny());
     let n_terms = corpus.num_terms() as TermId;
     let mut index = SegmentedIndex::build_partitioned(corpus, 2);
