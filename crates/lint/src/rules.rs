@@ -35,8 +35,9 @@ pub const RELAXED_WINDOW: usize = 10;
 
 /// Modules on the serving path: a panic here is an availability bug, so
 /// the panic family is banned outside explicit annotated allowances
-/// (DESIGN.md §13). Matched as path suffixes against `/`-normalized
-/// workspace-relative paths.
+/// (DESIGN.md §13). Matched against `/`-normalized workspace-relative
+/// paths: a file as a path suffix, a directory (ending in `/`) as every
+/// file under it.
 pub const SERVING_MODULES: &[&str] = &[
     "crates/engine/src/server.rs",
     "crates/engine/src/proto.rs",
@@ -46,7 +47,7 @@ pub const SERVING_MODULES: &[&str] = &[
     "crates/core/src/sync.rs",
     "crates/core/src/diversify.rs",
     "crates/text/src/mode.rs",
-    "crates/text/src/persist.rs",
+    "crates/text/src/persist/",
 ];
 
 /// Modules whose outputs must be bit-reproducible from their seeds: any
@@ -102,6 +103,18 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
+/// Whether `path` is one of `modules`, matched as [`SERVING_MODULES`]
+/// describes.
+fn in_modules(path: &str, modules: &[&str]) -> bool {
+    modules.iter().any(|m| {
+        if m.ends_with('/') {
+            path.starts_with(m) || path.contains(&format!("/{m}"))
+        } else {
+            path.ends_with(m)
+        }
+    })
+}
+
 /// Lints one file's source text under its workspace-relative path.
 /// This is the whole linter; the binary and the workspace walker are
 /// just loops around it.
@@ -109,12 +122,12 @@ pub fn lint_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let file = scan(source);
     let mut out = Vec::new();
     check_annotations(path, &file, &mut out);
-    if SERVING_MODULES.iter().any(|m| path.ends_with(m)) {
+    if in_modules(path, SERVING_MODULES) {
         check_panics(path, &file, &mut out);
     }
     check_unsafe(path, &file, &mut out);
     check_atomics(path, source, &file, &mut out);
-    if DETERMINISTIC_MODULES.iter().any(|m| path.ends_with(m)) {
+    if in_modules(path, DETERMINISTIC_MODULES) {
         check_wallclock(path, &file, &mut out);
     }
     check_float_eq(path, &file, &mut out);

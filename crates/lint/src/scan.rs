@@ -15,8 +15,9 @@
 //!   without re-lexing;
 //! * **test-region tracking** — any item under a `#[cfg(test)]` attribute
 //!   (in this repo: the conventional `mod tests`) is brace-matched and its
-//!   lines flagged `in_test`, so production-only rules skip unit tests
-//!   without path heuristics.
+//!   lines flagged `in_test`, and a file under an inner `#![cfg(test)]`
+//!   (a test module in a file of its own) is flagged throughout, so
+//!   production-only rules skip unit tests without path heuristics.
 //!
 //! Lifetimes (`'scope`) are distinguished from char literals (`'s'`) by
 //! one character of lookahead, and block comments nest, as in real Rust.
@@ -31,7 +32,8 @@ pub struct Line {
     /// Concatenated text of every comment (or comment fragment) on the
     /// line, `//` / `/*` / `*/` delimiters stripped.
     pub comment: String,
-    /// True when the line sits inside a `#[cfg(test)]` item.
+    /// True when the line sits inside a `#[cfg(test)]` item or a file
+    /// under `#![cfg(test)]`.
     pub in_test: bool,
 }
 
@@ -231,8 +233,13 @@ fn is_raw_or_literal_prefix(bytes: &[u8], i: usize) -> bool {
 }
 
 /// Flags every line inside a `#[cfg(test)]` item by brace-matching the
-/// item that follows the attribute.
+/// item that follows the attribute, or every line of a file under an
+/// inner `#![cfg(test)]`.
 fn mark_test_regions(lines: &mut [Line]) {
+    if lines.iter().any(|l| l.code.trim() == "#![cfg(test)]") {
+        lines.iter_mut().for_each(|l| l.in_test = true);
+        return;
+    }
     let mut i = 0;
     while i < lines.len() {
         if lines[i].code.contains("#[cfg(test)]") {
@@ -318,5 +325,14 @@ mod tests {
             f.lines[1].in_test && f.lines[2].in_test && f.lines[3].in_test && f.lines[4].in_test
         );
         assert!(!f.lines[5].in_test);
+    }
+
+    #[test]
+    fn a_file_under_an_inner_cfg_test_is_test_code() {
+        let src = "//! Tests in a file of their own.\n#![cfg(test)]\n\nfn t() { y.unwrap(); }\n";
+        assert!(scan(src).lines.iter().all(|l| l.in_test));
+        // The outer attribute still marks only the item it precedes.
+        let src = "#[cfg(test)]\nfn t() {}\nfn prod() { x.unwrap(); }\n";
+        assert!(!scan(src).lines[2].in_test);
     }
 }

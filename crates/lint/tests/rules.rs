@@ -33,6 +33,31 @@ fn panic_rule_fires_in_serving_modules() {
 }
 
 #[test]
+fn panic_rule_covers_every_file_under_the_persist_directory() {
+    // The snapshot loader reads untrusted bytes in every module of
+    // `persist/`, so the rule names the directory, not one file.
+    let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    for path in [
+        "crates/text/src/persist/segment.rs",
+        "crates/text/src/persist/mod.rs",
+    ] {
+        assert_eq!(fired(path, src), vec![(2, "panic")], "{path}");
+    }
+    // A sibling file whose name merely starts the same is not under it.
+    assert_eq!(
+        rules("crates/text/src/persistence.rs", src),
+        Vec::<&str>::new()
+    );
+    // A test module in a file of its own under `#![cfg(test)]` is test
+    // code.
+    let src = "#![cfg(test)]\nfn t(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+    assert_eq!(
+        rules("crates/text/src/persist/tests.rs", src),
+        Vec::<&str>::new()
+    );
+}
+
+#[test]
 fn panic_rule_suppressed_by_annotation() {
     let src = "fn f(x: Option<u32>) -> u32 {\n    // LINT-ALLOW(panic): structurally infallible here\n    x.unwrap()\n}\n";
     assert_eq!(
