@@ -39,17 +39,27 @@
 //! corpus size. [`save_segmented`] gives the crash-safe write order and
 //! the rule by which a save reuses a file.
 //!
+//! ## Modules
+//!
+//! One module per file kind, behind one container: `container` (the
+//! file grammar — header, section framing, CRC32 — and the codecs every
+//! payload shares),
+//! `manifest` (`MANIFEST`), `epoch` (`epoch-*.bin`), `segment`
+//! (`seg-*.bin`), `docs` (`docs-*.bin`), and `dir` (atomic writes, the
+//! save, the load and garbage collection). [`file_kind`] reads a file's
+//! kind through the loader's own header check.
+//!
 //! ## Failure model
 //!
 //! Corrupt input — truncation at any byte, bit-flips anywhere, bad
 //! magic/version, oversized section lengths, cross-file inconsistencies
 //! (a manifest naming a missing or stale segment file, duplicate segment
-//! ids, overlapping per-segment doc-id sets) — returns a typed
-//! [`SnapshotError`], never a panic and never an attacker-sized
-//! allocation: section lengths are bounds-checked against the bytes
-//! actually present before any slice is taken, and element counts are
-//! checked against the owning payload's size before any `Vec` is
-//! reserved. `tests/persistence.rs` drives a truncate-every-offset +
+//! ids, overlapping per-segment doc-id sets, a live document no segment
+//! holds) — returns a typed [`SnapshotError`], never a panic and never
+//! an attacker-sized allocation: section lengths are bounds-checked
+//! against the bytes actually present before any slice is taken, and
+//! element counts are checked against the owning payload's size before
+//! any `Vec` is reserved. `tests/persistence.rs` drives a truncate-every-offset +
 //! flip-every-byte suite over every file of a valid snapshot directory
 //! to pin this down.
 //!

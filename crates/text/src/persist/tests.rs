@@ -662,8 +662,10 @@ fn empty_input_is_truncated_not_a_panic() {
 #[test]
 fn oversized_section_length_is_rejected_before_any_slice() {
     let mut bytes = manifest_bytes("oversized");
-    // First section header starts at offset 20; its u64 length at 24.
-    bytes[24..32].copy_from_slice(&u64::MAX.to_le_bytes());
+    // The first section header follows the file header; its u64 length
+    // follows its tag.
+    let len_at = HEADER_LEN + 4;
+    bytes[len_at..len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert!(matches!(
         manifest_from_bytes(&bytes),
         Err(SnapshotError::Truncated { .. })
