@@ -12,9 +12,14 @@
 //!    the generation pinned per query at probe time, including inside
 //!    `search_batch`.
 
+mod support;
+
 use divtopk::engine::prelude::*;
 use divtopk::text::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
+use support::{
+    Queries, Rebuild, Script, assert_matches_rebuild, fixture, interesting_terms, temp_path,
+};
 
 /// A corpus where `hot` appears in docs 0..10 with strictly decreasing
 /// scores (decreasing tf), so every deletion visibly changes the top-k and
@@ -46,14 +51,15 @@ fn concurrent_readers_see_only_whole_snapshots() {
     let options = SearchOptions::new(3).with_tau(0.9);
     let mutations = 6u32;
 
-    // Reference answers per generation, from an offline replica applying
-    // the same mutation schedule (the engine's read path is the replica's
-    // read path, so byte-equality is the expected outcome).
-    let mut replica = SegmentedIndex::build_partitioned(corpus.clone(), 2);
-    let mut references = vec![replica.search_scan(hot, &options).unwrap()];
+    // Reference answers per generation, from the rebuild of an offline
+    // model applying the same mutation schedule (a scan is bit-identical
+    // to the rebuild's, DESIGN.md §9).
+    let query = Query::Scan(hot);
+    let mut model = SegmentedIndex::build(corpus.clone());
+    let mut references = vec![Rebuild::of(&model).search(&query, &options)];
     for g in 0..mutations {
-        replica.delete_docs(&[g]);
-        references.push(replica.search_scan(hot, &options).unwrap());
+        model.delete_docs(&[g]);
+        references.push(Rebuild::of(&model).search(&query, &options));
     }
     for (i, a) in references.iter().enumerate() {
         for b in &references[i + 1..] {
@@ -114,10 +120,11 @@ fn mid_batch_mutation_cannot_serve_cross_generation_hits() {
     let (corpus, hot) = staircase_corpus();
     let options = SearchOptions::new(3).with_tau(0.9);
 
-    let mut replica = SegmentedIndex::build_partitioned(corpus.clone(), 2);
-    let before = replica.search_scan(hot, &options).unwrap();
-    replica.delete_docs(&[0]);
-    let after = replica.search_scan(hot, &options).unwrap();
+    let query = Query::Scan(hot);
+    let mut model = SegmentedIndex::build(corpus.clone());
+    let before = Rebuild::of(&model).search(&query, &options);
+    model.delete_docs(&[0]);
+    let after = Rebuild::of(&model).search(&query, &options);
     assert_ne!(before, after);
 
     for trial in 0..12 {
@@ -175,47 +182,39 @@ fn generation_bump_orphans_every_cache_entry() {
     assert_eq!(s1.cache_entries, 2, "the orphaned entry ages out via LRU");
 }
 
-/// Mutations compose with batch serving: adds, deletes, and compactions
-/// interleaved with batches, with the rebuild-equivalence diagnostic run
-/// at every generation.
+/// Mutations compose with batch serving: a seeded script of adds,
+/// deletes, compactions and checkpoints, with every generation's direct
+/// and batch answers checked against the rebuild oracle.
 #[test]
 fn interleaved_mutations_and_batches_stay_equivalent() {
-    let corpus = generate(&SynthConfig {
-        num_docs: 150,
-        ..SynthConfig::tiny()
-    });
-    let donor = generate(&SynthConfig {
-        num_docs: 220,
-        ..SynthConfig::tiny()
-    });
-    let term = (0..corpus.num_terms() as TermId)
-        .max_by_key(|&t| corpus.doc_freq(t))
-        .unwrap();
-    let engine = Engine::new(corpus, EngineConfig::new(2).with_threads(2));
+    let (base, pool) = fixture(9, 150, 70);
+    let terms = interesting_terms(&base, 2);
+    let queries = Queries::over(&terms, &[2, 5], 0.5);
+    let engine = Engine::new(base.clone(), EngineConfig::new(2).with_threads(2));
     let batch: Vec<(Query, SearchOptions)> = (2..6)
-        .map(|k| (Query::Scan(term), SearchOptions::new(k).with_tau(0.5)))
+        .map(|k| (Query::Scan(terms[0]), SearchOptions::new(k).with_tau(0.5)))
+        .chain([(
+            Query::Keywords(queries.tas[0].clone()),
+            SearchOptions::new(4).with_tau(0.5),
+        )])
         .collect();
-    let mut next = 150u32;
-    for round in 0u32..4 {
-        let adds: Vec<Document> = (next..next + 12).map(|d| donor.doc(d).clone()).collect();
-        let range = engine.add_docs(adds);
-        assert_eq!(range.start, next);
-        next += 12;
-        engine.delete_docs(&[range.start, range.start + 3, round]);
-        if round % 2 == 1 {
-            engine.compact();
-        }
-        engine.verify_rebuild_equivalence().unwrap();
-        // Batch answers equal direct answers on the same (now quiescent)
-        // snapshot — cache entries included, which re-checks that every
-        // cached value is generation-correct.
-        let outs = engine.search_batch(&batch);
-        for ((query, opts), out) in batch.iter().zip(outs) {
-            let out = out.unwrap();
-            let direct = engine.search(query, opts).unwrap();
-            assert_eq!(direct, out, "round {round}");
-        }
-    }
+    let dir = temp_path("interleaved.snapshot");
+    let script = Script::random(9, base.num_docs(), pool, 16, true);
+    script.run(
+        &mut &engine,
+        SegmentedIndex::build(base),
+        Some(&dir),
+        |engine, model| {
+            let rebuild = Rebuild::of(model);
+            assert_matches_rebuild(engine, &rebuild, &queries, "direct");
+            // Batch answers too, cache entries included, which re-checks
+            // that every cached value is generation-correct.
+            for ((query, options), out) in batch.iter().zip(engine.search_batch(&batch)) {
+                rebuild.check(query, options, &out.unwrap(), &format!("batch {query:?}"));
+            }
+        },
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
     let stats = engine.stats();
     assert!(stats.generation >= 8, "every effective mutation bumps");
     assert!(stats.compactions >= 1);

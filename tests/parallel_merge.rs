@@ -13,58 +13,45 @@
 //! deterministic function of that sequence, so the whole `SearchOutput`
 //! must match bit for bit, for every shard count, pool size, and mode.
 
+mod support;
+
 use divtopk::core::WorkerPool;
-use divtopk::core::rng::Pcg;
 use divtopk::engine::prelude::*;
 use divtopk::text::prelude::*;
-use divtopk::text::segments::SegmentedIndex;
+use support::{Queries, Rebuild, Script, assert_matches_rebuild, fixture, interesting_terms};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const POOL_SIZES: [usize; 3] = [1, 2, 4];
 
-fn corpus_for(seed: u64, num_docs: usize) -> Corpus {
-    generate(&SynthConfig {
-        num_docs,
-        near_dup_prob: 0.35, // plenty of near-duplicate structure
-        ..SynthConfig::tiny().with_seed(seed)
-    })
-}
-
-/// Terms with a mid-sized posting list (interesting but tractable).
-fn interesting_terms(corpus: &Corpus, index: &InvertedIndex, count: usize) -> Vec<TermId> {
-    let mut terms: Vec<TermId> = (0..corpus.num_terms() as TermId)
-        .filter(|&t| (6..=60).contains(&index.postings(t).len()))
-        .collect();
-    terms.sort_by_key(|&t| std::cmp::Reverse(index.postings(t).len()));
-    terms.truncate(count);
-    terms
-}
-
-/// A segmented index with `shards` base segments and a deterministic set
-/// of tombstones, so the filtered-merge hooks are on the tested path.
-fn segmented_with_tombstones(corpus: &Corpus, shards: usize, seed: u64) -> SegmentedIndex {
+/// `corpus` on `shards` base segments after a seeded script of adds,
+/// deletes and compactions, so the filtered-merge hooks are on the
+/// tested path; and the rebuild of its live documents.
+fn mutated(
+    corpus: &Corpus,
+    pool: &[Document],
+    shards: usize,
+    seed: u64,
+) -> (SegmentedIndex, Rebuild) {
+    let script = Script::random(seed, corpus.num_docs(), pool.to_vec(), 12, false);
     let mut segmented = SegmentedIndex::build_partitioned(corpus.clone(), shards);
-    let mut rng = Pcg::new(seed);
-    let victims: Vec<DocId> = (0..corpus.num_docs() / 10)
-        .map(|_| rng.below(corpus.num_docs() as u32))
-        .collect();
-    segmented.delete_docs(&victims);
+    let model = SegmentedIndex::build(corpus.clone());
+    let model = script.run(&mut segmented, model, None, |_, _| {});
+    segmented.verify_rebuild_equivalence().unwrap();
     assert!(segmented.tombstones() > 0, "tombstone hook not exercised");
-    segmented
+    (segmented, Rebuild::of(&model))
 }
 
 #[test]
 fn parallel_scan_pull_is_byte_identical_to_sequential() {
     for corpus_seed in [21u64, 22] {
-        let corpus = corpus_for(corpus_seed, 220);
-        let index = InvertedIndex::build(&corpus);
-        let terms = interesting_terms(&corpus, &index, 3);
+        let (corpus, pool) = fixture(corpus_seed, 220, 40);
+        let terms = interesting_terms(&corpus, 3);
         assert!(
             !terms.is_empty(),
             "corpus {corpus_seed} has no usable terms"
         );
         for &shards in &SHARD_COUNTS {
-            let segmented = segmented_with_tombstones(&corpus, shards, corpus_seed);
+            let (segmented, rebuild) = mutated(&corpus, &pool, shards, corpus_seed);
             for &workers in &POOL_SIZES {
                 let pool = WorkerPool::new(workers);
                 for &term in &terms {
@@ -72,13 +59,15 @@ fn parallel_scan_pull_is_byte_identical_to_sequential() {
                         let options = SearchOptions::new(k).with_tau(tau);
                         let want = segmented.search_scan(term, &options).unwrap();
                         let got = segmented.search_scan_pooled(term, &options, &pool).unwrap();
-                        // Total equality: hits, scores, AND all framework
+                        // Total equality with the sequential scan and with
+                        // the rebuild: hits, scores, AND all framework
                         // metrics, including the early-stop point.
-                        assert_eq!(
-                            want, got,
+                        let case = format!(
                             "corpus {corpus_seed} term {term} k {k} τ {tau} \
                              shards {shards} pool {workers}"
                         );
+                        assert_eq!(want, got, "{case}");
+                        rebuild.check(&Query::Scan(term), &options, &got, &case);
                     }
                 }
             }
@@ -89,16 +78,15 @@ fn parallel_scan_pull_is_byte_identical_to_sequential() {
 #[test]
 fn parallel_ta_pull_is_byte_identical_to_sequential() {
     for corpus_seed in [31u64, 32] {
-        let corpus = corpus_for(corpus_seed, 220);
-        let index = InvertedIndex::build(&corpus);
-        let terms = interesting_terms(&corpus, &index, 4);
+        let (corpus, pool) = fixture(corpus_seed, 220, 40);
+        let terms = interesting_terms(&corpus, 4);
         assert!(terms.len() >= 2, "corpus {corpus_seed} has too few terms");
         let queries: Vec<KeywordQuery> = terms
             .windows(2)
             .map(|w| KeywordQuery { terms: w.to_vec() })
             .collect();
         for &shards in &SHARD_COUNTS {
-            let segmented = segmented_with_tombstones(&corpus, shards, corpus_seed);
+            let (segmented, rebuild) = mutated(&corpus, &pool, shards, corpus_seed);
             for &workers in &POOL_SIZES {
                 let pool = WorkerPool::new(workers);
                 for query in &queries {
@@ -106,12 +94,13 @@ fn parallel_ta_pull_is_byte_identical_to_sequential() {
                         let options = SearchOptions::new(k).with_tau(tau);
                         let want = segmented.search_ta(query, &options).unwrap();
                         let got = segmented.search_ta_pooled(query, &options, &pool).unwrap();
-                        assert_eq!(
-                            want, got,
+                        let case = format!(
                             "corpus {corpus_seed} query {:?} k {k} τ {tau} \
                              shards {shards} pool {workers}",
                             query.terms
                         );
+                        assert_eq!(want, got, "{case}");
+                        rebuild.check(&Query::Keywords(query.clone()), &options, &got, &case);
                     }
                 }
             }
@@ -122,15 +111,15 @@ fn parallel_ta_pull_is_byte_identical_to_sequential() {
 /// One layer up, through live mutations (fresh segments from adds, a
 /// growing tombstone set): the engine pulls every query on its own
 /// thread, whatever its segment count, and the pooled pulls over a
-/// mirror index mutated the same way answer byte-identically to it.
+/// mirror index mutated the same way answer byte-identically to it; both
+/// answer what the rebuild does.
 #[test]
 fn engine_answers_equal_pooled_pulls_through_mutations() {
-    let corpus = corpus_for(41, 260);
-    let index = InvertedIndex::build(&corpus);
-    let terms = interesting_terms(&corpus, &index, 3);
+    let (corpus, pool) = fixture(41, 260, 40);
+    let terms = interesting_terms(&corpus, 3);
     assert!(terms.len() >= 2, "corpus has too few usable terms");
-    let donor = corpus_for(42, 40);
-    let pool = WorkerPool::new(4);
+    let queries = Queries::over(&terms, &[5], 0.5);
+    let workers = WorkerPool::new(4);
 
     for &shards in &[2usize, 4] {
         // Cache off so every query runs the engine's real pull path.
@@ -138,39 +127,31 @@ fn engine_answers_equal_pooled_pulls_through_mutations() {
             corpus.clone(),
             EngineConfig::new(shards).with_cache_capacity(0),
         );
-        let mut mirror = SegmentedIndex::build_partitioned(corpus.clone(), shards);
+        let mirror = SegmentedIndex::build_partitioned(corpus.clone(), shards);
         assert_eq!(engine.pull_workers(), 0);
 
-        let mut rng = Pcg::new(0x41 + shards as u64);
-        for round in 0..4 {
+        let seed = 0x41 + shards as u64;
+        let script = Script::random(seed, corpus.num_docs(), pool.clone(), 8, false);
+        script.run(&mut &engine, mirror, None, |engine, mirror| {
+            let case = format!("shards {shards}");
+            assert_matches_rebuild(engine, &Rebuild::of(mirror), &queries, &case);
             for &term in &terms {
                 let options = SearchOptions::new(5).with_tau(0.5);
-                let want = mirror.search_scan_pooled(term, &options, &pool).unwrap();
+                let want = mirror.search_scan_pooled(term, &options, &workers).unwrap();
                 let got = engine.search(&Query::Scan(term), &options).unwrap();
-                assert_eq!(want, got, "scan term {term} round {round} shards {shards}");
+                assert_eq!(want, got, "{case}: scan term {term}");
             }
-            let query = KeywordQuery {
-                terms: vec![terms[0], terms[1]],
-            };
             let options = SearchOptions::new(4).with_tau(0.4);
-            let want = mirror.search_ta_pooled(&query, &options, &pool).unwrap();
-            let got = engine.search(&Query::Keywords(query), &options).unwrap();
-            assert_eq!(want, got, "ta round {round} shards {shards}");
-
-            // Identical mutations on both sides: adds create fresh
-            // segments, deletes grow the tombstone filter.
-            let batch: Vec<Document> = (round * 8..round * 8 + 8)
-                .map(|d| donor.doc(d as DocId).clone())
-                .collect();
-            engine.add_docs(batch.clone());
-            mirror.add_docs(batch);
-            let victims: Vec<DocId> = (0..5)
-                .map(|_| rng.below(corpus.num_docs() as u32))
-                .collect();
-            engine.delete_docs(&victims);
-            mirror.delete_docs(&victims);
-        }
+            let want = mirror
+                .search_ta_pooled(&queries.tas[0], &options, &workers)
+                .unwrap();
+            let got = engine
+                .search(&Query::Keywords(queries.tas[0].clone()), &options)
+                .unwrap();
+            assert_eq!(want, got, "{case}: ta");
+        });
         let stats = engine.stats();
+        assert!(stats.tombstones > 0, "no delete grew the tombstone filter");
         assert!(stats.segments > shards, "no add produced a fresh segment");
         assert_eq!(stats.parallel_pulls, 0);
     }

@@ -1,59 +1,33 @@
 //! Cold-start persistence suite (DESIGN.md §14): a loaded snapshot must
-//! serve **byte-identically** to the engine that saved it, and corrupt
-//! input must come back as a typed [`SnapshotError`] — never a panic.
-//!
-//! Byte-equality is pinned the same way PR 3/4 pinned shards and
-//! segments: full [`SearchOutput`] equality (hits, total score, metrics —
-//! early-stop point included) between the in-memory state and the loaded
-//! state, plus the data-level `verify_rebuild_equivalence` oracle run
-//! directly on the loaded [`SegmentedIndex`]. The corruption half covers
+//! serve what the rebuild of the saved state serves (`tests/support`'s
+//! oracle: scans bit for bit, TA queries exactly), and corrupt input must
+//! come back as a typed [`SnapshotError`] — never a panic. The corruption
+//! half covers
 //! the multi-file layout: every file of a valid snapshot directory is
 //! truncated at every byte offset and bit-flipped in every byte, and
 //! cross-file inconsistencies (a manifest naming a missing file, files
 //! swapped between names) are asserted typed as well.
 
-use divtopk::engine::{Engine, EngineConfig, Query};
+mod support;
+
+use divtopk::engine::{Engine, EngineConfig};
 use divtopk::text::chunked::CHUNK;
 use divtopk::text::persist::{self, SnapshotError};
 use divtopk::text::prelude::*;
-use divtopk_core::rng::Pcg;
 use std::path::PathBuf;
-
-fn base(n: usize) -> Corpus {
-    generate(&SynthConfig {
-        num_docs: n,
-        ..SynthConfig::tiny()
-    })
-}
-
-fn busy_term(c: &Corpus) -> TermId {
-    (0..c.num_terms() as TermId)
-        .max_by_key(|&t| c.doc_freq(t))
-        .unwrap()
-}
-
-fn ta_query(c: &Corpus) -> KeywordQuery {
-    let mut terms: Vec<TermId> = (0..c.num_terms() as TermId)
-        .filter(|&t| c.doc_freq(t) >= 6)
-        .collect();
-    terms.sort_by_key(|&t| std::cmp::Reverse(c.doc_freq(t)));
-    terms.truncate(2);
-    assert_eq!(terms.len(), 2, "need two busy terms");
-    KeywordQuery { terms }
-}
+use support::{
+    Op, Queries, Rebuild, Script, assert_matches_rebuild, fixture, interesting_terms, split,
+    temp_path,
+};
 
 /// A mutated serving state: base epoch + live adds + deletes + one
 /// compaction — segments, tombstones, and a bumped compaction counter
 /// all present in what gets persisted.
 fn mutated_state() -> SegmentedIndex {
-    let corpus = base(120);
-    let donor = generate(&SynthConfig {
-        num_docs: 160,
-        ..SynthConfig::tiny()
-    });
+    let (corpus, pool) = split(&generate(&SynthConfig::tiny().with_num_docs(160)), 120);
     let mut seg = SegmentedIndex::build_partitioned(corpus, 2);
-    seg.add_docs((120..136u32).map(|d| donor.doc(d).clone()).collect());
-    seg.add_docs((136..150u32).map(|d| donor.doc(d).clone()).collect());
+    seg.add_docs(pool[..16].to_vec());
+    seg.add_docs(pool[16..30].to_vec());
     seg.delete_docs(&[0, 7, 121, 140]);
     assert!(seg.compact() > 0);
     seg
@@ -106,14 +80,6 @@ fn saved_small_state(name: &str) -> PathBuf {
     kinds.sort_unstable();
     assert_eq!(kinds, [persist::KIND_SEGMENT, persist::KIND_SEGMENT_IDS]);
     dir
-}
-
-/// A process-unique scratch path; any directory left over from a
-/// previous crashed run is removed first.
-fn temp_path(name: &str) -> PathBuf {
-    let path = std::env::temp_dir().join(format!("divtopk-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&path);
-    path
 }
 
 /// Names of every file in a snapshot directory.
@@ -173,88 +139,44 @@ fn segmented_round_trip_serves_byte_identically() {
     assert_eq!(loaded.next_segment_id(), seg.next_segment_id());
     // The PR 4 oracle holds on the *loaded* state directly.
     loaded.verify_rebuild_equivalence().unwrap();
-    // Scan reads are byte-equal — hits, total score, and every metric,
-    // early-stop point included.
-    let term = busy_term(seg.corpus());
-    for k in [1usize, 5, 10] {
-        let options = SearchOptions::new(k).with_tau(0.4);
-        assert_eq!(
-            seg.search_scan(term, &options).unwrap(),
-            loaded.search_scan(term, &options).unwrap(),
-            "scan k={k}"
-        );
-    }
-    // TA reads too: the loaded segments are bit-identical and in the same
-    // order, so the whole pull sequence (and with it the output struct)
-    // reproduces exactly.
-    let query = ta_query(seg.corpus());
+    // The loaded state serves what the rebuild of the saved one does.
+    let queries = Queries::over(&interesting_terms(seg.corpus(), 2), &[1, 5, 10], 0.4);
+    assert_matches_rebuild(&loaded, &Rebuild::of(&seg), &queries, "loaded");
+    // TA reads are byte-equal too: the loaded segments are bit-identical
+    // and in the same order, so the whole pull sequence (and with it the
+    // output struct) reproduces exactly.
     let options = SearchOptions::new(5).with_tau(0.4);
     assert_eq!(
-        seg.search_ta(&query, &options).unwrap(),
-        loaded.search_ta(&query, &options).unwrap()
+        seg.search_ta(&queries.tas[0], &options).unwrap(),
+        loaded.search_ta(&queries.tas[0], &options).unwrap()
     );
 }
 
 #[test]
 fn random_mutation_scripts_round_trip() {
-    let mut rng = Pcg::new(0x5EED_CAFE);
     // One directory reused across all trials: every trial's state is a
     // *different lineage*, whose pieces remember no file of the
     // directory, so each save must rewrite (never silently reuse) the
     // files the previous trial left under the same names.
     let dir = temp_path("scripts.snapshot");
-    for trial in 0..5 {
-        let donor = generate(&SynthConfig {
-            num_docs: 200,
-            ..SynthConfig::tiny()
-        });
-        let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
-        for d in 0..80u32 {
-            builder.add_document(donor.doc(d).clone());
-        }
-        let mut seg = SegmentedIndex::build(builder.build());
-        let mut next = 80u32;
-        for _ in 0..12 {
-            match rng.below(3) {
-                0 if (next as usize) < 200 => {
-                    let take = (1 + rng.below(8)).min(200 - next);
-                    let batch: Vec<Document> =
-                        (next..next + take).map(|d| donor.doc(d).clone()).collect();
-                    seg.add_docs(batch);
-                    next += take;
-                }
-                1 => {
-                    let victims: Vec<DocId> =
-                        (0..3).map(|_| rng.below(seg.num_docs() as u32)).collect();
-                    seg.delete_docs(&victims);
-                }
-                _ => {
-                    seg.compact();
-                }
-            }
-        }
+    for trial in 0..5u64 {
+        let (base, pool) = fixture(trial, 80, 120);
+        let queries = Queries::over(&interesting_terms(&base, 2), &[1, 5, 10], 0.5);
+        let script = Script::random(trial, base.num_docs(), pool, 12, true);
+        let mut seg = SegmentedIndex::build(base.clone());
+        let model = script.run(&mut seg, SegmentedIndex::build(base), Some(&dir), |_, _| {});
         persist::save_segmented(&dir, &seg, trial).unwrap();
         let (loaded, generation) = persist::load_segmented(&dir).unwrap();
         assert_eq!(generation, trial);
-        loaded.verify_rebuild_equivalence().unwrap();
-        let term = busy_term(seg.corpus());
-        let options = SearchOptions::new(5).with_tau(0.5);
-        assert_eq!(
-            seg.search_scan(term, &options).unwrap(),
-            loaded.search_scan(term, &options).unwrap(),
-            "trial {trial}"
-        );
+        let case = script.replay(script.ops.len() - 1);
+        assert_matches_rebuild(&loaded, &Rebuild::of(&model), &queries, &case);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn incremental_checkpoints_reuse_files_and_load_identically() {
-    let corpus = base(120);
-    let donor = generate(&SynthConfig {
-        num_docs: 160,
-        ..SynthConfig::tiny()
-    });
+    let (corpus, pool) = fixture(7, 120, 30);
     let mut seg = SegmentedIndex::build_partitioned(corpus, 2);
     let dir = temp_path("incremental.snapshot");
     let first = persist::save_segmented(&dir, &seg, 1).unwrap();
@@ -263,9 +185,8 @@ fn incremental_checkpoints_reuse_files_and_load_identically() {
     // Checkpoint after every mutation; each one must reuse the prior
     // files and write strictly less than the full snapshot.
     let mut generation = 1;
-    for round in 0..3u32 {
-        let lo = 120 + round * 10;
-        seg.add_docs((lo..lo + 10).map(|d| donor.doc(d).clone()).collect());
+    for (round, batch) in (0u32..).zip(pool.chunks(10)) {
+        seg.add_docs(batch.to_vec());
         seg.delete_docs(&[round, 50 + round]);
         generation += 1;
         let report = persist::save_segmented(&dir, &seg, generation).unwrap();
@@ -292,30 +213,19 @@ fn diverged_lineages_rewrite_the_segment_id_they_share() {
     // lineage then adds a batch of `CHUNK` different documents, saved as
     // posting lists, at the same doc ids. (A smaller batch is saved as
     // its doc ids, the same bytes in both lineages, and is reused.)
-    let batch = CHUNK as u32;
-    let donor = generate(&SynthConfig {
-        num_docs: 1100 + 2 * CHUNK,
-        ..SynthConfig::tiny()
-    });
-    let base_docs = || {
-        let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
-        for d in 0..1100u32 {
-            builder.add_document(donor.doc(d).clone());
-        }
-        builder.build()
-    };
+    let (base, pool) = fixture(7, 1100, 2 * CHUNK);
     let dir = temp_path("lineages.snapshot");
     let config = EngineConfig::new(2).with_threads(1);
-    Engine::new(base_docs(), config.clone())
+    Engine::new(base, config.clone())
         .save_snapshot(&dir)
         .unwrap();
     let a = Engine::load_snapshot(&dir, &config).unwrap();
     let b = Engine::load_snapshot(&dir, &config).unwrap();
     // Both mint segment id 2 (the base holds 0 and 1), over different
     // documents.
-    let from = |lo: u32| (lo..lo + batch).map(|d| donor.doc(d).clone()).collect();
-    a.add_docs(from(1100));
-    b.add_docs(from(1100 + batch));
+    let (batch_a, batch_b) = pool.split_at(CHUNK);
+    a.add_docs(batch_a.to_vec());
+    b.add_docs(batch_b.to_vec());
     // Segment 2's file, whichever lineage wrote it last: its name ends
     // in its CRC, so the two lineages' files have different names.
     let shared = |dir: &PathBuf| {
@@ -354,11 +264,11 @@ fn a_resave_after_a_mutation_reuses_the_epoch_file() {
     // corpus is a clone of the saved one, so it shares the saved epoch's
     // stamp: written are the new segment, the tail chunk and the
     // manifest; reused are the epoch and both base segments.
-    let donor = base(130);
-    let mut seg = SegmentedIndex::build_partitioned(base(120), 2);
+    let (corpus, pool) = fixture(7, 120, 10);
+    let mut seg = SegmentedIndex::build_partitioned(corpus, 2);
     let dir = temp_path("epoch-reuse.snapshot");
     persist::save_segmented(&dir, &seg, 1).unwrap();
-    seg.add_docs((120..130u32).map(|d| donor.doc(d).clone()).collect());
+    seg.add_docs(pool);
     let report = persist::save_segmented(&dir, &seg, 2).unwrap();
     assert_eq!(
         (report.files_written, report.files_reused),
@@ -435,21 +345,19 @@ fn a_failed_save_leaves_the_previous_snapshot_loadable() {
     // still load the first save's state. Two second states: the same
     // lineage after an add and a delete (a new segment and a grown tail
     // chunk), and another lineage (every file, its segment ids shared).
-    let donor = base(136);
-    let first = SegmentedIndex::build_partitioned(base(120), 2);
+    let (corpus, pool) = fixture(7, 120, 16);
+    let first = SegmentedIndex::build_partitioned(corpus, 2);
     let dir = temp_path("failed-save.first");
     persist::save_segmented(&dir, &first, 1).unwrap();
-    let term = busy_term(first.corpus());
-    let query = ta_query(first.corpus());
-    let options = SearchOptions::new(5).with_tau(0.5);
+    let queries = Queries::over(&interesting_terms(first.corpus(), 2), &[5], 0.5);
     let second = |same_lineage: bool| {
         if same_lineage {
             let mut second = first.clone();
-            second.add_docs((120..136u32).map(|d| donor.doc(d).clone()).collect());
+            second.add_docs(pool.clone());
             second.delete_docs(&[3]);
             second
         } else {
-            SegmentedIndex::build_partitioned(donor.clone(), 2)
+            SegmentedIndex::build_partitioned(fixture(8, 136, 0).0, 2)
         }
     };
     for (what, same_lineage) in [("same lineage", true), ("another lineage", false)] {
@@ -475,27 +383,15 @@ fn a_failed_save_leaves_the_previous_snapshot_loadable() {
             let (loaded, generation) = persist::load_segmented(&run)
                 .unwrap_or_else(|e| panic!("{what}, {name} blocked: {e}"));
             assert_eq!(generation, 1, "{what}, {name} blocked");
-            loaded.verify_rebuild_equivalence().unwrap();
-            assert_eq!(
-                first.search_scan(term, &options).unwrap(),
-                loaded.search_scan(term, &options).unwrap(),
-                "{what}, {name} blocked"
-            );
-            assert_eq!(
-                first.search_ta(&query, &options).unwrap(),
-                loaded.search_ta(&query, &options).unwrap(),
-                "{what}, {name} blocked"
-            );
+            let case = format!("{what}, {name} blocked");
+            assert_matches_rebuild(&loaded, &Rebuild::of(&first), &queries, &case);
             // Once the name is free again, the save lands.
             std::fs::remove_dir(run.join(name)).unwrap();
             persist::save_segmented(&run, &state, 2).unwrap();
             let (loaded, generation) = persist::load_segmented(&run).unwrap();
             assert_eq!(generation, 2);
-            assert_eq!(
-                state.search_scan(term, &options).unwrap(),
-                loaded.search_scan(term, &options).unwrap(),
-                "{what}, {name} unblocked"
-            );
+            let case = format!("{what}, {name} unblocked");
+            assert_matches_rebuild(&loaded, &Rebuild::of(&state), &queries, &case);
             std::fs::remove_dir_all(&run).unwrap();
         }
         // Among them a segment file and the grown or foreign chunk: no
@@ -512,22 +408,11 @@ fn concurrent_saves_of_one_engine_all_succeed() {
     // together: the saves share temp-file names and each collects the
     // directory's garbage, so unless they run one at a time one deletes
     // the other's temp file mid-write.
-    let donor = generate(&SynthConfig {
-        num_docs: 220,
-        ..SynthConfig::tiny()
-    });
-    let engine = Engine::new(base(100), EngineConfig::new(2).with_threads(1));
+    let (corpus, pool) = fixture(7, 100, 120);
+    let engine = Engine::new(corpus, EngineConfig::new(2).with_threads(1));
     let dir = temp_path("concurrent.snapshot");
-    let mut next = 100u32;
-    for round in 0..20 {
-        let batches: Vec<Vec<Document>> = (0..3)
-            .map(|i| {
-                (next + 2 * i..next + 2 * i + 2)
-                    .map(|d| donor.doc(d).clone())
-                    .collect()
-            })
-            .collect();
-        next += 6;
+    for (round, docs) in pool.chunks(6).enumerate() {
+        let batches: Vec<Vec<Document>> = docs.chunks(2).map(<[Document]>::to_vec).collect();
         let start = std::sync::Barrier::new(3);
         std::thread::scope(|scope| {
             let savers: Vec<_> = (0..2)
@@ -564,15 +449,14 @@ fn concurrent_saves_of_one_engine_all_succeed() {
 
 #[test]
 fn engine_snapshot_round_trip_preserves_generation_and_answers() {
-    let corpus = base(150);
-    let donor = generate(&SynthConfig {
-        num_docs: 180,
-        ..SynthConfig::tiny()
-    });
-    let engine = Engine::new(corpus, EngineConfig::new(2).with_threads(2));
-    engine.add_docs((150..165u32).map(|d| donor.doc(d).clone()).collect());
-    engine.delete_docs(&[3, 151]);
-    engine.compact();
+    let (corpus, pool) = fixture(7, 150, 15);
+    let engine = Engine::new(corpus.clone(), EngineConfig::new(2).with_threads(2));
+    let script = Script {
+        seed: 0,
+        pool,
+        ops: vec![Op::Add(0..15), Op::Delete(vec![3, 151]), Op::Compact],
+    };
+    let model = script.run(&mut &engine, SegmentedIndex::build(corpus), None, |_, _| {});
     let generation = engine.generation();
     assert!(generation >= 2);
 
@@ -595,43 +479,21 @@ fn engine_snapshot_round_trip_preserves_generation_and_answers() {
     assert_eq!(stats.configured_shards, 1);
     assert!(stats.layout_from_snapshot);
     assert!(!engine.stats().layout_from_snapshot);
-    loaded.verify_rebuild_equivalence().unwrap();
-
-    // Every query class answers byte-identically to the saved engine.
-    let term = busy_term(&engine.corpus());
-    let query = ta_query(&engine.corpus());
-    for k in [1usize, 4, 8] {
-        let options = SearchOptions::new(k).with_tau(0.5);
-        assert_eq!(
-            engine.search(&Query::Scan(term), &options).unwrap(),
-            loaded.search(&Query::Scan(term), &options).unwrap(),
-            "scan k={k}"
-        );
-        assert_eq!(
-            engine
-                .search(&Query::Keywords(query.clone()), &options)
-                .unwrap(),
-            loaded
-                .search(&Query::Keywords(query.clone()), &options)
-                .unwrap(),
-            "ta k={k}"
-        );
-    }
+    // Every query class answers what the rebuild of the saved state does.
+    let queries = Queries::over(&interesting_terms(&engine.corpus(), 2), &[1, 4, 8], 0.5);
+    assert_matches_rebuild(&&loaded, &Rebuild::of(&model), &queries, "loaded engine");
 }
 
 #[test]
 fn loaded_engine_keeps_mutating_from_where_it_stood() {
-    let engine = Engine::new(base(100), EngineConfig::new(2).with_threads(1));
+    let (corpus, pool) = fixture(7, 100, 10);
+    let engine = Engine::new(corpus, EngineConfig::new(2).with_threads(1));
     engine.delete_docs(&[5]);
     let path = temp_path("resume.snapshot");
     engine.save_snapshot(&path).unwrap();
     let loaded = Engine::load_snapshot(&path, &EngineConfig::default()).unwrap();
     std::fs::remove_dir_all(&path).unwrap();
-    let donor = generate(&SynthConfig {
-        num_docs: 120,
-        ..SynthConfig::tiny()
-    });
-    let range = loaded.add_docs((100..110u32).map(|d| donor.doc(d).clone()).collect());
+    let range = loaded.add_docs(pool);
     assert_eq!(range, 100..110);
     assert_eq!(loaded.generation(), engine.generation() + 1);
     assert_eq!(loaded.delete_docs(&[105]), 1);

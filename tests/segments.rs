@@ -1,114 +1,26 @@
 //! Rebuild-equivalence property suite for the segmented live-update index
-//! (`divtopk_text::segments`, DESIGN.md §9).
-//!
-//! The load-bearing claim of the live-update path is **rebuild
-//! equivalence**: after *any* interleaving of `add_docs` / `delete_docs` /
-//! `compact`, the segmented read path serves exactly what a from-scratch
-//! `InvertedIndex::build` of the surviving documents (under the same
-//! frozen statistics epoch) would serve.
-//!
-//! * For **scan** (single-keyword, incremental) queries the guarantee is
-//!   structural and total: the tombstone-filtered merge of per-segment
-//!   scans emits the exact rebuilt posting order with the exact rebuilt
-//!   bound sequence, so the whole framework run — hits, total score, *and
-//!   every metric counter, including the early-stop point* — is
-//!   bit-for-bit identical.
-//! * For **TA** (multi-keyword, bounding) queries every per-segment source
-//!   emits only certified results, in score order, so the filtered merge
-//!   emits the rebuilt TA's ranking (pinned here up to the order of
-//!   bit-equal scores). The merged bound trajectory, and with it the stop
-//!   point, legitimately differs from the rebuilt single TA (same as the
-//!   shard axis, DESIGN.md §8), so the search guarantee is exactness:
-//!   equal total score, valid pairwise-dissimilar live hits — and
-//!   identical hit *lists* whenever the optimum is unique, which the
-//!   distinct-score check makes the common case.
+//! (`divtopk_text::segments`, DESIGN.md §9): after *any* interleaving of
+//! `add_docs` / `delete_docs` / `compact`, the segmented read path serves
+//! what a from-scratch `InvertedIndex::build` of the surviving documents
+//! (under the same frozen statistics epoch) would serve — scans bit for
+//! bit, TA queries exactly (`tests/support`'s oracle). The merged TA
+//! ranking and the bounds around a tombstoned segment head are pinned
+//! here too.
 
-use divtopk::core::rng::Pcg;
+mod support;
+
 use divtopk::core::{MergedSource, ResultSource, UnseenBound};
 use divtopk::text::prelude::*;
 use divtopk::text::tfidf;
-
-/// Generates a donor corpus and splits it: the first `base` docs become
-/// the frozen-statistics base epoch, the rest form the add-pool (same
-/// synthetic vocabulary, so every pooled doc is valid under the epoch).
-fn base_and_pool(seed: u64, base: usize, extra: usize) -> (Corpus, Vec<Document>) {
-    let donor = generate(&SynthConfig {
-        num_docs: base + extra,
-        near_dup_prob: 0.35, // plenty of near-duplicate structure
-        ..SynthConfig::tiny().with_seed(seed)
-    });
-    let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
-    for d in 0..base as DocId {
-        builder.add_document(donor.doc(d).clone());
-    }
-    let pool = (base..base + extra)
-        .map(|d| donor.doc(d as DocId).clone())
-        .collect();
-    (builder.build(), pool)
-}
-
-/// Busy-but-tractable query terms under the frozen epoch.
-fn interesting_terms(corpus: &Corpus, count: usize) -> Vec<TermId> {
-    let mut terms: Vec<TermId> = (0..corpus.num_terms() as TermId)
-        .filter(|&t| (6..=60).contains(&corpus.doc_freq(t)))
-        .collect();
-    terms.sort_by_key(|&t| std::cmp::Reverse(corpus.doc_freq(t)));
-    terms.truncate(count);
-    terms
-}
-
-/// One random mutation: an add from `pool` (half the time, while it
-/// lasts), a delete of up to six random docs, or a compaction.
-fn random_mutation(seg: &mut SegmentedIndex, pool: &mut Vec<Document>, rng: &mut Pcg) {
-    match rng.below(4) {
-        0 | 1 if !pool.is_empty() => {
-            let take = (1 + rng.below(10) as usize).min(pool.len());
-            let batch: Vec<Document> = pool.drain(..take).collect();
-            seg.add_docs(batch);
-        }
-        2 => {
-            let n = seg.num_docs() as u32;
-            let victims: Vec<DocId> = (0..1 + rng.below(6)).map(|_| rng.below(n)).collect();
-            seg.delete_docs(&victims);
-        }
-        _ => {
-            seg.compact();
-        }
-    }
-}
+use support::{
+    Coverage, Queries, Rebuild, Script, assert_matches_rebuild, fixture, interesting_terms,
+};
 
 /// Drains a source into its `(doc, score bits)` emission sequence.
 fn ranking<S: ResultSource<Item = DocId>>(mut source: S) -> Vec<(DocId, u64)> {
     std::iter::from_fn(|| source.next_result())
         .map(|r| (r.item, r.score.get().to_bits()))
         .collect()
-}
-
-/// True when every selected hit's score is unique among all matched live
-/// docs (⇒ the optimum set is unique; see `tests/engine.rs`).
-fn hits_have_unique_scores(
-    corpus: &Corpus,
-    index: &InvertedIndex,
-    terms: &[TermId],
-    hits: &[Hit],
-) -> bool {
-    use std::collections::BTreeSet;
-    let mut docs: BTreeSet<DocId> = BTreeSet::new();
-    for &t in terms {
-        docs.extend(index.postings(t).iter().map(|p| p.doc));
-    }
-    let matched: Vec<f64> = docs
-        .iter()
-        .map(|&d| tfidf::score(corpus, terms, d).get())
-        .collect();
-    hits.iter().all(|h| {
-        let s = h.score.get();
-        let near = matched
-            .iter()
-            .filter(|&&m| (m - s).abs() <= 1e-9 * s.abs().max(1.0))
-            .count();
-        near == 1 // the hit itself, nothing else
-    })
 }
 
 /// The satellite-1 property: random interleavings of adds, deletes, and
@@ -118,79 +30,30 @@ fn hits_have_unique_scores(
 /// that takes it past 48 results.
 #[test]
 fn random_interleavings_serve_exactly_the_rebuilt_index() {
-    let mut ta_identical = 0usize;
-    let mut longest_pull = 0u64;
+    let mut coverage = Coverage::default();
     for seed in [3u64, 5, 8] {
-        let (base, mut pool) = base_and_pool(seed, 130, 70);
-        let terms = interesting_terms(&base, 3);
+        let (base, pool) = fixture(seed, 130, 70);
+        let terms = interesting_terms(&base, 2);
         assert!(terms.len() >= 2, "seed {seed}: not enough usable terms");
-        let ta_query = KeywordQuery {
-            terms: terms[..2].to_vec(),
-        };
-        let mut seg = SegmentedIndex::build(base);
-        let mut rng = Pcg::new(seed ^ 0xD1CE);
-        for step in 0..14 {
-            // One random mutation…
-            random_mutation(&mut seg, &mut pool, &mut rng);
-            // …then the data-level invariant…
-            seg.verify_rebuild_equivalence()
-                .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
-            // …and the behavioural one, against the rebuild oracle.
-            let rebuilt = seg.rebuilt_index();
-            let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
-            for k in [1usize, 5, 10, 40] {
-                let options = SearchOptions::new(k).with_tau(0.5);
-                for &term in &terms {
-                    let want = searcher.search_scan(term, &options).unwrap();
-                    let got = seg.search_scan(term, &options).unwrap();
-                    // Total equality: hits, scores, AND all framework
-                    // metrics (results pulled, inner searches, early stop).
-                    assert_eq!(want, got, "seed {seed} step {step} term {term} k {k}");
-                    longest_pull = longest_pull.max(got.metrics.results_generated);
-                }
-                let want = searcher.search_ta(&ta_query, &options).unwrap();
-                let got = seg.search_ta(&ta_query, &options).unwrap();
-                longest_pull = longest_pull.max(
-                    got.metrics
-                        .results_generated
-                        .min(want.metrics.results_generated),
-                );
-                assert!(
-                    got.total_score.approx_eq(want.total_score, 1e-9),
-                    "seed {seed} step {step} k {k}: TA optimum {} vs rebuilt {}",
-                    got.total_score,
-                    want.total_score
-                );
-                for (i, h) in got.hits.iter().enumerate() {
-                    assert!(seg.is_live(h.doc), "tombstoned doc {} served", h.doc);
-                    for other in &got.hits[i + 1..] {
-                        let s = weighted_jaccard(
-                            seg.corpus(),
-                            seg.corpus().doc(h.doc),
-                            seg.corpus().doc(other.doc),
-                        );
-                        assert!(s <= 0.5, "seed {seed} step {step}: similar hits");
-                    }
-                }
-                if hits_have_unique_scores(seg.corpus(), &rebuilt, &ta_query.terms, &want.hits) {
-                    assert_eq!(
-                        want.hits, got.hits,
-                        "seed {seed} step {step} k {k}: unique optimum must match"
-                    );
-                    ta_identical += 1;
-                }
-            }
-        }
+        let queries = Queries::over(&terms, &[1, 5, 10, 40], 0.5);
+        let script = Script::random(seed, base.num_docs(), pool, 10, false);
+        let mut seg = SegmentedIndex::build(base.clone());
+        let case = format!("seed {seed}");
+        script.run(&mut seg, SegmentedIndex::build(base), None, |seg, model| {
+            coverage += assert_matches_rebuild(seg, &Rebuild::of(model), &queries, &case);
+        });
     }
     assert!(
-        ta_identical >= 20,
-        "too few unique-optimum TA cases exercised ({ta_identical})"
+        coverage.ta_identical >= 20,
+        "too few unique-optimum TA cases exercised ({})",
+        coverage.ta_identical
     );
     // Some compared query must grow a long graph on both layouts, or this
     // suite no longer holds long pulls to the rebuilt index.
     assert!(
-        longest_pull > 48,
-        "no compared query pulled past 48 results (longest: {longest_pull})"
+        coverage.longest_pull > 48,
+        "no compared query pulled past 48 results (longest: {})",
+        coverage.longest_pull
     );
 }
 
@@ -204,7 +67,7 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
 fn merged_ta_emits_the_rebuilt_ranking_on_every_layout() {
     let mut compared = 0usize;
     for parts in [1usize, 2, 4, 8] {
-        let (base, mut pool) = base_and_pool(40 + parts as u64, 130, 70);
+        let (base, pool) = fixture(40 + parts as u64, 130, 70);
         let terms = interesting_terms(&base, 4);
         assert!(terms.len() >= 4, "S {parts}: not enough usable terms");
         let queries: Vec<KeywordQuery> = [[0, 1], [2, 3], [0, 3]]
@@ -213,19 +76,18 @@ fn merged_ta_emits_the_rebuilt_ranking_on_every_layout() {
                 terms: pair.iter().map(|&i| terms[i]).collect(),
             })
             .collect();
-        let mut seg = SegmentedIndex::build_partitioned(base, parts);
-        let mut rng = Pcg::new(parts as u64 ^ 0x7A11);
-        for step in 0..12 {
-            random_mutation(&mut seg, &mut pool, &mut rng);
-            let rebuilt = seg.rebuilt_index();
+        let script = Script::random(parts as u64, base.num_docs(), pool, 12, false);
+        let mut seg = SegmentedIndex::build_partitioned(base.clone(), parts);
+        script.run(&mut seg, SegmentedIndex::build(base), None, |seg, model| {
+            let rebuilt = model.rebuilt_index();
             for query in &queries {
                 let got = ranking(MergedSource::bounding_filtered(
                     seg.ta_sources(query),
                     |d: &DocId| seg.is_live(*d),
                 ));
-                let want = ranking(TaSource::new(seg.corpus(), &rebuilt, &query.terms));
+                let want = ranking(TaSource::new(model.corpus(), &rebuilt, &query.terms));
                 compared += 1;
-                let case = format!("S {parts} step {step} query {:?}", query.terms);
+                let case = format!("S {parts} query {:?}", query.terms);
                 let bits = |v: &[(DocId, u64)]| v.iter().map(|&(_, b)| b).collect::<Vec<_>>();
                 assert_eq!(bits(&got), bits(&want), "{case}: score sequence");
                 let by_score = |v: &[(DocId, u64)]| {
@@ -239,7 +101,7 @@ fn merged_ta_emits_the_rebuilt_ranking_on_every_layout() {
                     "{case}: documents per score"
                 );
             }
-        }
+        });
     }
     assert_eq!(compared, 4 * 12 * 3);
 }
@@ -301,14 +163,8 @@ fn tombstoned_bound_head_keeps_scan_bounds_monotone_and_oracle_exact() {
     }
     assert!(emitted >= 5, "fixture lost its live postings");
     // Early termination matches the oracle exactly (metrics included).
-    let rebuilt = seg.rebuilt_index();
-    let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
-    for (k, tau) in [(2usize, 0.3f64), (3, 0.9)] {
-        let options = SearchOptions::new(k).with_tau(tau);
-        let want = searcher.search_scan(heavy, &options).unwrap();
-        let got = seg.search_scan(heavy, &options).unwrap();
-        assert_eq!(want, got, "k {k} τ {tau}");
-    }
+    let queries = Queries::new(vec![heavy], vec![], &[(2, 0.3), (3, 0.9)]);
+    assert_matches_rebuild(&seg, &Rebuild::of(&seg), &queries, "bound head");
 }
 
 /// Satellite 3 (TA half): with the threshold-carrying head tombstoned,
@@ -360,19 +216,22 @@ fn tombstoned_bound_head_keeps_ta_bounds_monotone_and_exact() {
     }
     assert_eq!(returned.len(), live_scores.len(), "live docs lost");
     // Exactness end to end, hits identical (fixture scores are distinct).
+    let queries = Queries::new(vec![], vec![query], &[(3, 0.5)]);
+    assert_matches_rebuild(&seg, &Rebuild::of(&seg), &queries, "bound head");
     let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
     let options = SearchOptions::new(3).with_tau(0.5);
-    let want = searcher.search_ta(&query, &options).unwrap();
-    let got = seg.search_ta(&query, &options).unwrap();
-    assert!(got.total_score.approx_eq(want.total_score, 1e-9));
-    assert_eq!(want.hits, got.hits);
+    let want = searcher.search_ta(&queries.tas[0], &options).unwrap();
+    assert_eq!(
+        want.hits,
+        seg.search_ta(&queries.tas[0], &options).unwrap().hits
+    );
 }
 
 /// Compaction in the middle of a mutation stream preserves equivalence
 /// even when it purges the majority of a segment.
 #[test]
 fn compaction_after_heavy_deletion_stays_equivalent() {
-    let (base, pool) = base_and_pool(21, 100, 40);
+    let (base, pool) = fixture(21, 100, 40);
     let terms = interesting_terms(&base, 2);
     let mut seg = SegmentedIndex::build(base);
     // Several small segments…
@@ -383,26 +242,15 @@ fn compaction_after_heavy_deletion_stays_equivalent() {
     let victims: Vec<DocId> = (100..132u32).collect();
     seg.delete_docs(&victims);
     while seg.compact() > 0 {}
-    seg.verify_rebuild_equivalence().unwrap();
-    let rebuilt = seg.rebuilt_index();
-    let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
-    for &term in &terms {
-        for k in [1usize, 5, 10] {
-            let options = SearchOptions::new(k).with_tau(0.4);
-            assert_eq!(
-                searcher.search_scan(term, &options).unwrap(),
-                seg.search_scan(term, &options).unwrap(),
-                "term {term} k {k}"
-            );
-        }
-    }
+    let queries = Queries::over(&terms, &[1, 5, 10], 0.4);
+    assert_matches_rebuild(&seg, &Rebuild::of(&seg), &queries, "heavy deletion");
 }
 
 /// Deleting every matching document serves the empty answer, exactly like
 /// a rebuild with those documents gone.
 #[test]
 fn deleting_every_match_yields_the_rebuilt_empty_answer() {
-    let (base, _) = base_and_pool(31, 80, 0);
+    let (base, _) = fixture(31, 80, 0);
     let term = interesting_terms(&base, 1)[0];
     let mut seg = SegmentedIndex::build(base);
     let victims: Vec<DocId> = seg
@@ -413,12 +261,9 @@ fn deleting_every_match_yields_the_rebuilt_empty_answer() {
         .collect();
     assert!(!victims.is_empty());
     seg.delete_docs(&victims);
-    let rebuilt = seg.rebuilt_index();
-    assert!(rebuilt.postings(term).is_empty());
-    let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
+    assert!(seg.rebuilt_index().postings(term).is_empty());
+    let queries = Queries::new(vec![term], vec![], &[(5, 0.5)]);
+    assert_matches_rebuild(&seg, &Rebuild::of(&seg), &queries, "every match deleted");
     let options = SearchOptions::new(5).with_tau(0.5);
-    let want = searcher.search_scan(term, &options).unwrap();
-    let got = seg.search_scan(term, &options).unwrap();
-    assert_eq!(want, got);
-    assert!(got.hits.is_empty());
+    assert!(seg.search_scan(term, &options).unwrap().hits.is_empty());
 }

@@ -3,9 +3,9 @@
 //! wire protocol under hostile bytes (satellite: robustness).
 //!
 //! * **Stress**: N client threads fire searches at a running server while
-//!   a writer thread adds and deletes documents. Every `Hits` response
-//!   must equal — content-for-content, score bits included — the answer
-//!   the snapshot generation *it reports* gives for that query (no torn
+//!   a writer thread runs a seeded op script. Every `Hits` response must
+//!   be the answer the rebuild of the generation *it reports* gives for
+//!   that query, a scan's score bits included (no torn
 //!   reads, no cross-generation mixing, no mislabelled generation);
 //!   overload draws the typed backpressure
 //!   rejection; every request gets *some* response (client read timeouts
@@ -17,20 +17,22 @@
 //!   layer up, at the frame boundary.
 //! * **Reload**: a `Reload` request swaps in a saved snapshot under a
 //!   generation above every one served before, so the first answer after
-//!   it is computed afresh and equals a fresh load's; a missing snapshot
+//!   it is computed afresh on the loaded state; a missing snapshot
 //!   is a typed error that changes nothing.
 
-use divtopk::ExactAlgorithm;
-use divtopk::core::rng::Pcg;
+mod support;
+
 use divtopk::engine::prelude::*;
 use divtopk::engine::proto::{self, Request, Response, call};
+use divtopk::text::persist;
 use divtopk::text::prelude::*;
-use std::collections::HashMap;
+use divtopk::{ExactAlgorithm, Score};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+use support::{Live, Rebuild, Script, fixture, interesting_terms, temp_path};
 
 /// Client-side guard: any server hang surfaces as a test failure, not a
 /// stuck suite.
@@ -44,82 +46,35 @@ fn connect(addr: &str) -> TcpStream {
     stream
 }
 
-/// Terms with mid-sized posting lists in the base corpus.
-fn interesting_terms(corpus: &Corpus, count: usize) -> Vec<TermId> {
-    let index = InvertedIndex::build(corpus);
-    let mut terms: Vec<TermId> = (0..corpus.num_terms() as TermId)
-        .filter(|&t| (6..=60).contains(&index.postings(t).len()))
-        .collect();
-    terms.sort_by_key(|&t| std::cmp::Reverse(index.postings(t).len()));
-    terms.truncate(count);
-    terms
-}
-
 // ------------------------------------------------------------------ stress
 
-/// The comparable content of a served answer: doc ids with score bits,
-/// plus the total-score bits — bit-exact equality, no float tolerance.
-type AnswerKey = (Vec<(u32, u64)>, u64);
-
-fn key_of_output(out: &SearchOutput) -> AnswerKey {
-    (
-        out.hits
-            .iter()
-            .map(|h| (h.doc, h.score.get().to_bits()))
-            .collect(),
-        out.total_score.get().to_bits(),
-    )
-}
-
-fn key_of_wire(hits: &divtopk::engine::proto::WireHits) -> AnswerKey {
-    (
-        hits.hits
-            .iter()
-            .map(|&(doc, score)| (doc, score.to_bits()))
-            .collect(),
-        hits.total_score.to_bits(),
-    )
-}
-
-/// The scripted mutation log the writer replays: deterministic, so a twin
-/// engine can precompute every generation's reference answers.
-struct MutationScript {
-    batches: Vec<(Vec<Document>, Vec<DocId>)>,
-}
-
-fn build_script(base_docs: usize, donor: &Corpus, rounds: usize) -> MutationScript {
-    let mut rng = Pcg::new(0x57726974);
-    let mut next = base_docs as DocId;
-    let batches = (0..rounds)
-        .map(|_| {
-            let adds: Vec<Document> = (next..next + 6).map(|d| donor.doc(d).clone()).collect();
-            next += 6;
-            let dels: Vec<DocId> = (0..3).map(|_| rng.below(next)).collect();
-            (adds, dels)
+/// Asserts that a wire answer is what `rebuild` says serving `query`
+/// with `options` must answer ([`Rebuild::check_hits`]).
+fn assert_wire_answer(
+    rebuild: &Rebuild,
+    query: &Query,
+    options: &SearchOptions,
+    answer: &WireHits,
+    case: &str,
+) {
+    let hits: Vec<Hit> = answer
+        .hits
+        .iter()
+        .map(|&(doc, score)| Hit {
+            doc,
+            score: Score::new(score),
         })
         .collect();
-    MutationScript { batches }
+    let total = Score::new(answer.total_score);
+    rebuild.check_hits(query, options, &hits, total, case);
 }
 
 #[test]
 fn concurrent_clients_with_live_writer_see_single_generation_answers() {
-    let base_docs = 220usize;
-    let rounds = 4usize;
-    let donor = generate(
-        &SynthConfig {
-            near_dup_prob: 0.35,
-            ..SynthConfig::tiny().with_seed(71)
-        }
-        .with_num_docs(base_docs + rounds * 6),
-    );
-    let mut builder = CorpusBuilder::with_synthetic_vocab(donor.num_terms());
-    for d in 0..base_docs as DocId {
-        builder.add_document(donor.doc(d).clone());
-    }
-    let base = builder.build();
+    let (base, pool) = fixture(71, 220, 30);
     let terms = interesting_terms(&base, 3);
     assert!(terms.len() >= 2, "base corpus has too few usable terms");
-    let script = build_script(base_docs, &donor, rounds);
+    let script = Script::random(71, base.num_docs(), pool, 10, false);
 
     // The wire query set and the exact options the server will build.
     let (k, tau, bound_decay) = (5u32, 0.5f64, 0.005f64);
@@ -135,31 +90,17 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
         })])
         .collect();
 
-    // Twin engine: replay the script generation by generation, recording
-    // each query's reference answer at every snapshot the server can
-    // possibly serve (each add and each delete bumps the generation).
+    // The rebuild of every state the server can possibly serve: a model
+    // with the served layout replays the script, and each op that
+    // changes it is one generation.
     let config = EngineConfig::new(2).with_cache_capacity(0);
-    let reference = Engine::new(base.clone(), config.clone());
-    let mut by_generation: Vec<HashMap<usize, AnswerKey>> = Vec::new();
-    let mut record = |engine: &Engine| {
-        let answers = queries
-            .iter()
-            .enumerate()
-            .map(|(i, q)| (i, key_of_output(&engine.search(q, &options).unwrap())))
-            .collect();
-        by_generation.push(answers);
-    };
-    record(&reference);
-    for (adds, dels) in &script.batches {
-        reference.add_docs(adds.clone());
-        record(&reference);
-        reference.delete_docs(dels);
-        record(&reference);
+    let mut model = SegmentedIndex::build_partitioned(base.clone(), 2);
+    let mut by_generation = vec![Rebuild::of(&model)];
+    for op in &script.ops {
+        if model.apply(op, &script.pool, None) {
+            by_generation.push(Rebuild::of(&model));
+        }
     }
-    // Every scripted step bumped the generation, so the vector index *is*
-    // the generation number a response reports.
-    assert_eq!(by_generation.len(), 1 + 2 * rounds);
-    assert_eq!(reference.generation(), 2 * rounds as u64);
 
     // The live side: same base, same config, real TCP server.
     let engine = Arc::new(Engine::new(base, config));
@@ -174,17 +115,13 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
     .expect("server start");
     let addr = server.addr().to_string();
 
-    let unmatched = Arc::new(AtomicU64::new(0));
-    let served = Arc::new(AtomicU64::new(0));
     let clients: Vec<_> = (0..4u64)
         .map(|c| {
             let addr = addr.clone();
             let queries = queries.clone();
-            let by_generation = by_generation.clone();
-            let unmatched = Arc::clone(&unmatched);
-            let served = Arc::clone(&served);
             std::thread::spawn(move || {
                 let mut stream = connect(&addr);
+                let mut answers = Vec::new();
                 for round in 0..30u64 {
                     let which = ((c + round) % queries.len() as u64) as usize;
                     let request = Request::Search {
@@ -195,21 +132,12 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
                         mode: DiversifyMode::exact(),
                     };
                     match call(&mut stream, &request).unwrap() {
-                        Response::Hits(hits) => {
-                            served.fetch_add(1, Ordering::Relaxed);
-                            let got = key_of_wire(&hits);
-                            // The answer must be exactly the answer of
-                            // the generation it claims — never a mix, and
-                            // never another generation's under this label.
-                            let claimed = by_generation.get(hits.generation as usize);
-                            if claimed.is_none_or(|g| g[&which] != got) {
-                                unmatched.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
+                        Response::Hits(hits) => answers.push((which, hits)),
                         Response::Overloaded { .. } => {} // typed, legal
                         other => panic!("client {c}: unexpected {other:?}"),
                     }
                 }
+                answers
             })
         })
         .collect();
@@ -217,27 +145,36 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
     // The writer races the clients through the same scripted mutations.
     let writer = {
         let engine = Arc::clone(&engine);
+        let script = script.clone();
         std::thread::spawn(move || {
-            for (adds, dels) in script.batches {
+            for op in &script.ops {
                 std::thread::sleep(Duration::from_millis(5));
-                engine.add_docs(adds);
-                std::thread::sleep(Duration::from_millis(5));
-                engine.delete_docs(&dels);
+                (&*engine).apply(op, &script.pool, None);
             }
         })
     };
-    for client in clients {
-        client.join().expect("client thread");
-    }
+    let answers: Vec<(usize, WireHits)> = clients
+        .into_iter()
+        .flat_map(|client| client.join().expect("client thread"))
+        .collect();
     writer.join().expect("writer thread");
-    assert_eq!(
-        unmatched.load(Ordering::Relaxed),
-        0,
-        "a response differed from the reference answer of the generation it reported"
-    );
-    assert!(served.load(Ordering::Relaxed) > 0, "nothing was served");
+    assert!(!answers.is_empty(), "nothing was served");
+    assert_eq!(engine.generation() as usize, by_generation.len() - 1);
+    // Every answer must be exactly the answer of the generation it
+    // claims — never a mix, and never another generation's under this
+    // label.
+    let check = |which: usize, hits: &WireHits| {
+        let rebuild = by_generation
+            .get(hits.generation as usize)
+            .unwrap_or_else(|| panic!("generation {} was never published", hits.generation));
+        let case = format!("{:?} at generation {}", queries[which], hits.generation);
+        assert_wire_answer(rebuild, &queries[which], &options, hits, &case);
+    };
+    for (which, hits) in &answers {
+        check(*which, hits);
+    }
     // The server ended on the final generation: a fresh query now matches
-    // the final reference exactly.
+    // the final rebuild.
     let mut stream = connect(&addr);
     match call(
         &mut stream,
@@ -252,11 +189,8 @@ fn concurrent_clients_with_live_writer_see_single_generation_answers() {
     .unwrap()
     {
         Response::Hits(hits) => {
-            assert_eq!(
-                key_of_wire(&hits),
-                by_generation.last().unwrap()[&0],
-                "final answer diverged from the final generation"
-            );
+            assert_eq!(hits.generation as usize, by_generation.len() - 1);
+            check(0, &hits);
         }
         other => panic!("final query: unexpected {other:?}"),
     }
@@ -642,6 +576,7 @@ fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
     // where the client is owed a typed error.
     let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(120));
     let term = interesting_terms(&corpus, 1)[0];
+    let rebuild = Rebuild::of(&SegmentedIndex::build(corpus.clone()));
     let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
     let server = Server::start(
         Arc::clone(&engine),
@@ -667,11 +602,11 @@ fn out_of_range_bound_decay_is_a_typed_error_and_the_worker_survives() {
         }
     }
     // The same connection, through the same single search slot, still answers.
-    let want = engine
-        .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
-        .unwrap();
+    let options = SearchOptions::new(3).with_tau(0.5);
     match call(&mut stream, &search(0.0)).unwrap() {
-        Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
+        Response::Hits(hits) => {
+            assert_wire_answer(&rebuild, &Query::Scan(term), &options, &hits, "after")
+        }
         other => panic!("expected hits after the rejected frames, got {other:?}"),
     }
 }
@@ -685,6 +620,7 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
     let num_docs = 200usize;
     let corpus = generate(&SynthConfig::tiny().with_seed(91).with_num_docs(num_docs));
     let term = interesting_terms(&corpus, 1)[0];
+    let rebuild = Rebuild::of(&SegmentedIndex::build(corpus.clone()));
     let engine = Arc::new(Engine::new(corpus, EngineConfig::new(2)));
     let server = Server::start(
         Arc::clone(&engine),
@@ -696,6 +632,7 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
     )
     .expect("server start");
     let mut stream = connect(&server.addr().to_string());
+    let query = Query::Scan(term);
     let search = |k: u32, mode: &DiversifyMode| Request::Search {
         query: Query::Scan(term),
         k,
@@ -714,12 +651,17 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
         let options = SearchOptions::new(num_docs)
             .with_tau(0.5)
             .with_mode(mode.clone());
-        let want = key_of_output(&engine.search(&Query::Scan(term), &options).unwrap());
-        assert!(!want.0.is_empty());
+        assert!(!rebuild.search(&query, &options).hits.is_empty());
         for k in [u32::MAX, 1_000_000] {
             let started = Instant::now();
             match call(&mut stream, &search(k, &mode)).unwrap() {
-                Response::Hits(hits) => assert_eq!(key_of_wire(&hits), want, "{mode:?} k={k}"),
+                Response::Hits(hits) => assert_wire_answer(
+                    &rebuild,
+                    &query,
+                    &options,
+                    &hits,
+                    &format!("{mode:?} k={k}"),
+                ),
                 other => panic!("{mode:?} k={k}: expected hits, got {other:?}"),
             }
             assert!(
@@ -730,11 +672,9 @@ fn a_huge_k_costs_what_the_corpus_holds_and_the_worker_survives() {
         }
     }
     // The same connection, through the same single search slot, still answers.
-    let want = engine
-        .search(&Query::Scan(term), &SearchOptions::new(3).with_tau(0.5))
-        .unwrap();
+    let options = SearchOptions::new(3).with_tau(0.5);
     match call(&mut stream, &search(3, &DiversifyMode::exact())).unwrap() {
-        Response::Hits(hits) => assert_eq!(key_of_wire(&hits), key_of_output(&want)),
+        Response::Hits(hits) => assert_wire_answer(&rebuild, &query, &options, &hits, "after"),
         other => panic!("expected hits after the huge-k frames, got {other:?}"),
     }
 }
@@ -758,8 +698,7 @@ fn reload_over_tcp_publishes_a_fresh_generation_and_never_answers_from_the_old_c
     // Save at a generation past 0, then delete the query's top hit so
     // the live state runs ahead of the snapshot and answers differently.
     engine.delete_docs(&[last]);
-    let dir = std::env::temp_dir().join(format!("divtopk-{}-reload.snapshot", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = temp_path("reload.snapshot");
     engine.save_snapshot(&dir).expect("saving the snapshot");
     let saved = engine.generation();
     let top = engine.search(&query, &options).unwrap().hits[0].doc;
@@ -789,16 +728,13 @@ fn reload_over_tcp_publishes_a_fresh_generation_and_never_answers_from_the_old_c
     assert_eq!(engine.generation(), generation);
 
     // The first answer after the swap is computed on the loaded state,
-    // not served from the cache, and equals a fresh load's.
+    // not served from the cache, and is what the saved state must answer.
     let cache_hits = engine.stats().cache_hits;
     let hits = served(&mut stream);
     assert_eq!(engine.stats().cache_hits, cache_hits);
     assert_eq!(hits.generation, generation);
-    let fresh = Engine::load_snapshot(&dir, &EngineConfig::new(2)).expect("loading the snapshot");
-    assert_eq!(
-        key_of_wire(&hits),
-        key_of_output(&fresh.search(&query, &options).unwrap())
-    );
+    let (fresh, _) = persist::load_segmented(&dir).expect("loading the snapshot");
+    assert_wire_answer(&Rebuild::of(&fresh), &query, &options, &hits, "reloaded");
     assert!(hits.hits.iter().any(|&(doc, _)| doc == top));
 
     // A snapshot that is not there is a typed search error; the serving
