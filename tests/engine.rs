@@ -19,8 +19,9 @@ use support::{Coverage, Queries, Rebuild, assert_matches_rebuild, fixture, inter
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Checks an engine over `corpus` on every shard count against the
-/// rebuild oracle (here: the unsharded index) and returns what it covered.
-fn every_layout_matches_the_rebuild(corpus: &Corpus, queries: &Queries, case: &str) -> Coverage {
+/// rebuild oracle (here: the unsharded index); returns the rebuild and
+/// what it covered.
+fn every_layout_matches(corpus: &Corpus, queries: &Queries, case: &str) -> (Rebuild, Coverage) {
     let rebuild = Rebuild::of(&SegmentedIndex::build(corpus.clone()));
     let mut coverage = Coverage::default();
     for shards in SHARD_COUNTS {
@@ -28,7 +29,7 @@ fn every_layout_matches_the_rebuild(corpus: &Corpus, queries: &Queries, case: &s
         let case = format!("{case} shards {shards}");
         coverage += assert_matches_rebuild(&&engine, &rebuild, queries, &case);
     }
-    coverage
+    (rebuild, coverage)
 }
 
 #[test]
@@ -41,7 +42,7 @@ fn sharded_scan_is_bit_identical_to_unsharded_searcher() {
             "corpus {corpus_seed} has no usable terms"
         );
         let queries = Queries::new(terms, vec![], &[(3, 0.4), (5, 0.6), (8, 0.3)]);
-        every_layout_matches_the_rebuild(&corpus, &queries, &format!("corpus {corpus_seed}"));
+        every_layout_matches(&corpus, &queries, &format!("corpus {corpus_seed}"));
     }
 }
 
@@ -61,7 +62,7 @@ fn sharded_scan_handles_exact_score_ties() {
     let corpus = b.build();
     let wheat = corpus.term_id("wheat").unwrap();
     let queries = Queries::new(vec![wheat], vec![], &[(4, 0.3), (4, 0.8)]);
-    every_layout_matches_the_rebuild(&corpus, &queries, "twins");
+    every_layout_matches(&corpus, &queries, "twins");
 }
 
 #[test]
@@ -76,8 +77,8 @@ fn sharded_ta_is_exact_and_deterministic() {
             .collect();
         let queries = Queries::new(vec![], tas, &[(4, 0.4), (6, 0.6)]);
         let case = format!("corpus {corpus_seed}");
-        checked_identical +=
-            every_layout_matches_the_rebuild(&corpus, &queries, &case).ta_identical;
+        let (_, coverage) = every_layout_matches(&corpus, &queries, &case);
+        checked_identical += coverage.ta_identical;
     }
     // One long request on every layout. TA emits only certified results,
     // so the pull runs about k plus the ties and near misses the search
@@ -87,7 +88,7 @@ fn sharded_ta_is_exact_and_deterministic() {
     let (corpus, _) = fixture(24, 1500, 0);
     let query = query_for_band(&corpus, 3, 2, 1).expect("band 3");
     let queries = Queries::new(vec![], vec![query], &[(140, 0.5)]);
-    let coverage = every_layout_matches_the_rebuild(&corpus, &queries, "long pull");
+    let (_, coverage) = every_layout_matches(&corpus, &queries, "long pull");
     let fewest_pulled = coverage.shortest_ta_pull.expect("a TA search ran");
     assert!(
         fewest_pulled >= 3 * 48,
@@ -144,12 +145,15 @@ fn cache_hits_return_bit_identical_output_for_both_query_kinds() {
 fn batched_equals_sequential_under_concurrency() {
     let (corpus, _) = fixture(51, 200, 0);
     let terms = interesting_terms(&corpus, 3);
-    // Uncached, so every batch answer is computed by the batch itself.
+    // Uncached engines so the batch cannot lean on the sequential run.
     let batch_engine = Engine::new(
         corpus.clone(),
         EngineConfig::new(4).with_threads(4).with_cache_capacity(0),
     );
-    // A sequential run answers what the rebuild does (the tests above).
+    let seq_engine = Engine::new(
+        corpus.clone(),
+        EngineConfig::new(4).with_threads(1).with_cache_capacity(0),
+    );
     let rebuild = Rebuild::of(&SegmentedIndex::build(corpus));
     let mut batch: Vec<(Query, SearchOptions)> = Vec::new();
     for &term in &terms {
@@ -165,7 +169,11 @@ fn batched_equals_sequential_under_concurrency() {
     ));
     let got = batch_engine.search_batch(&batch);
     for ((query, options), out) in batch.iter().zip(got) {
-        rebuild.check(query, options, &out.unwrap(), &format!("{query:?}"));
+        // The whole output, stop point included, is the sequential
+        // engine's on the same layout, and exact against the rebuild.
+        let out = out.unwrap();
+        assert_eq!(seq_engine.search(query, options).unwrap(), out);
+        rebuild.check(query, options, &out, &format!("{query:?}"));
     }
 }
 
@@ -178,10 +186,9 @@ fn sharded_total_scores_never_drift_from_zero() {
     let corpus = b.build();
     let term = corpus.term_id("lonely").unwrap();
     let queries = Queries::new(vec![term], vec![], &[(5, 0.5)]);
-    every_layout_matches_the_rebuild(&corpus, &queries, "one document");
+    let (rebuild, _) = every_layout_matches(&corpus, &queries, "one document");
     // Every layout answered what the rebuild does: zero, the idf of a
     // one-document corpus.
-    let rebuild = Rebuild::of(&SegmentedIndex::build(corpus));
     let out = rebuild.search(&Query::Scan(term), &SearchOptions::new(5).with_tau(0.5));
     assert_eq!(out.total_score, Score::ZERO);
 }

@@ -200,20 +200,16 @@ fn interleaved_mutations_and_batches_stay_equivalent() {
         .collect();
     let dir = temp_path("interleaved.snapshot");
     let script = Script::random(9, base.num_docs(), pool, 16, true);
-    script.run(
-        &mut &engine,
-        SegmentedIndex::build(base),
-        Some(&dir),
-        |engine, model| {
-            let rebuild = Rebuild::of(model);
-            assert_matches_rebuild(engine, &rebuild, &queries, "direct");
-            // Batch answers too, cache entries included, which re-checks
-            // that every cached value is generation-correct.
-            for ((query, options), out) in batch.iter().zip(engine.search_batch(&batch)) {
-                rebuild.check(query, options, &out.unwrap(), &format!("batch {query:?}"));
-            }
-        },
-    );
+    let model = SegmentedIndex::build(base);
+    script.run(&mut &engine, model, Some(&dir), |engine, model| {
+        let rebuild = Rebuild::of(model);
+        assert_matches_rebuild(engine, &rebuild, &queries, "direct");
+        // Batch answers too, cache entries included, which re-checks
+        // that every cached value is generation-correct.
+        for ((query, options), out) in batch.iter().zip(engine.search_batch(&batch)) {
+            rebuild.check(query, options, &out.unwrap(), &format!("batch {query:?}"));
+        }
+    });
     std::fs::remove_dir_all(&dir).unwrap();
     let stats = engine.stats();
     assert!(stats.generation >= 8, "every effective mutation bumps");

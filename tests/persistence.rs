@@ -16,8 +16,8 @@ use divtopk::text::persist::{self, SnapshotError};
 use divtopk::text::prelude::*;
 use std::path::PathBuf;
 use support::{
-    Op, Queries, Rebuild, Script, assert_matches_rebuild, fixture, interesting_terms, split,
-    temp_path,
+    Op, Queries, Rebuild, Script, assert_matches_rebuild, assert_same_answers, fixture,
+    interesting_terms, split, temp_path,
 };
 
 /// A mutated serving state: base epoch + live adds + deletes + one
@@ -142,14 +142,10 @@ fn segmented_round_trip_serves_byte_identically() {
     // The loaded state serves what the rebuild of the saved one does.
     let queries = Queries::over(&interesting_terms(seg.corpus(), 2), &[1, 5, 10], 0.4);
     assert_matches_rebuild(&loaded, &Rebuild::of(&seg), &queries, "loaded");
-    // TA reads are byte-equal too: the loaded segments are bit-identical
-    // and in the same order, so the whole pull sequence (and with it the
-    // output struct) reproduces exactly.
-    let options = SearchOptions::new(5).with_tau(0.4);
-    assert_eq!(
-        seg.search_ta(&queries.tas[0], &options).unwrap(),
-        loaded.search_ta(&queries.tas[0], &options).unwrap()
-    );
+    // Reads are byte-equal to the saved state's too, TA included: the
+    // loaded segments are bit-identical and in the same order, so the
+    // whole pull sequence (and with it the output struct) reproduces.
+    assert_same_answers(&seg, &loaded, &queries, "loaded");
 }
 
 #[test]
@@ -385,6 +381,7 @@ fn a_failed_save_leaves_the_previous_snapshot_loadable() {
             assert_eq!(generation, 1, "{what}, {name} blocked");
             let case = format!("{what}, {name} blocked");
             assert_matches_rebuild(&loaded, &Rebuild::of(&first), &queries, &case);
+            assert_same_answers(&first, &loaded, &queries, &case);
             // Once the name is free again, the save lands.
             std::fs::remove_dir(run.join(name)).unwrap();
             persist::save_segmented(&run, &state, 2).unwrap();
@@ -392,6 +389,7 @@ fn a_failed_save_leaves_the_previous_snapshot_loadable() {
             assert_eq!(generation, 2);
             let case = format!("{what}, {name} unblocked");
             assert_matches_rebuild(&loaded, &Rebuild::of(&state), &queries, &case);
+            assert_same_answers(&state, &loaded, &queries, &case);
             std::fs::remove_dir_all(&run).unwrap();
         }
         // Among them a segment file and the grown or foreign chunk: no
@@ -479,9 +477,11 @@ fn engine_snapshot_round_trip_preserves_generation_and_answers() {
     assert_eq!(stats.configured_shards, 1);
     assert!(stats.layout_from_snapshot);
     assert!(!engine.stats().layout_from_snapshot);
-    // Every query class answers what the rebuild of the saved state does.
+    // Every query class answers what the rebuild of the saved state does,
+    // and byte-identically what the saved engine does.
     let queries = Queries::over(&interesting_terms(&engine.corpus(), 2), &[1, 4, 8], 0.5);
     assert_matches_rebuild(&&loaded, &Rebuild::of(&model), &queries, "loaded engine");
+    assert_same_answers(&&engine, &&loaded, &queries, "loaded engine");
 }
 
 #[test]

@@ -10,6 +10,7 @@
 mod support;
 
 use divtopk::core::{MergedSource, ResultSource, UnseenBound};
+use divtopk::engine::Query;
 use divtopk::text::prelude::*;
 use divtopk::text::tfidf;
 use support::{
@@ -33,10 +34,10 @@ fn random_interleavings_serve_exactly_the_rebuilt_index() {
     let mut coverage = Coverage::default();
     for seed in [3u64, 5, 8] {
         let (base, pool) = fixture(seed, 130, 70);
-        let terms = interesting_terms(&base, 2);
+        let terms = interesting_terms(&base, 3);
         assert!(terms.len() >= 2, "seed {seed}: not enough usable terms");
         let queries = Queries::over(&terms, &[1, 5, 10, 40], 0.5);
-        let script = Script::random(seed, base.num_docs(), pool, 10, false);
+        let script = Script::random(seed, base.num_docs(), pool, 14, false);
         let mut seg = SegmentedIndex::build(base.clone());
         let case = format!("seed {seed}");
         script.run(&mut seg, SegmentedIndex::build(base), None, |seg, model| {
@@ -216,15 +217,12 @@ fn tombstoned_bound_head_keeps_ta_bounds_monotone_and_exact() {
     }
     assert_eq!(returned.len(), live_scores.len(), "live docs lost");
     // Exactness end to end, hits identical (fixture scores are distinct).
-    let queries = Queries::new(vec![], vec![query], &[(3, 0.5)]);
-    assert_matches_rebuild(&seg, &Rebuild::of(&seg), &queries, "bound head");
-    let searcher = DiversifiedSearcher::new(seg.corpus(), &rebuilt);
+    let queries = Queries::new(vec![], vec![query.clone()], &[(3, 0.5)]);
+    let rebuild = Rebuild::of(&seg);
+    assert_matches_rebuild(&seg, &rebuild, &queries, "bound head");
     let options = SearchOptions::new(3).with_tau(0.5);
-    let want = searcher.search_ta(&queries.tas[0], &options).unwrap();
-    assert_eq!(
-        want.hits,
-        seg.search_ta(&queries.tas[0], &options).unwrap().hits
-    );
+    let want = rebuild.search(&Query::Keywords(query.clone()), &options);
+    assert_eq!(want.hits, seg.search_ta(&query, &options).unwrap().hits);
 }
 
 /// Compaction in the middle of a mutation stream preserves equivalence

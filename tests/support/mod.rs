@@ -18,6 +18,9 @@
 //!   `rebuilt_index()`, and every TA query for an equal optimum, live
 //!   pairwise-dissimilar hits, and the same hits when the optimum is
 //!   unique ([`Rebuild::check`]).
+//! * [`assert_same_answers`]: where two states hold the same layout (a
+//!   save and its load), answers equal in full, TA stop point included,
+//!   beside the oracle.
 //!
 //! Defects planted in a copy of the product code, and what fails on each
 //! (a superset, each time, of what failed before this module):
@@ -32,7 +35,8 @@
 //!    that compact ("live, but no segment holds it").
 //! 3. `persist::load_segmented` loads `Tombstones::default()`: eight
 //!    `persistence` tests (the oracle's tombstone count, or the load's
-//!    "live document held by no segment").
+//!    "live document held by no segment") and `serving`'s reload test
+//!    (the deleted first hit is served again).
 //! 4. `CacheKey::new` ignores the generation: all four `live_update`
 //!    tests and `serving`'s reload test.
 
@@ -45,8 +49,7 @@ use divtopk::engine::prelude::*;
 use divtopk::text::persist;
 use divtopk::text::prelude::*;
 use divtopk::text::tfidf;
-use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::ops::{AddAssign, Range};
 use std::panic::{AssertUnwindSafe, catch_unwind, resume_unwind};
 use std::path::{Path, PathBuf};
@@ -300,8 +303,6 @@ impl AddAssign for Coverage {
 pub struct Rebuild {
     state: SegmentedIndex,
     index: InvertedIndex,
-    /// The answers given so far, by query and options.
-    answers: RefCell<HashMap<String, SearchOutput>>,
 }
 
 impl Rebuild {
@@ -309,25 +310,18 @@ impl Rebuild {
     /// statistics.
     pub fn of(state: &SegmentedIndex) -> Rebuild {
         let (state, index) = (state.clone(), state.rebuilt_index());
-        let answers = RefCell::default();
-        Rebuild {
-            state,
-            index,
-            answers,
-        }
+        Rebuild { state, index }
     }
 
     /// The rebuild's answer: [`DiversifiedSearcher`] over the rebuilt
     /// index.
     pub fn search(&self, query: &Query, options: &SearchOptions) -> SearchOutput {
         let searcher = DiversifiedSearcher::new(self.state.corpus(), &self.index);
-        let mut answers = self.answers.borrow_mut();
-        let answer = answers.entry(format!("{query:?} {options:?}"));
-        let answer = answer.or_insert_with(|| match query {
-            Query::Scan(term) => searcher.search_scan(*term, options).unwrap(),
-            Query::Keywords(q) => searcher.search_ta(q, options).unwrap(),
-        });
-        answer.clone()
+        match query {
+            Query::Scan(term) => searcher.search_scan(*term, options),
+            Query::Keywords(q) => searcher.search_ta(q, options),
+        }
+        .unwrap()
     }
 
     /// Asserts that `got` is what serving this state must answer: a scan
@@ -341,35 +335,33 @@ impl Rebuild {
         case: &str,
     ) -> Coverage {
         let want = self.search(query, options);
-        let pulled = got
-            .metrics
-            .results_generated
-            .min(want.metrics.results_generated);
-        let mut coverage = Coverage::default();
+        let pulled = got.metrics.results_generated;
+        let pulled = pulled.min(want.metrics.results_generated);
+        let mut coverage = self.check_hits(query, options, &want, &got.hits, got.total_score, case);
         if let Query::Scan(_) = query {
             assert_eq!(want, *got, "{case}");
         } else {
-            coverage = self.check_hits(query, options, &got.hits, got.total_score, case);
             coverage.shortest_ta_pull = Some(pulled);
         }
         coverage.longest_pull = pulled;
         coverage
     }
 
-    /// Asserts that `hits` with total `total` answer `query` exactly: a
-    /// scan's are the rebuild's bit for bit; a TA query's (whose merged
-    /// stop point may differ, DESIGN.md §8) have the rebuilt optimum, are
-    /// live and pairwise no more similar than τ, and are the rebuild's
-    /// when the optimum is unique.
+    /// Asserts that `hits` with total `total` answer `query` exactly,
+    /// where `want` is the rebuild's answer ([`Rebuild::search`]): a
+    /// scan's are `want`'s bit for bit; a TA query's (whose merged stop
+    /// point may differ, DESIGN.md §8) have the rebuilt optimum, are live
+    /// and pairwise no more similar than τ, and are `want`'s when the
+    /// optimum is unique.
     pub fn check_hits(
         &self,
         query: &Query,
         options: &SearchOptions,
+        want: &SearchOutput,
         hits: &[Hit],
         total: Score,
         case: &str,
     ) -> Coverage {
-        let want = self.search(query, options);
         let Query::Keywords(ta) = query else {
             let bits = |s: Score| s.get().to_bits();
             assert_eq!(want.hits, hits, "{case}");
@@ -499,4 +491,22 @@ pub fn assert_matches_rebuild<T: Live>(
         }
     }
     coverage
+}
+
+/// Asserts that `got` answers every query of `queries` (scans in the
+/// default mode) exactly as `want` does: two states of one layout, such
+/// as a save and its load, repeat even a TA query's pull and stop point.
+pub fn assert_same_answers<A: Live, B: Live>(want: &A, got: &B, queries: &Queries, case: &str) {
+    let scans = queries.scans.iter().map(|&t| Query::Scan(t));
+    let tas = queries.tas.iter().map(|q| Query::Keywords(q.clone()));
+    for query in scans.chain(tas) {
+        for &(k, tau) in &queries.cases {
+            let options = SearchOptions::new(k).with_tau(tau);
+            assert_eq!(
+                want.answer(&query, &options),
+                got.answer(&query, &options),
+                "{case}: {query:?} k {k} τ {tau}"
+            );
+        }
+    }
 }
