@@ -4,8 +4,8 @@
 //! contribution to Eq. 3, is not stored: with IDF frozen for each
 //! statistics epoch it is a pure function of `tf`, the term's IDF and the
 //! document's length, and [`partial`] computes it wherever it is read — a
-//! scan's pull, the threshold algorithm's threshold, the sort of a build,
-//! the snapshot loader's order check. One function, so all of them agree
+//! scan's pull, the threshold algorithm's threshold, the sort of a build
+//! (a snapshot load is that build). One function, so all of them agree
 //! to the bit. Every list is in `(partial desc, doc asc)`
 //! order under it, so a list scan enumerates documents in non-increasing
 //! order of their single-term score (the incremental source of §8's
@@ -20,24 +20,22 @@
 //! [`InvertedIndex::postings`] answers an absent term with an empty list
 //! (one binary search over `terms`).
 //!
-//! A list holds its postings **packed at the index's widths**, exactly as
-//! the snapshot's segment payload lays them out (DESIGN.md §14): each
+//! A list holds its postings **packed at the index's widths**: each
 //! posting is `(doc − base, tf)` little-endian, the doc offset in the
 //! fewest bytes (1–4) that hold the index's largest `doc − base` and the
 //! tf in the fewest that hold its largest tf, `base` being its smallest
-//! doc id (a loaded index keeps the layout its file declares, which the
-//! writer chose by this rule). An index spanning fewer than 2¹⁶
-//! documents with every tf under 256 takes 3 bytes a posting. Readers see a list through the `Copy`
-//! view [`PostingList`], which decodes a [`Posting`] on access; the
-//! snapshot writer copies the bytes as held and the loader keeps the
-//! bytes it validated. The lists stay separate allocations on purpose
+//! doc id. An index spanning fewer than 2¹⁶ documents with every tf
+//! under 256 takes 3 bytes a posting. Readers see a list through the
+//! `Copy` view [`PostingList`], which decodes a [`Posting`] on access. A
+//! snapshot stores no postings: it saves a segment as its doc ids and
+//! the load runs this build again (DESIGN.md §14). The lists stay
+//! separate allocations on purpose
 //! (DESIGN.md §9, "Segment layout"): one flat array per index cannot
 //! reuse the heap the corpus generator freed, and measured higher RSS on
 //! every serving workload.
 
 use crate::corpus::Corpus;
 use crate::document::{DocId, TermId};
-use std::cmp::Ordering;
 use std::fmt;
 
 /// One inverted-list entry, as a [`PostingList`] decodes it. The partial
@@ -73,20 +71,17 @@ pub fn partial(tf: u32, idf: f64, inv_sqrt_len: f64) -> f64 {
     tf as f64 * idf * inv_sqrt_len
 }
 
-/// A posting beside its computed partial score: what the build and loader
-/// sort and check the stored order with.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Keyed {
-    pub(crate) partial: f64,
-    pub(crate) posting: Posting,
-}
-
-/// `(partial desc, doc asc)` — the one posting order of every list.
-pub(crate) fn posting_order(a: &Keyed, b: &Keyed) -> Ordering {
-    b.partial
-        .partial_cmp(&a.partial)
-        .expect("partial scores are finite")
-        .then(a.posting.doc.cmp(&b.posting.doc))
+/// The posting `p` of partial score `partial` as one integer whose
+/// ascending order is `(partial desc, doc asc)`, the one posting order of
+/// every list: `(!partial.to_bits(), doc, tf)`, high word first. A
+/// partial is finite and not below zero (an IDF is clamped at 0), and the
+/// bits of such floats order as their values do. A `-0.0` partial (an
+/// IDF of `-0.0`, which a snapshot's range check admits) would sort
+/// before every positive one, but every partial of one list shares the
+/// sign of its term's IDF, so such a list is all `-0.0` and ordered by
+/// doc.
+fn sort_key(partial: f64, p: Posting) -> u128 {
+    (u128::from(!partial.to_bits()) << 64) | (u128::from(p.doc) << 32) | u128::from(p.tf)
 }
 
 /// The fewest bytes (1–4) that hold `max` little-endian.
@@ -96,7 +91,7 @@ fn byte_width(max: u32) -> u8 {
 
 /// A little-endian `u32` stored in its low `N` bytes.
 #[inline(always)]
-pub(crate) fn le_u32<const N: usize>(bytes: &[u8]) -> u32 {
+fn le_u32<const N: usize>(bytes: &[u8]) -> u32 {
     let mut word = [0u8; 4];
     word[..N].copy_from_slice(&bytes[..N]);
     u32::from_le_bytes(word)
@@ -221,11 +216,6 @@ impl<'a> PostingList<'a> {
             layout: self.layout,
         }
     }
-
-    /// The packed bytes, at the index's layout.
-    pub(crate) fn as_bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
 }
 
 impl PartialEq for PostingList<'_> {
@@ -329,7 +319,8 @@ impl InvertedIndex {
     /// terms, a per-word rank turns a term into its list slot in O(1), then
     /// a counting pass sizes each list and the layout, each list is
     /// allocated once at its exact packed size, filled in doc order and
-    /// sorted. The bitset and the rank are the only structures sized by
+    /// sorted as integers (`sort_key`, one `u128` a posting). The
+    /// bitset and the rank are the only structures sized by
     /// the vocabulary; the `1/√len` table the sort reads is sized by the
     /// id span, so a batch at the top of a large corpus costs the batch.
     pub(crate) fn build_from_ids(
@@ -390,20 +381,21 @@ impl InvertedIndex {
                 counts[s] += stride;
             }
         }
-        let mut scratch = Vec::new();
+        let mut keys: Vec<u128> = Vec::new();
         for (&t, list) in terms.iter().zip(&mut lists) {
+            if list.len() == stride {
+                continue;
+            }
             let idf = corpus.idf(t);
-            scratch.clear();
-            scratch.extend(list.chunks_exact(stride).map(|entry| {
-                let posting = layout.get(entry);
-                Keyed {
-                    partial: partial(posting.tf, idf, inv_len[(posting.doc - first) as usize]),
-                    posting,
-                }
+            keys.clear();
+            keys.extend(list.chunks_exact(stride).map(|entry| {
+                let p = layout.get(entry);
+                sort_key(partial(p.tf, idf, inv_len[(p.doc - first) as usize]), p)
             }));
-            scratch.sort_unstable_by(posting_order);
-            for (entry, keyed) in list.chunks_exact_mut(stride).zip(&scratch) {
-                layout.put(entry, keyed.posting);
+            keys.sort_unstable();
+            for (entry, &key) in list.chunks_exact_mut(stride).zip(&keys) {
+                let (doc, tf) = ((key >> 32) as u32, key as u32);
+                layout.put(entry, Posting { doc, tf });
             }
         }
         InvertedIndex {
@@ -414,35 +406,13 @@ impl InvertedIndex {
         }
     }
 
-    /// Assembles an index over a vocabulary of `num_terms` terms from
-    /// lists already packed at `layout`, beside their terms in increasing
-    /// order, each list non-empty and in `(partial desc, doc asc)` order —
-    /// the load primitive. Debug builds verify the term order and range
-    /// and the list sizes. The posting order needs the partials, so the
-    /// caller checks it: the snapshot decoder checks every invariant on
-    /// untrusted bytes, the posting order included, before calling this,
-    /// and [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
-    /// reports an empty list.
-    pub(crate) fn from_packed(
-        num_terms: usize,
-        layout: Layout,
-        terms: Vec<TermId>,
-        lists: Vec<Box<[u8]>>,
-    ) -> InvertedIndex {
-        debug_assert_eq!(terms.len(), lists.len());
-        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
-        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
-        debug_assert!(lists.iter().all(|l| l.len() % layout.stride() == 0));
-        InvertedIndex {
-            num_terms,
-            layout,
-            terms,
-            lists,
-        }
-    }
-
-    /// [`InvertedIndex::from_packed`] from `(term, postings)` pairs, packed
-    /// at the narrowest layout that holds them all.
+    /// An index over a vocabulary of `num_terms` terms from `(term,
+    /// postings)` pairs, packed at the narrowest layout that holds them
+    /// all, taken as given: the terms increasing and inside the
+    /// vocabulary (checked in debug builds), each list non-empty and in
+    /// `(partial desc, doc asc)` order (not checked). Tests forge the
+    /// layouts [`crate::segments::SegmentedIndex::verify_rebuild_equivalence`]
+    /// must reject with it.
     #[cfg(test)]
     pub(crate) fn from_sorted_lists(
         num_terms: usize,
@@ -464,7 +434,14 @@ impl InvertedIndex {
                 bytes
             })
             .collect();
-        InvertedIndex::from_packed(num_terms, layout, terms, lists)
+        debug_assert!(terms.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(terms.last().is_none_or(|&t| (t as usize) < num_terms));
+        InvertedIndex {
+            num_terms,
+            layout,
+            terms,
+            lists,
+        }
     }
 
     /// The posting list for `term` (sorted by partial score, descending);
@@ -518,6 +495,7 @@ impl InvertedIndex {
     }
 
     /// How the lists pack their postings.
+    #[cfg(test)]
     pub(crate) fn layout(&self) -> Layout {
         self.layout
     }
@@ -583,6 +561,41 @@ mod tests {
             assert_eq!(payload, 3 * idx.num_postings());
         }
         assert_eq!(InvertedIndex::build(&c).num_postings(), postings);
+    }
+
+    #[test]
+    fn packed_lists_round_trip_across_width_boundaries() {
+        // Doc spans on both sides of 2⁸, 2¹⁶ and 2²⁴ from a non-zero
+        // base, each with tfs on both sides of every width boundary. A
+        // 2²⁴-document corpus is out of reach of a unit test, so the
+        // lists are packed directly, at the narrowest layout.
+        let base = 5u32;
+        let spans = [1u32, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
+        let doc_widths = [1u8, 1, 2, 2, 3, 3, 4];
+        let tfs = [1u32, 255, 256, 65_535, 65_536, u32::MAX];
+        let tf_widths = [1u8, 1, 2, 2, 3, 4];
+        for (&tf, &tf_width) in tfs.iter().zip(&tf_widths) {
+            for (&span, &doc_width) in spans.iter().zip(&doc_widths) {
+                let near = Posting { doc: base, tf: 1 };
+                let far = Posting {
+                    doc: base + span,
+                    tf,
+                };
+                let index =
+                    InvertedIndex::from_sorted_lists(3, [(0, vec![far]), (2, vec![far, near])]);
+                let layout = index.layout();
+                let case = format!("span {span} tf {tf}");
+                assert_eq!(
+                    (layout.base, layout.doc_width, layout.tf_width),
+                    (base, doc_width, tf_width),
+                    "{case}"
+                );
+                assert!(index.postings(0).iter().eq([far]), "{case}");
+                assert!(index.postings(2).iter().eq([far, near]), "{case}");
+                assert_eq!(index.postings(2).get(1), Some(near), "{case}");
+                assert_eq!(index.num_postings(), 3, "{case}");
+            }
+        }
     }
 
     #[test]

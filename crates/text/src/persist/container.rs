@@ -9,14 +9,13 @@
 //!
 //! The header and section framing are fixed-width little-endian. Inside
 //! a payload, counts, lengths and small integers are unsigned LEB128
-//! (shortest form only), increasing id sequences — a segment's term ids
-//! or doc ids, a document's signature, the tombstones — are stored as
-//! gaps, and a segment's postings are fixed-width little-endian at the
-//! narrowest width (1–4 bytes) the segment needs; each payload's doc
-//! comment gives its grammar. Floats travel as [`f64::to_bits`] words, so
-//! a load reproduces the exact bits the writer held — the substrate of
-//! the byte-equality-after-load contract. Each section's payload is
-//! protected by an in-repo CRC32 ([`crc32`], the IEEE/zlib polynomial);
+//! (shortest form only), increasing id sequences — a segment's doc ids, a
+//! document's signature, the tombstones — are stored as gaps; each
+//! payload's doc comment gives its grammar. Floats travel as
+//! [`f64::to_bits`] words, so a load reproduces the exact bits the
+//! writer held — the substrate of the byte-equality-after-load
+//! contract. Each section's payload is protected by an in-repo CRC32
+//! ([`crc32`], the IEEE/zlib polynomial);
 //! the header fields are protected structurally (magic, a pinned
 //! [`FORMAT_VERSION`], a per-snapshot-kind section schedule, and an
 //! exact-consumption check at every level).
@@ -28,25 +27,20 @@ use crate::document::DocId;
 pub const MAGIC: [u8; 8] = *b"DIVTOPK\0";
 
 /// The container format revision this build writes and reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Snapshot kind: the `MANIFEST` of a snapshot directory (what
 /// `Engine::save_snapshot` writes). Kinds 1–3 belonged to retired
-/// single-file formats and are never reused, so such a file can never
-/// half-decode as a manifest.
+/// single-file formats and kind 6 to the posting-list segment file of
+/// formats 3–5; none is reused, so such a file can never half-decode as
+/// another kind.
 pub const KIND_MANIFEST: u32 = 4;
 /// Snapshot kind: the `epoch-*.bin` file (vocabulary + frozen statistics).
 pub const KIND_EPOCH: u32 = 5;
-/// Snapshot kind: one `seg-*.bin` segment file holding the segment's
-/// posting lists (`INDX`), written for a segment of at least
-/// [`CHUNK`](crate::chunked::CHUNK) documents.
-pub const KIND_SEGMENT: u32 = 6;
 /// Snapshot kind: one `docs-*.bin` document-store chunk file.
 pub const KIND_CHUNK: u32 = 7;
-/// Snapshot kind: one `seg-*.bin` segment file holding only the
-/// segment's doc ids (`IDS `), written for a segment of fewer than
-/// [`CHUNK`](crate::chunked::CHUNK) documents; the load rebuilds its lists
-/// from the documents.
+/// Snapshot kind: one `seg-*.bin` segment file, the segment's doc ids
+/// (`IDS `); the load rebuilds its lists from the documents.
 pub const KIND_SEGMENT_IDS: u32 = 8;
 
 /// Bytes of a file header: magic, version, kind and section count.
@@ -194,10 +188,6 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    pub(super) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
     pub(super) fn u32(&mut self) -> Result<u32, SnapshotError> {
         let b = self.take(4)?;
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
@@ -280,10 +270,6 @@ impl<'a> ByteReader<'a> {
     /// never drive an oversized allocation.
     pub(super) fn counted(&mut self, min_bytes: usize) -> Result<usize, SnapshotError> {
         let count = self.varint()?;
-        self.check_count(count, min_bytes)
-    }
-
-    pub(super) fn check_count(&self, count: u64, min_bytes: usize) -> Result<usize, SnapshotError> {
         let fits = count
             .checked_mul(min_bytes as u64)
             .is_some_and(|total| total <= self.remaining() as u64);

@@ -2,7 +2,7 @@
 //! that reads each data file through one checked reader, and garbage
 //! collection of the files a new manifest no longer names.
 
-use super::container::{Container, KIND_CHUNK, KIND_EPOCH, KIND_SEGMENT, KIND_SEGMENT_IDS, crc32};
+use super::container::{Container, KIND_CHUNK, KIND_EPOCH, KIND_SEGMENT_IDS, crc32};
 use super::docs::{chunk_to_bytes, read_chunk};
 use super::epoch::{epoch_to_bytes, read_epoch};
 use super::manifest::{ChunkEntry, Manifest, SegmentEntry, manifest_from_bytes, manifest_to_bytes};
@@ -13,10 +13,10 @@ use super::{
 use crate::chunked::ChunkedVec;
 use crate::corpus::Corpus;
 use crate::document::DocId;
-use crate::index;
 use crate::segments::{Segment, SegmentedIndex, Tombstones};
 use std::collections::HashSet;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Pseudo-tag reported in [`SnapshotError::ChecksumMismatch`] when a
@@ -231,13 +231,12 @@ fn save_data_file(
 
 /// Writes a [`SegmentedIndex`] snapshot directory (plus the caller's
 /// generation) to `dir`, creating it if needed: the epoch, every
-/// document chunk, every segment — a segment of fewer than
-/// [`CHUNK`](crate::chunked::CHUNK) documents as its doc ids, a larger one
-/// as its posting lists — and the manifest. The save is **incremental**:
-/// an epoch, segment or chunk file the directory's previous manifest
-/// records with exactly the `(length, CRC32)` the in-memory piece was
-/// written as or loaded from is reused without re-encoding or rewriting,
-/// so a checkpoint writes O(what changed) bytes, not O(corpus). Every
+/// document chunk, every segment as its doc ids, and the manifest. The
+/// save is **incremental**: an epoch, segment or chunk file the
+/// directory's previous manifest records with exactly the `(length,
+/// CRC32)` the in-memory piece was written as or loaded from is reused
+/// without re-encoding or rewriting, so a checkpoint writes O(what
+/// changed) bytes, not O(corpus). Every
 /// other file goes to a new name (its CRC is part of it), the manifest is
 /// written last (atomically, with parent-directory fsync), and only then
 /// are unreferenced files garbage-collected — so a save that fails or is
@@ -359,16 +358,19 @@ pub fn save_segmented(
 }
 
 /// Loads a [`SegmentedIndex`] snapshot directory (and its saved
-/// generation) from `dir`: the manifest is read eagerly, then each
-/// referenced file is CRC-verified against the manifest and decoded —
-/// no monolithic re-parse, and any cross-file inconsistency (missing or
-/// stale file, duplicate segment id, overlapping per-segment doc sets)
-/// is a typed [`SnapshotError`]. A segment saved as its doc ids is
-/// rebuilt with `Segment::build` over them, once they are checked:
-/// strictly increasing, inside the corpus, each a non-empty document,
-/// as many as the manifest records, and claimed by no other segment.
-/// Each segment and chunk remembers the file it was loaded from, so the
-/// next save into `dir` reuses it.
+/// generation) from `dir` in two phases. First every file is read and
+/// checked: the manifest, then each referenced file against the length
+/// and CRC32 the manifest records (the epoch and the document chunks in
+/// parallel), and every segment's doc ids —
+/// strictly increasing, inside the corpus, each a non-empty document, as
+/// many as the manifest records, claimed by no other segment, and
+/// together holding every live document. Any inconsistency (a missing or
+/// stale file, a duplicate segment id, overlapping doc sets) is a typed
+/// [`SnapshotError`], returned before any segment is built. Then every
+/// segment is rebuilt with `Segment::build`, the build that made it, on
+/// up to [`std::thread::available_parallelism`] threads. Each segment
+/// and chunk remembers the file it was loaded from, so the next save
+/// into `dir` reuses it.
 ///
 /// The loaded index is **byte-identical** to the saved one: every scan
 /// and threshold-algorithm read (hits, metrics, early-stop point)
@@ -379,29 +381,36 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let dir = dir.as_ref();
     let manifest = manifest_from_bytes(&std::fs::read(dir.join(MANIFEST_NAME))?)?;
 
-    let (vocab, doc_freq, idf) = read_data_file(
-        dir,
-        epoch_file_name,
-        manifest.epoch,
-        &[KIND_EPOCH],
-        |c, _| read_epoch(c),
-    )?;
+    // The epoch and the chunks decode independently — a chunk's term ids
+    // are checked against the manifest's vocabulary size, which the
+    // epoch's must equal — so they are read in parallel. The epoch's
+    // failure comes first, then the first chunk's in manifest order.
+    let chunks: Vec<_> = manifest.chunks.iter().enumerate().collect();
+    let (epoch, doc_parts) = std::thread::scope(|scope| {
+        let epoch = scope.spawn(|| {
+            read_data_file(
+                dir,
+                epoch_file_name,
+                manifest.epoch,
+                &[KIND_EPOCH],
+                |c, _| read_epoch(c),
+            )
+        });
+        let doc_parts = fan_out(&chunks, |&(i, entry)| {
+            let name = |crc| chunk_file_name(i, crc);
+            read_data_file(dir, name, entry.file, &[KIND_CHUNK], |c, _| {
+                read_chunk(c, manifest.num_terms as usize, entry.len as usize)
+            })
+        });
+        (joined(epoch), doc_parts)
+    });
+    let (vocab, doc_freq, idf) = epoch?;
     if vocab.len() as u64 != manifest.num_terms {
         return Err(SnapshotError::Malformed {
             context: "epoch vocabulary size disagrees with the manifest",
         });
     }
-    let mut doc_parts = Vec::with_capacity(manifest.chunks.len());
-    for (i, entry) in manifest.chunks.iter().enumerate() {
-        let name = |crc| chunk_file_name(i, crc);
-        doc_parts.push(read_data_file(
-            dir,
-            name,
-            entry.file,
-            &[KIND_CHUNK],
-            |c, _| read_chunk(c, vocab.len(), entry.len as usize),
-        )?);
-    }
+    let doc_parts = doc_parts.into_iter().collect::<Result<Vec<_>, _>>()?;
     // The manifest validation already pinned the per-chunk lengths, so
     // this cannot fail on manifest-consistent data.
     let docs = ChunkedVec::from_chunks(doc_parts).ok_or(SnapshotError::Malformed {
@@ -413,31 +422,17 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
     let corpus = Corpus::from_parts(vocab, docs, doc_freq, idf);
     let _ = corpus.epoch_file().set(manifest.epoch);
     let num_docs = corpus.num_docs();
-    // Per-doc `1/sqrt(len)` factors, tabulated once so every segment's
-    // partial-score check is a multiply, through the build's own
-    // `index::inv_sqrt_len`.
-    let inv_len: Vec<f64> = corpus
-        .docs()
-        .map(|d| {
-            if d.len == 0 {
-                0.0
-            } else {
-                index::inv_sqrt_len(d.len)
-            }
-        })
-        .collect();
 
     // Segments must cover pairwise-disjoint doc-id sets — the invariant
     // the merged-bound soundness proof (DESIGN.md §8) rests on; an
     // overlap would serve duplicate hits, so it is rejected like every
     // other CRC-valid-but-inconsistent payload.
     let mut claimed = vec![0u64; num_docs.div_ceil(64)];
-    let mut segments = Vec::with_capacity(manifest.segments.len());
+    let mut parts = Vec::with_capacity(manifest.segments.len());
     for entry in &manifest.segments {
         let name = |crc| segment_file_name(entry.id, crc);
-        let kinds = [KIND_SEGMENT, KIND_SEGMENT_IDS];
-        let (ids, index) = read_data_file(dir, name, entry.file, &kinds, |c, kind| {
-            read_segment_file(c, kind, &corpus, &inv_len)
+        let ids = read_data_file(dir, name, entry.file, &[KIND_SEGMENT_IDS], |c, _| {
+            read_segment_file(c, &corpus)
         })?;
         if ids.len() as u64 != entry.doc_count {
             return Err(SnapshotError::Malformed {
@@ -453,18 +448,7 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             }
             claimed[word] |= bit;
         }
-        let segment = match index {
-            Some(index) => Segment::from_trusted_parts(entry.id, ids.len(), index, entry.file),
-            None => {
-                // The build that made the segment, over the same
-                // documents under the same epoch: the same lists, bit
-                // for bit.
-                let segment = Segment::build(entry.id, &corpus, ids.iter().copied());
-                let _ = segment.file().set(entry.file);
-                segment
-            }
-        };
-        segments.push(Arc::new(segment));
+        parts.push((entry.id, entry.file, ids));
     }
     // And they must cover every live document a build would index: one
     // that no segment holds would silently drop out of every answer.
@@ -480,6 +464,13 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
             context: "live document held by no segment",
         });
     }
+    // The build that made each segment, over the same documents under
+    // the same epoch: the same lists, bit for bit.
+    let segments = fan_out(&parts, |(id, file, ids)| {
+        let segment = Segment::build(*id, &corpus, ids.iter().copied());
+        let _ = segment.file().set(*file);
+        Arc::new(segment)
+    });
     Ok((
         SegmentedIndex::from_parts(
             Arc::new(corpus),
@@ -490,4 +481,50 @@ pub fn load_segmented(dir: impl AsRef<Path>) -> Result<(SegmentedIndex, u64), Sn
         ),
         manifest.generation,
     ))
+}
+
+/// The result of the scoped thread `handle`; its panic resumes on the
+/// caller.
+fn joined<R>(handle: std::thread::ScopedJoinHandle<'_, R>) -> R {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// `f` of every item of `items`, in `items`' order. The calls are
+/// independent, so they run on up to
+/// [`std::thread::available_parallelism`] scoped threads, each taking
+/// the next item until none is left, as `Engine::search_batch` fans out
+/// its queries; a panic in `f` resumes on the caller.
+fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(items.len());
+    if workers <= 1 {
+        return items.iter().map(f).collect();
+    }
+    let cursor = AtomicUsize::new(0);
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut mine = Vec::new();
+                    loop {
+                        // RELAXED: the counter only hands out distinct
+                        // indices; each result travels back through its
+                        // worker's join, which publishes it.
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break;
+                        };
+                        mine.push((i, f(item)));
+                    }
+                    mine
+                })
+            })
+            .collect();
+        workers.into_iter().flat_map(joined).collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }

@@ -8,10 +8,12 @@
 //! [`save_segmented`] / [`load_segmented`], which persist the full
 //! [`SegmentedIndex`] serving state (vocabulary, frozen-statistics epoch,
 //! document store, segments, tombstones) as a **snapshot directory** in
-//! the LSM-manifest shape. Nothing derivable is stored: the loader
-//! computes each posting's partial score and each document's weight
-//! `W(d)` from the frozen IDF, as a build does, and rebuilds a segment
-//! of fewer than [`CHUNK`] documents from its doc ids.
+//! the LSM-manifest shape. Nothing derivable is stored: a snapshot holds
+//! documents, not indexes. A segment is saved as its doc ids, and the
+//! load rebuilds its posting lists with the build that made them, on as
+//! many threads as the machine offers, once every file has been read and
+//! checked; each document's weight `W(d)` is likewise computed from the
+//! frozen IDF.
 //!
 //! ## The snapshot directory (DESIGN.md §14)
 //!
@@ -23,8 +25,7 @@
 //!                                     below, plus the sparse tombstone list
 //! <dir>/epoch-<crc>.bin               vocabulary + frozen statistics (df, IDF)
 //! <dir>/seg-<id:016x>-<crc>.bin       one immutable segment: its doc ids
-//!                                     (IDS) under CHUNK documents, its
-//!                                     posting lists (INDX) from CHUNK up
+//!                                     (IDS)
 //! <dir>/docs-<idx:08x>-<crc>.bin      one document-store chunk (DOCS)
 //! ```
 //!
@@ -59,19 +60,21 @@
 //! an attacker-sized allocation: section lengths are bounds-checked
 //! against the bytes actually present before any slice is taken, and
 //! element counts are checked against the owning payload's size before
-//! any `Vec` is reserved. `tests/persistence.rs` drives a truncate-every-offset +
-//! flip-every-byte suite over every file of a valid snapshot directory
-//! to pin this down.
+//! any `Vec` is reserved. Every check runs before the first segment is
+//! built, so a rejected snapshot costs no build. `tests/persistence.rs`
+//! drives a truncate-every-offset + flip-every-byte suite over every
+//! file of a valid snapshot directory to pin this down.
 //!
 //! ## Versioning policy
 //!
 //! [`FORMAT_VERSION`] identifies the container revision. Readers accept
 //! exactly the versions they know how to decode (currently only
-//! version 5; version 1 stored a list length for every vocabulary term,
+//! version 6; version 1 stored a list length for every vocabulary term,
 //! version 2 a content fingerprint, a `META` copy of manifest fields and
 //! a weight table in every data file, version 3 every id, count and
 //! posting field as a fixed 4- or 8-byte word, version 4 every segment's
-//! posting lists under names without a CRC) and reject everything else
+//! posting lists under names without a CRC, version 5 the posting lists
+//! of every segment of at least [`CHUNK`] documents) and reject everything else
 //! with [`SnapshotError::UnsupportedVersion`] — snapshots are cheap to
 //! regenerate from the corpus, so there is no silent best-effort decoding
 //! of future or past revisions. Any layout change bumps the version.
@@ -91,8 +94,8 @@ mod segment;
 mod tests;
 
 pub use container::{
-    FORMAT_VERSION, HEADER_LEN, KIND_CHUNK, KIND_EPOCH, KIND_MANIFEST, KIND_SEGMENT,
-    KIND_SEGMENT_IDS, MAGIC, SECTION_HEADER_LEN, crc32, file_kind,
+    FORMAT_VERSION, HEADER_LEN, KIND_CHUNK, KIND_EPOCH, KIND_MANIFEST, KIND_SEGMENT_IDS, MAGIC,
+    SECTION_HEADER_LEN, crc32, file_kind,
 };
 pub use dir::{SaveReport, audit, load_segmented, save_segmented};
 
@@ -116,14 +119,17 @@ pub fn chunk_file_name(index: usize, crc: u32) -> String {
     format!("docs-{index:08x}-{crc:08x}.bin")
 }
 
-/// Upper bound accepted for any score-feeding value a load reads or
-/// computes (IDF, posting partial). Legitimate values are tiny —
-/// `idf ≤ ln(N)` and `partial ≤ tf·idf ≲ 10¹³` — while queries sum up
-/// to `u32::MAX` of them, so admitting anything close to `f64::MAX`
-/// would let a CRC-valid-but-forged snapshot overflow a query-time sum
-/// to `+inf` and panic `Score::new` inside the serving process. With
-/// this cap, `1e100 × 2³² ≪ f64::MAX` keeps every reachable sum finite.
-const MAX_STORED_VALUE: f64 = 1e100;
+/// Upper bound a load accepts for a stored IDF weight, the one
+/// score-feeding value a snapshot stores. Legitimate values are tiny
+/// (`idf ≤ ln(N)`), but a CRC-valid forged epoch could carry anything,
+/// and the load's build computes every posting's partial from it:
+/// `partial = tf · idf · (1/√len)` with `tf < 2³²` and `1/√len ≤ 1`, so
+/// with this cap a partial is at most 2³² · 10¹⁰⁰, and a query-time sum
+/// over at most 2³² such terms stays below 2⁶⁴ · 10¹⁰⁰ ≈ 1.8 · 10¹¹⁹,
+/// far under `f64::MAX` (≈ 1.8 · 10³⁰⁸). No sum reaches `+inf`, so none
+/// panics `Score::new` inside the serving process. The cap admits
+/// `-0.0`, whose partials are all `-0.0`: `Score::new` accepts that too.
+pub const MAX_STORED_VALUE: f64 = 1e100;
 
 /// The `(length, whole-file CRC32)` a manifest records for one data file
 /// — and what an epoch, segment or chunk remembers of the file it was

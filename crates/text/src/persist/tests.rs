@@ -6,7 +6,6 @@
 use super::{container::*, dir::*, manifest::*, segment::*, *};
 use crate::chunked::CHUNK;
 use crate::document::{Document, TermId};
-use crate::index::{InvertedIndex, Posting};
 use crate::segments::{Segment, SegmentedIndex, Tombstones};
 use crate::synth::{SynthConfig, generate};
 use std::path::Path;
@@ -60,62 +59,6 @@ pub(super) fn forged_ids(n: u64, gaps: &[u64]) -> Vec<u8> {
 /// Term frequencies on both sides of every tf width boundary.
 const TF_BOUNDARIES: [u32; 6] = [1, 255, 256, 65_535, 65_536, u32::MAX];
 
-/// The `(doc_width, tf_width)` bytes of a segment posting payload.
-fn payload_widths(payload: &[u8]) -> (u8, u8) {
-    let mut r = ByteReader::new(payload, "segment index section");
-    r.u64().unwrap();
-    r.varint().unwrap();
-    r.varint().unwrap();
-    (r.u8().unwrap(), r.u8().unwrap())
-}
-
-#[test]
-fn segment_payloads_round_trip_across_width_boundaries() {
-    // Doc spans on both sides of 2⁸, 2¹⁶ and 2²⁴ from a non-zero
-    // base, each with every boundary tf. A 2²⁴-document corpus is
-    // out of reach of a unit test, so this one decodes the payload
-    // directly against a zeroed `1/sqrt(len)` table whose pages no
-    // posting touches are never written.
-    let base = 5u32;
-    let spans = [1u32, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
-    let doc_widths = [1u8, 1, 2, 2, 3, 3, 4];
-    let tf_widths = [1u8, 1, 2, 2, 3, 4];
-    let mut inv_len = vec![0.0; (base + (1 << 24)) as usize + 1];
-    inv_len[base as usize] = 1.0;
-    for span in spans {
-        inv_len[(base + span) as usize] = 1.0;
-    }
-    for (&tf, &tf_width) in TF_BOUNDARIES.iter().zip(&tf_widths) {
-        for (&span, &doc_width) in spans.iter().zip(&doc_widths) {
-            let (near, far) = (
-                Posting { doc: base, tf: 1 },
-                Posting {
-                    doc: base + span,
-                    tf,
-                },
-            );
-            // `(partial desc, doc asc)` with every partial = tf.
-            let two = if tf > 1 {
-                vec![far, near]
-            } else {
-                vec![near, far]
-            };
-            let index = InvertedIndex::from_sorted_lists(3, [(0, vec![far]), (2, two.clone())]);
-            let payload = segment_postings_payload(&index);
-            assert_eq!(
-                payload_widths(&payload),
-                (doc_width, tf_width),
-                "span {span} tf {tf}"
-            );
-            let reader = ByteReader::new(&payload, "segment index section");
-            let loaded = read_segment_index(reader, &[1.0; 3], &inv_len).unwrap();
-            assert!(loaded.lists().eq(index.lists()), "span {span} tf {tf}");
-            assert!(loaded.postings(2).iter().eq(two), "span {span} tf {tf}");
-            assert_eq!(segment_postings_payload(&loaded), payload);
-        }
-    }
-}
-
 #[test]
 fn snapshots_round_trip_across_width_boundaries() {
     // A base segment of 65 540 documents (doc offsets past 2¹⁶) whose
@@ -155,7 +98,7 @@ fn snapshots_round_trip_across_width_boundaries() {
     let widths: Vec<(u8, u8)> = index
         .segments()
         .iter()
-        .map(|s| payload_widths(&segment_postings_payload(s.index())))
+        .map(|s| (s.index().layout().doc_width, s.index().layout().tf_width))
         .collect();
     for doc_width in 1..=3 {
         assert!(widths.iter().any(|w| w.0 == doc_width), "{widths:?}");
@@ -236,8 +179,8 @@ pub(super) fn small_segmented() -> SegmentedIndex {
 fn overlapping_segments_are_rejected() {
     // Disjoint segment doc sets are the invariant the merged-bound
     // soundness proof rests on; a snapshot whose segments share a
-    // document must not load, whether they are saved as doc ids
-    // (under one chunk of documents) or as posting lists.
+    // document must not load, whether the id files are under one chunk
+    // of documents or past it.
     let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(2);
     // Room for both overlapping pairs' counts, which the manifest
     // checks against the corpus before any file is read.
@@ -245,10 +188,7 @@ fn overlapping_segments_are_rejected() {
         b.add_tokens(format!("d{i}"), vec![i % 2]);
     }
     let corpus = Arc::new(b.build());
-    for (kind, a, b) in [
-        (KIND_SEGMENT_IDS, 0..40, 30..80),
-        (KIND_SEGMENT, 0..1_100, 1_000..2_100),
-    ] {
+    for (a, b) in [(0..40, 30..80), (0..1_100, 1_000..2_100)] {
         let overlapping = SegmentedIndex::from_parts(
             Arc::clone(&corpus),
             vec![
@@ -261,8 +201,8 @@ fn overlapping_segments_are_rejected() {
         );
         let dir = temp_dir("overlap");
         save_segmented(&dir, &overlapping, 0).unwrap();
-        assert_eq!(kind_of(&segment_path(&dir, 1)), kind);
-        let what = format!("kind {kind}");
+        assert_eq!(kind_of(&segment_path(&dir, 1)), KIND_SEGMENT_IDS);
+        let what = format!("{} documents", overlapping.segments()[1].doc_count());
         assert_malformed(vec![(&what, load_segmented(&dir), "same document")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -356,9 +296,10 @@ fn forged_id_files_are_rejected() {
 }
 
 #[test]
-fn segments_under_one_chunk_are_saved_as_ids() {
-    // A 1 023-document segment is saved as its doc ids, a 1 024-document
-    // one as its posting lists; both load to the lists they held.
+fn every_segment_is_saved_as_ids() {
+    // A 1 023-document segment and a 1 024-document one, on either side
+    // of the chunk size that once split the two payloads, are both saved
+    // as their doc ids and load to the lists they held.
     let mut b = crate::corpus::CorpusBuilder::with_synthetic_vocab(3);
     for i in 0..(CHUNK as u32 - 1) {
         b.add_tokens(format!("d{i}"), vec![i % 3]);
@@ -373,8 +314,13 @@ fn segments_under_one_chunk_are_saved_as_ids() {
     assert_eq!(counts, [CHUNK - 1, CHUNK]);
     let dir = temp_dir("boundary");
     save_segmented(&dir, &index, 1).unwrap();
-    assert_eq!(kind_of(&segment_path(&dir, 0)), KIND_SEGMENT_IDS);
-    assert_eq!(kind_of(&segment_path(&dir, 1)), KIND_SEGMENT);
+    for i in 0..2 {
+        let path = segment_path(&dir, i);
+        assert_eq!(kind_of(&path), KIND_SEGMENT_IDS);
+        let ids = index.segments()[i].index().doc_ids();
+        let bytes = assemble(KIND_SEGMENT_IDS, vec![(TAG_IDS, doc_ids_payload(&ids))]);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+    }
     let (loaded, _) = load_segmented(&dir).unwrap();
     for (a, b) in loaded.segments().iter().zip(index.segments()) {
         assert!(
@@ -602,8 +548,9 @@ fn a_version_1_snapshot_is_unsupported() {
     // version 2 a fingerprint, a META section and a weight table in
     // every data file, version 3 fixed-width ids, counts and
     // postings, version 4 every segment's postings under names
-    // without a CRC; this build decodes none of them (rebuild on
-    // mismatch, DESIGN.md §14).
+    // without a CRC, version 5 the postings of every segment of at
+    // least one chunk of documents; this build decodes none of them
+    // (rebuild on mismatch, DESIGN.md §14).
     let dir = temp_dir("v1");
     save_segmented(&dir, &small_segmented(), 1).unwrap();
     let pristine = std::fs::read(dir.join(MANIFEST_NAME)).unwrap();
@@ -622,9 +569,9 @@ fn a_version_1_snapshot_is_unsupported() {
 #[test]
 fn a_segment_file_does_not_grow_with_the_vocabulary() {
     // The same one-document batch on a 3 000-term and a 120 000-term
-    // epoch encodes posting payloads of equal length: the payload
-    // holds the batch's lists, not one length per vocabulary term.
-    // (Saved, the batch is an id file, and loads as the same lists.)
+    // epoch is saved as segment files of equal length: the file holds
+    // the batch's doc ids, nothing per vocabulary term, and loads as the
+    // same lists.
     let doc = Document::from_tokens("one".into(), vec![7, 42, 42, 1_999]);
     let mut lens = Vec::new();
     for vocab in [3_000usize, 120_000] {
@@ -637,8 +584,8 @@ fn a_segment_file_does_not_grow_with_the_vocabulary() {
         let added = index.segments().last().unwrap();
         assert_eq!(added.index().lists().count(), doc.distinct_terms());
         assert_eq!(added.index().num_terms(), vocab);
-        lens.push(segment_postings_payload(added.index()).len());
         save_segmented(&dir, &index, 2).unwrap();
+        lens.push(std::fs::metadata(segment_path(&dir, 1)).unwrap().len());
         let (loaded, _) = load_segmented(&dir).unwrap();
         let reloaded = loaded.segments().last().unwrap();
         assert!(reloaded.index().lists().eq(added.index().lists()));
@@ -647,7 +594,7 @@ fn a_segment_file_does_not_grow_with_the_vocabulary() {
     }
     assert_eq!(
         lens[0], lens[1],
-        "segment payload length depends on the vocabulary"
+        "segment file length depends on the vocabulary"
     );
 }
 

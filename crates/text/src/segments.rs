@@ -145,39 +145,31 @@ pub struct Segment {
 
 impl Segment {
     /// A segment over the documents `ids` (strictly increasing) of
-    /// `corpus`.
+    /// `corpus`. The build gives a document a posting per term unless
+    /// its length is 0, so those are the documents it counts.
     pub(crate) fn build(
         id: u64,
         corpus: &Corpus,
         ids: impl Iterator<Item = DocId> + Clone,
     ) -> Segment {
-        Segment::new(id, InvertedIndex::build_from_ids(corpus, ids))
+        let index = InvertedIndex::build_from_ids(corpus, ids.clone());
+        let held = |d: DocId| corpus.doc(d).len != 0 && !corpus.doc(d).terms.is_empty();
+        Segment {
+            id,
+            index,
+            doc_count: ids.filter(|&d| held(d)).count(),
+            file: OnceLock::new(),
+        }
     }
 
+    /// A segment holding `index` as given (test layouts).
+    #[cfg(test)]
     fn new(id: u64, index: InvertedIndex) -> Segment {
         Segment {
             id,
             doc_count: index.doc_ids().len(),
             index,
             file: OnceLock::new(),
-        }
-    }
-
-    /// Reassembles a segment from parts the snapshot layer persisted
-    /// (DESIGN.md §14). The caller vouches for `doc_count` — the load
-    /// path counts the doc ids it checks for overlap anyway — and
-    /// for `file`, the stamp of the CRC-checked file it decoded.
-    pub(crate) fn from_trusted_parts(
-        id: u64,
-        doc_count: usize,
-        index: InvertedIndex,
-        file: FileStamp,
-    ) -> Segment {
-        Segment {
-            id,
-            index,
-            doc_count,
-            file: OnceLock::from(file),
         }
     }
 

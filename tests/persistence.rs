@@ -33,13 +33,12 @@ fn mutated_state() -> SegmentedIndex {
     seg
 }
 
-/// A deliberately small serving state whose snapshot is a few KB but
-/// holds both segment payloads — the corruption sweeps below are
-/// quadratic (every offset × a full directory load), so they run on
-/// this, not on [`mutated_state`]. The base segment is [`CHUNK`]
-/// one-token documents plus a dozen texts, so it is saved as posting
-/// lists (one long list of 3-byte postings, the documents 5 bytes
-/// each); the compacted batch is saved as its doc ids.
+/// A deliberately small serving state whose snapshot is a few KB — the
+/// corruption sweeps below are quadratic (every offset × a full
+/// directory load), so they run on this, not on [`mutated_state`]. The
+/// base segment is [`CHUNK`] one-token documents plus a dozen texts, so
+/// its id file holds more than one chunk's worth of ids, each a one-byte
+/// gap; the compacted batch's id file holds two.
 fn small_state() -> SegmentedIndex {
     let mut b = Corpus::builder();
     for _ in 0..CHUNK {
@@ -67,18 +66,17 @@ fn file_kind(path: &std::path::Path) -> u32 {
     persist::file_kind(&std::fs::read(path).unwrap()).unwrap()
 }
 
-/// [`small_state`] saved into a fresh directory, which holds a segment
-/// file of each payload kind.
+/// [`small_state`] saved into a fresh directory, whose two segment files
+/// are both id files.
 fn saved_small_state(name: &str) -> PathBuf {
     let dir = temp_path(name);
     persist::save_segmented(&dir, &small_state(), 1).unwrap();
-    let mut kinds: Vec<u32> = snapshot_files(&dir)
+    let kinds: Vec<u32> = snapshot_files(&dir)
         .iter()
         .filter(|n| n.starts_with("seg-"))
         .map(|n| file_kind(&dir.join(n)))
         .collect();
-    kinds.sort_unstable();
-    assert_eq!(kinds, [persist::KIND_SEGMENT, persist::KIND_SEGMENT_IDS]);
+    assert_eq!(kinds, [persist::KIND_SEGMENT_IDS; 2]);
     dir
 }
 
@@ -206,9 +204,10 @@ fn incremental_checkpoints_reuse_files_and_load_identically() {
 #[test]
 fn diverged_lineages_rewrite_the_segment_id_they_share() {
     // 1 100 documents: one sealed 1 024-document chunk and a tail. Each
-    // lineage then adds a batch of `CHUNK` different documents, saved as
-    // posting lists, at the same doc ids. (A smaller batch is saved as
-    // its doc ids, the same bytes in both lineages, and is reused.)
+    // lineage then adds a batch of `CHUNK` different documents at the
+    // same doc ids, so the two segments with id 2 hold different lists
+    // but the same id file: the documents that tell them apart are in
+    // the chunks.
     let (base, pool) = fixture(7, 1100, 2 * CHUNK);
     let dir = temp_path("lineages.snapshot");
     let config = EngineConfig::new(2).with_threads(1);
@@ -222,30 +221,45 @@ fn diverged_lineages_rewrite_the_segment_id_they_share() {
     let (batch_a, batch_b) = pool.split_at(CHUNK);
     a.add_docs(batch_a.to_vec());
     b.add_docs(batch_b.to_vec());
-    // Segment 2's file, whichever lineage wrote it last: its name ends
-    // in its CRC, so the two lineages' files have different names.
-    let shared = |dir: &PathBuf| {
+    // The one file whose name starts with `prefix`.
+    let file = |dir: &PathBuf, prefix: &str| {
         let name = snapshot_files(dir)
             .into_iter()
-            .find(|n| n.starts_with("seg-0000000000000002-"))
+            .find(|n| n.starts_with(prefix))
             .unwrap();
-        assert_eq!(file_kind(&dir.join(&name)), persist::KIND_SEGMENT);
-        std::fs::read(dir.join(name)).unwrap()
+        (
+            file_kind(&dir.join(&name)),
+            std::fs::read(dir.join(name)).unwrap(),
+        )
     };
-    let mut previous = Vec::new();
-    for (who, engine) in [("A", &a), ("B", &b), ("A again", &a)] {
+    let (mut previous, mut segment_file) = (Vec::new(), None);
+    // A's first save writes segment 2; B's rewrites it, its own segment
+    // remembering no file; A's second finds the file A remembers, the
+    // same bytes, and reuses it.
+    for (who, engine, segment_written) in [("A", &a, 1), ("B", &b, 1), ("A again", &a, 0)] {
         let report = engine.save_snapshot(&dir).unwrap();
-        // Written: segment 2, the chunk the batch sealed, the new tail
-        // chunk and the manifest. Reused: the epoch, both base segments
-        // and the first sealed chunk.
+        // Written: the chunk the batch sealed, the new tail chunk and the
+        // manifest, and segment 2 unless reused. Reused: the epoch, both
+        // base segments and the first sealed chunk.
         assert_eq!(
             (report.files_written, report.files_reused),
-            (4, 4),
+            (3 + segment_written, 5 - segment_written),
             "{who}: {report:?}"
         );
-        let bytes = shared(&dir);
-        assert_ne!(bytes, previous, "{who}: segment 2 was not rewritten");
-        previous = bytes;
+        let (kind, ids) = file(&dir, "seg-0000000000000002-");
+        assert_eq!(kind, persist::KIND_SEGMENT_IDS, "{who}");
+        assert_eq!(
+            segment_file.get_or_insert_with(|| ids.clone()),
+            &ids,
+            "{who}"
+        );
+        // Its sealed chunk holds this lineage's documents.
+        let (_, sealed) = file(&dir, "docs-00000001-");
+        assert_ne!(
+            sealed, previous,
+            "{who}: the batch's chunk was not rewritten"
+        );
+        previous = sealed;
         let loaded = Engine::load_snapshot(&dir, &config).unwrap();
         assert_eq!(loaded.generation(), engine.generation(), "{who}");
         assert!(loaded.corpus().docs().eq(engine.corpus().docs()), "{who}");
@@ -322,6 +336,168 @@ fn a_foreign_epoch_file_of_the_same_length_is_rewritten() {
     loaded.verify_rebuild_equivalence().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&elsewhere).unwrap();
+}
+
+#[test]
+fn a_load_builds_more_segments_than_cores_in_manifest_order() {
+    // The load builds its segments on one thread a core, so with more
+    // segments than cores a thread builds several and they finish out of
+    // order. Segments of mixed sizes, some tombstoned documents and one
+    // compaction; the loaded segments come back in manifest order, serve
+    // what the rebuild serves, and remember the files they were built
+    // from, so a re-save straight after the load writes only the
+    // manifest.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (corpus, pool) = fixture(11, 300, 60);
+    let mut seg = SegmentedIndex::build_partitioned(corpus, 2);
+    let mut next = 0;
+    for size in [1usize, 17, 4, 40, 9].into_iter().cycle() {
+        if seg.num_segments() > cores.max(5) {
+            break;
+        }
+        let batch: Vec<Document> = pool.iter().cycle().skip(next).take(size).cloned().collect();
+        next += size;
+        let added = seg.add_docs(batch);
+        seg.delete_docs(&[added.start, 3 * added.start % 300]);
+        if next == 22 {
+            assert!(seg.compact() > 0);
+        }
+    }
+    let layout = |s: &SegmentedIndex| -> Vec<(u64, usize)> {
+        s.segments()
+            .iter()
+            .map(|s| (s.id(), s.doc_count()))
+            .collect()
+    };
+    let mut sizes: Vec<usize> = layout(&seg).iter().map(|&(_, n)| n).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    assert!(sizes.len() >= 4, "{:?}", layout(&seg));
+    assert!(seg.tombstones() > 0 && seg.compactions() > 0);
+
+    let dir = temp_path("parallel-load.snapshot");
+    let saved = persist::save_segmented(&dir, &seg, 1).unwrap();
+    let (loaded, _) = persist::load_segmented(&dir).unwrap();
+    assert_eq!(layout(&loaded), layout(&seg));
+    for (a, b) in loaded.segments().iter().zip(seg.segments()) {
+        assert!(
+            a.index().lists().eq(b.index().lists()),
+            "segment {}",
+            a.id()
+        );
+    }
+    let queries = Queries::over(&interesting_terms(seg.corpus(), 2), &[1, 5], 0.5);
+    assert_matches_rebuild(&loaded, &Rebuild::of(&seg), &queries, "loaded");
+    let resaved = persist::save_segmented(&dir, &loaded, 2).unwrap();
+    assert_eq!(
+        (resaved.files_written, resaved.files_reused),
+        (1, saved.files_written - 1),
+        "{resaved:?}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Rewrites the payload of the section tagged `tag` of the snapshot
+/// container `bytes` in place with `edit`, which keeps its length, and
+/// re-seals the section's CRC32 (the container grammar of DESIGN.md §14).
+fn reseal_section(bytes: &mut [u8], tag: &[u8; 4], edit: impl FnOnce(&mut [u8])) {
+    let mut at = persist::HEADER_LEN;
+    loop {
+        let len = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
+        let payload = at + persist::SECTION_HEADER_LEN..at + persist::SECTION_HEADER_LEN + len;
+        if &bytes[at..at + 4] == tag {
+            edit(&mut bytes[payload.clone()]);
+            let crc = persist::crc32(&bytes[payload]);
+            bytes[at + 12..at + 16].copy_from_slice(&crc.to_le_bytes());
+            return;
+        }
+        at = payload.end;
+    }
+}
+
+/// Sets every IDF weight in the epoch of the snapshot at `dir` to `idf`,
+/// every CRC valid: the epoch's `STAT` section ends in one `f64` word a
+/// term, and the manifest's `META` section in the CRC32 that names the
+/// epoch file.
+fn forge_epoch_idf(dir: &std::path::Path, num_terms: usize, idf: f64) {
+    let name = snapshot_files(dir)
+        .into_iter()
+        .find(|n| n.starts_with("epoch-"))
+        .unwrap();
+    let mut epoch = std::fs::read(dir.join(&name)).unwrap();
+    reseal_section(&mut epoch, b"STAT", |stat| {
+        let words = stat.len() - 8 * num_terms;
+        for word in stat[words..].chunks_exact_mut(8) {
+            word.copy_from_slice(&idf.to_bits().to_le_bytes());
+        }
+    });
+    let crc = persist::crc32(&epoch);
+    std::fs::remove_file(dir.join(name)).unwrap();
+    std::fs::write(dir.join(persist::epoch_file_name(crc)), &epoch).unwrap();
+    let path = dir.join(persist::MANIFEST_NAME);
+    let mut manifest = std::fs::read(&path).unwrap();
+    reseal_section(&mut manifest, b"META", |meta| {
+        let at = meta.len() - 4;
+        meta[at..].copy_from_slice(&crc.to_le_bytes());
+    });
+    std::fs::write(&path, manifest).unwrap();
+}
+
+#[test]
+fn a_forged_epoch_loads_only_finite_scores() {
+    // The load computes every partial from the stored IDF, so a
+    // CRC-valid epoch whose IDFs are all the largest the load admits,
+    // over a document of tf `u32::MAX` and length 1, gives the largest
+    // partial a load can: 2³² · 10¹⁰⁰. An IDF of -0.0 passes the same
+    // range check and makes every partial -0.0. Both load, and every
+    // answer in every mode is finite (`Score::new` panics otherwise) and
+    // the rebuild's.
+    let mut b = CorpusBuilder::with_synthetic_vocab(3);
+    b.add_document(Document {
+        title: "huge".into(),
+        terms: vec![(0, u32::MAX), (1, 1)],
+        len: 1,
+    });
+    for i in 0..40u32 {
+        b.add_tokens(format!("d{i}"), vec![i % 3, (i / 3) % 3, 2]);
+    }
+    let seg = SegmentedIndex::build_partitioned(b.build(), 2);
+    let queries = Queries::over(&[0, 1, 2], &[1, 4], 0.5);
+    for idf in [persist::MAX_STORED_VALUE, -0.0] {
+        let dir = temp_path("forged-epoch.snapshot");
+        persist::save_segmented(&dir, &seg, 1).unwrap();
+        forge_epoch_idf(&dir, 3, idf);
+        let (loaded, _) = persist::load_segmented(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            loaded
+                .corpus()
+                .idf_table()
+                .iter()
+                .all(|w| w.to_bits() == idf.to_bits())
+        );
+        assert_matches_rebuild(
+            &loaded,
+            &Rebuild::of(&loaded),
+            &queries,
+            &format!("IDF {idf}"),
+        );
+        if idf.is_sign_negative() {
+            // Every partial of every list is -0.0, so each list is in
+            // doc order.
+            for s in loaded.segments() {
+                for (t, list) in s.index().lists() {
+                    let docs: Vec<DocId> = list.iter().map(|p| p.doc).collect();
+                    assert!(docs.is_sorted(), "term {t}: {docs:?}");
+                }
+            }
+        } else {
+            let top = loaded.search_scan(0, &SearchOptions::new(1)).unwrap();
+            assert_eq!(top.hits[0].doc, 0);
+            let want = u32::MAX as f64 * idf;
+            assert_eq!(top.total_score.get().to_bits(), want.to_bits());
+        }
+    }
 }
 
 /// Copies every file of the snapshot directory `from` into a fresh

@@ -499,31 +499,45 @@ fn assert_decodes_to_reference(corpus: &Corpus, index: &InvertedIndex, want: Opt
 #[test]
 fn every_posting_list_decodes_to_its_postings_across_width_boundaries() {
     // Term frequencies on both sides of 2⁸, 2¹⁶ and 2²⁴ (a document's
-    // length is its tf plus one); doc spans on both sides of 2⁸ and 2¹⁶.
-    // A span past 2²⁴ needs a 2²⁴-document corpus; the index and segment
-    // codec unit tests decode such lists without one.
+    // length is its tf plus two); doc spans on both sides of 2⁸ and 2¹⁶.
+    // A span past 2²⁴ needs a 2²⁴-document corpus; the index unit tests
+    // decode such lists without one. Term 7 is in every document, so its
+    // IDF clamps to 0 and every partial of its lists ties. Term 6 is in
+    // 300 duplicates of two documents, interleaved in doc order, so its
+    // list holds two groups of 150 equal partials that the sort must
+    // move past each other and still order by doc.
     const TFS: [u32; 7] = [1, 255, 256, 65_535, 65_536, (1 << 24) - 1, 1 << 24];
     let boundary_docs = |tag: &str| -> Vec<Document> {
         TFS.iter()
             .map(|&tf| Document {
                 title: format!("{tag}{tf}"),
-                terms: vec![(3, tf), (4, 1)],
-                len: tf + 1,
+                terms: vec![(3, tf), (4, 1), (7, 1)],
+                len: tf + 2,
             })
             .collect()
     };
     let mut b = CorpusBuilder::with_synthetic_vocab(8);
     for i in 0..3u32 {
-        b.add_tokens(format!("head{i}"), vec![i % 3]);
+        b.add_tokens(format!("head{i}"), vec![i % 3, 7]);
     }
     for doc in boundary_docs("base") {
         b.add_document(doc);
     }
     for i in 0..65_540u32 {
-        b.add_tokens(format!("d{i}"), vec![i % 3, 5]);
+        b.add_tokens(format!("d{i}"), vec![i % 3, 5, 7]);
+    }
+    for i in 0..300u32 {
+        let (tf, len) = if i % 2 == 0 { (1, 10) } else { (2, 2) };
+        b.add_document(Document {
+            title: format!("dup{}", i % 2),
+            terms: vec![(6, tf), (7, 1)],
+            len,
+        });
     }
     let corpus = b.build();
     let n = corpus.num_docs() as DocId;
+    assert_eq!(corpus.idf(7).to_bits(), 0.0f64.to_bits());
+    assert!(corpus.idf(6) > 0.0);
     assert_decodes_to_reference(
         &corpus,
         &InvertedIndex::build(&corpus),
